@@ -1,5 +1,5 @@
-//! Database construction and measurement helpers shared by the benchmark
-//! binaries and the Criterion benches.
+//! Database construction and measurement helpers shared by the figure
+//! binaries.
 
 use std::time::Duration;
 

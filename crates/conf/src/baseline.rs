@@ -1,13 +1,12 @@
-//! The pre-PR-2 recursive one-scan implementation, retained for A/B
-//! benchmarking and regression tests (the same role `pdb_exec::baseline`
-//! plays for the relational operators).
+//! The recursive one-scan reference implementation (the same role
+//! `pdb_exec::baseline` plays for the join).
 //!
-//! This is the seed shape of the Fig. 8 machine: a recursive
+//! This is the Fig. 8 machine written the obvious way: a recursive
 //! `propagate`/`flush` over an arena of nodes that own `children` vectors —
 //! cloned on every visit, i.e. O(rows × nodes) allocations per scan — driven
 //! over a full sorted *copy* of the answer relation. The flat, iterative,
-//! permutation-scanning engine in [`crate::one_scan`] replaces it; `bench_pr2`
-//! measures the two against each other and the test suite asserts they agree.
+//! permutation-scanning engine in [`crate::one_scan`] is what runs in
+//! production; the test suite asserts the two agree.
 
 use pdb_exec::{Annotated, RowRef};
 use pdb_query::{OneScanTree, Signature};
@@ -137,10 +136,10 @@ fn build_arena(tree: &OneScanTree, answer: &Annotated, arena: &mut Vec<Node>) ->
     Ok(idx)
 }
 
-/// The seed one-scan pipeline: physically materialise a sorted copy of the
-/// answer (PR-1 comparator sort over the normalized key runs — the packed
-/// radix fast path added in PR 2 is deliberately *not* used, so this stays
-/// a faithful A/B baseline), then run the recursive Fig. 8 machine over it.
+/// The reference one-scan pipeline: physically materialise a sorted copy of
+/// the answer (sequential comparator sort over the normalized key runs, not
+/// the packed radix path the engine uses, so the two share as little as
+/// possible), then run the recursive Fig. 8 machine over it.
 ///
 /// # Errors
 /// Fails if the signature lacks the 1scan property or references a relation
@@ -163,8 +162,7 @@ pub fn one_scan_confidences_recursive(
                 .map_err(|_| ConfError::MissingLineage(r.clone()))
         })
         .collect::<ConfResult<_>>()?;
-    // The baseline is the A/B control: its key build stays sequential even
-    // now that `Annotated::sort_keys` defaults to the worker pool.
+    // The reference stays sequential whatever `SPROUT_THREADS` says.
     let keys = answer.sort_keys_with(&col_idx, &rel_idx, &pdb_par::Pool::sequential());
     let order =
         pdb_par::sorted_permutation_by(answer.len(), &pdb_par::Pool::sequential(), |a, b| {
@@ -179,26 +177,15 @@ pub fn one_scan_confidences_recursive(
         let row = answer.row(i as usize);
         sorted.push_row(row.data, row.lineage);
     }
-    one_scan_confidences_presorted_recursive(&sorted, signature)
+    scan_sorted(&sorted, &tree)
 }
 
 /// The recursive scan over an already physically sorted answer.
-///
-/// # Errors
-/// Fails if the signature lacks the 1scan property or references a relation
-/// without a lineage column.
-pub fn one_scan_confidences_presorted_recursive(
-    answer: &Annotated,
-    signature: &Signature,
-) -> ConfResult<Vec<(Tuple, f64)>> {
+fn scan_sorted(answer: &Annotated, tree: &OneScanTree) -> ConfResult<Vec<(Tuple, f64)>> {
     if answer.is_empty() {
         return Ok(Vec::new());
     }
-    if !signature.is_one_scan() {
-        return Err(ConfError::NotOneScan(signature.to_string()));
-    }
-    let tree = OneScanTree::build(signature).map_err(ConfError::from)?;
-    let mut state = ScanState::new(&tree, answer)?;
+    let mut state = ScanState::new(tree, answer)?;
     let preorder_cols: Vec<usize> = state.nodes.iter().map(|n| n.lineage_col).collect();
 
     let mut out = Vec::new();

@@ -39,8 +39,12 @@
 //! with a fixed-shape `independent_or` reduction ([`one_scan::SplitPolicy`]).
 //! Both levels of parallelism are deterministic: results are
 //! bitwise-identical at every thread count and for every split policy. The
-//! pre-PR-2 recursive engine is retained in [`baseline`] for A/B
-//! benchmarking.
+//! recursive machine written the obvious way is kept in [`baseline`] as the
+//! reference the tests compare against.
+//!
+//! `one_scan` and `multi_scan` each have one governed spelling,
+//! `op_ctx(answer, signature, pool, policy, ctx)`, plus a bare
+//! `op(answer, signature)` convenience on the default pool and policy.
 
 pub mod anytime;
 pub mod baseline;

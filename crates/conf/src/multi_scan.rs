@@ -44,7 +44,7 @@ use crate::one_scan::{
 
 /// Computes `(distinct answer tuple, confidence)` pairs for an arbitrary
 /// signature by scheduling `scan_count()` scans, using the default worker
-/// pool.
+/// pool and [`SplitPolicy`].
 ///
 /// # Errors
 /// Fails if the signature references relations missing from the answer.
@@ -52,41 +52,22 @@ pub fn multi_scan_confidences(
     answer: &Annotated,
     signature: &Signature,
 ) -> ConfResult<Vec<(Tuple, f64)>> {
-    multi_scan_confidences_with(answer, signature, &Pool::from_env().for_items(answer.len()))
+    multi_scan_confidences_ctx(
+        answer,
+        signature,
+        &Pool::from_env().for_items(answer.len()),
+        SplitPolicy::default(),
+        &ExecContext::unbounded(),
+    )
 }
 
-/// [`multi_scan_confidences`] with an explicit worker pool. The result is
-/// identical for every pool size.
-///
-/// # Errors
-/// Fails if the signature references relations missing from the answer.
-pub fn multi_scan_confidences_with(
-    answer: &Annotated,
-    signature: &Signature,
-    pool: &Pool,
-) -> ConfResult<Vec<(Tuple, f64)>> {
-    multi_scan_confidences_tuned(answer, signature, pool, SplitPolicy::default())
-}
-
-/// [`multi_scan_confidences_with`] with an explicit intra-bag
-/// [`SplitPolicy`], applied to every pre-aggregation pass and the final
-/// scan. Results are bitwise-identical for every pool size and policy.
-///
-/// # Errors
-/// Fails if the signature references relations missing from the answer.
-pub fn multi_scan_confidences_tuned(
-    answer: &Annotated,
-    signature: &Signature,
-    pool: &Pool,
-    policy: SplitPolicy,
-) -> ConfResult<Vec<(Tuple, f64)>> {
-    multi_scan_confidences_ctx(answer, signature, pool, policy, &ExecContext::unbounded())
-}
-
-/// [`multi_scan_confidences_tuned`] under a governor [`ExecContext`]: every
-/// pre-aggregation pass and the final scan run their `conf.bag` checkpoints,
-/// and an interrupted pass surfaces as [`ConfError::Governed`]. A governed
-/// run that completes is bitwise-identical to an ungoverned one.
+/// [`multi_scan_confidences`] on an explicit worker pool, with an explicit
+/// intra-bag [`SplitPolicy`] (applied to every pre-aggregation pass and the
+/// final scan), under a governor [`ExecContext`]: every pass runs its
+/// `conf.bag` checkpoints, and an interrupted pass surfaces as
+/// [`ConfError::Governed`]. Results are bitwise-identical for every pool
+/// size and policy, and a governed run that completes is bitwise-identical
+/// to an ungoverned one.
 ///
 /// # Errors
 /// Fails if the signature references relations missing from the answer, or
@@ -111,13 +92,19 @@ pub fn multi_scan_confidences_ctx(
     one_scan_confidences_ctx(input, &schedule.final_signature, pool, policy, ctx)
 }
 
-/// Executes one pre-aggregation `[step]` with the default worker pool; see
-/// [`apply_pre_aggregation_with`].
+/// Executes one pre-aggregation `[step]` on the default worker pool and
+/// [`SplitPolicy`]; see [`apply_pre_aggregation_ctx`].
 ///
 /// # Errors
 /// Fails if the step references relations missing from the input.
 pub fn apply_pre_aggregation(input: &Annotated, step: &Signature) -> ConfResult<Annotated> {
-    apply_pre_aggregation_with(input, step, &Pool::from_env().for_items(input.len()))
+    apply_pre_aggregation_ctx(
+        input,
+        step,
+        &Pool::from_env().for_items(input.len()),
+        SplitPolicy::default(),
+        &ExecContext::unbounded(),
+    )
 }
 
 /// Executes one pre-aggregation `[step]`: groups the input by the data
@@ -126,37 +113,13 @@ pub fn apply_pre_aggregation(input: &Annotated, step: &Signature) -> ConfResult<
 /// which the step's leftmost table carries the representative variable and
 /// the aggregated probability; the step's other lineage columns are dropped.
 ///
-/// # Errors
-/// Fails if the step references relations missing from the input.
-pub fn apply_pre_aggregation_with(
-    input: &Annotated,
-    step: &Signature,
-    pool: &Pool,
-) -> ConfResult<Annotated> {
-    apply_pre_aggregation_tuned(input, step, pool, SplitPolicy::default())
-}
-
-/// [`apply_pre_aggregation_with`] with an explicit intra-bag
-/// [`SplitPolicy`]: a group at or above the policy's row threshold is split
-/// at the boundaries of the step root's variable and scanned by several
-/// workers, with the per-partition partials folded back deterministically
-/// (see [`crate::one_scan`]) — so a pre-aggregation whose input collapses
-/// into one giant group still scales with cores. The output is
-/// bitwise-identical for every pool size and policy.
-///
-/// # Errors
-/// Fails if the step references relations missing from the input.
-pub fn apply_pre_aggregation_tuned(
-    input: &Annotated,
-    step: &Signature,
-    pool: &Pool,
-    policy: SplitPolicy,
-) -> ConfResult<Annotated> {
-    apply_pre_aggregation_ctx(input, step, pool, policy, &ExecContext::unbounded())
-}
-
-/// [`apply_pre_aggregation_tuned`] under a governor [`ExecContext`] (see
-/// [`multi_scan_confidences_ctx`]).
+/// A group at or above the [`SplitPolicy`]'s row threshold is split at the
+/// boundaries of the step root's variable and scanned by several workers,
+/// with the per-partition partials folded back deterministically (see
+/// [`crate::one_scan`]) — so a pre-aggregation whose input collapses into
+/// one giant group still scales with cores. The output is bitwise-identical
+/// for every pool size and policy; the pass runs the `conf.bag` checkpoints
+/// of [`multi_scan_confidences_ctx`].
 ///
 /// # Errors
 /// Fails if the step references relations missing from the input, or with
@@ -373,16 +336,45 @@ mod tests {
         q.predicates.clear();
         let answer = evaluate_join_order(&q, &catalog, &order(&["Cust", "Ord", "Item"])).unwrap();
         let step = Signature::star(Signature::table("Item"));
-        let sequential = apply_pre_aggregation_with(&answer, &step, &Pool::sequential()).unwrap();
+        let ctx = ExecContext::unbounded();
+        let sequential = apply_pre_aggregation_ctx(
+            &answer,
+            &step,
+            &Pool::sequential(),
+            SplitPolicy::default(),
+            &ctx,
+        )
+        .unwrap();
         for threads in [2, 4, 8] {
-            let parallel = apply_pre_aggregation_with(&answer, &step, &Pool::new(threads)).unwrap();
+            let parallel = apply_pre_aggregation_ctx(
+                &answer,
+                &step,
+                &Pool::new(threads),
+                SplitPolicy::default(),
+                &ctx,
+            )
+            .unwrap();
             assert_eq!(sequential, parallel, "{threads} threads");
         }
         // And the full multi-scan pipeline agrees at every thread count.
         let sig = query_signature(&q, &FdSet::empty()).unwrap();
-        let seq = multi_scan_confidences_with(&answer, &sig, &Pool::sequential()).unwrap();
+        let seq = multi_scan_confidences_ctx(
+            &answer,
+            &sig,
+            &Pool::sequential(),
+            SplitPolicy::default(),
+            &ctx,
+        )
+        .unwrap();
         for threads in [2, 4, 8] {
-            let par = multi_scan_confidences_with(&answer, &sig, &Pool::new(threads)).unwrap();
+            let par = multi_scan_confidences_ctx(
+                &answer,
+                &sig,
+                &Pool::new(threads),
+                SplitPolicy::default(),
+                &ctx,
+            )
+            .unwrap();
             assert_eq!(seq.len(), par.len());
             for ((t1, p1), (t2, p2)) in seq.iter().zip(par.iter()) {
                 assert_eq!(t1, t2);

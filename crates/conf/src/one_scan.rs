@@ -66,8 +66,8 @@
 //! two sources against each other on adversarial duplicate runs. The same
 //! scheduler drives the multi-scan pre-aggregation groups.
 //!
-//! The pre-PR-2 recursive implementation is retained in [`crate::baseline`]
-//! for A/B benchmarking and regression tests.
+//! The recursive machine of Fig. 8, written the obvious way, is kept in
+//! [`crate::baseline`] as the reference the tests hold this engine against.
 
 use pdb_exec::key::{SortKeys, CELL_WIDTH};
 use pdb_exec::{Annotated, RowRef};
@@ -104,8 +104,8 @@ impl SplitPolicy {
         SplitPolicy { min_rows }
     }
 
-    /// Never splits a bag: every bag is scanned sequentially by one worker
-    /// (the pre-PR-3 behavior). Useful as the A/B control.
+    /// Never splits a bag: every bag is scanned sequentially by one worker.
+    /// The control the split-determinism tests compare against.
     pub fn never() -> SplitPolicy {
         SplitPolicy {
             min_rows: usize::MAX,
@@ -728,12 +728,13 @@ fn collect_bag_results(
 
 /// Computes `(distinct answer tuple, confidence)` pairs for a signature with
 /// the 1scan property using one scan over the sorted answer (Fig. 8),
-/// parallelised over bags of duplicates with the default worker pool.
+/// parallelised over bags of duplicates with the default worker pool and
+/// [`SplitPolicy`].
 ///
 /// The input is *not* copied: a row-index permutation is sorted into the
 /// one-scan order (data columns, then variable columns in preorder of the
 /// 1scanTree) and the scan walks through it. Callers holding an already
-/// physically sorted answer can use [`one_scan_confidences_presorted`].
+/// physically sorted answer can use [`one_scan_confidences_presorted_tuned`].
 ///
 /// # Errors
 /// Fails if the signature lacks the 1scan property or references a relation
@@ -742,43 +743,22 @@ pub fn one_scan_confidences(
     answer: &Annotated,
     signature: &Signature,
 ) -> ConfResult<Vec<(Tuple, f64)>> {
-    one_scan_confidences_with(answer, signature, &Pool::from_env().for_items(answer.len()))
+    one_scan_confidences_ctx(
+        answer,
+        signature,
+        &Pool::from_env().for_items(answer.len()),
+        SplitPolicy::default(),
+        &ExecContext::unbounded(),
+    )
 }
 
-/// [`one_scan_confidences`] with an explicit worker pool. The result is
-/// bitwise-identical for every pool size.
-///
-/// # Errors
-/// Fails if the signature lacks the 1scan property or references a relation
-/// without a lineage column.
-pub fn one_scan_confidences_with(
-    answer: &Annotated,
-    signature: &Signature,
-    pool: &Pool,
-) -> ConfResult<Vec<(Tuple, f64)>> {
-    one_scan_confidences_tuned(answer, signature, pool, SplitPolicy::default())
-}
-
-/// [`one_scan_confidences_with`] with an explicit intra-bag [`SplitPolicy`].
-/// Confidences are bitwise-identical for every pool size *and* every
-/// policy — the policy only decides how much of the pool a huge bag can use.
-///
-/// # Errors
-/// Fails if the signature lacks the 1scan property or references a relation
-/// without a lineage column.
-pub fn one_scan_confidences_tuned(
-    answer: &Annotated,
-    signature: &Signature,
-    pool: &Pool,
-    policy: SplitPolicy,
-) -> ConfResult<Vec<(Tuple, f64)>> {
-    one_scan_confidences_ctx(answer, signature, pool, policy, &ExecContext::unbounded())
-}
-
-/// [`one_scan_confidences_tuned`] under a governor [`ExecContext`]: the bag
+/// [`one_scan_confidences`] on an explicit worker pool, with an explicit
+/// intra-bag [`SplitPolicy`], under a governor [`ExecContext`]: the bag
 /// scheduler runs a cancellation / deadline checkpoint at every work item
 /// (`conf.bag`), and an interrupted scan surfaces as
-/// [`ConfError::Governed`]. A governed run that completes is
+/// [`ConfError::Governed`]. Confidences are bitwise-identical for every pool
+/// size *and* every policy — the policy only decides how much of the pool a
+/// huge bag can use — and a governed run that completes is
 /// bitwise-identical to an ungoverned one.
 ///
 /// # Errors
@@ -843,7 +823,7 @@ pub fn one_scan_confidences_ctx(
 }
 
 /// Sorts an annotated answer into the order required by
-/// [`one_scan_confidences_presorted`]: data columns first, then the variable
+/// [`one_scan_confidences_presorted_tuned`]: data columns first, then the variable
 /// columns of the signature's 1scanTree in preorder (Example V.12).
 ///
 /// # Errors
@@ -861,45 +841,16 @@ pub fn sort_for_signature(answer: &mut Annotated, signature: &Signature) -> Conf
     Ok(())
 }
 
-/// Like [`one_scan_confidences`] but assumes the input is already physically
-/// sorted into the one-scan order.
+/// Like [`one_scan_confidences_ctx`] (ungoverned) but assumes the input is
+/// already physically sorted into the one-scan order
+/// ([`sort_for_signature`]), so the sort and the scan can be timed apart.
 ///
 /// Bag boundaries are detected with [`pdb_storage::Value`] equality here,
-/// versus normalized-key equality in [`one_scan_confidences`]. The two agree
-/// everywhere except integers beyond ±2⁵³ compared against floats — the
-/// corner where `Value`'s own ordering is not transitive (see
+/// versus normalized-key equality in [`one_scan_confidences_ctx`]. The two
+/// agree everywhere except integers beyond ±2⁵³ compared against floats —
+/// the corner where `Value`'s own ordering is not transitive (see
 /// [`pdb_exec::key`]); the key-based variant resolves those by exact
 /// integer value.
-///
-/// # Errors
-/// Fails if the signature lacks the 1scan property or references a relation
-/// without a lineage column.
-pub fn one_scan_confidences_presorted(
-    answer: &Annotated,
-    signature: &Signature,
-) -> ConfResult<Vec<(Tuple, f64)>> {
-    one_scan_confidences_presorted_with(
-        answer,
-        signature,
-        &Pool::from_env().for_items(answer.len()),
-    )
-}
-
-/// [`one_scan_confidences_presorted`] with an explicit worker pool.
-///
-/// # Errors
-/// Fails if the signature lacks the 1scan property or references a relation
-/// without a lineage column.
-pub fn one_scan_confidences_presorted_with(
-    answer: &Annotated,
-    signature: &Signature,
-    pool: &Pool,
-) -> ConfResult<Vec<(Tuple, f64)>> {
-    one_scan_confidences_presorted_tuned(answer, signature, pool, SplitPolicy::default())
-}
-
-/// [`one_scan_confidences_presorted_with`] with an explicit intra-bag
-/// [`SplitPolicy`].
 ///
 /// # Errors
 /// Fails if the signature lacks the 1scan property or references a relation
@@ -966,6 +917,16 @@ mod tests {
 
     fn order(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The ungoverned engine on an explicit pool and split policy.
+    fn one_scan(
+        answer: &Annotated,
+        signature: &Signature,
+        pool: &Pool,
+        policy: SplitPolicy,
+    ) -> ConfResult<Vec<(Tuple, f64)>> {
+        one_scan_confidences_ctx(answer, signature, pool, policy, &ExecContext::unbounded())
     }
 
     fn tpch_fds(catalog: &pdb_storage::Catalog) -> FdSet {
@@ -1053,7 +1014,13 @@ mod tests {
         let sig = query_signature(&q, &tpch_fds(&catalog)).unwrap();
         let mut sorted = answer.clone();
         sort_for_signature(&mut sorted, &sig).unwrap();
-        let a = one_scan_confidences_presorted(&sorted, &sig).unwrap();
+        let a = one_scan_confidences_presorted_tuned(
+            &sorted,
+            &sig,
+            &Pool::from_env(),
+            SplitPolicy::default(),
+        )
+        .unwrap();
         let b = one_scan_confidences(&answer, &sig).unwrap();
         assert_eq!(a.len(), b.len());
         for ((t1, p1), (t2, p2)) in a.iter().zip(b.iter()) {
@@ -1069,9 +1036,11 @@ mod tests {
         q.predicates.clear();
         let answer = evaluate_join_order(&q, &catalog, &order(&["Cust", "Ord", "Item"])).unwrap();
         let sig = query_signature(&q, &tpch_fds(&catalog)).unwrap();
-        let sequential = one_scan_confidences_with(&answer, &sig, &Pool::sequential()).unwrap();
+        let sequential =
+            one_scan(&answer, &sig, &Pool::sequential(), SplitPolicy::default()).unwrap();
         for threads in [2, 4, 8] {
-            let parallel = one_scan_confidences_with(&answer, &sig, &Pool::new(threads)).unwrap();
+            let parallel =
+                one_scan(&answer, &sig, &Pool::new(threads), SplitPolicy::default()).unwrap();
             assert_eq!(sequential.len(), parallel.len());
             for ((t1, p1), (t2, p2)) in sequential.iter().zip(parallel.iter()) {
                 assert_eq!(t1, t2, "{threads} threads");
@@ -1142,13 +1111,9 @@ mod tests {
             );
         }
         // And through the public API with a tiny threshold.
-        let never =
-            one_scan_confidences_tuned(&answer, &sig, &Pool::sequential(), SplitPolicy::never())
-                .unwrap();
+        let never = one_scan(&answer, &sig, &Pool::sequential(), SplitPolicy::never()).unwrap();
         for threads in [1, 2, 4, 8] {
-            let split =
-                one_scan_confidences_tuned(&answer, &sig, &Pool::new(threads), SplitPolicy::at(2))
-                    .unwrap();
+            let split = one_scan(&answer, &sig, &Pool::new(threads), SplitPolicy::at(2)).unwrap();
             assert_eq!(split.len(), never.len());
             for ((t1, p1), (t2, p2)) in split.iter().zip(never.iter()) {
                 assert_eq!(t1, t2);
@@ -1178,11 +1143,9 @@ mod tests {
         q.predicates[0].constant = Value::str("Nobody");
         let empty = evaluate_join_order(&q, &catalog, &order(&["Cust", "Ord", "Item"])).unwrap();
         let sig = query_signature(&q, &tpch_fds(&catalog)).unwrap();
-        assert!(
-            one_scan_confidences_tuned(&empty, &sig, &Pool::new(8), SplitPolicy::at(0))
-                .unwrap()
-                .is_empty()
-        );
+        assert!(one_scan(&empty, &sig, &Pool::new(8), SplitPolicy::at(0))
+            .unwrap()
+            .is_empty());
         // A single-row bag: the split driver's boundary scan finds one
         // partition and falls back.
         let (answer, sig) = internal_root_bag(&[1], 1);
@@ -1192,8 +1155,7 @@ mod tests {
         let split = split_bag_confidence(&machine, &answer, &rows, &Pool::new(8));
         assert_eq!(split.to_bits(), unsplit.to_bits());
         // And a 0-row-threshold policy cannot split 1-row bags (min 2).
-        let tuned =
-            one_scan_confidences_tuned(&answer, &sig, &Pool::new(8), SplitPolicy::at(0)).unwrap();
+        let tuned = one_scan(&answer, &sig, &Pool::new(8), SplitPolicy::at(0)).unwrap();
         assert_eq!(tuned.len(), 1);
         assert_eq!(tuned[0].1.to_bits(), unsplit.to_bits());
     }
@@ -1216,16 +1178,10 @@ mod tests {
         }
         let sig = Signature::star(Signature::table("R"));
         assert!(sig.is_one_scan());
-        let unsplit =
-            one_scan_confidences_tuned(&answer, &sig, &Pool::new(4), SplitPolicy::never()).unwrap();
+        let unsplit = one_scan(&answer, &sig, &Pool::new(4), SplitPolicy::never()).unwrap();
         for threads in [1, 2, 4, 8] {
-            let split = one_scan_confidences_tuned(
-                &answer,
-                &sig,
-                &Pool::new(threads),
-                SplitPolicy::default(),
-            )
-            .unwrap();
+            let split =
+                one_scan(&answer, &sig, &Pool::new(threads), SplitPolicy::default()).unwrap();
             assert_eq!(split.len(), 1);
             assert_eq!(split[0].0, Tuple::empty());
             assert_eq!(
@@ -1346,9 +1302,7 @@ mod tests {
         // one weight-balanced fan-out, and must still reproduce the
         // sequential unsplit scan bit for bit.
         let (answer, sig) = multi_bag_answer(7, &[1, 9, 2, 17, 1, 14], 2);
-        let reference =
-            one_scan_confidences_tuned(&answer, &sig, &Pool::sequential(), SplitPolicy::never())
-                .unwrap();
+        let reference = one_scan(&answer, &sig, &Pool::sequential(), SplitPolicy::never()).unwrap();
         assert_eq!(reference.len(), 7);
         for threads in [1, 2, 4, 8] {
             for policy in [
@@ -1356,8 +1310,7 @@ mod tests {
                 SplitPolicy::at(2),
                 SplitPolicy::default(),
             ] {
-                let got =
-                    one_scan_confidences_tuned(&answer, &sig, &Pool::new(threads), policy).unwrap();
+                let got = one_scan(&answer, &sig, &Pool::new(threads), policy).unwrap();
                 assert_eq!(got.len(), reference.len());
                 for ((t1, p1), (t2, p2)) in got.iter().zip(reference.iter()) {
                     assert_eq!(t1, t2, "{threads} threads");

@@ -16,7 +16,6 @@ use pdb_par::Pool;
 use pdb_query::Signature;
 use pdb_storage::Tuple;
 
-use crate::anytime::{anytime_confidences_ctx, AnytimeConfig, ApproxPolicy, ApproxResult};
 use crate::brute::brute_force_confidences;
 use crate::error::ConfResult;
 use crate::grp::grp_confidences_with;
@@ -59,16 +58,15 @@ pub type ConfidenceResult = Vec<(Tuple, f64)>;
 /// A confidence-computation operator `[s]` for a fixed signature `s`.
 ///
 /// The operator carries the worker pool its evaluation may fan out on
-/// (bags of duplicate answer tuples are independent); results are identical
-/// at every pool size, so the pool is a pure performance knob.
+/// (bags of duplicate answer tuples are independent) and the
+/// [`ExecContext`] — governor and observability collector — every scan it
+/// runs observes; results are identical at every pool size, so the pool is
+/// a pure performance knob.
 #[derive(Debug, Clone)]
 pub struct ConfidenceOperator {
     signature: Signature,
     pool: Pool,
-    split_policy: SplitPolicy,
-    governor: Option<QueryGovernor>,
-    obs: Option<Arc<QueryObs>>,
-    approx: AnytimeConfig,
+    ctx: ExecContext,
 }
 
 impl ConfidenceOperator {
@@ -83,10 +81,7 @@ impl ConfidenceOperator {
         ConfidenceOperator {
             signature,
             pool,
-            split_policy: SplitPolicy::default(),
-            governor: None,
-            obs: None,
-            approx: AnytimeConfig::new(ApproxPolicy::Exact),
+            ctx: ExecContext::unbounded(),
         }
     }
 
@@ -95,40 +90,22 @@ impl ConfidenceOperator {
     /// every bag-boundary checkpoint, returning
     /// [`ConfError::Governed`](crate::ConfError::Governed) when interrupted.
     pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.governor = Some(governor);
+        self.ctx = self.ctx.with_governor(governor);
         self
     }
 
     /// Attaches a per-query observability collector: subsequent
-    /// [`compute`](Self::compute) / [`compute_anytime`](Self::compute_anytime)
-    /// calls tally bag/frontier counters into it (and record spans when the
-    /// collector has tracing enabled).
+    /// [`compute`](Self::compute) calls tally bag counters into it (and
+    /// record spans when the collector has tracing enabled).
     pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.obs = Some(obs);
+        self.ctx = self.ctx.with_obs(obs);
         self
     }
 
-    /// Sets the intra-bag [`SplitPolicy`]: how many rows one bag of
-    /// duplicate answer tuples must have before its evaluation is split at
-    /// root-variable boundaries across the pool. A pure performance knob —
-    /// results are bitwise-identical for every policy and pool size.
-    pub fn with_split_policy(mut self, policy: SplitPolicy) -> Self {
-        self.split_policy = policy;
-        self
-    }
-
-    /// Sets the [`ApproxPolicy`] consulted by
-    /// [`compute_anytime`](Self::compute_anytime). Signature-driven
-    /// [`compute`](Self::compute) is always exact and ignores the policy.
-    pub fn with_approx_policy(mut self, policy: ApproxPolicy) -> Self {
-        self.approx.policy = policy;
-        self
-    }
-
-    /// Sets the seed of the anytime refinement tie-breaker (deterministic
-    /// per seed at every pool size).
-    pub fn with_approx_seed(mut self, seed: u64) -> Self {
-        self.approx.seed = seed;
+    /// Replaces the whole execution context — governor and collector — in
+    /// one call (what a plan that already holds one does).
+    pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -140,21 +117,6 @@ impl ConfidenceOperator {
     /// The worker pool the operator evaluates on.
     pub fn pool(&self) -> &Pool {
         &self.pool
-    }
-
-    /// The operator's intra-bag split policy.
-    pub fn split_policy(&self) -> SplitPolicy {
-        self.split_policy
-    }
-
-    /// The operator's unsafe-query approximation policy.
-    pub fn approx_policy(&self) -> ApproxPolicy {
-        self.approx.policy
-    }
-
-    /// The governor attached via [`with_governor`](Self::with_governor), if any.
-    pub fn governor(&self) -> Option<&QueryGovernor> {
-        self.governor.as_ref()
     }
 
     /// Number of scans the operator needs (Proposition V.10).
@@ -169,23 +131,22 @@ impl ConfidenceOperator {
     /// or if [`Strategy::OneScan`] is forced on a non-1scan signature.
     pub fn compute(&self, answer: &Annotated, strategy: Strategy) -> ConfResult<ConfidenceResult> {
         let pool = &self.pool.for_items(answer.len());
-        let policy = self.split_policy;
-        let ctx =
-            ExecContext::from_governor(self.governor.as_ref()).with_obs_opt(self.obs.as_ref());
+        let policy = SplitPolicy::default();
+        let ctx = &self.ctx;
         let _span = ctx.span_with("conf", strategy.to_string());
         match strategy {
             Strategy::Auto => {
                 if self.signature.is_one_scan() {
-                    one_scan_confidences_ctx(answer, &self.signature, pool, policy, &ctx)
+                    one_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
                 } else {
-                    multi_scan_confidences_ctx(answer, &self.signature, pool, policy, &ctx)
+                    multi_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
                 }
             }
             Strategy::OneScan => {
-                one_scan_confidences_ctx(answer, &self.signature, pool, policy, &ctx)
+                one_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
             }
             Strategy::MultiScan => {
-                multi_scan_confidences_ctx(answer, &self.signature, pool, policy, &ctx)
+                multi_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
             }
             // The sequential reference strategies check the governor once on
             // entry; they exist for testing and tiny inputs only.
@@ -198,25 +159,6 @@ impl ConfidenceOperator {
                 Ok(brute_force_confidences(answer))
             }
         }
-    }
-
-    /// Computes confidence *brackets* from lineage alone — the evaluator for
-    /// queries without a safe plan, where the signature machinery does not
-    /// apply. Per-tuple DNFs that factor read-once are exact; the rest get
-    /// anytime dissociation bounds under the operator's [`ApproxPolicy`]
-    /// (an error under [`ApproxPolicy::Exact`]).
-    ///
-    /// # Errors
-    /// Fails with [`ConfError::NotReadOnce`](crate::ConfError::NotReadOnce)
-    /// when the policy is `Exact` and some tuple's lineage is provably not
-    /// read-once, and on governor cancellation. A governor *deadline* during
-    /// bounds refinement returns the best bounds so far instead.
-    pub fn compute_anytime(&self, answer: &Annotated) -> ConfResult<ApproxResult> {
-        let pool = self.pool.for_items(answer.len());
-        let ctx =
-            ExecContext::from_governor(self.governor.as_ref()).with_obs_opt(self.obs.as_ref());
-        let _span = ctx.span("conf.bounds");
-        anytime_confidences_ctx(answer, &self.approx, &pool, &ctx)
     }
 }
 

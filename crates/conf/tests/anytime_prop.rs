@@ -68,7 +68,7 @@ proptest! {
         let answer = answer_for(&clauses, &probs);
         let want = oracle(&clauses, &probs);
         let pool = Pool::new(2);
-        let ctx = ExecContext::from_governor(None);
+        let ctx = ExecContext::unbounded();
         let mut last_width = f64::INFINITY;
         for rounds in [0usize, 1, 2, 4, 8, 32] {
             let config = AnytimeConfig::new(ApproxPolicy::Bounds { eps: 0.0 })
@@ -120,7 +120,7 @@ proptest! {
             }
         }
         let config = AnytimeConfig::new(ApproxPolicy::Bounds { eps: 1e-3 }).with_seed(seed);
-        let ctx = ExecContext::from_governor(None);
+        let ctx = ExecContext::unbounded();
         let reference =
             anytime_confidences_ctx(&answer, &config, &Pool::sequential(), &ctx).unwrap();
         for threads in [1usize, 2, 4, 8] {

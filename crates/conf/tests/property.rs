@@ -11,11 +11,36 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 use pdb_conf::brute::brute_force_confidences;
-use pdb_conf::{ConfidenceOperator, Strategy};
+use pdb_conf::multi_scan::multi_scan_confidences_ctx;
+use pdb_conf::one_scan::{one_scan_confidences_ctx, one_scan_confidences_presorted_tuned};
+use pdb_conf::{
+    ConfResult, ConfidenceOperator, ConfidenceResult, ExecContext, Pool, SplitPolicy, Strategy,
+};
 use pdb_exec::pipeline::evaluate_join_order;
+use pdb_exec::Annotated;
 use pdb_query::reduct::query_signature;
-use pdb_query::{ConjunctiveQuery, FdSet};
+use pdb_query::{ConjunctiveQuery, FdSet, Signature};
 use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Variable};
+
+/// The ungoverned one-scan engine on an explicit pool and split policy.
+fn one_scan_on(
+    answer: &Annotated,
+    sig: &Signature,
+    pool: &Pool,
+    policy: SplitPolicy,
+) -> ConfResult<ConfidenceResult> {
+    one_scan_confidences_ctx(answer, sig, pool, policy, &ExecContext::unbounded())
+}
+
+/// The ungoverned multi-scan schedule on an explicit pool and split policy.
+fn multi_scan_on(
+    answer: &Annotated,
+    sig: &Signature,
+    pool: &Pool,
+    policy: SplitPolicy,
+) -> ConfResult<ConfidenceResult> {
+    multi_scan_confidences_ctx(answer, sig, pool, policy, &ExecContext::unbounded())
+}
 
 /// Compares a strategy against the oracle, tuple by tuple.
 fn assert_matches_oracle(
@@ -396,9 +421,6 @@ proptest! {
         boolean in proptest::bool::ANY,
     ) {
         use pdb_conf::grp::grp_confidences_with;
-        use pdb_conf::multi_scan::multi_scan_confidences_with;
-        use pdb_conf::one_scan::one_scan_confidences_with;
-        use pdb_conf::Pool;
 
         let catalog = build_cust_ord_item(&db);
         let q = guiding_query(boolean);
@@ -415,10 +437,10 @@ proptest! {
 
         // Single-threaded runs of every applicable strategy ...
         let seq = Pool::sequential();
-        let multi_1 = multi_scan_confidences_with(&answer, &sig, &seq).unwrap();
+        let multi_1 = multi_scan_on(&answer, &sig, &seq, SplitPolicy::default()).unwrap();
         let grp_1 = grp_confidences_with(&answer, &sig, &seq).unwrap();
         let one_1 = if sig.is_one_scan() {
-            Some(one_scan_confidences_with(&answer, &sig, &seq).unwrap())
+            Some(one_scan_on(&answer, &sig, &seq, SplitPolicy::default()).unwrap())
         } else {
             None
         };
@@ -445,11 +467,11 @@ proptest! {
             let pool = Pool::new(threads);
             let runs: Vec<(&str, &Confidences, Confidences)> = {
                 let mut r = vec![
-                    ("multi-scan", &multi_1, multi_scan_confidences_with(&answer, &sig, &pool).unwrap()),
+                    ("multi-scan", &multi_1, multi_scan_on(&answer, &sig, &pool, SplitPolicy::default()).unwrap()),
                     ("grp", &grp_1, grp_confidences_with(&answer, &sig, &pool).unwrap()),
                 ];
                 if let Some(one_1) = &one_1 {
-                    r.push(("one-scan", one_1, one_scan_confidences_with(&answer, &sig, &pool).unwrap()));
+                    r.push(("one-scan", one_1, one_scan_on(&answer, &sig, &pool, SplitPolicy::default()).unwrap()));
                 }
                 r
             };
@@ -486,8 +508,6 @@ proptest! {
         db in branching_strategy(),
         min_rows in 2usize..6,
     ) {
-        use pdb_conf::one_scan::{one_scan_confidences_tuned, SplitPolicy};
-        use pdb_conf::Pool;
 
         let catalog = build_branching(&db);
         // Boolean: one huge bag with a branching (internal-root) 1scanTree.
@@ -512,7 +532,7 @@ proptest! {
             return Ok(());
         }
 
-        let unsplit = one_scan_confidences_tuned(
+        let unsplit = one_scan_on(
             &answer, &sig, &Pool::sequential(), SplitPolicy::never(),
         ).unwrap();
         prop_assert_eq!(unsplit.len(), 1, "Boolean answer is one bag");
@@ -522,7 +542,7 @@ proptest! {
             "unsplit {} vs oracle {}", unsplit[0].1, oracle[0].1
         );
         for threads in [1usize, 2, 4, 8] {
-            let split = one_scan_confidences_tuned(
+            let split = one_scan_on(
                 &answer, &sig, &Pool::new(threads), SplitPolicy::at(min_rows),
             ).unwrap();
             prop_assert_eq!(split.len(), 1);
@@ -538,8 +558,6 @@ proptest! {
     fn leaf_root_single_bag_split_is_bitwise_identical(
         r in proptest::collection::vec((1i64..=6, 1i64..=4, prob()), 1..16),
     ) {
-        use pdb_conf::one_scan::{one_scan_confidences_tuned, SplitPolicy};
-        use pdb_conf::Pool;
 
         // A Boolean single-table query: signature R*, a *leaf* root, whose
         // split replays the per-variable crtP fold rather than per-partition
@@ -563,7 +581,7 @@ proptest! {
         let sig = query_signature(&q, &FdSet::empty()).unwrap();
         prop_assert!(sig.is_one_scan());
 
-        let unsplit = one_scan_confidences_tuned(
+        let unsplit = one_scan_on(
             &answer, &sig, &Pool::sequential(), SplitPolicy::never(),
         ).unwrap();
         let oracle = brute_force_confidences(&answer);
@@ -573,7 +591,7 @@ proptest! {
             prop_assert!((p1 - p2).abs() < 1e-9, "unsplit {} vs oracle {}", p1, p2);
         }
         for threads in [1usize, 2, 4, 8] {
-            let split = one_scan_confidences_tuned(
+            let split = one_scan_on(
                 &answer, &sig, &Pool::new(threads), SplitPolicy::at(2),
             ).unwrap();
             prop_assert_eq!(split.len(), unsplit.len());
@@ -592,9 +610,6 @@ proptest! {
         r in proptest::collection::vec((1i64..=3, 1i64..=3, prob()), 1..6),
         s in proptest::collection::vec((1i64..=3, 1i64..=3, prob()), 1..6),
     ) {
-        use pdb_conf::multi_scan::multi_scan_confidences_tuned;
-        use pdb_conf::one_scan::SplitPolicy;
-        use pdb_conf::Pool;
 
         // R(a,b) ⋈ S(a,c) Boolean: signature (R*S*)*, not 1scan, so the
         // multi-scan schedule runs pre-aggregations whose groups also split.
@@ -623,7 +638,7 @@ proptest! {
         let sig = query_signature(&q, &FdSet::empty()).unwrap();
         prop_assert!(!sig.is_one_scan());
 
-        let unsplit = multi_scan_confidences_tuned(
+        let unsplit = multi_scan_on(
             &answer, &sig, &Pool::sequential(), SplitPolicy::never(),
         ).unwrap();
         let oracle = brute_force_confidences(&answer);
@@ -633,7 +648,7 @@ proptest! {
             prop_assert!((p1 - p2).abs() < 1e-9, "unsplit {} vs oracle {}", p1, p2);
         }
         for threads in [2usize, 4, 8] {
-            let split = multi_scan_confidences_tuned(
+            let split = multi_scan_on(
                 &answer, &sig, &Pool::new(threads), SplitPolicy::at(2),
             ).unwrap();
             prop_assert_eq!(split.len(), unsplit.len());
@@ -735,7 +750,9 @@ proptest! {
         let (data_cols, preorder) = one_scan_order(&answer, &sig);
         let deduped = pdb_exec::ops::sort_dedup(&answer, &data_cols, &preorder).unwrap();
         let ours =
-            pdb_conf::one_scan::one_scan_confidences_presorted(&deduped, &sig).unwrap();
+            one_scan_confidences_presorted_tuned(
+                &deduped, &sig, &Pool::from_env(), SplitPolicy::default(),
+            ).unwrap();
         let oracle = brute_force_confidences(&answer);
         prop_assert_eq!(ours.len(), oracle.len());
         for ((t1, p1), (t2, p2)) in ours.iter().zip(oracle.iter()) {
@@ -773,7 +790,9 @@ proptest! {
         // And the streaming operator computes identical confidences on the
         // deduped input.
         let from_dedup =
-            pdb_conf::one_scan::one_scan_confidences_presorted(&deduped, &sig).unwrap();
+            one_scan_confidences_presorted_tuned(
+                &deduped, &sig, &Pool::from_env(), SplitPolicy::default(),
+            ).unwrap();
         let from_full = pdb_conf::one_scan::one_scan_confidences(&answer, &sig).unwrap();
         prop_assert_eq!(from_dedup.len(), from_full.len());
         for ((t1, p1), (t2, p2)) in from_dedup.iter().zip(from_full.iter()) {

@@ -73,11 +73,6 @@ impl RowRef<'_> {
     pub fn data_tuple(&self) -> Tuple {
         Tuple::new(self.data.to_vec())
     }
-
-    /// An owned copy of the row.
-    pub fn to_owned_row(&self) -> AnnotatedRow {
-        AnnotatedRow::new(self.data_tuple(), self.lineage.to_vec())
-    }
 }
 
 /// An intermediate query result with per-relation lineage columns.

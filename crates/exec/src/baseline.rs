@@ -1,80 +1,25 @@
-//! The retained row-at-a-time operator implementations from the seed.
+//! The row-at-a-time reference join.
 //!
-//! PR 1 rewrote the relational hot path to be allocation-lean (normalized
-//! `u64` join keys, arena slice-append, sort-based dedup — see
-//! [`crate::ops`] and [`crate::key`]). This module preserves the seed's
-//! behavior — a `Vec<Value>` key clone per probed row, a `Tuple` clone and a
-//! fresh lineage `Vec` per output row, `HashMap<Tuple, ()>` duplicate
-//! elimination, and `Value`-comparison sorting — so the speedup is
-//! *measured*, not asserted:
-//!
-//! * `crates/bench/src/bin/bench_pr1.rs` times both paths and records the
-//!   ratio in `BENCH_PR1.json`;
-//! * building `pdb-exec` with `--features seed-baseline` routes
-//!   [`crate::ops::natural_join`], [`crate::ops::filter`] and
-//!   [`crate::ops::distinct`] through these functions, so any downstream
-//!   binary can be benchmarked against the pre-refactor engine without
-//!   checking out an old commit.
+//! [`crate::ops::natural_join_ctx`] is allocation-lean and radix-partitioned
+//! (normalized `u64` join keys, arena slice-append — see [`crate::ops`] and
+//! [`crate::key`]). This module keeps the obvious implementation — a
+//! `Vec<Value>` key per probed row, a `Tuple` and a fresh lineage `Vec` per
+//! output row — as the reference the tests hold the optimized join against:
+//! same rows, same lineage, same `(left row, right row)` emit order.
 
 use std::collections::HashMap;
 
-use pdb_query::Predicate;
-use pdb_storage::{ProbTable, Tuple, Value};
+use pdb_storage::Value;
 
 use crate::annotated::{Annotated, AnnotatedRow};
-use crate::error::{ExecError, ExecResult};
+use crate::error::ExecResult;
 use crate::ops::join_layout;
 
-/// Seed implementation of the scan: one projected `Tuple` and one lineage
-/// `Vec` allocated per row.
-pub fn scan_rowwise(
-    table: &ProbTable,
-    relation: &str,
-    attributes: &[String],
-) -> ExecResult<Annotated> {
-    let positions: Vec<usize> = attributes
-        .iter()
-        .map(|a| {
-            table
-                .schema()
-                .index_of(a)
-                .map_err(|_| ExecError::UnknownColumn(a.clone()))
-        })
-        .collect::<ExecResult<_>>()?;
-    let schema = table
-        .schema()
-        .project(&attributes.iter().map(|s| s.as_str()).collect::<Vec<_>>())?;
-    let mut out = Annotated::new(schema, vec![relation.to_string()]);
-    for i in 0..table.len() {
-        let (row, var, prob) = table.triple(i);
-        out.push(AnnotatedRow::new(
-            row.project(&positions),
-            vec![(var, prob)],
-        ));
-    }
-    Ok(out)
-}
-
-/// Seed implementation of the projection: a fresh `Tuple` and a cloned
-/// lineage `Vec` per row.
-pub fn project_rowwise(input: &Annotated, attributes: &[String]) -> ExecResult<Annotated> {
-    let positions: Vec<usize> = attributes
-        .iter()
-        .map(|a| input.column_index(a))
-        .collect::<ExecResult<_>>()?;
-    let schema = input
-        .schema()
-        .project(&attributes.iter().map(|s| s.as_str()).collect::<Vec<_>>())?;
-    let mut out = Annotated::new(schema, input.relations().to_vec());
-    for row in input.iter() {
-        let data: Vec<Value> = positions.iter().map(|&p| row.data[p].clone()).collect();
-        out.push(AnnotatedRow::new(Tuple::new(data), row.lineage.to_vec()));
-    }
-    Ok(out)
-}
-
-/// Seed implementation of the natural hash join: per-row `Vec<Value>` keys
+/// Reference natural hash join: per-row `Vec<Value>` keys
 /// on both sides, per-output-row `Tuple` and lineage-`Vec` allocations.
+///
+/// # Errors
+/// Fails if the inputs share a lineage relation (self-join).
 pub fn natural_join_rowwise(left: &Annotated, right: &Annotated) -> ExecResult<Annotated> {
     let layout = join_layout(left, right)?;
     let mut out = Annotated::new(layout.schema, layout.relations);
@@ -114,106 +59,4 @@ pub fn natural_join_rowwise(left: &Annotated, right: &Annotated) -> ExecResult<A
         }
     }
     Ok(out)
-}
-
-/// Seed implementation of selection: clones every surviving row.
-pub fn filter_rowwise(input: &Annotated, predicate: &Predicate) -> ExecResult<Annotated> {
-    let idx = input.column_index(&predicate.attribute)?;
-    let mut out = Annotated::new(input.schema().clone(), input.relations().to_vec());
-    for row in input.iter() {
-        if predicate.matches(&row.data[idx]) {
-            out.push(row.to_owned_row());
-        }
-    }
-    Ok(out)
-}
-
-/// Seed implementation of duplicate elimination: a `HashMap<Tuple, ()>`
-/// whose keys are cloned `Tuple`s, keeping the first row of each group in
-/// input order.
-pub fn distinct_rowwise(input: &Annotated) -> Annotated {
-    let mut seen: HashMap<Tuple, ()> = HashMap::new();
-    let mut out = Annotated::new(input.schema().clone(), input.relations().to_vec());
-    for row in input.iter() {
-        if seen.insert(row.data_tuple(), ()).is_none() {
-            out.push(row.to_owned_row());
-        }
-    }
-    out
-}
-
-/// Seed implementation of the confidence sort: row-at-a-time `Value`
-/// comparisons (enum dispatch per cell) instead of normalized key runs.
-///
-/// # Errors
-/// Fails on unknown columns or relations.
-pub fn sort_for_confidence_rowwise(
-    input: &Annotated,
-    data_columns: &[String],
-    relation_order: &[String],
-) -> ExecResult<Annotated> {
-    let col_idx: Vec<usize> = data_columns
-        .iter()
-        .map(|c| input.column_index(c))
-        .collect::<ExecResult<_>>()?;
-    let rel_idx: Vec<usize> = relation_order
-        .iter()
-        .map(|r| input.relation_index(r))
-        .collect::<ExecResult<_>>()?;
-    let mut rows: Vec<AnnotatedRow> = input.iter().map(|r| r.to_owned_row()).collect();
-    rows.sort_by(|a, b| {
-        for &i in &col_idx {
-            let ord = a.data.value(i).cmp(b.data.value(i));
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        for &i in &rel_idx {
-            let ord = a.lineage[i].0.cmp(&b.lineage[i].0);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    let mut out = Annotated::new(input.schema().clone(), input.relations().to_vec());
-    for row in rows {
-        out.push(row);
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fixtures::{fig1_cust, fig1_ord};
-    use crate::ops;
-
-    fn s(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn baseline_operators_agree_with_optimized_ones() {
-        let cust = ops::scan(&fig1_cust(), "Cust", &s(&["ckey", "cname"])).unwrap();
-        let ord = ops::scan(&fig1_ord(), "Ord", &s(&["okey", "ckey", "odate"])).unwrap();
-        let fast = ops::natural_join(&cust, &ord).unwrap();
-        let slow = natural_join_rowwise(&cust, &ord).unwrap();
-        assert_eq!(fast.len(), slow.len());
-        assert_eq!(ops::distinct(&fast).len(), distinct_rowwise(&slow).len());
-
-        let projected = ops::project(&fast, &s(&["ckey"])).unwrap();
-        assert_eq!(ops::distinct(&projected).len(), 3);
-        assert_eq!(distinct_rowwise(&projected).len(), 3);
-    }
-
-    #[test]
-    fn baseline_sort_matches_optimized_sort() {
-        let ord = ops::scan(&fig1_ord(), "Ord", &s(&["okey", "ckey", "odate"])).unwrap();
-        let slow = sort_for_confidence_rowwise(&ord, &s(&["odate"]), &s(&["Ord"])).unwrap();
-        let mut fast = ord.clone();
-        fast.sort_for_confidence(&s(&["odate"]), &s(&["Ord"]))
-            .unwrap();
-        assert_eq!(fast, slow);
-    }
 }

@@ -60,7 +60,8 @@ use crate::kernel;
 /// A thin view over the pdb-obs counter set: when the [`ExecContext`]
 /// carries a collector, the same numbers are tallied as the
 /// `Counter::Chunks*` / `Counter::Rows*` metrics — this struct remains for
-/// callers that want per-scan numbers without wiring up observability.
+/// callers of [`scan_filter_project_columnar_ranked_ctx`] that want
+/// per-scan numbers without wiring up observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColumnarScanStats {
     /// Chunks in the table.
@@ -591,25 +592,12 @@ fn mask_agrees_with_oracle(
     true
 }
 
-/// Fused scan → filter → project over a columnar table, with an explicit
-/// worker pool. Equivalent — bitwise, including row order — to
-/// [`crate::ops::scan_filter_project_with`] over the row representation.
-///
-/// # Errors
-/// Fails if a predicate or kept attribute is missing from the table schema.
-pub fn scan_filter_project_columnar_with(
-    table: &ColumnarTable,
-    relation: &str,
-    predicates: &[&Predicate],
-    keep: &[String],
-    pool: &Pool,
-) -> ExecResult<Annotated> {
-    scan_filter_project_columnar_stats(table, relation, predicates, keep, pool).map(|(a, _)| a)
-}
-
-/// [`scan_filter_project_columnar_with`] under a governor context:
-/// checkpoints at every phase-1 chunk (`scan.chunk`) and phase-2 gather
-/// segment (`scan.gather`), and memory accounting for the survivor arenas.
+/// Fused scan → filter → project over a columnar table on an explicit
+/// worker pool under a governor context. Equivalent — bitwise, including row
+/// order — to [`crate::ops::scan_filter_project_ctx`] over the row
+/// representation. Checkpoints at every phase-1 chunk (`scan.chunk`) and
+/// phase-2 gather segment (`scan.gather`), and memory accounting for the
+/// survivor arenas.
 ///
 /// # Errors
 /// Fails if a predicate or kept attribute is missing from the table schema,
@@ -622,63 +610,23 @@ pub fn scan_filter_project_columnar_ctx(
     pool: &Pool,
     ctx: &ExecContext,
 ) -> ExecResult<Annotated> {
-    scan_filter_project_columnar_stats_ctx(table, relation, predicates, keep, pool, ctx)
-        .map(|(a, _)| a)
-}
-
-/// [`scan_filter_project_columnar_with`] also returning the pruning
-/// counters (chunk-skip rates), for benchmarks and diagnostics.
-///
-/// # Errors
-/// Fails if a predicate or kept attribute is missing from the table schema.
-pub fn scan_filter_project_columnar_stats(
-    table: &ColumnarTable,
-    relation: &str,
-    predicates: &[&Predicate],
-    keep: &[String],
-    pool: &Pool,
-) -> ExecResult<(Annotated, ColumnarScanStats)> {
-    scan_filter_project_columnar_stats_ctx(
-        table,
-        relation,
-        predicates,
-        keep,
-        pool,
-        &ExecContext::unbounded(),
-    )
-}
-
-/// [`scan_filter_project_columnar_stats`] under a governor context (see
-/// [`scan_filter_project_columnar_ctx`]).
-///
-/// # Errors
-/// Fails if a predicate or kept attribute is missing from the table schema,
-/// or with [`ExecError::Governed`] when the governor interrupts the scan.
-pub fn scan_filter_project_columnar_stats_ctx(
-    table: &ColumnarTable,
-    relation: &str,
-    predicates: &[&Predicate],
-    keep: &[String],
-    pool: &Pool,
-    ctx: &ExecContext,
-) -> ExecResult<(Annotated, ColumnarScanStats)> {
     let ranked = vec![false; keep.len()];
     scan_filter_project_columnar_ranked_ctx(table, relation, predicates, keep, &ranked, pool, ctx)
-        .map(|(a, _, s)| (a, s))
+        .map(|(a, _, _)| a)
 }
 
-/// The full scan entry point: like
-/// [`scan_filter_project_columnar_stats_ctx`], but columns whose `ranked`
-/// flag is set **and** which are dictionary-encoded are gathered as
-/// dictionary ranks (`Value::Int(code)`) instead of decoded strings — the
-/// late-materialization representation. The second return value holds, per
-/// kept column, the dictionary to decode ranks through (`Some` exactly for
-/// the columns gathered ranked).
+/// The full scan entry point: like [`scan_filter_project_columnar_ctx`], but
+/// columns whose `ranked` flag is set **and** which are dictionary-encoded
+/// are gathered as dictionary ranks (`Value::Int(code)`) instead of decoded
+/// strings — the late-materialization representation. The second return
+/// value holds, per kept column, the dictionary to decode ranks through
+/// (`Some` exactly for the columns gathered ranked); the third the scan's
+/// pruning counters.
 ///
 /// Ranks are order-identical to their strings (the dictionary is sorted),
 /// so joins, sorts and duplicate elimination over ranked columns produce
 /// exactly the row set and order the decoded path would; callers decode at
-/// the final gather via [`crate::late`].
+/// the final gather ([`crate::pipeline`]).
 ///
 /// # Errors
 /// Fails if a predicate or kept attribute is missing from the table schema,
@@ -966,22 +914,8 @@ fn gather_column(
 }
 
 /// Plain columnar scan (no predicates): decodes the `attributes` columns of
-/// every row. Bitwise-identical to [`crate::ops::scan_with`] over the row
-/// representation.
-///
-/// # Errors
-/// Fails if an attribute is missing from the table's schema.
-pub fn scan_columnar_with(
-    table: &ColumnarTable,
-    relation: &str,
-    attributes: &[String],
-    pool: &Pool,
-) -> ExecResult<Annotated> {
-    scan_filter_project_columnar_with(table, relation, &[], attributes, pool)
-}
-
-/// [`scan_columnar_with`] under a governor context (see
-/// [`scan_filter_project_columnar_ctx`]).
+/// every row. Bitwise-identical to [`crate::ops::scan_ctx`] over the row
+/// representation; governed like [`scan_filter_project_columnar_ctx`].
 ///
 /// # Errors
 /// Fails if an attribute is missing from the table's schema, or with
@@ -1003,6 +937,32 @@ mod tests {
 
     fn s(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The unranked, ungoverned scan with its pruning counters.
+    fn scan_stats(
+        table: &ColumnarTable,
+        relation: &str,
+        predicates: &[&Predicate],
+        keep: &[String],
+        pool: &Pool,
+    ) -> ExecResult<(Annotated, ColumnarScanStats)> {
+        let ranked = vec![false; keep.len()];
+        let ctx = ExecContext::unbounded();
+        scan_filter_project_columnar_ranked_ctx(
+            table, relation, predicates, keep, &ranked, pool, &ctx,
+        )
+        .map(|(a, _, stats)| (a, stats))
+    }
+
+    fn scan_plain(
+        table: &ColumnarTable,
+        relation: &str,
+        predicates: &[&Predicate],
+        keep: &[String],
+        pool: &Pool,
+    ) -> ExecResult<Annotated> {
+        scan_stats(table, relation, predicates, keep, pool).map(|(a, _)| a)
     }
 
     /// 256 rows over four 64-row chunks; `k` ascending so chunks have
@@ -1042,12 +1002,24 @@ mod tests {
         let (row, col) = sample();
         let want = crate::ops::scan(&row, "R", &s(&["k", "name", "price"])).unwrap();
         for threads in [1, 2, 4, 8] {
-            let got =
-                scan_columnar_with(&col, "R", &s(&["k", "name", "price"]), &Pool::new(threads))
-                    .unwrap();
+            let got = scan_columnar_ctx(
+                &col,
+                "R",
+                &s(&["k", "name", "price"]),
+                &Pool::new(threads),
+                &ExecContext::unbounded(),
+            )
+            .unwrap();
             assert_eq!(got, want, "{threads} threads");
         }
-        assert!(scan_columnar_with(&col, "R", &s(&["zzz"]), &Pool::new(2)).is_err());
+        assert!(scan_columnar_ctx(
+            &col,
+            "R",
+            &s(&["zzz"]),
+            &Pool::new(2),
+            &ExecContext::unbounded()
+        )
+        .is_err());
     }
 
     #[test]
@@ -1056,9 +1028,7 @@ mod tests {
         // k < 64 touches exactly the first of four chunks.
         let pred = Predicate::new("R", "k", CompareOp::Lt, 64i64);
         let preds = [&pred];
-        let (got, stats) =
-            scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["k"]), &Pool::new(4))
-                .unwrap();
+        let (got, stats) = scan_stats(&col, "R", &preds, &s(&["k"]), &Pool::new(4)).unwrap();
         let want = crate::ops::scan_filter_project(&row, "R", &preds, &s(&["k"])).unwrap();
         assert_eq!(got, want);
         assert_eq!(stats.chunks, 4);
@@ -1075,9 +1045,7 @@ mod tests {
         let (row, col) = sample();
         let pred = Predicate::new("R", "k", CompareOp::Gt, 10_000i64);
         let preds = [&pred];
-        let (got, stats) =
-            scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["k"]), &Pool::new(2))
-                .unwrap();
+        let (got, stats) = scan_stats(&col, "R", &preds, &s(&["k"]), &Pool::new(2)).unwrap();
         assert!(got.is_empty());
         assert_eq!(stats.chunks_skipped, 4);
         assert_eq!(
@@ -1113,14 +1081,8 @@ mod tests {
                     let want =
                         crate::ops::scan_filter_project(&row, "R", &preds, &s(&["k", "name"]))
                             .unwrap();
-                    let got = scan_filter_project_columnar_with(
-                        &col,
-                        "R",
-                        &preds,
-                        &s(&["k", "name"]),
-                        &Pool::new(4),
-                    )
-                    .unwrap();
+                    let got =
+                        scan_plain(&col, "R", &preds, &s(&["k", "name"]), &Pool::new(4)).unwrap();
                     assert_eq!(got, want, "{attr} {op:?} {c:?}");
                 }
             }
@@ -1136,14 +1098,8 @@ mod tests {
         let want = crate::ops::scan_filter_project(&row, "R", &preds, &s(&["k", "name"])).unwrap();
         assert_eq!(want.len(), 3);
         for threads in [1, 2, 8] {
-            let (got, stats) = scan_filter_project_columnar_stats(
-                &col,
-                "R",
-                &preds,
-                &s(&["k", "name"]),
-                &Pool::new(threads),
-            )
-            .unwrap();
+            let (got, stats) =
+                scan_stats(&col, "R", &preds, &s(&["k", "name"]), &Pool::new(threads)).unwrap();
             assert_eq!(got, want, "{threads} threads");
             // Chunks 1 ([64,128)) and 3 ([192,256)) hold none of the listed
             // keys: min/max range pruning alone removes them.
@@ -1153,15 +1109,12 @@ mod tests {
         let pred = Predicate::is_in("R", "name", ["Mo", "Nope", "Joe"]);
         let preds = [&pred];
         let want = crate::ops::scan_filter_project(&row, "R", &preds, &s(&["k"])).unwrap();
-        let got = scan_filter_project_columnar_with(&col, "R", &preds, &s(&["k"]), &Pool::new(4))
-            .unwrap();
+        let got = scan_plain(&col, "R", &preds, &s(&["k"]), &Pool::new(4)).unwrap();
         assert_eq!(got, want);
         // NULL alternatives match nothing; an all-NULL list skips everything.
         let pred = Predicate::is_in("R", "k", [Value::Null]);
         let preds = [&pred];
-        let (got, stats) =
-            scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["k"]), &Pool::new(2))
-                .unwrap();
+        let (got, stats) = scan_stats(&col, "R", &preds, &s(&["k"]), &Pool::new(2)).unwrap();
         assert!(got.is_empty());
         assert_eq!(stats.chunks_skipped, 4);
     }
@@ -1184,9 +1137,7 @@ mod tests {
         let col = ColumnarTable::from_prob_table_chunked(&t, &Pool::sequential(), 64).unwrap();
         let pred = Predicate::new("R", "name", CompareOp::Eq, "name-0150");
         let preds = [&pred];
-        let (got, stats) =
-            scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["name"]), &Pool::new(4))
-                .unwrap();
+        let (got, stats) = scan_stats(&col, "R", &preds, &s(&["name"]), &Pool::new(4)).unwrap();
         let want = crate::ops::scan_filter_project(&t, "R", &preds, &s(&["name"])).unwrap();
         assert_eq!(got, want);
         assert_eq!(got.len(), 32);
@@ -1197,9 +1148,7 @@ mod tests {
         // Probe an absent value *inside* a chunk's range instead:
         let pred = Predicate::new("R", "name", CompareOp::Eq, "name-0120");
         let preds = [&pred];
-        let (got, stats2) =
-            scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["name"]), &Pool::new(4))
-                .unwrap();
+        let (got, stats2) = scan_stats(&col, "R", &preds, &s(&["name"]), &Pool::new(4)).unwrap();
         assert!(got.is_empty());
         // "name-0120" sorts inside chunk 1's [0100, 0150] range, so min/max
         // cannot prune it — the bloom filter must.
@@ -1224,9 +1173,7 @@ mod tests {
         // 5 lies inside chunk 0's [0, 10] range but occurs nowhere.
         let pred = Predicate::new("R", "v", CompareOp::Ne, 5i64);
         let preds = [&pred];
-        let (got, stats) =
-            scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["v"]), &Pool::new(2))
-                .unwrap();
+        let (got, stats) = scan_stats(&col, "R", &preds, &s(&["v"]), &Pool::new(2)).unwrap();
         assert_eq!(got.len(), 128);
         assert_eq!(
             got,
@@ -1255,16 +1202,13 @@ mod tests {
         // Absent value inside chunk 0's range: only row evaluation decides.
         let pred = Predicate::new("R", "v", CompareOp::Eq, 5i64);
         let preds = [&pred];
-        let (got, stats) =
-            scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["v"]), &Pool::new(2))
-                .unwrap();
+        let (got, stats) = scan_stats(&col, "R", &preds, &s(&["v"]), &Pool::new(2)).unwrap();
         assert!(got.is_empty());
         assert_eq!(stats.chunks_bloom_skipped, 0);
         // Present values still come back exactly.
         let pred = Predicate::is_in("R", "v", [0i64, 254, 510]);
         let preds = [&pred];
-        let got = scan_filter_project_columnar_with(&col, "R", &preds, &s(&["v"]), &Pool::new(4))
-            .unwrap();
+        let got = scan_plain(&col, "R", &preds, &s(&["v"]), &Pool::new(4)).unwrap();
         assert_eq!(
             got,
             crate::ops::scan_filter_project(&t, "R", &preds, &s(&["v"])).unwrap()
@@ -1281,14 +1225,8 @@ mod tests {
         let preds = [&p1, &p2, &p3];
         let want = crate::ops::scan_filter_project(&row, "R", &preds, &s(&["k", "price"])).unwrap();
         for threads in [1, 3, 8] {
-            let got = scan_filter_project_columnar_with(
-                &col,
-                "R",
-                &preds,
-                &s(&["k", "price"]),
-                &Pool::new(threads),
-            )
-            .unwrap();
+            let got =
+                scan_plain(&col, "R", &preds, &s(&["k", "price"]), &Pool::new(threads)).unwrap();
             assert_eq!(got, want, "{threads} threads");
         }
     }
@@ -1319,9 +1257,7 @@ mod tests {
             let pred = Predicate::new("R", "x", op, c.clone());
             let preds = [&pred];
             let want = crate::ops::scan_filter_project(&t, "R", &preds, &s(&["x"])).unwrap();
-            let (got, stats) =
-                scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["x"]), &Pool::new(4))
-                    .unwrap();
+            let (got, stats) = scan_stats(&col, "R", &preds, &s(&["x"]), &Pool::new(4)).unwrap();
             assert_eq!(got, want, "{op:?} {c:?}");
             if op == CompareOp::Gt {
                 // The NaN-free chunk is skippable, the NaN chunk is not.
@@ -1347,9 +1283,7 @@ mod tests {
         let col = ColumnarTable::from_prob_table_chunked(&t, &Pool::sequential(), 64).unwrap();
         let pred = Predicate::new("R", "x", CompareOp::Ge, 0i64);
         let preds = [&pred];
-        let (got, stats) =
-            scan_filter_project_columnar_stats(&col, "R", &preds, &s(&["x"]), &Pool::new(2))
-                .unwrap();
+        let (got, stats) = scan_stats(&col, "R", &preds, &s(&["x"]), &Pool::new(2)).unwrap();
         assert_eq!(stats.chunks_skipped, 1);
         assert_eq!(
             got,
@@ -1371,9 +1305,7 @@ mod tests {
             let pred = Predicate::new("R", "name", op, c.clone());
             let preds = [&pred];
             let want = crate::ops::scan_filter_project(&row, "R", &preds, &s(&["k"])).unwrap();
-            let got =
-                scan_filter_project_columnar_with(&col, "R", &preds, &s(&["k"]), &Pool::new(2))
-                    .unwrap();
+            let got = scan_plain(&col, "R", &preds, &s(&["k"]), &Pool::new(2)).unwrap();
             assert_eq!(got, want, "{op:?} {c:?}");
         }
     }
@@ -1415,9 +1347,7 @@ mod tests {
                 let pred = Predicate::new("R", "x", op, c.clone());
                 let preds = [&pred];
                 let want = crate::ops::scan_filter_project(&t, "R", &preds, &s(&["x"])).unwrap();
-                let got =
-                    scan_filter_project_columnar_with(&col, "R", &preds, &s(&["x"]), &Pool::new(3))
-                        .unwrap();
+                let got = scan_plain(&col, "R", &preds, &s(&["x"]), &Pool::new(3)).unwrap();
                 assert_eq!(got, want, "{op:?} {c:?}");
             }
         }

@@ -13,9 +13,10 @@
 //! * [`ops`] — scans, selections, projections, natural joins, sorts and
 //!   duplicate elimination over annotated results. Joins and sorts run over
 //!   normalized `u64` key runs ([`key`]); duplicate elimination is
-//!   sort-based. The pre-refactor row-at-a-time implementations are retained
-//!   in [`baseline`] (and selectable engine-wide with the `seed-baseline`
-//!   feature) so benchmarks can quantify the rewrite.
+//!   sort-based. Every hot-path operator has one governed spelling,
+//!   `op_ctx(input…, pool, ctx)`, plus a bare `op(input…)` convenience on
+//!   the default pool. The row-at-a-time reference join the tests compare
+//!   against lives in [`baseline`].
 //! * [`columnar`] — the columnar fast path of the base-table scans:
 //!   vectorized fused scan-filter-project over
 //!   [`pdb_storage::ColumnarTable`]s with zone-map chunk skipping,
@@ -25,8 +26,9 @@
 //!   plans (Fig. 2): probabilities are combined inside joins and independent
 //!   projections, and no variable columns are kept.
 //! * [`pipeline`] — evaluation of a conjunctive query under an explicit join
-//!   order, producing the annotated answer the confidence-computation
-//!   operator consumes.
+//!   order (with late string materialization on columnar backings),
+//!   producing the annotated answer the confidence-computation operator
+//!   consumes.
 
 pub mod annotated;
 pub mod baseline;
@@ -36,7 +38,6 @@ pub mod extensional;
 pub mod fixtures;
 pub mod kernel;
 pub mod key;
-pub mod late;
 pub mod ops;
 pub mod pipeline;
 
@@ -44,9 +45,5 @@ pub use annotated::{Annotated, AnnotatedRow, RowRef};
 pub use columnar::ColumnarScanStats;
 pub use error::{ExecError, ExecResult};
 pub use extensional::ExtRelation;
-pub use late::{
-    evaluate_join_order_late, evaluate_join_order_late_ctx, evaluate_join_order_late_with,
-    LateMatStats,
-};
 pub use pdb_govern::{ExecContext, GovernorBuilder, QueryGovernor, SproutError, Stage};
-pub use pipeline::{evaluate_join_order, evaluate_join_order_ctx, evaluate_join_order_with};
+pub use pipeline::{evaluate_join_order, evaluate_join_order_ctx};

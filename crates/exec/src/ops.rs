@@ -14,14 +14,13 @@
 //!
 //! # Morsel-driven parallelism (PR 4)
 //!
-//! Every operator of the relational hot path fans out on a
-//! [`pdb_par::Pool`] through a `*_with(pool)` variant (the plain entry
-//! points pick [`pdb_par::Pool::from_env`], degraded to sequential for small
-//! inputs). The contract is the one the whole workspace obeys: **the output
-//! is bitwise-identical at every thread count** — same values, same lineage,
-//! same row order — and identical to the sequential (and retained
-//! row-at-a-time seed) implementation, because every parallel operator
-//! reproduces the exact sequential emit order:
+//! Every operator of the relational hot path fans out on the
+//! [`pdb_par::Pool`] it is handed. The contract is the one the whole
+//! workspace obeys: **the output is bitwise-identical at every thread
+//! count** — same values, same lineage, same row order — and identical to
+//! the sequential (and retained row-at-a-time reference) implementation,
+//! because every parallel operator reproduces the exact sequential emit
+//! order:
 //!
 //! * **Scan / project** — the output row count is known up front, so the
 //!   result is allocated exactly and contiguous row ranges are written in
@@ -43,14 +42,19 @@
 //!   left-row order, the final emit order is exactly the sequential nested
 //!   order — `(left row, right row)` lexicographic — at every thread count.
 //!
-//! The retained row-at-a-time implementation lives in [`crate::baseline`];
-//! the `seed-baseline` feature routes the operators through it for A/B
-//! benchmarking.
+//! The row-at-a-time reference join the tests compare against lives in
+//! [`crate::baseline`].
 //!
-//! # Governed execution (PR 6)
+//! # One governed spelling per operator
 //!
-//! The hot-path operators additionally come in `*_ctx` variants taking a
-//! [`pdb_govern::ExecContext`]: a cooperative cancellation / deadline
+//! Each hot-path operator has one real entry point, `op_ctx(input…, pool,
+//! ctx)`, taking the worker pool and a [`pdb_govern::ExecContext`]; the bare
+//! `op(input…)` is the same call on [`pdb_par::Pool::from_env`] (degraded to
+//! sequential for small inputs) with [`ExecContext::unbounded`], kept for
+//! tests, examples and doc-tests. Operators outside the governed hot path
+//! (`filter`, `distinct`, `sort_dedup`) come as bare + `_with(pool)`.
+//!
+//! Under a context a cooperative cancellation / deadline
 //! checkpoint runs at every morsel boundary (phase-1 survivor chunks and
 //! phase-2 segment writes of the fused scan, probe morsels and stitch
 //! segments of the join, write segments of the project — and every
@@ -58,8 +62,8 @@
 //! arenas are charged against the governor's memory budget before they are
 //! allocated. Checkpoints only ever **stop** work — they never reorder it —
 //! so a governed run that completes is bitwise-identical to an ungoverned
-//! one. The `*_with` variants delegate with [`ExecContext::unbounded`],
-//! where every checkpoint is an inert null check. A worker that panics
+//! one; under [`ExecContext::unbounded`] every checkpoint is an inert null
+//! check. A worker that panics
 //! inside a governed operator is isolated by [`pdb_par::Pool::try_map`] and
 //! friends and surfaces as [`pdb_govern::SproutError::WorkerPanic`]; the
 //! partially-written output is discarded and the pool stays reusable.
@@ -68,17 +72,14 @@ use pdb_govern::{Counter, ExecContext, Stage};
 use pdb_par::{even_ranges, Pool};
 use pdb_query::Predicate;
 use pdb_storage::{ProbTable, Schema, StorageBacking, Value, Variable};
-#[cfg(not(feature = "seed-baseline"))]
 use std::collections::HashMap;
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
-#[cfg(not(feature = "seed-baseline"))]
 use crate::key::{JoinInterner, JoinKeys, UNJOINABLE};
 
 /// Probe morsels per worker in the partitioned join: more morsels than
 /// workers lets the pool's self-balancing cursor absorb skewed match counts.
-#[cfg(not(feature = "seed-baseline"))]
 const MORSELS_PER_WORKER: usize = 4;
 
 /// Row period of the governor checkpoints on sequential fallback paths: the
@@ -167,27 +168,21 @@ fn write_table_row(
 /// # Errors
 /// Fails if an attribute is missing from the table's schema.
 pub fn scan(table: &ProbTable, relation: &str, attributes: &[String]) -> ExecResult<Annotated> {
-    scan_with(table, relation, attributes, &pool_for(table.len()))
+    scan_ctx(
+        table,
+        relation,
+        attributes,
+        &pool_for(table.len()),
+        &ExecContext::unbounded(),
+    )
 }
 
-/// [`scan`] with an explicit worker pool: contiguous row ranges are
-/// materialised in place by disjoint workers (the output size is known up
-/// front, so there is no stitch copy).
-///
-/// # Errors
-/// Fails if an attribute is missing from the table's schema.
-pub fn scan_with(
-    table: &ProbTable,
-    relation: &str,
-    attributes: &[String],
-    pool: &Pool,
-) -> ExecResult<Annotated> {
-    scan_ctx(table, relation, attributes, pool, &ExecContext::unbounded())
-}
-
-/// [`scan_with`] under a governor context: checkpoints at every write
-/// segment (`scan.write`, sequential fallback every [`SEQ_CHECK_EVERY`]
-/// rows at `scan.morsel`) and memory accounting for the output arenas.
+/// [`scan`] on an explicit worker pool under a governor context: contiguous
+/// row ranges are materialised in place by disjoint workers (the output size
+/// is known up front, so there is no stitch copy), with checkpoints at every
+/// write segment (`scan.write`, sequential fallback every
+/// [`SEQ_CHECK_EVERY`] rows at `scan.morsel`) and memory accounting for the
+/// output arenas.
 ///
 /// # Errors
 /// Fails if an attribute is missing from the table's schema, or with
@@ -258,37 +253,23 @@ pub fn scan_filter_project(
     predicates: &[&Predicate],
     keep: &[String],
 ) -> ExecResult<Annotated> {
-    scan_filter_project_with(table, relation, predicates, keep, &pool_for(table.len()))
-}
-
-/// [`scan_filter_project`] with an explicit worker pool: chunks first collect
-/// their surviving row indices, the counts are prefix-summed into write
-/// offsets, and every chunk materialises its survivors into its disjoint
-/// arena segment — input order, no post-hoc copy.
-///
-/// # Errors
-/// Fails if a predicate or kept attribute is missing from the table schema.
-pub fn scan_filter_project_with(
-    table: &ProbTable,
-    relation: &str,
-    predicates: &[&Predicate],
-    keep: &[String],
-    pool: &Pool,
-) -> ExecResult<Annotated> {
     scan_filter_project_ctx(
         table,
         relation,
         predicates,
         keep,
-        pool,
+        &pool_for(table.len()),
         &ExecContext::unbounded(),
     )
 }
 
-/// [`scan_filter_project_with`] under a governor context: checkpoints at
-/// every phase-1 survivor chunk (`scan.morsel`) and phase-2 write segment
-/// (`scan.write`), sequential fallback every [`SEQ_CHECK_EVERY`] rows, and
-/// memory accounting for the survivor arenas.
+/// [`scan_filter_project`] on an explicit worker pool under a governor
+/// context: chunks first collect their surviving row indices, the counts are
+/// prefix-summed into write offsets, and every chunk materialises its
+/// survivors into its disjoint arena segment — input order, no post-hoc
+/// copy. Checkpoints at every phase-1 survivor chunk (`scan.morsel`) and
+/// phase-2 write segment (`scan.write`), sequential fallback every
+/// [`SEQ_CHECK_EVERY`] rows, and memory accounting for the survivor arenas.
 ///
 /// # Errors
 /// Fails if a predicate or kept attribute is missing from the table schema,
@@ -367,29 +348,10 @@ pub fn scan_filter_project_ctx(
     Ok(out)
 }
 
-/// [`scan_with`] over either storage representation: row backings run the
+/// [`scan_ctx`] over either storage representation: row backings run the
 /// row-at-a-time scan, columnar backings decode through
-/// [`crate::columnar::scan_columnar_with`]. The output is bitwise-identical
+/// [`crate::columnar::scan_columnar_ctx`]. The output is bitwise-identical
 /// across backings (values, lineage, row order).
-///
-/// # Errors
-/// Fails if an attribute is missing from the table's schema.
-pub fn scan_backing_with(
-    backing: &StorageBacking,
-    relation: &str,
-    attributes: &[String],
-    pool: &Pool,
-) -> ExecResult<Annotated> {
-    scan_backing_ctx(
-        backing,
-        relation,
-        attributes,
-        pool,
-        &ExecContext::unbounded(),
-    )
-}
-
-/// [`scan_backing_with`] under a governor context.
 ///
 /// # Errors
 /// Fails if an attribute is missing from the table's schema, or with
@@ -409,33 +371,11 @@ pub fn scan_backing_ctx(
     }
 }
 
-/// [`scan_filter_project_with`] over either storage representation: columnar
+/// [`scan_filter_project_ctx`] over either storage representation: columnar
 /// backings take the vectorized fast path — zone-map chunk skipping plus
 /// typed per-column predicate loops — and produce the **identical** result.
-///
-/// # Errors
-/// Fails if a predicate or kept attribute is missing from the table schema.
-pub fn scan_filter_project_backing_with(
-    backing: &StorageBacking,
-    relation: &str,
-    predicates: &[&Predicate],
-    keep: &[String],
-    pool: &Pool,
-) -> ExecResult<Annotated> {
-    scan_filter_project_backing_ctx(
-        backing,
-        relation,
-        predicates,
-        keep,
-        pool,
-        &ExecContext::unbounded(),
-    )
-}
-
-/// [`scan_filter_project_backing_with`] under a governor context: both
-/// backings run their checkpoints (`scan.morsel`/`scan.write` on row
-/// backings, `scan.chunk`/`scan.gather` on columnar backings) and produce
-/// the identical result when uninterrupted.
+/// Both backings run their checkpoints (`scan.morsel`/`scan.write` on row
+/// backings, `scan.chunk`/`scan.gather` on columnar backings).
 ///
 /// # Errors
 /// Fails if a predicate or kept attribute is missing from the table schema,
@@ -465,68 +405,52 @@ pub fn filter(input: &Annotated, predicate: &Predicate) -> ExecResult<Annotated>
 }
 
 /// [`filter`] with an explicit worker pool (two-phase survivor collection,
-/// like [`scan_filter_project_with`]). With the `seed-baseline` feature the
-/// row-at-a-time implementation runs instead and the pool is ignored.
+/// like [`scan_filter_project_ctx`]).
 ///
 /// # Errors
 /// Fails if the predicate's attribute is not a data column of the input.
 pub fn filter_with(input: &Annotated, predicate: &Predicate, pool: &Pool) -> ExecResult<Annotated> {
-    #[cfg(feature = "seed-baseline")]
-    {
-        let _ = pool;
-        return crate::baseline::filter_rowwise(input, predicate);
-    }
-
-    #[cfg(not(feature = "seed-baseline"))]
-    {
-        let idx = input.column_index(&predicate.attribute)?;
-        let rows = input.len();
-        if pool.threads() <= 1 || rows < 2 {
-            let mut out = Annotated::with_row_capacity(
-                input.schema().clone(),
-                input.relations().to_vec(),
-                rows,
-            );
-            for row in input.iter() {
-                if predicate.matches(row.value(idx)) {
-                    out.push_row(row.data, row.lineage);
-                }
+    let idx = input.column_index(&predicate.attribute)?;
+    let rows = input.len();
+    if pool.threads() <= 1 || rows < 2 {
+        let mut out =
+            Annotated::with_row_capacity(input.schema().clone(), input.relations().to_vec(), rows);
+        for row in input.iter() {
+            if predicate.matches(row.value(idx)) {
+                out.push_row(row.data, row.lineage);
             }
-            return Ok(out);
         }
-        let ranges = even_ranges(rows, pool.threads());
-        let survivors: Vec<Vec<u32>> = pool.map_ranges(&ranges, |range| {
-            range
-                .filter(|&i| predicate.matches(input.row(i).value(idx)))
-                .map(|i| i as u32)
-                .collect()
-        });
-        let (offsets, total) = pdb_par::exclusive_prefix_sum(survivors.iter().map(|s| s.len()));
-        let mut out = Annotated::with_placeholder_rows(
-            input.schema().clone(),
-            input.relations().to_vec(),
-            total,
-        );
-        let dw = out.data_width();
-        let lw = out.lineage_width();
-        let data_cuts: Vec<usize> = offsets.iter().map(|o| o * dw).collect();
-        let lineage_cuts: Vec<usize> = offsets.iter().map(|o| o * lw).collect();
-        let (data, lineage) = out.arena_segments_mut();
-        pool.map_slices2_mut(
-            data,
-            &data_cuts,
-            lineage,
-            &lineage_cuts,
-            |ci, dseg, lseg| {
-                for (k, &r) in survivors[ci].iter().enumerate() {
-                    let row = input.row(r as usize);
-                    dseg[k * dw..(k + 1) * dw].clone_from_slice(row.data);
-                    lseg[k * lw..(k + 1) * lw].copy_from_slice(row.lineage);
-                }
-            },
-        );
-        Ok(out)
+        return Ok(out);
     }
+    let ranges = even_ranges(rows, pool.threads());
+    let survivors: Vec<Vec<u32>> = pool.map_ranges(&ranges, |range| {
+        range
+            .filter(|&i| predicate.matches(input.row(i).value(idx)))
+            .map(|i| i as u32)
+            .collect()
+    });
+    let (offsets, total) = pdb_par::exclusive_prefix_sum(survivors.iter().map(|s| s.len()));
+    let mut out =
+        Annotated::with_placeholder_rows(input.schema().clone(), input.relations().to_vec(), total);
+    let dw = out.data_width();
+    let lw = out.lineage_width();
+    let data_cuts: Vec<usize> = offsets.iter().map(|o| o * dw).collect();
+    let lineage_cuts: Vec<usize> = offsets.iter().map(|o| o * lw).collect();
+    let (data, lineage) = out.arena_segments_mut();
+    pool.map_slices2_mut(
+        data,
+        &data_cuts,
+        lineage,
+        &lineage_cuts,
+        |ci, dseg, lseg| {
+            for (k, &r) in survivors[ci].iter().enumerate() {
+                let row = input.row(r as usize);
+                dseg[k * dw..(k + 1) * dw].clone_from_slice(row.data);
+                lseg[k * lw..(k + 1) * lw].copy_from_slice(row.lineage);
+            }
+        },
+    );
+    Ok(out)
 }
 
 /// Projects the data columns onto `attributes` (in order), keeping all
@@ -536,26 +460,19 @@ pub fn filter_with(input: &Annotated, predicate: &Predicate, pool: &Pool) -> Exe
 /// # Errors
 /// Fails on unknown columns.
 pub fn project(input: &Annotated, attributes: &[String]) -> ExecResult<Annotated> {
-    project_with(input, attributes, &pool_for(input.len()))
+    project_ctx(
+        input,
+        attributes,
+        &pool_for(input.len()),
+        &ExecContext::unbounded(),
+    )
 }
 
-/// [`project`] with an explicit worker pool: the output size equals the
-/// input size, so contiguous row ranges are written in place by disjoint
-/// workers.
-///
-/// # Errors
-/// Fails on unknown columns.
-pub fn project_with(
-    input: &Annotated,
-    attributes: &[String],
-    pool: &Pool,
-) -> ExecResult<Annotated> {
-    project_ctx(input, attributes, pool, &ExecContext::unbounded())
-}
-
-/// [`project_with`] under a governor context: checkpoints at every write
-/// segment (`project.write`, sequential fallback every [`SEQ_CHECK_EVERY`]
-/// rows) and memory accounting for the output arenas.
+/// [`project`] on an explicit worker pool under a governor context: the
+/// output size equals the input size, so contiguous row ranges are written
+/// in place by disjoint workers. Checkpoints at every write segment
+/// (`project.write`, sequential fallback every [`SEQ_CHECK_EVERY`] rows) and
+/// memory accounting for the output arenas.
 ///
 /// # Errors
 /// Fails on unknown columns, or with [`ExecError::Governed`] when the
@@ -680,43 +597,35 @@ pub(crate) fn join_layout(left: &Annotated, right: &Annotated) -> ExecResult<Joi
 /// scratch buffer and compares machine words. The inner loop appends to the
 /// output arenas by slice-append: **no `Tuple` or `Vec<Value>` is allocated
 /// per probed row** (verified by `tests/alloc_count.rs`). With a
-/// multi-threaded pool the join is radix-partitioned (see [`natural_join_with`]);
+/// multi-threaded pool the join is radix-partitioned (see [`natural_join_ctx`]);
 /// the emit order — `(left row, right row)` lexicographic — is identical
 /// either way.
 ///
 /// # Errors
 /// Fails if the inputs share a lineage relation (self-join).
 pub fn natural_join(left: &Annotated, right: &Annotated) -> ExecResult<Annotated> {
-    natural_join_with(left, right, &pool_for(left.len().max(right.len())))
+    natural_join_ctx(
+        left,
+        right,
+        &pool_for(left.len().max(right.len())),
+        &ExecContext::unbounded(),
+    )
 }
 
-/// [`natural_join`] with an explicit worker pool: a **radix-partitioned
-/// parallel hash join**. Build-side keys are encoded in parallel, scattered
+/// [`natural_join`] on an explicit worker pool under a governor context: a
+/// **radix-partitioned parallel hash join**. Build-side keys are encoded in parallel, scattered
 /// into partitions by the high bits of their hash, and indexed per partition
 /// in parallel; probe morsels (contiguous left-row ranges) then probe in
 /// parallel and their matches are materialised into disjoint output
 /// segments in morsel order. Every partition chain replays build rows in
 /// ascending order, so the output is the exact sequential nested emit —
 /// `(left row, right row)` lexicographic — bitwise-identical at every
-/// thread count and to the row-at-a-time seed join.
+/// thread count and to the row-at-a-time reference join
+/// ([`crate::baseline::natural_join_rowwise`]).
 ///
-/// With the `seed-baseline` feature the row-at-a-time implementation runs
-/// instead and the pool is ignored.
-///
-/// # Errors
-/// Fails if the inputs share a lineage relation (self-join).
-pub fn natural_join_with(
-    left: &Annotated,
-    right: &Annotated,
-    pool: &Pool,
-) -> ExecResult<Annotated> {
-    natural_join_ctx(left, right, pool, &ExecContext::unbounded())
-}
-
-/// [`natural_join_with`] under a governor context: checkpoints at every
-/// probe morsel (`join.probe`) and stitch segment (`join.write`), sequential
-/// fallback every [`SEQ_CHECK_EVERY`] probe rows, and memory accounting for
-/// the radix scatter buffer and the output arenas.
+/// Checkpoints at every probe morsel (`join.probe`) and stitch segment
+/// (`join.write`), sequential fallback every [`SEQ_CHECK_EVERY`] probe rows,
+/// and memory accounting for the radix scatter buffer and the output arenas.
 ///
 /// # Errors
 /// Fails if the inputs share a lineage relation (self-join), or with
@@ -727,28 +636,15 @@ pub fn natural_join_ctx(
     pool: &Pool,
     ctx: &ExecContext,
 ) -> ExecResult<Annotated> {
-    #[cfg(feature = "seed-baseline")]
-    {
-        let _ = pool;
-        ctx.checkpoint(Stage::Join, "join.probe", 0)?;
-        let out = crate::baseline::natural_join_rowwise(left, right)?;
-        ctx.tally(Counter::JoinProbes, left.len() as u64);
-        ctx.tally(Counter::JoinMatches, out.len() as u64);
-        return Ok(out);
-    }
-
-    #[cfg(not(feature = "seed-baseline"))]
-    {
-        let layout = join_layout(left, right)?;
-        let out = if pool.threads() <= 1 || left.is_empty() || right.is_empty() {
-            natural_join_sequential(left, right, layout, ctx)?
-        } else {
-            natural_join_partitioned(left, right, layout, pool, ctx)?
-        };
-        ctx.tally(Counter::JoinProbes, left.len() as u64);
-        ctx.tally(Counter::JoinMatches, out.len() as u64);
-        Ok(out)
-    }
+    let layout = join_layout(left, right)?;
+    let out = if pool.threads() <= 1 || left.is_empty() || right.is_empty() {
+        natural_join_sequential(left, right, layout, ctx)?
+    } else {
+        natural_join_partitioned(left, right, layout, pool, ctx)?
+    };
+    ctx.tally(Counter::JoinProbes, left.len() as u64);
+    ctx.tally(Counter::JoinMatches, out.len() as u64);
+    Ok(out)
 }
 
 /// Cartesian product (the natural join of inputs sharing no column is exactly
@@ -760,12 +656,10 @@ pub fn cross_product(left: &Annotated, right: &Annotated) -> ExecResult<Annotate
     natural_join(left, right)
 }
 
-#[cfg(not(feature = "seed-baseline"))]
 const JOIN_NIL: u32 = u32::MAX;
 
 /// The single-index sequential join (the PR-1 hot path), used by sequential
 /// pools and empty inputs.
-#[cfg(not(feature = "seed-baseline"))]
 fn natural_join_sequential(
     left: &Annotated,
     right: &Annotated,
@@ -822,7 +716,6 @@ fn natural_join_sequential(
 
 /// One radix partition of the build side: its rows (ascending), plus a
 /// chained hash index over local positions whose chains replay ascending.
-#[cfg(not(feature = "seed-baseline"))]
 struct PartIndex {
     rows: Vec<u32>,
     heads: HashMap<u64, u32>,
@@ -832,7 +725,6 @@ struct PartIndex {
 /// Radix partition count and bit width for a parallel join on `threads`
 /// workers: a couple of partitions per worker so per-partition index builds
 /// balance, capped to keep per-chunk scatter lists small.
-#[cfg(not(feature = "seed-baseline"))]
 fn radix_partitions(threads: usize) -> (usize, u32) {
     let parts = (threads * 2).next_power_of_two().clamp(2, 64);
     (parts, parts.trailing_zeros())
@@ -840,13 +732,11 @@ fn radix_partitions(threads: usize) -> (usize, u32) {
 
 /// The partition of a key hash: its `bits` high bits (the FxHash-style mix
 /// concentrates entropy in the high bits of the final multiply).
-#[cfg(not(feature = "seed-baseline"))]
 #[inline]
 fn radix_of(hash: u64, bits: u32) -> usize {
     (hash >> (64 - bits)) as usize
 }
 
-#[cfg(not(feature = "seed-baseline"))]
 fn natural_join_partitioned(
     left: &Annotated,
     right: &Annotated,
@@ -1033,15 +923,10 @@ fn natural_join_partitioned(
 /// edges; see [`collapse_sorted`]); the result is bitwise-identical at
 /// every thread count.
 pub fn distinct(input: &Annotated) -> Annotated {
-    #[cfg(feature = "seed-baseline")]
-    return crate::baseline::distinct_rowwise(input);
-
-    #[cfg(not(feature = "seed-baseline"))]
     distinct_with(input, &pool_for(input.len()))
 }
 
 /// [`distinct`] with an explicit worker pool.
-#[cfg(not(feature = "seed-baseline"))]
 pub fn distinct_with(input: &Annotated, pool: &Pool) -> Annotated {
     let all_cols: Vec<usize> = (0..input.data_width()).collect();
     let keys = input.sort_keys_with(&all_cols, &[], pool);
@@ -1254,26 +1139,25 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
-    // The parallel-path contracts below are specific to the partitioned
-    // implementation; the seed baseline ignores the pool.
-    #[cfg(not(feature = "seed-baseline"))]
     #[test]
     fn parallel_operators_are_identical_to_sequential() {
         let cust_t = fig1_cust();
         let ord_t = fig1_ord();
         let pred = Predicate::new("Ord", "okey", CompareOp::Gt, 1i64);
+        let ctx = ExecContext::unbounded();
+        let seq_pool = Pool::sequential();
         for threads in [2, 3, 4, 8] {
             let pool = Pool::new(threads);
             // Scan.
             let seq = scan(&cust_t, "Cust", &s(&["ckey", "cname"])).unwrap();
-            let par = scan_with(&cust_t, "Cust", &s(&["ckey", "cname"]), &pool).unwrap();
+            let par = scan_ctx(&cust_t, "Cust", &s(&["ckey", "cname"]), &pool, &ctx).unwrap();
             assert_eq!(seq, par, "scan at {threads} threads");
             // Fused scan-filter-project.
             let preds = [&pred];
             let seq_sfp =
                 scan_filter_project(&ord_t, "Ord", &preds, &s(&["okey", "ckey"])).unwrap();
             let par_sfp =
-                scan_filter_project_with(&ord_t, "Ord", &preds, &s(&["okey", "ckey"]), &pool)
+                scan_filter_project_ctx(&ord_t, "Ord", &preds, &s(&["okey", "ckey"]), &pool, &ctx)
                     .unwrap();
             assert_eq!(seq_sfp, par_sfp, "scan_filter_project at {threads} threads");
             // Filter + project over an annotated input.
@@ -1282,17 +1166,17 @@ mod tests {
             let par_f = filter_with(&ord, &pred, &pool).unwrap();
             assert_eq!(seq_f, par_f, "filter at {threads} threads");
             let seq_p = project(&ord, &s(&["odate", "ckey"])).unwrap();
-            let par_p = project_with(&ord, &s(&["odate", "ckey"]), &pool).unwrap();
+            let par_p = project_ctx(&ord, &s(&["odate", "ckey"]), &pool, &ctx).unwrap();
             assert_eq!(seq_p, par_p, "project at {threads} threads");
             // Join (including the product shape).
             let cust = scan(&cust_t, "Cust", &s(&["ckey", "cname"])).unwrap();
-            let seq_j = natural_join_with(&cust, &ord, &Pool::sequential()).unwrap();
-            let par_j = natural_join_with(&cust, &ord, &pool).unwrap();
+            let seq_j = natural_join_ctx(&cust, &ord, &seq_pool, &ctx).unwrap();
+            let par_j = natural_join_ctx(&cust, &ord, &pool, &ctx).unwrap();
             assert_eq!(seq_j, par_j, "join at {threads} threads");
             let cust_p = project(&cust, &s(&["cname"])).unwrap();
             let ord_p = project(&ord, &s(&["odate"])).unwrap();
-            let seq_x = natural_join_with(&cust_p, &ord_p, &Pool::sequential()).unwrap();
-            let par_x = natural_join_with(&cust_p, &ord_p, &pool).unwrap();
+            let seq_x = natural_join_ctx(&cust_p, &ord_p, &seq_pool, &ctx).unwrap();
+            let par_x = natural_join_ctx(&cust_p, &ord_p, &pool, &ctx).unwrap();
             assert_eq!(seq_x, par_x, "product at {threads} threads");
         }
     }
@@ -1312,7 +1196,11 @@ mod tests {
         let r = scan(&right_table, "R", &s(&["k"])).unwrap();
         assert!(natural_join(&l, &r).unwrap().is_empty());
         // The partitioned path skips NULL keys the same way.
-        assert!(natural_join_with(&l, &r, &Pool::new(4)).unwrap().is_empty());
+        assert!(
+            natural_join_ctx(&l, &r, &Pool::new(4), &ExecContext::unbounded())
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]
@@ -1348,9 +1236,6 @@ mod tests {
         assert!(project(&ord, &s(&["nope"])).is_err());
     }
 
-    // The ordering contract below is specific to the sort-based
-    // implementation; the seed baseline keeps input order instead.
-    #[cfg(not(feature = "seed-baseline"))]
     #[test]
     fn distinct_is_sorted_and_keeps_first_occurrence() {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]).unwrap();

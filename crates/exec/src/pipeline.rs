@@ -4,22 +4,57 @@
 //! the answer tuples (Section I: "the restrictions imposed by safe plans are
 //! not necessary and any query plan can be used to compute the answer
 //! tuples"). This module provides that evaluation: given a conjunctive query,
-//! a catalog, and a join order, it pushes constant selections below the
-//! joins, keeps only the columns needed later (head attributes and pending
-//! join attributes), and produces the lineage-annotated answer relation the
-//! confidence-computation operator consumes.
+//! a catalog, and a join order, it pushes constant selections into the fused
+//! scans, keeps of each relation only its head and join attributes
+//! (predicate-only columns are consumed inside the scan and never
+//! materialised), joins in the given order, projects after every join, and
+//! produces the lineage-annotated answer relation the confidence-computation
+//! operator consumes. One pipeline serves both storage backings.
+//!
+//! # Late string materialization
+//!
+//! On columnar backings, string head columns stay in their **dictionary
+//! rank** representation (`Value::Int(code)`) all the way through the
+//! relational pipeline and are decoded back to `Value::Str` once, on the
+//! final answer:
+//!
+//! * the columnar scan gathers ranks instead of decoded strings
+//!   ([`crate::columnar::scan_filter_project_columnar_ranked_ctx`]) — no
+//!   per-cell `Arc` clone, no refcount traffic;
+//! * dictionaries are **sorted**, so ranks order exactly like their strings
+//!   (`code_a < code_b ⇔ str_a < str_b`): joins, sorts, grouping and
+//!   duplicate elimination over ranked columns produce precisely the row
+//!   set *and row order* the decoded path would;
+//! * the final gather decodes each surviving cell exactly once — the
+//!   number of string materializations is bounded by the answer size, not
+//!   by the intermediate result sizes ([`Counter::DecodedStrings`],
+//!   asserted by the alloc-count harness).
+//!
+//! Only columns that are **head attributes and not join attributes** ride
+//! as ranks: ranks are only meaningful against their own dictionary, so a
+//! join attribute — compared against another table's column — must stay
+//! decoded (on TPC-H all join keys are integers anyway, so this costs
+//! nothing). Row-backed relations scan decoded values and rank nothing.
+//!
+//! The decoded answer is bitwise-identical — values, lineage, row order —
+//! at every thread count and on either storage backing.
 
-use pdb_govern::ExecContext;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use pdb_govern::{Counter, ExecContext, Stage};
+use pdb_par::Pool;
 use pdb_query::ConjunctiveQuery;
-use pdb_storage::Catalog;
+use pdb_storage::{Catalog, StorageBacking, Value};
 
 use crate::annotated::Annotated;
-use crate::error::ExecResult;
+use crate::error::{ExecError, ExecResult};
+use crate::ops;
 
 /// Evaluates `query` over `catalog` joining relations in the order given by
-/// `order` (relation names). Returns the annotated answer projected onto the
-/// head attributes (all attributes for Boolean queries are projected away,
-/// leaving an empty data schema).
+/// `order` (relation names), on the default worker pool. Returns the
+/// annotated answer projected onto the head attributes (all attributes for
+/// Boolean queries are projected away, leaving an empty data schema).
 ///
 /// # Errors
 /// Fails if `order` is not a permutation of the query's relations, or if a
@@ -29,32 +64,25 @@ pub fn evaluate_join_order(
     catalog: &Catalog,
     order: &[String],
 ) -> ExecResult<Annotated> {
-    evaluate_join_order_with(query, catalog, order, &pdb_par::Pool::from_env())
+    evaluate_join_order_ctx(
+        query,
+        catalog,
+        order,
+        &Pool::from_env(),
+        &ExecContext::unbounded(),
+    )
 }
 
-/// [`evaluate_join_order`] with an explicit worker pool: every scan, filter,
-/// projection and join of the pipeline fans out on it (each operator call is
-/// gated by its own input size, so small steps stay inline). The answer is
-/// bitwise-identical — values, lineage, row order — at every pool size.
-///
-/// # Errors
-/// Fails if `order` is not a permutation of the query's relations, or if a
-/// referenced table/column is missing from the catalog.
-pub fn evaluate_join_order_with(
-    query: &ConjunctiveQuery,
-    catalog: &Catalog,
-    order: &[String],
-    pool: &pdb_par::Pool,
-) -> ExecResult<Annotated> {
-    evaluate_join_order_ctx(query, catalog, order, pool, &ExecContext::unbounded())
-}
-
-/// [`evaluate_join_order_with`] under a governor [`ExecContext`]: every
-/// scan, join and projection of the pipeline runs its cancellation /
-/// deadline / budget checkpoints, and an interrupted step surfaces as
-/// [`ExecError::Governed`] naming the stage. A governed run that completes
-/// is bitwise-identical to an ungoverned one — checkpoints only stop work,
-/// they never reorder it.
+/// [`evaluate_join_order`] on an explicit worker pool under a governor
+/// [`ExecContext`]: every scan, join and projection of the pipeline fans out
+/// on the pool (each operator call is gated by its own input size, so small
+/// steps stay inline) and runs its cancellation / deadline / budget
+/// checkpoints; the final decode pass checkpoints per output segment
+/// (`late.decode`, [`Stage::Project`]). An interrupted step surfaces as
+/// [`ExecError::Governed`] naming the stage. The answer is bitwise-identical
+/// — values, lineage, row order — at every pool size, and a governed run
+/// that completes is bitwise-identical to an ungoverned one: checkpoints
+/// only stop work, they never reorder it.
 ///
 /// # Errors
 /// Fails if `order` is not a permutation of the query's relations, if a
@@ -64,17 +92,160 @@ pub fn evaluate_join_order_ctx(
     query: &ConjunctiveQuery,
     catalog: &Catalog,
     order: &[String],
-    pool: &pdb_par::Pool,
+    pool: &Pool,
     ctx: &ExecContext,
 ) -> ExecResult<Annotated> {
-    // One pipeline serves both backings: `late` keeps only the attributes of
-    // each relation that are head or join attributes (predicate-only columns
-    // are consumed inside the fused scan and never materialised), pushes
-    // selections into the scans, joins in the given order, and projects
-    // after every join. On columnar backings it additionally carries string
-    // head columns as dictionary ranks, decoded only on the final answer —
-    // the result is bitwise-identical either way.
-    crate::late::evaluate_join_order_late_ctx(query, catalog, order, pool, ctx)
+    let query_rels: BTreeSet<&str> = query.relation_names().into_iter().collect();
+    let order_rels: BTreeSet<&str> = order.iter().map(|s| s.as_str()).collect();
+    if query_rels != order_rels || order.len() != query.relations.len() {
+        return Err(ExecError::UnknownRelation(format!(
+            "join order {order:?} is not a permutation of the query relations {query_rels:?}"
+        )));
+    }
+
+    let head: BTreeSet<String> = query.head_set();
+    let join_attrs = query.join_attributes();
+
+    // attribute → dictionary, for every column scanned as ranks. Attribute
+    // names are unique across relations here (an attribute occurring in two
+    // atoms is a join attribute, and join attributes are never ranked).
+    let mut dicts: BTreeMap<String, Arc<[Arc<str>]>> = BTreeMap::new();
+
+    let mut current: Option<Annotated> = None;
+    for (step, rel_name) in order.iter().enumerate() {
+        let atom = query
+            .relation(rel_name)
+            .ok_or_else(|| ExecError::UnknownRelation(rel_name.clone()))?;
+        let table = catalog.backing(rel_name)?;
+
+        let keep: Vec<String> = atom
+            .attributes
+            .iter()
+            .filter(|a| head.contains(*a) || join_attrs.contains(*a))
+            .cloned()
+            .collect();
+        let predicates = query.predicates_for(rel_name);
+        let scan_pool = pool.for_items(table.len());
+        let scan_span = ctx.span_with("scan", rel_name.as_str());
+        let scanned = match &table {
+            StorageBacking::Row(t) => {
+                ops::scan_filter_project_ctx(t, rel_name, &predicates, &keep, &scan_pool, ctx)?
+            }
+            StorageBacking::Columnar(t) => {
+                // Rank-carry every head column that is not a join attribute;
+                // the scan honours the flag only where the column really is
+                // dictionary-encoded and reports which ones via `col_dicts`.
+                let ranked: Vec<bool> = keep
+                    .iter()
+                    .map(|a| head.contains(a) && !join_attrs.contains(a))
+                    .collect();
+                let (scanned, col_dicts, _) =
+                    crate::columnar::scan_filter_project_columnar_ranked_ctx(
+                        t,
+                        rel_name,
+                        &predicates,
+                        &keep,
+                        &ranked,
+                        &scan_pool,
+                        ctx,
+                    )?;
+                for (a, d) in keep.iter().zip(col_dicts) {
+                    if let Some(d) = d {
+                        dicts.insert(a.clone(), d);
+                    }
+                }
+                scanned
+            }
+        };
+
+        drop(scan_span);
+
+        current = Some(match current {
+            None => scanned,
+            Some(acc) => {
+                let join_span = ctx.span_with("join", rel_name.as_str());
+                let gated = pool.for_items(acc.len().max(scanned.len()));
+                let joined = ops::natural_join_ctx(&acc, &scanned, &gated, ctx)?;
+                drop(join_span);
+                joined
+            }
+        });
+
+        if let Some(acc) = current.take() {
+            let remaining: BTreeSet<&String> = order[step + 1..].iter().collect();
+            let needed: Vec<String> = acc
+                .schema()
+                .names()
+                .into_iter()
+                .filter(|a| {
+                    head.contains(*a)
+                        || remaining.iter().any(|r| {
+                            query
+                                .relation(r)
+                                .map(|atom| atom.has_attribute(a))
+                                .unwrap_or(false)
+                        })
+                })
+                .map(|s| s.to_string())
+                .collect();
+            current = Some(ops::project_ctx(
+                &acc,
+                &needed,
+                &pool.for_items(acc.len()),
+                ctx,
+            )?);
+        }
+    }
+
+    let answer = current.expect("query has at least one relation");
+    let mut answer = ops::project_ctx(&answer, &query.head, &pool.for_items(answer.len()), ctx)?;
+
+    // Final decode: replace rank codes with their dictionary strings, in
+    // place, each surviving cell exactly once.
+    let ranked_cols: Vec<(usize, Arc<[Arc<str>]>)> = answer
+        .schema()
+        .names()
+        .into_iter()
+        .enumerate()
+        .filter_map(|(j, a)| dicts.get(a).map(|d| (j, d.clone())))
+        .collect();
+    ctx.tally(Counter::RankedColumns, ranked_cols.len() as u64);
+    if ranked_cols.is_empty() || answer.is_empty() {
+        return Ok(answer);
+    }
+    let decode_span = ctx.span("late.decode");
+    let rows = answer.len();
+    let dw = answer.data_width();
+    let decode_pool = pool.for_items(rows);
+    let ranges = pdb_par::even_ranges(rows, decode_pool.threads());
+    let cuts: Vec<usize> = ranges.iter().map(|r| r.start * dw).collect();
+    let (data, _) = answer.arena_segments_mut();
+    let decoded = decode_pool
+        .try_map_slices_mut(data, &cuts, |seg_idx, seg| {
+            ctx.checkpoint(Stage::Project, "late.decode", seg_idx)?;
+            let mut n = 0usize;
+            for row in seg.chunks_exact_mut(dw) {
+                for (j, dict) in &ranked_cols {
+                    let cell = &mut row[*j];
+                    match cell {
+                        Value::Int(code) => {
+                            *cell = Value::Str(dict[*code as usize].clone());
+                            n += 1;
+                        }
+                        Value::Null => {}
+                        other => unreachable!("rank cell holds {other:?}"),
+                    }
+                }
+            }
+            Ok::<usize, ExecError>(n)
+        })
+        .map_err(|f| ExecError::from_task_failure(Stage::Project, f))?;
+    ctx.tally(
+        Counter::DecodedStrings,
+        decoded.into_iter().sum::<usize>() as u64,
+    );
+    drop(decode_span);
+    Ok(answer)
 }
 
 #[cfg(test)]
@@ -83,7 +254,7 @@ mod tests {
     use crate::error::ExecError;
     use crate::fixtures::fig1_catalog;
     use pdb_query::cq::{intro_query_q, intro_query_q_prime};
-    use pdb_storage::{tuple, Catalog};
+    use pdb_storage::tuple;
 
     fn order(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -161,5 +332,153 @@ mod tests {
             evaluate_join_order(&q, &catalog, &order(&["Cust", "Ord", "Item"])),
             Err(ExecError::Storage(_))
         ));
+    }
+
+    // -- Late string materialization --------------------------------------
+
+    use pdb_govern::QueryObs;
+    use pdb_query::{CompareOp, Predicate, RelationAtom};
+    use pdb_storage::{ColumnarTable, DataType, ProbTable, Schema, Tuple, Variable};
+
+    /// Two-table catalog with string head columns: `Cust(ckey, cname)` ⋈
+    /// `Ord(ckey, status)` on an integer key, with enough rows to span
+    /// several chunks.
+    fn string_catalog(columnar: bool) -> Catalog {
+        let cust_schema =
+            Schema::from_pairs(&[("ckey", DataType::Int), ("cname", DataType::Str)]).unwrap();
+        let ord_schema =
+            Schema::from_pairs(&[("ckey", DataType::Int), ("status", DataType::Str)]).unwrap();
+        let names = ["Ann", "Bob", "Joe", "Li", "Mo"];
+        let mut cust = ProbTable::new(cust_schema);
+        for r in 0..150usize {
+            cust.insert(
+                Tuple::new(vec![
+                    Value::Int(r as i64),
+                    Value::str(names[r % names.len()]),
+                ]),
+                Variable(r as u64),
+                0.4,
+            )
+            .unwrap();
+        }
+        let mut ord = ProbTable::new(ord_schema);
+        for r in 0..300usize {
+            let status = if r % 7 == 0 {
+                Value::Null
+            } else {
+                Value::str(if r % 2 == 0 { "open" } else { "shipped" })
+            };
+            ord.insert(
+                Tuple::new(vec![Value::Int((r % 150) as i64), status]),
+                Variable(1000 + r as u64),
+                0.6,
+            )
+            .unwrap();
+        }
+        let catalog = Catalog::new();
+        if columnar {
+            let pool = Pool::sequential();
+            catalog
+                .register_columnar(
+                    "Cust",
+                    ColumnarTable::from_prob_table_chunked(&cust, &pool, 64).unwrap(),
+                )
+                .unwrap();
+            catalog
+                .register_columnar(
+                    "Ord",
+                    ColumnarTable::from_prob_table_chunked(&ord, &pool, 64).unwrap(),
+                )
+                .unwrap();
+        } else {
+            catalog.register_table("Cust", cust).unwrap();
+            catalog.register_table("Ord", ord).unwrap();
+        }
+        catalog
+    }
+
+    fn string_query() -> ConjunctiveQuery {
+        ConjunctiveQuery::new(
+            vec![
+                RelationAtom::new("Cust", &["ckey", "cname"]),
+                RelationAtom::new("Ord", &["ckey", "status"]),
+            ],
+            vec!["cname".to_string(), "status".to_string()],
+            vec![Predicate::new("Cust", "ckey", CompareOp::Lt, 120i64)],
+        )
+        .unwrap()
+    }
+
+    /// Runs the pipeline with a fresh collector; returns the answer and the
+    /// `(RankedColumns, DecodedStrings)` counters.
+    fn run_observed(
+        q: &ConjunctiveQuery,
+        catalog: &Catalog,
+        o: &[String],
+        pool: &Pool,
+    ) -> (Annotated, u64, u64) {
+        let obs = QueryObs::new();
+        let ctx = ExecContext::unbounded().with_obs(Arc::clone(&obs));
+        let answer = evaluate_join_order_ctx(q, catalog, o, pool, &ctx).unwrap();
+        (
+            answer,
+            obs.get(Counter::RankedColumns),
+            obs.get(Counter::DecodedStrings),
+        )
+    }
+
+    #[test]
+    fn columnar_answer_is_bitwise_identical_to_the_row_answer() {
+        let q = string_query();
+        let columnar = string_catalog(true);
+        let row = string_catalog(false);
+        let o = order(&["Cust", "Ord"]);
+        let (want, ranked, decoded) = run_observed(&q, &row, &o, &Pool::sequential());
+        assert!(!want.is_empty());
+        // Row backings rank nothing and decode nothing.
+        assert_eq!((ranked, decoded), (0, 0));
+        for threads in [1, 2, 4, 8] {
+            let (late, ranked, decoded) = run_observed(&q, &columnar, &o, &Pool::new(threads));
+            assert_eq!(late, want, "{threads} threads");
+            assert_eq!(ranked, 2, "{threads} threads");
+            // Every decode produced an answer cell; NULL statuses decode
+            // for free.
+            let nulls = late.iter().filter(|r| r.data[1].is_null()).count();
+            assert_eq!(decoded as usize, 2 * late.len() - nulls);
+        }
+    }
+
+    #[test]
+    fn fig1_answer_matches_under_late_materialization() {
+        // The paper's Fig. 1 catalog is row-backed; convert it to columnar
+        // and check the intro query end to end.
+        let row = fig1_catalog();
+        let columnar = Catalog::new();
+        for name in ["Cust", "Ord", "Item"] {
+            let StorageBacking::Row(t) = row.backing(name).unwrap() else {
+                panic!("fixture is row-backed");
+            };
+            columnar
+                .register_columnar(
+                    name,
+                    ColumnarTable::from_prob_table(&t, &Pool::sequential()).unwrap(),
+                )
+                .unwrap();
+        }
+        let q = intro_query_q();
+        let o = order(&["Cust", "Ord", "Item"]);
+        let ctx = ExecContext::unbounded();
+        let want = evaluate_join_order_ctx(&q, &row, &o, &Pool::sequential(), &ctx).unwrap();
+        let late = evaluate_join_order_ctx(&q, &columnar, &o, &Pool::new(4), &ctx).unwrap();
+        assert_eq!(late, want);
+        assert_eq!(late.len(), 2);
+    }
+
+    #[test]
+    fn invalid_orders_are_rejected_on_columnar_backings() {
+        let q = string_query();
+        let catalog = string_catalog(true);
+        assert!(evaluate_join_order(&q, &catalog, &order(&["Cust"])).is_err());
+        assert!(evaluate_join_order(&q, &catalog, &order(&["Cust", "Nope"])).is_err());
     }
 }

@@ -13,16 +13,12 @@
 //! (key/permutation buffers and arena doublings), not `O(N × nodes)` like
 //! the retained recursive machine, whose partition closes clone a
 //! `children` vector per visit.
-//!
-//! Not compiled under `--features seed-baseline`: that configuration
-//! deliberately routes `ops` through the per-row implementations.
-
-#![cfg(not(feature = "seed-baseline"))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-use pdb_exec::{baseline, ops, Annotated};
+use pdb_exec::{baseline, ops, Annotated, ExecContext};
 use pdb_storage::{tuple, DataType, ProbTable, Schema, Variable};
 
 struct CountingAllocator;
@@ -47,6 +43,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The counter is process-wide and the test harness runs tests on parallel
+/// threads: every test holds this lock for its whole body so another test's
+/// allocations are never charged to its measurement.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed assertion in another test poisons the lock; the counter
+    // itself is still consistent.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn allocations(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -82,6 +89,7 @@ fn join_inputs(groups: i64, per_key: i64) -> (Annotated, Annotated) {
 
 #[test]
 fn join_lineage_growth_is_amortized_slice_append() {
+    let _serial = serial();
     let (left, right) = join_inputs(100, 50);
     let output_rows = 100 * 50;
 
@@ -128,6 +136,7 @@ fn join_lineage_growth_is_amortized_slice_append() {
 
 #[test]
 fn sort_and_dedup_allocate_bounded_scratch() {
+    let _serial = serial();
     let (left, right) = join_inputs(50, 40);
     let joined = ops::natural_join(&left, &right).unwrap();
     let rows = joined.len();
@@ -222,6 +231,7 @@ fn confidence_inputs(
 
 #[test]
 fn parallel_sort_key_build_allocates_bounded_scratch() {
+    let _serial = serial();
     use pdb_exec::key::SortKeys;
     use pdb_storage::Value;
 
@@ -271,7 +281,8 @@ fn parallel_sort_key_build_allocates_bounded_scratch() {
 
 #[test]
 fn chunked_parallel_pipeline_allocates_bounded_scratch() {
-    use pdb_exec::pipeline::evaluate_join_order_with;
+    let _serial = serial();
+    use pdb_exec::pipeline::evaluate_join_order_ctx;
     use pdb_par::Pool;
     use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
 
@@ -283,14 +294,15 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
     // (`Arc` bumps for strings), so no per-row Vec/Tuple exists anywhere.
     let (left, right) = join_inputs(100, 50);
     let pool = Pool::new(4);
+    let ctx = ExecContext::unbounded();
     let rows = 100 * 50;
 
     // Warm-up so lazily initialized runtime structures are not charged.
-    ops::natural_join_with(&left, &right, &pool).unwrap();
+    ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap();
 
     let mut join_out = None;
     let join_allocs = allocations(|| {
-        join_out = Some(ops::natural_join_with(&left, &right, &pool).unwrap());
+        join_out = Some(ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap());
     });
     let join_out = join_out.unwrap();
     assert_eq!(join_out.len(), rows);
@@ -312,7 +324,7 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
 
     let keep: Vec<String> = vec!["a".into()];
     let project_allocs = allocations(|| {
-        let p = ops::project_with(&right, &keep, &pool).unwrap();
+        let p = ops::project_ctx(&right, &keep, &pool, &ctx).unwrap();
         assert_eq!(p.len(), right.len());
     });
     assert!(
@@ -339,9 +351,9 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
     catalog.register_table("S", s).unwrap();
     let q = ConjunctiveQuery::build(&[("R", &["a"]), ("S", &["a", "b"])], &["b"], vec![]).unwrap();
     let order: Vec<String> = vec!["R".into(), "S".into()];
-    evaluate_join_order_with(&q, &catalog, &order, &pool).unwrap(); // warm-up
+    evaluate_join_order_ctx(&q, &catalog, &order, &pool, &ctx).unwrap(); // warm-up
     let pipeline_allocs = allocations(|| {
-        let answer = evaluate_join_order_with(&q, &catalog, &order, &pool).unwrap();
+        let answer = evaluate_join_order_ctx(&q, &catalog, &order, &pool, &ctx).unwrap();
         assert_eq!(answer.len(), rows);
     });
     assert!(
@@ -352,23 +364,34 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
 
 #[test]
 fn one_scan_inner_loop_allocates_sublinearly() {
+    let _serial = serial();
     use pdb_conf::baseline::one_scan_confidences_recursive;
-    use pdb_conf::one_scan::one_scan_confidences_with;
-    use pdb_conf::Pool;
+    use pdb_conf::one_scan::one_scan_confidences_ctx;
+    use pdb_conf::{Pool, SplitPolicy};
 
     let (answer, sig) = confidence_inputs(4, 50, 10);
     let rows = answer.len();
     assert_eq!(rows, 4 * 50 * 10);
     let pool = Pool::sequential();
+    let flat_scan = || {
+        one_scan_confidences_ctx(
+            &answer,
+            &sig,
+            &pool,
+            SplitPolicy::default(),
+            &ExecContext::unbounded(),
+        )
+        .unwrap()
+    };
 
     // Warm up both paths so lazily initialized runtime structures are not
     // charged to either side.
-    one_scan_confidences_with(&answer, &sig, &pool).unwrap();
+    flat_scan();
     one_scan_confidences_recursive(&answer, &sig).unwrap();
 
     let mut flat_out = None;
     let flat = allocations(|| {
-        flat_out = Some(one_scan_confidences_with(&answer, &sig, &pool).unwrap());
+        flat_out = Some(flat_scan());
     });
     let mut recursive_out = None;
     let recursive = allocations(|| {
@@ -400,12 +423,13 @@ fn one_scan_inner_loop_allocates_sublinearly() {
 
 #[test]
 fn bitmask_scan_allocates_bounded_scratch() {
+    let _serial = serial();
     // PR 7: the masked columnar scan builds one fixed-width bitmask per
     // chunk (16 u64 words for 1024 rows) and gathers survivors into
     // popcount-pre-sized arenas — no per-row Vec growth anywhere. The
     // predicate is deliberately Partial on every chunk (the constant sits
     // mid-domain) so the kernel/mask path runs, not the zone-map shortcut.
-    use pdb_exec::columnar::scan_filter_project_columnar_with;
+    use pdb_exec::columnar::scan_filter_project_columnar_ctx;
     use pdb_par::Pool;
     use pdb_query::{CompareOp, Predicate};
     use pdb_storage::{ColumnarTable, Value};
@@ -430,10 +454,12 @@ fn bitmask_scan_allocates_bounded_scratch() {
     let pred = Predicate::new("R", "k", CompareOp::Lt, 50i64);
     let preds = [&pred];
     let keep: Vec<String> = vec!["k".into(), "s".into()];
-    scan_filter_project_columnar_with(&col, "R", &preds, &keep, &pool).unwrap(); // warm-up
+    let ctx = ExecContext::unbounded();
+    scan_filter_project_columnar_ctx(&col, "R", &preds, &keep, &pool, &ctx).unwrap(); // warm-up
     let mut out = None;
     let allocs = allocations(|| {
-        out = Some(scan_filter_project_columnar_with(&col, "R", &preds, &keep, &pool).unwrap());
+        out =
+            Some(scan_filter_project_columnar_ctx(&col, "R", &preds, &keep, &pool, &ctx).unwrap());
     });
     let out = out.unwrap();
     let expected = (0..rows).filter(|r| (r % 100) < 50).count();
@@ -447,12 +473,13 @@ fn bitmask_scan_allocates_bounded_scratch() {
 
 #[test]
 fn late_materialization_decodes_at_most_the_output_strings() {
+    let _serial = serial();
     // PR 7: string head columns ride the pipeline as dictionary ranks; an
     // `Arc<str>` is materialized only per string cell of the *final*
     // answer, never per intermediate row. The filter drops 3/4 of the rows
     // before the join, so decoding eagerly would cost 4x more.
-    use pdb_exec::late::evaluate_join_order_late_stats_ctx;
-    use pdb_exec::ExecContext;
+    use pdb_exec::pipeline::evaluate_join_order_ctx;
+    use pdb_govern::{Counter, QueryObs};
     use pdb_par::Pool;
     use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
     use pdb_storage::{Catalog, ColumnarTable, Value};
@@ -490,18 +517,18 @@ fn late_materialization_decodes_at_most_the_output_strings() {
     )
     .unwrap();
     let order: Vec<String> = vec!["R".into(), "S".into()];
-    let (answer, stats) =
-        evaluate_join_order_late_stats_ctx(&q, &catalog, &order, &pool, &ExecContext::unbounded())
-            .unwrap();
+    let obs = QueryObs::new();
+    let ctx = ExecContext::unbounded().with_obs(obs.clone());
+    let answer = evaluate_join_order_ctx(&q, &catalog, &order, &pool, &ctx).unwrap();
     assert_eq!(answer.len(), rows / 4);
-    assert_eq!(stats.ranked_columns, 1);
+    assert_eq!(obs.get(Counter::RankedColumns), 1);
     // One decode per string cell of the answer — not per scanned row.
-    assert_eq!(stats.decoded_strings, answer.len());
-    assert!(stats.decoded_strings <= answer.len() * answer.schema().len());
+    assert_eq!(obs.get(Counter::DecodedStrings), answer.len() as u64);
 }
 
 #[test]
 fn partitioned_join_scatter_allocates_o_chunks_plus_partitions() {
+    let _serial = serial();
     // PR 5: the radix scatter is a counting sort over per-chunk histograms
     // — one histogram per chunk, one flat scatter buffer, one cursor array
     // per chunk — instead of `chunks x partitions` growing Vec<u32> lists.
@@ -511,10 +538,11 @@ fn partitioned_join_scatter_allocates_o_chunks_plus_partitions() {
     // ~600 more (each non-empty list reallocates ~log2(rows/lists) times).
     let (left, right) = join_inputs(64, 64); // 4096 build rows, 4096 matches
     let pool = pdb_par::Pool::new(8);
-    ops::natural_join_with(&left, &right, &pool).unwrap(); // warm-up
+    let ctx = ExecContext::unbounded();
+    ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap(); // warm-up
     let mut out = None;
     let allocs = allocations(|| {
-        out = Some(ops::natural_join_with(&left, &right, &pool).unwrap());
+        out = Some(ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap());
     });
     assert_eq!(out.unwrap().len(), 64 * 64);
     assert!(

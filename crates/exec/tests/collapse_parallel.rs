@@ -8,8 +8,6 @@
 //! sequential reference collapse that replays the pre-PR-5 last-survivor
 //! loop literally.
 
-#![cfg(not(feature = "seed-baseline"))]
-
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -17,14 +17,17 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pdb_exec::columnar::{
-    scan_columnar_with, scan_filter_project_columnar_stats, scan_filter_project_columnar_with,
+    scan_columnar_ctx, scan_filter_project_columnar_ctx, scan_filter_project_columnar_ranked_ctx,
 };
-use pdb_exec::ops;
+use pdb_exec::{ops, ExecContext};
 use pdb_par::Pool;
 use pdb_query::{CompareOp, Predicate};
 use pdb_storage::{ColumnarTable, DataType, ProbTable, Schema, Tuple, Value, Variable};
 
 const POOLS: [usize; 4] = [1, 2, 4, 8];
+
+/// Every scan here runs ungoverned: the subjects are backing and pool size.
+const CTX: ExecContext = ExecContext::unbounded();
 
 /// Expands a seed into a row table whose columns cover every storage shape:
 /// `k` clustered ints (zone-map friendly), `s` dictionary strings with
@@ -111,8 +114,8 @@ proptest! {
         let keep = names(&["f", "k", "s"]);
         let want = ops::scan_filter_project(&row, "R", &preds, &keep).unwrap();
         for threads in POOLS {
-            let got = scan_filter_project_columnar_with(
-                &col, "R", &preds, &keep, &Pool::new(threads),
+            let got = scan_filter_project_columnar_ctx(
+                &col, "R", &preds, &keep, &Pool::new(threads), &CTX,
             ).unwrap();
             prop_assert_eq!(&got, &want, "{} threads", threads);
         }
@@ -120,8 +123,8 @@ proptest! {
         // The plain scan (no predicates, full decode) agrees too.
         let want_scan = ops::scan(&row, "R", &names(&["k", "s", "f", "n"])).unwrap();
         for threads in POOLS {
-            let got = scan_columnar_with(
-                &col, "R", &names(&["k", "s", "f", "n"]), &Pool::new(threads),
+            let got = scan_columnar_ctx(
+                &col, "R", &names(&["k", "s", "f", "n"]), &Pool::new(threads), &CTX,
             ).unwrap();
             prop_assert_eq!(&got, &want_scan, "scan at {} threads", threads);
         }
@@ -145,8 +148,8 @@ proptest! {
         for preds in [vec![&p_n], vec![&p_s], vec![&p_n, &p_s]] {
             let want = ops::scan_filter_project(&row, "R", &preds, &names(&["s", "k"])).unwrap();
             for threads in POOLS {
-                let got = scan_filter_project_columnar_with(
-                    &col, "R", &preds, &names(&["s", "k"]), &Pool::new(threads),
+                let got = scan_filter_project_columnar_ctx(
+                    &col, "R", &preds, &names(&["s", "k"]), &Pool::new(threads), &CTX,
                 ).unwrap();
                 prop_assert_eq!(&got, &want, "{} threads", threads);
             }
@@ -163,9 +166,17 @@ fn skip_extremes_are_exercised_and_identical() {
     let skip_all = Predicate::new("R", "k", CompareOp::Gt, 100_000i64);
     let skip_none = Predicate::new("R", "k", CompareOp::Ge, -100_000i64);
     let preds_all = [&skip_all];
-    let (out, stats) =
-        scan_filter_project_columnar_stats(&col, "R", &preds_all, &names(&["k"]), &Pool::new(4))
-            .unwrap();
+    let keep = names(&["k"]);
+    let (out, _, stats) = scan_filter_project_columnar_ranked_ctx(
+        &col,
+        "R",
+        &preds_all,
+        &keep,
+        &[false],
+        &Pool::new(4),
+        &CTX,
+    )
+    .unwrap();
     assert_eq!(stats.chunks_skipped, stats.chunks);
     assert!(out.is_empty());
     assert_eq!(
@@ -174,9 +185,16 @@ fn skip_extremes_are_exercised_and_identical() {
     );
 
     let preds_none = [&skip_none];
-    let (out, stats) =
-        scan_filter_project_columnar_stats(&col, "R", &preds_none, &names(&["k"]), &Pool::new(4))
-            .unwrap();
+    let (out, _, stats) = scan_filter_project_columnar_ranked_ctx(
+        &col,
+        "R",
+        &preds_none,
+        &keep,
+        &[false],
+        &Pool::new(4),
+        &CTX,
+    )
+    .unwrap();
     assert_eq!(stats.chunks_skipped, 0);
     // The whole domain satisfies `>= -100000` and `k` has no NULLs: every
     // chunk is proven full by its zone map alone.
@@ -206,12 +224,13 @@ fn backing_dispatch_is_representation_transparent() {
         for threads in POOLS {
             let pool = Pool::new(threads);
             assert_eq!(
-                ops::scan_backing_with(backing, "R", &attrs, &pool).unwrap(),
+                ops::scan_backing_ctx(backing, "R", &attrs, &pool, &CTX).unwrap(),
                 want_scan,
                 "scan dispatch at {threads} threads"
             );
             assert_eq!(
-                ops::scan_filter_project_backing_with(backing, "R", &preds, &attrs, &pool).unwrap(),
+                ops::scan_filter_project_backing_ctx(backing, "R", &preds, &attrs, &pool, &CTX)
+                    .unwrap(),
                 want_fused,
                 "fused dispatch at {threads} threads"
             );
@@ -223,7 +242,7 @@ fn backing_dispatch_is_representation_transparent() {
 fn columnar_pipeline_matches_row_pipeline_end_to_end() {
     // The same query over a row-backed and a columnar-backed catalog must
     // produce the identical annotated answer (the backing dispatch of
-    // `evaluate_join_order_with`).
+    // `evaluate_join_order_ctx`).
     use pdb_query::ConjunctiveQuery;
     use pdb_storage::Catalog;
 
@@ -273,10 +292,12 @@ fn columnar_pipeline_matches_row_pipeline_end_to_end() {
     .unwrap();
     let order = vec!["R".to_string(), "S".to_string()];
     let want =
-        pdb_exec::evaluate_join_order_with(&q, &row_catalog, &order, &Pool::sequential()).unwrap();
-    for threads in POOLS {
-        let got = pdb_exec::evaluate_join_order_with(&q, &col_catalog, &order, &Pool::new(threads))
+        pdb_exec::evaluate_join_order_ctx(&q, &row_catalog, &order, &Pool::sequential(), &CTX)
             .unwrap();
+    for threads in POOLS {
+        let got =
+            pdb_exec::evaluate_join_order_ctx(&q, &col_catalog, &order, &Pool::new(threads), &CTX)
+                .unwrap();
         assert_eq!(got, want, "{threads} threads");
     }
 }

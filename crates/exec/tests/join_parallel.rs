@@ -13,13 +13,16 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pdb_exec::pipeline::evaluate_join_order_with;
-use pdb_exec::{baseline, ops, Annotated};
+use pdb_exec::pipeline::evaluate_join_order_ctx;
+use pdb_exec::{baseline, ops, Annotated, ExecContext};
 use pdb_par::Pool;
 use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
 use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Value, Variable};
 
 const POOLS: [usize; 4] = [1, 2, 4, 8];
+
+/// Every operator here runs ungoverned: the subject is the pool size.
+const CTX: ExecContext = ExecContext::unbounded();
 
 /// A key value drawn from a skewed distribution: a configurable share of
 /// rows takes the single hot key, the rest spread over a small domain of
@@ -96,7 +99,7 @@ proptest! {
         let (l, r) = join_tables(seed, left, right, hot_pct);
         let reference = baseline::natural_join_rowwise(&l, &r).unwrap();
         for threads in POOLS {
-            let joined = ops::natural_join_with(&l, &r, &Pool::new(threads)).unwrap();
+            let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
             assert_identical(&joined, &reference, &format!("join at {threads} threads"))?;
         }
     }
@@ -116,7 +119,7 @@ proptest! {
         let reference = baseline::natural_join_rowwise(&l, &r).unwrap();
         prop_assert_eq!(reference.len(), l.len() * r.len());
         for threads in POOLS {
-            let joined = ops::natural_join_with(&l, &r, &Pool::new(threads)).unwrap();
+            let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
             assert_identical(&joined, &reference, &format!("product at {threads} threads"))?;
         }
     }
@@ -154,7 +157,7 @@ proptest! {
         let keep = vec!["c".to_string(), "b".to_string()];
         let preds = [&pred];
         let reference =
-            ops::scan_filter_project_with(&table, "T", &preds, &keep, &Pool::sequential()).unwrap();
+            ops::scan_filter_project_ctx(&table, "T", &preds, &keep, &Pool::sequential(), &CTX).unwrap();
         // The fused operator equals the unfused composition.
         let unfused = ops::project(
             &ops::filter(&ops::scan(&table, "T", &["a".into(), "b".into(), "c".into()]).unwrap(), &pred)
@@ -165,11 +168,11 @@ proptest! {
         assert_identical(&unfused, &reference, "unfused composition")?;
         for threads in POOLS {
             let pool = Pool::new(threads);
-            let fused = ops::scan_filter_project_with(&table, "T", &preds, &keep, &pool).unwrap();
+            let fused = ops::scan_filter_project_ctx(&table, "T", &preds, &keep, &pool, &CTX).unwrap();
             assert_identical(&fused, &reference, &format!("fused at {threads} threads"))?;
-            let scanned = ops::scan_with(&table, "T", &["a".into(), "c".into()], &pool).unwrap();
+            let scanned = ops::scan_ctx(&table, "T", &["a".into(), "c".into()], &pool, &CTX).unwrap();
             let scanned_seq =
-                ops::scan_with(&table, "T", &["a".into(), "c".into()], &Pool::sequential()).unwrap();
+                ops::scan_ctx(&table, "T", &["a".into(), "c".into()], &Pool::sequential(), &CTX).unwrap();
             assert_identical(&scanned, &scanned_seq, &format!("scan at {threads} threads"))?;
             let filtered = ops::filter_with(&scanned, &pred, &pool).unwrap();
             let filtered_seq = ops::filter_with(&scanned_seq, &pred, &Pool::sequential()).unwrap();
@@ -209,9 +212,9 @@ proptest! {
             .unwrap();
         let order: Vec<String> = vec!["R".into(), "S".into()];
         let reference =
-            evaluate_join_order_with(&q, &catalog, &order, &Pool::sequential()).unwrap();
+            evaluate_join_order_ctx(&q, &catalog, &order, &Pool::sequential(), &CTX).unwrap();
         for threads in POOLS {
-            let answer = evaluate_join_order_with(&q, &catalog, &order, &Pool::new(threads)).unwrap();
+            let answer = evaluate_join_order_ctx(&q, &catalog, &order, &Pool::new(threads), &CTX).unwrap();
             assert_identical(&answer, &reference, &format!("pipeline at {threads} threads"))?;
         }
     }

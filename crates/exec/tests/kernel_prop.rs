@@ -17,14 +17,17 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pdb_exec::columnar::scan_filter_project_columnar_with;
-use pdb_exec::{evaluate_join_order_late_with, ops};
+use pdb_exec::columnar::scan_filter_project_columnar_ctx;
+use pdb_exec::{evaluate_join_order_ctx, ops, ExecContext};
 use pdb_par::Pool;
 use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
 use pdb_storage::columnar::{ZoneMap, ZoneMapBuilder};
 use pdb_storage::{Catalog, ColumnarTable, DataType, ProbTable, Schema, Tuple, Value, Variable};
 
 const POOLS: [usize; 4] = [1, 2, 4, 8];
+
+/// Every scan here runs ungoverned: the subjects are backing and pool size.
+const CTX: ExecContext = ExecContext::unbounded();
 
 fn names(ns: &[&str]) -> Vec<String> {
     ns.iter().map(|s| s.to_string()).collect()
@@ -125,8 +128,8 @@ proptest! {
         let keep = names(&["i", "s", "f", "d", "b"]);
         for preds in [vec![&p_a], vec![&p_b], vec![&p_a, &p_b]] {
             let want = ops::scan_filter_project(&row, "R", &preds, &keep).unwrap();
-            let got = scan_filter_project_columnar_with(
-                &col, "R", &preds, &keep, &Pool::new(POOLS[threads]),
+            let got = scan_filter_project_columnar_ctx(
+                &col, "R", &preds, &keep, &Pool::new(POOLS[threads]), &CTX,
             ).unwrap();
             prop_assert_eq!(&got, &want, "{:?}", preds);
         }
@@ -159,8 +162,8 @@ proptest! {
         let p_i = Predicate::is_in("R", "i", list);
         if degenerate {
             let preds = [&p_i];
-            let got = scan_filter_project_columnar_with(
-                &col, "R", &preds, &names(&["i"]), &Pool::new(POOLS[threads]),
+            let got = scan_filter_project_columnar_ctx(
+                &col, "R", &preds, &names(&["i"]), &Pool::new(POOLS[threads]), &CTX,
             ).unwrap();
             prop_assert!(got.is_empty(), "degenerate IN list must select nothing");
         }
@@ -168,8 +171,8 @@ proptest! {
         let keep = names(&["i", "s"]);
         for preds in [vec![&p_i], vec![&p_s], vec![&p_i, &p_s]] {
             let want = ops::scan_filter_project(&row, "R", &preds, &keep).unwrap();
-            let got = scan_filter_project_columnar_with(
-                &col, "R", &preds, &keep, &Pool::new(POOLS[threads]),
+            let got = scan_filter_project_columnar_ctx(
+                &col, "R", &preds, &keep, &Pool::new(POOLS[threads]), &CTX,
             ).unwrap();
             prop_assert_eq!(&got, &want, "{:?}", preds);
         }
@@ -258,10 +261,10 @@ proptest! {
         .unwrap();
         let order = names(&["R", "S"]);
         let want =
-            evaluate_join_order_late_with(&q, &row_catalog, &order, &Pool::sequential()).unwrap();
+            evaluate_join_order_ctx(&q, &row_catalog, &order, &Pool::sequential(), &CTX).unwrap();
         for threads in POOLS {
             let got =
-                evaluate_join_order_late_with(&q, &col_catalog, &order, &Pool::new(threads))
+                evaluate_join_order_ctx(&q, &col_catalog, &order, &Pool::new(threads), &CTX)
                     .unwrap();
             prop_assert_eq!(&got, &want, "{} threads", threads);
         }

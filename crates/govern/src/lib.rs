@@ -374,10 +374,11 @@ impl GovernorBuilder {
 /// The execution context threaded through operators: an optional governor
 /// plus an optional per-query observability collector.
 ///
-/// [`ExecContext::unbounded`] is the zero-cost default every pre-existing
-/// `*_with(pool)` entry point uses — `checkpoint`, `account`, `tally` and
-/// `span` reduce to a branch on `None` (plus a fault probe under
-/// `fault-inject`).
+/// [`ExecContext::unbounded`] is the zero-cost default the bare operator
+/// entry points use — `checkpoint`, `account`, `tally` and `span` reduce to
+/// a branch on `None` (plus a fault probe under `fault-inject`). Plans and
+/// the confidence operator store one context and hand it to every operator
+/// they call.
 #[derive(Debug, Clone, Default)]
 pub struct ExecContext {
     governor: Option<QueryGovernor>,
@@ -402,23 +403,16 @@ impl ExecContext {
         }
     }
 
-    /// A context from an optional governor (plan plumbing convenience).
-    pub fn from_governor(governor: Option<&QueryGovernor>) -> Self {
-        ExecContext {
-            governor: governor.cloned(),
-            obs: None,
-        }
-    }
-
-    /// Attaches a per-query observability collector (builder style).
-    pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.obs = Some(obs);
+    /// Attaches (or replaces) the governor, keeping the collector.
+    pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
+        self.governor = Some(governor);
         self
     }
 
-    /// Attaches an optional collector (plan plumbing convenience).
-    pub fn with_obs_opt(mut self, obs: Option<&Arc<QueryObs>>) -> Self {
-        self.obs = obs.cloned();
+    /// Attaches (or replaces) the per-query observability collector, keeping
+    /// the governor.
+    pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
+        self.obs = Some(obs);
         self
     }
 

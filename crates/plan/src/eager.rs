@@ -30,8 +30,7 @@ pub struct EagerPlan {
     query: ConjunctiveQuery,
     tree: QueryTree,
     pool: Pool,
-    governor: Option<QueryGovernor>,
-    obs: Option<Arc<QueryObs>>,
+    ctx: ExecContext,
 }
 
 impl EagerPlan {
@@ -50,8 +49,7 @@ impl EagerPlan {
             query: query.clone(),
             tree: reduct.tree()?,
             pool: Pool::from_env(),
-            governor: None,
-            obs: None,
+            ctx: ExecContext::unbounded(),
         })
     }
 
@@ -59,7 +57,7 @@ impl EagerPlan {
     /// per-node aggregations tally deterministic counters into it. Pure
     /// telemetry — the answer stays bitwise-identical.
     pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.obs = Some(obs);
+        self.ctx = self.ctx.with_obs(obs);
         self
     }
 
@@ -69,7 +67,14 @@ impl EagerPlan {
     /// interrupted. The happy path is bitwise-identical to the ungoverned
     /// one.
     pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.governor = Some(governor);
+        self.ctx = self.ctx.with_governor(governor);
+        self
+    }
+
+    /// Replaces the whole execution context — governor and collector — in
+    /// one call (what [`Planner`](crate::Planner) does).
+    pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -93,14 +98,19 @@ impl EagerPlan {
     /// # Errors
     /// Fails on execution errors.
     pub fn execute(&self, catalog: &Catalog) -> PlanResult<ConfidenceResult> {
-        let ctx =
-            ExecContext::from_governor(self.governor.as_ref()).with_obs_opt(self.obs.as_ref());
+        let ctx = &self.ctx;
         let head: BTreeSet<String> = self.query.head_set();
-        let (result, _) = self.eval_node(&self.tree, &BTreeSet::new(), &head, catalog, &ctx)?;
+        let (result, _) = self.eval_node(&self.tree, &BTreeSet::new(), &head, catalog, ctx)?;
         // The root aggregation groups by the head attributes; its single
         // lineage column holds the confidence of each distinct tuple. The
-        // projection restores the head's column order.
-        let result = ops::project(&result, &self.query.head)?;
+        // projection restores the head's column order — on the plan's pool
+        // and under its context, like every other operator of the plan.
+        let result = ops::project_ctx(
+            &result,
+            &self.query.head,
+            &self.pool.for_items(result.len()),
+            ctx,
+        )?;
         let mut out: Vec<(Tuple, f64)> = result
             .iter()
             .map(|r| (r.data_tuple(), r.lineage[0].1))

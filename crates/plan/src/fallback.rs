@@ -33,8 +33,7 @@ pub struct FallbackPlan {
     join_order: Vec<String>,
     config: AnytimeConfig,
     pool: Pool,
-    governor: Option<QueryGovernor>,
-    obs: Option<Arc<QueryObs>>,
+    ctx: ExecContext,
 }
 
 impl FallbackPlan {
@@ -55,8 +54,7 @@ impl FallbackPlan {
             join_order,
             config: AnytimeConfig::new(policy),
             pool: Pool::from_env(),
-            governor: None,
-            obs: None,
+            ctx: ExecContext::unbounded(),
         })
     }
 
@@ -65,7 +63,7 @@ impl FallbackPlan {
     /// the Shannon-frontier leaf count) into it. Pure telemetry — the bounds
     /// stay bitwise-identical.
     pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.obs = Some(obs);
+        self.ctx = self.ctx.with_obs(obs);
         self
     }
 
@@ -75,7 +73,14 @@ impl FallbackPlan {
     /// *deadline* during refinement degrades to the best bounds so far
     /// instead of an error; cancellation always aborts.
     pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.governor = Some(governor);
+        self.ctx = self.ctx.with_governor(governor);
+        self
+    }
+
+    /// Replaces the whole execution context — governor and collector — in
+    /// one call (what [`Planner`](crate::Planner) does).
+    pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -90,13 +95,6 @@ impl FallbackPlan {
     /// deterministic per seed at every pool size).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Caps the number of refinement rounds per tuple (benchmark knob for
-    /// width-vs-work curves).
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.config.max_rounds = Some(rounds);
         self
     }
 
@@ -125,14 +123,12 @@ impl FallbackPlan {
     /// Fails on execution errors (missing tables/columns) and on governor
     /// interruption.
     pub fn answer_tuples(&self, catalog: &Catalog) -> PlanResult<Annotated> {
-        let ctx =
-            ExecContext::from_governor(self.governor.as_ref()).with_obs_opt(self.obs.as_ref());
         Ok(evaluate_join_order_ctx(
             &self.query,
             catalog,
             &self.join_order,
             &self.pool,
-            &ctx,
+            &self.ctx,
         )?)
     }
 
@@ -144,10 +140,9 @@ impl FallbackPlan {
     /// not read-once, and on governor cancellation.
     pub fn confidences(&self, answer: &Annotated) -> PlanResult<ApproxResult> {
         let pool = self.pool.for_items(answer.len());
-        let ctx =
-            ExecContext::from_governor(self.governor.as_ref()).with_obs_opt(self.obs.as_ref());
-        let _span = ctx.span("conf.bounds");
-        anytime_confidences_ctx(answer, &self.config, &pool, &ctx).map_err(crate::PlanError::from)
+        let _span = self.ctx.span("conf.bounds");
+        anytime_confidences_ctx(answer, &self.config, &pool, &self.ctx)
+            .map_err(crate::PlanError::from)
     }
 
     /// Executes the plan: answer tuples, then the intensional stage.

@@ -32,9 +32,7 @@ pub struct HybridPlan {
     pushed: BTreeSet<String>,
     top_signature: Signature,
     pool: Pool,
-    split_policy: SplitPolicy,
-    governor: Option<QueryGovernor>,
-    obs: Option<Arc<QueryObs>>,
+    ctx: ExecContext,
 }
 
 impl HybridPlan {
@@ -72,9 +70,7 @@ impl HybridPlan {
             pushed,
             top_signature,
             pool: Pool::from_env(),
-            split_policy: SplitPolicy::default(),
-            governor: None,
-            obs: None,
+            ctx: ExecContext::unbounded(),
         })
     }
 
@@ -83,7 +79,7 @@ impl HybridPlan {
     /// deterministic counters into it. Pure telemetry — the answer stays
     /// bitwise-identical.
     pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.obs = Some(obs);
+        self.ctx = self.ctx.with_obs(obs);
         self
     }
 
@@ -94,7 +90,14 @@ impl HybridPlan {
     /// interrupted. The happy path is bitwise-identical to the ungoverned
     /// one.
     pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.governor = Some(governor);
+        self.ctx = self.ctx.with_governor(governor);
+        self
+    }
+
+    /// Replaces the whole execution context — governor and collector — in
+    /// one call (what [`Planner`](crate::Planner) does).
+    pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -104,15 +107,6 @@ impl HybridPlan {
     /// bitwise-identical at every pool size.
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Sets the intra-bag [`SplitPolicy`] applied both to the pushed-down
-    /// leaf aggregations (a leaf whose rows collapse into few groups is one
-    /// huge group) and to the top-level confidence operator. Results are
-    /// bitwise-identical for every policy.
-    pub fn with_split_policy(mut self, policy: SplitPolicy) -> Self {
-        self.split_policy = policy;
         self
     }
 
@@ -132,16 +126,18 @@ impl HybridPlan {
     /// Fails on execution or confidence-computation errors.
     pub fn execute(&self, catalog: &Catalog) -> PlanResult<ConfidenceResult> {
         let answer = self.answer_tuples(catalog)?;
-        let mut operator = ConfidenceOperator::with_pool(self.top_signature.clone(), self.pool)
-            .with_split_policy(self.split_policy);
-        if let Some(gov) = &self.governor {
-            operator = operator.with_governor(gov.clone());
-        }
-        if let Some(obs) = &self.obs {
-            operator = operator.with_obs(obs.clone());
-        }
-        operator
-            .compute(&answer, Strategy::Auto)
+        self.confidences(&answer)
+    }
+
+    /// Runs only the top-level confidence computation on a precomputed
+    /// (partially aggregated) answer.
+    ///
+    /// # Errors
+    /// Fails on confidence-computation errors.
+    pub fn confidences(&self, answer: &Annotated) -> PlanResult<ConfidenceResult> {
+        ConfidenceOperator::with_pool(self.top_signature.clone(), self.pool)
+            .with_ctx(self.ctx.clone())
+            .compute(answer, Strategy::Auto)
             .map_err(PlanError::from)
     }
 
@@ -151,8 +147,7 @@ impl HybridPlan {
     /// # Errors
     /// Fails on execution errors.
     pub fn answer_tuples(&self, catalog: &Catalog) -> PlanResult<Annotated> {
-        let ctx =
-            ExecContext::from_governor(self.governor.as_ref()).with_obs_opt(self.obs.as_ref());
+        let ctx = &self.ctx;
         let head: BTreeSet<String> = self.query.head_set();
         let join_attrs = self.query.join_attributes();
         let mut current: Option<Annotated> = None;
@@ -186,7 +181,7 @@ impl HybridPlan {
                 &self.query.predicates_for(rel_name),
                 &keep,
                 &self.pool.for_items(table.len()),
-                &ctx,
+                ctx,
             )?;
             let post_scan: Vec<String> = scanned
                 .schema()
@@ -199,7 +194,7 @@ impl HybridPlan {
                 &scanned,
                 &post_scan,
                 &self.pool.for_items(scanned.len()),
-                &ctx,
+                ctx,
             )?;
             if self.pushed.contains(rel_name) {
                 // The pushed-down `[R*]` operator: one row per distinct
@@ -210,8 +205,8 @@ impl HybridPlan {
                     &scanned,
                     &step_sig,
                     &self.pool,
-                    self.split_policy,
-                    &ctx,
+                    SplitPolicy::default(),
+                    ctx,
                 )?;
             }
 
@@ -219,7 +214,7 @@ impl HybridPlan {
                 None => scanned,
                 Some(acc) => {
                     let join_pool = self.pool.for_items(acc.len().max(scanned.len()));
-                    ops::natural_join_ctx(&acc, &scanned, &join_pool, &ctx)?
+                    ops::natural_join_ctx(&acc, &scanned, &join_pool, ctx)?
                 }
             });
             if let Some(acc) = current.take() {
@@ -243,7 +238,7 @@ impl HybridPlan {
                     &acc,
                     &needed,
                     &self.pool.for_items(acc.len()),
-                    &ctx,
+                    ctx,
                 )?);
             }
         }
@@ -252,7 +247,7 @@ impl HybridPlan {
             &answer,
             &self.query.head,
             &self.pool.for_items(answer.len()),
-            &ctx,
+            ctx,
         )?)
     }
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use pdb_conf::{ConfidenceOperator, ConfidenceResult, SplitPolicy, Strategy};
+use pdb_conf::{ConfidenceOperator, ConfidenceResult, Strategy};
 use pdb_exec::{evaluate_join_order_ctx, Annotated};
 use pdb_govern::{ExecContext, QueryGovernor, QueryObs};
 use pdb_par::Pool;
@@ -22,9 +22,7 @@ pub struct LazyPlan {
     join_order: Vec<String>,
     signature: Signature,
     pool: Pool,
-    split_policy: SplitPolicy,
-    governor: Option<QueryGovernor>,
-    obs: Option<Arc<QueryObs>>,
+    ctx: ExecContext,
 }
 
 impl LazyPlan {
@@ -47,9 +45,7 @@ impl LazyPlan {
             join_order,
             signature,
             pool: Pool::from_env(),
-            split_policy: SplitPolicy::default(),
-            governor: None,
-            obs: None,
+            ctx: ExecContext::unbounded(),
         })
     }
 
@@ -58,7 +54,7 @@ impl LazyPlan {
     /// spans when the collector has tracing enabled). Pure telemetry — the
     /// answer stays bitwise-identical.
     pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.obs = Some(obs);
+        self.ctx = self.ctx.with_obs(obs);
         self
     }
 
@@ -68,7 +64,14 @@ impl LazyPlan {
     /// [`PlanError::Governed`] when interrupted. The happy path is
     /// bitwise-identical to the ungoverned one.
     pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.governor = Some(governor);
+        self.ctx = self.ctx.with_governor(governor);
+        self
+    }
+
+    /// Replaces the whole execution context — governor and collector — in
+    /// one call (what [`Planner`](crate::Planner) does).
+    pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
+        self.ctx = ctx;
         self
     }
 
@@ -78,16 +81,6 @@ impl LazyPlan {
     /// bitwise-identical at every pool size.
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Sets the intra-bag [`SplitPolicy`] of the top-level confidence
-    /// operator: the row threshold above which one bag of duplicate answer
-    /// tuples is split at root-variable boundaries across the pool
-    /// (Boolean / low-distinct answers are one huge bag). Confidences are
-    /// bitwise-identical for every policy.
-    pub fn with_split_policy(mut self, policy: SplitPolicy) -> Self {
-        self.split_policy = policy;
         self
     }
 
@@ -113,14 +106,12 @@ impl LazyPlan {
     /// # Errors
     /// Fails on execution errors (missing tables/columns).
     pub fn answer_tuples(&self, catalog: &Catalog) -> PlanResult<Annotated> {
-        let ctx =
-            ExecContext::from_governor(self.governor.as_ref()).with_obs_opt(self.obs.as_ref());
         Ok(evaluate_join_order_ctx(
             &self.query,
             catalog,
             &self.join_order,
             &self.pool,
-            &ctx,
+            &self.ctx,
         )?)
     }
 
@@ -139,15 +130,8 @@ impl LazyPlan {
     /// # Errors
     /// Fails on confidence-computation errors.
     pub fn confidences(&self, answer: &Annotated) -> PlanResult<ConfidenceResult> {
-        let mut operator = ConfidenceOperator::with_pool(self.signature.clone(), self.pool)
-            .with_split_policy(self.split_policy);
-        if let Some(gov) = &self.governor {
-            operator = operator.with_governor(gov.clone());
-        }
-        if let Some(obs) = &self.obs {
-            operator = operator.with_obs(obs.clone());
-        }
-        operator
+        ConfidenceOperator::with_pool(self.signature.clone(), self.pool)
+            .with_ctx(self.ctx.clone())
             .compute(answer, Strategy::Auto)
             .map_err(PlanError::from)
     }

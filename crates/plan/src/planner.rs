@@ -96,10 +96,12 @@ impl PlanReport {
 pub struct Planner<'a> {
     catalog: &'a Catalog,
     use_fds: bool,
-    governor: Option<QueryGovernor>,
-    obs: Option<Arc<QueryObs>>,
+    /// Governor and collector handed to every plan the planner executes.
+    ctx: ExecContext,
     approx_policy: Option<ApproxPolicy>,
     approx_seed: u64,
+    /// `None` until [`with_pool`](Self::with_pool): the default pool is read
+    /// from the environment only when a plan actually needs it.
     pool: Option<Pool>,
     frontier_budget: Option<Option<usize>>,
 }
@@ -110,8 +112,7 @@ impl<'a> Planner<'a> {
         Planner {
             catalog,
             use_fds: true,
-            governor: None,
-            obs: None,
+            ctx: ExecContext::unbounded(),
             approx_policy: None,
             approx_seed: 0,
             pool: None,
@@ -123,14 +124,8 @@ impl<'a> Planner<'a> {
     /// ablation).
     pub fn without_fds(catalog: &'a Catalog) -> Planner<'a> {
         Planner {
-            catalog,
             use_fds: false,
-            governor: None,
-            obs: None,
-            approx_policy: None,
-            approx_seed: 0,
-            pool: None,
-            frontier_budget: None,
+            ..Planner::new(catalog)
         }
     }
 
@@ -152,10 +147,10 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Sets the worker pool every plan fans out on, instead of each plan
-    /// reading `SPROUT_THREADS` for itself. Results are bitwise-identical at
-    /// every pool size, which is what lets an admission scheduler hand
-    /// queries different thread shares without changing their answers.
+    /// Sets the worker pool every plan fans out on, in place of the default
+    /// read from `SPROUT_THREADS`. Results are bitwise-identical at every
+    /// pool size, which is what lets an admission scheduler hand queries
+    /// different thread shares without changing their answers.
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = Some(pool);
         self
@@ -177,7 +172,7 @@ impl<'a> Planner<'a> {
     /// MystiQ comparators check the governor once on entry only — they are
     /// the baseline the paper compares against, not a governed engine path.
     pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.governor = Some(governor);
+        self.ctx = self.ctx.with_governor(governor);
         self
     }
 
@@ -188,7 +183,7 @@ impl<'a> Planner<'a> {
     /// `plan.confidence` spans around each phase. Pure telemetry: answers,
     /// row order, and confidences stay bitwise-identical.
     pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.obs = Some(obs);
+        self.ctx = self.ctx.with_obs(obs);
         self
     }
 
@@ -290,45 +285,48 @@ impl<'a> Planner<'a> {
     /// and no approximation policy is set, if a table is missing, or (for
     /// [`PlanKind::MystiqLogSpace`]) the aggregation overflows.
     pub fn execute(&self, query: &ConjunctiveQuery, kind: PlanKind) -> PlanResult<PlanReport> {
-        let obs_ctx = ExecContext::unbounded().with_obs_opt(self.obs.as_ref());
-        let _span = obs_ctx.span_with("plan", kind.to_string());
+        let _span = self.ctx.span_with("plan", kind.to_string());
         let report = match self.execute_exact(query, kind.clone()) {
             Err(PlanError::UnsafeQuery { .. }) if self.approx_policy.is_some() => {
                 self.execute_fallback(query, kind)
             }
             other => other,
         }?;
-        obs_ctx.tally(Counter::AnswerRows, report.distinct_tuples as u64);
+        self.ctx
+            .tally(Counter::AnswerRows, report.distinct_tuples as u64);
         Ok(report)
+    }
+
+    /// The pool every plan runs on: the one set by
+    /// [`with_pool`](Self::with_pool), else the `SPROUT_THREADS` default.
+    fn pool(&self) -> Pool {
+        self.pool.unwrap_or_else(Pool::from_env)
+    }
+
+    /// Runs one planner phase under its trace span and returns its result with
+    /// the wall-clock time it took.
+    fn timed<T>(
+        &self,
+        site: &'static str,
+        phase: impl FnOnce() -> PlanResult<T>,
+    ) -> PlanResult<(T, Duration)> {
+        let _span = self.ctx.span(site);
+        let start = Instant::now();
+        let out = phase()?;
+        Ok((out, start.elapsed()))
     }
 
     fn execute_exact(&self, query: &ConjunctiveQuery, kind: PlanKind) -> PlanResult<PlanReport> {
         let fds = self.fds();
-        // Span-only context: the plans carry their own governed contexts; this
-        // one just brackets the planner's two phases in the trace.
-        let obs_ctx = ExecContext::unbounded().with_obs_opt(self.obs.as_ref());
         match &kind {
             PlanKind::Lazy => {
-                let mut plan = LazyPlan::build(query, &fds, self.catalog)?;
-                if let Some(gov) = &self.governor {
-                    plan = plan.with_governor(gov.clone());
-                }
-                if let Some(pool) = &self.pool {
-                    plan = plan.with_pool(*pool);
-                }
-                if let Some(obs) = &self.obs {
-                    plan = plan.with_obs(obs.clone());
-                }
-                let span = obs_ctx.span("plan.tuples");
-                let start = Instant::now();
-                let answer = plan.answer_tuples(self.catalog)?;
-                let tuple_time = start.elapsed();
-                drop(span);
-                let span = obs_ctx.span("plan.confidence");
-                let start = Instant::now();
-                let confidences = plan.confidences(&answer)?;
-                let confidence_time = start.elapsed();
-                drop(span);
+                let plan = LazyPlan::build(query, &fds, self.catalog)?
+                    .with_pool(self.pool())
+                    .with_ctx(self.ctx.clone());
+                let (answer, tuple_time) =
+                    self.timed("plan.tuples", || plan.answer_tuples(self.catalog))?;
+                let (confidences, confidence_time) =
+                    self.timed("plan.confidence", || plan.confidences(&answer))?;
                 Ok(PlanReport {
                     kind,
                     answer_tuples: Some(answer.len()),
@@ -342,23 +340,13 @@ impl<'a> Planner<'a> {
                 })
             }
             PlanKind::Eager => {
-                let mut plan = EagerPlan::build(query, &fds)?;
-                if let Some(gov) = &self.governor {
-                    plan = plan.with_governor(gov.clone());
-                }
-                if let Some(pool) = &self.pool {
-                    plan = plan.with_pool(*pool);
-                }
-                if let Some(obs) = &self.obs {
-                    plan = plan.with_obs(obs.clone());
-                }
+                let plan = EagerPlan::build(query, &fds)?
+                    .with_pool(self.pool())
+                    .with_ctx(self.ctx.clone());
                 // Eager plans fuse tuple and confidence computation into the
                 // per-node aggregations — one phase span covers both.
-                let span = obs_ctx.span("plan.tuples");
-                let start = Instant::now();
-                let confidences = plan.execute(self.catalog)?;
-                let total = start.elapsed();
-                drop(span);
+                let (confidences, total) =
+                    self.timed("plan.tuples", || plan.execute(self.catalog))?;
                 Ok(PlanReport {
                     kind,
                     answer_tuples: None,
@@ -373,40 +361,13 @@ impl<'a> Planner<'a> {
             }
             PlanKind::Hybrid(pushed) => {
                 let pushed_refs: Vec<&str> = pushed.iter().map(|s| s.as_str()).collect();
-                let mut plan = HybridPlan::build(query, &fds, self.catalog, &pushed_refs)?;
-                if let Some(gov) = &self.governor {
-                    plan = plan.with_governor(gov.clone());
-                }
-                if let Some(pool) = &self.pool {
-                    plan = plan.with_pool(*pool);
-                }
-                if let Some(obs) = &self.obs {
-                    plan = plan.with_obs(obs.clone());
-                }
-                let span = obs_ctx.span("plan.tuples");
-                let start = Instant::now();
-                let answer = plan.answer_tuples(self.catalog)?;
-                let tuple_time = start.elapsed();
-                drop(span);
-                let span = obs_ctx.span("plan.confidence");
-                let start = Instant::now();
-                let mut operator = match &self.pool {
-                    Some(pool) => {
-                        pdb_conf::ConfidenceOperator::with_pool(plan.top_signature().clone(), *pool)
-                    }
-                    None => pdb_conf::ConfidenceOperator::new(plan.top_signature().clone()),
-                };
-                if let Some(gov) = &self.governor {
-                    operator = operator.with_governor(gov.clone());
-                }
-                if let Some(obs) = &self.obs {
-                    operator = operator.with_obs(obs.clone());
-                }
-                let confidences = operator
-                    .compute(&answer, pdb_conf::Strategy::Auto)
-                    .map_err(PlanError::from)?;
-                let confidence_time = start.elapsed();
-                drop(span);
+                let plan = HybridPlan::build(query, &fds, self.catalog, &pushed_refs)?
+                    .with_pool(self.pool())
+                    .with_ctx(self.ctx.clone());
+                let (answer, tuple_time) =
+                    self.timed("plan.tuples", || plan.answer_tuples(self.catalog))?;
+                let (confidences, confidence_time) =
+                    self.timed("plan.confidence", || plan.confidences(&answer))?;
                 Ok(PlanReport {
                     kind,
                     answer_tuples: Some(answer.len()),
@@ -422,22 +383,15 @@ impl<'a> Planner<'a> {
             PlanKind::Mystiq | PlanKind::MystiqLogSpace => {
                 // The extensional comparators stay ungoverned internally;
                 // the governor is still observed once on entry.
-                ExecContext::from_governor(self.governor.as_ref()).checkpoint(
-                    Stage::Plan,
-                    "plan.enter",
-                    0,
-                )?;
+                self.ctx.checkpoint(Stage::Plan, "plan.enter", 0)?;
                 let aggregation = if kind == PlanKind::MystiqLogSpace {
                     ProbAggregation::MystiqLog
                 } else {
                     ProbAggregation::Stable
                 };
                 let plan = SafePlan::build_with_aggregation(query, &fds, aggregation)?;
-                let span = obs_ctx.span("plan.tuples");
-                let start = Instant::now();
-                let confidences = plan.execute(self.catalog)?;
-                let total = start.elapsed();
-                drop(span);
+                let (confidences, total) =
+                    self.timed("plan.tuples", || plan.execute(self.catalog))?;
                 Ok(PlanReport {
                     kind,
                     answer_tuples: None,
@@ -461,31 +415,17 @@ impl<'a> Planner<'a> {
         let policy = self
             .approx_policy
             .expect("fallback runs only with a policy");
-        let mut plan =
-            FallbackPlan::build(query, self.catalog, policy)?.with_seed(self.approx_seed);
-        if let Some(gov) = &self.governor {
-            plan = plan.with_governor(gov.clone());
-        }
-        if let Some(pool) = &self.pool {
-            plan = plan.with_pool(*pool);
-        }
+        let mut plan = FallbackPlan::build(query, self.catalog, policy)?
+            .with_seed(self.approx_seed)
+            .with_pool(self.pool())
+            .with_ctx(self.ctx.clone());
         if let Some(budget) = self.frontier_budget {
             plan = plan.with_frontier_budget(budget);
         }
-        if let Some(obs) = &self.obs {
-            plan = plan.with_obs(obs.clone());
-        }
-        let obs_ctx = ExecContext::unbounded().with_obs_opt(self.obs.as_ref());
-        let span = obs_ctx.span("plan.tuples");
-        let start = Instant::now();
-        let answer = plan.answer_tuples(self.catalog)?;
-        let tuple_time = start.elapsed();
-        drop(span);
-        let span = obs_ctx.span("plan.confidence");
-        let start = Instant::now();
-        let approx = plan.confidences(&answer)?;
-        let confidence_time = start.elapsed();
-        drop(span);
+        let (answer, tuple_time) =
+            self.timed("plan.tuples", || plan.answer_tuples(self.catalog))?;
+        let (approx, confidence_time) =
+            self.timed("plan.confidence", || plan.confidences(&answer))?;
         let confidences: ConfidenceResult = approx
             .iter()
             .map(|t| (t.tuple.clone(), t.value()))

@@ -9,6 +9,7 @@
 
 use std::time::Duration;
 
+use pdb_conf::ConfidenceResult;
 use pdb_exec::{fixtures, ops, ExecContext, ExecError};
 use pdb_par::Pool;
 use pdb_query::{ConjunctiveQuery, FdSet};
@@ -16,8 +17,11 @@ use pdb_storage::Catalog;
 use pdb_tpch::{
     probabilistic_catalog, probabilistic_catalog_columnar, tpch_query, TpchData, TpchScale,
 };
+use sprout_plan::eager::EagerPlan;
 use sprout_plan::lazy::LazyPlan;
-use sprout_plan::{GovernorBuilder, PlanError, PlanKind, Planner, SproutError};
+use sprout_plan::{
+    GovernorBuilder, PlanError, PlanKind, PlanResult, Planner, QueryGovernor, SproutError, Stage,
+};
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
 
@@ -79,50 +83,77 @@ fn governed_happy_path_is_bitwise_identical_across_threads_and_backings() {
     }
 }
 
-/// The satellite-3 exhaustive sweep: cancel at *every* checkpoint index of a
-/// small Q1 run, at every pool size. Every interruption must surface as
-/// `Cancelled`, leave the pool reusable, and an immediate re-run on the same
-/// plan must be bitwise-equal to the uninterrupted baseline.
+/// Cancels at *every* checkpoint index of one plan run. `run(None)` is the
+/// ungoverned plan, `run(Some(gov))` the same plan value under `gov`. Every
+/// interruption must surface as `Cancelled`, leave the pool reusable, and an
+/// immediate re-run of the same plan must be bitwise-equal to the
+/// uninterrupted baseline. Returns the error of the cancellation at the
+/// last checkpoint index.
+fn sweep_every_checkpoint(
+    context: &str,
+    run: impl Fn(Option<QueryGovernor>) -> PlanResult<ConfidenceResult>,
+) -> SproutError {
+    let baseline = run(None).unwrap();
+
+    // Count the checkpoints of one uninterrupted governed run.
+    let counter = GovernorBuilder::new().build();
+    let governed = run(Some(counter.clone())).unwrap();
+    assert_bitwise_eq(&baseline, &governed, &format!("{context}, counter"));
+    let total = counter.checkpoints_seen();
+    assert!(total > 0, "{context}: run saw no checkpoints");
+
+    let mut last = None;
+    for k in 1..=total {
+        let gov = GovernorBuilder::new().cancel_after_checkpoints(k).build();
+        match run(Some(gov)) {
+            Err(PlanError::Governed(e @ SproutError::Cancelled { .. })) => last = Some(e),
+            other => {
+                panic!("{context}, checkpoint {k}/{total}: expected Cancelled, got {other:?}")
+            }
+        }
+        // The pool survived the interruption: the very same plan value
+        // (same pool handle) reproduces the baseline bit for bit.
+        let rerun = run(None).unwrap();
+        assert_bitwise_eq(
+            &baseline,
+            &rerun,
+            &format!("{context}, re-run after cancel at {k}"),
+        );
+    }
+    last.expect("total > 0")
+}
+
+/// The exhaustive sweep over a small Q1 run, at every pool size, for the
+/// lazy and the eager plan.
 #[test]
 fn cancellation_at_every_checkpoint_of_a_small_q1_run() {
     let q = q1();
     let (row, _) = tiny_catalogs();
     let fds = FdSet::from_catalog_decls(&row.fds());
     for threads in POOL_SIZES {
-        let plan = LazyPlan::build(&q, &fds, &row)
+        let lazy = LazyPlan::build(&q, &fds, &row)
             .unwrap()
             .with_pool(Pool::new(threads));
-        let baseline = plan.clone().execute(&row).unwrap();
+        sweep_every_checkpoint(&format!("lazy, {threads} threads"), |gov| match gov {
+            Some(gov) => lazy.clone().with_governor(gov).execute(&row),
+            None => lazy.execute(&row),
+        });
 
-        // Count the checkpoints of one uninterrupted governed run.
-        let counter = GovernorBuilder::new().build();
-        let governed = plan
-            .clone()
-            .with_governor(counter.clone())
-            .execute(&row)
-            .unwrap();
-        assert_bitwise_eq(&baseline, &governed, &format!("{threads} threads, counter"));
-        let total = counter.checkpoints_seen();
-        assert!(total > 0, "Q1 run saw no checkpoints at {threads} threads");
-
-        for k in 1..=total {
-            let gov = GovernorBuilder::new().cancel_after_checkpoints(k).build();
-            let interrupted = plan.clone().with_governor(gov).execute(&row);
-            match interrupted {
-                Err(PlanError::Governed(SproutError::Cancelled { .. })) => {}
-                other => panic!(
-                    "{threads} threads, checkpoint {k}/{total}: expected Cancelled, got {other:?}"
-                ),
-            }
-            // The pool survived the interruption: the very same plan value
-            // (same pool handle) reproduces the baseline bit for bit.
-            let rerun = plan.clone().execute(&row).unwrap();
-            assert_bitwise_eq(
-                &baseline,
-                &rerun,
-                &format!("{threads} threads, re-run after cancel at {k}"),
-            );
-        }
+        let eager = EagerPlan::build(&q, &fds)
+            .unwrap()
+            .with_pool(Pool::new(threads));
+        let last = sweep_every_checkpoint(&format!("eager, {threads} threads"), |gov| match gov {
+            Some(gov) => eager.clone().with_governor(gov).execute(&row),
+            None => eager.execute(&row),
+        });
+        // The eager plan's last operator is the head projection: it runs
+        // under the plan's governor like every operator before it, so the
+        // last checkpoint of the run is its `project.write`.
+        assert_eq!(
+            last.stage(),
+            Stage::Project,
+            "eager, {threads} threads: last checkpoint"
+        );
     }
 }
 

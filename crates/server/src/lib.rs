@@ -31,7 +31,7 @@
 //! Because the engine is bitwise-deterministic at every pool size, answers
 //! served under any admission schedule are bitwise-identical to
 //! [`sprout::SproutDb::query_with_options`] run directly — the integration
-//! tests and `bench_pr9` assert exactly that.
+//! tests and `sprout_bench`'s `serve_mixed` workload assert exactly that.
 //!
 //! ```no_run
 //! use sprout_server::{ServerConfig, SproutServer};

@@ -174,102 +174,23 @@ impl SproutDb {
         Planner::new(&self.catalog).execute(query, kind)
     }
 
-    /// Executes `query` with a lazy plan (the default SPROUT choice) and
-    /// returns just the distinct tuples and their confidences.
-    ///
-    /// # Errors
-    /// Fails if the query is intractable or a referenced table is missing.
-    pub fn confidences(&self, query: &ConjunctiveQuery) -> PlanResult<ConfidenceResult> {
-        Ok(self.query(query, PlanKind::Lazy)?.confidences)
-    }
-
-    /// Executes `query` under a [`QueryGovernor`]: the whole plan —
-    /// relational pipeline, pushed-down aggregations, confidence operator —
-    /// observes the governor's cancellation token, wall-clock deadline, and
-    /// memory budget at every morsel/chunk/bag checkpoint, and worker panics
-    /// are isolated into [`SproutError::WorkerPanic`] instead of aborting
-    /// the process. The happy path is bitwise-identical to [`Self::query`].
-    ///
-    /// # Errors
-    /// Returns the governor's interruption ([`SproutError::Cancelled`],
-    /// [`SproutError::DeadlineExceeded`], [`SproutError::MemoryBudgetExceeded`],
-    /// [`SproutError::WorkerPanic`]) verbatim; any other planning or
-    /// execution failure is wrapped as [`SproutError::Failed`].
-    pub fn query_governed(
-        &self,
-        query: &ConjunctiveQuery,
-        kind: PlanKind,
-        governor: &QueryGovernor,
-    ) -> Result<PlanReport, SproutError> {
-        Planner::new(&self.catalog)
-            .with_governor(governor.clone())
-            .execute(query, kind)
-            .map_err(|e| match e {
-                PlanError::Governed(g) => g,
-                other => SproutError::Failed {
-                    stage: Stage::Plan,
-                    message: other.to_string(),
-                },
-            })
-    }
-
-    /// Executes `query` with an [`ApproxPolicy`] for the unsafe case: if the
-    /// query has no safe plan under the declared dependencies, the planner
-    /// falls back to read-once factorization of the per-tuple lineage (exact
-    /// when it succeeds) and, when the policy is [`ApproxPolicy::Bounds`],
-    /// anytime dissociation brackets for the rest — instead of erroring.
-    /// Queries with a safe plan are executed exactly as by [`Self::query`],
-    /// bitwise-identically.
-    ///
-    /// # Errors
-    /// Fails if a referenced table is missing, or — under
-    /// [`ApproxPolicy::Exact`] — if some tuple's lineage is provably not
-    /// read-once.
-    pub fn query_with_policy(
-        &self,
-        query: &ConjunctiveQuery,
-        kind: PlanKind,
-        policy: ApproxPolicy,
-    ) -> PlanResult<PlanReport> {
-        Planner::new(&self.catalog)
-            .with_approx_policy(policy)
-            .execute(query, kind)
-    }
-
-    /// Executes `query` with a lazy plan, returning per-tuple confidence
-    /// *brackets* `[lo, hi]` that are exact (`lo == hi`) whenever a safe plan
-    /// or a read-once factorization exists and `eps`-tight dissociation
-    /// bounds otherwise.
-    ///
-    /// # Errors
-    /// Fails if a referenced table is missing.
-    pub fn confidence_bounds(
-        &self,
-        query: &ConjunctiveQuery,
-        eps: f64,
-    ) -> PlanResult<ApproxResult> {
-        let report = self.query_with_policy(query, PlanKind::Lazy, ApproxPolicy::Bounds { eps })?;
-        Ok(match report.approx {
-            Some(brackets) => brackets,
-            // A safe plan ran: exact confidences become width-zero brackets.
-            None => report
-                .confidences
-                .into_iter()
-                .map(|(tuple, p)| TupleConfidence {
-                    tuple,
-                    lo: p,
-                    hi: p,
-                    method: ConfMethod::ReadOnce,
-                    rounds: 0,
-                })
-                .collect(),
-        })
-    }
-
     /// Executes `query` under a full [`QueryOptions`] bundle — the entry
-    /// point the server's admission scheduler uses, combining
-    /// [`Self::query_governed`] and [`Self::query_with_policy`] and adding
-    /// the shared-pool thread share.
+    /// point the server's admission scheduler uses. Everything beyond the
+    /// plan kind rides in the bundle:
+    ///
+    /// * `governor` — the whole plan (relational pipeline, pushed-down
+    ///   aggregations, confidence operator) observes its cancellation token,
+    ///   wall-clock deadline and memory budget at every morsel/chunk/bag
+    ///   checkpoint, and worker panics are isolated into
+    ///   [`SproutError::WorkerPanic`]; the happy path is bitwise-identical to
+    ///   [`Self::query`].
+    /// * `policy` — if the query has no safe plan under the declared
+    ///   dependencies, the planner falls back to read-once factorization of
+    ///   the per-tuple lineage (exact when it succeeds) and, under
+    ///   [`ApproxPolicy::Bounds`], anytime dissociation brackets for the rest
+    ///   (`PlanReport::approx`) instead of erroring. Queries with a safe plan
+    ///   run exactly as by [`Self::query`].
+    /// * `pool` — the shared-pool thread share.
     ///
     /// # Errors
     /// Returns the full [`PlanError`] taxonomy (so callers can map, e.g.,
@@ -376,8 +297,8 @@ mod tests {
         db.declare_key("Cust", &["ckey"]).unwrap();
         db.declare_fd("Ord", &["okey"], &["ckey", "odate"]).unwrap();
         assert!(db.is_tractable(&intro_query_q_prime()));
-        let conf = db.confidences(&intro_query_q_prime()).unwrap();
-        assert!((conf[0].1 - 0.0028).abs() < 1e-9);
+        let report = db.query(&intro_query_q_prime(), PlanKind::Lazy).unwrap();
+        assert!((report.confidences[0].1 - 0.0028).abs() < 1e-9);
         // Duplicate registration is rejected.
         assert!(db.register_table("Cust", fixtures::fig1_cust()).is_err());
         assert!(db.declare_key("Cust", &["nope"]).is_err());
@@ -396,45 +317,55 @@ mod tests {
         assert!((report.confidences[0].1 - 0.0028).abs() < 1e-9);
     }
 
+    fn bounds(eps: f64) -> QueryOptions {
+        QueryOptions {
+            policy: Some(ApproxPolicy::Bounds { eps }),
+            ..QueryOptions::default()
+        }
+    }
+
     #[test]
     fn policy_turns_the_unsafe_rejection_into_brackets() {
-        // Without FDs Q' has no safe plan: the plain path errors, the policy
-        // path produces brackets containing the true confidence.
+        // Without FDs Q' has no safe plan: the plain path errors with the
+        // blocking pair, the policy path produces brackets containing the
+        // true confidence.
         let db = SproutDb::from_catalog(fixtures::fig1_catalog());
-        assert!(db.query(&intro_query_q_prime(), PlanKind::Lazy).is_err());
-        let report = db
-            .query_with_policy(
-                &intro_query_q_prime(),
-                PlanKind::Lazy,
-                ApproxPolicy::Bounds { eps: 1e-9 },
-            )
-            .unwrap();
+        let q = intro_query_q_prime();
+        assert!(db.query(&q, PlanKind::Lazy).is_err());
+        let err = db
+            .query_with_options(&q, &QueryOptions::default())
+            .unwrap_err();
+        assert!(matches!(err, PlanError::UnsafeQuery { .. }));
+        let report = db.query_with_options(&q, &bounds(1e-9)).unwrap();
         let brackets = report.approx.unwrap();
         assert_eq!(brackets.len(), 1);
         assert!(brackets[0].lo <= 0.0028 + 1e-12 && 0.0028 <= brackets[0].hi + 1e-12);
     }
 
     #[test]
-    fn confidence_bounds_are_width_zero_on_safe_queries() {
+    fn a_policy_leaves_safe_queries_exact() {
         let db = SproutDb::from_catalog(fixtures::fig1_catalog_with_keys());
-        let brackets = db.confidence_bounds(&intro_query_q(), 1e-6).unwrap();
-        assert_eq!(brackets.len(), 1);
-        assert_eq!(brackets[0].lo, brackets[0].hi);
-        assert!((brackets[0].value() - 0.0028).abs() < 1e-9);
+        let exact = db.query(&intro_query_q(), PlanKind::Lazy).unwrap();
+        let report = db
+            .query_with_options(&intro_query_q(), &bounds(1e-6))
+            .unwrap();
+        assert!(report.approx.is_none());
+        assert_eq!(report.confidences.len(), 1);
+        assert_eq!(
+            report.confidences[0].1.to_bits(),
+            exact.confidences[0].1.to_bits()
+        );
     }
 
     #[test]
-    fn options_bundle_matches_the_dedicated_entry_points_bitwise() {
+    fn options_bundle_is_bitwise_stable_across_pool_sizes() {
         let db = SproutDb::from_catalog(fixtures::fig1_catalog());
         let q = intro_query_q_prime();
-        let direct = db
-            .query_with_policy(&q, PlanKind::Lazy, ApproxPolicy::Bounds { eps: 1e-9 })
-            .unwrap();
+        let direct = db.query_with_options(&q, &bounds(1e-9)).unwrap();
         for threads in [1, 4] {
             let opts = QueryOptions {
-                policy: Some(ApproxPolicy::Bounds { eps: 1e-9 }),
                 pool: Some(Pool::new(threads)),
-                ..QueryOptions::default()
+                ..bounds(1e-9)
             };
             let report = db.query_with_options(&q, &opts).unwrap();
             assert_eq!(report.confidences.len(), direct.confidences.len());
@@ -443,11 +374,28 @@ mod tests {
                 assert_eq!(a.1.to_bits(), b.1.to_bits(), "threads={threads}");
             }
         }
-        // Unsafe query without a policy surfaces the blocking pair.
-        let err = db
-            .query_with_options(&q, &QueryOptions::default())
-            .unwrap_err();
-        assert!(matches!(err, PlanError::UnsafeQuery { .. }));
+    }
+
+    #[test]
+    fn governor_rides_in_the_options_bundle() {
+        let db = SproutDb::from_catalog(fixtures::fig1_catalog_with_keys());
+        let exact = db.query(&intro_query_q(), PlanKind::Lazy).unwrap();
+        let gov = QueryGovernor::builder().build();
+        let opts = QueryOptions {
+            governor: Some(gov.clone()),
+            ..QueryOptions::default()
+        };
+        let governed = db.query_with_options(&intro_query_q(), &opts).unwrap();
+        assert_eq!(
+            governed.confidences[0].1.to_bits(),
+            exact.confidences[0].1.to_bits()
+        );
+        assert!(gov.checkpoints_seen() > 0);
+        gov.cancel();
+        match db.query_with_options(&intro_query_q(), &opts) {
+            Err(PlanError::Governed(SproutError::Cancelled { .. })) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
     }
 
     #[test]
