@@ -18,11 +18,16 @@ use crate::stats::Statistics;
 /// A greedy, selectivity-driven join order: start from the relation with the
 /// smallest filtered cardinality, then repeatedly add the connected relation
 /// with the smallest estimated join result (falling back to the smallest
-/// disconnected relation when no connected one exists).
+/// disconnected relation when no connected one exists). A single-relation
+/// query has one possible order and reads no statistics.
 ///
 /// # Errors
 /// Fails if a referenced table is missing from the catalog.
 pub fn greedy_join_order(query: &ConjunctiveQuery, catalog: &Catalog) -> PlanResult<Vec<String>> {
+    if let [atom] = query.relations.as_slice() {
+        catalog.backing(&atom.name)?;
+        return Ok(vec![atom.name.clone()]);
+    }
     let stats = Statistics::collect(query, catalog)?;
     let mut remaining: Vec<String> = query
         .relation_names()
@@ -155,5 +160,22 @@ mod tests {
         let catalog = pdb_storage::Catalog::new();
         let q = intro_query_q();
         assert!(greedy_join_order(&q, &catalog).is_err());
+    }
+
+    #[test]
+    fn single_relation_queries_are_ordered_without_statistics() {
+        let single =
+            ConjunctiveQuery::build(&[("Cust", &["ckey", "cname"])], &["cname"], vec![]).unwrap();
+        assert_eq!(
+            greedy_join_order(&single, &fig1_catalog()).unwrap(),
+            vec!["Cust".to_string()]
+        );
+        // The shortcut still checks that the table exists.
+        assert!(matches!(
+            greedy_join_order(&single, &pdb_storage::Catalog::new()),
+            Err(crate::PlanError::Storage(
+                pdb_storage::StorageError::UnknownTable(_)
+            ))
+        ));
     }
 }

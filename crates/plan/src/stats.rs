@@ -6,70 +6,45 @@
 //! textbook estimates: per-column distinct counts, uniform-distribution
 //! selectivities for constant predicates, and containment-of-value-sets for
 //! equi-joins.
+//!
+//! The per-table numbers ([`TableStats`]) are the catalog's: it computes
+//! them on a table's first use and keeps them until the table is replaced.
+//! This module only combines them into estimates for one query.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
-use pdb_storage::{Catalog, StorageBacking};
+use pdb_storage::Catalog;
+pub use pdb_storage::TableStats;
 
 use crate::error::PlanResult;
-
-/// Statistics of one table: cardinality and per-column distinct counts.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TableStats {
-    /// Number of tuples.
-    pub cardinality: usize,
-    /// Distinct values per column.
-    pub distinct: BTreeMap<String, usize>,
-    /// Largest per-chunk distinct-count hint per column, from the columnar
-    /// zone statistics (absent for row-backed tables). A column whose
-    /// chunks each hold few distinct values clusters well: an `Eq`/`In`
-    /// probe touches roughly `chunk_distinct / distinct` of its chunks
-    /// after zone pruning.
-    pub chunk_distinct: BTreeMap<String, usize>,
-}
 
 /// Statistics for all tables referenced by a query.
 #[derive(Debug, Clone, Default)]
 pub struct Statistics {
-    tables: BTreeMap<String, TableStats>,
+    tables: BTreeMap<String, Arc<TableStats>>,
 }
 
 impl Statistics {
-    /// Collects statistics for every relation of `query` from `catalog`.
-    /// Works on either storage backing — columnar tables answer distinct
-    /// counts from their typed columns (dictionary sizes for strings)
-    /// without materialising a row view.
+    /// Looks up the statistics of every relation of `query` in `catalog`,
+    /// which computes them on a table's first use and keeps them until the
+    /// table is replaced (see [`Catalog::table_stats`]): planning a query
+    /// over tables seen before costs one `Arc` clone per atom.
     ///
     /// # Errors
     /// Fails if a referenced table is missing.
     pub fn collect(query: &ConjunctiveQuery, catalog: &Catalog) -> PlanResult<Statistics> {
         let mut tables = BTreeMap::new();
         for atom in &query.relations {
-            let table = catalog.backing(&atom.name)?;
-            let mut distinct = BTreeMap::new();
-            let mut chunk_distinct = BTreeMap::new();
-            for col in table.schema().names().into_iter().map(str::to_string) {
-                distinct.insert(col.clone(), table.distinct_count(&col)?);
-                if let StorageBacking::Columnar(t) = &table {
-                    chunk_distinct.insert(col.clone(), t.max_chunk_distinct(&col)?);
-                }
-            }
-            tables.insert(
-                atom.name.clone(),
-                TableStats {
-                    cardinality: table.len(),
-                    distinct,
-                    chunk_distinct,
-                },
-            );
+            tables.insert(atom.name.clone(), catalog.table_stats(&atom.name)?);
         }
         Ok(Statistics { tables })
     }
 
     /// Statistics of a single table, if collected.
     pub fn table(&self, name: &str) -> Option<&TableStats> {
-        self.tables.get(name)
+        self.tables.get(name).map(Arc::as_ref)
     }
 
     /// Estimated selectivity of a constant predicate, in `[0, 1]`.

@@ -1,0 +1,64 @@
+//! The greedy join order of every catalogue query, pinned.
+//!
+//! `greedy_join_order` is a pure function of the query and the catalog's
+//! table statistics, so a change to how statistics are computed, stored or
+//! combined that flips an order fails here — not weeks later as a timing
+//! drift in `sprout_bench`. `join_order_pin.txt` was generated at the commit
+//! before statistics moved into the catalog (TPC-H SF 0.01, seed 1); a
+//! deliberate planner change regenerates it from the table this test prints
+//! on a mismatch.
+
+use pdb_query::ConjunctiveQuery;
+use pdb_storage::Catalog;
+use pdb_tpch::{
+    case_study_queries, fig12_query_c, fig12_query_d, probabilistic_catalog,
+    probabilistic_catalog_columnar, selectivity_query_a, selectivity_query_b, tpch_query, TpchData,
+    TpchScale,
+};
+use sprout_plan::join_order::greedy_join_order;
+
+const PINNED: &str = include_str!("join_order_pin.txt");
+
+/// Every conjunctive query `pdb_tpch::queries` can build: the case-study
+/// catalogue (Q1–Q22 and the Boolean variants the paper evaluates), the
+/// Boolean forms of the intractable three, and the Fig. 11/12 micro-queries
+/// at the thresholds the figures start from.
+fn catalogue() -> Vec<(String, ConjunctiveQuery)> {
+    let mut out: Vec<(String, ConjunctiveQuery)> = case_study_queries()
+        .into_iter()
+        .chain(["B5", "B8", "B9"].map(|id| tpch_query(id).expect("in the catalogue")))
+        .filter_map(|entry| Some((entry.id, entry.query?)))
+        .collect();
+    out.push(("A".to_string(), selectivity_query_a(1000.0)));
+    out.push(("B".to_string(), selectivity_query_b(100_000.0)));
+    out.push(("C".to_string(), fig12_query_c()));
+    out.push(("D".to_string(), fig12_query_d()));
+    out
+}
+
+fn order_table(catalog: &Catalog) -> String {
+    catalogue()
+        .iter()
+        .map(|(id, query)| match greedy_join_order(query, catalog) {
+            Ok(order) => format!("{id}: {}\n", order.join(" ")),
+            Err(e) => format!("{id}: error {e}\n"),
+        })
+        .collect()
+}
+
+#[test]
+fn greedy_join_orders_match_the_pinned_table_on_both_backings() {
+    let data = TpchData::generate(TpchScale::new(0.01));
+    let columnar = probabilistic_catalog_columnar(&data, 1).expect("columnar catalog");
+    let got = order_table(&columnar);
+    assert_eq!(
+        got, PINNED,
+        "a join order moved; if intended, replace join_order_pin.txt with:\n{got}"
+    );
+    // Row tables carry no chunk-distinct hints, which only break ties
+    // between equal output estimates: no catalogue query has such a tie.
+    let row = probabilistic_catalog(&data, 1).expect("row catalog");
+    assert_eq!(order_table(&row), PINNED, "row backing orders differ");
+    // Asked again, the memoized statistics give the same orders.
+    assert_eq!(order_table(&columnar), PINNED, "second planning differs");
+}

@@ -6,6 +6,11 @@
 //! possible world, and they are what makes several non-hierarchical TPC-H
 //! queries tractable. The catalog records them as plain attribute-name
 //! declarations; the query crate interprets them.
+//!
+//! The catalog also owns what is derived from a table and costs a pass over
+//! it: the row view of a columnar table and the optimizer statistics
+//! ([`TableStats`]). Both are built on first use and dropped when the table
+//! is replaced.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,6 +20,7 @@ use parking_lot::RwLock;
 use crate::columnar::ColumnarTable;
 use crate::error::{StorageError, StorageResult};
 use crate::schema::Schema;
+use crate::stats::TableStats;
 use crate::table::ProbTable;
 
 /// The physical representation a catalog entry is stored in.
@@ -53,15 +59,12 @@ impl StorageBacking {
         self.len() == 0
     }
 
-    /// Number of distinct values in column `name`, NULL counted as one
-    /// value (the planner's statistics source, identical across backings).
-    ///
-    /// # Errors
-    /// Fails on unknown columns.
-    pub fn distinct_count(&self, name: &str) -> StorageResult<usize> {
-        match self {
-            StorageBacking::Row(t) => Ok(t.data().distinct_values(name)?.len()),
-            StorageBacking::Columnar(t) => t.distinct_count(name),
+    /// Whether `self` and `other` are handles to one table allocation.
+    fn same_table(&self, other: &StorageBacking) -> bool {
+        match (self, other) {
+            (StorageBacking::Row(a), StorageBacking::Row(b)) => Arc::ptr_eq(a, b),
+            (StorageBacking::Columnar(a), StorageBacking::Columnar(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
@@ -92,6 +95,10 @@ struct CatalogInner {
     /// Materialised row views of columnar backings, built lazily for
     /// consumers that still require a [`ProbTable`] (see [`Catalog::table`]).
     row_views: BTreeMap<String, Arc<ProbTable>>,
+    /// Optimizer statistics, filled on a table's first use by a planner (see
+    /// [`Catalog::table_stats`]). An entry always describes the backing
+    /// currently registered under its name.
+    stats: BTreeMap<String, Arc<TableStats>>,
     keys: BTreeMap<String, Vec<String>>,
     fds: Vec<FdDecl>,
 }
@@ -145,6 +152,7 @@ impl Catalog {
         let name = name.into();
         let mut inner = self.inner.write();
         inner.row_views.remove(&name);
+        inner.stats.remove(&name);
         inner
             .tables
             .insert(name, StorageBacking::Row(Arc::new(table)));
@@ -200,6 +208,56 @@ impl Catalog {
         let view = Arc::new(columnar.to_prob_table()?);
         inner.row_views.insert(name.to_string(), view.clone());
         Ok(view)
+    }
+
+    /// The optimizer statistics of the table registered under `name`:
+    /// computed on the first call, shared by every later one, and dropped
+    /// when [`Catalog::replace_table`] replaces the table. Tables no planner
+    /// asks about never pay the column walks.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::UnknownTable`] if no such table exists.
+    pub fn table_stats(&self, name: &str) -> StorageResult<Arc<TableStats>> {
+        let backing = {
+            let inner = self.inner.read();
+            if let Some(stats) = inner.stats.get(name) {
+                return Ok(stats.clone());
+            }
+            inner
+                .tables
+                .get(name)
+                .cloned()
+                .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?
+        };
+        // The column walks run with no lock held, so queries on other
+        // tables plan and scan meanwhile.
+        let stats = Arc::new(TableStats::compute(&backing)?);
+        Ok(self.memoize_stats(name, &backing, stats))
+    }
+
+    /// Publishes `stats`, computed from `backing`, as the memo entry of
+    /// `name` — unless a racing first use already did (its allocation wins,
+    /// so all callers share one) or the name no longer maps to `backing`
+    /// (the caller still gets the statistics of the table it asked about,
+    /// but they are not cached under a name that now means another table).
+    fn memoize_stats(
+        &self,
+        name: &str,
+        backing: &StorageBacking,
+        stats: Arc<TableStats>,
+    ) -> Arc<TableStats> {
+        let mut inner = self.inner.write();
+        if let Some(existing) = inner.stats.get(name) {
+            return existing.clone();
+        }
+        if inner
+            .tables
+            .get(name)
+            .is_some_and(|b| b.same_table(backing))
+        {
+            inner.stats.insert(name.to_string(), stats.clone());
+        }
+        stats
     }
 
     /// All registered table names, sorted.
@@ -358,10 +416,7 @@ mod tests {
             StorageBacking::Columnar(_)
         ));
         assert_eq!(c.backing("Cust").unwrap().len(), 2);
-        assert_eq!(
-            c.backing("Cust").unwrap().distinct_count("cname").unwrap(),
-            2
-        );
+        assert_eq!(c.table_stats("Cust").unwrap().distinct["cname"], 2);
         assert_eq!(c.total_tuples(), 2);
         // The row view materialises identically (and is cached: same Arc).
         let view = c.table("Cust").unwrap();
@@ -375,6 +430,52 @@ mod tests {
             c.register_table("Cust", small_table()),
             Err(StorageError::DuplicateTable(_))
         ));
+    }
+
+    #[test]
+    fn table_stats_are_memoized_until_the_table_is_replaced() {
+        let c = Catalog::new();
+        c.register_table("Cust", small_table()).unwrap();
+        let first = c.table_stats("Cust").unwrap();
+        assert_eq!(first.cardinality, 2);
+        assert_eq!(first.distinct["ckey"], 2);
+        assert!(first.chunk_distinct.is_empty());
+        assert!(Arc::ptr_eq(&first, &c.table_stats("Cust").unwrap()));
+
+        let mut bigger = small_table();
+        bigger
+            .insert(tuple![3i64, "Joe"], Variable(2), 0.3)
+            .unwrap();
+        c.replace_table("Cust", bigger);
+        let second = c.table_stats("Cust").unwrap();
+        assert_eq!(second.cardinality, 3);
+        assert_eq!(second.distinct["ckey"], 3);
+        assert_eq!(second.distinct["cname"], 2);
+        assert!(Arc::ptr_eq(&second, &c.table_stats("Cust").unwrap()));
+
+        assert!(matches!(
+            c.table_stats("Nope"),
+            Err(StorageError::UnknownTable(_))
+        ));
+    }
+
+    #[test]
+    fn stats_of_a_replaced_table_are_not_cached_under_its_name() {
+        // The interleaving a racing `replace_table` produces, step by step:
+        // a first use reads the backing and computes, the table is replaced,
+        // then the first use tries to publish.
+        let c = Catalog::new();
+        c.register_table("Cust", small_table()).unwrap();
+        let old = c.backing("Cust").unwrap();
+        let old_stats = Arc::new(TableStats::compute(&old).unwrap());
+        let mut bigger = small_table();
+        bigger
+            .insert(tuple![3i64, "Ann"], Variable(2), 0.3)
+            .unwrap();
+        c.replace_table("Cust", bigger);
+        let returned = c.memoize_stats("Cust", &old, old_stats.clone());
+        assert!(Arc::ptr_eq(&returned, &old_stats));
+        assert_eq!(c.table_stats("Cust").unwrap().cardinality, 3);
     }
 
     #[test]

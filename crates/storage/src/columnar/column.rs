@@ -165,47 +165,39 @@ impl ColumnData {
     /// the same count [`crate::table::Table::distinct_values`] produces on
     /// the row representation (the planner's statistics source).
     pub fn distinct_count(&self, rows: usize) -> usize {
-        use std::collections::BTreeSet;
         let has_null = (0..rows).any(|r| self.is_null(r));
         let non_null = match self {
-            ColumnData::Int { values, nulls } => (0..rows)
-                .filter(|&r| !nulls.is_null(r))
-                .map(|r| values[r])
-                .collect::<BTreeSet<_>>()
-                .len(),
-            ColumnData::Float { values, nulls } => (0..rows)
-                .filter(|&r| !nulls.is_null(r))
-                // Fold -0.0 onto 0.0 and all NaNs together, matching
-                // `Value`'s total order (one distinct NaN, -0.0 == 0.0).
-                .map(|r| {
-                    let f = values[r];
-                    if f.is_nan() {
-                        f64::NAN.to_bits()
-                    } else if f == 0.0 {
-                        0.0f64.to_bits()
-                    } else {
-                        f.to_bits()
-                    }
-                })
-                .collect::<BTreeSet<_>>()
-                .len(),
+            ColumnData::Int { values, nulls } => distinct_keys(nulls, rows, |r| values[r] as u64),
+            // Fold -0.0 onto 0.0 and all NaNs together, matching `Value`'s
+            // total order (one distinct NaN, -0.0 == 0.0).
+            ColumnData::Float { values, nulls } => distinct_keys(nulls, rows, |r| {
+                let f = values[r];
+                if f.is_nan() {
+                    f64::NAN.to_bits()
+                } else if f == 0.0 {
+                    0.0f64.to_bits()
+                } else {
+                    f.to_bits()
+                }
+            }),
             // The dictionary is exactly the distinct non-null strings.
             ColumnData::Str { dict, .. } => dict.len(),
-            ColumnData::Date { values, nulls } => (0..rows)
-                .filter(|&r| !nulls.is_null(r))
-                .map(|r| values[r])
-                .collect::<BTreeSet<_>>()
-                .len(),
-            ColumnData::Bool { values, nulls } => (0..rows)
-                .filter(|&r| !nulls.is_null(r))
-                .map(|r| values[r])
-                .collect::<BTreeSet<_>>()
-                .len(),
+            ColumnData::Date { values, nulls } => distinct_keys(nulls, rows, |r| values[r] as u64),
+            ColumnData::Bool { values, nulls } => {
+                let mut seen = [false; 2];
+                for r in (0..rows).filter(|&r| !nulls.is_null(r)) {
+                    seen[values[r] as usize] = true;
+                }
+                seen[0] as usize + seen[1] as usize
+            }
             ColumnData::Mixed { values } => {
                 // `Value`'s own total order already equates -0.0/0.0, NaNs,
                 // and cross-type numeric equals — and includes NULL, so
                 // return directly.
-                return values[..rows].iter().collect::<BTreeSet<_>>().len();
+                return values[..rows]
+                    .iter()
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len();
             }
         };
         non_null + has_null as usize
@@ -224,6 +216,15 @@ impl ColumnData {
                 | (DataType::Bool, Value::Bool(_))
         )
     }
+}
+
+/// Number of distinct keys among the non-null rows: `key` maps a row to a
+/// `u64` that is equal exactly when the stored values are.
+fn distinct_keys(nulls: &NullBitmap, rows: usize, key: impl Fn(usize) -> u64) -> usize {
+    let mut keys: Vec<u64> = (0..rows).filter(|&r| !nulls.is_null(r)).map(key).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len()
 }
 
 #[cfg(test)]
@@ -279,6 +280,28 @@ mod tests {
         };
         // {0.0, NaN, 1.5}
         assert_eq!(col.distinct_count(5), 3);
+    }
+
+    #[test]
+    fn date_and_bool_distinct_skip_null_slots() {
+        // Row 1 is NULL: its (meaningless) slot value must not be counted.
+        let mut nulls = NullBitmap::new(4);
+        nulls.set_null(1);
+        let col = ColumnData::Date {
+            values: vec![-3, 99, 10, -3],
+            nulls: nulls.clone(),
+        };
+        assert_eq!(col.distinct_count(4), 3); // {-3, 10, NULL}
+        let col = ColumnData::Bool {
+            values: vec![true, false, true, true],
+            nulls,
+        };
+        assert_eq!(col.distinct_count(4), 2); // {true, NULL}
+        let col = ColumnData::Bool {
+            values: vec![true, false],
+            nulls: NullBitmap::new(2),
+        };
+        assert_eq!(col.distinct_count(2), 2);
     }
 
     #[test]

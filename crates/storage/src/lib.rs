@@ -23,6 +23,8 @@
 //! * [`Catalog`] — a named collection of probabilistic tables together with
 //!   declared keys and functional dependencies; each entry is a
 //!   [`StorageBacking`] (row or columnar), and scans dispatch on it.
+//! * [`TableStats`] — per-table optimizer statistics, memoized by the
+//!   catalog on a table's first use by a planner.
 //! * [`worlds`] — explicit possible-world enumeration, usable as a ground
 //!   truth oracle on small databases.
 
@@ -30,6 +32,7 @@ pub mod catalog;
 pub mod columnar;
 pub mod error;
 pub mod schema;
+pub mod stats;
 pub mod table;
 pub mod tuple;
 pub mod value;
@@ -40,6 +43,7 @@ pub use catalog::{Catalog, StorageBacking};
 pub use columnar::{ColumnData, ColumnarTable, NullBitmap, ZoneMap};
 pub use error::{StorageError, StorageResult};
 pub use schema::{Column, DataType, Schema};
+pub use stats::TableStats;
 pub use table::{ProbTable, Table};
 pub use tuple::Tuple;
 pub use value::{total_f64_cmp, Value};

@@ -1,0 +1,106 @@
+//! `Catalog::table_stats` under concurrency and across backings.
+//!
+//! The single-threaded memo contract (same allocation on the second call,
+//! dropped by `replace_table`, unknown tables) is unit-tested next to the
+//! catalog; these tests need threads or generated data.
+
+use std::sync::{Arc, Barrier};
+use std::thread;
+
+use pdb_storage::{Catalog, DataType, ProbTable, Schema, Tuple, Value, Variable};
+use pdb_tpch::{probabilistic_catalog, probabilistic_catalog_columnar, TpchData, TpchScale};
+
+/// `rows` rows of `(k, g)`: `k` unique, `g` cycling through `groups` values.
+fn table(rows: usize, groups: usize) -> ProbTable {
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("g", DataType::Int)]).unwrap();
+    let mut t = ProbTable::new(schema);
+    for r in 0..rows {
+        t.insert(
+            Tuple::new(vec![Value::Int(r as i64), Value::Int((r % groups) as i64)]),
+            Variable(r as u64),
+            0.5,
+        )
+        .unwrap();
+    }
+    t
+}
+
+#[test]
+fn threads_racing_the_first_use_all_get_equal_stats() {
+    let catalog = Catalog::new();
+    catalog.register_table("T", table(20_000, 7)).unwrap();
+    let start = Barrier::new(8);
+    let all: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    catalog.table_stats("T").unwrap()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panic"))
+            .collect()
+    });
+    let memo = catalog.table_stats("T").unwrap();
+    assert_eq!(memo.cardinality, 20_000);
+    assert_eq!(memo.distinct["k"], 20_000);
+    assert_eq!(memo.distinct["g"], 7);
+    for stats in &all {
+        assert_eq!(**stats, *memo);
+    }
+    // Whoever lost the race to publish still left exactly one memo entry.
+    assert!(Arc::ptr_eq(&memo, &catalog.table_stats("T").unwrap()));
+}
+
+#[test]
+fn a_replace_racing_a_first_use_never_leaves_stale_stats() {
+    // The old table is the larger one, so its column walk is still running
+    // when the replacement lands in most rounds; whichever side wins, the
+    // memo must describe the new table afterwards.
+    for round in 0..50 {
+        let catalog = Catalog::new();
+        catalog.register_table("T", table(5_000, 5)).unwrap();
+        let start = Barrier::new(2);
+        let raced = thread::scope(|s| {
+            let reader = s.spawn(|| {
+                start.wait();
+                catalog.table_stats("T").unwrap()
+            });
+            start.wait();
+            catalog.replace_table("T", table(10, 3));
+            reader.join().expect("no panic")
+        });
+        // The racing reader saw one table or the other, never a blend.
+        assert!(
+            (raced.cardinality, raced.distinct["g"]) == (5_000, 5)
+                || (raced.cardinality, raced.distinct["g"]) == (10, 3),
+            "round {round}: {raced:?}"
+        );
+        let after = catalog.table_stats("T").unwrap();
+        assert_eq!(after.cardinality, 10, "round {round}");
+        assert_eq!(after.distinct["k"], 10, "round {round}");
+        assert_eq!(after.distinct["g"], 3, "round {round}");
+    }
+}
+
+#[test]
+fn row_and_columnar_ingests_yield_the_same_statistics() {
+    let data = TpchData::generate(TpchScale::new(0.002));
+    let row = probabilistic_catalog(&data, 1).unwrap();
+    let columnar = probabilistic_catalog_columnar(&data, 1).unwrap();
+    for name in row.table_names() {
+        let r = row.table_stats(&name).unwrap();
+        let c = columnar.table_stats(&name).unwrap();
+        assert_eq!(r.cardinality, c.cardinality, "{name}");
+        assert_eq!(r.distinct, c.distinct, "{name}");
+        assert!(r.chunk_distinct.is_empty(), "{name}");
+        assert_eq!(
+            c.chunk_distinct.keys().collect::<Vec<_>>(),
+            c.distinct.keys().collect::<Vec<_>>(),
+            "{name}"
+        );
+    }
+}
