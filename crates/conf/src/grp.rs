@@ -9,8 +9,8 @@
 //! that multiplies probability columns and drops the absorbed ones (Fig. 6).
 //!
 //! This is the reference implementation: simple, obviously faithful to the
-//! paper, and the baseline the low-level one-scan operator is measured
-//! against (`bench/ablation_onescan_vs_grp`).
+//! paper, and the semantics the low-level one-scan operator is tested
+//! against (`tests/property.rs`, [`crate::Strategy::GrpSemantics`]).
 //!
 //! Every aggregation group contains the answer's data columns in its key, so
 //! no group ever spans two distinct answer tuples. Bags of duplicates are

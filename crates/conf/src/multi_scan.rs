@@ -14,8 +14,9 @@
 //! the computation.
 //!
 //! Since PR 2 a pre-aggregation pass never copies or permutes its input:
-//! grouping runs over normalized `u64` sort keys ([`pdb_exec::key`], the
-//! same machinery the joins use) through a sorted row-index permutation, the
+//! grouping runs through the engine's grouping shell ([`pdb_exec::KeyRuns`]:
+//! normalized `u64` sort keys, a sorted row-index permutation, runs of equal
+//! key prefix — shared with the one-scan operator and the eager plan), the
 //! per-group probability comes from the flat iterative Fig. 8 machine, and
 //! groups fan out across the worker pool (groups are independent and
 //! results stay in group order, so the output is identical at every thread
@@ -26,17 +27,18 @@
 //! groups and all huge-group sub-ranges are scheduled together through
 //! [`crate::one_scan`]'s unified weight-balanced scheduler (boundaries read
 //! off the sort-key words) and the collapsed output rows are written in
-//! place into disjoint arena segments.
+//! place into disjoint arena segments ([`pdb_exec::KeyRuns::collapse`]).
 
 use std::collections::BTreeSet;
 
-use pdb_exec::key::CELL_WIDTH;
-use pdb_exec::Annotated;
-use pdb_govern::ExecContext;
-use pdb_par::{partition_by_weight, Pool};
+use pdb_exec::{Annotated, KeyRuns};
+use pdb_govern::{ExecContext, Stage};
+use pdb_par::Pool;
 use pdb_query::{OneScanTree, Signature};
-use pdb_storage::{Tuple, Variable};
+use pdb_storage::Tuple;
 
+#[cfg(doc)]
+use crate::error::ConfError;
 use crate::error::ConfResult;
 use crate::one_scan::{
     one_scan_confidences_ctx, unit_confidences, FlatScan, RootBoundaries, SplitPolicy,
@@ -132,122 +134,60 @@ pub fn apply_pre_aggregation_ctx(
     ctx: &ExecContext,
 ) -> ConfResult<Annotated> {
     let step_tables: BTreeSet<String> = step.tables().into_iter().collect();
-    let leftmost = step.leftmost_table().to_string();
-    let other_relations: Vec<String> = input
-        .relations()
-        .iter()
-        .filter(|r| !step_tables.contains(*r))
-        .cloned()
+    let leftmost_col = input.relation_index(step.leftmost_table())?;
+    let other_cols: Vec<usize> = (0..input.lineage_width())
+        .filter(|&c| !step_tables.contains(&input.relations()[c]))
         .collect();
-    let leftmost_col = input.relation_index(&leftmost)?;
-    let other_cols: Vec<usize> = other_relations
-        .iter()
-        .map(|r| input.relation_index(r))
-        .collect::<Result<_, _>>()?;
 
     // The step's own streaming machine, over the step signature's 1scanTree.
     let tree = OneScanTree::build(step)?;
     let machine = FlatScan::new(&tree, input)?;
 
-    // Sort a row-index permutation so that rows of the same (data values,
-    // other-relation variables) group are contiguous and, within a group,
-    // ordered as the step's streaming evaluation requires. Group detection
-    // then compares the normalized key prefix — flat `u64` words — instead
-    // of `Value`s.
-    let col_idx: Vec<usize> = (0..input.data_width()).collect();
-    let mut rel_idx = other_cols.clone();
-    rel_idx.extend(machine.preorder_cols().iter().map(|&c| c as usize));
-    let keys = input.sort_keys_with(&col_idx, &rel_idx, pool);
-    let order = keys.sorted_permutation_with(input.len(), pool);
-    let group_words = col_idx.len() * CELL_WIDTH + other_cols.len();
-    let mut group_starts = Vec::new();
-    for k in 0..order.len() {
-        if k == 0
-            || keys.row(order[k] as usize)[..group_words]
-                != keys.row(order[k - 1] as usize)[..group_words]
-        {
-            group_starts.push(k);
-        }
-    }
-
-    // Output keeps the data schema and every relation except the step's
-    // non-leftmost tables, preserving the input's relative column order.
-    let kept_relations: Vec<String> = input
-        .relations()
-        .iter()
-        .filter(|r| !step_tables.contains(*r) || **r == leftmost)
-        .cloned()
-        .collect();
-    let kept_cols: Vec<usize> = kept_relations
-        .iter()
-        .map(|r| input.relation_index(r))
-        .collect::<Result<_, _>>()?;
-
-    let n = group_starts.len();
-    let group_rows = |g: usize| -> &[u32] {
-        &order[group_starts[g]..group_starts.get(g + 1).copied().unwrap_or(order.len())]
-    };
+    // Rows of the same (data values, other-relation variables) group form a
+    // run and, within a run, follow the order the step's streaming
+    // evaluation requires.
+    let runs = KeyRuns::build(input, &other_cols, &machine.preorder_cols(), pool);
 
     // Per-group probabilities through the unified bag + intra-bag scheduler:
     // ordinary groups and the sub-ranges of huge groups (cut at the step
     // root's variable boundaries, read off the key words — the root is the
-    // first preorder extra, right after the grouping prefix) form one
+    // first preorder column, right after the grouping prefix) form one
     // weight-balanced schedule, so many medium-huge groups overlap.
     let probs = unit_confidences(
         &machine,
         input,
-        &order,
-        &group_starts,
-        RootBoundaries::Keys {
-            keys: &keys,
-            word: group_words,
-        },
+        runs.order(),
+        runs.starts(),
+        RootBoundaries::Keys(&runs),
         pool,
         policy,
         ctx,
     )?;
 
-    // Collapse: exactly one output row per group — the exemplar's data and
-    // lineage, with the step's leftmost table carrying the group's
-    // representative variable (the minimum, Fig. 5's `min(V)`) and the
-    // aggregated probability. Groups are weight-balanced across the pool
-    // (the representative scan is O(group rows)) and written in place into
-    // disjoint arena segments, in group order.
-    let mut out = Annotated::with_placeholder_rows(input.schema().clone(), kept_relations, n);
-    let dw = out.data_width();
-    let lw = out.lineage_width();
-    let chunks = partition_by_weight(&group_starts, order.len(), pool.threads());
-    let data_cuts: Vec<usize> = chunks.iter().map(|c| c.start * dw).collect();
-    let lineage_cuts: Vec<usize> = chunks.iter().map(|c| c.start * lw).collect();
-    let (data, lineage) = out.arena_segments_mut();
-    pool.map_slices2_mut(
-        data,
-        &data_cuts,
-        lineage,
-        &lineage_cuts,
-        |ci, dseg, lseg| {
-            for (local, g) in chunks[ci].clone().enumerate() {
-                let rows = group_rows(g);
-                let representative: Variable = rows
-                    .iter()
-                    .map(|&r| input.row(r as usize).lineage[leftmost_col].0)
-                    .min()
-                    .expect("group is non-empty");
-                let exemplar = input.row(rows[0] as usize);
-                for j in 0..dw {
-                    dseg[local * dw + j] = exemplar.data[j].clone();
-                }
-                for (e, &c) in kept_cols.iter().enumerate() {
-                    lseg[local * lw + e] = if c == leftmost_col {
-                        (representative, probs[g])
-                    } else {
-                        exemplar.lineage[c]
-                    };
-                }
-            }
-        },
-    );
-    Ok(out)
+    // Collapse: one output row per group keeping the data schema and every
+    // relation except the step's non-leftmost tables (the input's relative
+    // column order preserved), with the step's leftmost table carrying the
+    // group's representative variable (the minimum, Fig. 5's `min(V)`) and
+    // the aggregated probability.
+    let kept_cols: Vec<usize> = (0..input.lineage_width())
+        .filter(|&c| c == leftmost_col || other_cols.contains(&c))
+        .collect();
+    let fold = |g: usize, rows: &[u32]| {
+        let representative = rows
+            .iter()
+            .map(|&r| input.row(r as usize).lineage[leftmost_col].0)
+            .min()
+            .expect("group is non-empty");
+        Ok((representative, probs[g]))
+    };
+    Ok(runs.collapse(
+        input,
+        &kept_cols,
+        leftmost_col,
+        Stage::Confidence,
+        pool,
+        fold,
+    )?)
 }
 
 #[cfg(test)]

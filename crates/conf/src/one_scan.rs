@@ -12,7 +12,7 @@
 //!
 //! # Engine layout (PR 2)
 //!
-//! The run-time 1scanTree is a [`FlatScan`]: preorder-flattened parallel
+//! The run-time 1scanTree is a `FlatScan`: preorder-flattened parallel
 //! arrays (`first_child` / `next_sibling` links plus a `subtree_end` index
 //! per node) walked iteratively in **reverse preorder**, which visits every
 //! descendant before its ancestor — the postorder dependency Fig. 8 needs —
@@ -21,10 +21,12 @@
 //! of a recursive descent cloning `children` vectors.
 //!
 //! The driver never copies the answer relation: [`one_scan_confidences`]
-//! builds normalized `u64` sort keys ([`pdb_exec::key`]), sorts a row-index
-//! permutation, and scans *through* the permutation — O(rows) extra index
-//! words instead of a second copy of the arenas. Consecutive rows of the
-//! same distinct answer tuple form a *bag*; bags are independent, so the
+//! groups it through the engine's grouping shell ([`pdb_exec::KeyRuns`]:
+//! normalized `u64` sort keys, a sorted row-index permutation, runs of equal
+//! data — the same shell the pre-aggregations and the eager plan use) and
+//! scans *through* the permutation — O(rows) extra index words instead of a
+//! second copy of the arenas. Consecutive rows of the same distinct answer
+//! tuple form a *bag* (one run of the shell); bags are independent, so the
 //! permutation is partitioned at bag boundaries and fanned out across a
 //! [`pdb_par::Pool`] of scoped threads.
 //!
@@ -40,7 +42,7 @@
 //! weight-balanced sub-ranges ([`pdb_par::partition_by_weight`]), each
 //! sub-range is scanned by its own worker with the machine *yielding* the
 //! root's per-partition fold inputs instead of folding them
-//! ([`FlatScan::scan_bag_partials`]), and the driver replays the fold over
+//! (`FlatScan::scan_bag_partials`), and the driver replays the fold over
 //! the concatenated partials with [`pdb_par::independent_or`] in partition
 //! order. The reduction shape depends only on the data (one leaf per root
 //! partition, folded left-deep), never on the worker count, and every fold
@@ -55,12 +57,12 @@
 //!
 //! Bags and huge-bag sub-ranges no longer run as alternating segments (fan
 //! out a run of small bags, barrier, split one huge bag with the whole
-//! pool, barrier, …): [`unit_confidences`] flattens ordinary bags and the
+//! pool, barrier, …): `unit_confidences` flattens ordinary bags and the
 //! root-boundary sub-ranges of *all* huge bags into **one** work-item list,
 //! weight-balances it by row count ([`pdb_par::partition_by_weight`]), and
 //! fans it out once — so many medium-huge bags overlap across workers.
 //! Root-partition boundaries are read off the already-built sort-key words
-//! ([`RootBoundaries::Keys`], one `u64` load per row, chunked across the
+//! (`RootBoundaries::Keys`, one `u64` load per row, chunked across the
 //! pool) instead of re-walking lineage columns; the presorted entry point,
 //! which builds no keys, keeps the lineage scan, and a unit test pins the
 //! two sources against each other on adversarial duplicate runs. The same
@@ -69,8 +71,7 @@
 //! The recursive machine of Fig. 8, written the obvious way, is kept in
 //! [`crate::baseline`] as the reference the tests hold this engine against.
 
-use pdb_exec::key::{SortKeys, CELL_WIDTH};
-use pdb_exec::{Annotated, RowRef};
+use pdb_exec::{Annotated, KeyRuns, RowRef};
 use pdb_govern::{Counter, ExecContext, Stage};
 use pdb_par::{independent_or, independent_or_fold, partition_by_weight, Pool};
 use pdb_query::{OneScanTree, Signature};
@@ -192,9 +193,10 @@ impl FlatScan {
         self.lineage_col.len()
     }
 
-    /// Preorder positions → lineage columns.
-    pub(crate) fn preorder_cols(&self) -> &[u32] {
-        &self.lineage_col
+    /// Preorder positions → lineage columns: the variable columns in the
+    /// order the scan needs them sorted.
+    pub(crate) fn preorder_cols(&self) -> Vec<usize> {
+        self.lineage_col.iter().map(|&c| c as usize).collect()
     }
 
     /// Resets every node for a new bag of duplicates.
@@ -417,10 +419,10 @@ impl FlatScan {
 /// split engages.
 pub(crate) enum RootBoundaries<'a> {
     /// The normalized sort-key words the driver already built: the root
-    /// variable is word `word` of every row's key run, so boundary detection
-    /// compares one `u64` load per row — no `Annotated` row assembly or
-    /// lineage deref — and chunks across the pool (the ROADMAP PR 3 note).
-    Keys { keys: &'a SortKeys, word: usize },
+    /// variable is the first order column of the [`KeyRuns`], so boundary
+    /// detection compares one `u64` load per row — no `Annotated` row
+    /// assembly or lineage deref — and chunks across the pool.
+    Keys(&'a KeyRuns),
     /// No keys exist (physically presorted input): read the root's lineage
     /// column directly.
     Lineage { root_col: usize },
@@ -432,7 +434,7 @@ impl RootBoundaries<'_> {
     #[inline]
     fn root_of(&self, answer: &Annotated, row: u32) -> u64 {
         match self {
-            RootBoundaries::Keys { keys, word } => keys.row(row as usize)[*word],
+            RootBoundaries::Keys(runs) => runs.first_order_variable(row as usize),
             RootBoundaries::Lineage { root_col } => {
                 answer.row(row as usize).lineage[*root_col].0 .0
             }
@@ -504,7 +506,7 @@ pub(crate) fn split_bag_confidence(
     rows: &[u32],
     pool: &Pool,
 ) -> f64 {
-    let root_col = machine.preorder_cols()[0] as usize;
+    let root_col = machine.preorder_cols()[0];
     let part_starts =
         root_partition_starts(answer, rows, &RootBoundaries::Lineage { root_col }, pool);
     if part_starts.len() == 1 {
@@ -777,46 +779,26 @@ pub fn one_scan_confidences_ctx(
     }
     let tree = one_scan_tree(signature)?;
     let machine = FlatScan::new(&tree, answer)?;
-    let col_idx: Vec<usize> = (0..answer.data_width()).collect();
-    let rel_idx: Vec<usize> = machine
-        .preorder_cols()
-        .iter()
-        .map(|&c| c as usize)
-        .collect();
-    let keys = answer.sort_keys_with(&col_idx, &rel_idx, pool);
-    let order = keys.sorted_permutation_with(answer.len(), pool);
-    // Bags are runs of equal data keys: compare the data prefix of the
-    // normalized key runs — plain u64 words, no Value dispatch.
-    let data_words = col_idx.len() * CELL_WIDTH;
-    let mut bag_starts = Vec::new();
-    for k in 0..order.len() {
-        if k == 0
-            || keys.row(order[k] as usize)[..data_words]
-                != keys.row(order[k - 1] as usize)[..data_words]
-        {
-            bag_starts.push(k);
-        }
-    }
-    // The root's variable is the first extra key word — right after the
-    // data prefix — so the intra-bag split reads its partition boundaries
-    // off the already-built key words.
+    // Bags are the runs of equal data values; within a bag the rows follow
+    // the 1scanTree's preorder variable columns.
+    let runs = KeyRuns::build(answer, &[], &machine.preorder_cols(), pool);
+    // The root's variable is the first sort column after the data prefix,
+    // so the intra-bag split reads its partition boundaries off the
+    // already-built key words.
     let probs = unit_confidences(
         &machine,
         answer,
-        &order,
-        &bag_starts,
-        RootBoundaries::Keys {
-            keys: &keys,
-            word: data_words,
-        },
+        runs.order(),
+        runs.starts(),
+        RootBoundaries::Keys(&runs),
         pool,
         policy,
         ctx,
     )?;
     Ok(collect_bag_results(
         answer,
-        &order,
-        &bag_starts,
+        runs.order(),
+        runs.starts(),
         &probs,
         pool,
     ))
@@ -875,7 +857,7 @@ pub fn one_scan_confidences_presorted_tuned(
     }
     // No sort keys exist on this path, so the split reads root boundaries
     // from the lineage column directly.
-    let root_col = machine.preorder_cols()[0] as usize;
+    let root_col = machine.preorder_cols()[0];
     let probs = unit_confidences(
         &machine,
         answer,
@@ -1235,20 +1217,14 @@ mod tests {
         let (answer, sig) = internal_root_bag(&[1, 199, 1, 1, 150, 248], 3);
         assert!(answer.len() >= pdb_par::SEQUENTIAL_CUTOFF);
         let machine = machine_for(&answer, &sig);
-        let col_idx: Vec<usize> = (0..answer.data_width()).collect();
-        let rel_idx: Vec<usize> = machine
-            .preorder_cols()
-            .iter()
-            .map(|&c| c as usize)
-            .collect();
-        let keys = answer.sort_keys_with(&col_idx, &rel_idx, &Pool::sequential());
-        let order = keys.sorted_permutation_with(answer.len(), &Pool::sequential());
-        let data_words = col_idx.len() * CELL_WIDTH;
-        let root_col = machine.preorder_cols()[0] as usize;
+        let preorder = machine.preorder_cols();
+        let runs = KeyRuns::build(&answer, &[], &preorder, &Pool::sequential());
+        let order = runs.order();
+        let root_col = preorder[0];
         // The retained sequential lineage prefix scan is the pin.
         let expected = root_partition_starts(
             &answer,
-            &order,
+            order,
             &RootBoundaries::Lineage { root_col },
             &Pool::sequential(),
         );
@@ -1256,17 +1232,14 @@ mod tests {
         for threads in [1, 2, 3, 4, 8] {
             let keyed = root_partition_starts(
                 &answer,
-                &order,
-                &RootBoundaries::Keys {
-                    keys: &keys,
-                    word: data_words,
-                },
+                order,
+                &RootBoundaries::Keys(&runs),
                 &Pool::new(threads),
             );
             assert_eq!(keyed, expected, "{threads} threads");
             let lineage_chunked = root_partition_starts(
                 &answer,
-                &order,
+                order,
                 &RootBoundaries::Lineage { root_col },
                 &Pool::new(threads),
             );
@@ -1276,15 +1249,8 @@ mod tests {
         // slice starting mid-bag at a non-boundary row.
         for range in [0..600, 37..411, 599..1800] {
             let rows = &order[range.clone()];
-            let keyed = root_partition_starts(
-                &answer,
-                rows,
-                &RootBoundaries::Keys {
-                    keys: &keys,
-                    word: data_words,
-                },
-                &Pool::new(4),
-            );
+            let keyed =
+                root_partition_starts(&answer, rows, &RootBoundaries::Keys(&runs), &Pool::new(4));
             let lineage = root_partition_starts(
                 &answer,
                 rows,

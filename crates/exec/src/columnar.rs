@@ -14,7 +14,7 @@
 //!    needs no per-row evaluation at all;
 //! 2. runs **compare-to-bitmask kernels** ([`crate::kernel`]) over the
 //!    remaining chunks — each predicate is compiled once into a typed
-//!    comparison ([`PredEval`]) against the column's native representation
+//!    comparison (`PredEval`) against the column's native representation
 //!    (`i64`, `f64`, `i32` days, `bool`, dictionary ranks), then a
 //!    branch-free loop fills a 16×`u64` selection bitmask per 1024-row
 //!    chunk; the null bitmap is AND-ed out, conjunctions AND their masks,

@@ -17,6 +17,10 @@
 //!   `op_ctx(input…, pool, ctx)`, plus a bare `op(input…)` convenience on
 //!   the default pool. The row-at-a-time reference join the tests compare
 //!   against lives in [`baseline`].
+//! * [`KeyRuns`] — the grouping shell every aggregation shares: rows sorted
+//!   on normalized keys, cut into runs, one output row per run. The one-scan
+//!   confidence operator, the multi-scan pre-aggregations and the eager
+//!   plan's aggregations differ only in the fold they run per run.
 //! * [`columnar`] — the columnar fast path of the base-table scans:
 //!   vectorized fused scan-filter-project over
 //!   [`pdb_storage::ColumnarTable`]s with zone-map chunk skipping,
@@ -40,6 +44,7 @@ pub mod kernel;
 pub mod key;
 pub mod ops;
 pub mod pipeline;
+mod runs;
 
 pub use annotated::{Annotated, AnnotatedRow, RowRef};
 pub use columnar::ColumnarScanStats;
@@ -47,3 +52,4 @@ pub use error::{ExecError, ExecResult};
 pub use extensional::ExtRelation;
 pub use pdb_govern::{ExecContext, GovernorBuilder, QueryGovernor, SproutError, Stage};
 pub use pipeline::{evaluate_join_order, evaluate_join_order_ctx};
+pub use runs::KeyRuns;

@@ -198,6 +198,7 @@ pub fn scan_ctx(
     let rows = table.len();
     ctx.tally(Counter::RowsScanned, rows as u64);
     ctx.tally(Counter::RowsEmitted, rows as u64);
+    ctx.account(Stage::Scan, arena_bytes(rows, layout.schema.len(), 1))?;
     if pool.threads() <= 1 || rows < 2 {
         let mut out = Annotated::with_row_capacity(layout.schema, vec![relation.to_string()], rows);
         for i in 0..rows {
@@ -216,7 +217,6 @@ pub fn scan_ctx(
         return Ok(out);
     }
     let ranges = even_ranges(rows, pool.threads());
-    ctx.account(Stage::Scan, arena_bytes(rows, layout.schema.len(), 1))?;
     let mut out = Annotated::with_placeholder_rows(layout.schema, vec![relation.to_string()], rows);
     let dw = out.data_width();
     let data_cuts: Vec<usize> = ranges.iter().map(|r| r.start * dw).collect();
@@ -293,6 +293,9 @@ pub fn scan_filter_project_ctx(
             .all(|(pred, &pos)| pred.matches(row.value(pos)))
     };
     if pool.threads() <= 1 || rows < 2 {
+        // One pass cannot know the survivor count, so the arenas are
+        // reserved — and charged — for every scanned row.
+        ctx.account(Stage::Scan, arena_bytes(rows, layout.schema.len(), 1))?;
         let mut out = Annotated::with_row_capacity(layout.schema, vec![relation.to_string()], rows);
         for i in 0..rows {
             if i % SEQ_CHECK_EVERY == 0 {
@@ -491,6 +494,10 @@ pub fn project_ctx(
         .schema()
         .project(&attributes.iter().map(|s| s.as_str()).collect::<Vec<_>>())?;
     let rows = input.len();
+    ctx.account(
+        Stage::Project,
+        arena_bytes(rows, schema.len(), input.lineage_width()),
+    )?;
     if pool.threads() <= 1 || rows < 2 {
         let mut out = Annotated::with_row_capacity(schema, input.relations().to_vec(), rows);
         for (i, row) in input.iter().enumerate() {
@@ -502,10 +509,6 @@ pub fn project_ctx(
         return Ok(out);
     }
     let ranges = even_ranges(rows, pool.threads());
-    ctx.account(
-        Stage::Project,
-        arena_bytes(rows, schema.len(), input.lineage_width()),
-    )?;
     let mut out = Annotated::with_placeholder_rows(schema, input.relations().to_vec(), rows);
     let dw = out.data_width();
     let lw = out.lineage_width();
@@ -667,8 +670,13 @@ fn natural_join_sequential(
     ctx: &ExecContext,
 ) -> ExecResult<Annotated> {
     let key_cols = layout.right_key_idx.len();
-    let mut out =
-        Annotated::with_row_capacity(layout.schema, layout.relations, left.len().max(right.len()));
+    // The match count is unknown up front: the initial reservation is
+    // charged before it is allocated, and rows emitted beyond it are charged
+    // at every checkpoint of the probe loop.
+    let row_bytes = arena_bytes(1, layout.schema.len(), layout.relations.len());
+    let mut charged_rows = left.len().max(right.len());
+    ctx.account(Stage::Join, charged_rows * row_bytes)?;
+    let mut out = Annotated::with_row_capacity(layout.schema, layout.relations, charged_rows);
 
     // Build side: normalize all right-side keys once and index them with
     // a chained hash table — one `heads` entry per distinct hash and a
@@ -695,6 +703,7 @@ fn natural_join_sequential(
     for li in 0..left.len() {
         if li % SEQ_CHECK_EVERY == 0 {
             ctx.checkpoint(Stage::Join, "join.probe", li / SEQ_CHECK_EVERY)?;
+            charge_growth(ctx, out.len(), &mut charged_rows, row_bytes)?;
         }
         let lrow = left.row(li);
         let Some(h) = JoinKeys::probe_row(&interner, key_cols, &mut scratch, |c| {
@@ -711,7 +720,23 @@ fn natural_join_sequential(
             ri = next[r];
         }
     }
+    charge_growth(ctx, out.len(), &mut charged_rows, row_bytes)?;
     Ok(out)
+}
+
+/// Charges the join output rows emitted beyond the `charged_rows` already
+/// accounted for.
+fn charge_growth(
+    ctx: &ExecContext,
+    rows: usize,
+    charged_rows: &mut usize,
+    row_bytes: usize,
+) -> ExecResult<()> {
+    if rows > *charged_rows {
+        ctx.account(Stage::Join, (rows - *charged_rows) * row_bytes)?;
+        *charged_rows = rows;
+    }
+    Ok(())
 }
 
 /// One radix partition of the build side: its rows (ascending), plus a
@@ -920,7 +945,7 @@ fn natural_join_partitioned(
 /// confidence operator's sort produces on the data columns. Key build,
 /// permutation sort **and** the collapse scan all fan out on the default
 /// pool (the collapse is chunked boundary detection with stitched chunk
-/// edges; see [`collapse_sorted`]); the result is bitwise-identical at
+/// edges; see `collapse_sorted`); the result is bitwise-identical at
 /// every thread count.
 pub fn distinct(input: &Annotated) -> Annotated {
     distinct_with(input, &pool_for(input.len()))

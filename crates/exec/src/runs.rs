@@ -1,0 +1,350 @@
+//! The grouping shell: rows sorted on normalized keys, cut into runs, one
+//! output row per run.
+//!
+//! Every operator that aggregates an [`Annotated`] relation — the one-scan
+//! confidence operator's bags, a multi-scan pre-aggregation's groups, the
+//! eager plan's per-table and per-join aggregations — needs the same three
+//! things first: normalized sort keys ([`crate::key::SortKeys`]), a sorted
+//! row-index permutation, and the positions where the grouping prefix of the
+//! key changes. [`KeyRuns`] builds them once; [`KeyRuns::collapse`] is the
+//! shared "one output row per run" writer. What differs between the callers
+//! is only the *fold* that turns a run's rows into a
+//! `(representative variable, probability)` pair.
+//!
+//! Runs come in ascending key order, which is `Value`'s order on the data
+//! columns — the order a `BTreeMap<Tuple, _>` iterates in — except in the
+//! one corner [`crate::key`] documents (integers beyond ±2⁵³ against
+//! floats), which no catalogue query reaches.
+
+use pdb_govern::Stage;
+use pdb_par::{partition_by_weight, Pool};
+use pdb_storage::Variable;
+
+use crate::annotated::Annotated;
+use crate::error::{ExecError, ExecResult};
+use crate::key::{SortKeys, CELL_WIDTH};
+
+/// A relation's rows sorted on `(data columns, group variables, order
+/// variables)` and cut into runs of rows equal on `(data columns, group
+/// variables)`. Identical at every pool size: the keys are bit-identical and
+/// the permutation is the stable sort order (ties keep input order).
+pub struct KeyRuns {
+    keys: SortKeys,
+    order: Vec<u32>,
+    starts: Vec<usize>,
+    prefix_words: usize,
+}
+
+impl KeyRuns {
+    /// Sorts a row-index permutation of `input` by all its data columns,
+    /// then the variables of the lineage columns `group_cols`, then those of
+    /// `order_cols`, and cuts it where a data column or a `group_cols`
+    /// variable changes. The input is neither copied nor permuted.
+    pub fn build(
+        input: &Annotated,
+        group_cols: &[usize],
+        order_cols: &[usize],
+        pool: &Pool,
+    ) -> KeyRuns {
+        let col_idx: Vec<usize> = (0..input.data_width()).collect();
+        let rel_idx: Vec<usize> = group_cols.iter().chain(order_cols).copied().collect();
+        let keys = input.sort_keys_with(&col_idx, &rel_idx, pool);
+        let order = keys.sorted_permutation_with(input.len(), pool);
+        // Runs are detected on the normalized key prefix — flat `u64` words,
+        // no `Value` dispatch.
+        let prefix_words = col_idx.len() * CELL_WIDTH + group_cols.len();
+        let mut starts = Vec::new();
+        for k in 0..order.len() {
+            if k == 0
+                || keys.row(order[k] as usize)[..prefix_words]
+                    != keys.row(order[k - 1] as usize)[..prefix_words]
+            {
+                starts.push(k);
+            }
+        }
+        KeyRuns {
+            keys,
+            order,
+            starts,
+            prefix_words,
+        }
+    }
+
+    /// Number of runs.
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Whether there are no runs (the input had no rows).
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// The sorted permutation: `order()[k]` is the input row at sorted
+    /// position `k`.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// The sorted position each run starts at, ascending.
+    pub fn starts(&self) -> &[usize] {
+        &self.starts
+    }
+
+    /// The input rows of run `run`, in sort order.
+    pub fn rows(&self, run: usize) -> &[u32] {
+        let end = self
+            .starts
+            .get(run + 1)
+            .copied()
+            .unwrap_or(self.order.len());
+        &self.order[self.starts[run]..end]
+    }
+
+    /// The variable id of the first `order_cols` column of input row `row`,
+    /// read off the key words (one `u64` load, no row assembly). Panics if
+    /// the runs were built without `order_cols`.
+    #[inline]
+    pub fn first_order_variable(&self, row: usize) -> u64 {
+        self.keys.row(row)[self.prefix_words]
+    }
+
+    /// Collapses every run to one output row, in run order: the data values
+    /// and the lineage columns `kept_cols` of the run's first row (in sort
+    /// order), with column `slot` — one of `kept_cols` — replaced by
+    /// `fold(run, rows)`. Runs are weight-balanced across the pool by row
+    /// count and written in place into disjoint arena segments; `fold` runs
+    /// exactly once per run, in ascending run order within a segment.
+    ///
+    /// # Errors
+    /// The first error `fold` returns; a panicking `fold` is isolated into
+    /// [`pdb_govern::SproutError::WorkerPanic`] naming `stage`, at every
+    /// pool size. The partially written output is dropped either way.
+    pub fn collapse(
+        &self,
+        input: &Annotated,
+        kept_cols: &[usize],
+        slot: usize,
+        stage: Stage,
+        pool: &Pool,
+        fold: impl Fn(usize, &[u32]) -> ExecResult<(Variable, f64)> + Sync,
+    ) -> ExecResult<Annotated> {
+        let relations = kept_cols
+            .iter()
+            .map(|&c| input.relations()[c].clone())
+            .collect();
+        let mut out =
+            Annotated::with_placeholder_rows(input.schema().clone(), relations, self.len());
+        let dw = out.data_width();
+        let lw = out.lineage_width();
+        let chunks = partition_by_weight(&self.starts, self.order.len(), pool.threads());
+        let data_cuts: Vec<usize> = chunks.iter().map(|c| c.start * dw).collect();
+        let lineage_cuts: Vec<usize> = chunks.iter().map(|c| c.start * lw).collect();
+        let (data, lineage) = out.arena_segments_mut();
+        pool.try_map_slices2_mut(
+            data,
+            &data_cuts,
+            lineage,
+            &lineage_cuts,
+            |ci, dseg, lseg| {
+                for (local, run) in chunks[ci].clone().enumerate() {
+                    let rows = self.rows(run);
+                    let folded = fold(run, rows)?;
+                    let exemplar = input.row(rows[0] as usize);
+                    dseg[local * dw..(local + 1) * dw].clone_from_slice(exemplar.data);
+                    for (e, &c) in kept_cols.iter().enumerate() {
+                        lseg[local * lw + e] = if c == slot {
+                            folded
+                        } else {
+                            exemplar.lineage[c]
+                        };
+                    }
+                }
+                Ok(())
+            },
+        )
+        .map_err(|f| ExecError::from_task_failure(stage, f))?;
+        Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::annotated::AnnotatedRow;
+    use pdb_storage::{tuple, DataType, Schema, Tuple, Value};
+
+    fn relation(rows: &[(i64, u64, u64)]) -> Annotated {
+        let schema = Schema::from_pairs(&[("a", DataType::Int)]).unwrap();
+        let mut t = Annotated::new(schema, vec!["R".into(), "S".into()]);
+        for &(a, r, s) in rows {
+            t.push(AnnotatedRow::new(
+                tuple![a],
+                vec![(Variable(r), 0.5), (Variable(s), 0.25)],
+            ));
+        }
+        t
+    }
+
+    /// Collapses with the fold "(min S variable, run length)".
+    fn collapse_counting(runs: &KeyRuns, input: &Annotated, pool: &Pool) -> Annotated {
+        runs.collapse(input, &[0, 1], 1, Stage::Aggregate, pool, |_, rows| {
+            let min = rows
+                .iter()
+                .map(|&r| input.row(r as usize).lineage[1].0)
+                .min()
+                .expect("runs are non-empty");
+            Ok((min, rows.len() as f64))
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn empty_input_has_no_runs_and_collapses_to_nothing() {
+        let input = relation(&[]);
+        for threads in [1, 4] {
+            let pool = Pool::new(threads);
+            let runs = KeyRuns::build(&input, &[0], &[1], &pool);
+            assert!(runs.is_empty());
+            assert_eq!(runs.len(), 0);
+            assert!(runs.order().is_empty());
+            let out = collapse_counting(&runs, &input, &pool);
+            assert!(out.is_empty());
+            assert_eq!(out.relations(), input.relations());
+        }
+    }
+
+    #[test]
+    fn one_run_keeps_the_first_sorted_row_and_the_folded_slot() {
+        // All rows share the data value and the group variable; the order
+        // column sorts them 3, 7, 9 — so the exemplar is input row 2.
+        let input = relation(&[(5, 1, 9), (5, 1, 7), (5, 1, 3)]);
+        let runs = KeyRuns::build(&input, &[0], &[1], &Pool::sequential());
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs.starts(), &[0]);
+        assert_eq!(runs.rows(0), &[2, 1, 0]);
+        assert_eq!(runs.first_order_variable(0), 9);
+        let out = collapse_counting(&runs, &input, &Pool::sequential());
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.row(0).data_tuple(), tuple![5i64]);
+        assert_eq!(
+            out.row(0).lineage,
+            &[(Variable(1), 0.5), (Variable(3), 3.0)]
+        );
+    }
+
+    #[test]
+    fn singleton_runs_come_out_in_ascending_key_order() {
+        let input = relation(&[(3, 1, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1)]);
+        let runs = KeyRuns::build(&input, &[0], &[], &Pool::sequential());
+        assert_eq!(runs.len(), 4);
+        assert_eq!(runs.order(), &[1, 3, 2, 0]);
+        assert_eq!(runs.starts(), &[0, 1, 2, 3]);
+        // Dropping the group column merges the two rows with a = 2, in
+        // input order (the sort is stable).
+        let by_data = KeyRuns::build(&input, &[], &[], &Pool::sequential());
+        assert_eq!(by_data.len(), 3);
+        assert_eq!(by_data.rows(1), &[2, 3]);
+        // Only the slot column survives when it is the only kept column.
+        let out = by_data
+            .collapse(
+                &input,
+                &[0],
+                0,
+                Stage::Aggregate,
+                &Pool::sequential(),
+                |run, _| Ok((Variable(run as u64), 1.0)),
+            )
+            .unwrap();
+        assert_eq!(out.relations(), &["R".to_string()]);
+        let slots: Vec<u64> = out.iter().map(|r| r.lineage[0].0 .0).collect();
+        assert_eq!(slots, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_boolean_head_is_one_run_of_every_row_in_input_order() {
+        // No data columns and no group columns: prefix width 0.
+        let schema = Schema::from_pairs(&[]).unwrap();
+        let mut input = Annotated::new(schema, vec!["R".into()]);
+        for v in [4u64, 2, 8] {
+            input.push(AnnotatedRow::new(Tuple::empty(), vec![(Variable(v), 0.5)]));
+        }
+        let runs = KeyRuns::build(&input, &[], &[], &Pool::sequential());
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs.rows(0), &[0, 1, 2]);
+        let sorted = KeyRuns::build(&input, &[], &[0], &Pool::sequential());
+        assert_eq!(sorted.len(), 1);
+        assert_eq!(sorted.rows(0), &[1, 0, 2]);
+    }
+
+    #[test]
+    fn runs_and_collapse_are_identical_at_every_pool_size() {
+        // Enough rows for the chunked key build and sort to engage, with
+        // strings, a skewed group and duplicate keys.
+        let schema = Schema::from_pairs(&[("s", DataType::Str), ("a", DataType::Int)]).unwrap();
+        let mut input = Annotated::new(schema, vec!["R".into(), "S".into()]);
+        let names = ["N", "A", "R", "N"];
+        for i in 0..3000u64 {
+            let a = if i % 3 == 0 { 0 } else { (i % 41) as i64 };
+            input.push(AnnotatedRow::new(
+                Tuple::new(vec![Value::str(names[(i % 4) as usize]), Value::Int(a)]),
+                vec![(Variable(i % 17), 0.5), (Variable((i * 7) % 29), 0.25)],
+            ));
+        }
+        let reference = KeyRuns::build(&input, &[0], &[1], &Pool::sequential());
+        let collapsed = collapse_counting(&reference, &input, &Pool::sequential());
+        assert_eq!(collapsed.len(), reference.len());
+        for threads in [1, 2, 4, 8] {
+            let pool = Pool::new(threads);
+            let runs = KeyRuns::build(&input, &[0], &[1], &pool);
+            assert_eq!(runs.order(), reference.order(), "{threads} threads");
+            assert_eq!(runs.starts(), reference.starts(), "{threads} threads");
+            assert_eq!(
+                collapse_counting(&runs, &input, &pool),
+                collapsed,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failing_or_panicking_fold_surfaces_as_an_error_at_every_pool_size() {
+        use pdb_govern::SproutError;
+        let input = relation(&[(1, 1, 1), (2, 1, 1), (3, 1, 1)]);
+        for threads in [1, 4] {
+            let pool = Pool::new(threads);
+            let runs = KeyRuns::build(&input, &[], &[], &pool);
+            let failed = runs.collapse(&input, &[0], 0, Stage::Aggregate, &pool, |run, _| {
+                if run == 1 {
+                    Err(ExecError::UnknownColumn("boom".into()))
+                } else {
+                    Ok((Variable(0), 0.0))
+                }
+            });
+            assert_eq!(failed, Err(ExecError::UnknownColumn("boom".into())));
+            let panicked = runs.collapse(&input, &[0], 0, Stage::Aggregate, &pool, |_, _| {
+                panic!("fold blew up")
+            });
+            assert!(matches!(
+                panicked,
+                Err(ExecError::Governed(SproutError::WorkerPanic {
+                    stage: Stage::Aggregate,
+                    ..
+                }))
+            ));
+        }
+    }
+
+    #[test]
+    fn integers_beyond_two_to_the_53_group_by_exact_value() {
+        // The corner where key order and `Value` order part: 2^53 and
+        // 2^53 + 1 are distinct integers (two runs) although both compare
+        // equal to the float 2^53 under `Value`'s ordering.
+        let big = 1i64 << 53;
+        let input = relation(&[(big + 1, 1, 1), (big, 1, 1), (big + 1, 1, 1)]);
+        let runs = KeyRuns::build(&input, &[], &[], &Pool::sequential());
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs.rows(0), &[1]);
+        assert_eq!(runs.rows(1), &[0, 2]);
+    }
+}

@@ -33,7 +33,7 @@ pub struct HistSnapshot {
 }
 
 impl Histogram {
-    /// A histogram over [`DEFAULT_BUCKETS`].
+    /// A histogram over the default bucket bounds (`DEFAULT_BUCKETS`).
     pub fn new() -> Histogram {
         Histogram::with_bounds(&DEFAULT_BUCKETS)
     }

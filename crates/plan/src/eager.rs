@@ -9,18 +9,17 @@
 //! group); joins between such relations multiply probabilities implicitly
 //! through the next aggregation's propagation step.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pdb_conf::ConfidenceResult;
-use pdb_exec::{ops, Annotated, AnnotatedRow};
-use pdb_govern::{Counter, ExecContext, QueryGovernor, QueryObs, SproutError, Stage};
+use pdb_exec::{ops, Annotated, KeyRuns};
+use pdb_govern::{Counter, ExecContext, QueryGovernor, QueryObs, Stage};
 use pdb_lineage::independent_or;
-use pdb_par::{Pool, TaskFailure};
+use pdb_par::Pool;
 use pdb_query::reduct::FdReduct;
-use pdb_query::{ConjunctiveQuery, FdSet, QueryTree};
-use pdb_storage::{Catalog, Tuple, Variable};
+use pdb_query::{ConjunctiveQuery, FdSet, QueryTree, RelationAtom};
+use pdb_storage::{Catalog, Schema, Tuple, Variable};
 
 use crate::error::{PlanError, PlanResult};
 
@@ -80,8 +79,7 @@ impl EagerPlan {
 
     /// Sets the worker pool the plan's scans, filters, projections, joins
     /// *and per-node aggregations* fan out on (the default is
-    /// [`Pool::from_env`]; aggregations build per-worker chunk maps merged
-    /// in chunk order). Results are identical at every pool size.
+    /// [`Pool::from_env`]). Results are identical at every pool size.
     pub fn with_pool(mut self, pool: Pool) -> Self {
         self.pool = pool;
         self
@@ -135,23 +133,8 @@ impl EagerPlan {
                     PlanError::Query(pdb_query::QueryError::UnknownRelation(relation.clone()))
                 })?;
                 let table = catalog.backing(relation)?;
-                // Scan the physically available attributes that are needed
-                // above, in the head, or used by a predicate.
-                let scan_attrs: Vec<String> = atom
-                    .attributes
-                    .iter()
-                    .filter(|a| {
-                        table.schema().contains(a)
-                            && (needed_above.contains(*a)
-                                || head.contains(*a)
-                                || self
-                                    .query
-                                    .predicates_for(relation)
-                                    .iter()
-                                    .any(|p| &p.attribute == *a))
-                    })
-                    .cloned()
-                    .collect();
+                let scan_attrs =
+                    leaf_scan_attributes(&self.query, atom, table.schema(), needed_above, head);
                 // The leaf runs one fused scan-filter-project, gated on the
                 // base table's size; a columnar backing's zone maps prune
                 // before any row is decoded. The result is identical across
@@ -164,13 +147,7 @@ impl EagerPlan {
                     &self.pool.for_items(table.len()),
                     ctx,
                 )?;
-                let keep: Vec<String> = scanned
-                    .schema()
-                    .names()
-                    .into_iter()
-                    .filter(|a| needed_above.contains(*a) || head.contains(*a))
-                    .map(|s| s.to_string())
-                    .collect();
+                let keep = kept_attributes(scanned.schema(), needed_above, head);
                 let projected =
                     ops::project_ctx(&scanned, &keep, &self.pool.for_items(scanned.len()), ctx)?;
                 Ok((
@@ -191,19 +168,16 @@ impl EagerPlan {
                     let child_needed = interface_attributes(&self.query, &child_rels);
                     evaluated.push(self.eval_node(child, &child_needed, head, catalog, ctx)?);
                 }
-                let representative = evaluated[0].1.clone();
-                let mut joined = evaluated[0].0.clone();
-                for (child, _) in &evaluated[1..] {
+                // The first child is the representative; the others join
+                // onto it left to right.
+                let mut evaluated = evaluated.into_iter();
+                let (mut joined, representative) =
+                    evaluated.next().expect("an inner node has children");
+                for (child, _) in evaluated {
                     let join_pool = self.pool.for_items(joined.len().max(child.len()));
-                    joined = ops::natural_join_ctx(&joined, child, &join_pool, ctx)?;
+                    joined = ops::natural_join_ctx(&joined, &child, &join_pool, ctx)?;
                 }
-                let keep: Vec<String> = joined
-                    .schema()
-                    .names()
-                    .into_iter()
-                    .filter(|a| needed_above.contains(*a) || head.contains(*a))
-                    .map(|s| s.to_string())
-                    .collect();
+                let keep = kept_attributes(joined.schema(), needed_above, head);
                 let projected =
                     ops::project_ctx(&joined, &keep, &self.pool.for_items(joined.len()), ctx)?;
                 Ok((
@@ -217,8 +191,12 @@ impl EagerPlan {
 
 /// The join attributes of `query` that occur both inside and outside the
 /// given set of relations — the columns a subplan over exactly those
-/// relations must keep for joins still to come.
-fn interface_attributes(query: &ConjunctiveQuery, subtree: &BTreeSet<String>) -> BTreeSet<String> {
+/// relations must keep for joins still to come (what the safe-plan
+/// projections of Fig. 2 keep; the MystiQ plan uses the same rule).
+pub(crate) fn interface_attributes(
+    query: &ConjunctiveQuery,
+    subtree: &BTreeSet<String>,
+) -> BTreeSet<String> {
     query
         .join_attributes()
         .into_iter()
@@ -236,29 +214,76 @@ fn interface_attributes(query: &ConjunctiveQuery, subtree: &BTreeSet<String>) ->
         .collect()
 }
 
-/// Rows per aggregation chunk: one per-worker map and one governor
-/// checkpoint per chunk (the kernel-chunk granularity every other stage
-/// observes).
-const AGG_CHUNK_ROWS: usize = 1024;
-
-/// The input cut into `AGG_CHUNK_ROWS`-sized row ranges.
-fn agg_chunks(rows: usize) -> Vec<Range<usize>> {
-    (0..rows.div_ceil(AGG_CHUNK_ROWS))
-        .map(|k| k * AGG_CHUNK_ROWS..((k + 1) * AGG_CHUNK_ROWS).min(rows))
+/// The attributes a leaf scan of `atom` reads: those physically present in
+/// `schema` that are needed above the leaf, in the head, or used by one of
+/// the relation's predicates.
+pub(crate) fn leaf_scan_attributes(
+    query: &ConjunctiveQuery,
+    atom: &RelationAtom,
+    schema: &Schema,
+    needed_above: &BTreeSet<String>,
+    head: &BTreeSet<String>,
+) -> Vec<String> {
+    let predicates = query.predicates_for(&atom.name);
+    atom.attributes
+        .iter()
+        .filter(|a| {
+            schema.contains(a)
+                && (needed_above.contains(*a)
+                    || head.contains(*a)
+                    || predicates.iter().any(|p| &p.attribute == *a))
+        })
+        .cloned()
         .collect()
 }
 
-/// Converts a parallel aggregation failure: task errors propagate verbatim,
-/// worker panics are isolated into [`SproutError::WorkerPanic`].
-fn agg_task_failure(failure: TaskFailure<PlanError>) -> PlanError {
-    match failure {
-        TaskFailure::Err { error, .. } => error,
-        TaskFailure::Panic { item, message } => PlanError::Governed(SproutError::WorkerPanic {
-            stage: Stage::Aggregate,
-            item,
-            message,
-        }),
-    }
+/// The columns of `schema` a node's projection keeps: those needed above it
+/// or in the head.
+pub(crate) fn kept_attributes(
+    schema: &Schema,
+    needed_above: &BTreeSet<String>,
+    head: &BTreeSet<String>,
+) -> Vec<String> {
+    schema
+        .names()
+        .into_iter()
+        .filter(|a| needed_above.contains(*a) || head.contains(*a))
+        .map(|s| s.to_string())
+        .collect()
+}
+
+/// Aggregates `input` to one row per distinct data tuple through the
+/// engine's grouping shell ([`KeyRuns`]): rows are sorted on the data
+/// columns and then the variables of `order_cols`, and every run of equal
+/// data collapses to its first row with lineage column `slot` — the only
+/// one kept — set to `fold(rows)`. Output rows come in ascending key order.
+/// Identical at every pool size; checkpoints `eager.aggregate` once per
+/// [`ops::SEQ_CHECK_EVERY`] runs, on the global run index.
+///
+/// # Errors
+/// Fails with [`PlanError::Governed`] when the governor interrupts, or when
+/// a fold panics (isolated as a `WorkerPanic` of [`Stage::Aggregate`]).
+fn aggregate(
+    input: &Annotated,
+    order_cols: &[usize],
+    slot: usize,
+    pool: &Pool,
+    ctx: &ExecContext,
+    fold: impl Fn(&[u32]) -> (Variable, f64) + Sync,
+) -> PlanResult<Annotated> {
+    let pool = pool.for_items(input.len());
+    let runs = KeyRuns::build(input, &[], order_cols, &pool);
+    // The run count is a function of the input rows alone, so it is a
+    // deterministic counter.
+    ctx.tally(Counter::EagerGroups, runs.len() as u64);
+    let checked_fold = |run: usize, rows: &[u32]| {
+        if run.is_multiple_of(ops::SEQ_CHECK_EVERY) {
+            let index = run / ops::SEQ_CHECK_EVERY;
+            ctx.checkpoint(Stage::Aggregate, "eager.aggregate", index)?;
+        }
+        Ok(fold(rows))
+    };
+    Ok(runs.collapse(input, &[slot], slot, Stage::Aggregate, &pool, checked_fold)?)
 }
 
 /// Aggregates a single-relation input: one output row per distinct data
@@ -266,108 +291,50 @@ fn agg_task_failure(failure: TaskFailure<PlanError>) -> PlanError {
 /// independent-or of the group's distinct variables (the `[R*]` operator on
 /// top of a base-table scan).
 ///
-/// Parallel and deterministic: workers aggregate fixed row chunks into
-/// per-chunk maps, merged in ascending chunk order — a later chunk's
-/// `(variable → probability)` entry overwrites an earlier chunk's exactly
-/// as later rows overwrite earlier ones in the sequential loop, so the
-/// merged groups (and the `BTreeMap`-ordered output) are identical at
-/// every thread count. Checkpoints `eager.aggregate` per chunk.
-///
-/// # Errors
-/// Fails with [`PlanError::Governed`] when the governor interrupts.
+/// A run is sorted by variable with ties in input order, so its distinct
+/// variables are visited ascending, the *last* input row of a variable
+/// supplies its probability, and the representative is the first row's
+/// variable. The probability is [`independent_or`] — `1 − Π(1 − p)` seeded
+/// with `1.0`.
 fn aggregate_single_column(
     input: &Annotated,
     pool: &Pool,
     ctx: &ExecContext,
 ) -> PlanResult<Annotated> {
-    type Groups = BTreeMap<Tuple, BTreeMap<Variable, f64>>;
-    let chunks = agg_chunks(input.len());
-    let partials: Vec<Groups> = pool
-        .for_items(input.len())
-        .try_map(&chunks, |k, range| {
-            ctx.checkpoint(Stage::Aggregate, "eager.aggregate", k)?;
-            let mut groups: Groups = BTreeMap::new();
-            for i in range.clone() {
-                let row = input.row(i);
-                let (var, p) = row.lineage[0];
-                groups.entry(row.data_tuple()).or_default().insert(var, p);
-            }
-            Ok::<_, PlanError>(groups)
-        })
-        .map_err(agg_task_failure)?;
-    let mut groups: Groups = BTreeMap::new();
-    for partial in partials {
-        for (data, members) in partial {
-            groups.entry(data).or_default().extend(members);
-        }
-    }
-    // The merged group count is a function of the input rows alone — the
-    // chunk split never changes it — so it is a deterministic counter.
-    ctx.tally(Counter::EagerGroups, groups.len() as u64);
-    let mut out = Annotated::new(input.schema().clone(), input.relations().to_vec());
-    for (data, members) in groups {
-        let representative = *members.keys().next().expect("non-empty group");
-        let prob = independent_or(members.values().copied());
-        out.push(AnnotatedRow::new(data, vec![(representative, prob)]));
-    }
-    Ok(out)
+    let pair = |r: u32| input.row(r as usize).lineage[0];
+    aggregate(input, &[0], 0, pool, ctx, |rows| {
+        let last_of_variable = rows
+            .chunk_by(|&a, &b| pair(a).0 == pair(b).0)
+            .map(|same| pair(same[same.len() - 1]).1);
+        (pair(rows[0]).0, independent_or(last_of_variable))
+    })
 }
 
-/// Aggregates the join of already-aggregated children: per output row the
-/// probability is the product of the children's probabilities (propagation);
-/// per group of duplicate data tuples the rows describe independent events
-/// and are combined with independent-or. The surviving lineage column is the
-/// representative child's.
-///
-/// Parallel and deterministic like [`aggregate_single_column`]: per-chunk
-/// group vectors are concatenated in ascending chunk order, reproducing the
-/// sequential row order within every group (the independent-or folds the
-/// same floats in the same order).
-///
-/// # Errors
-/// Fails with [`PlanError::Governed`] when the governor interrupts.
+/// Aggregates the join of already-aggregated children: per row the
+/// probability is the product of the children's probabilities, left to right
+/// (propagation); per group of duplicate data tuples the rows describe
+/// independent events and are combined with [`independent_or`] in join-emit
+/// order (the stable sort keeps it). The surviving lineage column is the
+/// representative child's, carrying the minimum of its variables.
 fn aggregate_joined(
     input: &Annotated,
     representative: &str,
     pool: &Pool,
     ctx: &ExecContext,
 ) -> PlanResult<Annotated> {
-    type Groups = BTreeMap<Tuple, Vec<(Variable, f64)>>;
-    let rep_idx = input
-        .relation_index(representative)
-        .expect("representative child is part of the join");
-    let chunks = agg_chunks(input.len());
-    let partials: Vec<Groups> = pool
-        .for_items(input.len())
-        .try_map(&chunks, |k, range| {
-            ctx.checkpoint(Stage::Aggregate, "eager.aggregate", k)?;
-            let mut groups: Groups = BTreeMap::new();
-            for i in range.clone() {
-                let row = input.row(i);
-                let prob: f64 = row.lineage.iter().map(|(_, p)| *p).product();
-                let var = row.lineage[rep_idx].0;
-                groups
-                    .entry(row.data_tuple())
-                    .or_default()
-                    .push((var, prob));
-            }
-            Ok::<_, PlanError>(groups)
-        })
-        .map_err(agg_task_failure)?;
-    let mut groups: Groups = BTreeMap::new();
-    for partial in partials {
-        for (data, members) in partial {
-            groups.entry(data).or_default().extend(members);
-        }
-    }
-    ctx.tally(Counter::EagerGroups, groups.len() as u64);
-    let mut out = Annotated::new(input.schema().clone(), vec![representative.to_string()]);
-    for (data, members) in groups {
-        let rep_var = members.iter().map(|(v, _)| *v).min().expect("non-empty");
-        let prob = independent_or(members.iter().map(|(_, p)| *p));
-        out.push(AnnotatedRow::new(data, vec![(rep_var, prob)]));
-    }
-    Ok(out)
+    let rep_idx = input.relation_index(representative)?;
+    let lineage = |r: u32| input.row(r as usize).lineage;
+    aggregate(input, &[], rep_idx, pool, ctx, |rows| {
+        let rep_var = rows
+            .iter()
+            .map(|&r| lineage(r)[rep_idx].0)
+            .min()
+            .expect("runs are non-empty");
+        let row_probs = rows
+            .iter()
+            .map(|&r| lineage(r).iter().map(|(_, p)| *p).product::<f64>());
+        (rep_var, independent_or(row_probs))
+    })
 }
 
 #[cfg(test)]
@@ -416,9 +383,9 @@ mod tests {
 
     #[test]
     fn eager_plan_is_bitwise_identical_across_thread_counts() {
-        // Tentpole (d): the parallel per-node aggregations merge per-chunk
-        // maps in a deterministic order, so the answer (tuples, confidences)
-        // is bitwise-identical at every pool size.
+        // The per-node aggregations group through sort-key runs that are
+        // identical at every pool size, so the answer (tuples, confidences)
+        // is bitwise-identical too.
         let catalog = fig1_catalog();
         let q = intro_query_q();
         let reference = EagerPlan::build(&q, &FdSet::empty())
@@ -441,16 +408,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_aggregation_handles_many_chunks() {
-        // More rows than AGG_CHUNK_ROWS so the aggregation genuinely fans
-        // out into several per-chunk maps; duplicates straddle chunk
-        // boundaries to exercise the cross-chunk merge.
+    fn parallel_aggregation_handles_long_runs() {
+        // Five runs of ~820 rows each: long enough that the key build, the
+        // sort and the collapse genuinely fan out, with every run's rows
+        // spread over all the input chunks.
         use pdb_query::{ConjunctiveQuery, RelationAtom};
         use pdb_storage::{DataType, ProbTable, Schema, Value, Variable};
 
         let schema = Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Int)]).unwrap();
         let mut table = ProbTable::new(schema);
-        let rows = 4 * AGG_CHUNK_ROWS + 7;
+        let rows = 4 * 1024 + 7;
         for i in 0..rows {
             table
                 .insert(

@@ -21,6 +21,7 @@ use pdb_query::reduct::FdReduct;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
 use pdb_storage::Catalog;
 
+use crate::eager::{kept_attributes, leaf_scan_attributes};
 use crate::error::{PlanError, PlanResult};
 use crate::join_order::greedy_join_order;
 
@@ -157,21 +158,7 @@ impl HybridPlan {
                 PlanError::Query(pdb_query::QueryError::UnknownRelation(rel_name.clone()))
             })?;
             let table = catalog.backing(rel_name)?;
-            let keep: Vec<String> = atom
-                .attributes
-                .iter()
-                .filter(|a| {
-                    table.schema().contains(a)
-                        && (head.contains(*a)
-                            || join_attrs.contains(*a)
-                            || self
-                                .query
-                                .predicates_for(rel_name)
-                                .iter()
-                                .any(|p| &p.attribute == *a))
-                })
-                .cloned()
-                .collect();
+            let keep = leaf_scan_attributes(&self.query, atom, table.schema(), &join_attrs, &head);
             // One fused scan-filter-project per leaf, gated on the base
             // table's size; columnar backings take their zone-map fast
             // path. Results are identical either way.
@@ -183,13 +170,7 @@ impl HybridPlan {
                 &self.pool.for_items(table.len()),
                 ctx,
             )?;
-            let post_scan: Vec<String> = scanned
-                .schema()
-                .names()
-                .into_iter()
-                .filter(|a| head.contains(*a) || join_attrs.contains(*a))
-                .map(|s| s.to_string())
-                .collect();
+            let post_scan = kept_attributes(scanned.schema(), &join_attrs, &head);
             scanned = ops::project_ctx(
                 &scanned,
                 &post_scan,

@@ -19,6 +19,7 @@ use pdb_query::reduct::FdReduct;
 use pdb_query::{ConjunctiveQuery, FdSet, QueryTree};
 use pdb_storage::Catalog;
 
+use crate::eager::{interface_attributes, kept_attributes, leaf_scan_attributes};
 use crate::error::{PlanError, PlanResult};
 
 /// A MystiQ-style safe plan.
@@ -98,32 +99,13 @@ impl SafePlan {
                     PlanError::Query(pdb_query::QueryError::UnknownRelation(relation.clone()))
                 })?;
                 let table = catalog.table(relation)?;
-                let scan_attrs: Vec<String> = atom
-                    .attributes
-                    .iter()
-                    .filter(|a| {
-                        table.schema().contains(a)
-                            && (needed_above.contains(*a)
-                                || head.contains(*a)
-                                || self
-                                    .query
-                                    .predicates_for(relation)
-                                    .iter()
-                                    .any(|p| &p.attribute == *a))
-                    })
-                    .cloned()
-                    .collect();
+                let scan_attrs =
+                    leaf_scan_attributes(&self.query, atom, table.schema(), needed_above, head);
                 let mut scanned = scan_ext(&table, &scan_attrs)?;
                 for pred in self.query.predicates_for(relation) {
                     scanned = filter_ext(&scanned, pred)?;
                 }
-                let keep: Vec<String> = scanned
-                    .schema()
-                    .names()
-                    .into_iter()
-                    .filter(|a| needed_above.contains(*a) || head.contains(*a))
-                    .map(|s| s.to_string())
-                    .collect();
+                let keep = kept_attributes(scanned.schema(), needed_above, head);
                 self.project_ind(&scanned, &keep)
             }
             QueryTree::Inner { children, .. } => {
@@ -141,13 +123,7 @@ impl SafePlan {
                 for child in &evaluated {
                     joined = natural_join_ext(&joined, child)?;
                 }
-                let keep: Vec<String> = joined
-                    .schema()
-                    .names()
-                    .into_iter()
-                    .filter(|a| needed_above.contains(*a) || head.contains(*a))
-                    .map(|s| s.to_string())
-                    .collect();
+                let keep = kept_attributes(joined.schema(), needed_above, head);
                 self.project_ind(&joined, &keep)
             }
         }
@@ -157,26 +133,6 @@ impl SafePlan {
         independent_project(input, attrs, self.aggregation)
             .map_err(|_| PlanError::MystiqRuntimeError(self.query.to_string()))
     }
-}
-
-/// Join attributes shared between the subtree and the rest of the query (same
-/// rule as the eager plan's projections).
-fn interface_attributes(query: &ConjunctiveQuery, subtree: &BTreeSet<String>) -> BTreeSet<String> {
-    query
-        .join_attributes()
-        .into_iter()
-        .filter(|a| {
-            let inside = query
-                .relations
-                .iter()
-                .any(|r| subtree.contains(&r.name) && r.has_attribute(a));
-            let outside = query
-                .relations
-                .iter()
-                .any(|r| !subtree.contains(&r.name) && r.has_attribute(a));
-            inside && outside
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,0 +1,254 @@
+//! The eager plan against the possible-worlds oracle.
+//!
+//! `EagerPlan::execute` aggregates after every table and every join; the
+//! oracle (`brute_force_confidences`) Shannon-expands the lineage of the
+//! plain join answer. They must agree on generated instances — including
+//! leaves whose rows repeat a variable — and the eager answer must be
+//! bitwise-identical at pools {1, 2, 8}. Two fixed instances add the shapes
+//! a small generator cannot reach: runs longer than 1024 rows and runs whose
+//! rows straddle every fan-out boundary of the key build, the sort and the
+//! collapse.
+
+use proptest::prelude::*;
+
+use pdb_conf::brute::brute_force_confidences;
+use pdb_conf::ConfidenceResult;
+use pdb_exec::pipeline::evaluate_join_order;
+use pdb_query::{ConjunctiveQuery, FdSet};
+use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Variable};
+use sprout_plan::eager::EagerPlan;
+use sprout_plan::Pool;
+
+const POOL_SIZES: [usize; 3] = [1, 2, 8];
+
+/// Runs the eager plan at every pool size, asserts the answers are bitwise
+/// equal, and returns the one-thread answer.
+fn eager_at_every_pool_size(q: &ConjunctiveQuery, catalog: &Catalog) -> ConfidenceResult {
+    let plan = EagerPlan::build(q, &FdSet::empty()).expect("query is hierarchical");
+    let reference = plan
+        .clone()
+        .with_pool(Pool::new(1))
+        .execute(catalog)
+        .unwrap();
+    for threads in POOL_SIZES {
+        let got = plan
+            .clone()
+            .with_pool(Pool::new(threads))
+            .execute(catalog)
+            .unwrap();
+        assert_eq!(got.len(), reference.len(), "{threads} threads");
+        for ((t1, p1), (t2, p2)) in got.iter().zip(reference.iter()) {
+            assert_eq!(t1, t2, "{threads} threads");
+            assert_eq!(p1.to_bits(), p2.to_bits(), "{threads} threads: {t1}");
+        }
+    }
+    reference
+}
+
+/// The oracle over the plain join answer, on a thread with room for the
+/// Shannon expansion's recursion (one frame per variable of a long run).
+fn oracle(q: &ConjunctiveQuery, catalog: &Catalog) -> ConfidenceResult {
+    let order: Vec<String> = q.relations.iter().map(|r| r.name.clone()).collect();
+    let answer = evaluate_join_order(q, catalog, &order).unwrap();
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn_scoped(scope, || brute_force_confidences(&answer))
+            .expect("spawning the oracle thread")
+            .join()
+            .expect("the oracle does not panic")
+    })
+}
+
+fn assert_close(eager: &ConfidenceResult, oracle: &ConfidenceResult) {
+    assert_eq!(eager.len(), oracle.len());
+    for ((t1, p1), (t2, p2)) in eager.iter().zip(oracle.iter()) {
+        assert_eq!(t1, t2);
+        assert!((p1 - p2).abs() < 1e-9, "{t1}: eager {p1} vs oracle {p2}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Generated instances of the guiding Cust ⋈ Ord ⋈ Item query.
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+struct CustOrdItem {
+    cust: Vec<(i64, i64, f64)>,       // (ckey, name id, prob)
+    ord: Vec<(i64, i64, i64, f64)>,   // (okey, ckey, odate id, prob)
+    item: Vec<(i64, i64, f64, bool)>, // (okey, ckey, prob, repeats a variable)
+}
+
+/// A probability in a comfortable range away from 0 and 1.
+fn prob() -> impl Strategy<Value = f64> {
+    (1u32..=9).prop_map(|i| f64::from(i) / 10.0)
+}
+
+fn cust_ord_item_strategy() -> impl Strategy<Value = CustOrdItem> {
+    let cust = proptest::collection::vec((1i64..=3, 1i64..=2, prob()), 1..4);
+    let ord = proptest::collection::vec((1i64..=4, 1i64..=3, 1i64..=2, prob()), 1..5);
+    let item = proptest::collection::vec((1i64..=4, 1i64..=3, prob(), proptest::bool::ANY), 1..8);
+    (cust, ord, item).prop_map(|(cust, ord, item)| CustOrdItem { cust, ord, item })
+}
+
+/// Every row gets a fresh variable, except an `Item` row flagged `repeats`:
+/// it reuses the variable (and probability) of the previous `Item` row with
+/// the same `(okey, ckey)` — the columns the eager leaf groups by — under a
+/// different discount, so the leaf sees one variable on several rows of one
+/// run.
+fn build_cust_ord_item(db: &CustOrdItem) -> Catalog {
+    let mut var = 0u64;
+    let mut next = || {
+        var += 1;
+        Variable(var)
+    };
+    let mut cust = ProbTable::new(
+        Schema::from_pairs(&[("ckey", DataType::Int), ("cname", DataType::Str)]).unwrap(),
+    );
+    for (ckey, name, p) in &db.cust {
+        cust.insert(tuple![*ckey, format!("name{name}")], next(), *p)
+            .unwrap();
+    }
+    let mut ord = ProbTable::new(
+        Schema::from_pairs(&[
+            ("okey", DataType::Int),
+            ("ckey", DataType::Int),
+            ("odate", DataType::Str),
+        ])
+        .unwrap(),
+    );
+    for (okey, ckey, odate, p) in &db.ord {
+        ord.insert(tuple![*okey, *ckey, format!("date{odate}")], next(), *p)
+            .unwrap();
+    }
+    let mut item = ProbTable::new(
+        Schema::from_pairs(&[
+            ("okey", DataType::Int),
+            ("ckey", DataType::Int),
+            ("discount", DataType::Float),
+        ])
+        .unwrap(),
+    );
+    let mut last: std::collections::BTreeMap<(i64, i64), (Variable, f64)> = Default::default();
+    for (i, (okey, ckey, p, repeats)) in db.item.iter().enumerate() {
+        let (v, p) = match last.get(&(*okey, *ckey)) {
+            Some(&earlier) if *repeats => earlier,
+            _ => (next(), *p),
+        };
+        last.insert((*okey, *ckey), (v, p));
+        item.insert(tuple![*okey, *ckey, 0.01 * i as f64], v, p)
+            .unwrap();
+    }
+    let catalog = Catalog::new();
+    catalog.register_table("Cust", cust).unwrap();
+    catalog.register_table("Ord", ord).unwrap();
+    catalog.register_table("Item", item).unwrap();
+    catalog
+}
+
+fn guiding_query(head: &[&str]) -> ConjunctiveQuery {
+    ConjunctiveQuery::build(
+        &[
+            ("Cust", &["ckey", "cname"]),
+            ("Ord", &["okey", "ckey", "odate"]),
+            ("Item", &["okey", "ckey", "discount"]),
+        ],
+        head,
+        vec![],
+    )
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn eager_agrees_with_the_oracle_on_generated_instances(
+        db in cust_ord_item_strategy(),
+        head_pick in 0usize..4,
+    ) {
+        let heads: [&[&str]; 4] = [&[], &["odate"], &["cname"], &["ckey", "odate"]];
+        let q = guiding_query(heads[head_pick]);
+        let catalog = build_cust_ord_item(&db);
+        assert_close(&eager_at_every_pool_size(&q, &catalog), &oracle(&q, &catalog));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fixed instances: long runs, runs straddling the fan-out boundaries.
+// ---------------------------------------------------------------------------
+
+/// `R(g, x)` projected onto `g`: group 0 is a leaf run of 1300 rows, the
+/// other six groups ~180 rows each, all interleaved in input order so every
+/// run has rows in every chunk of an 8-way split. Every fifth row repeats
+/// the variable of the row 120 before it (same group, different `x`).
+#[test]
+fn a_leaf_run_longer_than_1024_rows_interleaved_across_every_chunk() {
+    let mut table =
+        ProbTable::new(Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Int)]).unwrap());
+    let rows = 2400usize;
+    let group_of = |i: usize| if i % 24 < 13 { 0 } else { (i % 6 + 1) as i64 };
+    for i in 0..rows {
+        // 120 is a multiple of 24 and of 6, so row `i - 120` is in row
+        // `i`'s group.
+        let source = if i % 5 == 0 && i >= 120 { i - 120 } else { i };
+        let p = 0.0001 + 0.0002 * (source % 13) as f64;
+        table
+            .insert(tuple![group_of(i), i as i64], Variable(source as u64), p)
+            .unwrap();
+    }
+    let catalog = Catalog::new();
+    catalog.register_table("R", table).unwrap();
+    let q = ConjunctiveQuery::build(&[("R", &["g", "x"])], &["g"], vec![]).unwrap();
+    let eager = eager_at_every_pool_size(&q, &catalog);
+    assert_eq!(eager.len(), 7);
+    assert_close(&eager, &oracle(&q, &catalog));
+}
+
+/// `R(a, b) ⋈ S(a, c)` projected onto `b`: the join of the two aggregated
+/// leaves has one row per `a`, and the inner node's run for `b = 0` collects
+/// 1100 of them (the others ~200 each), interleaved in join-emit order.
+/// Every third `a` has two `S` rows, so the `S` leaf really aggregates.
+///
+/// Shannon expansion is exponential on 1100 independent two-variable
+/// clauses, so this instance is held against the closed form instead: the
+/// derivations of different `a` share no variable, hence
+/// `P(b) = 1 − Π_a (1 − p_R(a) · (1 − Π_copies (1 − p_S)))`.
+#[test]
+fn an_inner_node_run_longer_than_1024_rows_straddling_fan_out_boundaries() {
+    let mut r =
+        ProbTable::new(Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]).unwrap());
+    let mut s =
+        ProbTable::new(Schema::from_pairs(&[("a", DataType::Int), ("c", DataType::Int)]).unwrap());
+    let keys = 1700u64;
+    let mut none_derived = [1.0f64; 4];
+    for a in 0..keys {
+        // Scatter the keys so neither table is sorted on `a`.
+        let a = (a * 611) % keys;
+        let b = if a % 17 < 11 { 0 } else { a % 3 + 1 };
+        let p_r = 0.0005 + 0.0001 * (a % 7) as f64;
+        r.insert(tuple![a as i64, b as i64], Variable(a), p_r)
+            .unwrap();
+        let p_s = 0.3 + 0.05 * (a % 5) as f64;
+        let mut no_s = 1.0;
+        for copy in 0..=u64::from(a.is_multiple_of(3)) {
+            s.insert(
+                tuple![a as i64, copy as i64],
+                Variable(10_000 + 2 * a + copy),
+                p_s,
+            )
+            .unwrap();
+            no_s *= 1.0 - p_s;
+        }
+        none_derived[b as usize] *= 1.0 - p_r * (1.0 - no_s);
+    }
+    let catalog = Catalog::new();
+    catalog.register_table("R", r).unwrap();
+    catalog.register_table("S", s).unwrap();
+    let q =
+        ConjunctiveQuery::build(&[("R", &["a", "b"]), ("S", &["a", "c"])], &["b"], vec![]).unwrap();
+    let expected: ConfidenceResult = (0..4i64)
+        .map(|b| (tuple![b], 1.0 - none_derived[b as usize]))
+        .collect();
+    assert_close(&eager_at_every_pool_size(&q, &catalog), &expected);
+}

@@ -3,14 +3,16 @@
 //!
 //! Seeded [`FaultPlan::random`] draws pick a checkpoint site, an index, and
 //! an action (panic / cancel / budget); the plan is installed and a governed
-//! Q1 run executed at every pool size and both storage backings. The
-//! properties:
+//! run of the lazy and of the eager plan executed at every pool size and both
+//! storage backings. The properties:
 //!
 //! * a run whose fault fires surfaces a structured
 //!   [`PlanError::Governed`] naming the interruption — or, for a `panic`
 //!   fault on a sequential (caller-thread) code path, a plain panic that the
 //!   test contains with `catch_unwind`; panic *isolation* is a property of
-//!   `pdb-par` workers, not of inline loops;
+//!   `pdb-par` workers, not of inline loops — except at `eager.aggregate`,
+//!   whose folds run inside the grouping shell's panic-isolated collapse at
+//!   every pool size and always yield `WorkerPanic { stage: Aggregate }`;
 //! * a run whose fault is never reached is bitwise-identical to the
 //!   baseline;
 //! * faults are one-shot, so an immediate re-run needs no cleanup and is
@@ -23,7 +25,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use pdb_fault::{clear, install, FaultAction, FaultPlan};
+use pdb_fault::{clear, install, Fault, FaultAction, FaultPlan};
 use pdb_par::Pool;
 use pdb_query::{ConjunctiveQuery, FdSet};
 use pdb_storage::{Catalog, Tuple};
@@ -31,8 +33,9 @@ use pdb_tpch::{
     probabilistic_catalog, probabilistic_catalog_columnar, tpch_query, TpchData, TpchScale,
 };
 use proptest::prelude::*;
+use sprout_plan::eager::EagerPlan;
 use sprout_plan::lazy::LazyPlan;
-use sprout_plan::{GovernorBuilder, PlanError, SproutError};
+use sprout_plan::{GovernorBuilder, PlanError, SproutError, Stage};
 
 /// Every checkpoint site the governed engine exposes (module docs of
 /// `pdb_exec::ops`, `pdb_exec::columnar`, `pdb_conf::one_scan`).
@@ -44,6 +47,7 @@ const SITES: &[&str] = &[
     "join.probe",
     "join.write",
     "project.write",
+    "eager.aggregate",
     "conf.bag",
 ];
 
@@ -107,11 +111,28 @@ fn assert_bitwise_eq(baseline: &[(Tuple, f64)], got: &[(Tuple, f64)], context: &
     }
 }
 
-fn governed_run(w: &Workload, threads: usize) -> Result<Vec<(Tuple, f64)>, PlanError> {
-    LazyPlan::build(&w.query, &w.fds, &w.catalog)?
-        .with_pool(Pool::new(threads))
-        .with_governor(GovernorBuilder::new().build())
-        .execute(&w.catalog)
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    Lazy,
+    Eager,
+}
+
+fn governed_run(
+    w: &Workload,
+    family: Family,
+    threads: usize,
+) -> Result<Vec<(Tuple, f64)>, PlanError> {
+    let gov = GovernorBuilder::new().build();
+    match family {
+        Family::Lazy => LazyPlan::build(&w.query, &w.fds, &w.catalog)?
+            .with_pool(Pool::new(threads))
+            .with_governor(gov)
+            .execute(&w.catalog),
+        Family::Eager => EagerPlan::build(&w.query, &w.fds)?
+            .with_pool(Pool::new(threads))
+            .with_governor(gov)
+            .execute(&w.catalog),
+    }
 }
 
 proptest! {
@@ -137,45 +158,78 @@ fn check_seed(seed: u64) {
     let plan = FaultPlan::random(seed, SITES, MAX_INDEX);
     let fault = plan.faults()[0].clone();
     for w in workloads() {
-        for threads in POOL_SIZES {
-            clear();
-            let baseline = governed_run(w, threads)
-                .unwrap_or_else(|e| panic!("{}: clean baseline failed: {e}", w.label));
-            install(plan.clone());
-
-            let ctx = format!(
-                "{} @ {threads} threads, {:?}@{}:{}",
-                w.label, fault.action, fault.site, fault.index
-            );
-            let outcome = catch_unwind(AssertUnwindSafe(|| governed_run(w, threads)));
-            match outcome {
-                // The fault never fired (index beyond this run, or a site
-                // the workload does not reach): indistinguishable from an
-                // uninterrupted run.
-                Ok(Ok(result)) => assert_bitwise_eq(&baseline, &result, &ctx),
-                // The fault fired: a structured interruption naming what
-                // happened — never a torn result.
-                Ok(Err(PlanError::Governed(g))) => match (fault.action, &g) {
-                    (FaultAction::Cancel, SproutError::Cancelled { .. })
-                    | (FaultAction::Budget, SproutError::MemoryBudgetExceeded { .. })
-                    | (FaultAction::Panic, SproutError::WorkerPanic { .. }) => {}
-                    other => panic!("{ctx}: action/error mismatch: {other:?}"),
-                },
-                Ok(Err(other)) => panic!("{ctx}: unstructured error: {other}"),
-                // A panic fault on a sequential code path unwinds through
-                // the caller; only the `panic` action may do that.
-                Err(_) => assert!(
-                    fault.action == FaultAction::Panic,
-                    "{ctx}: non-panic fault escaped as a panic"
-                ),
+        for family in [Family::Lazy, Family::Eager] {
+            for threads in POOL_SIZES {
+                check_run(&plan, &fault, w, family, threads, false);
             }
-
-            // One-shot: the immediate re-run needs no clearing and nothing
-            // was poisoned — same pool size, same catalog, bitwise-equal.
-            let rerun =
-                governed_run(w, threads).unwrap_or_else(|e| panic!("{ctx}: re-run failed: {e}"));
-            assert_bitwise_eq(&baseline, &rerun, &format!("{ctx} (re-run)"));
+        }
+    }
+    // A random draw almost never lands on the eager plan's first
+    // aggregation checkpoint, so every seed also aims one fault there: it
+    // must fire, and a panic must come back isolated at every pool size.
+    let action =
+        [FaultAction::Panic, FaultAction::Cancel, FaultAction::Budget][(seed % 3) as usize];
+    let fault = Fault::new(action, "eager.aggregate", 0);
+    let plan = FaultPlan::new(vec![fault.clone()]);
+    for w in workloads() {
+        for threads in POOL_SIZES {
+            check_run(&plan, &fault, w, Family::Eager, threads, true);
         }
     }
     clear();
+}
+
+fn check_run(
+    plan: &FaultPlan,
+    fault: &Fault,
+    w: &Workload,
+    family: Family,
+    threads: usize,
+    must_fire: bool,
+) {
+    clear();
+    let baseline = governed_run(w, family, threads)
+        .unwrap_or_else(|e| panic!("{}: clean baseline failed: {e}", w.label));
+    install(plan.clone());
+
+    let ctx = format!(
+        "{} {family:?} @ {threads} threads, {:?}@{}:{}",
+        w.label, fault.action, fault.site, fault.index
+    );
+    let outcome = catch_unwind(AssertUnwindSafe(|| governed_run(w, family, threads)));
+    match outcome {
+        // The fault never fired (index beyond this run, or a site the
+        // workload does not reach): indistinguishable from an
+        // uninterrupted run.
+        Ok(Ok(result)) => {
+            assert!(!must_fire, "{ctx}: the fault never fired");
+            assert_bitwise_eq(&baseline, &result, &ctx)
+        }
+        // The fault fired: a structured interruption naming what
+        // happened — never a torn result.
+        Ok(Err(PlanError::Governed(g))) => match (fault.action, &g) {
+            (FaultAction::Cancel, SproutError::Cancelled { .. })
+            | (FaultAction::Budget, SproutError::MemoryBudgetExceeded { .. })
+            | (FaultAction::Panic, SproutError::WorkerPanic { .. }) => {
+                if fault.site == "eager.aggregate" {
+                    assert_eq!(g.stage(), Stage::Aggregate, "{ctx}");
+                }
+            }
+            other => panic!("{ctx}: action/error mismatch: {other:?}"),
+        },
+        Ok(Err(other)) => panic!("{ctx}: unstructured error: {other}"),
+        // A panic fault on a sequential code path unwinds through the
+        // caller; only the `panic` action may do that, and never at
+        // `eager.aggregate`.
+        Err(_) => assert!(
+            fault.action == FaultAction::Panic && fault.site != "eager.aggregate",
+            "{ctx}: fault escaped as a panic"
+        ),
+    }
+
+    // One-shot: the immediate re-run needs no clearing and nothing was
+    // poisoned — same pool size, same catalog, bitwise-equal.
+    let rerun =
+        governed_run(w, family, threads).unwrap_or_else(|e| panic!("{ctx}: re-run failed: {e}"));
+    assert_bitwise_eq(&baseline, &rerun, &format!("{ctx} (re-run)"));
 }

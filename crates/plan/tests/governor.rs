@@ -225,6 +225,65 @@ fn memory_budget_exhaustion_interrupts_the_partitioned_join() {
     assert!(ok.is_ok());
 }
 
+/// The same budget holds on one thread: every operator's sequential arm
+/// charges its output arenas before allocating them, so a query the server
+/// hands a single worker (`worker_threads / slots == 1`) cannot outrun its
+/// `memory_budget`.
+fn assert_budget_trips_on_one_thread(
+    operator: &str,
+    run: impl Fn(&Pool, &ExecContext) -> Result<pdb_exec::Annotated, ExecError>,
+) {
+    let gov = GovernorBuilder::new().memory_budget(1).build();
+    match run(&Pool::sequential(), &ExecContext::governed(&gov)) {
+        Err(ExecError::Governed(SproutError::MemoryBudgetExceeded {
+            requested, budget, ..
+        })) => assert!(requested > budget, "{operator}"),
+        other => panic!("{operator}: expected MemoryBudgetExceeded, got {other:?}"),
+    }
+    assert!(
+        run(&Pool::sequential(), &ExecContext::unbounded()).is_ok(),
+        "{operator}: unbounded run"
+    );
+}
+
+#[test]
+fn memory_budget_exhaustion_interrupts_the_sequential_scan() {
+    let cust = fixtures::fig1_catalog().table("Cust").unwrap();
+    assert_budget_trips_on_one_thread("scan", |pool, ctx| {
+        ops::scan_ctx(&cust, "Cust", &["ckey".into()], pool, ctx)
+    });
+}
+
+#[test]
+fn memory_budget_exhaustion_interrupts_the_sequential_fused_scan() {
+    let cust = fixtures::fig1_catalog().table("Cust").unwrap();
+    let joe = pdb_query::Predicate::new("Cust", "cname", pdb_query::CompareOp::Eq, "Joe");
+    assert_budget_trips_on_one_thread("scan_filter_project", |pool, ctx| {
+        ops::scan_filter_project_ctx(&cust, "Cust", &[&joe], &["ckey".into()], pool, ctx)
+    });
+}
+
+#[test]
+fn memory_budget_exhaustion_interrupts_the_sequential_project() {
+    let cust = fixtures::fig1_catalog().table("Cust").unwrap();
+    let scanned = ops::scan(&cust, "Cust", &["ckey".into(), "cname".into()]).unwrap();
+    assert_budget_trips_on_one_thread("project", |pool, ctx| {
+        ops::project_ctx(&scanned, &["cname".into()], pool, ctx)
+    });
+}
+
+#[test]
+fn memory_budget_exhaustion_interrupts_the_sequential_join() {
+    let catalog = fixtures::fig1_catalog();
+    let cust = catalog.table("Cust").unwrap();
+    let ord = catalog.table("Ord").unwrap();
+    let left = ops::scan(&cust, "Cust", &["ckey".into(), "cname".into()]).unwrap();
+    let right = ops::scan(&ord, "Ord", &["okey".into(), "ckey".into()]).unwrap();
+    assert_budget_trips_on_one_thread("natural_join", |pool, ctx| {
+        ops::natural_join_ctx(&left, &right, pool, ctx)
+    });
+}
+
 #[test]
 fn planner_facade_threads_the_governor_through_every_plan_kind() {
     let catalog = fixtures::fig1_catalog_with_keys();

@@ -1,4 +1,4 @@
-//! The concurrent query service around [`SproutDb`].
+//! The concurrent query service around [`sprout::SproutDb`].
 //!
 //! One `std::net::TcpListener` accept loop, one thread per connection
 //! (HTTP/1.1 with keep-alive), and the [`AdmissionControl`] scheduler
@@ -162,8 +162,8 @@ impl SproutServer {
 
     /// Starts draining without stopping the listener: every new query (and
     /// table registration) is rejected with `503 DRAINING` while in-flight
-    /// queries and answer streams run to completion. [`shutdown`]
-    /// (Self::shutdown) implies this.
+    /// queries and answer streams run to completion.
+    /// [`shutdown`](Self::shutdown) implies this.
     pub fn drain(&self) {
         self.shared.admission.drain();
     }

@@ -174,7 +174,7 @@ pub mod collection {
     use rand::Rng;
     use std::collections::BTreeSet;
 
-    /// Size specifications accepted by [`vec`] and [`btree_set`]: a fixed
+    /// Size specifications accepted by [`vec()`] and [`btree_set`]: a fixed
     /// `usize` or a `Range<usize>`.
     pub trait IntoSizeRange {
         /// Draws a size.
@@ -205,7 +205,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, R> {
         element: S,
