@@ -209,7 +209,7 @@ pub fn anytime_confidences_ctx(
                     // deadline beats the bag to its first checkpoint: the
                     // single-shot crude bounds are the best bounds so far.
                     ApproxPolicy::Bounds { .. } => {
-                        let (lo, hi) = crude_bounds(dnf, &probs);
+                        let (lo, hi) = crude_bounds(dnf, &bag_marginals(dnf, &probs));
                         Ok(TupleConfidence {
                             tuple: tuple.clone(),
                             lo,
@@ -311,7 +311,8 @@ fn dissociation_bounds(
     ctx: &ExecContext,
 ) -> ConfResult<TupleConfidence> {
     let mut rng = SplitMix64::new(seed);
-    let (lo0, hi0) = crude_bounds(dnf, probs);
+    let marginals = bag_marginals(dnf, probs);
+    let (lo0, hi0) = crude_bounds(dnf, &marginals);
     let mut leaves = vec![BoundsLeaf {
         mass: 1.0,
         dnf: dnf.clone(),
@@ -328,6 +329,8 @@ fn dissociation_bounds(
     // Budget exhaustion is not an error here — the bounds reached so far are
     // valid, just wider; refinement simply stops growing the frontier.
     let mut frontier_bytes = leaf_bytes(dnf);
+    // Every variable occurrence of the leaf being split, reused per round.
+    let mut occurrences: Vec<Variable> = Vec::new();
     // A failed initial account is not an error: refinement is skipped and
     // the crude bounds stand (`account` charges even on failure, so the
     // unconditional release below is owed either way).
@@ -369,20 +372,24 @@ fn dissociation_bounds(
 
             // Condition on the most frequent variable of the chosen cofactor;
             // equally frequent candidates are broken by the seeded generator.
+            // Sorted, an occurrence count is a run length and the candidates
+            // come out in ascending variable order.
             let var = {
-                let leaf = &leaves[idx];
-                let mut counts: BTreeMap<Variable, usize> = BTreeMap::new();
-                for clause in leaf.dnf.clauses() {
-                    for v in clause.vars() {
-                        *counts.entry(*v).or_insert(0) += 1;
+                occurrences.clear();
+                let clauses = leaves[idx].dnf.clauses().iter();
+                occurrences.extend(clauses.flat_map(Clause::vars));
+                occurrences.sort_unstable();
+                let mut candidates: Vec<Variable> = Vec::new();
+                let mut max = 0;
+                for run in occurrences.chunk_by(|a, b| a == b) {
+                    if run.len() > max {
+                        max = run.len();
+                        candidates.clear();
+                    }
+                    if run.len() == max {
+                        candidates.push(run[0]);
                     }
                 }
-                let max = counts.values().copied().max().unwrap_or(0);
-                let candidates: Vec<Variable> = counts
-                    .into_iter()
-                    .filter(|(_, c)| *c == max)
-                    .map(|(v, _)| v)
-                    .collect();
                 candidates[(rng.next() % candidates.len() as u64) as usize]
             };
             let p = probs.get(&var).copied().unwrap_or(0.0);
@@ -399,7 +406,8 @@ fn dissociation_bounds(
                     }
                     let cofactor = parent.dnf.assign(var, value);
                     children_bytes += leaf_bytes(&cofactor);
-                    children.push(bound_leaf(cofactor, parent.mass * branch_p, probs));
+                    let mass = parent.mass * branch_p;
+                    children.push(bound_leaf(cofactor, mass, probs, &marginals));
                 }
             }
             let parent_bytes = leaf_bytes(&leaves[idx].dnf);
@@ -452,7 +460,12 @@ fn dissociation_bounds(
 
 /// Bounds a cofactor: constants and read-once formulas close exactly, the
 /// rest get crude dissociation bounds and stay open.
-fn bound_leaf(dnf: Dnf, mass: f64, probs: &BTreeMap<Variable, f64>) -> BoundsLeaf {
+fn bound_leaf(
+    dnf: Dnf,
+    mass: f64,
+    probs: &BTreeMap<Variable, f64>,
+    marginals: &[(Variable, f64)],
+) -> BoundsLeaf {
     match factorize(&dnf) {
         Factorization::Constant(b) => {
             let p = if b { 1.0 } else { 0.0 };
@@ -475,7 +488,7 @@ fn bound_leaf(dnf: Dnf, mass: f64, probs: &BTreeMap<Variable, f64>) -> BoundsLea
             }
         }
         Factorization::Blocked(_) => {
-            let (lo, hi) = crude_bounds(&dnf, probs);
+            let (lo, hi) = crude_bounds(&dnf, marginals);
             BoundsLeaf {
                 mass,
                 dnf,
@@ -487,7 +500,17 @@ fn bound_leaf(dnf: Dnf, mass: f64, probs: &BTreeMap<Variable, f64>) -> BoundsLea
     }
 }
 
-/// Single-shot dissociation bounds for a monotone DNF.
+/// One bag's variables with their marginals, sorted by variable: a lookup is
+/// a binary search over the bag instead of a descent through the whole
+/// answer's map, and its position is a dense index. A variable missing from
+/// `probs` is impossible.
+fn bag_marginals(dnf: &Dnf, probs: &BTreeMap<Variable, f64>) -> Vec<(Variable, f64)> {
+    let marginal = |v| (v, probs.get(&v).copied().unwrap_or(0.0));
+    dnf.variables().into_iter().map(marginal).collect()
+}
+
+/// Single-shot dissociation bounds for a monotone DNF over the variables of
+/// one bag, given its [`bag_marginals`].
 ///
 /// Upper: treat the clauses as independent events — valid because monotone
 /// events over a product measure are positively associated (the oblivious
@@ -495,23 +518,25 @@ fn bound_leaf(dnf: Dnf, mass: f64, probs: &BTreeMap<Variable, f64>) -> BoundsLea
 /// greedily chosen variable-disjoint subfamily of clauses (genuinely
 /// independent events whose union is implied), improved by the best single
 /// clause.
-fn crude_bounds(dnf: &Dnf, probs: &BTreeMap<Variable, f64>) -> (f64, f64) {
-    let clause_prob = |c: &Clause| -> f64 {
-        c.vars()
-            .iter()
-            .map(|v| probs.get(v).copied().unwrap_or(0.0))
-            .product()
-    };
+fn crude_bounds(dnf: &Dnf, marginals: &[(Variable, f64)]) -> (f64, f64) {
     let mut miss_all = 1.0f64;
     let mut best_single = 0.0f64;
     let mut miss_disjoint = 1.0f64;
-    let mut used: Vec<Variable> = Vec::new();
+    // Per variable of the bag: whether the disjoint subfamily mentions it.
+    let mut used = vec![false; marginals.len()];
+    let slot = |v: &Variable| {
+        let slot = marginals.binary_search_by_key(v, |m| m.0);
+        slot.expect("a cofactor mentions only variables of its bag")
+    };
+    let mut slots: Vec<usize> = Vec::new();
     for clause in dnf.clauses() {
-        let p = clause_prob(clause);
+        slots.clear();
+        slots.extend(clause.vars().iter().map(slot));
+        let p: f64 = slots.iter().map(|&s| marginals[s].1).product();
         miss_all *= 1.0 - p;
         best_single = best_single.max(p);
-        if clause.vars().iter().all(|v| !used.contains(v)) {
-            used.extend_from_slice(clause.vars());
+        if slots.iter().all(|&s| !used[s]) {
+            slots.iter().for_each(|&s| used[s] = true);
             miss_disjoint *= 1.0 - p;
         }
     }
@@ -626,6 +651,21 @@ mod tests {
         assert!(got[0].rounds > 0);
         assert!((got[0].lo - want).abs() < 1e-12, "{} vs {want}", got[0].lo);
         assert!((got[0].hi - want).abs() < 1e-12);
+    }
+
+    #[test]
+    fn crude_bounds_fold_in_clause_order_over_the_greedy_disjoint_subfamily() {
+        let probs = probs_for(&[1, 2, 3, 4, 5]);
+        let clause = |vars: &[u64]| Clause::new(vars.iter().map(|v| Variable(*v)));
+        // 3·4 is the first clause disjoint from 1·2; 4·5 then meets it, and
+        // 9 has no marginal, so 1·9 is impossible (and uses up nothing new).
+        let dnf = Dnf::new([&[1, 2][..], &[2, 3], &[3, 4], &[4, 5], &[1, 9]].map(clause));
+        let p = |a: u64, b: u64| probs[&Variable(a)] * probs[&Variable(b)];
+        let (lo, hi) = crude_bounds(&dnf, &bag_marginals(&dnf, &probs));
+        let miss_all = (1.0 - p(1, 2)) * (1.0 - p(2, 3)) * (1.0 - p(3, 4)) * (1.0 - p(4, 5));
+        assert_eq!(hi.to_bits(), (1.0 - miss_all).to_bits());
+        let miss_disjoint = (1.0 - p(1, 2)) * (1.0 - p(3, 4));
+        assert_eq!(lo.to_bits(), (1.0 - miss_disjoint).to_bits());
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! clauses so duplicate detection in [`Dnf::add_clause`] is a binary search
 //! instead of a linear scan. This matters for the brute-force oracle, which
 //! builds one clause per derivation row and cofactors formulas recursively
-//! during Shannon expansion.
+//! during Shannon expansion. The bulk builders ([`Dnf::new`],
+//! [`Dnf::assign`]) make the index with one sort or one filter, never one
+//! search and insert per clause: the anytime loop cofactors a formula of
+//! thousands of clauses twice per refinement round.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -153,13 +156,24 @@ impl Dnf {
         Dnf::default()
     }
 
-    /// A formula from the given clauses, deduplicated.
+    /// A formula from the given clauses, deduplicated: of equal clauses the
+    /// first stays, so insertion order is what [`Dnf::add_clause`] one by one
+    /// would leave — with one sort instead of a search and an index insert
+    /// per clause.
     pub fn new(clauses: impl IntoIterator<Item = Clause>) -> Self {
-        let mut out = Dnf::empty();
-        for c in clauses {
-            out.add_clause(c);
-        }
-        out
+        let mut clauses: Vec<Clause> = clauses.into_iter().collect();
+        let mut sorted: Vec<u32> = (0..clauses.len() as u32).collect();
+        sorted.sort_unstable_by_key(|&i| (&clauses[i as usize], i));
+        let mut keep = vec![true; clauses.len()];
+        sorted.dedup_by(|later, first| {
+            let duplicate = clauses[*later as usize] == clauses[*first as usize];
+            keep[*later as usize] = !duplicate;
+            duplicate
+        });
+        let sorted = renumbered(&sorted, &keep);
+        let mut keep = keep.iter();
+        clauses.retain(|_| *keep.next().expect("one flag per clause"));
+        Dnf { clauses, sorted }
     }
 
     /// A single-variable formula.
@@ -240,14 +254,17 @@ impl Dnf {
 
     /// The formula restricted by setting `var` to `value` (Shannon cofactor).
     pub fn assign(&self, var: Variable, value: bool) -> Dnf {
-        let mut out = Dnf::empty();
-        out.clauses.reserve(self.clauses.len());
-        for c in &self.clauses {
-            if let Some(restricted) = c.assign(var, value) {
-                out.add_clause(restricted);
-            }
+        if value {
+            // Shortened clauses may coincide with others and sort elsewhere.
+            return Dnf::new(self.clauses.iter().filter_map(|c| c.assign(var, true)));
         }
-        out
+        // Dropping clauses keeps the rest distinct and in their sorted order.
+        let keep: Vec<bool> = self.clauses.iter().map(|c| !c.contains(var)).collect();
+        let kept = self.clauses.iter().zip(&keep).filter(|(_, keep)| **keep);
+        Dnf {
+            clauses: kept.map(|(c, _)| c.clone()).collect(),
+            sorted: renumbered(&self.sorted, &keep),
+        }
     }
 
     /// Whether the formula is identically true (contains the empty clause).
@@ -257,6 +274,21 @@ impl Dnf {
             .first()
             .is_some_and(|&i| self.clauses[i as usize].is_empty())
     }
+}
+
+/// The sorted index `sorted` after the clauses not flagged in `keep` are
+/// dropped and the rest renumbered in order.
+fn renumbered(sorted: &[u32], keep: &[bool]) -> Vec<u32> {
+    let mut next = 0;
+    let number: Vec<u32> = keep
+        .iter()
+        .map(|&keep| {
+            next += keep as u32;
+            next - keep as u32
+        })
+        .collect();
+    let kept = sorted.iter().filter(|&&i| keep[i as usize]);
+    kept.map(|&i| number[i as usize]).collect()
 }
 
 impl fmt::Display for Dnf {
@@ -379,6 +411,58 @@ mod tests {
         );
         let d_false = d.assign(v(1), false);
         assert_eq!(d_false.clauses(), &[Clause::new([v(3)])]);
+    }
+
+    /// Pseudo-random small clause lists with plenty of repeats.
+    fn clause_lists() -> impl Iterator<Item = Vec<Clause>> {
+        (0..200u64).map(|seed| {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            (0..next() % 12)
+                .map(|_| Clause::new((0..next() % 4).map(|_| v(next() % 5)).collect::<Vec<_>>()))
+                .collect()
+        })
+    }
+
+    /// What the bulk builders must leave: `add_clause` one by one.
+    fn one_by_one(clauses: impl IntoIterator<Item = Clause>) -> Dnf {
+        let mut d = Dnf::empty();
+        clauses.into_iter().for_each(|c| d.add_clause(c));
+        d
+    }
+
+    #[test]
+    fn bulk_construction_is_add_clause_one_by_one() {
+        for clauses in clause_lists() {
+            let bulk = Dnf::new(clauses.clone());
+            let reference = one_by_one(clauses);
+            assert_eq!(
+                bulk.clauses, reference.clauses,
+                "first of equal clauses stays"
+            );
+            assert_eq!(bulk.sorted, reference.sorted);
+        }
+    }
+
+    #[test]
+    fn cofactors_are_add_clause_one_by_one() {
+        for clauses in clause_lists() {
+            let d = Dnf::new(clauses);
+            for var in (0..5).map(v) {
+                for value in [true, false] {
+                    let got = d.assign(var, value);
+                    let restricted = d.clauses.iter().filter_map(|c| c.assign(var, value));
+                    let want = one_by_one(restricted);
+                    assert_eq!(got.clauses, want.clauses, "{d} | {var}={value}");
+                    assert_eq!(got.sorted, want.sorted, "{d} | {var}={value}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,19 @@
 //! not read-once and is returned as the blocking witness
 //! ([`Factorization::Blocked`]) — the dissociation bounds evaluator takes
 //! over from there.
+//!
+//! # Cost
+//!
+//! The anytime loop factorizes both cofactors of every Shannon split, so a
+//! call is near-linear in the formula. Its variables are interned once to
+//! dense `u32` ids (their rank, so id order is variable order) and every
+//! clause set is one flat CSR over them. A recursion step indexes its clause
+//! set by variable, then absorbs by counting hits through the occurrence
+//! lists, finds ∨-components by union-find over the variables, and finds
+//! co-components by BFS on the complement graph with a shrinking unvisited
+//! list — `O(n + Σ|clause|²)`, no adjacency matrix. A step hands its clause
+//! set over to its children, which partition it, before it recurses, so the
+//! scratch alive at any moment is linear in the input.
 
 use std::collections::BTreeMap;
 
@@ -129,238 +142,290 @@ pub fn factorize(dnf: &Dnf) -> Factorization {
     if dnf.is_true() {
         return Factorization::Constant(true);
     }
-    let clauses = minimize(dnf.clauses().iter().map(|c| c.vars().to_vec()).collect());
-    if clauses.iter().any(|c| c.is_empty()) {
-        // An empty clause survived minimization: the formula is true.
-        return Factorization::Constant(true);
+    // Intern: a variable's id is its rank among the formula's variables.
+    let occurrences = dnf.clauses().iter().flat_map(Clause::vars);
+    let mut vars: Vec<Variable> = occurrences.copied().collect();
+    assert!(
+        u32::try_from(vars.len()).is_ok(),
+        "lineage formula with more than u32::MAX variable occurrences"
+    );
+    vars.sort_unstable();
+    vars.dedup();
+    let id = |v| vars.binary_search(v).expect("interned above") as u32;
+    let mut root = Clauses::default();
+    for clause in dnf.clauses() {
+        root.push(clause.vars().iter().map(id));
     }
-    match build(&clauses) {
+    let mut slot = vec![0u32; vars.len()];
+    match build(absorb(sort_dedup(&root), &mut slot), &vars, &mut slot) {
         Ok(tree) => Factorization::ReadOnce(tree),
         Err(blocking) => {
-            let mut witness = Dnf::empty();
-            for c in blocking {
-                witness.add_clause(Clause::new(c));
-            }
-            Factorization::Blocked(witness)
+            let clause = |c: &[u32]| Clause::new(c.iter().map(|&id| vars[id as usize]));
+            Factorization::Blocked(Dnf::new(blocking.iter().map(clause)))
         }
     }
 }
 
-/// Absorption-minimizes a positive clause set: drops duplicates and every
-/// clause that is a superset of another clause. The result is the unique
-/// positive IDNF of the input.
-fn minimize(mut clauses: Vec<Vec<Variable>>) -> Vec<Vec<Variable>> {
-    // Clause variables are already sorted (Clause keeps them sorted); sort
-    // the clause list by (length, content) so absorbers precede absorbees
-    // and the output order is canonical.
-    clauses.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    clauses.dedup();
-    let mut kept: Vec<Vec<Variable>> = Vec::with_capacity(clauses.len());
-    'outer: for c in clauses {
-        for k in &kept {
-            if is_subset(k, &c) {
-                continue 'outer;
+/// A clause set in flat CSR form over the call's variable ids: clause `i` is
+/// `vars[ends[i - 1]..ends[i]]`, ids ascending. No clause is empty.
+#[derive(Default)]
+struct Clauses {
+    ends: Vec<u32>,
+    vars: Vec<u32>,
+}
+
+impl Clauses {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn clause(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.vars[start as usize..self.ends[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len()).map(|i| self.clause(i))
+    }
+
+    fn push(&mut self, clause: impl IntoIterator<Item = u32>) {
+        self.vars.extend(clause);
+        self.ends.push(self.vars.len() as u32);
+    }
+}
+
+/// The clause set ordered by (length, content), duplicates dropped: the
+/// canonical order, with every clause behind the clauses it could contain.
+fn sort_dedup(set: &Clauses) -> Clauses {
+    let clause = |i: &u32| set.clause(*i as usize);
+    let mut order: Vec<u32> = (0..set.len() as u32).collect();
+    order.sort_unstable_by_key(|i| (clause(i).len(), clause(i)));
+    order.dedup_by(|b, a| clause(a) == clause(b));
+    let mut sorted = Clauses::default();
+    for i in &order {
+        sorted.push(clause(i).iter().copied());
+    }
+    sorted
+}
+
+/// The distinct variables of one clause set, numbered in first-seen order
+/// (their *slots*), each with the ascending indices of its clauses.
+struct Occurrences {
+    /// Slot → variable id.
+    ids: Vec<u32>,
+    offsets: Vec<u32>,
+    clauses: Vec<u32>,
+}
+
+impl Occurrences {
+    /// Indexes `set`. `slot` is the call's id → slot table; it is never reset
+    /// between clause sets, because an entry counts only while `ids` points
+    /// back at it.
+    fn index(set: &Clauses, slot: &mut [u32]) -> Occurrences {
+        let mut ids: Vec<u32> = Vec::new();
+        let mut offsets: Vec<u32> = vec![0];
+        for &id in &set.vars {
+            if ids.get(slot[id as usize] as usize) != Some(&id) {
+                slot[id as usize] = ids.len() as u32;
+                ids.push(id);
+                offsets.push(0);
+            }
+            offsets[slot[id as usize] as usize + 1] += 1;
+        }
+        for s in 1..offsets.len() {
+            offsets[s] += offsets[s - 1];
+        }
+        let mut next = offsets.clone();
+        let mut clauses = vec![0u32; set.vars.len()];
+        for (i, clause) in set.iter().enumerate() {
+            for &id in clause {
+                let at = &mut next[slot[id as usize] as usize];
+                clauses[*at as usize] = i as u32;
+                *at += 1;
             }
         }
-        kept.push(c);
+        Occurrences {
+            ids,
+            offsets,
+            clauses,
+        }
+    }
+
+    /// The clauses the variable in slot `s` occurs in.
+    fn of(&self, s: u32) -> &[u32] {
+        &self.clauses[self.offsets[s as usize] as usize..self.offsets[s as usize + 1] as usize]
+    }
+}
+
+/// Absorption over a [`sort_dedup`]-ordered clause set: drops every clause
+/// that contains another one, which leaves the unique positive IDNF.
+fn absorb(set: Clauses, slot: &mut [u32]) -> Clauses {
+    let n = set.len();
+    if set.clause(0).len() == set.clause(n - 1).len() {
+        // Distinct clauses of one length do not contain each other.
+        return set;
+    }
+    let occurrences = Occurrences::index(&set, slot);
+    // Per clause: the candidate that last hit it, and how many of its
+    // variables that candidate has hit; all of them means containment.
+    let mut hits = vec![(usize::MAX, 0usize); n];
+    // Clauses before `shorter` are strictly shorter than the candidate.
+    let mut shorter = 0;
+    let mut kept = Clauses::default();
+    for (i, candidate) in set.iter().enumerate() {
+        if i > 0 && candidate.len() > set.clause(i - 1).len() {
+            shorter = i as u32;
+        }
+        let absorbed = candidate.iter().any(|&id| {
+            let of = occurrences.of(slot[id as usize]);
+            of.iter().take_while(|&&k| k < shorter).any(|&k| {
+                let hit = &mut hits[k as usize];
+                *hit = (i, if hit.0 == i { hit.1 + 1 } else { 1 });
+                hit.1 == set.clause(k as usize).len()
+            })
+        });
+        if !absorbed {
+            kept.push(candidate.iter().copied());
+        }
     }
     kept
 }
 
-/// Whether sorted slice `a` is a subset of sorted slice `b`.
-fn is_subset(a: &[Variable], b: &[Variable]) -> bool {
-    let mut bi = b.iter();
-    'next: for x in a {
-        for y in bi.by_ref() {
-            match y.cmp(x) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => continue 'next,
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
 /// Recursive unate decomposition over a minimized clause set. `Err` carries
 /// the blocking clause set.
-#[allow(clippy::type_complexity)]
-fn build(clauses: &[Vec<Variable>]) -> Result<ReadOnceTree, Vec<Vec<Variable>>> {
-    debug_assert!(!clauses.is_empty());
-    if clauses.len() == 1 {
-        return Ok(conjunction_of(&clauses[0]));
+fn build(set: Clauses, vars: &[Variable], slot: &mut [u32]) -> Result<ReadOnceTree, Clauses> {
+    if set.len() == 1 {
+        // A single clause: a leaf or a conjunction of leaves.
+        let leaf = |&id: &u32| ReadOnceTree::Leaf(vars[id as usize]);
+        return Ok(match set.clause(0) {
+            [id] => leaf(id),
+            ids => ReadOnceTree::And(ids.iter().map(leaf).collect()),
+        });
     }
+    let occurrences = Occurrences::index(&set, slot);
 
     // ∨-decomposition: connected components of clauses sharing a variable.
-    let components = clause_components(clauses);
-    if components.len() > 1 {
-        let mut children = Vec::with_capacity(components.len());
-        for component in components {
-            children.push(build(&component)?);
+    let (component, components) = clause_components(&set, occurrences.ids.len(), slot);
+    if components > 1 {
+        let mut parts: Vec<Clauses> = (0..components).map(|_| Clauses::default()).collect();
+        for (clause, &c) in set.iter().zip(&component) {
+            parts[c as usize].push(clause.iter().copied());
         }
-        return Ok(ReadOnceTree::Or(children));
+        drop((set, occurrences, component));
+        let children = parts.into_iter().map(|part| build(part, vars, slot));
+        return children.collect::<Result<_, _>>().map(ReadOnceTree::Or);
     }
 
     // ∧-decomposition: co-components of the variable co-occurrence graph.
-    let vars = distinct_vars(clauses);
-    let groups = co_components(clauses, &vars);
-    if groups.len() <= 1 {
+    let (group, groups) = co_components(&set, &occurrences, slot);
+    if groups == 1 {
         // Neither decomposition applies: provably not read-once.
-        return Err(clauses.to_vec());
+        return Err(set);
     }
-
     // Project the clause set onto every group and verify normality: the
     // clause set must be exactly the cross product of its projections.
-    let mut children = Vec::with_capacity(groups.len());
-    let mut product: usize = 1;
-    let mut projections = Vec::with_capacity(groups.len());
-    for group in &groups {
-        let mut proj: Vec<Vec<Variable>> = Vec::with_capacity(clauses.len());
-        for clause in clauses {
-            let p: Vec<Variable> = clause
-                .iter()
-                .filter(|v| group.contains(v))
-                .copied()
-                .collect();
-            if p.is_empty() {
-                // A clause misses a whole component: not a cross product.
-                return Err(clauses.to_vec());
-            }
-            proj.push(p);
+    let mut projections: Vec<Clauses> = (0..groups).map(|_| Clauses::default()).collect();
+    let every_clause_meets_every_group = set.iter().all(|clause| {
+        for &id in clause {
+            let g = group[slot[id as usize] as usize];
+            projections[g as usize].vars.push(id);
         }
-        proj.sort_unstable();
-        proj.dedup();
-        product = product.saturating_mul(proj.len());
-        projections.push(proj);
+        projections.iter_mut().all(|p| {
+            let before = p.ends.last().copied().unwrap_or(0);
+            p.ends.push(p.vars.len() as u32);
+            p.vars.len() as u32 > before
+        })
+    });
+    if !every_clause_meets_every_group {
+        return Err(set);
     }
+    let mut projections: Vec<Clauses> = projections.iter().map(sort_dedup).collect();
     // Every (minimized, distinct) clause is the union of its projections, so
     // it maps to a distinct combination; |clauses| == Π|projᵢ| therefore
     // holds exactly when the map is onto the cross product.
-    if product != clauses.len() {
-        return Err(clauses.to_vec());
+    let product = projections.iter().map(Clauses::len);
+    if product.fold(1, usize::saturating_mul) != set.len() {
+        return Err(set);
     }
-    for proj in projections {
-        // Projections of a minimal normal clause set are minimal themselves,
-        // but re-minimize defensively: it is cheap and keeps the recursion's
-        // precondition airtight.
-        children.push(build(&minimize(proj))?);
-    }
-    Ok(ReadOnceTree::And(children))
+    // A containment between two clauses of one projection would extend, by
+    // any one clause of each other projection, to a containment in the
+    // (minimized) cross product: the projections need no absorption pass.
+    projections.sort_unstable_by_key(|p| p.vars.iter().copied().min());
+    drop((set, occurrences, group));
+    let children = projections.into_iter().map(|p| build(p, vars, slot));
+    children.collect::<Result<_, _>>().map(ReadOnceTree::And)
 }
 
-/// A clause as a read-once (sub)tree: a single leaf or a conjunction of
-/// leaves.
-fn conjunction_of(clause: &[Variable]) -> ReadOnceTree {
-    if clause.len() == 1 {
-        ReadOnceTree::Leaf(clause[0])
-    } else {
-        ReadOnceTree::And(clause.iter().map(|v| ReadOnceTree::Leaf(*v)).collect())
-    }
-}
-
-/// Sorted distinct variables of a clause set.
-fn distinct_vars(clauses: &[Vec<Variable>]) -> Vec<Variable> {
-    let mut vars: Vec<Variable> = clauses.iter().flatten().copied().collect();
-    vars.sort_unstable();
-    vars.dedup();
-    vars
-}
-
-/// Connected components of the clause set under "shares a variable",
-/// ordered by their smallest clause index (so the tree shape is canonical).
-fn clause_components(clauses: &[Vec<Variable>]) -> Vec<Vec<Vec<Variable>>> {
-    let n = clauses.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        let mut root = i;
-        while parent[root] != root {
-            root = parent[root];
+/// Connected components of the clause set under "shares a variable": the
+/// component of every clause, numbered by smallest clause index (so the tree
+/// shape is canonical), and their count. `vars` is the number of slots.
+fn clause_components(set: &Clauses, vars: usize, slot: &[u32]) -> (Vec<u32>, usize) {
+    fn find(parent: &mut [u32], mut s: u32) -> u32 {
+        while parent[s as usize] != s {
+            parent[s as usize] = parent[parent[s as usize] as usize];
+            s = parent[s as usize];
         }
-        let mut cur = i;
-        while parent[cur] != root {
-            let next = parent[cur];
-            parent[cur] = root;
-            cur = next;
-        }
-        root
+        s
     }
-    let mut by_var: BTreeMap<Variable, usize> = BTreeMap::new();
-    for (i, clause) in clauses.iter().enumerate() {
-        for v in clause {
-            match by_var.get(v) {
-                Some(&j) => {
-                    let a = find(&mut parent, i);
-                    let b = find(&mut parent, j);
-                    if a != b {
-                        parent[a] = b;
-                    }
-                }
-                None => {
-                    by_var.insert(*v, i);
-                }
-            }
+    let mut parent: Vec<u32> = (0..vars as u32).collect();
+    for clause in set.iter() {
+        let root = find(&mut parent, slot[clause[0] as usize]);
+        for &id in &clause[1..] {
+            let other = find(&mut parent, slot[id as usize]);
+            parent[other as usize] = root;
         }
     }
-    let mut groups: BTreeMap<usize, Vec<Vec<Variable>>> = BTreeMap::new();
-    let mut first: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, clause) in clauses.iter().enumerate() {
-        let root = find(&mut parent, i);
-        groups.entry(root).or_default().push(clause.clone());
-        first.entry(root).or_insert(i);
-    }
-    let mut ordered: Vec<(usize, Vec<Vec<Variable>>)> = groups
-        .into_iter()
-        .map(|(root, members)| (first[&root], members))
-        .collect();
-    ordered.sort_unstable_by_key(|(i, _)| *i);
-    ordered.into_iter().map(|(_, members)| members).collect()
+    let mut number = vec![u32::MAX; vars];
+    let mut components = 0;
+    let of_clause = |clause: &[u32]| {
+        let root = find(&mut parent, slot[clause[0] as usize]) as usize;
+        if number[root] == u32::MAX {
+            number[root] = components;
+            components += 1;
+        }
+        number[root]
+    };
+    (set.iter().map(of_clause).collect(), components as usize)
 }
 
 /// Connected components of the *complement* of the variable co-occurrence
-/// graph, each returned as a sorted variable list, ordered by smallest
-/// variable. One single component means no ∧-decomposition exists.
-fn co_components(clauses: &[Vec<Variable>], vars: &[Variable]) -> Vec<Vec<Variable>> {
-    let n = vars.len();
-    let index: BTreeMap<Variable, usize> = vars.iter().enumerate().map(|(i, v)| (*v, i)).collect();
-    // Co-occurrence adjacency as bitset rows (bag-scale formulas: n is small).
-    let words = n.div_ceil(64);
-    let mut adj = vec![0u64; n * words];
-    for clause in clauses {
-        for (k, a) in clause.iter().enumerate() {
-            let ia = index[a];
-            for b in &clause[k + 1..] {
-                let ib = index[b];
-                adj[ia * words + ib / 64] |= 1 << (ib % 64);
-                adj[ib * words + ia / 64] |= 1 << (ia % 64);
-            }
-        }
-    }
-    // BFS over complement edges: neighbors of v are the unvisited vertices
-    // *not* adjacent to v in the co-occurrence graph.
-    let mut visited = vec![false; n];
-    let mut components = Vec::new();
-    for start in 0..n {
-        if visited[start] {
-            continue;
-        }
-        visited[start] = true;
-        let mut queue = vec![start];
-        let mut members = vec![start];
+/// graph: the group of every slot, and the number of groups. One group means
+/// no ∧-decomposition exists.
+///
+/// BFS with a shrinking unvisited list: the co-occurrence neighbours of the
+/// dequeued variable are stamped from its occurrence lists, and every
+/// unvisited variable left unstamped is a complement neighbour. A variable
+/// that stays was stamped and one that leaves never comes back, so the
+/// search is `O(n + Σ|clause|²)` whatever the density of the complement.
+fn co_components(set: &Clauses, occurrences: &Occurrences, slot: &[u32]) -> (Vec<u32>, usize) {
+    let n = occurrences.ids.len();
+    let mut group = vec![0u32; n];
+    let mut groups = 0;
+    // Per slot: the dequeued variable whose neighbourhood last covered it.
+    let mut stamp = vec![u32::MAX; n];
+    let mut unvisited: Vec<u32> = (0..n as u32).collect();
+    let mut queue: Vec<u32> = Vec::new();
+    while let Some(start) = unvisited.pop() {
+        group[start as usize] = groups;
+        queue.push(start);
         while let Some(v) = queue.pop() {
-            let row = &adj[v * words..(v + 1) * words];
-            for u in 0..n {
-                if !visited[u] && row[u / 64] & (1 << (u % 64)) == 0 {
-                    visited[u] = true;
-                    queue.push(u);
-                    members.push(u);
+            for &c in occurrences.of(v) {
+                for &id in set.clause(c as usize) {
+                    stamp[slot[id as usize] as usize] = v;
                 }
             }
+            unvisited.retain(|&u| {
+                let stays = stamp[u as usize] == v;
+                if !stays {
+                    group[u as usize] = groups;
+                    queue.push(u);
+                }
+                stays
+            });
         }
-        members.sort_unstable();
-        components.push(members.into_iter().map(|i| vars[i]).collect());
+        groups += 1;
     }
-    components
+    (group, groups as usize)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Property tests for the read-once factorization pass.
 //!
-//! Three angles:
+//! Five angles:
 //!
 //! * **Soundness on arbitrary DNFs** — whenever [`factorize`] claims a
 //!   read-once tree, its one-pass probability must equal the brute-force
@@ -12,12 +12,23 @@
 //!   (`xy ∨ yz ∨ zu`, the canonical non-read-once pattern) must come back
 //!   [`Factorization::Blocked`], with a witness that is itself entangled
 //!   (every clause shares a variable with another).
+//! * **Scale** — the same two properties on expansions of random read-once
+//!   trees of up to a few thousand clauses, clause order shuffled and
+//!   absorbed supersets injected: the probability must equal the tree's
+//!   closed form, and a P4 planted at a random leaf must come back as
+//!   exactly the witness.
+//! * **The definition** — [`by_definition`] is the decomposition written
+//!   down as its definition (all-pairs absorption, "shares a variable"
+//!   closed by repeated merging, a dense complement graph); [`factorize`]
+//!   must return the *same* tree or witness, child order included, because
+//!   the order of a tree's children is the order its probability is folded
+//!   in.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use pdb_lineage::{exact_probability, factorize, Clause, Dnf, Factorization};
+use pdb_lineage::{exact_probability, factorize, Clause, Dnf, Factorization, ReadOnceTree};
 use pdb_storage::Variable;
 
 fn probs_for(formula: &Dnf) -> BTreeMap<Variable, f64> {
@@ -56,6 +67,244 @@ fn read_once_dnf(shape: &[u8], next: &mut u64, depth: usize) -> Dnf {
     } else {
         it.fold(first, |acc, c| acc.and(&c))
     }
+}
+
+/// SplitMix64, to derive a whole instance from one generated seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+}
+
+/// A generated formula: a read-once tree over distinct variables, except
+/// that one leaf may be the path P4 over four variables of its own.
+enum Shape {
+    Leaf(u64),
+    /// `ab ∨ bc ∨ cd` over the variables `a..a + 4`.
+    P4(u64),
+    And(Vec<Shape>),
+    Or(Vec<Shape>),
+}
+
+impl Shape {
+    /// A random alternating tree whose DNF has at most `clauses` clauses
+    /// (an ∨ adds its children's clause counts up, an ∧ multiplies them).
+    fn random(rng: &mut Rng, clauses: usize, or: bool, next: &mut u64) -> Shape {
+        if clauses < 2 {
+            *next += 1;
+            return Shape::Leaf(*next - 1);
+        }
+        let mut children = Vec::new();
+        let mut left = clauses;
+        while left > 0 && children.len() < 6 {
+            let share = if or {
+                rng.range(1, left.div_ceil(2))
+            } else {
+                rng.range(1, (left as f64).sqrt() as usize + 1)
+            };
+            children.push(Shape::random(rng, share, !or, next));
+            left = if or {
+                left - share
+            } else {
+                left / share.max(2)
+            };
+        }
+        match (children.len(), or) {
+            (1, _) => children.pop().unwrap(),
+            (_, true) => Shape::Or(children),
+            (_, false) => Shape::And(children),
+        }
+    }
+
+    /// Replaces the `n`-th leaf by a P4 over the four variables from `first`
+    /// (`n` counts down and wraps past zero, so one leaf is hit).
+    fn plant_p4(&mut self, n: &mut usize, first: u64) {
+        match self {
+            Shape::Leaf(_) => {
+                if *n == 0 {
+                    *self = Shape::P4(first);
+                }
+                *n = n.wrapping_sub(1);
+            }
+            Shape::P4(_) => {}
+            Shape::And(children) | Shape::Or(children) => {
+                children.iter_mut().for_each(|c| c.plant_p4(n, first))
+            }
+        }
+    }
+
+    fn leaves(&self) -> usize {
+        match self {
+            Shape::Leaf(_) | Shape::P4(_) => 1,
+            Shape::And(children) | Shape::Or(children) => children.iter().map(Shape::leaves).sum(),
+        }
+    }
+
+    /// The DNF of the formula: the clause lists of an ∨'s children side by
+    /// side, the cross product of an ∧'s.
+    fn expand(&self) -> Vec<Vec<u64>> {
+        match self {
+            Shape::Leaf(v) => vec![vec![*v]],
+            Shape::P4(a) => vec![vec![*a, a + 1], vec![a + 1, a + 2], vec![a + 2, a + 3]],
+            Shape::Or(children) => children.iter().flat_map(Shape::expand).collect(),
+            Shape::And(children) => children.iter().fold(vec![vec![]], |acc, child| {
+                let child = child.expand();
+                acc.iter()
+                    .flat_map(|a| child.iter().map(move |c| [a.as_slice(), c].concat()))
+                    .collect()
+            }),
+        }
+    }
+
+    /// The closed form of a P4-free shape's probability.
+    fn probability(&self, p: &dyn Fn(u64) -> f64) -> f64 {
+        match self {
+            Shape::Leaf(v) => p(*v),
+            Shape::P4(_) => unreachable!("closed forms are taken of read-once shapes"),
+            Shape::And(children) => children.iter().map(|c| c.probability(p)).product(),
+            Shape::Or(children) => {
+                1.0 - children
+                    .iter()
+                    .map(|c| 1.0 - c.probability(p))
+                    .product::<f64>()
+            }
+        }
+    }
+}
+
+fn marginal(v: u64) -> f64 {
+    0.1 + 0.8 * ((v * 7 % 11) as f64 / 11.0)
+}
+
+/// The expansion as the engine would meet it: clauses in random order, with
+/// one absorbed superset (a clause widened by variables of another) injected
+/// per eight clauses.
+fn disguised(rng: &mut Rng, mut clauses: Vec<Vec<u64>>) -> Dnf {
+    for _ in 0..clauses.len().div_ceil(8) {
+        let mut wider = clauses[rng.range(0, clauses.len() - 1)].clone();
+        wider.extend_from_slice(&clauses[rng.range(0, clauses.len() - 1)]);
+        clauses.push(wider);
+    }
+    for i in (1..clauses.len()).rev() {
+        clauses.swap(i, rng.range(0, i));
+    }
+    dnf_from(&clauses)
+}
+
+/// [`factorize`] by the definition of each step, as slow as the definition
+/// is: the reference the near-linear implementation is held to.
+fn by_definition(dnf: &Dnf) -> Factorization {
+    if dnf.is_false() || dnf.is_true() {
+        return Factorization::Constant(dnf.is_true());
+    }
+    let clauses = dnf.clauses().iter().map(|c| c.vars().to_vec()).collect();
+    match decompose(&minimized(clauses)) {
+        Ok(tree) => Factorization::ReadOnce(tree),
+        Err(stuck) => Factorization::Blocked(Dnf::new(stuck.into_iter().map(Clause::new))),
+    }
+}
+
+/// The clauses that contain no other clause of the set, ordered by
+/// (length, content).
+fn minimized(mut clauses: Vec<Vec<Variable>>) -> Vec<Vec<Variable>> {
+    clauses.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    clauses.dedup();
+    let contains = |c: &Vec<Variable>, d: &Vec<Variable>| d != c && d.iter().all(|v| c.contains(v));
+    let minimal = |c: &&Vec<Variable>| !clauses.iter().any(|d| contains(c, d));
+    clauses.iter().filter(minimal).cloned().collect()
+}
+
+/// The classes of `0..n` under the closure of `related`, each ascending,
+/// ordered by smallest member.
+fn classes(n: usize, related: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
+    let mut class: Vec<usize> = (0..n).collect();
+    loop {
+        let mut merged = false;
+        for i in 0..n {
+            for j in 0..n {
+                if class[i] < class[j] && related(i, j) {
+                    let (from, to) = (class[j], class[i]);
+                    class
+                        .iter_mut()
+                        .filter(|c| **c == from)
+                        .for_each(|c| *c = to);
+                    merged = true;
+                }
+            }
+        }
+        if !merged {
+            let ids: BTreeSet<usize> = class.iter().copied().collect();
+            let members = |id| (0..n).filter(|i| class[*i] == id).collect();
+            return ids.into_iter().map(members).collect();
+        }
+    }
+}
+
+fn decompose(clauses: &[Vec<Variable>]) -> Result<ReadOnceTree, Vec<Vec<Variable>>> {
+    if let [clause] = clauses {
+        let mut leaves: Vec<ReadOnceTree> = clause.iter().map(|v| ReadOnceTree::Leaf(*v)).collect();
+        return Ok(match leaves.len() {
+            1 => leaves.pop().unwrap(),
+            _ => ReadOnceTree::And(leaves),
+        });
+    }
+    // ∨: clauses sharing a variable, transitively.
+    let share = |i: usize, j: usize| clauses[i].iter().any(|v| clauses[j].contains(v));
+    let components = classes(clauses.len(), share);
+    if components.len() > 1 {
+        let part = |c: &Vec<usize>| c.iter().map(|i| clauses[*i].clone()).collect::<Vec<_>>();
+        let children = components.iter().map(|c| decompose(&part(c)));
+        return children.collect::<Result<_, _>>().map(ReadOnceTree::Or);
+    }
+    // ∧: variables *not* sharing a clause, transitively.
+    let vars: Vec<Variable> = clauses
+        .iter()
+        .flatten()
+        .copied()
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let apart = |i: usize, j: usize| {
+        !clauses
+            .iter()
+            .any(|c| c.contains(&vars[i]) && c.contains(&vars[j]))
+    };
+    let groups = classes(vars.len(), apart);
+    if groups.len() == 1 {
+        return Err(clauses.to_vec());
+    }
+    let mut projections = Vec::new();
+    for group in &groups {
+        let onto = |c: &Vec<Variable>| -> Vec<Variable> {
+            c.iter()
+                .copied()
+                .filter(|v| group.iter().any(|i| vars[*i] == *v))
+                .collect()
+        };
+        let projection: BTreeSet<Vec<Variable>> = clauses.iter().map(onto).collect();
+        if projection.contains(&Vec::new()) {
+            return Err(clauses.to_vec());
+        }
+        projections.push(projection);
+    }
+    if projections.iter().map(BTreeSet::len).product::<usize>() != clauses.len() {
+        return Err(clauses.to_vec());
+    }
+    let children = projections
+        .into_iter()
+        .map(|p| decompose(&minimized(p.into_iter().collect())));
+    children.collect::<Result<_, _>>().map(ReadOnceTree::And)
 }
 
 proptest! {
@@ -137,6 +386,83 @@ proptest! {
                     "witness {witness} must involve the P4 core");
             }
             other => prop_assert!(false, "expected blocked for {dnf}, got {other:?}"),
+        }
+    }
+
+    /// Small arbitrary clause sets: the same tree, child for child, or the
+    /// same witness as the definition gives.
+    #[test]
+    fn factorize_is_the_definition_on_arbitrary_clause_sets(
+        clauses in proptest::collection::vec(
+            proptest::collection::vec(0u64..9, 1..5), 1..10),
+    ) {
+        let dnf = dnf_from(&clauses);
+        prop_assert_eq!(factorize(&dnf), by_definition(&dnf), "on {}", dnf);
+    }
+
+    /// Structured formulas of up to ~150 clauses, where the decomposition
+    /// goes several levels deep on both sides of the read-once boundary.
+    #[test]
+    fn factorize_is_the_definition_on_disguised_expansions(
+        seed in 0u64..u64::MAX,
+        clauses in 2usize..150,
+        plant in proptest::bool::ANY,
+    ) {
+        let mut rng = Rng(seed);
+        let mut next = 0u64;
+        let mut shape = Shape::random(&mut rng, clauses, true, &mut next);
+        if plant {
+            shape.plant_p4(&mut rng.range(0, shape.leaves() - 1), next);
+        }
+        let dnf = disguised(&mut rng, shape.expand());
+        let got = factorize(&dnf);
+        prop_assert_eq!(got.is_read_once(), !plant);
+        prop_assert_eq!(got, by_definition(&dnf), "on {}", dnf);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Expansions of up to a few thousand clauses, disguised, factor back,
+    /// and the tree evaluates to the generating shape's closed form.
+    #[test]
+    fn large_disguised_expansions_factor_back_to_the_closed_form(
+        seed in 0u64..u64::MAX,
+        clauses in 500usize..4000,
+    ) {
+        let mut rng = Rng(seed);
+        let mut next = 0u64;
+        let shape = Shape::random(&mut rng, clauses, true, &mut next);
+        let dnf = disguised(&mut rng, shape.expand());
+        let probs: BTreeMap<Variable, f64> = (0..next).map(|v| (Variable(v), marginal(v))).collect();
+        match factorize(&dnf) {
+            Factorization::ReadOnce(tree) => {
+                prop_assert_eq!(tree.leaf_count() as u64, next, "every variable once");
+                let (got, want) = (tree.probability(&probs), shape.probability(&marginal));
+                prop_assert!((got - want).abs() <= 1e-12 * want.max(1e-300),
+                    "tree gave {got}, closed form {want} ({} clauses)", dnf.len());
+            }
+            other => prop_assert!(false, "expected read-once ({} clauses), got {other:?}", dnf.len()),
+        }
+    }
+
+    /// The same with a P4 planted at a random leaf: blocked, and the first
+    /// stuck sub-formula is the P4 itself — everything around it peels off.
+    #[test]
+    fn a_p4_planted_in_a_large_expansion_is_the_witness(
+        seed in 0u64..u64::MAX,
+        clauses in 500usize..4000,
+    ) {
+        let mut rng = Rng(seed);
+        let mut next = 0u64;
+        let mut shape = Shape::random(&mut rng, clauses, true, &mut next);
+        shape.plant_p4(&mut rng.range(0, shape.leaves() - 1), next);
+        let dnf = disguised(&mut rng, shape.expand());
+        let p4 = dnf_from(&[vec![next, next + 1], vec![next + 1, next + 2], vec![next + 2, next + 3]]);
+        match factorize(&dnf) {
+            Factorization::Blocked(witness) => prop_assert_eq!(witness, p4),
+            other => prop_assert!(false, "expected blocked ({} clauses), got {other:?}", dnf.len()),
         }
     }
 }
