@@ -6,6 +6,8 @@ use pdb_govern::{SproutError, Stage};
 use pdb_par::TaskFailure;
 use pdb_storage::StorageError;
 
+use crate::extensional::AggregationError;
+
 /// Errors raised during plan execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
@@ -18,6 +20,9 @@ pub enum ExecError {
     DuplicateRelation(String),
     /// Underlying storage error.
     Storage(StorageError),
+    /// A fallible probability aggregation failed on one group (MystiQ's
+    /// log-space emulation overflowed).
+    Aggregation(AggregationError),
     /// The query governor interrupted execution (cancellation, deadline,
     /// memory budget) or a worker panicked and was isolated.
     Governed(SproutError),
@@ -52,6 +57,7 @@ impl fmt::Display for ExecError {
                 )
             }
             ExecError::Storage(e) => write!(f, "storage error: {e}"),
+            ExecError::Aggregation(e) => write!(f, "{e}"),
             ExecError::Governed(e) => write!(f, "{e}"),
         }
     }
@@ -62,6 +68,12 @@ impl std::error::Error for ExecError {}
 impl From<StorageError> for ExecError {
     fn from(e: StorageError) -> Self {
         ExecError::Storage(e)
+    }
+}
+
+impl From<AggregationError> for ExecError {
+    fn from(e: AggregationError) -> Self {
+        ExecError::Aggregation(e)
     }
 }
 

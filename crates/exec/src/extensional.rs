@@ -1,24 +1,18 @@
-//! Extensional operators: the MystiQ-style safe-plan substrate.
+//! Extensional probability aggregation: how a MystiQ-style safe plan
+//! combines the probabilities of duplicate tuples.
 //!
 //! MystiQ "works on probabilistic tables without variable columns and where
 //! only restricted ('safe') query plans can be used for correct probability
-//! computation" (Section V). Its plans use extensional operators: a join of
-//! two tuples multiplies their probabilities, and an *independent project*
-//! `π^ind` removes duplicates by combining their probabilities as if the
-//! duplicates were independent — which safe plans guarantee by construction.
-//!
-//! The module also reproduces MystiQ's probability aggregation in log space,
+//! computation" (Section V). Its plans are joins, which multiply the
+//! probabilities of the tuples they pair, and *independent projects*
+//! `π^ind`, which combine the probabilities of duplicates as if they were
+//! independent — which safe plans guarantee by construction. The engine
+//! runs those plans on its ordinary operators (`sprout_plan::safe`); what
+//! is MystiQ's own and lives here is how `π^ind` combines a group:
+//! [`ProbAggregation`], with MystiQ's log-space
 //! `1 − POWER(10000, SUM(log(1.001 − p)))`, whose numerical fragility is the
 //! reason several TPC-H queries "could not be computed by MystiQ due to a
-//! minor technical problem" (Section VII); benchmarks use it to reproduce
-//! that behaviour.
-
-use std::collections::HashMap;
-
-use pdb_query::Predicate;
-use pdb_storage::{ProbTable, Schema, Tuple, Value};
-
-use crate::error::{ExecError, ExecResult};
+//! minor technical problem" (Section VII).
 
 /// How an independent projection combines the probabilities of duplicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,203 +50,6 @@ impl std::fmt::Display for AggregationError {
 
 impl std::error::Error for AggregationError {}
 
-/// A relation whose tuples carry a single probability and no lineage — the
-/// data model of the extensional (safe-plan) approach.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtRelation {
-    schema: Schema,
-    rows: Vec<(Tuple, f64)>,
-}
-
-impl ExtRelation {
-    /// An empty extensional relation.
-    pub fn new(schema: Schema) -> Self {
-        ExtRelation {
-            schema,
-            rows: Vec::new(),
-        }
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The `(tuple, probability)` rows.
-    pub fn rows(&self) -> &[(Tuple, f64)] {
-        &self.rows
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Appends a row.
-    pub fn push(&mut self, tuple: Tuple, prob: f64) {
-        self.rows.push((tuple, prob));
-    }
-
-    /// Index of a column.
-    ///
-    /// # Errors
-    /// Fails if the column is unknown.
-    pub fn column_index(&self, name: &str) -> ExecResult<usize> {
-        self.schema
-            .index_of(name)
-            .map_err(|_| ExecError::UnknownColumn(name.to_string()))
-    }
-}
-
-/// Scans a probabilistic table into an extensional relation (dropping the
-/// variable column, exactly as MystiQ is configured for tuple-independent
-/// databases).
-///
-/// # Errors
-/// Fails on unknown attributes.
-pub fn scan_ext(table: &ProbTable, attributes: &[String]) -> ExecResult<ExtRelation> {
-    let positions: Vec<usize> = attributes
-        .iter()
-        .map(|a| {
-            table
-                .schema()
-                .index_of(a)
-                .map_err(|_| ExecError::UnknownColumn(a.clone()))
-        })
-        .collect::<ExecResult<_>>()?;
-    let schema = table
-        .schema()
-        .project(&attributes.iter().map(|s| s.as_str()).collect::<Vec<_>>())?;
-    let mut out = ExtRelation::new(schema);
-    for i in 0..table.len() {
-        let (row, _, prob) = table.triple(i);
-        out.push(row.project(&positions), prob);
-    }
-    Ok(out)
-}
-
-/// Filters by a constant predicate.
-///
-/// # Errors
-/// Fails on unknown attributes.
-pub fn filter_ext(input: &ExtRelation, predicate: &Predicate) -> ExecResult<ExtRelation> {
-    let idx = input.column_index(&predicate.attribute)?;
-    let mut out = ExtRelation::new(input.schema().clone());
-    for (row, p) in input.rows() {
-        if predicate.matches(row.value(idx)) {
-            out.push(row.clone(), *p);
-        }
-    }
-    Ok(out)
-}
-
-/// Natural join; matching tuples multiply their probabilities (the
-/// extensional join of safe plans).
-///
-/// # Errors
-/// Fails on schema conflicts.
-pub fn natural_join_ext(left: &ExtRelation, right: &ExtRelation) -> ExecResult<ExtRelation> {
-    let left_names = left.schema().names();
-    let right_names = right.schema().names();
-    let shared: Vec<&str> = left_names
-        .iter()
-        .copied()
-        .filter(|n| right_names.contains(n))
-        .collect();
-    let left_key: Vec<usize> = shared
-        .iter()
-        .map(|n| left.column_index(n))
-        .collect::<ExecResult<_>>()?;
-    let right_key: Vec<usize> = shared
-        .iter()
-        .map(|n| right.column_index(n))
-        .collect::<ExecResult<_>>()?;
-    let right_only: Vec<usize> = right_names
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| !shared.contains(n))
-        .map(|(i, _)| i)
-        .collect();
-    let mut cols = left.schema().columns().to_vec();
-    for &i in &right_only {
-        cols.push(right.schema().column(i).clone());
-    }
-    let mut out = ExtRelation::new(Schema::new(cols)?);
-
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, (row, _)) in right.rows().iter().enumerate() {
-        let key: Vec<Value> = right_key.iter().map(|&k| row.value(k).clone()).collect();
-        index.entry(key).or_default().push(i);
-    }
-    for (lrow, lp) in left.rows() {
-        let key: Vec<Value> = left_key.iter().map(|&k| lrow.value(k).clone()).collect();
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        let Some(matches) = index.get(&key) else {
-            continue;
-        };
-        for &ri in matches {
-            let (rrow, rp) = &right.rows()[ri];
-            let mut data = lrow.clone();
-            for &i in &right_only {
-                data.push(rrow.value(i).clone());
-            }
-            out.push(data, lp * rp);
-        }
-    }
-    Ok(out)
-}
-
-/// Independent projection `π^ind_attrs`: projects onto `attributes` and
-/// combines the probabilities of duplicate tuples with the selected
-/// aggregation. Safe plans guarantee the duplicates are independent; this
-/// operator does not (and cannot) check that.
-///
-/// # Errors
-/// Fails on unknown attributes or, for [`ProbAggregation::MystiqLog`], on
-/// numeric overflow.
-pub fn independent_project(
-    input: &ExtRelation,
-    attributes: &[String],
-    aggregation: ProbAggregation,
-) -> Result<ExtRelation, ExecError> {
-    let positions: Vec<usize> = attributes
-        .iter()
-        .map(|a| input.column_index(a))
-        .collect::<ExecResult<_>>()?;
-    let schema = input
-        .schema()
-        .project(&attributes.iter().map(|s| s.as_str()).collect::<Vec<_>>())?;
-    let mut groups: HashMap<Tuple, Vec<f64>> = HashMap::new();
-    let mut order: Vec<Tuple> = Vec::new();
-    for (row, p) in input.rows() {
-        let key = row.project(&positions);
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
-        });
-        entry.push(*p);
-    }
-    let mut out = ExtRelation::new(schema);
-    for key in order {
-        let probs = &groups[&key];
-        let combined = match aggregation {
-            ProbAggregation::Stable => 1.0 - probs.iter().map(|p| 1.0 - p).product::<f64>(),
-            ProbAggregation::MystiqLog => mystiq_log_aggregate(probs).map_err(|_| {
-                ExecError::Storage(pdb_storage::StorageError::InvalidProbability(f64::NAN))
-            })?,
-        };
-        out.push(key, combined);
-    }
-    Ok(out)
-}
-
 /// MystiQ's log-space emulation of `1 − Π(1 − p_i)` as described in
 /// Section VII: `1 − POWER(10000, SUM(log_10000(1.001 − p)))`.
 ///
@@ -283,92 +80,6 @@ pub fn mystiq_log_aggregate(probs: &[f64]) -> Result<f64, AggregationError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{fig1_cust, fig1_item, fig1_ord};
-    use pdb_query::CompareOp;
-    use pdb_storage::tuple;
-
-    fn s(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn scan_and_filter_ext() {
-        let cust = scan_ext(&fig1_cust(), &s(&["ckey", "cname"])).unwrap();
-        assert_eq!(cust.len(), 4);
-        let joe = filter_ext(
-            &cust,
-            &Predicate::new("Cust", "cname", CompareOp::Eq, "Joe"),
-        )
-        .unwrap();
-        assert_eq!(joe.len(), 1);
-        assert!((joe.rows()[0].1 - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn extensional_join_multiplies_probabilities() {
-        let cust = scan_ext(&fig1_cust(), &s(&["ckey", "cname"])).unwrap();
-        let ord = scan_ext(&fig1_ord(), &s(&["okey", "ckey", "odate"])).unwrap();
-        let joined = natural_join_ext(&cust, &ord).unwrap();
-        assert_eq!(joined.len(), 6);
-        // Customer 1 (p=0.1) joined with order 1 (p=0.1) gives 0.01.
-        let row = joined
-            .rows()
-            .iter()
-            .find(|(t, _)| {
-                t.value(0) == &pdb_storage::Value::Int(1)
-                    && t.value(2) == &pdb_storage::Value::Int(1)
-            })
-            .unwrap();
-        assert!((row.1 - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn independent_project_combines_duplicates() {
-        let item = scan_ext(&fig1_item(), &s(&["okey", "ckey"])).unwrap();
-        let grouped =
-            independent_project(&item, &s(&["okey", "ckey"]), ProbAggregation::Stable).unwrap();
-        // Items for okey=1 have probabilities 0.1 and 0.2 → 0.28 (Example V.1).
-        let row = grouped
-            .rows()
-            .iter()
-            .find(|(t, _)| t.value(0) == &pdb_storage::Value::Int(1))
-            .unwrap();
-        assert!((row.1 - 0.28).abs() < 1e-12);
-        assert_eq!(grouped.len(), 4);
-    }
-
-    #[test]
-    fn safe_plan_for_intro_query_matches_hand_computation() {
-        // The safe plan of Fig. 2 on the Fig. 1 database: the answer tuple
-        // 1995-01-10 has confidence 0.0028.
-        let cust = filter_ext(
-            &scan_ext(&fig1_cust(), &s(&["ckey", "cname"])).unwrap(),
-            &Predicate::new("Cust", "cname", CompareOp::Eq, "Joe"),
-        )
-        .unwrap();
-        let cust = independent_project(&cust, &s(&["ckey"]), ProbAggregation::Stable).unwrap();
-        let item = filter_ext(
-            &scan_ext(&fig1_item(), &s(&["okey", "ckey", "discount"])).unwrap(),
-            &Predicate::new("Item", "discount", CompareOp::Gt, 0.0),
-        )
-        .unwrap();
-        let item =
-            independent_project(&item, &s(&["ckey", "okey"]), ProbAggregation::Stable).unwrap();
-        let ord = scan_ext(&fig1_ord(), &s(&["okey", "ckey", "odate"])).unwrap();
-        let ord = independent_project(
-            &ord,
-            &s(&["odate", "ckey", "okey"]),
-            ProbAggregation::Stable,
-        )
-        .unwrap();
-        let oi = natural_join_ext(&ord, &item).unwrap();
-        let oi = independent_project(&oi, &s(&["odate", "ckey"]), ProbAggregation::Stable).unwrap();
-        let all = natural_join_ext(&oi, &cust).unwrap();
-        let answer = independent_project(&all, &s(&["odate"]), ProbAggregation::Stable).unwrap();
-        assert_eq!(answer.len(), 1);
-        assert_eq!(answer.rows()[0].0, tuple!["1995-01-10"]);
-        assert!((answer.rows()[0].1 - 0.0028).abs() < 1e-9);
-    }
 
     #[test]
     fn mystiq_log_aggregation_is_close_but_biased() {
@@ -389,11 +100,5 @@ mod tests {
             mystiq_log_aggregate(&probs),
             Err(AggregationError::NumericOverflow { .. })
         ));
-    }
-
-    #[test]
-    fn independent_project_unknown_column_fails() {
-        let cust = scan_ext(&fig1_cust(), &s(&["ckey"])).unwrap();
-        assert!(independent_project(&cust, &s(&["nope"]), ProbAggregation::Stable).is_err());
     }
 }

@@ -26,9 +26,11 @@
 //!   [`pdb_storage::ColumnarTable`]s with zone-map chunk skipping,
 //!   bitwise-identical to the row-at-a-time scan. [`ops`] dispatches on the
 //!   catalog's [`pdb_storage::StorageBacking`].
-//! * [`extensional`] — the extensional operators used by MystiQ-style safe
-//!   plans (Fig. 2): probabilities are combined inside joins and independent
-//!   projections, and no variable columns are kept.
+//! * [`extensional`] — how a MystiQ-style safe plan (Fig. 2) combines the
+//!   probabilities of duplicates: the stable complement-product or MystiQ's
+//!   fragile log-space emulation. The plans themselves run on [`ops`] and
+//!   [`KeyRuns`] like every other plan; there is no extensional relation
+//!   type.
 //! * [`pipeline`] — evaluation of a conjunctive query under an explicit join
 //!   order (with late string materialization on columnar backings),
 //!   producing the annotated answer the confidence-computation operator
@@ -49,7 +51,6 @@ mod runs;
 pub use annotated::{Annotated, AnnotatedRow, RowRef};
 pub use columnar::ColumnarScanStats;
 pub use error::{ExecError, ExecResult};
-pub use extensional::ExtRelation;
 pub use pdb_govern::{ExecContext, GovernorBuilder, QueryGovernor, SproutError, Stage};
 pub use pipeline::{evaluate_join_order, evaluate_join_order_ctx};
 pub use runs::KeyRuns;

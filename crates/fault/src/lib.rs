@@ -49,7 +49,6 @@ pub mod sites {
     /// Engine checkpoints (PR 6): morsel/chunk/bag boundaries of the
     /// governed relational pipeline and confidence operator.
     pub const ENGINE: &[&str] = &[
-        "plan.enter",
         "scan.morsel",
         "scan.write",
         "scan.chunk",

@@ -8,12 +8,19 @@
 //! column (the representative variable and probability of the aggregated
 //! group); joins between such relations multiply probabilities implicitly
 //! through the next aggregation's propagation step.
+//!
+//! The MystiQ plan ([`crate::safe`]) *is* that safe plan, so it is this
+//! module's tree walk too. The two families differ in two values an
+//! [`EagerPlan`] holds: the order an inner node joins its children in (a
+//! `ChildOrder`) and how a run of duplicates combines its probabilities (a
+//! [`ProbAggregation`]).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pdb_conf::ConfidenceResult;
-use pdb_exec::{ops, Annotated, KeyRuns};
+use pdb_exec::extensional::{mystiq_log_aggregate, AggregationError, ProbAggregation};
+use pdb_exec::{ops, Annotated, ExecResult, KeyRuns};
 use pdb_govern::{Counter, ExecContext, QueryGovernor, QueryObs, Stage};
 use pdb_lineage::independent_or;
 use pdb_par::Pool;
@@ -26,10 +33,12 @@ use crate::error::{PlanError, PlanResult};
 /// An eager plan for a hierarchical (FD-reduct) query.
 #[derive(Debug, Clone)]
 pub struct EagerPlan {
-    query: ConjunctiveQuery,
+    pub(crate) query: ConjunctiveQuery,
     tree: QueryTree,
     pool: Pool,
     ctx: ExecContext,
+    child_order: ChildOrder,
+    aggregation: ProbAggregation,
 }
 
 impl EagerPlan {
@@ -39,6 +48,20 @@ impl EagerPlan {
     /// Fails with [`PlanError::UnsafeQuery`] (naming the blocking attribute
     /// pair) if the FD-reduct is not hierarchical.
     pub fn build(query: &ConjunctiveQuery, fds: &FdSet) -> PlanResult<EagerPlan> {
+        EagerPlan::build_as(query, fds, tree_order, ProbAggregation::Stable)
+    }
+
+    /// Builds the plan of the family the two values describe: an inner node
+    /// joins its children in `child_order`, and every aggregation combines a
+    /// run's probabilities under `aggregation` (an overflowing
+    /// [`ProbAggregation::MystiqLog`] group fails [`EagerPlan::execute`]
+    /// with [`pdb_exec::ExecError::Aggregation`]).
+    pub(crate) fn build_as(
+        query: &ConjunctiveQuery,
+        fds: &FdSet,
+        child_order: ChildOrder,
+        aggregation: ProbAggregation,
+    ) -> PlanResult<EagerPlan> {
         let reduct = FdReduct::compute(query, fds);
         let status = reduct.hierarchy();
         if !status.is_hierarchical() {
@@ -49,6 +72,8 @@ impl EagerPlan {
             tree: reduct.tree()?,
             pool: Pool::from_env(),
             ctx: ExecContext::unbounded(),
+            child_order,
+            aggregation,
         })
     }
 
@@ -98,7 +123,7 @@ impl EagerPlan {
     pub fn execute(&self, catalog: &Catalog) -> PlanResult<ConfidenceResult> {
         let ctx = &self.ctx;
         let head: BTreeSet<String> = self.query.head_set();
-        let (result, _) = self.eval_node(&self.tree, &BTreeSet::new(), &head, catalog, ctx)?;
+        let (result, _) = self.eval_node(&self.tree, &BTreeSet::new(), &head, catalog)?;
         // The root aggregation groups by the head attributes; its single
         // lineage column holds the confidence of each distinct tuple. The
         // projection restores the head's column order — on the plan's pool
@@ -125,8 +150,8 @@ impl EagerPlan {
         needed_above: &BTreeSet<String>,
         head: &BTreeSet<String>,
         catalog: &Catalog,
-        ctx: &ExecContext,
     ) -> PlanResult<(Annotated, String)> {
+        let ctx = &self.ctx;
         match node {
             QueryTree::Leaf { relation, .. } => {
                 let atom = self.query.relation(relation).ok_or_else(|| {
@@ -150,10 +175,7 @@ impl EagerPlan {
                 let keep = kept_attributes(scanned.schema(), needed_above, head);
                 let projected =
                     ops::project_ctx(&scanned, &keep, &self.pool.for_items(scanned.len()), ctx)?;
-                Ok((
-                    aggregate_single_column(&projected, &self.pool, ctx)?,
-                    relation.clone(),
-                ))
+                Ok((self.aggregate_single_column(&projected)?, relation.clone()))
             }
             QueryTree::Inner { children, .. } => {
                 // Every child subtree keeps its *interface* attributes: the
@@ -163,13 +185,13 @@ impl EagerPlan {
                 // attributes are constant within each group — it groups
                 // exactly as the FD-reduct's labels prescribe.
                 let mut evaluated = Vec::with_capacity(children.len());
-                for child in children {
+                for child in (self.child_order)(children) {
                     let child_rels: BTreeSet<String> = child.relations().into_iter().collect();
                     let child_needed = interface_attributes(&self.query, &child_rels);
-                    evaluated.push(self.eval_node(child, &child_needed, head, catalog, ctx)?);
+                    evaluated.push(self.eval_node(child, &child_needed, head, catalog)?);
                 }
-                // The first child is the representative; the others join
-                // onto it left to right.
+                // The first child in that order is the representative; the
+                // others join onto it left to right.
                 let mut evaluated = evaluated.into_iter();
                 let (mut joined, representative) =
                     evaluated.next().expect("an inner node has children");
@@ -180,13 +202,113 @@ impl EagerPlan {
                 let keep = kept_attributes(joined.schema(), needed_above, head);
                 let projected =
                     ops::project_ctx(&joined, &keep, &self.pool.for_items(joined.len()), ctx)?;
-                Ok((
-                    aggregate_joined(&projected, &representative, &self.pool, ctx)?,
-                    representative,
-                ))
+                let aggregated = self.aggregate_joined(&projected, &representative)?;
+                Ok((aggregated, representative))
             }
         }
     }
+
+    /// Aggregates `input` to one row per distinct data tuple through the
+    /// engine's grouping shell ([`KeyRuns`]): rows are sorted on the data
+    /// columns and then the variables of `order_cols`, and every run of
+    /// equal data collapses to its first row with lineage column `slot` —
+    /// the only one kept — set to `fold(rows)`. Output rows come in
+    /// ascending key order. Identical at every pool size; checkpoints
+    /// `eager.aggregate` once per [`ops::SEQ_CHECK_EVERY`] runs, on the
+    /// global run index.
+    ///
+    /// # Errors
+    /// Fails with [`PlanError::Governed`] when the governor interrupts or
+    /// when a fold panics (isolated as a `WorkerPanic` of
+    /// [`Stage::Aggregate`]), and with the first error a fold returns.
+    fn aggregate(
+        &self,
+        input: &Annotated,
+        order_cols: &[usize],
+        slot: usize,
+        fold: impl Fn(&[u32]) -> ExecResult<(Variable, f64)> + Sync,
+    ) -> PlanResult<Annotated> {
+        let ctx = &self.ctx;
+        let pool = self.pool.for_items(input.len());
+        let runs = KeyRuns::build(input, &[], order_cols, &pool);
+        // The run count is a function of the input rows alone, so it is a
+        // deterministic counter.
+        ctx.tally(Counter::EagerGroups, runs.len() as u64);
+        let checked_fold = |run: usize, rows: &[u32]| {
+            if run.is_multiple_of(ops::SEQ_CHECK_EVERY) {
+                let index = run / ops::SEQ_CHECK_EVERY;
+                ctx.checkpoint(Stage::Aggregate, "eager.aggregate", index)?;
+            }
+            fold(rows)
+        };
+        Ok(runs.collapse(input, &[slot], slot, Stage::Aggregate, &pool, checked_fold)?)
+    }
+
+    /// Aggregates a single-relation input: one output row per distinct
+    /// data tuple, whose lineage is the minimal variable of the group and
+    /// the independent-or of the group's distinct variables (the `[R*]`
+    /// operator on top of a base-table scan).
+    ///
+    /// A run is sorted by variable with ties in input order, so its
+    /// distinct variables are visited ascending, the *last* input row of a
+    /// variable supplies its probability, and the representative is the
+    /// first row's variable. Under [`ProbAggregation::Stable`] the
+    /// probability is [`independent_or`] — `1 − Π(1 − p)` seeded with `1.0`.
+    ///
+    /// MystiQ keeps no variable column, but on a tuple-independent table —
+    /// one variable per row, ascending in row order, as the TPC-H catalogs
+    /// number them — a run sorted by variable is the run in input order with
+    /// every row counted once: MystiQ's `π^ind` over a scan.
+    fn aggregate_single_column(&self, input: &Annotated) -> PlanResult<Annotated> {
+        let pair = |r: u32| input.row(r as usize).lineage[0];
+        self.aggregate(input, &[0], 0, |rows| {
+            let last_of_variable = rows
+                .chunk_by(|&a, &b| pair(a).0 == pair(b).0)
+                .map(|same| pair(same[same.len() - 1]).1);
+            Ok((pair(rows[0]).0, self.combine(last_of_variable)?))
+        })
+    }
+
+    /// Aggregates the join of already-aggregated children: per row the
+    /// probability is the product of the children's probabilities, left to
+    /// right (propagation — the extensional join of a safe plan); per group
+    /// of duplicate data tuples the rows describe independent events and
+    /// combine in join-emit order (the stable sort keeps it). The surviving
+    /// lineage column is the representative child's, carrying the minimum
+    /// of its variables.
+    fn aggregate_joined(&self, input: &Annotated, representative: &str) -> PlanResult<Annotated> {
+        let rep_idx = input.relation_index(representative)?;
+        let lineage = |r: u32| input.row(r as usize).lineage;
+        self.aggregate(input, &[], rep_idx, |rows| {
+            let rep_var = rows
+                .iter()
+                .map(|&r| lineage(r)[rep_idx].0)
+                .min()
+                .expect("runs are non-empty");
+            let row_probs = rows
+                .iter()
+                .map(|&r| lineage(r).iter().map(|(_, p)| *p).product::<f64>());
+            Ok((rep_var, self.combine(row_probs)?))
+        })
+    }
+
+    /// Combines the probabilities of one run's rows, which the plan's shape
+    /// makes independent events.
+    fn combine(&self, probs: impl Iterator<Item = f64>) -> Result<f64, AggregationError> {
+        match self.aggregation {
+            ProbAggregation::Stable => Ok(independent_or(probs)),
+            ProbAggregation::MystiqLog => mystiq_log_aggregate(&probs.collect::<Vec<_>>()),
+        }
+    }
+}
+
+/// The order an inner node of the query tree joins its children in; the
+/// first child of the order is the node's representative.
+pub(crate) type ChildOrder = fn(&[QueryTree]) -> Vec<&QueryTree>;
+
+/// The eager plan's [`ChildOrder`]: the query tree's own.
+fn tree_order(children: &[QueryTree]) -> Vec<&QueryTree> {
+    children.iter().collect()
 }
 
 /// The join attributes of `query` that occur both inside and outside the
@@ -250,91 +372,6 @@ pub(crate) fn kept_attributes(
         .filter(|a| needed_above.contains(*a) || head.contains(*a))
         .map(|s| s.to_string())
         .collect()
-}
-
-/// Aggregates `input` to one row per distinct data tuple through the
-/// engine's grouping shell ([`KeyRuns`]): rows are sorted on the data
-/// columns and then the variables of `order_cols`, and every run of equal
-/// data collapses to its first row with lineage column `slot` — the only
-/// one kept — set to `fold(rows)`. Output rows come in ascending key order.
-/// Identical at every pool size; checkpoints `eager.aggregate` once per
-/// [`ops::SEQ_CHECK_EVERY`] runs, on the global run index.
-///
-/// # Errors
-/// Fails with [`PlanError::Governed`] when the governor interrupts, or when
-/// a fold panics (isolated as a `WorkerPanic` of [`Stage::Aggregate`]).
-fn aggregate(
-    input: &Annotated,
-    order_cols: &[usize],
-    slot: usize,
-    pool: &Pool,
-    ctx: &ExecContext,
-    fold: impl Fn(&[u32]) -> (Variable, f64) + Sync,
-) -> PlanResult<Annotated> {
-    let pool = pool.for_items(input.len());
-    let runs = KeyRuns::build(input, &[], order_cols, &pool);
-    // The run count is a function of the input rows alone, so it is a
-    // deterministic counter.
-    ctx.tally(Counter::EagerGroups, runs.len() as u64);
-    let checked_fold = |run: usize, rows: &[u32]| {
-        if run.is_multiple_of(ops::SEQ_CHECK_EVERY) {
-            let index = run / ops::SEQ_CHECK_EVERY;
-            ctx.checkpoint(Stage::Aggregate, "eager.aggregate", index)?;
-        }
-        Ok(fold(rows))
-    };
-    Ok(runs.collapse(input, &[slot], slot, Stage::Aggregate, &pool, checked_fold)?)
-}
-
-/// Aggregates a single-relation input: one output row per distinct data
-/// tuple, whose lineage is the minimal variable of the group and the
-/// independent-or of the group's distinct variables (the `[R*]` operator on
-/// top of a base-table scan).
-///
-/// A run is sorted by variable with ties in input order, so its distinct
-/// variables are visited ascending, the *last* input row of a variable
-/// supplies its probability, and the representative is the first row's
-/// variable. The probability is [`independent_or`] — `1 − Π(1 − p)` seeded
-/// with `1.0`.
-fn aggregate_single_column(
-    input: &Annotated,
-    pool: &Pool,
-    ctx: &ExecContext,
-) -> PlanResult<Annotated> {
-    let pair = |r: u32| input.row(r as usize).lineage[0];
-    aggregate(input, &[0], 0, pool, ctx, |rows| {
-        let last_of_variable = rows
-            .chunk_by(|&a, &b| pair(a).0 == pair(b).0)
-            .map(|same| pair(same[same.len() - 1]).1);
-        (pair(rows[0]).0, independent_or(last_of_variable))
-    })
-}
-
-/// Aggregates the join of already-aggregated children: per row the
-/// probability is the product of the children's probabilities, left to right
-/// (propagation); per group of duplicate data tuples the rows describe
-/// independent events and are combined with [`independent_or`] in join-emit
-/// order (the stable sort keeps it). The surviving lineage column is the
-/// representative child's, carrying the minimum of its variables.
-fn aggregate_joined(
-    input: &Annotated,
-    representative: &str,
-    pool: &Pool,
-    ctx: &ExecContext,
-) -> PlanResult<Annotated> {
-    let rep_idx = input.relation_index(representative)?;
-    let lineage = |r: u32| input.row(r as usize).lineage;
-    aggregate(input, &[], rep_idx, pool, ctx, |rows| {
-        let rep_var = rows
-            .iter()
-            .map(|&r| lineage(r)[rep_idx].0)
-            .min()
-            .expect("runs are non-empty");
-        let row_probs = rows
-            .iter()
-            .map(|&r| lineage(r).iter().map(|(_, p)| *p).product::<f64>());
-        (rep_var, independent_or(row_probs))
-    })
 }
 
 #[cfg(test)]

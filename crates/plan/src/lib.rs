@@ -20,9 +20,10 @@
 //! * [`fallback`] — fallback plans for unsafe queries: lazy joins, then
 //!   per-tuple read-once factorization (exact) or anytime dissociation
 //!   bounds, under an [`ApproxPolicy`].
-//! * [`safe`] — MystiQ plans: extensional safe plans without variable
-//!   columns, with either the stable or the log-space probability
-//!   aggregation (Section VII).
+//! * [`safe`] — MystiQ plans: the extensional safe plan, which is the eager
+//!   plan's tree walk with MystiQ's join order (deepest subtree first) and
+//!   either the stable or the log-space probability aggregation (Section
+//!   VII). Same operators, pool and governor as the other plans.
 //! * [`planner`] — a small facade choosing and executing plans, reporting the
 //!   timings the benchmark harness consumes.
 //! * [`explain`] — the planner's decision procedure as data (EXPLAIN),

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use pdb_conf::{ApproxPolicy, ApproxResult, ConfidenceResult};
 use pdb_exec::extensional::ProbAggregation;
-use pdb_govern::{Counter, ExecContext, QueryGovernor, QueryObs, Stage};
+use pdb_govern::{Counter, ExecContext, QueryGovernor, QueryObs};
 use pdb_par::Pool;
 use pdb_query::reduct::FdReduct;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
@@ -168,9 +168,8 @@ impl<'a> Planner<'a> {
     /// Attaches a [`QueryGovernor`] to every plan the planner executes:
     /// lazy, eager, and hybrid plans observe its cancellation token,
     /// deadline, and memory budget at every morsel/chunk/bag checkpoint and
-    /// return [`PlanError::Governed`] when interrupted. The extensional
-    /// MystiQ comparators check the governor once on entry only — they are
-    /// the baseline the paper compares against, not a governed engine path.
+    /// return [`PlanError::Governed`] when interrupted. The MystiQ plans
+    /// run on the eager plan's operators and are governed the same way.
     pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
         self.ctx = self.ctx.with_governor(governor);
         self
@@ -343,21 +342,7 @@ impl<'a> Planner<'a> {
                 let plan = EagerPlan::build(query, &fds)?
                     .with_pool(self.pool())
                     .with_ctx(self.ctx.clone());
-                // Eager plans fuse tuple and confidence computation into the
-                // per-node aggregations — one phase span covers both.
-                let (confidences, total) =
-                    self.timed("plan.tuples", || plan.execute(self.catalog))?;
-                Ok(PlanReport {
-                    kind,
-                    answer_tuples: None,
-                    distinct_tuples: confidences.len(),
-                    confidences,
-                    tuple_time: total,
-                    confidence_time: Duration::ZERO,
-                    scans: None,
-                    signature: None,
-                    approx: None,
-                })
+                self.execute_fused(kind, || plan.execute(self.catalog))
             }
             PlanKind::Hybrid(pushed) => {
                 let pushed_refs: Vec<&str> = pushed.iter().map(|s| s.as_str()).collect();
@@ -381,30 +366,49 @@ impl<'a> Planner<'a> {
                 })
             }
             PlanKind::Mystiq | PlanKind::MystiqLogSpace => {
-                // The extensional comparators stay ungoverned internally;
-                // the governor is still observed once on entry.
-                self.ctx.checkpoint(Stage::Plan, "plan.enter", 0)?;
                 let aggregation = if kind == PlanKind::MystiqLogSpace {
                     ProbAggregation::MystiqLog
                 } else {
                     ProbAggregation::Stable
                 };
-                let plan = SafePlan::build_with_aggregation(query, &fds, aggregation)?;
-                let (confidences, total) =
-                    self.timed("plan.tuples", || plan.execute(self.catalog))?;
-                Ok(PlanReport {
-                    kind,
-                    answer_tuples: None,
-                    distinct_tuples: confidences.len(),
-                    confidences,
-                    tuple_time: total,
-                    confidence_time: Duration::ZERO,
-                    scans: None,
-                    signature: None,
-                    approx: None,
-                })
+                // The plan gets the governor but not the collector:
+                // `sprout_bench` replays a MystiQ op through a bare
+                // `SafePlan`, to which it cannot attach a `QueryObs`, and
+                // its traced run fails an op whose replay and engine
+                // counters differ. So MystiQ ops tally nothing until the
+                // harness can (ROADMAP item 2(d)).
+                let governed = self
+                    .ctx
+                    .governor()
+                    .map_or_else(ExecContext::unbounded, ExecContext::governed);
+                let plan = SafePlan::build_with_aggregation(query, &fds, aggregation)?
+                    .with_pool(self.pool())
+                    .with_ctx(governed);
+                self.execute_fused(kind, || plan.execute(self.catalog))
             }
         }
+    }
+
+    /// Runs a plan that walks the query tree — eager or MystiQ. Its per-node
+    /// aggregations fuse tuple and confidence computation, so one phase span
+    /// covers both.
+    fn execute_fused(
+        &self,
+        kind: PlanKind,
+        execute: impl FnOnce() -> PlanResult<ConfidenceResult>,
+    ) -> PlanResult<PlanReport> {
+        let (confidences, total) = self.timed("plan.tuples", execute)?;
+        Ok(PlanReport {
+            kind,
+            answer_tuples: None,
+            distinct_tuples: confidences.len(),
+            confidences,
+            tuple_time: total,
+            confidence_time: Duration::ZERO,
+            scans: None,
+            signature: None,
+            approx: None,
+        })
     }
 
     /// The unsafe-query path: lazy joins, then read-once factorization and

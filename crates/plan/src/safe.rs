@@ -4,30 +4,35 @@
 //! joins multiply tuple probabilities and *independent projections* `π^ind`
 //! eliminate duplicates by combining their probabilities. Correctness hinges
 //! on a restrictive join order that follows the hierarchy of the query — the
-//! very restriction SPROUT lifts. The plan keeps no variable columns, exactly
-//! as MystiQ is configured for tuple-independent databases, and optionally
-//! uses MystiQ's numerically fragile log-space aggregation so the benchmark
-//! harness can reproduce the runtime failures reported in Section VII.
-
-use std::collections::BTreeSet;
+//! very restriction SPROUT lifts.
+//!
+//! The eager plan is this safe plan with the variable columns kept (Section
+//! V), and the variable columns do not enter the arithmetic: a join's
+//! propagation multiplies its children's probabilities and an aggregation
+//! combines a run of duplicates exactly as `π^ind` does. So a [`SafePlan`] is
+//! an [`EagerPlan`] walked with MystiQ's two choices — an inner node joins
+//! its deepest subtree first, and duplicates combine under the plan's
+//! [`ProbAggregation`], optionally MystiQ's numerically fragile log-space
+//! emulation so the benchmark harness can reproduce the runtime failures
+//! reported in Section VII. It runs on the same operators, pool and governed
+//! context as every other plan; what the paper's MystiQ-vs-eager comparison
+//! then measures is the join order.
 
 use pdb_conf::ConfidenceResult;
-use pdb_exec::extensional::{
-    filter_ext, independent_project, natural_join_ext, scan_ext, ExtRelation, ProbAggregation,
-};
-use pdb_query::reduct::FdReduct;
+use pdb_exec::extensional::ProbAggregation;
+use pdb_exec::ExecError;
+use pdb_govern::ExecContext;
+use pdb_par::Pool;
 use pdb_query::{ConjunctiveQuery, FdSet, QueryTree};
 use pdb_storage::Catalog;
 
-use crate::eager::{interface_attributes, kept_attributes, leaf_scan_attributes};
+use crate::eager::EagerPlan;
 use crate::error::{PlanError, PlanResult};
 
 /// A MystiQ-style safe plan.
 #[derive(Debug, Clone)]
 pub struct SafePlan {
-    query: ConjunctiveQuery,
-    tree: QueryTree,
-    aggregation: ProbAggregation,
+    walk: EagerPlan,
 }
 
 impl SafePlan {
@@ -51,88 +56,53 @@ impl SafePlan {
         fds: &FdSet,
         aggregation: ProbAggregation,
     ) -> PlanResult<SafePlan> {
-        let reduct = FdReduct::compute(query, fds);
-        let status = reduct.hierarchy();
-        if !status.is_hierarchical() {
-            return Err(PlanError::unsafe_query(query, &status));
-        }
-        Ok(SafePlan {
-            query: query.clone(),
-            tree: reduct.tree()?,
-            aggregation,
-        })
+        let walk = EagerPlan::build_as(query, fds, deepest_first, aggregation)?;
+        Ok(SafePlan { walk })
+    }
+
+    /// Replaces the execution context — governor and collector — the plan's
+    /// operators and aggregations run under.
+    pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
+        self.walk = self.walk.with_ctx(ctx);
+        self
+    }
+
+    /// Sets the worker pool the plan's operators and aggregations fan out on
+    /// (the default is [`Pool::from_env`]). Results are identical at every
+    /// pool size.
+    pub fn with_pool(mut self, pool: Pool) -> Self {
+        self.walk = self.walk.with_pool(pool);
+        self
     }
 
     /// The query tree the safe plan follows.
     pub fn tree(&self) -> &QueryTree {
-        &self.tree
+        self.walk.tree()
     }
 
     /// Executes the safe plan.
     ///
     /// # Errors
     /// Fails with [`PlanError::MystiqRuntimeError`] if the log-space
-    /// aggregation overflows, mirroring the runtime errors of Section VII.
+    /// aggregation overflows, mirroring the runtime errors of Section VII;
+    /// every other error — an unknown column, a governor interruption, an
+    /// isolated worker panic — surfaces as itself.
     pub fn execute(&self, catalog: &Catalog) -> PlanResult<ConfidenceResult> {
-        let head: BTreeSet<String> = self.query.head_set();
-        let result = self.eval_node(&self.tree, &BTreeSet::new(), &head, catalog)?;
-        // Restore the head's column order; the groups are already singletons,
-        // so the stable aggregation is an exact no-op here.
-        let result = independent_project(&result, &self.query.head, ProbAggregation::Stable)
-            .map_err(|_| PlanError::MystiqRuntimeError(self.query.to_string()))?;
-        let mut out: ConfidenceResult =
-            result.rows().iter().map(|(t, p)| (t.clone(), *p)).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
-    fn eval_node(
-        &self,
-        node: &QueryTree,
-        needed_above: &BTreeSet<String>,
-        head: &BTreeSet<String>,
-        catalog: &Catalog,
-    ) -> PlanResult<ExtRelation> {
-        match node {
-            QueryTree::Leaf { relation, .. } => {
-                let atom = self.query.relation(relation).ok_or_else(|| {
-                    PlanError::Query(pdb_query::QueryError::UnknownRelation(relation.clone()))
-                })?;
-                let table = catalog.table(relation)?;
-                let scan_attrs =
-                    leaf_scan_attributes(&self.query, atom, table.schema(), needed_above, head);
-                let mut scanned = scan_ext(&table, &scan_attrs)?;
-                for pred in self.query.predicates_for(relation) {
-                    scanned = filter_ext(&scanned, pred)?;
-                }
-                let keep = kept_attributes(scanned.schema(), needed_above, head);
-                self.project_ind(&scanned, &keep)
+        self.walk.execute(catalog).map_err(|e| match e {
+            PlanError::Exec(ExecError::Aggregation(overflow)) => {
+                PlanError::MystiqRuntimeError(format!("{}: {overflow}", self.walk.query))
             }
-            QueryTree::Inner { children, .. } => {
-                // MystiQ's restrictive order: the deepest (least selective)
-                // subtrees are joined first.
-                let mut ordered: Vec<&QueryTree> = children.iter().collect();
-                ordered.sort_by_key(|c| std::cmp::Reverse(c.depth()));
-                let mut evaluated = Vec::with_capacity(ordered.len());
-                for child in ordered {
-                    let child_rels: BTreeSet<String> = child.relations().into_iter().collect();
-                    let child_needed = interface_attributes(&self.query, &child_rels);
-                    evaluated.push(self.eval_node(child, &child_needed, head, catalog)?);
-                }
-                let mut joined = evaluated.remove(0);
-                for child in &evaluated {
-                    joined = natural_join_ext(&joined, child)?;
-                }
-                let keep = kept_attributes(joined.schema(), needed_above, head);
-                self.project_ind(&joined, &keep)
-            }
-        }
+            other => other,
+        })
     }
+}
 
-    fn project_ind(&self, input: &ExtRelation, attrs: &[String]) -> PlanResult<ExtRelation> {
-        independent_project(input, attrs, self.aggregation)
-            .map_err(|_| PlanError::MystiqRuntimeError(self.query.to_string()))
-    }
+/// MystiQ's restrictive order: the deepest (least selective) subtrees are
+/// joined first; subtrees of equal depth keep the tree's order.
+fn deepest_first(children: &[QueryTree]) -> Vec<&QueryTree> {
+    let mut ordered: Vec<&QueryTree> = children.iter().collect();
+    ordered.sort_by_key(|c| std::cmp::Reverse(c.depth()));
+    ordered
 }
 
 #[cfg(test)]
@@ -200,5 +170,59 @@ mod tests {
         assert_eq!(result.len(), 1);
         // The 1.001 fudge factor introduces a visible but small bias.
         assert!((result[0].1 - 0.0028).abs() < 0.05);
+    }
+
+    #[test]
+    fn a_log_space_overflow_and_nothing_else_is_a_mystiq_runtime_error() {
+        use crate::planner::{PlanKind, Planner};
+        use pdb_govern::{GovernorBuilder, SproutError};
+        use pdb_storage::{DataType, ProbTable, Schema, Variable};
+
+        // One group of 200 000 near-certain rows: Σ log₁₀₀₀₀(1.001 − p)
+        // drives the power to a hard zero.
+        let rows = 200_000u64;
+        let mut table = ProbTable::new(
+            Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Int)]).unwrap(),
+        );
+        for i in 0..rows {
+            table
+                .insert(tuple![0i64, i as i64], Variable(i), 0.9999)
+                .unwrap();
+        }
+        let catalog = Catalog::new();
+        catalog.register_table("R", table).unwrap();
+        let q = ConjunctiveQuery::build(&[("R", &["g", "x"])], &["g"], vec![]).unwrap();
+
+        for threads in [1usize, 8] {
+            let planner = || Planner::new(&catalog).with_pool(Pool::new(threads));
+            match planner().execute(&q, PlanKind::MystiqLogSpace) {
+                Err(PlanError::MystiqRuntimeError(message)) => assert!(
+                    message.contains("group of 200000 duplicates"),
+                    "{threads} threads: {message}"
+                ),
+                other => panic!("{threads} threads: expected MystiqRuntimeError, got {other:?}"),
+            }
+            let stable = planner().execute(&q, PlanKind::Mystiq).unwrap().confidences;
+            assert_eq!(stable, vec![(tuple![0i64], 1.0)], "{threads} threads");
+
+            // An interruption of the same plan stays an interruption.
+            let cancelled = GovernorBuilder::new().build();
+            cancelled.cancel();
+            assert!(matches!(
+                planner()
+                    .with_governor(cancelled)
+                    .execute(&q, PlanKind::MystiqLogSpace),
+                Err(PlanError::Governed(SproutError::Cancelled { .. }))
+            ));
+        }
+
+        // And a selection on a column the table lacks stays an unknown column.
+        let nope = pdb_query::Predicate::new("R", "nope", pdb_query::CompareOp::Gt, 0i64);
+        let q = ConjunctiveQuery::build(&[("R", &["g", "nope"])], &["g"], vec![nope]).unwrap();
+        let plan = SafePlan::build(&q, &FdSet::empty()).unwrap();
+        assert!(matches!(
+            plan.execute(&catalog),
+            Err(PlanError::Exec(ExecError::UnknownColumn(column))) if column == "nope"
+        ));
     }
 }

@@ -1,15 +1,19 @@
-//! The eager plan's answers on every hierarchical catalogue query, pinned
-//! bit for bit.
+//! The eager and the MystiQ plan's answers on every hierarchical catalogue
+//! query, pinned bit for bit.
 //!
-//! `EagerPlan::execute` promises the same tuples, the same row order and the
-//! same confidence *bits* on both storage backings and at every pool size.
-//! `eager_pin.txt` holds one digest (values + confidence bits + row order)
-//! per query, generated at the commit before the eager aggregations moved
-//! onto the engine's grouping shell (TPC-H SF 0.01, seed 1), so a change to
-//! how the aggregations group, order or fold their rows fails here — in
-//! tier-1, not only in `sprout_bench`'s golden digests. A deliberate change
-//! of the arithmetic regenerates the file from the table this test prints on
-//! a mismatch.
+//! `EagerPlan::execute` and `SafePlan::execute` promise the same tuples, the
+//! same row order and the same confidence *bits* on both storage backings
+//! and at every pool size. `eager_pin.txt` holds one digest (values +
+//! confidence bits + row order) per plan family and query (TPC-H SF 0.01,
+//! seed 1): the eager lines generated at the commit before the eager
+//! aggregations moved onto the engine's grouping shell, the `mystiq` lines
+//! at the commit before the safe plan moved onto the eager plan's tree walk.
+//! So a change to how the aggregations group, order or fold their rows fails
+//! here — in tier-1, not only in `sprout_bench`'s golden digests. A
+//! deliberate change of the arithmetic regenerates the file from the tables
+//! these tests print on a mismatch.
+
+use std::sync::OnceLock;
 
 use pdb_query::{ConjunctiveQuery, FdSet};
 use pdb_storage::Catalog;
@@ -19,7 +23,8 @@ use pdb_tpch::{
     TpchScale,
 };
 use sprout_plan::eager::EagerPlan;
-use sprout_plan::{PlanError, Pool};
+use sprout_plan::safe::SafePlan;
+use sprout_plan::{PlanError, PlanResult, Pool};
 
 const PINNED: &str = include_str!("eager_pin.txt");
 
@@ -54,37 +59,84 @@ fn digest(answer: &[(pdb_storage::Tuple, f64)]) -> u64 {
     h
 }
 
-/// One line per catalogue query: row count and digest of the eager answer,
-/// or `no eager plan` for a query whose FD-reduct is not hierarchical.
-fn eager_table(catalog: &Catalog, pool: Pool) -> String {
-    let fds = FdSet::from_catalog_decls(&catalog.fds());
+/// One line per catalogue query: `prefix`, the query id, then the row count
+/// and digest of the answer `run` computes — or `no <family> plan` for a
+/// query whose FD-reduct is not hierarchical.
+fn answer_table(
+    prefix: &str,
+    family: &str,
+    run: impl Fn(&ConjunctiveQuery) -> PlanResult<Vec<(pdb_storage::Tuple, f64)>>,
+) -> String {
     catalogue()
         .iter()
-        .map(|(id, query)| match EagerPlan::build(query, &fds) {
-            Ok(plan) => {
-                let answer = plan
-                    .with_pool(pool)
-                    .execute(catalog)
-                    .unwrap_or_else(|e| panic!("{id}: eager plan failed: {e}"));
-                format!("{id}: {} rows {:016x}\n", answer.len(), digest(&answer))
-            }
-            Err(PlanError::UnsafeQuery { .. }) => format!("{id}: no eager plan\n"),
-            Err(e) => panic!("{id}: building the eager plan failed: {e}"),
+        .map(|(id, query)| match run(query) {
+            Ok(answer) => format!(
+                "{prefix}{id}: {} rows {:016x}\n",
+                answer.len(),
+                digest(&answer)
+            ),
+            Err(PlanError::UnsafeQuery { .. }) => format!("{prefix}{id}: no {family} plan\n"),
+            Err(e) => panic!("{prefix}{id}: the {family} plan failed: {e}"),
         })
         .collect()
 }
 
+fn eager_table(catalog: &Catalog, pool: Pool) -> String {
+    let fds = FdSet::from_catalog_decls(&catalog.fds());
+    answer_table("", "eager", |q| {
+        EagerPlan::build(q, &fds)?.with_pool(pool).execute(catalog)
+    })
+}
+
+/// The MystiQ safe plan with the stable aggregation.
+fn mystiq_table(catalog: &Catalog, pool: Pool) -> String {
+    let fds = FdSet::from_catalog_decls(&catalog.fds());
+    answer_table("mystiq ", "safe", |q| {
+        SafePlan::build(q, &fds)?.with_pool(pool).execute(catalog)
+    })
+}
+
+/// The pinned lines of one family: MystiQ's carry the `mystiq ` prefix.
+fn pinned(mystiq: bool) -> String {
+    PINNED
+        .lines()
+        .filter(|line| line.starts_with("mystiq ") == mystiq)
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+/// The columnar and the row catalog (TPC-H SF 0.01, seed 1), built once for
+/// both tests.
+fn catalogs() -> &'static (Catalog, Catalog) {
+    static CATALOGS: OnceLock<(Catalog, Catalog)> = OnceLock::new();
+    CATALOGS.get_or_init(|| {
+        let data = TpchData::generate(TpchScale::new(0.01));
+        (
+            probabilistic_catalog_columnar(&data, 1).expect("columnar catalog"),
+            probabilistic_catalog(&data, 1).expect("row catalog"),
+        )
+    })
+}
+
+/// Holds `table` to `pinned` on both backings at pools 1 and 8.
+fn assert_pinned(table: fn(&Catalog, Pool) -> String, pinned: &str) {
+    let (columnar, row) = catalogs();
+    let got = table(columnar, Pool::new(1));
+    assert_eq!(
+        got, pinned,
+        "a pinned answer moved; if intended, replace its lines of eager_pin.txt with:\n{got}"
+    );
+    assert_eq!(table(columnar, Pool::new(8)), pinned, "columnar, 8");
+    assert_eq!(table(row, Pool::new(1)), pinned, "row, 1 thread");
+    assert_eq!(table(row, Pool::new(8)), pinned, "row, 8 threads");
+}
+
 #[test]
 fn eager_answers_match_the_pinned_digests_on_both_backings_and_pool_sizes() {
-    let data = TpchData::generate(TpchScale::new(0.01));
-    let columnar = probabilistic_catalog_columnar(&data, 1).expect("columnar catalog");
-    let row = probabilistic_catalog(&data, 1).expect("row catalog");
-    let got = eager_table(&columnar, Pool::new(1));
-    assert_eq!(
-        got, PINNED,
-        "an eager answer moved; if intended, replace eager_pin.txt with:\n{got}"
-    );
-    assert_eq!(eager_table(&columnar, Pool::new(8)), PINNED, "columnar, 8");
-    assert_eq!(eager_table(&row, Pool::new(1)), PINNED, "row, 1 thread");
-    assert_eq!(eager_table(&row, Pool::new(8)), PINNED, "row, 8 threads");
+    assert_pinned(eager_table, &pinned(false));
+}
+
+#[test]
+fn mystiq_answers_match_the_pinned_digests_on_both_backings_and_pool_sizes() {
+    assert_pinned(mystiq_table, &pinned(true));
 }

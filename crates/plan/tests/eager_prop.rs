@@ -1,12 +1,15 @@
-//! The eager plan against the possible-worlds oracle.
+//! The eager plan — and the MystiQ safe plan, which walks the same tree —
+//! against the possible-worlds oracle.
 //!
 //! `EagerPlan::execute` aggregates after every table and every join; the
 //! oracle (`brute_force_confidences`) Shannon-expands the lineage of the
 //! plain join answer. They must agree on generated instances — including
 //! leaves whose rows repeat a variable — and the eager answer must be
-//! bitwise-identical at pools {1, 2, 8}. Two fixed instances add the shapes
-//! a small generator cannot reach: runs longer than 1024 rows and runs whose
-//! rows straddle every fan-out boundary of the key build, the sort and the
+//! bitwise-identical at pools {1, 2, 8}. Every instance holds `SafePlan`
+//! (stable aggregation) to the same oracle, bitwise-identical at those pools
+//! and on both storage backings. Two fixed instances add the shapes a small
+//! generator cannot reach: runs longer than 1024 rows and runs whose rows
+//! straddle every fan-out boundary of the key build, the sort and the
 //! collapse.
 
 use proptest::prelude::*;
@@ -15,34 +18,60 @@ use pdb_conf::brute::brute_force_confidences;
 use pdb_conf::ConfidenceResult;
 use pdb_exec::pipeline::evaluate_join_order;
 use pdb_query::{ConjunctiveQuery, FdSet};
-use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Variable};
+use pdb_storage::{tuple, Catalog, ColumnarTable, DataType, ProbTable, Schema, Variable};
 use sprout_plan::eager::EagerPlan;
-use sprout_plan::Pool;
+use sprout_plan::safe::SafePlan;
+use sprout_plan::{PlanResult, Pool};
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 
-/// Runs the eager plan at every pool size, asserts the answers are bitwise
-/// equal, and returns the one-thread answer.
-fn eager_at_every_pool_size(q: &ConjunctiveQuery, catalog: &Catalog) -> ConfidenceResult {
-    let plan = EagerPlan::build(q, &FdSet::empty()).expect("query is hierarchical");
-    let reference = plan
-        .clone()
-        .with_pool(Pool::new(1))
-        .execute(catalog)
-        .unwrap();
-    for threads in POOL_SIZES {
-        let got = plan
-            .clone()
-            .with_pool(Pool::new(threads))
-            .execute(catalog)
-            .unwrap();
-        assert_eq!(got.len(), reference.len(), "{threads} threads");
-        for ((t1, p1), (t2, p2)) in got.iter().zip(reference.iter()) {
-            assert_eq!(t1, t2, "{threads} threads");
-            assert_eq!(p1.to_bits(), p2.to_bits(), "{threads} threads: {t1}");
+/// Runs a plan at every pool size on every catalog, asserts the answers are
+/// bitwise equal, and returns the first catalog's one-thread answer.
+fn at_every_pool_size(
+    catalogs: &[&Catalog],
+    run: impl Fn(Pool, &Catalog) -> PlanResult<ConfidenceResult>,
+) -> ConfidenceResult {
+    let reference = run(Pool::new(1), catalogs[0]).unwrap();
+    for (c, catalog) in catalogs.iter().enumerate() {
+        for threads in POOL_SIZES {
+            let got = run(Pool::new(threads), catalog).unwrap();
+            assert_eq!(got.len(), reference.len(), "catalog {c}, {threads} threads");
+            for ((t1, p1), (t2, p2)) in got.iter().zip(reference.iter()) {
+                assert_eq!(t1, t2, "catalog {c}, {threads} threads");
+                assert_eq!(
+                    p1.to_bits(),
+                    p2.to_bits(),
+                    "catalog {c}, {threads} threads: {t1}"
+                );
+            }
         }
     }
     reference
+}
+
+fn eager_at_every_pool_size(q: &ConjunctiveQuery, catalog: &Catalog) -> ConfidenceResult {
+    let plan = EagerPlan::build(q, &FdSet::empty()).expect("query is hierarchical");
+    at_every_pool_size(&[catalog], |pool, catalog| {
+        plan.clone().with_pool(pool).execute(catalog)
+    })
+}
+
+/// The MystiQ safe plan (stable aggregation) at every pool size on `catalog`
+/// and on its columnar twin.
+fn mystiq_at_every_pool_size_and_backing(
+    q: &ConjunctiveQuery,
+    catalog: &Catalog,
+) -> ConfidenceResult {
+    let columnar = Catalog::new();
+    for name in catalog.table_names() {
+        let table = catalog.table(&name).unwrap();
+        let twin = ColumnarTable::from_prob_table(&table, &Pool::new(1)).unwrap();
+        columnar.register_columnar(name, twin).unwrap();
+    }
+    let plan = SafePlan::build(q, &FdSet::empty()).expect("query is hierarchical");
+    at_every_pool_size(&[catalog, &columnar], |pool, catalog| {
+        plan.clone().with_pool(pool).execute(catalog)
+    })
 }
 
 /// The oracle over the plain join answer, on a thread with room for the
@@ -60,11 +89,11 @@ fn oracle(q: &ConjunctiveQuery, catalog: &Catalog) -> ConfidenceResult {
     })
 }
 
-fn assert_close(eager: &ConfidenceResult, oracle: &ConfidenceResult) {
-    assert_eq!(eager.len(), oracle.len());
-    for ((t1, p1), (t2, p2)) in eager.iter().zip(oracle.iter()) {
+fn assert_close(plan: &ConfidenceResult, oracle: &ConfidenceResult) {
+    assert_eq!(plan.len(), oracle.len());
+    for ((t1, p1), (t2, p2)) in plan.iter().zip(oracle.iter()) {
         assert_eq!(t1, t2);
-        assert!((p1 - p2).abs() < 1e-9, "{t1}: eager {p1} vs oracle {p2}");
+        assert!((p1 - p2).abs() < 1e-9, "{t1}: plan {p1} vs oracle {p2}");
     }
 }
 
@@ -170,7 +199,9 @@ proptest! {
         let heads: [&[&str]; 4] = [&[], &["odate"], &["cname"], &["ckey", "odate"]];
         let q = guiding_query(heads[head_pick]);
         let catalog = build_cust_ord_item(&db);
-        assert_close(&eager_at_every_pool_size(&q, &catalog), &oracle(&q, &catalog));
+        let oracle = oracle(&q, &catalog);
+        assert_close(&eager_at_every_pool_size(&q, &catalog), &oracle);
+        assert_close(&mystiq_at_every_pool_size_and_backing(&q, &catalog), &oracle);
     }
 }
 
@@ -202,7 +233,14 @@ fn a_leaf_run_longer_than_1024_rows_interleaved_across_every_chunk() {
     let q = ConjunctiveQuery::build(&[("R", &["g", "x"])], &["g"], vec![]).unwrap();
     let eager = eager_at_every_pool_size(&q, &catalog);
     assert_eq!(eager.len(), 7);
-    assert_close(&eager, &oracle(&q, &catalog));
+    let oracle = oracle(&q, &catalog);
+    assert_close(&eager, &oracle);
+    // The repeats are 120 rows apart, so the safe plan is right here only
+    // because its leaf, too, orders a run by variable and counts each once.
+    assert_close(
+        &mystiq_at_every_pool_size_and_backing(&q, &catalog),
+        &oracle,
+    );
 }
 
 /// `R(a, b) ⋈ S(a, c)` projected onto `b`: the join of the two aggregated
@@ -251,4 +289,8 @@ fn an_inner_node_run_longer_than_1024_rows_straddling_fan_out_boundaries() {
         .map(|b| (tuple![b], 1.0 - none_derived[b as usize]))
         .collect();
     assert_close(&eager_at_every_pool_size(&q, &catalog), &expected);
+    assert_close(
+        &mystiq_at_every_pool_size_and_backing(&q, &catalog),
+        &expected,
+    );
 }

@@ -124,7 +124,7 @@ fn sweep_every_checkpoint(
 }
 
 /// The exhaustive sweep over a small Q1 run, at every pool size, for the
-/// lazy and the eager plan.
+/// lazy and the eager plan and for `PlanKind::Mystiq` through the planner.
 #[test]
 fn cancellation_at_every_checkpoint_of_a_small_q1_run() {
     let q = q1();
@@ -154,6 +154,48 @@ fn cancellation_at_every_checkpoint_of_a_small_q1_run() {
             Stage::Project,
             "eager, {threads} threads: last checkpoint"
         );
+
+        // MystiQ walks the eager plan's tree on the eager plan's operators,
+        // so the planner's governor reaches every one of its checkpoints —
+        // down to the same closing head projection — not just the entry.
+        let last = sweep_every_checkpoint(&format!("mystiq, {threads} threads"), |gov| {
+            let planner = Planner::new(&row).with_pool(Pool::new(threads));
+            let planner = match gov {
+                Some(gov) => planner.with_governor(gov),
+                None => planner,
+            };
+            Ok(planner.execute(&q, PlanKind::Mystiq)?.confidences)
+        });
+        assert_eq!(
+            last.stage(),
+            Stage::Project,
+            "mystiq, {threads} threads: last checkpoint"
+        );
+    }
+}
+
+/// A wire `"kind":"mystiq"` honours `memory_budget`: the plan's first scan
+/// charges its arena to the planner's governor, on one thread and on many.
+#[test]
+fn memory_budget_exhaustion_interrupts_the_mystiq_plan() {
+    let q = q1();
+    let (row, col) = tiny_catalogs();
+    for catalog in [&row, &col] {
+        for threads in POOL_SIZES {
+            let gov = GovernorBuilder::new().memory_budget(1).build();
+            let result = Planner::new(catalog)
+                .with_pool(Pool::new(threads))
+                .with_governor(gov)
+                .execute(&q, PlanKind::Mystiq);
+            match result {
+                Err(PlanError::Governed(SproutError::MemoryBudgetExceeded {
+                    requested,
+                    budget,
+                    ..
+                })) => assert!(requested > budget, "{threads} threads"),
+                other => panic!("{threads} threads: expected MemoryBudgetExceeded, got {other:?}"),
+            }
+        }
     }
 }
 

@@ -183,6 +183,9 @@ pub fn from_exec_error(e: &sprout::ExecError) -> WireError {
         X::DuplicateRelation(r) => WireError::new(400, "DUPLICATE_RELATION", e.to_string())
             .with_detail(obj(vec![("relation", Json::str(r))])),
         X::Storage(s) => from_storage_error(s),
+        // `SafePlan` turns the overflow into `MystiqRuntimeError`, so this
+        // arm answers only a caller that runs the fold outside a plan.
+        X::Aggregation(_) => WireError::new(500, "MYSTIQ_RUNTIME", e.to_string()),
         X::Governed(g) => from_sprout_error(g),
     }
 }

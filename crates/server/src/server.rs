@@ -403,7 +403,7 @@ fn metrics(shared: &Shared, writer: &mut TcpStream) -> io::Result<()> {
     let rows: Vec<(String, f64)> = names
         .iter()
         .map(|name| {
-            let rows = catalog.table(name).map_or(0, |t| t.len());
+            let rows = catalog.backing(name).map_or(0, |t| t.len());
             (
                 format!("table=\"{}\"", pdb_obs::escape_label(name)),
                 rows as f64,
@@ -449,12 +449,14 @@ fn handle_tables(shared: &Shared, request: &Request, req_index: usize) -> Result
             .declare_fd(&spec.name, &lhs, &rhs)
             .map_err(|e| error::from_plan_error(&e))?;
     }
+    let rows = shared
+        .db
+        .catalog()
+        .backing(&spec.name)
+        .map_or(0, |t| t.len());
     Ok(Json::Object(vec![
         ("table".to_string(), Json::Str(spec.name.clone())),
-        (
-            "rows".to_string(),
-            Json::Int(shared.db.catalog().table(&spec.name).map_or(0, |t| t.len()) as i64),
-        ),
+        ("rows".to_string(), Json::Int(rows as i64)),
     ]))
 }
 

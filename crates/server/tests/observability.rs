@@ -223,6 +223,62 @@ fn metrics_page_and_debug_ring_reflect_served_queries() {
     server.shutdown();
 }
 
+/// The row gauges and the `POST /tables` response read the registered
+/// backing's length: on a columnar catalog a scrape must not convert every
+/// table to rows to count them.
+#[test]
+fn table_row_gauges_read_the_backing_of_a_columnar_catalog() {
+    use pdb_tpch::{probabilistic_catalog_columnar, TpchData, TpchScale};
+
+    let data = TpchData::generate(TpchScale::new(0.002));
+    let catalog = probabilistic_catalog_columnar(&data, 1).unwrap();
+    let expected: Vec<(String, usize)> = catalog
+        .table_names()
+        .into_iter()
+        .map(|name| {
+            let backing = catalog.backing(&name).unwrap();
+            assert!(matches!(backing, pdb_storage::StorageBacking::Columnar(_)));
+            (name, backing.len())
+        })
+        .collect();
+    assert_eq!(expected.len(), 9);
+    let server = SproutServer::bind(
+        SproutDb::from_catalog(catalog),
+        "127.0.0.1:0",
+        test_config(),
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    let page = one_shot(addr, "GET", "/metrics", "");
+    assert_eq!(page.status, 200);
+    assert_eq!(prom_value(&page.body, "sprout_catalog_tables "), 9.0);
+    for (name, rows) in &expected {
+        assert_eq!(
+            prom_value(
+                &page.body,
+                &format!("sprout_table_rows{{table=\"{name}\"}} ")
+            ),
+            *rows as f64,
+            "{name}"
+        );
+    }
+
+    let cust = fixtures::fig1_cust();
+    let resp = one_shot(
+        addr,
+        "POST",
+        "/tables",
+        &table_body("Fig1Cust", &cust, &[], &[]),
+    );
+    assert_eq!(resp.status, 201, "{}", resp.body);
+    assert_eq!(
+        resp.json().get("rows").and_then(Json::as_i64),
+        Some(cust.len() as i64)
+    );
+    server.shutdown();
+}
+
 #[test]
 fn health_reports_version_uptime_and_admission_state() {
     let server = SproutServer::bind(SproutDb::new(), "127.0.0.1:0", test_config()).unwrap();

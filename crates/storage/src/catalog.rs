@@ -7,10 +7,12 @@
 //! queries tractable. The catalog records them as plain attribute-name
 //! declarations; the query crate interprets them.
 //!
-//! The catalog also owns what is derived from a table and costs a pass over
-//! it: the row view of a columnar table and the optimizer statistics
-//! ([`TableStats`]). Both are built on first use and dropped when the table
-//! is replaced.
+//! The catalog also owns the one thing that is derived from a table and
+//! costs a pass over it: the optimizer statistics ([`TableStats`]), built on
+//! first use and dropped when the table is replaced. It owns no row view of
+//! a columnar table: [`Catalog::table`] is a conversion, made on every call
+//! with no lock held — read [`Catalog::backing`] for a table's `len()` or
+//! `schema()`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -92,9 +94,6 @@ pub struct Catalog {
 #[derive(Debug, Default)]
 struct CatalogInner {
     tables: BTreeMap<String, StorageBacking>,
-    /// Materialised row views of columnar backings, built lazily for
-    /// consumers that still require a [`ProbTable`] (see [`Catalog::table`]).
-    row_views: BTreeMap<String, Arc<ProbTable>>,
     /// Optimizer statistics, filled on a table's first use by a planner (see
     /// [`Catalog::table_stats`]). An entry always describes the backing
     /// currently registered under its name.
@@ -151,7 +150,6 @@ impl Catalog {
     pub fn replace_table(&self, name: impl Into<String>, table: ProbTable) {
         let name = name.into();
         let mut inner = self.inner.write();
-        inner.row_views.remove(&name);
         inner.stats.remove(&name);
         inner
             .tables
@@ -172,42 +170,20 @@ impl Catalog {
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
-    /// Fetches the table registered under `name` as a row-major
-    /// [`ProbTable`]. Row backings return their table directly; columnar
-    /// backings materialise (and cache) an identical row view on first use —
-    /// the compatibility path for consumers outside the columnar fast path
-    /// (e.g. the extensional/MystiQ operators).
+    /// The table registered under `name` as a row-major [`ProbTable`]. A
+    /// row backing returns its table; a columnar backing is *converted* —
+    /// a full copy on every call, made after the read lock is released and
+    /// not cached. Nothing in the engine executes on the result; it is the
+    /// ingest/inspection format, so ask [`Catalog::backing`] for `len()` or
+    /// `schema()`.
     ///
     /// # Errors
     /// Returns [`StorageError::UnknownTable`] if no such table exists.
     pub fn table(&self, name: &str) -> StorageResult<Arc<ProbTable>> {
-        {
-            let inner = self.inner.read();
-            match inner.tables.get(name) {
-                Some(StorageBacking::Row(t)) => return Ok(t.clone()),
-                Some(StorageBacking::Columnar(_)) => {
-                    if let Some(view) = inner.row_views.get(name) {
-                        return Ok(view.clone());
-                    }
-                }
-                None => return Err(StorageError::UnknownTable(name.to_string())),
-            }
+        match self.backing(name)? {
+            StorageBacking::Row(t) => Ok(t),
+            StorageBacking::Columnar(c) => Ok(Arc::new(c.to_prob_table()?)),
         }
-        let mut inner = self.inner.write();
-        // Re-check under the write lock: another thread may have
-        // materialised the view — or replaced the backing entirely — while
-        // we upgraded.
-        if let Some(view) = inner.row_views.get(name) {
-            return Ok(view.clone());
-        }
-        let columnar = match inner.tables.get(name).cloned() {
-            Some(StorageBacking::Columnar(c)) => c,
-            Some(StorageBacking::Row(t)) => return Ok(t),
-            None => return Err(StorageError::UnknownTable(name.to_string())),
-        };
-        let view = Arc::new(columnar.to_prob_table()?);
-        inner.row_views.insert(name.to_string(), view.clone());
-        Ok(view)
     }
 
     /// The optimizer statistics of the table registered under `name`:
@@ -406,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_backings_register_and_materialise_row_views() {
+    fn columnar_backings_register_and_convert_to_row_tables() {
         let c = Catalog::new();
         let row = small_table();
         let columnar = ColumnarTable::from_prob_table(&row, &pdb_par::Pool::sequential()).unwrap();
@@ -418,10 +394,8 @@ mod tests {
         assert_eq!(c.backing("Cust").unwrap().len(), 2);
         assert_eq!(c.table_stats("Cust").unwrap().distinct["cname"], 2);
         assert_eq!(c.total_tuples(), 2);
-        // The row view materialises identically (and is cached: same Arc).
-        let view = c.table("Cust").unwrap();
-        assert_eq!(&*view, &row);
-        assert!(Arc::ptr_eq(&view, &c.table("Cust").unwrap()));
+        // `table()` converts to the identical row table.
+        assert_eq!(&*c.table("Cust").unwrap(), &row);
         // Keys and FDs declare against columnar backings too.
         c.declare_key("Cust", &["ckey"]).unwrap();
         assert_eq!(c.fds().len(), 1);
@@ -430,6 +404,13 @@ mod tests {
             c.register_table("Cust", small_table()),
             Err(StorageError::DuplicateTable(_))
         ));
+        // Nothing of the old table outlives its replacement.
+        let mut bigger = small_table();
+        bigger
+            .insert(tuple![3i64, "Joe"], Variable(2), 0.3)
+            .unwrap();
+        c.replace_table("Cust", bigger.clone());
+        assert_eq!(&*c.table("Cust").unwrap(), &bigger);
     }
 
     #[test]
