@@ -146,7 +146,14 @@ pub fn apply_pre_aggregation_ctx(
     // Rows of the same (data values, other-relation variables) group form a
     // run and, within a run, follow the order the step's streaming
     // evaluation requires.
-    let runs = KeyRuns::build(input, &other_cols, &machine.preorder_cols(), pool);
+    let runs = KeyRuns::build(
+        input,
+        &other_cols,
+        &machine.preorder_cols(),
+        Stage::Confidence,
+        pool,
+        ctx,
+    )?;
 
     // Per-group probabilities through the unified bag + intra-bag scheduler:
     // ordinary groups and the sub-ranges of huge groups (cut at the step
@@ -186,6 +193,7 @@ pub fn apply_pre_aggregation_ctx(
         leftmost_col,
         Stage::Confidence,
         pool,
+        ctx,
         fold,
     )?)
 }

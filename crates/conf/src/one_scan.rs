@@ -781,7 +781,14 @@ pub fn one_scan_confidences_ctx(
     let machine = FlatScan::new(&tree, answer)?;
     // Bags are the runs of equal data values; within a bag the rows follow
     // the 1scanTree's preorder variable columns.
-    let runs = KeyRuns::build(answer, &[], &machine.preorder_cols(), pool);
+    let runs = KeyRuns::build(
+        answer,
+        &[],
+        &machine.preorder_cols(),
+        Stage::Confidence,
+        pool,
+        ctx,
+    )?;
     // The root's variable is the first sort column after the data prefix,
     // so the intra-bag split reads its partition boundaries off the
     // already-built key words.
@@ -1218,7 +1225,15 @@ mod tests {
         assert!(answer.len() >= pdb_par::SEQUENTIAL_CUTOFF);
         let machine = machine_for(&answer, &sig);
         let preorder = machine.preorder_cols();
-        let runs = KeyRuns::build(&answer, &[], &preorder, &Pool::sequential());
+        let runs = KeyRuns::build(
+            &answer,
+            &[],
+            &preorder,
+            Stage::Confidence,
+            &Pool::sequential(),
+            &ExecContext::unbounded(),
+        )
+        .unwrap();
         let order = runs.order();
         let root_col = preorder[0];
         // The retained sequential lineage prefix scan is the pin.

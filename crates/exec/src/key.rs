@@ -1,33 +1,57 @@
 //! Normalized key encoding for the relational hot path.
 //!
 //! Joins, sorts and duplicate elimination over [`Value`] columns are the
-//! inner loops of every lazy plan. Comparing `Value` enums there means enum
+//! inner loops of every plan. Comparing `Value` enums there means enum
 //! dispatch, string dereferences and — in the seed implementation — a
 //! `Vec<Value>` allocation per probed row. This module normalizes a row's
 //! key columns into a flat run of `u64` words *once*, so the hot loops
-//! reduce to hashing and comparing machine words:
+//! reduce to hashing, comparing and radix-sorting machine words.
 //!
-//! * Every cell becomes [`CELL_WIDTH`] words `(type class, primary,
-//!   tie-break)` whose lexicographic order matches [`Value`]'s total order.
-//! * Numbers map through an order-preserving `f64 → u64` bit transform with
+//! # Cell widths
+//!
+//! * A **mixed** cell is [`CELL_WIDTH`] words `(type class, primary,
+//!   tie-break)` whose lexicographic order matches [`Value`]'s total order:
+//!   numbers map through an order-preserving `f64 → u64` bit transform with
 //!   an exact-integer tie-break, so `Int(2)` and `Float(2.0)` — which
-//!   compare equal as values — encode identically.
+//!   compare equal as values — encode identically. Every join-key cell
+//!   ([`JoinKeys`]) is mixed, because the two sides of a join may spell the
+//!   same number differently.
+//! * A sort-key column ([`SortKeys`]) whose cells all carry **one variant**
+//!   takes **one** order-preserving word per cell instead: `Int` and `Date`
+//!   the sign-flipped integer, `Float` the float transform, `Str` the rank,
+//!   `Bool` the bit. Only a column that really mixes variants (`Int` beside
+//!   `Float`, anything beside `Null`) keeps the three-word cell.
 //! * Strings map through a dictionary: an **order-preserving rank** when the
-//!   encoding feeds a sort ([`SortKeys`]), or an insertion-order id when
-//!   only equality matters ([`JoinKeys`], built over the join's build side;
-//!   probe-side strings missing from the dictionary cannot match and skip
-//!   the probe entirely).
+//!   encoding feeds a sort, or an insertion-order id when only equality
+//!   matters (join keys, built over the join's build side; probe-side
+//!   strings missing from the dictionary cannot match and skip the probe
+//!   entirely).
 //!
-//! The encoding agrees with `Value`'s comparison everywhere except integers
-//! beyond ±2⁵³ compared against floats, where `Value`'s own ordering is not
-//! transitive; the normalized form resolves those ties by exact integer
-//! value instead.
-
-use std::collections::HashMap;
+//! The one-word and the three-word encoding of a single-variant column order
+//! — and equate — its rows identically, so which one a column gets never
+//! shows in a permutation or a run boundary: the type class is constant; for
+//! integers the primary word `f64(i)` is monotone in `i`, so `(primary,
+//! tie-break = i)` sorts as `i` alone; for floats the tie-break is a function
+//! of the primary; strings, dates and booleans have no tie-break.
+//!
+//! The mixed encoding agrees with `Value`'s comparison everywhere except
+//! integers beyond ±2⁵³ compared against floats, where `Value`'s own
+//! ordering is not transitive; the normalized form resolves those ties by
+//! exact integer value instead.
+//!
+//! # Sorting
+//!
+//! [`SortKeys::sorted_permutation_with`] range-compresses each word column
+//! to the bits its `max − min` needs and, when a row's compressed words fit
+//! 128 bits, packs them into one machine word and sorts that with a stable
+//! LSD radix sort over the used bits only. Keys wider than 128 bits after
+//! compression — several full-range float columns, say — take a comparator
+//! merge sort over the word runs. Both yield the same stable permutation at
+//! every thread count.
 
 use pdb_storage::Value;
 
-/// Words per encoded cell: `(type class, primary order, tie-break)`.
+/// Words per mixed cell: `(type class, primary order, tie-break)`.
 pub const CELL_WIDTH: usize = 3;
 
 /// Order-preserving bit transform for floats (NaN canonicalized greatest,
@@ -55,7 +79,7 @@ fn ordered_i64(i: i64) -> u64 {
     (i as u64) ^ (1 << 63)
 }
 
-/// Encodes one cell given a resolved string code. Returns
+/// Encodes one mixed cell given a resolved string code. Returns
 /// `(class, primary, tiebreak)`; the type class equals `Value`'s type rank
 /// so cross-type comparisons order the same way.
 #[inline]
@@ -80,6 +104,44 @@ fn encode_cell(v: &Value, str_code: u64) -> [u64; CELL_WIDTH] {
     }
 }
 
+/// Encodes one cell of a single-variant column: the one word of
+/// [`encode_cell`] that varies within the column (the exact integer for
+/// `Int`, whose primary is a monotone function of it).
+#[inline]
+fn encode_word(v: &Value, str_code: u64) -> u64 {
+    match v {
+        Value::Null => 0,
+        Value::Int(i) => ordered_i64(*i),
+        Value::Float(f) => ordered_f64(*f),
+        Value::Str(_) => str_code,
+        Value::Date(d) => ordered_i64(*d as i64),
+        Value::Bool(b) => *b as u64,
+    }
+}
+
+/// The bit of a value's variant in a column's variant mask.
+#[inline]
+fn variant_bit(v: &Value) -> u8 {
+    match v {
+        Value::Null => 1,
+        Value::Int(_) => 2,
+        Value::Float(_) => 4,
+        Value::Str(_) => 8,
+        Value::Date(_) => 16,
+        Value::Bool(_) => 32,
+    }
+}
+
+/// Words per cell of a sort-key column whose cells carry the variants in
+/// `mask`: one when they all share a variant, [`CELL_WIDTH`] when they mix.
+fn cell_words(mask: u8) -> usize {
+    if mask.count_ones() <= 1 {
+        1
+    } else {
+        CELL_WIDTH
+    }
+}
+
 /// FxHash-style mix of a flat key run into one 64-bit hash.
 #[inline]
 pub fn hash_words(words: &[u64]) -> u64 {
@@ -92,15 +154,17 @@ pub fn hash_words(words: &[u64]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Sort keys: order-preserving, dictionary-ranked strings.
+// The string interner both key kinds share.
 // ---------------------------------------------------------------------------
 
 /// An open-addressing string interner (FxHash, linear probing) assigning
-/// insertion-order ids. Replaces per-row `BTreeMap` searches in the sort-key
-/// builder: interning is one hash and (usually) one probe per row, and the
-/// order-preserving rank is assigned once over the distinct strings.
+/// insertion-order ids: one hash and (usually) one probe per string. Sort
+/// keys turn the ids into order-preserving ranks once over the distinct
+/// strings; join keys use the ids as they are.
+#[derive(Default)]
 struct FxStrInterner<'a> {
-    /// Slot values are `id + 1`; 0 marks an empty slot. Power-of-two sized.
+    /// Slot values are `id + 1`; 0 marks an empty slot. Power-of-two sized,
+    /// unallocated until the first string arrives.
     slots: Vec<u32>,
     strs: Vec<&'a str>,
 }
@@ -124,13 +188,6 @@ fn hash_str(s: &str) -> u64 {
 }
 
 impl<'a> FxStrInterner<'a> {
-    fn new() -> Self {
-        FxStrInterner {
-            slots: vec![0; 64],
-            strs: Vec::new(),
-        }
-    }
-
     #[inline]
     fn intern(&mut self, s: &'a str) -> u32 {
         if self.strs.len() * 2 >= self.slots.len() {
@@ -157,8 +214,25 @@ impl<'a> FxStrInterner<'a> {
         }
     }
 
+    /// The id of `s` if it has been interned; never inserts.
+    #[inline]
+    fn lookup(&self, s: &str) -> Option<u32> {
+        if self.strs.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash_str(s) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return None,
+                slot if self.strs[slot as usize - 1] == s => return Some(slot - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
     fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
+        let new_len = (self.slots.len() * 2).max(64);
         let mask = new_len - 1;
         let mut slots = vec![0u32; new_len];
         for (id, s) in self.strs.iter().enumerate() {
@@ -183,20 +257,77 @@ impl<'a> FxStrInterner<'a> {
     }
 }
 
-/// Flat, order-preserving sort keys: one run of
-/// `columns × CELL_WIDTH + extra` words per row, comparable with plain
-/// `u64`-slice comparison.
-pub struct SortKeys {
-    words: Vec<u64>,
-    width: usize,
-}
-
-/// Per-chunk, per-column string dictionary of the parallel
-/// [`SortKeys::build_with`]: the chunk's interner plus each chunk row's
-/// insertion id (`u32::MAX` for non-string cells).
+/// Per-chunk string dictionary of the parallel join-key build: the chunk's
+/// interner plus each chunk cell's insertion id (`u32::MAX` for non-string
+/// cells).
 struct ChunkDict<'a> {
     interner: FxStrInterner<'a>,
     ids: Vec<u32>,
+}
+
+// ---------------------------------------------------------------------------
+// Sort keys: order-preserving, dictionary-ranked strings.
+// ---------------------------------------------------------------------------
+
+/// Flat, order-preserving sort keys: one run of `data_words() + extra` words
+/// per row, comparable with plain `u64`-slice comparison.
+pub struct SortKeys {
+    words: Vec<u64>,
+    width: usize,
+    data_words: usize,
+}
+
+/// What one pass over a range of rows learns about a sort-key column: the
+/// variants its cells carry and the dictionary of its strings.
+#[derive(Default)]
+struct ColumnSurvey<'a> {
+    mask: u8,
+    strings: FxStrInterner<'a>,
+}
+
+/// The first encoding pass over rows `range`, into `out` (which holds
+/// exactly those rows at `surveys.len() + extra` words each): every data
+/// cell as the one word of a single-variant column — a string as its
+/// insertion id in the column's survey, until ranks are known — then the
+/// `extra` words. Records each column's variants on the way, so the common
+/// case (no column mixes variants) reads every `Value` once.
+fn encode_narrow<'a>(
+    out: &mut [u64],
+    range: std::ops::Range<usize>,
+    surveys: &mut [ColumnSurvey<'a>],
+    extra: usize,
+    mut cell_at: impl FnMut(usize, usize) -> &'a Value,
+    mut extra_at: impl FnMut(usize, usize) -> u64,
+) {
+    let mut at = 0;
+    for r in range {
+        for (c, survey) in surveys.iter_mut().enumerate() {
+            let v = cell_at(r, c);
+            survey.mask |= variant_bit(v);
+            out[at] = match v {
+                Value::Str(s) => survey.strings.intern(s) as u64,
+                v => encode_word(v, 0),
+            };
+            at += 1;
+        }
+        for e in 0..extra {
+            out[at] = extra_at(r, e);
+            at += 1;
+        }
+    }
+}
+
+/// Finishes a narrow encoding none of whose columns mixes variants: the
+/// cells of a column with a dictionary are all strings, and their ids
+/// (`ranks[c]` maps id → rank; empty without strings) become ranks in place.
+fn rank_strings(words: &mut [u64], width: usize, ranks: &[Vec<u64>]) {
+    for (c, ranks) in ranks.iter().enumerate() {
+        if !ranks.is_empty() {
+            for row in words.chunks_exact_mut(width) {
+                row[c] = ranks[row[c] as usize];
+            }
+        }
+    }
 }
 
 impl SortKeys {
@@ -205,7 +336,9 @@ impl SortKeys {
     /// filled by `extra_at` (used for lineage-variable sort columns).
     ///
     /// Strings are ranked per column across all rows, so the resulting
-    /// order matches `Value`'s lexicographic string order.
+    /// order matches `Value`'s lexicographic string order. A column takes
+    /// one word per cell when all its cells share a variant and
+    /// [`CELL_WIDTH`] words otherwise (see the module documentation).
     ///
     /// This entry point runs sequentially; [`SortKeys::build_with`] fans the
     /// encoding out across a worker pool and produces bit-identical keys.
@@ -213,23 +346,60 @@ impl SortKeys {
         rows: usize,
         columns: usize,
         extra: usize,
-        cell_at: impl FnMut(usize, usize) -> &'a Value,
-        extra_at: impl FnMut(usize, usize) -> u64,
+        mut cell_at: impl FnMut(usize, usize) -> &'a Value,
+        mut extra_at: impl FnMut(usize, usize) -> u64,
     ) -> SortKeys {
-        SortKeys::build_sequential(rows, columns, extra, cell_at, extra_at)
+        // Pass 1: encode as if no column mixed variants, learning on the way
+        // whether one does. The order-preserving rank is assigned once over
+        // a column's distinct strings.
+        let width = columns + extra;
+        let mut words = vec![0u64; rows * width];
+        let mut surveys: Vec<ColumnSurvey<'a>> = Vec::new();
+        surveys.resize_with(columns, ColumnSurvey::default);
+        encode_narrow(
+            &mut words,
+            0..rows,
+            &mut surveys,
+            extra,
+            &mut cell_at,
+            &mut extra_at,
+        );
+        let ranks: Vec<Vec<u64>> = surveys.iter().map(|s| s.strings.ranks()).collect();
+        let cell_widths: Vec<usize> = surveys.iter().map(|s| cell_words(s.mask)).collect();
+        if cell_widths.iter().all(|&w| w == 1) {
+            rank_strings(&mut words, width, &ranks);
+            return SortKeys {
+                words,
+                width,
+                data_words: columns,
+            };
+        }
+        // Pass 2, only with a mixed column: re-encode at the wider layout.
+        let mut keys = SortKeys::zeroed(rows, &cell_widths, extra);
+        encode_rows(
+            &mut keys.words,
+            0..rows,
+            &cell_widths,
+            extra,
+            cell_at,
+            |r, c| ranks[c][words[r * width + c] as usize],
+            extra_at,
+        );
+        keys
     }
 
     /// [`SortKeys::build`] with an explicit worker pool.
     ///
     /// Both passes are chunked over contiguous row ranges: every chunk
-    /// builds its own per-column string dictionary, the per-chunk
-    /// dictionaries are merged (in chunk order, so first-occurrence ids are
-    /// stable) into one canonical interner whose **rank** assignment — a
-    /// sort over the distinct strings, independent of insertion order —
-    /// feeds the encoding, and each chunk then encodes its rows directly
-    /// into its disjoint sub-slice of the key buffer. The resulting words
-    /// are bit-identical to the sequential build at every thread count,
-    /// because ranks depend only on the distinct-string *set*.
+    /// encodes its rows directly into its disjoint sub-slice of the key
+    /// buffer against its own per-column survey, and the per-chunk surveys
+    /// are merged (variant masks by union; dictionaries in chunk order) into
+    /// one canonical interner per column whose **rank** assignment — a sort
+    /// over the distinct strings, independent of insertion order — each
+    /// chunk then applies to its slice. The resulting words are
+    /// bit-identical to the sequential build at every thread count, because
+    /// cell widths and ranks depend only on the column's variant and
+    /// distinct-string *sets*.
     pub fn build_with<'a, C, E>(
         rows: usize,
         columns: usize,
@@ -244,123 +414,96 @@ impl SortKeys {
     {
         let chunks = pool.threads().min(rows.max(1));
         if chunks <= 1 || rows < pdb_par::SEQUENTIAL_CUTOFF {
-            return SortKeys::build_sequential(rows, columns, extra, cell_at, extra_at);
+            return SortKeys::build(rows, columns, extra, cell_at, extra_at);
         }
         let ranges = pdb_par::even_ranges(rows, chunks);
-        // Pass 1 (parallel): per-chunk, per-column dictionaries.
-        let chunk_dicts: Vec<Vec<Option<ChunkDict<'a>>>> = pool.map_ranges(&ranges, |range| {
-            (0..columns)
-                .map(|c| {
-                    let mut dict: Option<ChunkDict<'a>> = None;
-                    for r in range.clone() {
-                        if let Value::Str(s) = cell_at(r, c) {
-                            let d = dict.get_or_insert_with(|| ChunkDict {
-                                interner: FxStrInterner::new(),
-                                ids: vec![u32::MAX; range.len()],
-                            });
-                            d.ids[r - range.start] = d.interner.intern(s);
-                        }
-                    }
-                    dict
-                })
-                .collect()
-        });
-        // Merge (sequential, O(distinct strings)): one canonical interner
-        // per column, visited in chunk order so ids follow first occurrence;
-        // each chunk keeps a local-id → canonical-id remap.
-        let mut col_ranks: Vec<Option<Vec<u64>>> = Vec::with_capacity(columns);
-        let mut remaps: Vec<Vec<Option<Vec<u32>>>> = (0..chunks)
-            .map(|_| (0..columns).map(|_| None).collect())
-            .collect();
-        for c in 0..columns {
-            let mut canonical: Option<FxStrInterner<'a>> = None;
-            for (ci, chunk) in chunk_dicts.iter().enumerate() {
-                if let Some(d) = &chunk[c] {
-                    let canonical = canonical.get_or_insert_with(FxStrInterner::new);
-                    remaps[ci][c] = Some(
-                        d.interner
-                            .strs
-                            .iter()
-                            .map(|s| canonical.intern(s))
-                            .collect(),
-                    );
-                }
-            }
-            col_ranks.push(canonical.map(|i| i.ranks()));
-        }
-        // Pass 2 (parallel): each chunk encodes into its slice of the buffer.
-        let width = columns * CELL_WIDTH + extra;
+        // Pass 1 (parallel): each chunk encodes narrowly into its slice.
+        let width = columns + extra;
         let mut words = vec![0u64; rows * width];
         let cuts: Vec<usize> = ranges.iter().map(|r| r.start * width).collect();
-        pool.map_slices_mut(&mut words, &cuts, |ci, slice| {
-            let range = &ranges[ci];
-            let dicts = &chunk_dicts[ci];
-            let remap = &remaps[ci];
-            for (local, r) in range.clone().enumerate() {
-                let base = local * width;
-                for c in 0..columns {
-                    let v = cell_at(r, c);
-                    let code = match (&dicts[c], &remap[c], &col_ranks[c]) {
-                        (Some(d), Some(remap), Some(ranks)) if matches!(v, Value::Str(_)) => {
-                            ranks[remap[d.ids[local] as usize] as usize]
-                        }
-                        _ => 0,
-                    };
-                    slice[base + c * CELL_WIDTH..base + (c + 1) * CELL_WIDTH]
-                        .copy_from_slice(&encode_cell(v, code));
-                }
-                for e in 0..extra {
-                    slice[base + columns * CELL_WIDTH + e] = extra_at(r, e);
-                }
+        let chunk_surveys: Vec<Vec<ColumnSurvey<'a>>> =
+            pool.map_slices_mut(&mut words, &cuts, |ci, slice| {
+                let mut surveys = Vec::new();
+                surveys.resize_with(columns, ColumnSurvey::default);
+                encode_narrow(
+                    slice,
+                    ranges[ci].clone(),
+                    &mut surveys,
+                    extra,
+                    &cell_at,
+                    &extra_at,
+                );
+                surveys
+            });
+        // Merge (sequential, O(distinct strings)): one canonical interner
+        // per column, visited in chunk order; each chunk gets its
+        // local-id → rank table.
+        let mut cell_widths = Vec::with_capacity(columns);
+        let mut chunk_ranks: Vec<Vec<Vec<u64>>> = vec![Vec::with_capacity(columns); chunks];
+        for c in 0..columns {
+            let mut mask = 0u8;
+            let mut canonical = FxStrInterner::default();
+            let canonical_ids: Vec<Vec<u32>> = chunk_surveys
+                .iter()
+                .map(|surveys| {
+                    mask |= surveys[c].mask;
+                    let strs = &surveys[c].strings.strs;
+                    strs.iter().map(|s| canonical.intern(s)).collect()
+                })
+                .collect();
+            let ranks = canonical.ranks();
+            for (local_ranks, ids) in chunk_ranks.iter_mut().zip(canonical_ids) {
+                local_ranks.push(ids.into_iter().map(|id| ranks[id as usize]).collect());
             }
+            cell_widths.push(cell_words(mask));
+        }
+        if cell_widths.iter().all(|&w| w == 1) {
+            pool.map_slices_mut(&mut words, &cuts, |ci, slice| {
+                rank_strings(slice, width, &chunk_ranks[ci]);
+            });
+            return SortKeys {
+                words,
+                width,
+                data_words: columns,
+            };
+        }
+        // Pass 2 (parallel), only with a mixed column: each chunk re-encodes
+        // into its slice of the wider buffer.
+        let mut keys = SortKeys::zeroed(rows, &cell_widths, extra);
+        let wide_cuts: Vec<usize> = ranges.iter().map(|r| r.start * keys.width).collect();
+        pool.map_slices_mut(&mut keys.words, &wide_cuts, |ci, slice| {
+            encode_rows(
+                slice,
+                ranges[ci].clone(),
+                &cell_widths,
+                extra,
+                &cell_at,
+                |r, c| chunk_ranks[ci][c][words[r * width + c] as usize],
+                &extra_at,
+            );
         });
-        SortKeys { words, width }
+        keys
     }
 
-    fn build_sequential<'a>(
-        rows: usize,
-        columns: usize,
-        extra: usize,
-        mut cell_at: impl FnMut(usize, usize) -> &'a Value,
-        mut extra_at: impl FnMut(usize, usize) -> u64,
-    ) -> SortKeys {
-        // Pass 1: per-column string dictionaries. Each row's insertion id is
-        // recorded so pass 2 never searches the dictionary again; the
-        // order-preserving rank is assigned once over the distinct strings.
-        let mut dicts: Vec<Option<(Vec<u64>, Vec<u32>)>> = Vec::with_capacity(columns);
-        for c in 0..columns {
-            let mut interner: Option<(FxStrInterner<'a>, Vec<u32>)> = None;
-            for r in 0..rows {
-                if let Value::Str(s) = cell_at(r, c) {
-                    let (interner, ids) = interner
-                        .get_or_insert_with(|| (FxStrInterner::new(), vec![u32::MAX; rows]));
-                    ids[r] = interner.intern(s);
-                }
-            }
-            dicts.push(interner.map(|(interner, ids)| (interner.ranks(), ids)));
+    /// All-zero keys of the layout `cell_widths` and `extra` describe.
+    fn zeroed(rows: usize, cell_widths: &[usize], extra: usize) -> SortKeys {
+        let data_words: usize = cell_widths.iter().sum();
+        let width = data_words + extra;
+        SortKeys {
+            words: vec![0u64; rows * width],
+            width,
+            data_words,
         }
-        // Pass 2: encode.
-        let width = columns * CELL_WIDTH + extra;
-        let mut words = Vec::with_capacity(rows * width);
-        for r in 0..rows {
-            for (c, dict) in dicts.iter().enumerate() {
-                let v = cell_at(r, c);
-                let code = match dict {
-                    Some((ranks, ids)) if matches!(v, Value::Str(_)) => ranks[ids[r] as usize],
-                    _ => 0,
-                };
-                words.extend_from_slice(&encode_cell(v, code));
-            }
-            for e in 0..extra {
-                words.push(extra_at(r, e));
-            }
-        }
-        SortKeys { words, width }
     }
 
     /// Words per row.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// Words per row taken by the data columns; the `extra` words follow.
+    pub fn data_words(&self) -> usize {
+        self.data_words
     }
 
     /// The key run of row `r`.
@@ -380,133 +523,335 @@ impl SortKeys {
 
     /// [`SortKeys::sorted_permutation`] with an explicit worker pool.
     ///
-    /// When the key's word columns are range-compressible — the sum of the
-    /// per-column `max − min` bit widths plus the row-index bits fits in one
-    /// `u64` (or `u128`) — each row is packed into a single machine word
-    /// with the row index in the low bits, so the packed values are distinct
-    /// and their unique ascending order *is* the stable sort order. Packed
-    /// keys that come out already ascending skip the sort entirely;
-    /// otherwise they are `sort_unstable`d (adaptive pattern-defeating
-    /// quicksort on machine words), chunked across the pool's workers with
-    /// pairwise merges when it has more than one thread. Wider keys fall
-    /// back to the comparator-based stable chunk-merge sort. Every path
-    /// yields the identical permutation.
+    /// Each word column is range-compressed to the bits of its `max − min`;
+    /// trailing columns that already ascend in input order are left out of
+    /// the sort altogether (a stable sort on the columns before them leaves
+    /// their ties in input order, which *is* their order — a base table's
+    /// variable column after a scan). When what remains fits 128 bits each
+    /// row packs into one machine word, with the row index in the bits below
+    /// the key if there is room and beside it otherwise, so packed values
+    /// are distinct and their ascending order is the stable sort order.
+    /// Packed keys that come out already ascending skip the sort; otherwise
+    /// they are radix-sorted over the key bits alone, in contiguous chunks
+    /// merged pairwise when the pool has more than one thread. Wider keys
+    /// fall back to the comparator-based stable chunk-merge sort over the
+    /// word runs. Every path yields the identical permutation.
     pub fn sorted_permutation_with(&self, rows: usize, pool: &pdb_par::Pool) -> Vec<u32> {
-        if self.width == 0 || rows < 2 {
-            return (0..rows as u32).collect();
-        }
-        if let Some(order) = self.packed_permutation(rows, pool) {
-            return order;
-        }
-        pdb_par::sorted_permutation_by(rows, pool, |a, b| {
-            self.row(a as usize).cmp(self.row(b as usize))
-        })
+        self.sorted_runs(rows, 0, pool).0
     }
 
-    /// The range-compressed fast path of [`SortKeys::sorted_permutation_with`],
-    /// or `None` when the key does not fit in 128 bits.
-    fn packed_permutation(&self, rows: usize, pool: &pdb_par::Pool) -> Option<Vec<u32>> {
+    /// [`SortKeys::sorted_permutation_with`]'s permutation, and the sorted
+    /// positions where the first `prefix_words` words of the run change
+    /// (position 0 included) — the grouping shell's runs, cut on the sorted
+    /// packed words. Only columns past the prefix are candidates for being
+    /// left out of the sort.
+    ///
+    /// # Panics
+    /// If `prefix_words` exceeds [`SortKeys::width`].
+    pub(crate) fn sorted_runs(
+        &self,
+        rows: usize,
+        prefix_words: usize,
+        pool: &pdb_par::Pool,
+    ) -> (Vec<u32>, Vec<usize>) {
+        if rows == 0 {
+            return (Vec::new(), Vec::new());
+        }
+        if let Some(packing) = self.packing(rows, prefix_words) {
+            let total_bits = packing.key_bits + packing.row_bits;
+            return if total_bits <= u64::BITS {
+                self.pack_sort_cut::<u64>(rows, &packing, packing.row_bits, pool)
+            } else if total_bits <= u128::BITS {
+                self.pack_sort_cut::<u128>(rows, &packing, packing.row_bits, pool)
+            } else {
+                self.pack_sort_cut::<(u128, u32)>(rows, &packing, 0, pool)
+            };
+        }
+        let order = pdb_par::sorted_permutation_by(rows, pool, |a, b| {
+            self.row(a as usize).cmp(self.row(b as usize))
+        });
+        let starts = (0..rows)
+            .filter(|&k| {
+                k == 0
+                    || self.row(order[k] as usize)[..prefix_words]
+                        != self.row(order[k - 1] as usize)[..prefix_words]
+            })
+            .collect();
+        (order, starts)
+    }
+
+    /// How the rows pack into one machine word each, or `None` when the
+    /// range-compressed key is wider than 128 bits.
+    fn packing(&self, rows: usize, prefix_words: usize) -> Option<Packing> {
         let w = self.width;
-        // Per word column: the value range actually used.
-        let mut mins = vec![u64::MAX; w];
-        let mut maxs = vec![0u64; w];
-        for r in 0..rows {
-            let run = self.row(r);
+        // Per word column: the value range actually used, and whether the
+        // column ascends in input order.
+        let mut mins = self.row(0).to_vec();
+        let mut maxs = mins.clone();
+        let mut ascending = vec![true; w];
+        for r in 1..rows {
+            let (prev, run) = (self.row(r - 1), self.row(r));
             for c in 0..w {
                 mins[c] = mins[c].min(run[c]);
                 maxs[c] = maxs[c].max(run[c]);
+                ascending[c] &= prev[c] <= run[c];
             }
         }
-        let idx_bits = u64::BITS - (rows as u64 - 1).leading_zeros();
-        let col_bits: Vec<u32> = (0..w)
+        let mut sorted_words = w;
+        while sorted_words > prefix_words && ascending[sorted_words - 1] {
+            sorted_words -= 1;
+        }
+        let col_bits: Vec<u32> = (0..sorted_words)
             .map(|c| u64::BITS - (maxs[c] - mins[c]).leading_zeros())
             .collect();
-        let total_bits = idx_bits + col_bits.iter().sum::<u32>();
-        if total_bits <= u64::BITS {
-            Some(self.pack_and_sort::<u64>(rows, &mins, &col_bits, idx_bits, pool))
-        } else if total_bits <= u128::BITS {
-            Some(self.pack_and_sort::<u128>(rows, &mins, &col_bits, idx_bits, pool))
-        } else {
-            None
-        }
+        let key_bits: u32 = col_bits.iter().sum();
+        let prefix_bits: u32 = col_bits[..prefix_words].iter().sum();
+        mins.truncate(sorted_words);
+        (key_bits <= u128::BITS).then_some(Packing {
+            mins,
+            col_bits,
+            key_bits,
+            prefix_bits,
+            row_bits: u64::BITS - (rows as u64 - 1).leading_zeros(),
+        })
     }
 
-    fn pack_and_sort<T: PackedKey>(
+    /// Packs every row as `T` (the row index in the `low_bits` bits below
+    /// the key, or beside it when `low_bits` is 0), sorts, and cuts the runs.
+    fn pack_sort_cut<T: PackedKey>(
         &self,
         rows: usize,
-        mins: &[u64],
-        col_bits: &[u32],
-        idx_bits: u32,
+        packing: &Packing,
+        low_bits: u32,
         pool: &pdb_par::Pool,
-    ) -> Vec<u32> {
+    ) -> (Vec<u32>, Vec<usize>) {
         let mut packed: Vec<T> = Vec::with_capacity(rows);
         let mut sorted_already = true;
         for r in 0..rows {
             let run = self.row(r);
             let mut key = T::ZERO;
-            for (c, &bits) in col_bits.iter().enumerate() {
+            for (c, &bits) in packing.col_bits.iter().enumerate() {
                 if bits > 0 {
-                    key = key.push_bits(bits, run[c] - mins[c]);
+                    key = key.push_bits(bits, run[c] - packing.mins[c]);
                 }
             }
-            let key = key.push_bits(idx_bits, r as u64);
+            let key = key.with_row(low_bits, r as u32);
             if let Some(&prev) = packed.last() {
                 sorted_already &= prev < key;
             }
             packed.push(key);
         }
         if !sorted_already {
-            sort_packed_chunked(&mut packed, pool);
+            sort_packed(&mut packed, low_bits, packing.key_bits, pool);
         }
-        let idx_mask = (1u64 << idx_bits) - 1;
-        packed.into_iter().map(|k| k.row_index(idx_mask)).collect()
+        // One walk of the sorted words yields the permutation and the runs:
+        // the grouping prefix is the top `prefix_bits` bits of the key.
+        let prefix_shift =
+            (packing.prefix_bits > 0).then(|| low_bits + packing.key_bits - packing.prefix_bits);
+        let mut order = Vec::with_capacity(rows);
+        let mut starts = Vec::new();
+        let mut prev = packed[0];
+        for (k, &key) in packed.iter().enumerate() {
+            order.push(key.row(low_bits));
+            if k == 0 || prefix_shift.is_some_and(|shift| key.differs_above(prev, shift)) {
+                starts.push(k);
+            }
+            prev = key;
+        }
+        (order, starts)
     }
 }
 
-/// A machine word wide enough to hold a range-compressed key run plus the
-/// row index in its low bits.
+/// The second encoding pass, over rows `range` into `out` (which holds
+/// exactly those rows): per data column one word or one mixed cell as
+/// `cell_widths` says, then the `extra` words. `str_code(r, c)` resolves a
+/// string cell's rank.
+fn encode_rows<'a>(
+    out: &mut [u64],
+    range: std::ops::Range<usize>,
+    cell_widths: &[usize],
+    extra: usize,
+    mut cell_at: impl FnMut(usize, usize) -> &'a Value,
+    mut str_code: impl FnMut(usize, usize) -> u64,
+    mut extra_at: impl FnMut(usize, usize) -> u64,
+) {
+    let mut at = 0;
+    for r in range {
+        for (c, &cell_width) in cell_widths.iter().enumerate() {
+            let v = cell_at(r, c);
+            let code = match v {
+                Value::Str(_) => str_code(r, c),
+                _ => 0,
+            };
+            if cell_width == 1 {
+                out[at] = encode_word(v, code);
+            } else {
+                out[at..at + CELL_WIDTH].copy_from_slice(&encode_cell(v, code));
+            }
+            at += cell_width;
+        }
+        for e in 0..extra {
+            out[at] = extra_at(r, e);
+            at += 1;
+        }
+    }
+}
+
+/// The range compression [`SortKeys::sorted_runs`] packs rows with: per
+/// sorted word column its minimum and the bits of its range.
+struct Packing {
+    mins: Vec<u64>,
+    col_bits: Vec<u32>,
+    /// Sum of `col_bits`.
+    key_bits: u32,
+    /// Sum of the `col_bits` of the grouping prefix: the top bits of the key.
+    prefix_bits: u32,
+    /// Bits of the largest row index.
+    row_bits: u32,
+}
+
+/// A range-compressed key run and its row index in one `Copy` value whose
+/// `Ord` is the stable sort order: the row index sits in the low bits of the
+/// word, below the key, or beside it in a tuple when the word has no room.
 trait PackedKey: Copy + Ord + Send + Sync {
     const ZERO: Self;
-    /// `(self << bits) | value`.
+    /// Appends a key field: `(key << bits) | value`.
     fn push_bits(self, bits: u32, value: u64) -> Self;
-    /// The row index from the low bits.
-    fn row_index(self, idx_mask: u64) -> u32;
+    /// Attaches the row index once the key is complete: in `low_bits` bits
+    /// below it, or beside it (`low_bits` is 0).
+    fn with_row(self, low_bits: u32, row: u32) -> Self;
+    /// The row index [`PackedKey::with_row`] attached.
+    fn row(self, low_bits: u32) -> u32;
+    /// The digit `(word >> shift) & mask` of the word the key sits in.
+    fn digit(self, shift: u32, mask: usize) -> usize;
+    /// Whether the two words differ at or above bit `shift`.
+    fn differs_above(self, other: Self, shift: u32) -> bool;
 }
 
-impl PackedKey for u64 {
-    const ZERO: Self = 0;
+macro_rules! packed_key_with_row_below {
+    ($word:ty) => {
+        impl PackedKey for $word {
+            const ZERO: Self = 0;
+            #[inline]
+            fn push_bits(self, bits: u32, value: u64) -> Self {
+                (self << bits) | value as $word
+            }
+            #[inline]
+            fn with_row(self, low_bits: u32, row: u32) -> Self {
+                (self << low_bits) | row as $word
+            }
+            #[inline]
+            fn row(self, low_bits: u32) -> u32 {
+                (self as u64 & ((1u64 << low_bits) - 1)) as u32
+            }
+            #[inline]
+            fn digit(self, shift: u32, mask: usize) -> usize {
+                (self >> shift) as usize & mask
+            }
+            #[inline]
+            fn differs_above(self, other: Self, shift: u32) -> bool {
+                (self ^ other) >> shift != 0
+            }
+        }
+    };
+}
+packed_key_with_row_below!(u64);
+packed_key_with_row_below!(u128);
+
+impl PackedKey for (u128, u32) {
+    const ZERO: Self = (0, 0);
     #[inline]
     fn push_bits(self, bits: u32, value: u64) -> Self {
-        (self << bits) | value
+        (self.0.push_bits(bits, value), 0)
     }
     #[inline]
-    fn row_index(self, idx_mask: u64) -> u32 {
-        (self & idx_mask) as u32
+    fn with_row(self, _low_bits: u32, row: u32) -> Self {
+        (self.0, row)
+    }
+    #[inline]
+    fn row(self, _low_bits: u32) -> u32 {
+        self.1
+    }
+    #[inline]
+    fn digit(self, shift: u32, mask: usize) -> usize {
+        self.0.digit(shift, mask)
+    }
+    #[inline]
+    fn differs_above(self, other: Self, shift: u32) -> bool {
+        self.0.differs_above(other.0, shift)
     }
 }
 
-impl PackedKey for u128 {
-    const ZERO: Self = 0;
-    #[inline]
-    fn push_bits(self, bits: u32, value: u64) -> Self {
-        (self << bits) | value as u128
+/// Below this many values a comparison sort on the packed words beats the
+/// radix sort's histograms.
+const RADIX_MIN_ROWS: usize = 256;
+
+/// Widest digit of the radix sort: 2¹¹ counters per pass stay in L1.
+const RADIX_DIGIT_BITS: u32 = 11;
+
+/// Sorts packed keys ascending — the stable order of the rows, since the
+/// row index breaks every tie. The key occupies bits `low_bits..low_bits +
+/// key_bits` of the word [`PackedKey::digit`] reads; the row index is never
+/// a digit. An LSD radix sort: the key bits are cut into the fewest equal
+/// digits of at most [`RADIX_DIGIT_BITS`] bits, one pass counts all of them,
+/// and every digit that is not constant over the input costs one stable
+/// scatter between the slice and a scratch copy.
+fn radix_sort<T: PackedKey>(values: &mut [T], low_bits: u32, key_bits: u32) {
+    let n = values.len();
+    if n < RADIX_MIN_ROWS || key_bits == 0 {
+        values.sort_unstable();
+        return;
     }
-    #[inline]
-    fn row_index(self, idx_mask: u64) -> u32 {
-        (self as u64 & idx_mask) as u32
+    let passes = key_bits.div_ceil(RADIX_DIGIT_BITS);
+    let digit_bits = key_bits.div_ceil(passes);
+    let buckets = 1usize << digit_bits;
+    let shift_of = |pass: usize| low_bits + pass as u32 * digit_bits;
+    let mut counts = vec![0u32; passes as usize * buckets];
+    for v in values.iter() {
+        for (pass, histogram) in counts.chunks_exact_mut(buckets).enumerate() {
+            histogram[v.digit(shift_of(pass), buckets - 1)] += 1;
+        }
+    }
+    let mut scratch = values.to_vec();
+    let mut in_scratch = false;
+    for (pass, histogram) in counts.chunks_exact_mut(buckets).enumerate() {
+        if histogram.iter().any(|&count| count as usize == n) {
+            continue;
+        }
+        let mut offset = 0u32;
+        for count in histogram.iter_mut() {
+            offset += std::mem::replace(count, offset);
+        }
+        let (src, dst): (&[T], &mut [T]) = if in_scratch {
+            (&scratch, &mut *values)
+        } else {
+            (&*values, &mut scratch)
+        };
+        for &v in src {
+            let slot = &mut histogram[v.digit(shift_of(pass), buckets - 1)];
+            dst[*slot as usize] = v;
+            *slot += 1;
+        }
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        values.copy_from_slice(&scratch);
     }
 }
 
 /// Deterministic (possibly parallel) sort of distinct packed keys:
-/// contiguous chunks are `sort_unstable`d by the pool's workers and merged
-/// pairwise. Values are distinct (the row index lives in the low bits), so
-/// the result is their unique ascending order at every thread count.
-fn sort_packed_chunked<T: Ord + Copy + Send + Sync>(values: &mut [T], pool: &pdb_par::Pool) {
-    let n = values.len();
-    let ranges = pdb_par::even_ranges(n, pool.threads());
+/// contiguous chunks are [`radix_sort`]ed by the pool's workers and merged
+/// pairwise, the left run winning ties. Values are distinct (each carries
+/// its row index), so the result is their unique ascending order at every
+/// thread count.
+fn sort_packed<T: PackedKey>(values: &mut [T], low_bits: u32, key_bits: u32, pool: &pdb_par::Pool) {
+    if pool.threads() <= 1 {
+        return radix_sort(values, low_bits, key_bits);
+    }
+    let ranges = pdb_par::even_ranges(values.len(), pool.threads());
     let mut runs: Vec<Vec<T>> = pool.map_ranges(&ranges, |r| {
         let mut run = values[r].to_vec();
-        run.sort_unstable();
+        radix_sort(&mut run, low_bits, key_bits);
         run
     });
     // Pairwise merge rounds over the sorted runs.
@@ -558,7 +903,7 @@ pub struct JoinKeys {
 /// (never extended) by the probe side.
 #[derive(Default)]
 pub struct JoinInterner<'a> {
-    codes: HashMap<&'a str, u64>,
+    dict: FxStrInterner<'a>,
 }
 
 impl<'a> JoinInterner<'a> {
@@ -568,12 +913,11 @@ impl<'a> JoinInterner<'a> {
     }
 
     fn intern(&mut self, s: &'a str) -> u64 {
-        let next = self.codes.len() as u64;
-        *self.codes.entry(s).or_insert(next)
+        self.dict.intern(s) as u64
     }
 
     fn lookup(&self, s: &str) -> Option<u64> {
-        self.codes.get(s).copied()
+        self.dict.lookup(s).map(u64::from)
     }
 }
 
@@ -615,7 +959,7 @@ impl JoinKeys {
                 for c in 0..columns {
                     if let Value::Str(s) = cell_at(r, c) {
                         let d = dict.get_or_insert_with(|| ChunkDict {
-                            interner: FxStrInterner::new(),
+                            interner: FxStrInterner::default(),
                             ids: vec![u32::MAX; range.len() * columns],
                         });
                         d.ids[(r - range.start) * columns + c] = d.interner.intern(s);
@@ -961,5 +1305,44 @@ mod tests {
             let got = keys.sorted_permutation_with(rows, &pdb_par::Pool::new(threads));
             assert_eq!(got, expected, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn the_largest_catalogue_aggregation_packs_into_one_machine_word() {
+        // `Item(okey, skey)` at SF 0.05 — the eager plan's per-table
+        // aggregation under Q21: 300 934 rows, two integer columns and the
+        // table's variable column. A three-word cell per column (the float
+        // image of the integers alone spans 50-odd bits) overflowed the
+        // 128-bit packing and took the comparator sort; one word per column
+        // is 19 + 9 bits here, and the variable, ascending after a scan,
+        // needs no sorting at all.
+        let rows = 300_934usize;
+        let vals: Vec<[Value; 2]> = (0..rows)
+            .map(|r| {
+                let okey = (r as i64 / 4) * 4 + 1;
+                [Value::Int(okey), Value::Int((r as i64 * 7919) % 500 + 1)]
+            })
+            .collect();
+        let keys = SortKeys::build(rows, 2, 1, |r, c| &vals[r][c], |r, _| 1_000_000 + r as u64);
+        assert_eq!((keys.width(), keys.data_words()), (3, 2));
+        let packing = keys.packing(rows, 2).expect("packs");
+        assert_eq!(packing.col_bits, [19, 9]);
+        assert!(packing.key_bits + packing.row_bits <= u64::BITS);
+        // A variable column that does not ascend is sorted, and still fits.
+        let keys = SortKeys::build(rows, 2, 1, |r, c| &vals[r][c], |r, _| (rows - r) as u64);
+        let packing = keys.packing(rows, 2).expect("packs");
+        assert_eq!(packing.col_bits, [19, 9, 19]);
+        assert!(packing.key_bits + packing.row_bits <= u128::BITS);
+        // The fallback test above really is wider than any packing.
+        let floats: Vec<[Value; 2]> = (0..512)
+            .map(|r| {
+                [
+                    Value::Float(((r as f64) - 300.0) * 1.37e9),
+                    Value::Float(1.0 / (1.0 + r as f64)),
+                ]
+            })
+            .collect();
+        let keys = SortKeys::build(512, 2, 1, |r, c| &floats[r][c], |r, _| (512 - r) as u64);
+        assert!(keys.packing(512, 0).is_none());
     }
 }

@@ -12,13 +12,16 @@
 //!   answer").
 //! * [`ops`] — scans, selections, projections, natural joins, sorts and
 //!   duplicate elimination over annotated results. Joins and sorts run over
-//!   normalized `u64` key runs ([`key`]); duplicate elimination is
-//!   sort-based. Every hot-path operator has one governed spelling,
+//!   normalized `u64` key runs ([`key`]): a join probes a flat chained index
+//!   on the precomputed key hash, a sort packs each row's range-compressed
+//!   key into one machine word and radix-sorts that; duplicate elimination
+//!   is sort-based. Every hot-path operator has one governed spelling,
 //!   `op_ctx(input…, pool, ctx)`, plus a bare `op(input…)` convenience on
 //!   the default pool. The row-at-a-time reference join the tests compare
 //!   against lives in [`baseline`].
 //! * [`KeyRuns`] — the grouping shell every aggregation shares: rows sorted
-//!   on normalized keys, cut into runs, one output row per run. The one-scan
+//!   on normalized keys, cut into runs on the sorted packed words, one
+//!   output row per run, its buffers charged to the memory budget. The one-scan
 //!   confidence operator, the multi-scan pre-aggregations and the eager
 //!   plan's aggregations differ only in the fold they run per run.
 //! * [`columnar`] — the columnar fast path of the base-table scans:

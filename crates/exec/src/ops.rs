@@ -35,7 +35,8 @@
 //! * **Natural join** — a radix-partitioned hash join: build-side keys are
 //!   encoded in parallel ([`crate::key::JoinKeys::build_side_with`]), rows
 //!   are scattered into `2^bits` partitions by the high bits of their key
-//!   hash, per-partition chained indexes are built in parallel, and probe
+//!   hash, per-partition chained indexes (flat `heads` / `next` arrays
+//!   bucketed by the hash's next high bits) are built in parallel, and probe
 //!   morsels (contiguous left-row ranges) probe in parallel, each emitting
 //!   its `(left row, right row)` matches in ascending order. Because every
 //!   partition's chain replays build rows ascending and morsels stitch in
@@ -72,7 +73,6 @@ use pdb_govern::{Counter, ExecContext, Stage};
 use pdb_par::{even_ranges, Pool};
 use pdb_query::Predicate;
 use pdb_storage::{ProbTable, Schema, StorageBacking, Value, Variable};
-use std::collections::HashMap;
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
@@ -91,7 +91,7 @@ pub const SEQ_CHECK_EVERY: usize = 1024;
 /// Bytes of a result's flat arenas: `rows` rows of `dw` data values and `lw`
 /// lineage pairs. Charged against the governor's memory budget before
 /// [`Annotated::with_placeholder_rows`] allocates them.
-fn arena_bytes(rows: usize, dw: usize, lw: usize) -> usize {
+pub(crate) fn arena_bytes(rows: usize, dw: usize, lw: usize) -> usize {
     rows * (dw * std::mem::size_of::<Value>() + lw * std::mem::size_of::<(Variable, f64)>())
 }
 
@@ -661,6 +661,56 @@ pub fn cross_product(left: &Annotated, right: &Annotated) -> ExecResult<Annotate
 
 const JOIN_NIL: u32 = u32::MAX;
 
+/// A chained hash index over the entries `0..n` of a join's build side, in
+/// two flat arrays: `heads[bucket]` is the lowest entry whose hash falls in
+/// the bucket and `next[entry]` the next higher one ([`JOIN_NIL`] ends the
+/// chain), so every chain replays its entries ascending. A bucket is a run
+/// of high bits of the key hash — already a mix, not rehashed — and may
+/// chain entries of different hashes: a probe compares the stored hash
+/// before the key words.
+struct ChainIndex {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    /// High hash bits spent before the bucket bits (the radix partition).
+    skip_bits: u32,
+    /// `64 − log2(heads.len())`.
+    bucket_shift: u32,
+}
+
+impl ChainIndex {
+    /// Indexes entries `0..entries`, skipping those `hash_of` reports
+    /// [`UNJOINABLE`]. Entries are linked in reverse so chains ascend.
+    fn build(entries: usize, skip_bits: u32, hash_of: impl Fn(usize) -> u64) -> ChainIndex {
+        let buckets = entries.next_power_of_two().max(2);
+        let mut index = ChainIndex {
+            heads: vec![JOIN_NIL; buckets],
+            next: vec![JOIN_NIL; entries],
+            skip_bits,
+            bucket_shift: u64::BITS - buckets.trailing_zeros(),
+        };
+        for entry in (0..entries).rev() {
+            let h = hash_of(entry);
+            if h != UNJOINABLE {
+                let bucket = index.bucket(h);
+                index.next[entry] = index.heads[bucket];
+                index.heads[bucket] = entry as u32;
+            }
+        }
+        index
+    }
+
+    #[inline]
+    fn bucket(&self, hash: u64) -> usize {
+        ((hash << self.skip_bits) >> self.bucket_shift) as usize
+    }
+
+    /// The first entry of the chain `hash` falls in, or [`JOIN_NIL`].
+    #[inline]
+    fn first(&self, hash: u64) -> u32 {
+        self.heads[self.bucket(hash)]
+    }
+}
+
 /// The single-index sequential join (the PR-1 hot path), used by sequential
 /// pools and empty inputs.
 fn natural_join_sequential(
@@ -679,24 +729,13 @@ fn natural_join_sequential(
     let mut out = Annotated::with_row_capacity(layout.schema, layout.relations, charged_rows);
 
     // Build side: normalize all right-side keys once and index them with
-    // a chained hash table — one `heads` entry per distinct hash and a
-    // flat `next` link array, so building allocates no per-key buckets.
-    // Slice equality on the normalized runs resolves hash collisions.
+    // a chained hash table over flat arrays, so building allocates no
+    // per-key buckets.
     let mut interner = JoinInterner::new();
     let keys = JoinKeys::build_side(right.len(), key_cols, &mut interner, |r, c| {
         &right.row(r).data[layout.right_key_idx[c]]
     });
-    let mut heads: HashMap<u64, u32> = HashMap::with_capacity(right.len());
-    let mut next: Vec<u32> = vec![JOIN_NIL; right.len()];
-    // Reverse build order so chains replay in increasing row order.
-    for r in (0..right.len()).rev() {
-        let h = keys.hash(r);
-        if h != UNJOINABLE {
-            let head = heads.entry(h).or_insert(JOIN_NIL);
-            next[r] = *head;
-            *head = r as u32;
-        }
-    }
+    let index = ChainIndex::build(right.len(), 0, |r| keys.hash(r));
 
     // Probe side: encode each left key into a reused scratch buffer.
     let mut scratch: Vec<u64> = Vec::with_capacity(key_cols * crate::key::CELL_WIDTH);
@@ -711,13 +750,13 @@ fn natural_join_sequential(
         }) else {
             continue;
         };
-        let mut ri = heads.get(&h).copied().unwrap_or(JOIN_NIL);
+        let mut ri = index.first(h);
         while ri != JOIN_NIL {
             let r = ri as usize;
-            if keys.row(r) == scratch.as_slice() {
+            if keys.hash(r) == h && keys.row(r) == scratch.as_slice() {
                 out.push_join_row(lrow, right.row(r), &layout.right_only_idx);
             }
-            ri = next[r];
+            ri = index.next[r];
         }
     }
     charge_growth(ctx, out.len(), &mut charged_rows, row_bytes)?;
@@ -743,8 +782,7 @@ fn charge_growth(
 /// chained hash index over local positions whose chains replay ascending.
 struct PartIndex {
     rows: Vec<u32>,
-    heads: HashMap<u64, u32>,
-    next: Vec<u32>,
+    index: ChainIndex,
 }
 
 /// Radix partition count and bit width for a parallel join on `threads`
@@ -847,15 +885,8 @@ fn natural_join_partitioned(
             let start = chunk_offsets[ci] + hist[..p].iter().map(|&c| c as usize).sum::<usize>();
             rows.extend_from_slice(&scattered[start..start + hist[p] as usize]);
         }
-        let mut heads: HashMap<u64, u32> = HashMap::with_capacity(rows.len());
-        let mut next: Vec<u32> = vec![JOIN_NIL; rows.len()];
-        for local in (0..rows.len()).rev() {
-            let h = keys.hash(rows[local] as usize);
-            let head = heads.entry(h).or_insert(JOIN_NIL);
-            next[local] = *head;
-            *head = local as u32;
-        }
-        PartIndex { rows, heads, next }
+        let index = ChainIndex::build(rows.len(), bits, |local| keys.hash(rows[local] as usize));
+        PartIndex { rows, index }
     });
 
     // Probe: morsels of contiguous left rows, each collecting its
@@ -874,15 +905,15 @@ fn natural_join_partitioned(
                 }) else {
                     continue;
                 };
-                let index = &indexes[radix_of(h, bits)];
-                let mut local = index.heads.get(&h).copied().unwrap_or(JOIN_NIL);
+                let part = &indexes[radix_of(h, bits)];
+                let mut local = part.index.first(h);
                 while local != JOIN_NIL {
                     let l = local as usize;
-                    let r = index.rows[l] as usize;
-                    if keys.row(r) == scratch.as_slice() {
+                    let r = part.rows[l] as usize;
+                    if keys.hash(r) == h && keys.row(r) == scratch.as_slice() {
                         out.push((li as u32, r as u32));
                     }
-                    local = index.next[l];
+                    local = part.index.next[l];
                 }
             }
             Ok(out)

@@ -6,23 +6,28 @@
 //! eager plan's per-table and per-join aggregations — needs the same three
 //! things first: normalized sort keys ([`crate::key::SortKeys`]), a sorted
 //! row-index permutation, and the positions where the grouping prefix of the
-//! key changes. [`KeyRuns`] builds them once; [`KeyRuns::collapse`] is the
-//! shared "one output row per run" writer. What differs between the callers
-//! is only the *fold* that turns a run's rows into a
-//! `(representative variable, probability)` pair.
+//! key changes. [`KeyRuns`] builds them once — the permutation and the run
+//! boundaries come out of one radix sort of the packed keys, the boundaries
+//! read off the sorted words — and [`KeyRuns::collapse`] is the shared "one
+//! output row per run" writer. What differs between the callers is only the
+//! *fold* that turns a run's rows into a `(representative variable,
+//! probability)` pair. Both halves charge what they allocate to the
+//! caller's memory budget, under the caller's [`Stage`].
 //!
 //! Runs come in ascending key order, which is `Value`'s order on the data
 //! columns — the order a `BTreeMap<Tuple, _>` iterates in — except in the
 //! one corner [`crate::key`] documents (integers beyond ±2⁵³ against
-//! floats), which no catalogue query reaches.
+//! floats), which no catalogue query reaches. A column of integers alone
+//! orders by exact value, as it does beside floats.
 
-use pdb_govern::Stage;
+use pdb_govern::{ExecContext, Stage};
 use pdb_par::{partition_by_weight, Pool};
 use pdb_storage::Variable;
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
 use crate::key::{SortKeys, CELL_WIDTH};
+use crate::ops::arena_bytes;
 
 /// A relation's rows sorted on `(data columns, group variables, order
 /// variables)` and cut into runs of rows equal on `(data columns, group
@@ -35,39 +40,52 @@ pub struct KeyRuns {
     prefix_words: usize,
 }
 
+/// Bytes [`KeyRuns::build`] may hold at once for `rows` rows of `data_cols`
+/// data columns and `var_cols` variable columns: the key words (a mixed
+/// cell per data column at most), the widest packed sort buffer with its
+/// radix scratch, the permutation and the run starts.
+fn key_run_bytes(rows: usize, data_cols: usize, var_cols: usize) -> usize {
+    let key_words = data_cols * CELL_WIDTH + var_cols;
+    let packed = 2 * std::mem::size_of::<(u128, u32)>();
+    let index = std::mem::size_of::<u32>() + std::mem::size_of::<usize>();
+    rows * (key_words * std::mem::size_of::<u64>() + packed + index)
+}
+
 impl KeyRuns {
     /// Sorts a row-index permutation of `input` by all its data columns,
     /// then the variables of the lineage columns `group_cols`, then those of
     /// `order_cols`, and cuts it where a data column or a `group_cols`
-    /// variable changes. The input is neither copied nor permuted.
+    /// variable changes. The input is neither copied nor permuted. The key,
+    /// sort and permutation buffers are charged to `ctx`'s memory budget
+    /// under `stage` before they are allocated.
+    ///
+    /// # Errors
+    /// [`ExecError::Governed`] when the buffers exceed the memory budget.
     pub fn build(
         input: &Annotated,
         group_cols: &[usize],
         order_cols: &[usize],
+        stage: Stage,
         pool: &Pool,
-    ) -> KeyRuns {
+        ctx: &ExecContext,
+    ) -> ExecResult<KeyRuns> {
         let col_idx: Vec<usize> = (0..input.data_width()).collect();
         let rel_idx: Vec<usize> = group_cols.iter().chain(order_cols).copied().collect();
+        ctx.account(
+            stage,
+            key_run_bytes(input.len(), col_idx.len(), rel_idx.len()),
+        )?;
         let keys = input.sort_keys_with(&col_idx, &rel_idx, pool);
-        let order = keys.sorted_permutation_with(input.len(), pool);
-        // Runs are detected on the normalized key prefix — flat `u64` words,
-        // no `Value` dispatch.
-        let prefix_words = col_idx.len() * CELL_WIDTH + group_cols.len();
-        let mut starts = Vec::new();
-        for k in 0..order.len() {
-            if k == 0
-                || keys.row(order[k] as usize)[..prefix_words]
-                    != keys.row(order[k - 1] as usize)[..prefix_words]
-            {
-                starts.push(k);
-            }
-        }
-        KeyRuns {
+        // Runs are cut on the normalized key prefix — the top bits of the
+        // sorted packed words, no `Value` dispatch.
+        let prefix_words = keys.data_words() + group_cols.len();
+        let (order, starts) = keys.sorted_runs(input.len(), prefix_words, pool);
+        Ok(KeyRuns {
             keys,
             order,
             starts,
             prefix_words,
-        }
+        })
     }
 
     /// Number of runs.
@@ -114,12 +132,16 @@ impl KeyRuns {
     /// order), with column `slot` — one of `kept_cols` — replaced by
     /// `fold(run, rows)`. Runs are weight-balanced across the pool by row
     /// count and written in place into disjoint arena segments; `fold` runs
-    /// exactly once per run, in ascending run order within a segment.
+    /// exactly once per run, in ascending run order within a segment. The
+    /// output arenas are charged to `ctx`'s memory budget under `stage`
+    /// before they are allocated.
     ///
     /// # Errors
-    /// The first error `fold` returns; a panicking `fold` is isolated into
+    /// [`ExecError::Governed`] when the output exceeds the memory budget;
+    /// the first error `fold` returns; a panicking `fold` is isolated into
     /// [`pdb_govern::SproutError::WorkerPanic`] naming `stage`, at every
     /// pool size. The partially written output is dropped either way.
+    #[allow(clippy::too_many_arguments)]
     pub fn collapse(
         &self,
         input: &Annotated,
@@ -127,8 +149,13 @@ impl KeyRuns {
         slot: usize,
         stage: Stage,
         pool: &Pool,
+        ctx: &ExecContext,
         fold: impl Fn(usize, &[u32]) -> ExecResult<(Variable, f64)> + Sync,
     ) -> ExecResult<Annotated> {
+        ctx.account(
+            stage,
+            arena_bytes(self.len(), input.data_width(), kept_cols.len()),
+        )?;
         let relations = kept_cols
             .iter()
             .map(|&c| input.relations()[c].clone())
@@ -186,16 +213,43 @@ mod tests {
         t
     }
 
+    const UNGOVERNED: ExecContext = ExecContext::unbounded();
+
+    fn build_runs(
+        input: &Annotated,
+        group_cols: &[usize],
+        order_cols: &[usize],
+        pool: &Pool,
+    ) -> KeyRuns {
+        KeyRuns::build(
+            input,
+            group_cols,
+            order_cols,
+            Stage::Aggregate,
+            pool,
+            &UNGOVERNED,
+        )
+        .unwrap()
+    }
+
     /// Collapses with the fold "(min S variable, run length)".
     fn collapse_counting(runs: &KeyRuns, input: &Annotated, pool: &Pool) -> Annotated {
-        runs.collapse(input, &[0, 1], 1, Stage::Aggregate, pool, |_, rows| {
-            let min = rows
-                .iter()
-                .map(|&r| input.row(r as usize).lineage[1].0)
-                .min()
-                .expect("runs are non-empty");
-            Ok((min, rows.len() as f64))
-        })
+        runs.collapse(
+            input,
+            &[0, 1],
+            1,
+            Stage::Aggregate,
+            pool,
+            &UNGOVERNED,
+            |_, rows| {
+                let min = rows
+                    .iter()
+                    .map(|&r| input.row(r as usize).lineage[1].0)
+                    .min()
+                    .expect("runs are non-empty");
+                Ok((min, rows.len() as f64))
+            },
+        )
         .unwrap()
     }
 
@@ -204,7 +258,7 @@ mod tests {
         let input = relation(&[]);
         for threads in [1, 4] {
             let pool = Pool::new(threads);
-            let runs = KeyRuns::build(&input, &[0], &[1], &pool);
+            let runs = build_runs(&input, &[0], &[1], &pool);
             assert!(runs.is_empty());
             assert_eq!(runs.len(), 0);
             assert!(runs.order().is_empty());
@@ -219,7 +273,7 @@ mod tests {
         // All rows share the data value and the group variable; the order
         // column sorts them 3, 7, 9 — so the exemplar is input row 2.
         let input = relation(&[(5, 1, 9), (5, 1, 7), (5, 1, 3)]);
-        let runs = KeyRuns::build(&input, &[0], &[1], &Pool::sequential());
+        let runs = build_runs(&input, &[0], &[1], &Pool::sequential());
         assert_eq!(runs.len(), 1);
         assert_eq!(runs.starts(), &[0]);
         assert_eq!(runs.rows(0), &[2, 1, 0]);
@@ -236,13 +290,13 @@ mod tests {
     #[test]
     fn singleton_runs_come_out_in_ascending_key_order() {
         let input = relation(&[(3, 1, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1)]);
-        let runs = KeyRuns::build(&input, &[0], &[], &Pool::sequential());
+        let runs = build_runs(&input, &[0], &[], &Pool::sequential());
         assert_eq!(runs.len(), 4);
         assert_eq!(runs.order(), &[1, 3, 2, 0]);
         assert_eq!(runs.starts(), &[0, 1, 2, 3]);
         // Dropping the group column merges the two rows with a = 2, in
         // input order (the sort is stable).
-        let by_data = KeyRuns::build(&input, &[], &[], &Pool::sequential());
+        let by_data = build_runs(&input, &[], &[], &Pool::sequential());
         assert_eq!(by_data.len(), 3);
         assert_eq!(by_data.rows(1), &[2, 3]);
         // Only the slot column survives when it is the only kept column.
@@ -253,6 +307,7 @@ mod tests {
                 0,
                 Stage::Aggregate,
                 &Pool::sequential(),
+                &UNGOVERNED,
                 |run, _| Ok((Variable(run as u64), 1.0)),
             )
             .unwrap();
@@ -269,10 +324,10 @@ mod tests {
         for v in [4u64, 2, 8] {
             input.push(AnnotatedRow::new(Tuple::empty(), vec![(Variable(v), 0.5)]));
         }
-        let runs = KeyRuns::build(&input, &[], &[], &Pool::sequential());
+        let runs = build_runs(&input, &[], &[], &Pool::sequential());
         assert_eq!(runs.len(), 1);
         assert_eq!(runs.rows(0), &[0, 1, 2]);
-        let sorted = KeyRuns::build(&input, &[], &[0], &Pool::sequential());
+        let sorted = build_runs(&input, &[], &[0], &Pool::sequential());
         assert_eq!(sorted.len(), 1);
         assert_eq!(sorted.rows(0), &[1, 0, 2]);
     }
@@ -291,12 +346,12 @@ mod tests {
                 vec![(Variable(i % 17), 0.5), (Variable((i * 7) % 29), 0.25)],
             ));
         }
-        let reference = KeyRuns::build(&input, &[0], &[1], &Pool::sequential());
+        let reference = build_runs(&input, &[0], &[1], &Pool::sequential());
         let collapsed = collapse_counting(&reference, &input, &Pool::sequential());
         assert_eq!(collapsed.len(), reference.len());
         for threads in [1, 2, 4, 8] {
             let pool = Pool::new(threads);
-            let runs = KeyRuns::build(&input, &[0], &[1], &pool);
+            let runs = build_runs(&input, &[0], &[1], &pool);
             assert_eq!(runs.order(), reference.order(), "{threads} threads");
             assert_eq!(runs.starts(), reference.starts(), "{threads} threads");
             assert_eq!(
@@ -313,18 +368,32 @@ mod tests {
         let input = relation(&[(1, 1, 1), (2, 1, 1), (3, 1, 1)]);
         for threads in [1, 4] {
             let pool = Pool::new(threads);
-            let runs = KeyRuns::build(&input, &[], &[], &pool);
-            let failed = runs.collapse(&input, &[0], 0, Stage::Aggregate, &pool, |run, _| {
-                if run == 1 {
-                    Err(ExecError::UnknownColumn("boom".into()))
-                } else {
-                    Ok((Variable(0), 0.0))
-                }
-            });
+            let runs = build_runs(&input, &[], &[], &pool);
+            let failed = runs.collapse(
+                &input,
+                &[0],
+                0,
+                Stage::Aggregate,
+                &pool,
+                &UNGOVERNED,
+                |run, _| {
+                    if run == 1 {
+                        Err(ExecError::UnknownColumn("boom".into()))
+                    } else {
+                        Ok((Variable(0), 0.0))
+                    }
+                },
+            );
             assert_eq!(failed, Err(ExecError::UnknownColumn("boom".into())));
-            let panicked = runs.collapse(&input, &[0], 0, Stage::Aggregate, &pool, |_, _| {
-                panic!("fold blew up")
-            });
+            let panicked = runs.collapse(
+                &input,
+                &[0],
+                0,
+                Stage::Aggregate,
+                &pool,
+                &UNGOVERNED,
+                |_, _| panic!("fold blew up"),
+            );
             assert!(matches!(
                 panicked,
                 Err(ExecError::Governed(SproutError::WorkerPanic {
@@ -336,13 +405,46 @@ mod tests {
     }
 
     #[test]
+    fn build_and_collapse_charge_the_memory_budget_under_the_callers_stage() {
+        use pdb_govern::{GovernorBuilder, SproutError};
+        let input = relation(&[(1, 1, 1), (2, 1, 1), (2, 1, 2)]);
+        let pool = Pool::sequential();
+        let exceeded = |result: ExecResult<()>, stage: Stage| match result {
+            Err(ExecError::Governed(SproutError::MemoryBudgetExceeded { stage: s, .. })) => {
+                assert_eq!(s, stage)
+            }
+            other => panic!("expected MemoryBudgetExceeded, got {other:?}"),
+        };
+        let tight = GovernorBuilder::new().memory_budget(1).build();
+        let built = KeyRuns::build(
+            &input,
+            &[],
+            &[0],
+            Stage::Sort,
+            &pool,
+            &ExecContext::governed(&tight),
+        );
+        exceeded(built.map(|_| ()), Stage::Sort);
+        // Runs built ungoverned, collapsed under a budget their two output
+        // rows (one data value and one lineage pair each) do not fit.
+        let runs = build_runs(&input, &[], &[0], &pool);
+        let tight = GovernorBuilder::new().memory_budget(1).build();
+        let ctx = ExecContext::governed(&tight);
+        let collapsed = runs.collapse(&input, &[0], 0, Stage::Aggregate, &pool, &ctx, |_, _| {
+            Ok((Variable(0), 0.0))
+        });
+        exceeded(collapsed.map(|_| ()), Stage::Aggregate);
+        assert_eq!(tight.memory_used(), arena_bytes(2, 1, 1));
+    }
+
+    #[test]
     fn integers_beyond_two_to_the_53_group_by_exact_value() {
         // The corner where key order and `Value` order part: 2^53 and
         // 2^53 + 1 are distinct integers (two runs) although both compare
         // equal to the float 2^53 under `Value`'s ordering.
         let big = 1i64 << 53;
         let input = relation(&[(big + 1, 1, 1), (big, 1, 1), (big + 1, 1, 1)]);
-        let runs = KeyRuns::build(&input, &[], &[], &Pool::sequential());
+        let runs = build_runs(&input, &[], &[], &Pool::sequential());
         assert_eq!(runs.len(), 2);
         assert_eq!(runs.rows(0), &[1]);
         assert_eq!(runs.rows(1), &[0, 2]);

@@ -8,6 +8,11 @@
 //! lexicographically by construction. Covered shapes include products (no
 //! shared column) and high-skew key distributions (one hot key owning a
 //! large fraction of both sides), NULL keys, and string/int/float key mixes.
+//!
+//! The flat chained join index (PR 19) adds its own corners, each held to the
+//! same reference bit for bit: one long chain, all-distinct keys, keys that
+//! share a bucket but not a hash, NULLs, cross-type numeric equals, strings
+//! the build side never saw, empty sides.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -218,4 +223,144 @@ proptest! {
             assert_identical(&answer, &reference, &format!("pipeline at {threads} threads"))?;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Corners of the flat chained join index.
+// ---------------------------------------------------------------------------
+
+/// `L(k, b)` and `R(k, c)` with the given key columns; `b` / `c` number the
+/// rows so a wrong emit order shows in the data too.
+fn keyed_sides(left_keys: &[Value], right_keys: &[Value]) -> (Annotated, Annotated) {
+    let side = |name: &str, payload: &str, keys: &[Value], first_var: u64| {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), (payload, DataType::Int)]).unwrap();
+        let mut t = Annotated::new(schema, vec![name.into()]);
+        for (i, k) in keys.iter().enumerate() {
+            t.push(pdb_exec::AnnotatedRow::new(
+                pdb_storage::Tuple::new(vec![k.clone(), Value::Int(i as i64)]),
+                vec![(Variable(first_var + i as u64), 0.5)],
+            ));
+        }
+        t
+    };
+    (
+        side("L", "b", left_keys, 0),
+        side("R", "c", right_keys, 1_000_000),
+    )
+}
+
+/// Holds the join of the two sides to the row-at-a-time reference — rows
+/// and order — at pools 1, 2 and 8, and returns the reference's row count.
+fn assert_join_matches_reference(left_keys: &[Value], right_keys: &[Value], what: &str) -> usize {
+    let (l, r) = keyed_sides(left_keys, right_keys);
+    let reference = baseline::natural_join_rowwise(&l, &r).unwrap();
+    for threads in [1, 2, 8] {
+        let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
+        assert_eq!(joined, reference, "{what} at {threads} threads");
+    }
+    reference.len()
+}
+
+#[test]
+fn one_key_on_the_whole_build_side_replays_its_chain_in_row_order() {
+    let left = vec![Value::Int(7); 5];
+    let right = vec![Value::Int(7); 300];
+    assert_eq!(
+        assert_join_matches_reference(&left, &right, "one chain"),
+        1500
+    );
+}
+
+#[test]
+fn all_distinct_keys_match_one_to_one() {
+    let left: Vec<Value> = (0..700).rev().map(Value::Int).collect();
+    let right: Vec<Value> = (0..600).map(|i| Value::Int(i * 2)).collect();
+    assert_eq!(
+        assert_join_matches_reference(&left, &right, "distinct keys"),
+        350
+    );
+}
+
+#[test]
+fn keys_sharing_a_bucket_but_not_a_hash_do_not_match_each_other() {
+    use pdb_exec::key::{JoinInterner, JoinKeys};
+    // Buckets are runs of high hash bits (below the radix-partition bits in
+    // the partitioned join): 64 build rows take at most 4 + 6 of them, so
+    // integers whose key hashes agree on the top 12 bits all land in one
+    // bucket — of every partition layout tried here — with 64 different
+    // hashes.
+    let candidates: Vec<Value> = (0..400_000).map(Value::Int).collect();
+    let hashes = JoinKeys::build_side(candidates.len(), 1, &mut JoinInterner::new(), |r, _| {
+        &candidates[r]
+    });
+    let top = |r: usize| hashes.hash(r) >> 52;
+    let colliding: Vec<Value> = (0..candidates.len())
+        .filter(|&r| top(r) == top(0))
+        .take(64)
+        .map(|r| candidates[r].clone())
+        .collect();
+    assert_eq!(colliding.len(), 64, "enough candidates share 12 hash bits");
+    // Probe with every colliding key twice, plus keys of other buckets.
+    let mut left = colliding.clone();
+    left.extend((400_000..400_050).map(Value::Int));
+    left.extend(colliding.iter().rev().cloned());
+    assert_eq!(
+        assert_join_matches_reference(&left, &colliding, "one bucket, 64 hashes"),
+        128
+    );
+}
+
+#[test]
+fn null_keys_never_join_on_either_side() {
+    let left = [Value::Null, Value::Int(1), Value::Null, Value::Int(2)];
+    let right = [Value::Int(2), Value::Null, Value::Null, Value::Int(1)];
+    assert_eq!(assert_join_matches_reference(&left, &right, "nulls"), 2);
+    let nulls = vec![Value::Null; 40];
+    assert_eq!(
+        assert_join_matches_reference(&nulls, &nulls, "only nulls"),
+        0
+    );
+}
+
+#[test]
+fn an_integer_probes_the_float_it_equals() {
+    let left = [Value::Int(2), Value::Float(3.0), Value::Float(2.5)];
+    let right = [
+        Value::Float(2.0),
+        Value::Int(3),
+        Value::Int(2),
+        Value::Float(2.5),
+    ];
+    assert_eq!(
+        assert_join_matches_reference(&left, &right, "cross-type numbers"),
+        4
+    );
+}
+
+#[test]
+fn a_string_the_build_side_never_saw_matches_nothing() {
+    let left = [
+        Value::str("x"),
+        Value::str("absent"),
+        Value::str(""),
+        Value::Int(1),
+    ];
+    let right = [
+        Value::str(""),
+        Value::str("x"),
+        Value::str("y"),
+        Value::str("x"),
+    ];
+    assert_eq!(
+        assert_join_matches_reference(&left, &right, "absent string"),
+        3
+    );
+}
+
+#[test]
+fn empty_sides_join_to_nothing() {
+    let some = [Value::Int(1), Value::Int(2)];
+    assert_eq!(assert_join_matches_reference(&[], &some, "empty left"), 0);
+    assert_eq!(assert_join_matches_reference(&some, &[], "empty right"), 0);
+    assert_eq!(assert_join_matches_reference(&[], &[], "both empty"), 0);
 }

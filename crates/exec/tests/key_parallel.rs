@@ -3,14 +3,21 @@
 //! canonical interner — must produce key words (and therefore packed keys
 //! and sorted permutations) identical to the sequential build on mixed
 //! numeric/string/NULL columns, at every thread count.
+//!
+//! And the sort itself against a definitional reference (PR 19): over a zoo
+//! of column types, sizes and input orders, the permutation and the run
+//! starts of the one-word / radix kernel equal a stable `sort_by` on the
+//! three-word cell encoding every column used to get.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pdb_exec::key::SortKeys;
+use pdb_exec::{Annotated, AnnotatedRow, ExecContext, KeyRuns};
+use pdb_govern::Stage;
 use pdb_par::Pool;
-use pdb_storage::Value;
+use pdb_storage::{DataType, Schema, Tuple, Value, Variable};
 
 /// Deterministically expands a proptest-chosen seed and string pool into a
 /// row set large enough (past `pdb_par::SEQUENTIAL_CUTOFF`) to take the
@@ -113,4 +120,316 @@ fn parallel_build_small_inputs_degrade_to_sequential() {
     for r in 0..3 {
         assert_eq!(parallel.row(r), sequential.row(r), "row {r}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The sort against a stable `sort_by` on the three-word encoding.
+// ---------------------------------------------------------------------------
+
+/// The three-word cell `(type class, primary, tie-break)` every sort-key
+/// column took before single-variant columns got one word — the reference
+/// encoding, kept here so the kernel is held to it and not to itself.
+fn reference_cell(v: &Value, str_rank: u64) -> [u64; 3] {
+    fn ordered_f64(f: f64) -> u64 {
+        let f = if f.is_nan() {
+            f64::NAN
+        } else if f == 0.0 {
+            0.0
+        } else {
+            f
+        };
+        let bits = f.to_bits();
+        if bits & (1 << 63) != 0 {
+            !bits
+        } else {
+            bits | (1 << 63)
+        }
+    }
+    fn ordered_i64(i: i64) -> u64 {
+        (i as u64) ^ (1 << 63)
+    }
+    match v {
+        Value::Null => [0, 0, 0],
+        Value::Int(i) => [1, ordered_f64(*i as f64), ordered_i64(*i)],
+        Value::Float(f) if f.is_nan() => [1, ordered_f64(*f), 0],
+        Value::Float(f) => [1, ordered_f64(*f), ordered_i64(*f as i64)],
+        Value::Str(_) => [2, str_rank, 0],
+        Value::Date(d) => [3, ordered_i64(*d as i64), 0],
+        Value::Bool(b) => [4, *b as u64, 0],
+    }
+}
+
+/// Reference key rows of `input`: three words per data column (strings
+/// ranked per column), then the variables of `var_cols`.
+fn reference_keys(input: &Annotated, var_cols: &[usize]) -> Vec<Vec<u64>> {
+    let ranks: Vec<Vec<&str>> = (0..input.data_width())
+        .map(|c| {
+            let mut strs: Vec<&str> = input
+                .iter()
+                .filter_map(|row| match &row.data[c] {
+                    Value::Str(s) => Some(&**s),
+                    _ => None,
+                })
+                .collect();
+            strs.sort_unstable();
+            strs.dedup();
+            strs
+        })
+        .collect();
+    input
+        .iter()
+        .map(|row| {
+            let mut key = Vec::new();
+            for (c, v) in row.data.iter().enumerate() {
+                let rank = match v {
+                    Value::Str(s) => ranks[c].binary_search(&&**s).unwrap() as u64,
+                    _ => 0,
+                };
+                key.extend_from_slice(&reference_cell(v, rank));
+            }
+            key.extend(var_cols.iter().map(|&c| row.lineage[c].0 .0));
+            key
+        })
+        .collect()
+}
+
+/// Holds `KeyRuns::build` (and `sorted_permutation_with` on the same keys)
+/// to the reference at pools 1, 2 and 8: `group_vars` of the relation's
+/// lineage columns group, the rest order.
+fn assert_sort_matches_reference(input: &Annotated, group_vars: usize, what: &str) {
+    let vars: Vec<usize> = (0..input.lineage_width()).collect();
+    let (group_cols, order_cols) = vars.split_at(group_vars);
+    let keys = reference_keys(input, &vars);
+    let mut order: Vec<u32> = (0..input.len() as u32).collect();
+    order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+    let prefix = 3 * input.data_width() + group_vars;
+    let starts: Vec<usize> = (0..order.len())
+        .filter(|&k| {
+            k == 0 || keys[order[k] as usize][..prefix] != keys[order[k - 1] as usize][..prefix]
+        })
+        .collect();
+    let data_cols: Vec<usize> = (0..input.data_width()).collect();
+    for threads in [1, 2, 8] {
+        let pool = Pool::new(threads);
+        let runs = KeyRuns::build(
+            input,
+            group_cols,
+            order_cols,
+            Stage::Sort,
+            &pool,
+            &ExecContext::unbounded(),
+        )
+        .unwrap();
+        assert_eq!(runs.order(), order, "{what}: order at {threads} threads");
+        assert_eq!(runs.starts(), starts, "{what}: starts at {threads} threads");
+        let permutation = input
+            .sort_keys_with(&data_cols, &vars, &pool)
+            .sorted_permutation_with(input.len(), &pool);
+        assert_eq!(
+            permutation, order,
+            "{what}: permutation at {threads} threads"
+        );
+    }
+}
+
+/// The column types of the zoo.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Int,
+    Float,
+    Str,
+    Date,
+    Bool,
+    IntFloat,
+}
+
+const KINDS: [Kind; 6] = [
+    Kind::Int,
+    Kind::Float,
+    Kind::Str,
+    Kind::Date,
+    Kind::Bool,
+    Kind::IntFloat,
+];
+
+/// One cell of a `kind` column: a small pool of values per kind (so keys
+/// repeat), the corners included — `i64::MIN` / `MAX` and integers beyond
+/// 2⁵³, `±0.0`, NaN, `±∞` and integral floats, the empty string.
+fn zoo_cell(kind: Kind, with_nulls: bool, rng: &mut SmallRng) -> Value {
+    const INTS: [i64; 9] = [
+        i64::MIN,
+        -(1 << 53) - 1,
+        -3,
+        0,
+        2,
+        7,
+        (1 << 53) + 1,
+        (1 << 53) + 2,
+        i64::MAX,
+    ];
+    const FLOATS: [f64; 10] = [
+        f64::NEG_INFINITY,
+        -2.5,
+        -0.0,
+        0.0,
+        2.0,
+        2.5,
+        7.0,
+        9.007199254740992e15,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    const STRS: [&str; 5] = ["", "Joe", "Li", "Mo", "a longer string value"];
+    if with_nulls && rng.next_u64().is_multiple_of(5) {
+        return Value::Null;
+    }
+    let pick = rng.next_u64() as usize;
+    match kind {
+        Kind::Int => Value::Int(INTS[pick % INTS.len()]),
+        Kind::Float => Value::Float(FLOATS[pick % FLOATS.len()]),
+        Kind::Str => Value::str(STRS[pick % STRS.len()]),
+        Kind::Date => Value::Date([-400, -1, 0, 9_000, 12_345][pick % 5]),
+        Kind::Bool => Value::Bool(pick.is_multiple_of(2)),
+        Kind::IntFloat if pick.is_multiple_of(2) => Value::Int(INTS[(pick / 2) % INTS.len()]),
+        Kind::IntFloat => Value::Float(FLOATS[(pick / 2) % FLOATS.len()]),
+    }
+}
+
+/// How a generated relation's rows are arranged.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Random,
+    Presorted,
+    Reversed,
+    AllEqual,
+}
+
+/// A relation of `rows` rows over one column per `(kind, with_nulls)` and
+/// `vars` lineage columns of small variable ids, arranged as `shape` says.
+fn zoo_relation(
+    columns: &[(Kind, bool)],
+    vars: usize,
+    rows: usize,
+    shape: Shape,
+    seed: u64,
+) -> Annotated {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut generated: Vec<AnnotatedRow> = (0..rows)
+        .map(|_| {
+            let data = columns
+                .iter()
+                .map(|&(kind, nulls)| zoo_cell(kind, nulls, &mut rng))
+                .collect();
+            let lineage = (0..vars)
+                .map(|_| (Variable(rng.next_u64() % 11), 0.5))
+                .collect();
+            AnnotatedRow::new(Tuple::new(data), lineage)
+        })
+        .collect();
+    let by_value = |a: &AnnotatedRow, b: &AnnotatedRow| {
+        let vars = |r: &AnnotatedRow| r.lineage.iter().map(|l| l.0).collect::<Vec<_>>();
+        a.data.cmp(&b.data).then(vars(a).cmp(&vars(b)))
+    };
+    match shape {
+        Shape::Random => {}
+        Shape::Presorted => generated.sort_by(by_value),
+        Shape::Reversed => generated.sort_by(|a, b| by_value(b, a)),
+        Shape::AllEqual => {
+            if let Some(first) = generated.first().cloned() {
+                generated.fill(first);
+            }
+        }
+    }
+    // The declared type is not enforced on `Annotated`; the cells decide.
+    let names: Vec<String> = (0..columns.len()).map(|c| format!("c{c}")).collect();
+    let pairs: Vec<(&str, DataType)> = names.iter().map(|n| (n.as_str(), DataType::Int)).collect();
+    let relations = (0..vars).map(|v| format!("R{v}")).collect();
+    let mut input = Annotated::new(Schema::from_pairs(&pairs).unwrap(), relations);
+    for row in generated {
+        input.push(row);
+    }
+    input
+}
+
+#[test]
+fn sort_matches_a_stable_sort_on_the_three_word_encoding_across_the_type_zoo() {
+    // Sizes on both sides of the radix kernel's small-input constant (256)
+    // and of the parallel fan-out cutoff.
+    let cutoff = pdb_par::SEQUENTIAL_CUTOFF;
+    let sizes = [0, 1, 2, 255, 256, 257, cutoff - 1, cutoff, cutoff + 1, 1500];
+    let shapes = [
+        Shape::Random,
+        Shape::Presorted,
+        Shape::Reversed,
+        Shape::AllEqual,
+    ];
+    let mut case = 0u64;
+    for kind in KINDS {
+        for with_nulls in [false, true] {
+            for (si, &rows) in sizes.iter().enumerate() {
+                // Every size sees every shape and every count of trailing
+                // variable words over the kinds and null settings.
+                case += 1;
+                let shape = shapes[(case as usize + si) % shapes.len()];
+                let vars = (case as usize / 2 + si) % 4;
+                let input = zoo_relation(&[(kind, with_nulls)], vars, rows, shape, case);
+                let what = format!("{kind:?} nulls={with_nulls} rows={rows} {shape:?} vars={vars}");
+                assert_sort_matches_reference(&input, vars / 2, &what);
+            }
+        }
+    }
+    // Several columns at once, single-variant and mixed side by side.
+    for (seed, shape) in shapes.into_iter().enumerate() {
+        let columns = [
+            (Kind::Str, false),
+            (Kind::Int, seed % 2 == 0),
+            (Kind::IntFloat, false),
+            (Kind::Date, false),
+        ];
+        let input = zoo_relation(&columns, 2, 1300, shape, 1000 + seed as u64);
+        assert_sort_matches_reference(&input, 1, &format!("four columns {shape:?}"));
+    }
+}
+
+#[test]
+fn keys_wider_than_128_bits_sort_like_the_reference_too() {
+    // Three columns using their whole 64-bit range cannot be packed: the
+    // comparator path must give the reference's order and runs.
+    let mut rng = SmallRng::seed_from_u64(19);
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("b", DataType::Float),
+        ("c", DataType::Int),
+    ])
+    .unwrap();
+    let mut input = Annotated::new(schema, vec!["R".into()]);
+    for i in 0..700u64 {
+        let a = [i64::MIN, -1, 1, i64::MAX][(rng.next_u64() % 4) as usize];
+        let b = [f64::NEG_INFINITY, -1.5e300, 0.0, 1.5e300][(rng.next_u64() % 4) as usize];
+        let c = [i64::MIN, 0, i64::MAX][(rng.next_u64() % 3) as usize];
+        input.push(AnnotatedRow::new(
+            Tuple::new(vec![Value::Int(a), Value::Float(b), Value::Int(c)]),
+            vec![(Variable(i % 5), 0.5)],
+        ));
+    }
+    assert_sort_matches_reference(&input, 0, "wide key");
+    assert_sort_matches_reference(&input, 1, "wide key, grouped variable");
+}
+
+#[test]
+fn a_key_of_exactly_128_bits_keeps_its_row_index_beside_it() {
+    // Two full-range integer columns fill a `u128`: the key still packs,
+    // with no bit left for the row index, which rides next to it.
+    let mut rng = SmallRng::seed_from_u64(128);
+    let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]).unwrap();
+    let mut input = Annotated::new(schema, vec![]);
+    for _ in 0..900 {
+        let mut pick = || [i64::MIN, -7, 0, 7, i64::MAX][(rng.next_u64() % 5) as usize];
+        let (a, b) = (pick(), pick());
+        input.push(AnnotatedRow::new(
+            Tuple::new(vec![Value::Int(a), Value::Int(b)]),
+            vec![],
+        ));
+    }
+    assert_sort_matches_reference(&input, 0, "128-bit key");
 }

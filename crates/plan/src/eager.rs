@@ -158,24 +158,21 @@ impl EagerPlan {
                     PlanError::Query(pdb_query::QueryError::UnknownRelation(relation.clone()))
                 })?;
                 let table = catalog.backing(relation)?;
-                let scan_attrs =
-                    leaf_scan_attributes(&self.query, atom, table.schema(), needed_above, head);
+                let keep = leaf_scan_attributes(atom, table.schema(), needed_above, head);
                 // The leaf runs one fused scan-filter-project, gated on the
-                // base table's size; a columnar backing's zone maps prune
-                // before any row is decoded. The result is identical across
-                // backings.
+                // base table's size; predicates are evaluated on the table's
+                // own columns, so only the kept ones are materialised, and a
+                // columnar backing's zone maps prune before any row is
+                // decoded. The result is identical across backings.
                 let scanned = ops::scan_filter_project_backing_ctx(
                     &table,
                     relation,
                     &self.query.predicates_for(relation),
-                    &scan_attrs,
+                    &keep,
                     &self.pool.for_items(table.len()),
                     ctx,
                 )?;
-                let keep = kept_attributes(scanned.schema(), needed_above, head);
-                let projected =
-                    ops::project_ctx(&scanned, &keep, &self.pool.for_items(scanned.len()), ctx)?;
-                Ok((self.aggregate_single_column(&projected)?, relation.clone()))
+                Ok((self.aggregate_single_column(&scanned)?, relation.clone()))
             }
             QueryTree::Inner { children, .. } => {
                 // Every child subtree keeps its *interface* attributes: the
@@ -230,7 +227,7 @@ impl EagerPlan {
     ) -> PlanResult<Annotated> {
         let ctx = &self.ctx;
         let pool = self.pool.for_items(input.len());
-        let runs = KeyRuns::build(input, &[], order_cols, &pool);
+        let runs = KeyRuns::build(input, &[], order_cols, Stage::Aggregate, &pool, ctx)?;
         // The run count is a function of the input rows alone, so it is a
         // deterministic counter.
         ctx.tally(Counter::EagerGroups, runs.len() as u64);
@@ -241,7 +238,15 @@ impl EagerPlan {
             }
             fold(rows)
         };
-        Ok(runs.collapse(input, &[slot], slot, Stage::Aggregate, &pool, checked_fold)?)
+        Ok(runs.collapse(
+            input,
+            &[slot],
+            slot,
+            Stage::Aggregate,
+            &pool,
+            ctx,
+            checked_fold,
+        )?)
     }
 
     /// Aggregates a single-relation input: one output row per distinct
@@ -336,32 +341,26 @@ pub(crate) fn interface_attributes(
         .collect()
 }
 
-/// The attributes a leaf scan of `atom` reads: those physically present in
-/// `schema` that are needed above the leaf, in the head, or used by one of
-/// the relation's predicates.
+/// The attributes a leaf scan of `atom` keeps, in the atom's order: those
+/// physically present in `schema` that are needed above the leaf or in the
+/// head. Predicate columns are not among them unless they are needed too —
+/// the fused scan evaluates predicates on the table, not on its output.
 pub(crate) fn leaf_scan_attributes(
-    query: &ConjunctiveQuery,
     atom: &RelationAtom,
     schema: &Schema,
     needed_above: &BTreeSet<String>,
     head: &BTreeSet<String>,
 ) -> Vec<String> {
-    let predicates = query.predicates_for(&atom.name);
     atom.attributes
         .iter()
-        .filter(|a| {
-            schema.contains(a)
-                && (needed_above.contains(*a)
-                    || head.contains(*a)
-                    || predicates.iter().any(|p| &p.attribute == *a))
-        })
+        .filter(|a| schema.contains(a) && (needed_above.contains(*a) || head.contains(*a)))
         .cloned()
         .collect()
 }
 
 /// The columns of `schema` a node's projection keeps: those needed above it
 /// or in the head.
-pub(crate) fn kept_attributes(
+fn kept_attributes(
     schema: &Schema,
     needed_above: &BTreeSet<String>,
     head: &BTreeSet<String>,

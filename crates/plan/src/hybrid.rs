@@ -21,7 +21,7 @@ use pdb_query::reduct::FdReduct;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
 use pdb_storage::Catalog;
 
-use crate::eager::{kept_attributes, leaf_scan_attributes};
+use crate::eager::leaf_scan_attributes;
 use crate::error::{PlanError, PlanResult};
 use crate::join_order::greedy_join_order;
 
@@ -158,7 +158,7 @@ impl HybridPlan {
                 PlanError::Query(pdb_query::QueryError::UnknownRelation(rel_name.clone()))
             })?;
             let table = catalog.backing(rel_name)?;
-            let keep = leaf_scan_attributes(&self.query, atom, table.schema(), &join_attrs, &head);
+            let keep = leaf_scan_attributes(atom, table.schema(), &join_attrs, &head);
             // One fused scan-filter-project per leaf, gated on the base
             // table's size; columnar backings take their zone-map fast
             // path. Results are identical either way.
@@ -168,13 +168,6 @@ impl HybridPlan {
                 &self.query.predicates_for(rel_name),
                 &keep,
                 &self.pool.for_items(table.len()),
-                ctx,
-            )?;
-            let post_scan = kept_attributes(scanned.schema(), &join_attrs, &head);
-            scanned = ops::project_ctx(
-                &scanned,
-                &post_scan,
-                &self.pool.for_items(scanned.len()),
                 ctx,
             )?;
             if self.pushed.contains(rel_name) {

@@ -199,6 +199,63 @@ fn memory_budget_exhaustion_interrupts_the_mystiq_plan() {
     }
 }
 
+/// The grouping shell charges its own memory: a budget that exactly fits the
+/// scan of a one-table eager plan (it has no join) is exceeded by the
+/// aggregation's key, sort and permutation buffers — under the aggregation's
+/// stage, with nothing charged in between — on one thread and on many.
+#[test]
+fn memory_budget_exhaustion_interrupts_the_eager_aggregation() {
+    let q = q1();
+    let (row, col) = tiny_catalogs();
+    let fds = FdSet::from_catalog_decls(&row.fds());
+    let atom = &q.relations[0];
+    let keep: Vec<String> = atom
+        .attributes
+        .iter()
+        .filter(|a| q.head.contains(a))
+        .cloned()
+        .collect();
+    for catalog in [&row, &col] {
+        for threads in [1, 2, 8] {
+            let pool = Pool::new(threads);
+            // What the plan's leaf scan charges, measured on that scan alone.
+            let table = catalog.backing(&atom.name).unwrap();
+            let scan_gov = GovernorBuilder::new().build();
+            ops::scan_filter_project_backing_ctx(
+                &table,
+                &atom.name,
+                &q.predicates_for(&atom.name),
+                &keep,
+                &pool.for_items(table.len()),
+                &ExecContext::governed(&scan_gov),
+            )
+            .unwrap();
+            let scan_bytes = scan_gov.memory_used();
+            assert!(scan_bytes > 0, "{threads} threads: the scan charges");
+
+            let gov = GovernorBuilder::new().memory_budget(scan_bytes).build();
+            let result = EagerPlan::build(&q, &fds)
+                .unwrap()
+                .with_pool(pool)
+                .with_governor(gov)
+                .execute(catalog);
+            match result {
+                Err(PlanError::Governed(SproutError::MemoryBudgetExceeded {
+                    stage,
+                    requested,
+                    used,
+                    budget,
+                })) => {
+                    assert_eq!(stage, Stage::Aggregate, "{threads} threads");
+                    assert_eq!(used - requested, scan_bytes, "{threads} threads");
+                    assert_eq!(budget, scan_bytes, "{threads} threads");
+                }
+                other => panic!("{threads} threads: expected MemoryBudgetExceeded, got {other:?}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn pre_cancelled_governor_interrupts_at_the_first_checkpoint() {
     let q = q1();
