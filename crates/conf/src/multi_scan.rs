@@ -26,9 +26,11 @@
 //! bitwise-identical results at every thread count); since PR 4 ordinary
 //! groups and all huge-group sub-ranges are scheduled together through
 //! [`crate::one_scan`]'s unified weight-balanced scheduler (boundaries read
-//! off the sort-key words) and the collapsed output rows are written in
-//! place into disjoint arena segments ([`pdb_exec::KeyRuns::collapse`]).
+//! off the step root's lineage column) and the collapsed output rows are
+//! written in place into disjoint arena segments
+//! ([`pdb_exec::KeyRuns::collapse`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use pdb_exec::{Annotated, KeyRuns};
@@ -40,9 +42,7 @@ use pdb_storage::Tuple;
 #[cfg(doc)]
 use crate::error::ConfError;
 use crate::error::ConfResult;
-use crate::one_scan::{
-    one_scan_confidences_ctx, unit_confidences, FlatScan, RootBoundaries, SplitPolicy,
-};
+use crate::one_scan::{one_scan_confidences_ctx, unit_confidences, FlatScan, SplitPolicy};
 
 /// Computes `(distinct answer tuple, confidence)` pairs for an arbitrary
 /// signature by scheduling `scan_count()` scans, using the default worker
@@ -157,15 +157,14 @@ pub fn apply_pre_aggregation_ctx(
 
     // Per-group probabilities through the unified bag + intra-bag scheduler:
     // ordinary groups and the sub-ranges of huge groups (cut at the step
-    // root's variable boundaries, read off the key words — the root is the
-    // first preorder column, right after the grouping prefix) form one
-    // weight-balanced schedule, so many medium-huge groups overlap.
+    // root's variable boundaries — the root is the first preorder column,
+    // right after the grouping prefix) form one weight-balanced schedule,
+    // so many medium-huge groups overlap.
     let probs = unit_confidences(
         &machine,
         input,
         runs.order(),
         runs.starts(),
-        RootBoundaries::Keys(&runs),
         pool,
         policy,
         ctx,
@@ -179,7 +178,7 @@ pub fn apply_pre_aggregation_ctx(
     let kept_cols: Vec<usize> = (0..input.lineage_width())
         .filter(|&c| c == leftmost_col || other_cols.contains(&c))
         .collect();
-    let fold = |g: usize, rows: &[u32]| {
+    let fold = |input: &Annotated, g: usize, rows: &[u32]| {
         let representative = rows
             .iter()
             .map(|&r| input.row(r as usize).lineage[leftmost_col].0)
@@ -188,7 +187,7 @@ pub fn apply_pre_aggregation_ctx(
         Ok((representative, probs[g]))
     };
     Ok(runs.collapse(
-        input,
+        Cow::Borrowed(input),
         &kept_cols,
         leftmost_col,
         Stage::Confidence,

@@ -21,11 +21,13 @@
 //! of a recursive descent cloning `children` vectors.
 //!
 //! The driver never copies the answer relation: [`one_scan_confidences`]
-//! groups it through the engine's grouping shell ([`pdb_exec::KeyRuns`]:
-//! normalized `u64` sort keys, a sorted row-index permutation, runs of equal
-//! data — the same shell the pre-aggregations and the eager plan use) and
-//! scans *through* the permutation — O(rows) extra index words instead of a
-//! second copy of the arenas. Consecutive rows of the same distinct answer
+//! groups it through the engine's grouping shell ([`pdb_exec::KeyRuns`]: a
+//! sorted row-index permutation and the runs of equal data, from normalized
+//! `u64` sort keys or — for an answer already in that order, a Boolean
+//! query's — from one pass over adjacent rows; the same shell the
+//! pre-aggregations and the eager plan use) and scans *through* the
+//! permutation — O(rows) extra index words instead of a second copy of the
+//! arenas. Consecutive rows of the same distinct answer
 //! tuple form a *bag* (one run of the shell); bags are independent, so the
 //! permutation is partitioned at bag boundaries and fanned out across a
 //! [`pdb_par::Pool`] of scoped threads.
@@ -61,12 +63,12 @@
 //! root-boundary sub-ranges of *all* huge bags into **one** work-item list,
 //! weight-balances it by row count ([`pdb_par::partition_by_weight`]), and
 //! fans it out once — so many medium-huge bags overlap across workers.
-//! Root-partition boundaries are read off the already-built sort-key words
-//! (`RootBoundaries::Keys`, one `u64` load per row, chunked across the
-//! pool) instead of re-walking lineage columns; the presorted entry point,
-//! which builds no keys, keeps the lineage scan, and a unit test pins the
-//! two sources against each other on adversarial duplicate runs. The same
-//! scheduler drives the multi-scan pre-aggregation groups.
+//! Root-partition boundaries are read off the root's lineage column — the
+//! first preorder column, so one source serves the sorting and the
+//! presorted entry point alike — chunked across the pool, and a unit test
+//! pins the chunk stitching against one sequential prefix scan on
+//! adversarial duplicate runs. The same scheduler drives the multi-scan
+//! pre-aggregation groups.
 //!
 //! The recursive machine of Fig. 8, written the obvious way, is kept in
 //! [`crate::baseline`] as the reference the tests hold this engine against.
@@ -415,52 +417,26 @@ impl FlatScan {
     }
 }
 
-/// Where a bag's root-variable boundaries are read from when the intra-bag
-/// split engages.
-pub(crate) enum RootBoundaries<'a> {
-    /// The normalized sort-key words the driver already built: the root
-    /// variable is the first order column of the [`KeyRuns`], so boundary
-    /// detection compares one `u64` load per row — no `Annotated` row
-    /// assembly or lineage deref — and chunks across the pool.
-    Keys(&'a KeyRuns),
-    /// No keys exist (physically presorted input): read the root's lineage
-    /// column directly.
-    Lineage { root_col: usize },
-}
-
-impl RootBoundaries<'_> {
-    /// The root variable id of input row `row` (the extra key words hold the
-    /// raw variable id, so both sources agree exactly).
-    #[inline]
-    fn root_of(&self, answer: &Annotated, row: u32) -> u64 {
-        match self {
-            RootBoundaries::Keys(runs) => runs.first_order_variable(row as usize),
-            RootBoundaries::Lineage { root_col } => {
-                answer.row(row as usize).lineage[*root_col].0 .0
-            }
-        }
-    }
-}
-
 /// Root-partition start offsets of the bag `rows` (offset 0 plus every `k`
-/// whose root variable differs from row `k − 1`'s), chunked across the pool
-/// for large bags. Chunk boundaries stitch exactly: a chunk's first row is
-/// compared against the previous chunk's last row, so the offsets are
-/// identical to one sequential prefix scan at every thread count (pinned by
-/// a unit test against the retained lineage scan).
+/// whose root variable — lineage column `root_col` — differs from row
+/// `k − 1`'s), chunked across the pool for large bags. Chunk boundaries
+/// stitch exactly: a chunk's first row is compared against the previous
+/// chunk's last row, so the offsets are identical to one sequential prefix
+/// scan at every thread count (pinned by a unit test).
 pub(crate) fn root_partition_starts(
     answer: &Annotated,
     rows: &[u32],
-    boundaries: &RootBoundaries<'_>,
+    root_col: usize,
     pool: &Pool,
 ) -> Vec<usize> {
+    let root_of = |row: u32| answer.row(row as usize).lineage[root_col].0;
     let n = rows.len();
     let chunks = pool.threads().min(n.max(1));
     if chunks <= 1 || n < pdb_par::SEQUENTIAL_CUTOFF {
         let mut starts = vec![0usize];
-        let mut prev = boundaries.root_of(answer, rows[0]);
+        let mut prev = root_of(rows[0]);
         for (k, &r) in rows.iter().enumerate().skip(1) {
-            let v = boundaries.root_of(answer, r);
+            let v = root_of(r);
             if v != prev {
                 starts.push(k);
                 prev = v;
@@ -471,11 +447,7 @@ pub(crate) fn root_partition_starts(
     let ranges = pdb_par::even_ranges(n, chunks);
     let per_chunk: Vec<Vec<usize>> = pool.map_ranges(&ranges, |range| {
         range
-            .filter(|&k| {
-                k > 0
-                    && boundaries.root_of(answer, rows[k])
-                        != boundaries.root_of(answer, rows[k - 1])
-            })
+            .filter(|&k| k > 0 && root_of(rows[k]) != root_of(rows[k - 1]))
             .collect()
     });
     let mut starts = vec![0usize];
@@ -506,9 +478,7 @@ pub(crate) fn split_bag_confidence(
     rows: &[u32],
     pool: &Pool,
 ) -> f64 {
-    let root_col = machine.preorder_cols()[0];
-    let part_starts =
-        root_partition_starts(answer, rows, &RootBoundaries::Lineage { root_col }, pool);
+    let part_starts = root_partition_starts(answer, rows, machine.preorder_cols()[0], pool);
     if part_starts.len() == 1 {
         // Every row carries the same root variable: unsplittable.
         return machine.clone().scan_bag(answer, rows);
@@ -569,7 +539,7 @@ enum ItemResult {
 ///
 /// Ordinary units are one work item each; units at or above the
 /// [`SplitPolicy`] threshold are cut at root-variable boundaries (read off
-/// the sort-key words when available) into weight-balanced sub-range items.
+/// the root's lineage column) into weight-balanced sub-range items.
 /// All items — whole units and sub-ranges alike — then form **one**
 /// row-weight-balanced global schedule ([`partition_by_weight`]), so many
 /// medium-huge units overlap across workers instead of being evaluated one
@@ -580,13 +550,11 @@ enum ItemResult {
 /// order yields the same list however the sub-ranges were cut — so the
 /// probabilities are bitwise-identical at every thread count, and identical
 /// to the unsplit sequential scan.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn unit_confidences(
     machine: &FlatScan,
     answer: &Annotated,
     order: &[u32],
     unit_starts: &[usize],
-    boundaries: RootBoundaries<'_>,
     pool: &Pool,
     policy: SplitPolicy,
     ctx: &ExecContext,
@@ -619,7 +587,9 @@ pub(crate) fn unit_confidences(
         }
         return Ok(probs);
     }
-    // Build the global work-item list.
+    // Build the global work-item list. The root's variable is the first
+    // preorder column, which is where the rows of a unit are sorted first.
+    let root_col = machine.preorder_cols()[0];
     let threshold = policy.min_rows.max(2);
     let mut items: Vec<WorkItem> = Vec::with_capacity(n);
     for u in 0..n {
@@ -635,7 +605,7 @@ pub(crate) fn unit_confidences(
             items.push(whole);
             continue;
         }
-        let part_starts = root_partition_starts(answer, &order[range.clone()], &boundaries, pool);
+        let part_starts = root_partition_starts(answer, &order[range.clone()], root_col, pool);
         if part_starts.len() == 1 {
             // Every row carries the same root variable: unsplittable.
             items.push(whole);
@@ -789,15 +759,11 @@ pub fn one_scan_confidences_ctx(
         pool,
         ctx,
     )?;
-    // The root's variable is the first sort column after the data prefix,
-    // so the intra-bag split reads its partition boundaries off the
-    // already-built key words.
     let probs = unit_confidences(
         &machine,
         answer,
         runs.order(),
         runs.starts(),
-        RootBoundaries::Keys(&runs),
         pool,
         policy,
         ctx,
@@ -862,15 +828,11 @@ pub fn one_scan_confidences_presorted_tuned(
             bag_starts.push(k);
         }
     }
-    // No sort keys exist on this path, so the split reads root boundaries
-    // from the lineage column directly.
-    let root_col = machine.preorder_cols()[0];
     let probs = unit_confidences(
         &machine,
         answer,
         &order,
         &bag_starts,
-        RootBoundaries::Lineage { root_col },
         pool,
         policy,
         &ExecContext::unbounded(),
@@ -1217,10 +1179,10 @@ mod tests {
     }
 
     #[test]
-    fn key_word_boundaries_pin_the_lineage_prefix_scan() {
+    fn chunked_root_boundaries_pin_the_sequential_prefix_scan() {
         // Adversarial duplicate runs: uneven partitions with 3-row duplicate
         // runs, large enough (>= SEQUENTIAL_CUTOFF rows) that the chunked
-        // key-word scan engages and chunk cuts land inside duplicate runs.
+        // scan engages and chunk cuts land inside duplicate runs.
         let (answer, sig) = internal_root_bag(&[1, 199, 1, 1, 150, 248], 3);
         assert!(answer.len() >= pdb_par::SEQUENTIAL_CUTOFF);
         let machine = machine_for(&answer, &sig);
@@ -1236,43 +1198,20 @@ mod tests {
         .unwrap();
         let order = runs.order();
         let root_col = preorder[0];
-        // The retained sequential lineage prefix scan is the pin.
-        let expected = root_partition_starts(
-            &answer,
-            order,
-            &RootBoundaries::Lineage { root_col },
-            &Pool::sequential(),
-        );
+        // One sequential prefix scan is the pin.
+        let expected = root_partition_starts(&answer, order, root_col, &Pool::sequential());
         assert!(expected.len() > 1, "bag must have several root partitions");
-        for threads in [1, 2, 3, 4, 8] {
-            let keyed = root_partition_starts(
-                &answer,
-                order,
-                &RootBoundaries::Keys(&runs),
-                &Pool::new(threads),
-            );
-            assert_eq!(keyed, expected, "{threads} threads");
-            let lineage_chunked = root_partition_starts(
-                &answer,
-                order,
-                &RootBoundaries::Lineage { root_col },
-                &Pool::new(threads),
-            );
-            assert_eq!(lineage_chunked, expected, "{threads} threads (lineage)");
+        for threads in [1, 4] {
+            let chunked = root_partition_starts(&answer, order, root_col, &Pool::new(threads));
+            assert_eq!(chunked, expected, "{threads} threads");
         }
         // Sub-slices (as the scheduler cuts them) agree too, including a
         // slice starting mid-bag at a non-boundary row.
         for range in [0..600, 37..411, 599..1800] {
             let rows = &order[range.clone()];
-            let keyed =
-                root_partition_starts(&answer, rows, &RootBoundaries::Keys(&runs), &Pool::new(4));
-            let lineage = root_partition_starts(
-                &answer,
-                rows,
-                &RootBoundaries::Lineage { root_col },
-                &Pool::sequential(),
-            );
-            assert_eq!(keyed, lineage, "range {range:?}");
+            let chunked = root_partition_starts(&answer, rows, root_col, &Pool::new(4));
+            let sequential = root_partition_starts(&answer, rows, root_col, &Pool::sequential());
+            assert_eq!(chunked, sequential, "range {range:?}");
         }
     }
 

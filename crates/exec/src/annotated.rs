@@ -136,6 +136,35 @@ impl Annotated {
         }
     }
 
+    /// Assembles a relation of `rows` rows from arenas written elsewhere.
+    pub(crate) fn from_arenas(
+        schema: Schema,
+        relations: Vec<String>,
+        rows: usize,
+        data: Vec<Value>,
+        lineage: Vec<(Variable, f64)>,
+    ) -> Self {
+        debug_assert_eq!(data.len(), rows * schema.len());
+        debug_assert_eq!(lineage.len(), rows * relations.len());
+        Annotated {
+            schema,
+            relations,
+            len: rows,
+            data,
+            lineage,
+        }
+    }
+
+    /// This relation with its lineage columns replaced: the schema and the
+    /// data arena stay where they are — nothing is copied.
+    pub(crate) fn with_lineage(
+        self,
+        relations: Vec<String>,
+        lineage: Vec<(Variable, f64)>,
+    ) -> Self {
+        Annotated::from_arenas(self.schema, relations, self.len, self.data, lineage)
+    }
+
     /// Mutable views of both arenas, for disjoint parallel segment writes
     /// (row `i` owns data `[i · data_width(), (i+1) · data_width())` and
     /// lineage `[i · lineage_width(), (i+1) · lineage_width())`). Split the

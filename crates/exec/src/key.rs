@@ -119,6 +119,22 @@ fn encode_word(v: &Value, str_code: u64) -> u64 {
     }
 }
 
+/// How the [`encode_word`]s of two cells of one non-`Null` variant compare,
+/// without a dictionary: strings by content, which is their rank order.
+/// `None` for a `Null` or a pair of different variants, whose column would
+/// take mixed cells.
+#[inline]
+pub(crate) fn cmp_one_variant(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
+    match (a, b) {
+        (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+        (Value::Float(a), Value::Float(b)) => Some(ordered_f64(*a).cmp(&ordered_f64(*b))),
+        (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+        (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
+        (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
+        _ => None,
+    }
+}
+
 /// The bit of a value's variant in a column's variant mask.
 #[inline]
 fn variant_bit(v: &Value) -> u8 {

@@ -21,9 +21,12 @@
 //!   against lives in [`baseline`].
 //! * [`KeyRuns`] — the grouping shell every aggregation shares: rows sorted
 //!   on normalized keys, cut into runs on the sorted packed words, one
-//!   output row per run, its buffers charged to the memory budget. The one-scan
-//!   confidence operator, the multi-scan pre-aggregations and the eager
-//!   plan's aggregations differ only in the fold they run per run.
+//!   output row per run, its buffers charged to the memory budget. An input
+//!   that arrives in key order is recognised by one pass over adjacent rows
+//!   and builds no keys; one that is its own output but for the lineage
+//!   keeps its data arena. The one-scan confidence operator, the multi-scan
+//!   pre-aggregations and the eager plan's aggregations differ only in the
+//!   fold they run per run.
 //! * [`columnar`] — the columnar fast path of the base-table scans:
 //!   vectorized fused scan-filter-project over
 //!   [`pdb_storage::ColumnarTable`]s with zone-map chunk skipping,

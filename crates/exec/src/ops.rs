@@ -76,7 +76,7 @@ use pdb_storage::{ProbTable, Schema, StorageBacking, Value, Variable};
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
-use crate::key::{JoinInterner, JoinKeys, UNJOINABLE};
+use crate::key::{JoinInterner, JoinKeys, CELL_WIDTH, UNJOINABLE};
 
 /// Probe morsels per worker in the partitioned join: more morsels than
 /// workers lets the pool's self-balancing cursor absorb skewed match counts.
@@ -93,6 +93,14 @@ pub const SEQ_CHECK_EVERY: usize = 1024;
 /// [`Annotated::with_placeholder_rows`] allocates them.
 pub(crate) fn arena_bytes(rows: usize, dw: usize, lw: usize) -> usize {
     rows * (dw * std::mem::size_of::<Value>() + lw * std::mem::size_of::<(Variable, f64)>())
+}
+
+/// Bytes of a join's build side over `rows` rows of `key_cols` key columns:
+/// per row the mixed key cells, the hash and the chain link, plus `buckets`
+/// chain heads. Charged under [`Stage::Join`] before the keys are encoded.
+fn build_side_bytes(rows: usize, key_cols: usize, buckets: usize) -> usize {
+    let key_row = (key_cols * CELL_WIDTH + 1) * std::mem::size_of::<u64>();
+    rows * (key_row + std::mem::size_of::<u32>()) + buckets * std::mem::size_of::<u32>()
 }
 
 /// The default pool of the plain operator entry points: `SPROUT_THREADS`
@@ -536,6 +544,29 @@ pub fn project_ctx(
     Ok(out)
 }
 
+impl Annotated {
+    /// [`project_ctx`] of a relation the caller owns — what a plan does
+    /// between its own operators. When `attributes` are the schema's columns
+    /// in order the projection changes nothing and the relation is handed
+    /// back as it is: no copy, no charge against the memory budget, no
+    /// `project.write` checkpoint. Any other column list is [`project_ctx`].
+    ///
+    /// # Errors
+    /// Those of [`project_ctx`].
+    pub fn into_projection_ctx(
+        self,
+        attributes: &[String],
+        pool: &Pool,
+        ctx: &ExecContext,
+    ) -> ExecResult<Annotated> {
+        let columns = self.schema().columns();
+        if columns.iter().map(|c| &c.name).eq(attributes) {
+            return Ok(self);
+        }
+        project_ctx(&self, attributes, pool, ctx)
+    }
+}
+
 /// Resolves the shared/output columns of a natural join. Shared columns are
 /// the names occurring on both sides; the output schema is the left schema
 /// followed by the right-only columns.
@@ -628,7 +659,8 @@ pub fn natural_join(left: &Annotated, right: &Annotated) -> ExecResult<Annotated
 ///
 /// Checkpoints at every probe morsel (`join.probe`) and stitch segment
 /// (`join.write`), sequential fallback every [`SEQ_CHECK_EVERY`] probe rows,
-/// and memory accounting for the radix scatter buffer and the output arenas.
+/// and memory accounting for the build side (key words, hashes, chain
+/// index), the radix scatter buffer and the output arenas.
 ///
 /// # Errors
 /// Fails if the inputs share a lineage relation (self-join), or with
@@ -681,7 +713,7 @@ impl ChainIndex {
     /// Indexes entries `0..entries`, skipping those `hash_of` reports
     /// [`UNJOINABLE`]. Entries are linked in reverse so chains ascend.
     fn build(entries: usize, skip_bits: u32, hash_of: impl Fn(usize) -> u64) -> ChainIndex {
-        let buckets = entries.next_power_of_two().max(2);
+        let buckets = ChainIndex::buckets(entries);
         let mut index = ChainIndex {
             heads: vec![JOIN_NIL; buckets],
             next: vec![JOIN_NIL; entries],
@@ -697,6 +729,11 @@ impl ChainIndex {
             }
         }
         index
+    }
+
+    /// Chain heads of an index over `entries` entries.
+    fn buckets(entries: usize) -> usize {
+        entries.next_power_of_two().max(2)
     }
 
     #[inline]
@@ -731,6 +768,11 @@ fn natural_join_sequential(
     // Build side: normalize all right-side keys once and index them with
     // a chained hash table over flat arrays, so building allocates no
     // per-key buckets.
+    let buckets = ChainIndex::buckets(right.len());
+    ctx.account(
+        Stage::Join,
+        build_side_bytes(right.len(), key_cols, buckets),
+    )?;
     let mut interner = JoinInterner::new();
     let keys = JoinKeys::build_side(right.len(), key_cols, &mut interner, |r, c| {
         &right.row(r).data[layout.right_key_idx[c]]
@@ -738,7 +780,7 @@ fn natural_join_sequential(
     let index = ChainIndex::build(right.len(), 0, |r| keys.hash(r));
 
     // Probe side: encode each left key into a reused scratch buffer.
-    let mut scratch: Vec<u64> = Vec::with_capacity(key_cols * crate::key::CELL_WIDTH);
+    let mut scratch: Vec<u64> = Vec::with_capacity(key_cols * CELL_WIDTH);
     for li in 0..left.len() {
         if li % SEQ_CHECK_EVERY == 0 {
             ctx.checkpoint(Stage::Join, "join.probe", li / SEQ_CHECK_EVERY)?;
@@ -817,7 +859,14 @@ fn natural_join_partitioned(
     let key_cols = right_key_idx.len();
 
     // Build-side keys, encoded in parallel; the interner is shared with the
-    // probe side (lookup only from here on).
+    // probe side (lookup only from here on). The partitions' indexes hold
+    // one chain link per row and, each rounding its share of the rows up to
+    // a power of two, at most `2 · (rows + parts)` heads between them.
+    let (parts, bits) = radix_partitions(pool.threads());
+    ctx.account(
+        Stage::Join,
+        build_side_bytes(right.len(), key_cols, 2 * (right.len() + parts)),
+    )?;
     let mut interner = JoinInterner::new();
     let keys = JoinKeys::build_side_with(
         right.len(),
@@ -834,7 +883,6 @@ fn natural_join_partitioned(
     // rows in place — no per-(chunk, partition) list allocations, bounded
     // by `tests/alloc_count.rs`. Rows stay ascending within every chunk's
     // partition group because the scatter walks the chunk in row order.
-    let (parts, bits) = radix_partitions(pool.threads());
     let scatter_ranges = even_ranges(right.len(), pool.threads());
     let histograms: Vec<Vec<u32>> = pool.map_ranges(&scatter_ranges, |range| {
         let mut hist = vec![0u32; parts];
@@ -896,7 +944,7 @@ fn natural_join_partitioned(
     let matches: Vec<Vec<(u32, u32)>> = pool
         .try_map_ranges(&morsels, |mi, range| {
             ctx.checkpoint(Stage::Join, "join.probe", mi)?;
-            let mut scratch: Vec<u64> = Vec::with_capacity(key_cols * crate::key::CELL_WIDTH);
+            let mut scratch: Vec<u64> = Vec::with_capacity(key_cols * CELL_WIDTH);
             let mut out: Vec<(u32, u32)> = Vec::new();
             for li in range {
                 let lrow = left.row(li);
@@ -1260,6 +1308,61 @@ mod tests {
     }
 
     #[test]
+    fn the_join_charges_its_build_side_under_the_join_stage() {
+        use pdb_govern::{GovernorBuilder, SproutError};
+        // A budget that exactly fits the two scans leaves the join nothing:
+        // its first allocation fails, under its own stage, on one thread and
+        // on the partitioned path.
+        let (cust, ord) = (fig1_cust(), fig1_ord());
+        for threads in [1, 2] {
+            let pool = Pool::new(threads);
+            let measure = GovernorBuilder::new().build();
+            let scans = |ctx: &ExecContext| {
+                let l = scan_ctx(&cust, "Cust", &s(&["ckey", "cname"]), &pool, ctx).unwrap();
+                let r = scan_ctx(&ord, "Ord", &s(&["okey", "ckey"]), &pool, ctx).unwrap();
+                (l, r)
+            };
+            scans(&ExecContext::governed(&measure));
+            let gov = GovernorBuilder::new()
+                .memory_budget(measure.memory_used())
+                .build();
+            let ctx = ExecContext::governed(&gov);
+            let (l, r) = scans(&ctx);
+            match natural_join_ctx(&l, &r, &pool, &ctx) {
+                Err(ExecError::Governed(SproutError::MemoryBudgetExceeded {
+                    stage: Stage::Join,
+                    ..
+                })) => {}
+                other => panic!("{threads} threads: expected MemoryBudgetExceeded, got {other:?}"),
+            }
+        }
+        // A build side of NULL keys scatters nothing and matches nothing, so
+        // on the partitioned path its key words, hashes and chain indexes
+        // are all the join holds — and all it charges.
+        let schema = Schema::from_pairs(&[("k", DataType::Int)]).unwrap();
+        let side = |relation: &str| {
+            let mut t = Annotated::new(schema.clone(), vec![relation.to_string()]);
+            for v in 0..5 {
+                t.push(AnnotatedRow::new(
+                    Tuple::new(vec![Value::Null]),
+                    vec![(Variable(v), 0.5)],
+                ));
+            }
+            t
+        };
+        let gov = GovernorBuilder::new().build();
+        let joined = natural_join_ctx(
+            &side("L"),
+            &side("R"),
+            &Pool::new(2),
+            &ExecContext::governed(&gov),
+        );
+        assert!(joined.unwrap().is_empty());
+        let (parts, _) = radix_partitions(2);
+        assert_eq!(gov.memory_used(), build_side_bytes(5, 1, 2 * (5 + parts)));
+    }
+
+    #[test]
     fn mixed_numeric_keys_join_like_values_compare() {
         // Int(2) joins Float(2.0) — Value::eq equates them, so must the
         // normalized keys.
@@ -1290,6 +1393,36 @@ mod tests {
         assert_eq!(p.relations().len(), 1);
         assert_eq!(distinct(&p).len(), 3);
         assert!(project(&ord, &s(&["nope"])).is_err());
+    }
+
+    #[test]
+    fn an_owned_projection_that_keeps_every_column_in_place_is_a_move() {
+        use pdb_govern::GovernorBuilder;
+        let ord = scan(&fig1_ord(), "Ord", &s(&["okey", "ckey", "odate"])).unwrap();
+        let pool = Pool::sequential();
+        // The schema in order: the very arenas come back, with nothing
+        // charged and no checkpoint run.
+        let gov = GovernorBuilder::new().memory_budget(0).build();
+        let ctx = ExecContext::governed(&gov);
+        let owned = ord.clone();
+        let arena = owned.lineage_arena().as_ptr();
+        let kept = owned
+            .into_projection_ctx(&s(&["okey", "ckey", "odate"]), &pool, &ctx)
+            .unwrap();
+        assert_eq!(kept.lineage_arena().as_ptr(), arena);
+        assert_eq!(kept, ord);
+        assert_eq!((gov.memory_used(), gov.checkpoints_seen()), (0, 0));
+        // Any other column list is `project_ctx`: reordered, narrowed, and
+        // failing on an unknown column.
+        let ctx = ExecContext::unbounded();
+        for attrs in [s(&["ckey", "okey", "odate"]), s(&["okey", "ckey"]), s(&[])] {
+            let owned = ord
+                .clone()
+                .into_projection_ctx(&attrs, &pool, &ctx)
+                .unwrap();
+            assert_eq!(owned, project_ctx(&ord, &attrs, &pool, &ctx).unwrap());
+        }
+        assert!(ord.into_projection_ctx(&s(&["nope"]), &pool, &ctx).is_err());
     }
 
     #[test]

@@ -7,9 +7,23 @@
 //! a catalog, and a join order, it pushes constant selections into the fused
 //! scans, keeps of each relation only its head and join attributes
 //! (predicate-only columns are consumed inside the scan and never
-//! materialised), joins in the given order, projects after every join, and
-//! produces the lineage-annotated answer relation the confidence-computation
-//! operator consumes. One pipeline serves both storage backings.
+//! materialised), joins in the given order, keeps after every step only the
+//! columns the head or a join still to come needs, and produces the
+//! lineage-annotated answer relation the confidence-computation operator
+//! consumes. One pipeline serves both storage backings.
+//!
+//! The pipeline owns its running result, so a step that changes nothing
+//! copies nothing: a projection that keeps every column in place — the
+//! common case, since a scan already keeps only head and join attributes —
+//! hands its input on ([`Annotated::into_projection_ctx`]; no arena is
+//! allocated or charged and no `project.write` checkpoint runs), and the
+//! last step projects straight to the head's column order instead of to the
+//! schema's and then again to the head's. A single-relation query therefore
+//! copies its scan's output only if the head reorders it. The by-reference
+//! operators ([`ops::project_ctx`], [`ops::natural_join_ctx`], the fused
+//! scans) are what a caller chaining them by hand gets, and
+//! `tests/pipeline_staged.rs` holds the pipeline's answer and counters to
+//! exactly such a chain.
 //!
 //! # Late string materialization
 //!
@@ -74,9 +88,9 @@ pub fn evaluate_join_order(
 }
 
 /// [`evaluate_join_order`] on an explicit worker pool under a governor
-/// [`ExecContext`]: every scan, join and projection of the pipeline fans out
-/// on the pool (each operator call is gated by its own input size, so small
-/// steps stay inline) and runs its cancellation / deadline / budget
+/// [`ExecContext`]: every scan, join and copying projection of the pipeline
+/// fans out on the pool (each operator call is gated by its own input size,
+/// so small steps stay inline) and runs its cancellation / deadline / budget
 /// checkpoints; the final decode pass checkpoints per output segment
 /// (`late.decode`, [`Stage::Project`]). An interrupted step surfaces as
 /// [`ExecError::Governed`] naming the stage. The answer is bitwise-identical
@@ -160,7 +174,7 @@ pub fn evaluate_join_order_ctx(
 
         drop(scan_span);
 
-        current = Some(match current {
+        let acc = match current.take() {
             None => scanned,
             Some(acc) => {
                 let join_span = ctx.span_with("join", rel_name.as_str());
@@ -169,36 +183,33 @@ pub fn evaluate_join_order_ctx(
                 drop(join_span);
                 joined
             }
-        });
+        };
 
-        if let Some(acc) = current.take() {
-            let remaining: BTreeSet<&String> = order[step + 1..].iter().collect();
-            let needed: Vec<String> = acc
-                .schema()
+        // Keep what the head or a join still to come needs; the last step
+        // projects straight to the head, in the head's column order. The
+        // running result is owned, so a projection that keeps every column
+        // in place moves it.
+        let remaining = &order[step + 1..];
+        let needed: Vec<String> = if remaining.is_empty() {
+            query.head.clone()
+        } else {
+            acc.schema()
                 .names()
                 .into_iter()
                 .filter(|a| {
                     head.contains(*a)
-                        || remaining.iter().any(|r| {
-                            query
-                                .relation(r)
-                                .map(|atom| atom.has_attribute(a))
-                                .unwrap_or(false)
-                        })
+                        || remaining
+                            .iter()
+                            .any(|r| query.relation(r).is_some_and(|atom| atom.has_attribute(a)))
                 })
-                .map(|s| s.to_string())
-                .collect();
-            current = Some(ops::project_ctx(
-                &acc,
-                &needed,
-                &pool.for_items(acc.len()),
-                ctx,
-            )?);
-        }
+                .map(str::to_string)
+                .collect()
+        };
+        let gated = pool.for_items(acc.len());
+        current = Some(acc.into_projection_ctx(&needed, &gated, ctx)?);
     }
 
-    let answer = current.expect("query has at least one relation");
-    let mut answer = ops::project_ctx(&answer, &query.head, &pool.for_items(answer.len()), ctx)?;
+    let mut answer = current.expect("query has at least one relation");
 
     // Final decode: replace rank codes with their dictionary strings, in
     // place, each surviving cell exactly once.

@@ -3,16 +3,36 @@
 //!
 //! Every operator that aggregates an [`Annotated`] relation — the one-scan
 //! confidence operator's bags, a multi-scan pre-aggregation's groups, the
-//! eager plan's per-table and per-join aggregations — needs the same three
-//! things first: normalized sort keys ([`crate::key::SortKeys`]), a sorted
-//! row-index permutation, and the positions where the grouping prefix of the
-//! key changes. [`KeyRuns`] builds them once — the permutation and the run
-//! boundaries come out of one radix sort of the packed keys, the boundaries
-//! read off the sorted words — and [`KeyRuns::collapse`] is the shared "one
-//! output row per run" writer. What differs between the callers is only the
-//! *fold* that turns a run's rows into a `(representative variable,
-//! probability)` pair. Both halves charge what they allocate to the
-//! caller's memory budget, under the caller's [`Stage`].
+//! eager plan's per-table and per-join aggregations — needs the same two
+//! things first: a sorted row-index permutation, and the positions where the
+//! grouping prefix of the sort key changes. [`KeyRuns`] builds them once, and
+//! [`KeyRuns::collapse`] is the shared "one output row per run" writer. What
+//! differs between the callers is only the *fold* that turns a run's rows
+//! into a `(representative variable, probability)` pair. Both halves charge
+//! what they allocate to the caller's memory budget, under the caller's
+//! [`Stage`].
+//!
+//! # Inputs that arrive sorted
+//!
+//! Much of what reaches the shell is already in key order: a Boolean query's
+//! answer is its base table's variables ascending, a table scanned in
+//! primary-key order groups to one row per key. [`KeyRuns::build`] therefore
+//! first makes one pass over adjacent rows, comparing their cells in key
+//! order — two cells of one variant as [`crate::key`]'s one-word encoding
+//! orders them (`Int` / `Date` / `Bool` exactly, `Float` through the float
+//! transform, `Str` by content), then the group and the order variables. If
+//! no pair descends the permutation is the identity and the run starts come
+//! from that pass: no [`crate::key::SortKeys`] is built. The first
+//! descending pair ends the pass, and so does a `Null` or a pair of
+//! different variants (their column would take mixed cells, whose order the
+//! pass does not replay); the input then takes the key path whole —
+//! normalized keys, one radix sort of the packed words, the boundaries read
+//! off the sorted words. Either way the result is the stable sort's, so
+//! which path ran never shows in it.
+//!
+//! [`KeyRuns::collapse`] has the matching case: given an input it owns whose
+//! runs are its rows, one each and in order, the output's data arena *is* the
+//! input's. It is moved, and only the lineage arena is written.
 //!
 //! Runs come in ascending key order, which is `Value`'s order on the data
 //! columns — the order a `BTreeMap<Tuple, _>` iterates in — except in the
@@ -20,44 +40,89 @@
 //! floats), which no catalogue query reaches. A column of integers alone
 //! orders by exact value, as it does beside floats.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use pdb_govern::{ExecContext, Stage};
 use pdb_par::{partition_by_weight, Pool};
-use pdb_storage::Variable;
+use pdb_storage::{Value, Variable};
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
-use crate::key::{SortKeys, CELL_WIDTH};
+use crate::key::{cmp_one_variant, CELL_WIDTH};
 use crate::ops::arena_bytes;
 
 /// A relation's rows sorted on `(data columns, group variables, order
 /// variables)` and cut into runs of rows equal on `(data columns, group
-/// variables)`. Identical at every pool size: the keys are bit-identical and
-/// the permutation is the stable sort order (ties keep input order).
+/// variables)`. Identical at every pool size: the permutation is the stable
+/// sort order (ties keep input order).
 pub struct KeyRuns {
-    keys: SortKeys,
     order: Vec<u32>,
     starts: Vec<usize>,
-    prefix_words: usize,
 }
 
-/// Bytes [`KeyRuns::build`] may hold at once for `rows` rows of `data_cols`
-/// data columns and `var_cols` variable columns: the key words (a mixed
-/// cell per data column at most), the widest packed sort buffer with its
-/// radix scratch, the permutation and the run starts.
-fn key_run_bytes(rows: usize, data_cols: usize, var_cols: usize) -> usize {
+/// Bytes of the permutation and the run starts of `rows` rows (one run per
+/// row at most).
+fn index_bytes(rows: usize) -> usize {
+    rows * (std::mem::size_of::<u32>() + std::mem::size_of::<usize>())
+}
+
+/// Bytes the key path of [`KeyRuns::build`] may hold at once for `rows` rows
+/// of `data_cols` data columns and `var_cols` variable columns: the key
+/// words (a mixed cell per data column at most) and the widest packed sort
+/// buffer with its radix scratch.
+fn sort_bytes(rows: usize, data_cols: usize, var_cols: usize) -> usize {
     let key_words = data_cols * CELL_WIDTH + var_cols;
     let packed = 2 * std::mem::size_of::<(u128, u32)>();
-    let index = std::mem::size_of::<u32>() + std::mem::size_of::<usize>();
-    rows * (key_words * std::mem::size_of::<u64>() + packed + index)
+    rows * (key_words * std::mem::size_of::<u64>() + packed)
+}
+
+/// The run starts of an `input` whose rows already ascend on `(data columns,
+/// group variables, order variables)`: one pass over adjacent rows. `None`
+/// at the first pair that descends, holds a `Null` or differs in variant.
+fn ascending_run_starts(
+    input: &Annotated,
+    group_cols: &[usize],
+    order_cols: &[usize],
+) -> Option<Vec<usize>> {
+    let mut starts = Vec::new();
+    if !input.is_empty() {
+        starts.push(0);
+    }
+    for r in 1..input.len() {
+        let (prev, row) = (input.row(r - 1), input.row(r));
+        let mut prefix = Ordering::Equal;
+        for (a, b) in prev.data.iter().zip(row.data) {
+            prefix = cmp_one_variant(a, b)?;
+            if prefix.is_ne() {
+                break;
+            }
+        }
+        let variables = |cols: &[usize]| {
+            cols.iter()
+                .map(|&c| prev.lineage[c].0 .0.cmp(&row.lineage[c].0 .0))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        let prefix = prefix.then_with(|| variables(group_cols));
+        match prefix.then_with(|| variables(order_cols)) {
+            Ordering::Greater => return None,
+            _ if prefix.is_lt() => starts.push(r),
+            _ => {}
+        }
+    }
+    Some(starts)
 }
 
 impl KeyRuns {
     /// Sorts a row-index permutation of `input` by all its data columns,
     /// then the variables of the lineage columns `group_cols`, then those of
     /// `order_cols`, and cuts it where a data column or a `group_cols`
-    /// variable changes. The input is neither copied nor permuted. The key,
-    /// sort and permutation buffers are charged to `ctx`'s memory budget
-    /// under `stage` before they are allocated.
+    /// variable changes. The input is neither copied nor permuted. The
+    /// permutation and the run starts are charged to `ctx`'s memory budget
+    /// under `stage` before anything is allocated; the key, sort and radix
+    /// buffers only when the input does not arrive sorted (see the module
+    /// documentation).
     ///
     /// # Errors
     /// [`ExecError::Governed`] when the buffers exceed the memory budget.
@@ -69,23 +134,20 @@ impl KeyRuns {
         pool: &Pool,
         ctx: &ExecContext,
     ) -> ExecResult<KeyRuns> {
+        ctx.account(stage, index_bytes(input.len()))?;
+        if let Some(starts) = ascending_run_starts(input, group_cols, order_cols) {
+            let order = (0..input.len() as u32).collect();
+            return Ok(KeyRuns { order, starts });
+        }
         let col_idx: Vec<usize> = (0..input.data_width()).collect();
         let rel_idx: Vec<usize> = group_cols.iter().chain(order_cols).copied().collect();
-        ctx.account(
-            stage,
-            key_run_bytes(input.len(), col_idx.len(), rel_idx.len()),
-        )?;
+        ctx.account(stage, sort_bytes(input.len(), col_idx.len(), rel_idx.len()))?;
         let keys = input.sort_keys_with(&col_idx, &rel_idx, pool);
         // Runs are cut on the normalized key prefix — the top bits of the
         // sorted packed words, no `Value` dispatch.
         let prefix_words = keys.data_words() + group_cols.len();
         let (order, starts) = keys.sorted_runs(input.len(), prefix_words, pool);
-        Ok(KeyRuns {
-            keys,
-            order,
-            starts,
-            prefix_words,
-        })
+        Ok(KeyRuns { order, starts })
     }
 
     /// Number of runs.
@@ -119,22 +181,22 @@ impl KeyRuns {
         &self.order[self.starts[run]..end]
     }
 
-    /// The variable id of the first `order_cols` column of input row `row`,
-    /// read off the key words (one `u64` load, no row assembly). Panics if
-    /// the runs were built without `order_cols`.
-    #[inline]
-    pub fn first_order_variable(&self, row: usize) -> u64 {
-        self.keys.row(row)[self.prefix_words]
+    /// Whether the runs are the input's rows, one each and in input order.
+    fn are_the_input_rows(&self) -> bool {
+        self.starts.len() == self.order.len()
+            && self.order.iter().enumerate().all(|(k, &r)| r as usize == k)
     }
 
     /// Collapses every run to one output row, in run order: the data values
     /// and the lineage columns `kept_cols` of the run's first row (in sort
     /// order), with column `slot` — one of `kept_cols` — replaced by
-    /// `fold(run, rows)`. Runs are weight-balanced across the pool by row
-    /// count and written in place into disjoint arena segments; `fold` runs
-    /// exactly once per run, in ascending run order within a segment. The
-    /// output arenas are charged to `ctx`'s memory budget under `stage`
-    /// before they are allocated.
+    /// `fold(input, run, rows)`. Runs are weight-balanced across the pool by
+    /// row count and written in place into disjoint arena segments; `fold`
+    /// runs exactly once per run, in ascending run order within a segment.
+    /// An owned `input` whose runs are its rows, one each and in order,
+    /// gives up its data arena to the output instead of having it copied.
+    /// The arenas the output allocates are charged to `ctx`'s memory budget
+    /// under `stage` beforehand.
     ///
     /// # Errors
     /// [`ExecError::Governed`] when the output exceeds the memory budget;
@@ -144,41 +206,36 @@ impl KeyRuns {
     #[allow(clippy::too_many_arguments)]
     pub fn collapse(
         &self,
-        input: &Annotated,
+        input: Cow<'_, Annotated>,
         kept_cols: &[usize],
         slot: usize,
         stage: Stage,
         pool: &Pool,
         ctx: &ExecContext,
-        fold: impl Fn(usize, &[u32]) -> ExecResult<(Variable, f64)> + Sync,
+        fold: impl Fn(&Annotated, usize, &[u32]) -> ExecResult<(Variable, f64)> + Sync,
     ) -> ExecResult<Annotated> {
-        ctx.account(
-            stage,
-            arena_bytes(self.len(), input.data_width(), kept_cols.len()),
-        )?;
-        let relations = kept_cols
-            .iter()
-            .map(|&c| input.relations()[c].clone())
-            .collect();
-        let mut out =
-            Annotated::with_placeholder_rows(input.schema().clone(), relations, self.len());
-        let dw = out.data_width();
-        let lw = out.lineage_width();
+        let source: &Annotated = &input;
+        let moves_data = matches!(input, Cow::Owned(_)) && self.are_the_input_rows();
+        // Data values written per run: none when the arena is moved.
+        let dw = if moves_data { 0 } else { source.data_width() };
+        let lw = kept_cols.len();
+        ctx.account(stage, arena_bytes(self.len(), dw, lw))?;
+        let mut data = vec![Value::Null; self.len() * dw];
+        let mut lineage = vec![(Variable(0), 0.0); self.len() * lw];
         let chunks = partition_by_weight(&self.starts, self.order.len(), pool.threads());
         let data_cuts: Vec<usize> = chunks.iter().map(|c| c.start * dw).collect();
         let lineage_cuts: Vec<usize> = chunks.iter().map(|c| c.start * lw).collect();
-        let (data, lineage) = out.arena_segments_mut();
         pool.try_map_slices2_mut(
-            data,
+            &mut data,
             &data_cuts,
-            lineage,
+            &mut lineage,
             &lineage_cuts,
             |ci, dseg, lseg| {
                 for (local, run) in chunks[ci].clone().enumerate() {
                     let rows = self.rows(run);
-                    let folded = fold(run, rows)?;
-                    let exemplar = input.row(rows[0] as usize);
-                    dseg[local * dw..(local + 1) * dw].clone_from_slice(exemplar.data);
+                    let folded = fold(source, run, rows)?;
+                    let exemplar = source.row(rows[0] as usize);
+                    dseg[local * dw..(local + 1) * dw].clone_from_slice(&exemplar.data[..dw]);
                     for (e, &c) in kept_cols.iter().enumerate() {
                         lseg[local * lw + e] = if c == slot {
                             folded
@@ -191,7 +248,16 @@ impl KeyRuns {
             },
         )
         .map_err(|f| ExecError::from_task_failure(stage, f))?;
-        Ok(out)
+        let relations = kept_cols
+            .iter()
+            .map(|&c| source.relations()[c].clone())
+            .collect();
+        Ok(match input {
+            Cow::Owned(owned) if moves_data => owned.with_lineage(relations, lineage),
+            other => {
+                Annotated::from_arenas(other.schema().clone(), relations, self.len(), data, lineage)
+            }
+        })
     }
 }
 
@@ -235,13 +301,13 @@ mod tests {
     /// Collapses with the fold "(min S variable, run length)".
     fn collapse_counting(runs: &KeyRuns, input: &Annotated, pool: &Pool) -> Annotated {
         runs.collapse(
-            input,
+            Cow::Borrowed(input),
             &[0, 1],
             1,
             Stage::Aggregate,
             pool,
             &UNGOVERNED,
-            |_, rows| {
+            |input, _, rows| {
                 let min = rows
                     .iter()
                     .map(|&r| input.row(r as usize).lineage[1].0)
@@ -277,7 +343,6 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs.starts(), &[0]);
         assert_eq!(runs.rows(0), &[2, 1, 0]);
-        assert_eq!(runs.first_order_variable(0), 9);
         let out = collapse_counting(&runs, &input, &Pool::sequential());
         assert_eq!(out.len(), 1);
         assert_eq!(out.row(0).data_tuple(), tuple![5i64]);
@@ -302,13 +367,13 @@ mod tests {
         // Only the slot column survives when it is the only kept column.
         let out = by_data
             .collapse(
-                &input,
+                Cow::Borrowed(&input),
                 &[0],
                 0,
                 Stage::Aggregate,
                 &Pool::sequential(),
                 &UNGOVERNED,
-                |run, _| Ok((Variable(run as u64), 1.0)),
+                |_, run, _| Ok((Variable(run as u64), 1.0)),
             )
             .unwrap();
         assert_eq!(out.relations(), &["R".to_string()]);
@@ -370,13 +435,13 @@ mod tests {
             let pool = Pool::new(threads);
             let runs = build_runs(&input, &[], &[], &pool);
             let failed = runs.collapse(
-                &input,
+                Cow::Borrowed(&input),
                 &[0],
                 0,
                 Stage::Aggregate,
                 &pool,
                 &UNGOVERNED,
-                |run, _| {
+                |_, run, _| {
                     if run == 1 {
                         Err(ExecError::UnknownColumn("boom".into()))
                     } else {
@@ -385,14 +450,16 @@ mod tests {
                 },
             );
             assert_eq!(failed, Err(ExecError::UnknownColumn("boom".into())));
+            // Owned, and every run a single row in input order: the
+            // arena-moving collapse isolates a panicking fold all the same.
             let panicked = runs.collapse(
-                &input,
+                Cow::Owned(input.clone()),
                 &[0],
                 0,
                 Stage::Aggregate,
                 &pool,
                 &UNGOVERNED,
-                |_, _| panic!("fold blew up"),
+                |_, _, _| panic!("fold blew up"),
             );
             assert!(matches!(
                 panicked,
@@ -430,11 +497,91 @@ mod tests {
         let runs = build_runs(&input, &[], &[0], &pool);
         let tight = GovernorBuilder::new().memory_budget(1).build();
         let ctx = ExecContext::governed(&tight);
-        let collapsed = runs.collapse(&input, &[0], 0, Stage::Aggregate, &pool, &ctx, |_, _| {
-            Ok((Variable(0), 0.0))
-        });
+        let collapsed = runs.collapse(
+            Cow::Borrowed(&input),
+            &[0],
+            0,
+            Stage::Aggregate,
+            &pool,
+            &ctx,
+            |_, _, _| Ok((Variable(0), 0.0)),
+        );
         exceeded(collapsed.map(|_| ()), Stage::Aggregate);
         assert_eq!(tight.memory_used(), arena_bytes(2, 1, 1));
+
+        // The charges follow the allocations. An input that arrives sorted
+        // builds no key words: only the permutation and the run starts are
+        // charged, and a budget that fits exactly those suffices.
+        let sorted = relation(&[(1, 1, 1), (2, 1, 1), (2, 1, 2), (3, 1, 1)]);
+        let exact = GovernorBuilder::new()
+            .memory_budget(index_bytes(sorted.len()))
+            .build();
+        let runs = KeyRuns::build(
+            &sorted,
+            &[],
+            &[1],
+            Stage::Sort,
+            &pool,
+            &ExecContext::governed(&exact),
+        )
+        .unwrap();
+        assert_eq!(runs.order(), &[0, 1, 2, 3]);
+        assert_eq!(runs.starts(), &[0, 1, 3]);
+        assert_eq!(exact.memory_used(), index_bytes(4));
+        // The same rows out of order take the key path, which charges its
+        // key words and sort buffers on top — under the same stage.
+        let shuffled = relation(&[(2, 1, 2), (1, 1, 1), (3, 1, 1), (2, 1, 1)]);
+        let exact = GovernorBuilder::new().memory_budget(index_bytes(4)).build();
+        let built = KeyRuns::build(
+            &shuffled,
+            &[],
+            &[1],
+            Stage::Sort,
+            &pool,
+            &ExecContext::governed(&exact),
+        );
+        exceeded(built.map(|_| ()), Stage::Sort);
+        assert_eq!(exact.memory_used(), index_bytes(4) + sort_bytes(4, 1, 1));
+
+        // An owned input whose runs are its rows in order keeps its data
+        // arena: the collapse charges the lineage arena alone. Borrowed, the
+        // same runs copy the data and charge it.
+        let keyed = relation(&[(1, 1, 1), (2, 1, 1), (3, 1, 1)]);
+        let runs = build_runs(&keyed, &[], &[0], &pool);
+        let fold = |input: &Annotated, _: usize, rows: &[u32]| {
+            Ok((input.row(rows[0] as usize).lineage[1].0, 1.0))
+        };
+        let copied_gov = GovernorBuilder::new().build();
+        let ctx = ExecContext::governed(&copied_gov);
+        let copied = runs
+            .collapse(
+                Cow::Borrowed(&keyed),
+                &[1],
+                1,
+                Stage::Aggregate,
+                &pool,
+                &ctx,
+                fold,
+            )
+            .unwrap();
+        assert_eq!(copied_gov.memory_used(), arena_bytes(3, 1, 1));
+        let moved_gov = GovernorBuilder::new()
+            .memory_budget(arena_bytes(3, 0, 1))
+            .build();
+        let ctx = ExecContext::governed(&moved_gov);
+        let moved = runs
+            .collapse(
+                Cow::Owned(keyed.clone()),
+                &[1],
+                1,
+                Stage::Aggregate,
+                &pool,
+                &ctx,
+                fold,
+            )
+            .unwrap();
+        assert_eq!(moved_gov.memory_used(), arena_bytes(3, 0, 1));
+        assert_eq!(moved, copied);
     }
 
     #[test]

@@ -433,3 +433,165 @@ fn a_key_of_exactly_128_bits_keeps_its_row_index_beside_it() {
     }
     assert_sort_matches_reference(&input, 0, "128-bit key");
 }
+
+// ---------------------------------------------------------------------------
+// Inputs that arrive sorted: `KeyRuns::build`'s pass over adjacent rows.
+// ---------------------------------------------------------------------------
+
+/// A relation of one row per `(data cells, variables)` item, `vars` lineage
+/// columns wide.
+fn relation_of(columns: usize, vars: usize, rows: Vec<(Vec<Value>, Vec<u64>)>) -> Annotated {
+    let names: Vec<String> = (0..columns).map(|c| format!("c{c}")).collect();
+    let pairs: Vec<(&str, DataType)> = names.iter().map(|n| (n.as_str(), DataType::Int)).collect();
+    let relations = (0..vars).map(|v| format!("R{v}")).collect();
+    let mut input = Annotated::new(Schema::from_pairs(&pairs).unwrap(), relations);
+    for (data, variables) in rows {
+        assert_eq!((data.len(), variables.len()), (columns, vars));
+        let lineage = variables.into_iter().map(|v| (Variable(v), 0.5)).collect();
+        input.push(AnnotatedRow::new(Tuple::new(data), lineage));
+    }
+    input
+}
+
+#[test]
+fn inputs_that_arrive_sorted_match_the_reference_too() {
+    // Every shape is held to the same stable `sort_by` as the zoo above,
+    // whether the adjacent-row pass carries it to the end (identity
+    // permutation, run starts from the pass) or hands it to the key path at
+    // the first pair it does not replay.
+    for n in [0usize, 1, 2, 255, 256, 257, 1500] {
+        let int = |i: usize| Value::Int(i as i64);
+        let check = |what: &str, input: Annotated, group_vars: usize| {
+            assert_eq!(input.len(), n, "{what}");
+            assert_sort_matches_reference(&input, group_vars, &format!("{what}, {n} rows"));
+        };
+
+        // Strictly ascending: one run per row.
+        let rows = |i| (vec![int(i)], vec![(i % 7) as u64]);
+        check(
+            "strictly ascending",
+            relation_of(1, 1, (0..n).map(rows).collect()),
+            0,
+        );
+        check(
+            "strictly ascending, grouped",
+            relation_of(1, 1, (0..n).map(rows).collect()),
+            1,
+        );
+
+        // Ascending with duplicate data; inside a data group the group
+        // variable ascends with ties and the order variable ascends,
+        // descends (the pass gives up) or ties.
+        for name in ["ascending", "descending", "tied"] {
+            let order_variable = |i: usize| match name {
+                "ascending" => i as u64,
+                "descending" => (n - i) as u64,
+                _ => 3,
+            };
+            for group_vars in 0..=2 {
+                let rows = |i| (vec![int(i / 6)], vec![(i / 2) as u64, order_variable(i)]);
+                check(
+                    &format!("duplicate data, {name} variables, {group_vars} grouping"),
+                    relation_of(1, 2, (0..n).map(rows).collect()),
+                    group_vars,
+                );
+            }
+        }
+
+        // Ascending except the last row.
+        let rows = |i| {
+            (
+                vec![int(if i + 1 == n { 0 } else { i + 1 })],
+                vec![i as u64],
+            )
+        };
+        check(
+            "ascending but the last row",
+            relation_of(1, 1, (0..n).map(rows).collect()),
+            0,
+        );
+
+        // Ascending in `Value`'s order with a `Null` first, and with `Int`s
+        // beside `Float`s: mixed cells, sorted by the key path.
+        let rows = |i| (vec![if i == 0 { Value::Null } else { int(i) }], vec![0]);
+        check(
+            "a NULL first",
+            relation_of(1, 1, (0..n).map(rows).collect()),
+            0,
+        );
+        let rows = |i| (vec![int(i / 2), Value::Null], vec![i as u64]);
+        check(
+            "a NULL column",
+            relation_of(2, 1, (0..n).map(rows).collect()),
+            0,
+        );
+        let rows = |i: usize| {
+            let cell = if i.is_multiple_of(2) {
+                int(i / 2)
+            } else {
+                Value::Float(i as f64 / 2.0)
+            };
+            (vec![cell], vec![0])
+        };
+        check(
+            "Int beside Float",
+            relation_of(1, 1, (0..n).map(rows).collect()),
+            0,
+        );
+
+        // Floats: `-0.0` and `0.0` are one value, NaNs are one value and
+        // the greatest.
+        let rows = |i: usize| {
+            let f = match (i * 4 / n.max(1), i % 2) {
+                (0, _) => -1.0e9 + i as f64,
+                (1, 0) => -0.0,
+                (1, _) => 0.0,
+                (2, _) => i as f64,
+                _ => f64::NAN,
+            };
+            (vec![Value::Float(f)], vec![i as u64])
+        };
+        check(
+            "signed zeros and NaNs",
+            relation_of(1, 1, (0..n).map(rows).collect()),
+            0,
+        );
+
+        // Equal strings held in distinct `Arc`s compare by content.
+        let rows = |i| (vec![Value::str(format!("s{:05}", i / 3))], vec![i as u64]);
+        check(
+            "equal strings, distinct Arcs",
+            relation_of(1, 1, (0..n).map(rows).collect()),
+            0,
+        );
+
+        // Several typed columns at once, the last deciding.
+        let rows = |i: usize| {
+            let data = vec![
+                Value::Bool(i * 2 >= n),
+                Value::Date((i / 50) as i32 - 3),
+                Value::str(if i % 50 < 25 { "a" } else { "b" }),
+                int(i % 25),
+            ];
+            (data, vec![0])
+        };
+        check(
+            "four ascending columns",
+            relation_of(4, 1, (0..n).map(rows).collect()),
+            0,
+        );
+
+        // A Boolean query's answer: no data column, one ascending variable.
+        let rows = |i| (vec![], vec![10 + i as u64]);
+        check(
+            "no data, ascending variable",
+            relation_of(0, 1, (0..n).map(rows).collect()),
+            0,
+        );
+        check(
+            "no data, grouped variable",
+            relation_of(0, 1, (0..n).map(rows).collect()),
+            1,
+        );
+    }
+}

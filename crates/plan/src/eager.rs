@@ -9,12 +9,18 @@
 //! group); joins between such relations multiply probabilities implicitly
 //! through the next aggregation's propagation step.
 //!
+//! The walk owns every intermediate: a node's projection hands on a join
+//! result whose columns are all kept in place, and an aggregation whose
+//! input arrives in key order with one row per group keeps that input's data
+//! arena and rewrites only its lineage (see [`KeyRuns`]).
+//!
 //! The MystiQ plan ([`crate::safe`]) *is* that safe plan, so it is this
 //! module's tree walk too. The two families differ in two values an
 //! [`EagerPlan`] holds: the order an inner node joins its children in (a
 //! `ChildOrder`) and how a run of duplicates combines its probabilities (a
 //! [`ProbAggregation`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -127,13 +133,10 @@ impl EagerPlan {
         // The root aggregation groups by the head attributes; its single
         // lineage column holds the confidence of each distinct tuple. The
         // projection restores the head's column order — on the plan's pool
-        // and under its context, like every other operator of the plan.
-        let result = ops::project_ctx(
-            &result,
-            &self.query.head,
-            &self.pool.for_items(result.len()),
-            ctx,
-        )?;
+        // and under its context, like every other operator of the plan —
+        // and moves a result that already has it.
+        let pool = self.pool.for_items(result.len());
+        let result = result.into_projection_ctx(&self.query.head, &pool, ctx)?;
         let mut out: Vec<(Tuple, f64)> = result
             .iter()
             .map(|r| (r.data_tuple(), r.lineage[0].1))
@@ -172,7 +175,7 @@ impl EagerPlan {
                     &self.pool.for_items(table.len()),
                     ctx,
                 )?;
-                Ok((self.aggregate_single_column(&scanned)?, relation.clone()))
+                Ok((self.aggregate_single_column(scanned)?, relation.clone()))
             }
             QueryTree::Inner { children, .. } => {
                 // Every child subtree keeps its *interface* attributes: the
@@ -197,9 +200,9 @@ impl EagerPlan {
                     joined = ops::natural_join_ctx(&joined, &child, &join_pool, ctx)?;
                 }
                 let keep = kept_attributes(joined.schema(), needed_above, head);
-                let projected =
-                    ops::project_ctx(&joined, &keep, &self.pool.for_items(joined.len()), ctx)?;
-                let aggregated = self.aggregate_joined(&projected, &representative)?;
+                let pool = self.pool.for_items(joined.len());
+                let projected = joined.into_projection_ctx(&keep, &pool, ctx)?;
+                let aggregated = self.aggregate_joined(projected, &representative)?;
                 Ok((aggregated, representative))
             }
         }
@@ -209,10 +212,12 @@ impl EagerPlan {
     /// engine's grouping shell ([`KeyRuns`]): rows are sorted on the data
     /// columns and then the variables of `order_cols`, and every run of
     /// equal data collapses to its first row with lineage column `slot` —
-    /// the only one kept — set to `fold(rows)`. Output rows come in
-    /// ascending key order. Identical at every pool size; checkpoints
-    /// `eager.aggregate` once per [`ops::SEQ_CHECK_EVERY`] runs, on the
-    /// global run index.
+    /// the only one kept — set to `fold(input, rows)`. Output rows come in
+    /// ascending key order. The aggregation owns `input`: a relation that
+    /// arrives in key order with one row per group — a table scanned along
+    /// its key — keeps its data arena and has only its lineage rewritten.
+    /// Identical at every pool size; checkpoints `eager.aggregate` once per
+    /// [`ops::SEQ_CHECK_EVERY`] runs, on the global run index.
     ///
     /// # Errors
     /// Fails with [`PlanError::Governed`] when the governor interrupts or
@@ -220,26 +225,26 @@ impl EagerPlan {
     /// [`Stage::Aggregate`]), and with the first error a fold returns.
     fn aggregate(
         &self,
-        input: &Annotated,
+        input: Annotated,
         order_cols: &[usize],
         slot: usize,
-        fold: impl Fn(&[u32]) -> ExecResult<(Variable, f64)> + Sync,
+        fold: impl Fn(&Annotated, &[u32]) -> ExecResult<(Variable, f64)> + Sync,
     ) -> PlanResult<Annotated> {
         let ctx = &self.ctx;
         let pool = self.pool.for_items(input.len());
-        let runs = KeyRuns::build(input, &[], order_cols, Stage::Aggregate, &pool, ctx)?;
+        let runs = KeyRuns::build(&input, &[], order_cols, Stage::Aggregate, &pool, ctx)?;
         // The run count is a function of the input rows alone, so it is a
         // deterministic counter.
         ctx.tally(Counter::EagerGroups, runs.len() as u64);
-        let checked_fold = |run: usize, rows: &[u32]| {
+        let checked_fold = |input: &Annotated, run: usize, rows: &[u32]| {
             if run.is_multiple_of(ops::SEQ_CHECK_EVERY) {
                 let index = run / ops::SEQ_CHECK_EVERY;
                 ctx.checkpoint(Stage::Aggregate, "eager.aggregate", index)?;
             }
-            fold(rows)
+            fold(input, rows)
         };
         Ok(runs.collapse(
-            input,
+            Cow::Owned(input),
             &[slot],
             slot,
             Stage::Aggregate,
@@ -264,9 +269,9 @@ impl EagerPlan {
     /// one variable per row, ascending in row order, as the TPC-H catalogs
     /// number them — a run sorted by variable is the run in input order with
     /// every row counted once: MystiQ's `π^ind` over a scan.
-    fn aggregate_single_column(&self, input: &Annotated) -> PlanResult<Annotated> {
-        let pair = |r: u32| input.row(r as usize).lineage[0];
-        self.aggregate(input, &[0], 0, |rows| {
+    fn aggregate_single_column(&self, input: Annotated) -> PlanResult<Annotated> {
+        self.aggregate(input, &[0], 0, |input, rows| {
+            let pair = |r: u32| input.row(r as usize).lineage[0];
             let last_of_variable = rows
                 .chunk_by(|&a, &b| pair(a).0 == pair(b).0)
                 .map(|same| pair(same[same.len() - 1]).1);
@@ -281,10 +286,10 @@ impl EagerPlan {
     /// combine in join-emit order (the stable sort keeps it). The surviving
     /// lineage column is the representative child's, carrying the minimum
     /// of its variables.
-    fn aggregate_joined(&self, input: &Annotated, representative: &str) -> PlanResult<Annotated> {
+    fn aggregate_joined(&self, input: Annotated, representative: &str) -> PlanResult<Annotated> {
         let rep_idx = input.relation_index(representative)?;
-        let lineage = |r: u32| input.row(r as usize).lineage;
-        self.aggregate(input, &[], rep_idx, |rows| {
+        self.aggregate(input, &[], rep_idx, |input, rows| {
+            let lineage = |r: u32| input.row(r as usize).lineage;
             let rep_var = rows
                 .iter()
                 .map(|&r| lineage(r)[rep_idx].0)

@@ -184,17 +184,21 @@ impl HybridPlan {
                 )?;
             }
 
-            current = Some(match current {
+            let acc = match current.take() {
                 None => scanned,
                 Some(acc) => {
                     let join_pool = self.pool.for_items(acc.len().max(scanned.len()));
                     ops::natural_join_ctx(&acc, &scanned, &join_pool, ctx)?
                 }
-            });
-            if let Some(acc) = current.take() {
-                let remaining: BTreeSet<&String> = self.join_order[step + 1..].iter().collect();
-                let needed: Vec<String> = acc
-                    .schema()
+            };
+            // As in the lazy pipeline: keep what the head or a join still to
+            // come needs, the last step projecting straight to the head; a
+            // projection that keeps every column in place moves its input.
+            let remaining = &self.join_order[step + 1..];
+            let needed: Vec<String> = if remaining.is_empty() {
+                self.query.head.clone()
+            } else {
+                acc.schema()
                     .names()
                     .into_iter()
                     .filter(|a| {
@@ -202,27 +206,16 @@ impl HybridPlan {
                             || remaining.iter().any(|r| {
                                 self.query
                                     .relation(r)
-                                    .map(|atom| atom.has_attribute(a))
-                                    .unwrap_or(false)
+                                    .is_some_and(|atom| atom.has_attribute(a))
                             })
                     })
-                    .map(|s| s.to_string())
-                    .collect();
-                current = Some(ops::project_ctx(
-                    &acc,
-                    &needed,
-                    &self.pool.for_items(acc.len()),
-                    ctx,
-                )?);
-            }
+                    .map(str::to_string)
+                    .collect()
+            };
+            let pool = self.pool.for_items(acc.len());
+            current = Some(acc.into_projection_ctx(&needed, &pool, ctx)?);
         }
-        let answer = current.expect("query has at least one relation");
-        Ok(ops::project_ctx(
-            &answer,
-            &self.query.head,
-            &self.pool.for_items(answer.len()),
-            ctx,
-        )?)
+        Ok(current.expect("query has at least one relation"))
     }
 }
 

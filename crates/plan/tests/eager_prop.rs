@@ -10,7 +10,10 @@
 //! and on both storage backings. Two fixed instances add the shapes a small
 //! generator cannot reach: runs longer than 1024 rows and runs whose rows
 //! straddle every fan-out boundary of the key build, the sort and the
-//! collapse.
+//! collapse. A third holds the grouping shell's paths for inputs that arrive
+//! sorted — leaves in key order with one row per key (the collapse moves
+//! their data arena), sorted leaves with duplicates, and shuffled ones — to
+//! one closed form, on both backings.
 
 use proptest::prelude::*;
 
@@ -56,18 +59,24 @@ fn eager_at_every_pool_size(q: &ConjunctiveQuery, catalog: &Catalog) -> Confiden
     })
 }
 
-/// The MystiQ safe plan (stable aggregation) at every pool size on `catalog`
-/// and on its columnar twin.
-fn mystiq_at_every_pool_size_and_backing(
-    q: &ConjunctiveQuery,
-    catalog: &Catalog,
-) -> ConfidenceResult {
+/// `catalog`'s tables, columnar.
+fn columnar_twin(catalog: &Catalog) -> Catalog {
     let columnar = Catalog::new();
     for name in catalog.table_names() {
         let table = catalog.table(&name).unwrap();
         let twin = ColumnarTable::from_prob_table(&table, &Pool::new(1)).unwrap();
         columnar.register_columnar(name, twin).unwrap();
     }
+    columnar
+}
+
+/// The MystiQ safe plan (stable aggregation) at every pool size on `catalog`
+/// and on its columnar twin.
+fn mystiq_at_every_pool_size_and_backing(
+    q: &ConjunctiveQuery,
+    catalog: &Catalog,
+) -> ConfidenceResult {
+    let columnar = columnar_twin(catalog);
     let plan = SafePlan::build(q, &FdSet::empty()).expect("query is hierarchical");
     at_every_pool_size(&[catalog, &columnar], |pool, catalog| {
         plan.clone().with_pool(pool).execute(catalog)
@@ -293,4 +302,88 @@ fn an_inner_node_run_longer_than_1024_rows_straddling_fan_out_boundaries() {
         &mystiq_at_every_pool_size_and_backing(&q, &catalog),
         &expected,
     );
+}
+
+/// How the rows of [`keyed_join`]'s tables are arranged.
+#[derive(Debug, Clone, Copy)]
+enum Arrangement {
+    /// One row per key, keys ascending: both leaves reach the grouping shell
+    /// in key order with one row per group, so their collapse keeps the
+    /// scan's data arena and rewrites its lineage only.
+    KeyOrder,
+    /// Keys ascending, every fourth `R` key and every third `S` key on two
+    /// rows: the shell finds the order without sorting, and really groups.
+    SortedWithDuplicates,
+    /// The same rows with the keys scattered: the key path.
+    Shuffled,
+}
+
+/// `R(a, b) ⋈ S(a, c)` projected onto `b` over 700 keys — enough rows for
+/// every fan-out to engage — and the closed form of its answer: derivations
+/// of different `a` share no variable, so
+/// `P(b) = 1 − Π_a (1 − (1 − Π_R (1 − p_R)) · (1 − Π_S (1 − p_S)))`.
+fn keyed_join(arrangement: Arrangement) -> (ConjunctiveQuery, Catalog, ConfidenceResult) {
+    let mut r =
+        ProbTable::new(Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]).unwrap());
+    let mut s =
+        ProbTable::new(Schema::from_pairs(&[("a", DataType::Int), ("c", DataType::Int)]).unwrap());
+    let keys = 700u64;
+    let mut next_variable = 0u64;
+    let mut none_derived = [1.0f64; 4];
+    for k in 0..keys {
+        let a = match arrangement {
+            Arrangement::Shuffled => (k * 611) % keys,
+            Arrangement::KeyOrder | Arrangement::SortedWithDuplicates => k,
+        };
+        let duplicated = !matches!(arrangement, Arrangement::KeyOrder);
+        let b = if a % 17 < 11 { 0 } else { a % 3 + 1 };
+        let (p_r, p_s) = (
+            0.0005 + 0.0001 * (a % 7) as f64,
+            0.3 + 0.05 * (a % 5) as f64,
+        );
+        let (mut no_r, mut no_s) = (1.0, 1.0);
+        for _ in 0..=u64::from(duplicated && a.is_multiple_of(4)) {
+            next_variable += 1;
+            r.insert(tuple![a as i64, b as i64], Variable(next_variable), p_r)
+                .unwrap();
+            no_r *= 1.0 - p_r;
+        }
+        for copy in 0..=u64::from(duplicated && a.is_multiple_of(3)) {
+            next_variable += 1;
+            s.insert(tuple![a as i64, copy as i64], Variable(next_variable), p_s)
+                .unwrap();
+            no_s *= 1.0 - p_s;
+        }
+        none_derived[b as usize] *= 1.0 - (1.0 - no_r) * (1.0 - no_s);
+    }
+    let catalog = Catalog::new();
+    catalog.register_table("R", r).unwrap();
+    catalog.register_table("S", s).unwrap();
+    let q =
+        ConjunctiveQuery::build(&[("R", &["a", "b"]), ("S", &["a", "c"])], &["b"], vec![]).unwrap();
+    let expected = (0..4i64)
+        .map(|b| (tuple![b], 1.0 - none_derived[b as usize]))
+        .collect();
+    (q, catalog, expected)
+}
+
+#[test]
+fn leaves_that_arrive_in_key_order_sorted_with_duplicates_or_shuffled() {
+    for arrangement in [
+        Arrangement::KeyOrder,
+        Arrangement::SortedWithDuplicates,
+        Arrangement::Shuffled,
+    ] {
+        let (q, catalog, expected) = keyed_join(arrangement);
+        let columnar = columnar_twin(&catalog);
+        let plan = EagerPlan::build(&q, &FdSet::empty()).expect("query is hierarchical");
+        let eager = at_every_pool_size(&[&catalog, &columnar], |pool, catalog| {
+            plan.clone().with_pool(pool).execute(catalog)
+        });
+        assert_close(&eager, &expected);
+        assert_close(
+            &mystiq_at_every_pool_size_and_backing(&q, &catalog),
+            &expected,
+        );
+    }
 }

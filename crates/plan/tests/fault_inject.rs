@@ -12,7 +12,9 @@
 //!   test contains with `catch_unwind`; panic *isolation* is a property of
 //!   `pdb-par` workers, not of inline loops — except at `eager.aggregate`,
 //!   whose folds run inside the grouping shell's panic-isolated collapse at
-//!   every pool size and always yield `WorkerPanic { stage: Aggregate }`;
+//!   every pool size and always yield `WorkerPanic { stage: Aggregate }` —
+//!   also where the collapse moves its input's data arena instead of
+//!   copying it (the `keyed-leaf` workload);
 //! * a run whose fault is never reached is bitwise-identical to the
 //!   baseline;
 //! * faults are one-shot, so an immediate re-run needs no cleanup and is
@@ -28,7 +30,7 @@ use std::sync::OnceLock;
 use pdb_fault::{clear, install, Fault, FaultAction, FaultPlan};
 use pdb_par::Pool;
 use pdb_query::{ConjunctiveQuery, FdSet};
-use pdb_storage::{Catalog, Tuple};
+use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Tuple, Variable};
 use pdb_tpch::{
     probabilistic_catalog, probabilistic_catalog_columnar, tpch_query, TpchData, TpchScale,
 };
@@ -65,8 +67,10 @@ struct Workload {
 }
 
 /// Q1 on both backings (scan/conf checkpoints; the columnar catalog also
-/// exercises `scan.chunk`/`scan.gather`) plus the Fig. 1 intro join query
-/// (`join.probe`/`join.write`/`project.write`).
+/// exercises `scan.chunk`/`scan.gather`), the Fig. 1 intro join query
+/// (`join.probe`/`join.write`/`project.write`), and a table scanned along
+/// its key, whose eager leaf reaches the aggregation sorted with one row per
+/// group — the collapse that keeps its input's data arena.
 fn workloads() -> &'static Vec<Workload> {
     static CELL: OnceLock<Vec<Workload>> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -76,6 +80,17 @@ fn workloads() -> &'static Vec<Workload> {
         let col = probabilistic_catalog_columnar(&data, 1).unwrap();
         let fig1 = pdb_exec::fixtures::fig1_catalog_with_keys();
         let intro = pdb_query::cq::intro_query_q();
+        let mut keyed_table = ProbTable::new(
+            Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]).unwrap(),
+        );
+        for a in 0..600i64 {
+            let p = 0.1 + 0.001 * a as f64;
+            keyed_table
+                .insert(tuple![a, a % 7], Variable(a as u64), p)
+                .unwrap();
+        }
+        let keyed = Catalog::new();
+        keyed.register_table("R", keyed_table).unwrap();
         vec![
             Workload {
                 label: "q1-row",
@@ -94,6 +109,12 @@ fn workloads() -> &'static Vec<Workload> {
                 fds: FdSet::from_catalog_decls(&fig1.fds()),
                 catalog: fig1,
                 query: intro,
+            },
+            Workload {
+                label: "keyed-leaf",
+                fds: FdSet::empty(),
+                catalog: keyed,
+                query: ConjunctiveQuery::build(&[("R", &["a", "b"])], &["a", "b"], vec![]).unwrap(),
             },
         ]
     })
@@ -167,13 +188,20 @@ fn check_seed(seed: u64) {
     // A random draw almost never lands on the eager plan's first
     // aggregation checkpoint, so every seed also aims one fault there: it
     // must fire, and a panic must come back isolated at every pool size.
-    let action =
-        [FaultAction::Panic, FaultAction::Cancel, FaultAction::Budget][(seed % 3) as usize];
-    let fault = Fault::new(action, "eager.aggregate", 0);
-    let plan = FaultPlan::new(vec![fault.clone()]);
+    // The arena-moving collapse of the keyed leaf gets a panic and a cancel
+    // on every seed.
+    let drawn = [FaultAction::Panic, FaultAction::Cancel, FaultAction::Budget][(seed % 3) as usize];
     for w in workloads() {
-        for threads in POOL_SIZES {
-            check_run(&plan, &fault, w, Family::Eager, threads, true);
+        let actions = match w.label {
+            "keyed-leaf" => vec![FaultAction::Panic, FaultAction::Cancel],
+            _ => vec![drawn],
+        };
+        for action in actions {
+            let fault = Fault::new(action, "eager.aggregate", 0);
+            let plan = FaultPlan::new(vec![fault.clone()]);
+            for threads in POOL_SIZES {
+                check_run(&plan, &fault, w, Family::Eager, threads, true);
+            }
         }
     }
     clear();

@@ -130,6 +130,15 @@ fn cancellation_at_every_checkpoint_of_a_small_q1_run() {
     let q = q1();
     let (row, _) = tiny_catalogs();
     let fds = FdSet::from_catalog_decls(&row.fds());
+    // The tree-walking plans close with the head projection, which runs
+    // under the plan's governor like every operator before it. Q1's root
+    // aggregation already emits the head's column order, so there the
+    // projection moves its input and the run's last checkpoint is the
+    // aggregation's; with a second head attribute ahead of `Item`'s column
+    // order it copies, and the last checkpoint is its `project.write`.
+    let mut reordered = q.clone();
+    reordered.head = vec!["shipmode".to_string(), "returnflag".to_string()];
+    let closing = [(&q, Stage::Aggregate), (&reordered, Stage::Project)];
     for threads in POOL_SIZES {
         let lazy = LazyPlan::build(&q, &fds, &row)
             .unwrap()
@@ -139,38 +148,39 @@ fn cancellation_at_every_checkpoint_of_a_small_q1_run() {
             None => lazy.execute(&row),
         });
 
-        let eager = EagerPlan::build(&q, &fds)
-            .unwrap()
-            .with_pool(Pool::new(threads));
-        let last = sweep_every_checkpoint(&format!("eager, {threads} threads"), |gov| match gov {
-            Some(gov) => eager.clone().with_governor(gov).execute(&row),
-            None => eager.execute(&row),
-        });
-        // The eager plan's last operator is the head projection: it runs
-        // under the plan's governor like every operator before it, so the
-        // last checkpoint of the run is its `project.write`.
-        assert_eq!(
-            last.stage(),
-            Stage::Project,
-            "eager, {threads} threads: last checkpoint"
-        );
+        for (q, last_stage) in closing {
+            let eager = EagerPlan::build(q, &fds)
+                .unwrap()
+                .with_pool(Pool::new(threads));
+            let last =
+                sweep_every_checkpoint(&format!("eager, {threads} threads"), |gov| match gov {
+                    Some(gov) => eager.clone().with_governor(gov).execute(&row),
+                    None => eager.execute(&row),
+                });
+            assert_eq!(
+                last.stage(),
+                last_stage,
+                "eager, {threads} threads: last checkpoint"
+            );
 
-        // MystiQ walks the eager plan's tree on the eager plan's operators,
-        // so the planner's governor reaches every one of its checkpoints —
-        // down to the same closing head projection — not just the entry.
-        let last = sweep_every_checkpoint(&format!("mystiq, {threads} threads"), |gov| {
-            let planner = Planner::new(&row).with_pool(Pool::new(threads));
-            let planner = match gov {
-                Some(gov) => planner.with_governor(gov),
-                None => planner,
-            };
-            Ok(planner.execute(&q, PlanKind::Mystiq)?.confidences)
-        });
-        assert_eq!(
-            last.stage(),
-            Stage::Project,
-            "mystiq, {threads} threads: last checkpoint"
-        );
+            // MystiQ walks the eager plan's tree on the eager plan's
+            // operators, so the planner's governor reaches every one of its
+            // checkpoints — down to the same closing operator — not just
+            // the entry.
+            let last = sweep_every_checkpoint(&format!("mystiq, {threads} threads"), |gov| {
+                let planner = Planner::new(&row).with_pool(Pool::new(threads));
+                let planner = match gov {
+                    Some(gov) => planner.with_governor(gov),
+                    None => planner,
+                };
+                Ok(planner.execute(q, PlanKind::Mystiq)?.confidences)
+            });
+            assert_eq!(
+                last.stage(),
+                last_stage,
+                "mystiq, {threads} threads: last checkpoint"
+            );
+        }
     }
 }
 
