@@ -18,15 +18,20 @@
 //! deterministic given its seed at every `SPROUT_THREADS` value: bags fan
 //! out on the pool in task order and each bag's evaluation is sequential
 //! with a per-bag seeded tie-breaker.
+//!
+//! A bag is interned once, straight from its rows' lineage slices, and every
+//! formula of its refinement — root, frontier leaf, cofactor — is a flat
+//! [`Canonical`] clause set over the bag's dense variable ids: a round
+//! rebuilds, re-interns and re-sorts nothing, and allocates by the step of
+//! the decomposition, not by the clause.
 
 use std::collections::BTreeMap;
 
 use pdb_exec::Annotated;
 use pdb_govern::{Counter, ExecContext, SproutError, Stage};
-use pdb_lineage::readonce::{factorize, Factorization};
-use pdb_lineage::{Clause, Dnf};
+use pdb_lineage::{sort_dedup, Canonical, Clauses, Factorization};
 use pdb_par::Pool;
-use pdb_storage::{Tuple, Variable};
+use pdb_storage::{Tuple, Value, Variable};
 
 use crate::error::{ConfError, ConfResult};
 
@@ -116,13 +121,17 @@ pub struct AnytimeConfig {
     /// chart width against iteration count.
     pub max_rounds: Option<usize>,
     /// Per-tuple memory budget for the Shannon-expansion frontier, in
-    /// estimated resident bytes (`None` = unbounded). An expansion that
-    /// would exceed it is not performed: refinement stops and the bounds
-    /// reached so far — wider but valid — are returned. The check is
-    /// structural (leaf sizes, not wall clock), so results stay
-    /// bitwise-identical at every thread count. Frontier bytes are also
-    /// accounted against (and released back to) the governor's arena
-    /// budget, whose exhaustion degrades the same way.
+    /// charged bytes (`None` = unbounded). An expansion that would exceed it
+    /// is not performed: refinement stops and the bounds reached so far —
+    /// wider but valid — are returned. The charge is a structural estimate
+    /// (`80` per leaf, `24` per clause, `8` per variable occurrence — not
+    /// wall clock, not the allocator), so results stay bitwise-identical at
+    /// every thread count; a leaf resides in 8 bytes per clause and 4 per
+    /// occurrence, so the charge is ≈ 2–3× the resident bytes and a 4 MiB
+    /// cap holds ≈ 1.5–2 MiB. Re-basing it narrows brackets and waits on a
+    /// harness PR that re-records `perfbench/golden/seed1.json`. Frontier
+    /// bytes are also accounted against (and released back to) the
+    /// governor's arena budget, whose exhaustion degrades the same way.
     pub frontier_budget: Option<usize>,
 }
 
@@ -180,24 +189,26 @@ pub fn anytime_confidences_ctx(
     pool: &Pool,
     ctx: &ExecContext,
 ) -> ConfResult<ApproxResult> {
-    // Bag construction, exactly as the brute-force oracle does it: one DNF
-    // clause per derivation row, variable marginals read off the lineage
-    // annotations.
-    let mut probs: BTreeMap<Variable, f64> = BTreeMap::new();
-    let mut lineages: BTreeMap<Tuple, Dnf> = BTreeMap::new();
-    for row in answer.iter() {
-        for (var, p) in row.lineage {
-            probs.entry(*var).or_insert(*p);
-        }
-        let clause = Clause::new(row.lineage.iter().map(|(v, _)| *v));
-        lineages
-            .entry(row.data_tuple())
-            .or_insert_with(Dnf::empty)
-            .add_clause(clause);
+    // The bags in tuple order, each the indices of its rows in answer order.
+    let mut rows: BTreeMap<&[Value], Vec<u32>> = BTreeMap::new();
+    for (i, row) in answer.iter().enumerate() {
+        rows.entry(row.data).or_default().push(i as u32);
     }
-    let bags: Vec<(Tuple, Dnf)> = lineages.into_iter().collect();
+    let bags: Vec<(&[Value], Vec<u32>)> = rows.into_iter().collect();
     let pool = pool.for_items(bags.len());
-    pool.try_map(&bags, |i, (tuple, dnf)| {
+    pool.try_map(&bags, |i, (data, rows)| {
+        let tuple = || Tuple::new(data.to_vec());
+        let done = |(lo, hi): (f64, f64), method, rounds| {
+            Ok(TupleConfidence {
+                tuple: tuple(),
+                lo,
+                hi,
+                method,
+                rounds,
+            })
+        };
+        let lineage = rows.iter().map(|&r| answer.row(r as usize).lineage);
+        let (mut bag, clauses) = Bag::intern(lineage);
         match ctx.checkpoint(Stage::Confidence, "conf.bag", i) {
             Ok(()) => {}
             Err(e @ SproutError::DeadlineExceeded { .. }) => {
@@ -209,60 +220,143 @@ pub fn anytime_confidences_ctx(
                     // deadline beats the bag to its first checkpoint: the
                     // single-shot crude bounds are the best bounds so far.
                     ApproxPolicy::Bounds { .. } => {
-                        let (lo, hi) = crude_bounds(dnf, &bag_marginals(dnf, &probs));
-                        Ok(TupleConfidence {
-                            tuple: tuple.clone(),
-                            lo,
-                            hi,
-                            method: ConfMethod::Dissociation,
-                            rounds: 0,
-                        })
+                        done(bag.crude_bounds(&clauses), ConfMethod::Dissociation, 0)
                     }
                 };
             }
             Err(e) => return Err(ConfError::Governed(e)),
         }
-        let bag_seed = config
-            .seed
-            .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        evaluate_bag(tuple, dnf, &probs, config, bag_seed, ctx)
+        // Read-once if the lineage factors, else bounds (policy permitting).
+        let root = bag.bound(clauses, 1.0);
+        match config.policy {
+            _ if !root.open => done((root.lo, root.hi), ConfMethod::ReadOnce, 0),
+            ApproxPolicy::Exact => Err(ConfError::NotReadOnce(format!(
+                "lineage of {} ({} clauses over {} variables) is not read-once",
+                tuple(),
+                root.clauses.clauses().len(),
+                bag.vars.len()
+            ))),
+            ApproxPolicy::Bounds { eps } => {
+                let seed = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let seed = config.seed.wrapping_add(seed);
+                let (lo, hi, rounds) = dissociation_bounds(&mut bag, root, eps, config, seed, ctx)?;
+                done((lo, hi), ConfMethod::Dissociation, rounds)
+            }
+        }
     })
     .map_err(|f| ConfError::from_task_failure(Stage::Confidence, f))
 }
 
-/// Evaluates one bag: read-once if the lineage factors, dissociation bounds
-/// otherwise (policy permitting).
-fn evaluate_bag(
-    tuple: &Tuple,
-    dnf: &Dnf,
-    probs: &BTreeMap<Variable, f64>,
-    config: &AnytimeConfig,
-    seed: u64,
-    ctx: &ExecContext,
-) -> ConfResult<TupleConfidence> {
-    match factorize(dnf) {
-        Factorization::Constant(b) => Ok(exact_result(tuple, if b { 1.0 } else { 0.0 })),
-        Factorization::ReadOnce(tree) => Ok(exact_result(tuple, tree.probability(probs))),
-        Factorization::Blocked(_) => match config.policy {
-            ApproxPolicy::Exact => Err(ConfError::NotReadOnce(format!(
-                "lineage of {tuple} ({} clauses over {} variables) is not read-once",
-                dnf.len(),
-                dnf.variables().len()
-            ))),
-            ApproxPolicy::Bounds { eps } => {
-                dissociation_bounds(tuple, dnf, probs, eps, config, seed, ctx)
-            }
-        },
-    }
+/// One bag's variables, interned once for every formula of its refinement:
+/// the root and all its cofactors are [`Canonical`] over these ids.
+struct Bag {
+    /// The variables, ascending: a variable's id is its rank.
+    vars: Vec<Variable>,
+    /// The marginal of every id.
+    p: Vec<f64>,
+    /// Scratch per id, for one step at a time: `Canonical::factorize`'s
+    /// slots, occurrence counts, the variables a disjoint subfamily mentions.
+    scratch: Vec<u32>,
+    /// Scratch per row: the clause of every rank.
+    by_rank: Vec<u32>,
 }
 
-fn exact_result(tuple: &Tuple, p: f64) -> TupleConfidence {
-    TupleConfidence {
-        tuple: tuple.clone(),
-        lo: p,
-        hi: p,
-        method: ConfMethod::ReadOnce,
-        rounds: 0,
+impl Bag {
+    /// Interns the lineage of a bag's rows: the bag, and its formula — one
+    /// clause per derivation row, ranked in row order, duplicates dropped:
+    /// the brute-force oracle's DNF. A variable's marginal is read off its
+    /// first annotation.
+    fn intern<'a>(rows: impl Iterator<Item = &'a [(Variable, f64)]> + Clone) -> (Bag, Canonical) {
+        let mut marginals: Vec<(Variable, f64)> = rows.clone().flatten().copied().collect();
+        marginals.sort_by_key(|m| m.0);
+        marginals.dedup_by_key(|m| m.0);
+        let (vars, p): (Vec<Variable>, Vec<f64>) = marginals.into_iter().unzip();
+        let mut clauses = Clauses::default();
+        let mut ids: Vec<u32> = Vec::new();
+        for row in rows {
+            let id = |m: &(Variable, f64)| vars.binary_search(&m.0).expect("interned above") as u32;
+            ids.clear();
+            ids.extend(row.iter().map(id));
+            ids.sort_unstable();
+            ids.dedup();
+            clauses.push(ids.iter().copied());
+        }
+        let (scratch, by_rank) = (vec![0; vars.len()], vec![0; clauses.len()]);
+        let bag = Bag {
+            vars,
+            p,
+            scratch,
+            by_rank,
+        };
+        (bag, sort_dedup(&clauses))
+    }
+
+    /// Bounds a formula of mass `mass`: constants and read-once formulas
+    /// close exactly, the rest get crude dissociation bounds and stay open.
+    fn bound(&mut self, clauses: Canonical, mass: f64) -> BoundsLeaf {
+        let id = |v| self.vars.binary_search(&v).expect("a variable of the bag");
+        let exact = match clauses.factorize(&self.vars, &mut self.scratch) {
+            Factorization::Constant(b) => Some(if b { 1.0 } else { 0.0 }),
+            Factorization::ReadOnce(tree) => Some(tree.probability(&|v| self.p[id(v)])),
+            Factorization::Blocked(_) => None,
+        };
+        let (lo, hi) = exact.map_or_else(|| self.crude_bounds(&clauses), |p| (p, p));
+        let open = exact.is_none();
+        BoundsLeaf {
+            mass,
+            clauses,
+            lo,
+            hi,
+            open,
+        }
+    }
+
+    /// Single-shot dissociation bounds for a monotone DNF over the bag.
+    ///
+    /// Upper: treat the clauses as independent events — valid because
+    /// monotone events over a product measure are positively associated (the
+    /// oblivious upper bound of full dissociation). Lower: the independent-or
+    /// over a greedily chosen variable-disjoint subfamily of clauses
+    /// (genuinely independent events whose union is implied), improved by the
+    /// best single clause. Both fold in rank order, the order of the rows.
+    fn crude_bounds(&mut self, clauses: &Canonical) -> (f64, f64) {
+        let mut miss_all = 1.0f64;
+        let mut best_single = 0.0f64;
+        let mut miss_disjoint = 1.0f64;
+        let used = &mut self.scratch;
+        used.fill(0);
+        self.by_rank.fill(u32::MAX);
+        for (i, &rank) in clauses.ranks().iter().enumerate() {
+            self.by_rank[rank as usize] = i as u32;
+        }
+        for &i in self.by_rank.iter().filter(|&&i| i != u32::MAX) {
+            let clause = clauses.clauses().clause(i as usize);
+            let p: f64 = clause.iter().map(|&id| self.p[id as usize]).product();
+            miss_all *= 1.0 - p;
+            best_single = best_single.max(p);
+            if clause.iter().all(|&id| used[id as usize] == 0) {
+                clause.iter().for_each(|&id| used[id as usize] = 1);
+                miss_disjoint *= 1.0 - p;
+            }
+        }
+        let hi = 1.0 - miss_all;
+        let lo = best_single.max(1.0 - miss_disjoint).min(hi);
+        (lo, hi)
+    }
+
+    /// The most frequent variable of a formula that has one; equally
+    /// frequent candidates, ascending, are broken by the seeded generator.
+    fn split_variable(&mut self, clauses: &Canonical, rng: &mut SplitMix64) -> u32 {
+        let counts = &mut self.scratch;
+        counts.fill(0);
+        for &id in clauses.clauses().literals() {
+            counts[id as usize] += 1;
+        }
+        let max = counts.iter().copied().max();
+        let candidates = || (0..).zip(&*counts).filter(|(_, c)| Some(**c) == max);
+        let pick = rng.next() % candidates().count() as u64;
+        let (id, _) = candidates().nth(pick as usize).expect("below the count");
+        id
     }
 }
 
@@ -271,8 +365,9 @@ fn exact_result(tuple: &Tuple, p: f64) -> TupleConfidence {
 struct BoundsLeaf {
     /// Product of the branch probabilities on the path from the root.
     mass: f64,
-    /// The cofactor formula at this leaf.
-    dnf: Dnf,
+    /// The cofactor formula at this leaf; by rank, its clauses are in the
+    /// order the root's rows left them — the order `crude_bounds` folds in.
+    clauses: Canonical,
     /// Valid bounds on the cofactor's probability.
     lo: f64,
     hi: f64,
@@ -280,15 +375,27 @@ struct BoundsLeaf {
     open: bool,
 }
 
-/// Estimated resident bytes of one frontier leaf holding `dnf` — what the
-/// frontier budget and the governor's arena accounting charge per leaf.
-fn leaf_bytes(dnf: &Dnf) -> usize {
-    let clause_bytes: usize = dnf
-        .clauses()
-        .iter()
-        .map(|c| std::mem::size_of::<Clause>() + std::mem::size_of_val(c.vars()))
-        .sum();
-    std::mem::size_of::<BoundsLeaf>() + clause_bytes
+/// What the frontier budget and the governor's arena accounting charge for
+/// a leaf, a clause and a variable occurrence: the resident bytes of the
+/// `Vec`-per-clause leaf every pinned bracket was recorded with.
+const LEAF_BYTES: usize = 80;
+const CLAUSE_BYTES: usize = 24;
+const LITERAL_BYTES: usize = 8;
+
+/// The charge for one frontier leaf holding `clauses`.
+fn leaf_bytes(clauses: &Canonical) -> usize {
+    let clauses = clauses.clauses();
+    LEAF_BYTES + CLAUSE_BYTES * clauses.len() + LITERAL_BYTES * clauses.literals().len()
+}
+
+/// The frontier's bytes in the governor's arena accounting, released on
+/// every way out of the refinement — an unwinding panic included.
+struct Charged<'a>(&'a ExecContext, usize);
+
+impl Drop for Charged<'_> {
+    fn drop(&mut self) {
+        self.0.release(self.1);
+    }
 }
 
 /// Anytime dissociation bounds for a formula that does not factor read-once.
@@ -300,49 +407,35 @@ fn leaf_bytes(dnf: &Dnf) -> usize {
 /// close exactly. The reported bracket is clamped against its predecessor,
 /// so it tightens monotonically. A deadline mid-refinement returns the best
 /// bracket so far; cancellation aborts.
-#[allow(clippy::too_many_arguments)]
 fn dissociation_bounds(
-    tuple: &Tuple,
-    dnf: &Dnf,
-    probs: &BTreeMap<Variable, f64>,
+    bag: &mut Bag,
+    root: BoundsLeaf,
     eps: f64,
     config: &AnytimeConfig,
     seed: u64,
     ctx: &ExecContext,
-) -> ConfResult<TupleConfidence> {
-    let mut rng = SplitMix64::new(seed);
-    let marginals = bag_marginals(dnf, probs);
-    let (lo0, hi0) = crude_bounds(dnf, &marginals);
-    let mut leaves = vec![BoundsLeaf {
-        mass: 1.0,
-        dnf: dnf.clone(),
-        lo: lo0,
-        hi: hi0,
-        open: true,
-    }];
-    ctx.tally(Counter::FrontierNodes, 1); // the root leaf
-    let mut global_lo = lo0;
-    let mut global_hi = hi0;
-    let mut rounds = 0usize;
+) -> ConfResult<(f64, f64, usize)> {
+    let mut rng = SplitMix64(seed);
+    let mut global_lo = root.lo;
+    let mut global_hi = root.hi;
     // The frontier's resident bytes: charged against the per-tuple budget
     // and the governor's arena accounting, released as leaves are replaced.
     // Budget exhaustion is not an error here — the bounds reached so far are
     // valid, just wider; refinement simply stops growing the frontier.
-    let mut frontier_bytes = leaf_bytes(dnf);
-    // Every variable occurrence of the leaf being split, reused per round.
-    let mut occurrences: Vec<Variable> = Vec::new();
+    let mut frontier = Charged(ctx, leaf_bytes(&root.clauses));
+    let mut leaves = vec![root];
+    ctx.tally(Counter::FrontierNodes, 1); // the root leaf
+    let mut rounds = 0usize;
     // A failed initial account is not an error: refinement is skipped and
     // the crude bounds stand (`account` charges even on failure, so the
-    // unconditional release below is owed either way).
-    if ctx.account(Stage::Confidence, frontier_bytes).is_ok() {
+    // release is owed either way).
+    if ctx.account(Stage::Confidence, frontier.1).is_ok() {
         loop {
             if global_hi - global_lo <= eps {
                 break;
             }
-            if let Some(cap) = config.max_rounds {
-                if rounds >= cap {
-                    break;
-                }
+            if config.max_rounds.is_some_and(|cap| rounds >= cap) {
+                break;
             }
             // Open leaf with the largest contribution to the bracket width; the
             // frontier is scanned in insertion order, so ties resolve to the
@@ -364,61 +457,32 @@ fn dissociation_bounds(
             match ctx.checkpoint(Stage::Confidence, "conf.bounds", rounds) {
                 Ok(()) => {}
                 Err(SproutError::DeadlineExceeded { .. }) => break,
-                Err(e) => {
-                    ctx.release(frontier_bytes);
-                    return Err(ConfError::Governed(e));
-                }
+                Err(e) => return Err(ConfError::Governed(e)),
             }
 
-            // Condition on the most frequent variable of the chosen cofactor;
-            // equally frequent candidates are broken by the seeded generator.
-            // Sorted, an occurrence count is a run length and the candidates
-            // come out in ascending variable order.
-            let var = {
-                occurrences.clear();
-                let clauses = leaves[idx].dnf.clauses().iter();
-                occurrences.extend(clauses.flat_map(Clause::vars));
-                occurrences.sort_unstable();
-                let mut candidates: Vec<Variable> = Vec::new();
-                let mut max = 0;
-                for run in occurrences.chunk_by(|a, b| a == b) {
-                    if run.len() > max {
-                        max = run.len();
-                        candidates.clear();
-                    }
-                    if run.len() == max {
-                        candidates.push(run[0]);
-                    }
-                }
-                candidates[(rng.next() % candidates.len() as u64) as usize]
-            };
-            let p = probs.get(&var).copied().unwrap_or(0.0);
+            let parent = &leaves[idx];
+            let id = bag.split_variable(&parent.clauses, &mut rng);
+            let p = bag.p[id as usize];
 
             // Build both cofactor leaves *before* touching the frontier, so a
             // vetoed expansion leaves the parent (and its valid bounds) intact.
             let mut children: Vec<BoundsLeaf> = Vec::with_capacity(2);
             let mut children_bytes = 0usize;
-            {
-                let parent = &leaves[idx];
-                for (value, branch_p) in [(true, p), (false, 1.0 - p)] {
-                    if branch_p == 0.0 {
-                        continue;
-                    }
-                    let cofactor = parent.dnf.assign(var, value);
-                    children_bytes += leaf_bytes(&cofactor);
-                    let mass = parent.mass * branch_p;
-                    children.push(bound_leaf(cofactor, mass, probs, &marginals));
+            for (value, branch_p) in [(true, p), (false, 1.0 - p)] {
+                if branch_p == 0.0 {
+                    continue;
                 }
+                let cofactor = parent.clauses.cofactor(id, value);
+                children_bytes += leaf_bytes(&cofactor);
+                children.push(bag.bound(cofactor, parent.mass * branch_p));
             }
-            let parent_bytes = leaf_bytes(&leaves[idx].dnf);
-            let grown = frontier_bytes - parent_bytes + children_bytes;
-            if let Some(budget) = config.frontier_budget {
-                if grown > budget {
-                    // The frontier's own budget: deterministic (structural
-                    // sizes only), so the degraded bounds are still
-                    // bitwise-identical at every thread count.
-                    break;
-                }
+            let parent_bytes = leaf_bytes(&parent.clauses);
+            let grown = frontier.1 - parent_bytes + children_bytes;
+            if config.frontier_budget.is_some_and(|budget| grown > budget) {
+                // The frontier's own budget: deterministic (structural sizes
+                // only), so the degraded bounds are still bitwise-identical
+                // at every thread count.
+                break;
             }
             if ctx.account(Stage::Confidence, children_bytes).is_err() {
                 // The governor's arena budget: degrade instead of erroring —
@@ -434,7 +498,7 @@ fn dissociation_bounds(
             leaves.swap_remove(idx);
             leaves.extend(children);
             ctx.release(parent_bytes);
-            frontier_bytes = grown;
+            frontier.1 = grown;
 
             // Re-sum the frontier and clamp: both the old and the new bracket
             // are valid, so their intersection is valid and monotone.
@@ -448,101 +512,7 @@ fn dissociation_bounds(
             global_hi = global_hi.min(sum_hi);
         }
     }
-    ctx.release(frontier_bytes);
-    Ok(TupleConfidence {
-        tuple: tuple.clone(),
-        lo: global_lo,
-        hi: global_hi,
-        method: ConfMethod::Dissociation,
-        rounds,
-    })
-}
-
-/// Bounds a cofactor: constants and read-once formulas close exactly, the
-/// rest get crude dissociation bounds and stay open.
-fn bound_leaf(
-    dnf: Dnf,
-    mass: f64,
-    probs: &BTreeMap<Variable, f64>,
-    marginals: &[(Variable, f64)],
-) -> BoundsLeaf {
-    match factorize(&dnf) {
-        Factorization::Constant(b) => {
-            let p = if b { 1.0 } else { 0.0 };
-            BoundsLeaf {
-                mass,
-                dnf,
-                lo: p,
-                hi: p,
-                open: false,
-            }
-        }
-        Factorization::ReadOnce(tree) => {
-            let p = tree.probability(probs);
-            BoundsLeaf {
-                mass,
-                dnf,
-                lo: p,
-                hi: p,
-                open: false,
-            }
-        }
-        Factorization::Blocked(_) => {
-            let (lo, hi) = crude_bounds(&dnf, marginals);
-            BoundsLeaf {
-                mass,
-                dnf,
-                lo,
-                hi,
-                open: true,
-            }
-        }
-    }
-}
-
-/// One bag's variables with their marginals, sorted by variable: a lookup is
-/// a binary search over the bag instead of a descent through the whole
-/// answer's map, and its position is a dense index. A variable missing from
-/// `probs` is impossible.
-fn bag_marginals(dnf: &Dnf, probs: &BTreeMap<Variable, f64>) -> Vec<(Variable, f64)> {
-    let marginal = |v| (v, probs.get(&v).copied().unwrap_or(0.0));
-    dnf.variables().into_iter().map(marginal).collect()
-}
-
-/// Single-shot dissociation bounds for a monotone DNF over the variables of
-/// one bag, given its [`bag_marginals`].
-///
-/// Upper: treat the clauses as independent events — valid because monotone
-/// events over a product measure are positively associated (the oblivious
-/// upper bound of full dissociation). Lower: the independent-or over a
-/// greedily chosen variable-disjoint subfamily of clauses (genuinely
-/// independent events whose union is implied), improved by the best single
-/// clause.
-fn crude_bounds(dnf: &Dnf, marginals: &[(Variable, f64)]) -> (f64, f64) {
-    let mut miss_all = 1.0f64;
-    let mut best_single = 0.0f64;
-    let mut miss_disjoint = 1.0f64;
-    // Per variable of the bag: whether the disjoint subfamily mentions it.
-    let mut used = vec![false; marginals.len()];
-    let slot = |v: &Variable| {
-        let slot = marginals.binary_search_by_key(v, |m| m.0);
-        slot.expect("a cofactor mentions only variables of its bag")
-    };
-    let mut slots: Vec<usize> = Vec::new();
-    for clause in dnf.clauses() {
-        slots.clear();
-        slots.extend(clause.vars().iter().map(slot));
-        let p: f64 = slots.iter().map(|&s| marginals[s].1).product();
-        miss_all *= 1.0 - p;
-        best_single = best_single.max(p);
-        if slots.iter().all(|&s| !used[s]) {
-            slots.iter().for_each(|&s| used[s] = true);
-            miss_disjoint *= 1.0 - p;
-        }
-    }
-    let hi = 1.0 - miss_all;
-    let lo = best_single.max(1.0 - miss_disjoint).min(hi);
-    (lo, hi)
+    Ok((global_lo, global_hi, rounds))
 }
 
 /// SplitMix64: a tiny deterministic generator for refinement tie-breaks
@@ -551,10 +521,6 @@ fn crude_bounds(dnf: &Dnf, marginals: &[(Variable, f64)]) -> (f64, f64) {
 struct SplitMix64(u64);
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
@@ -568,7 +534,7 @@ impl SplitMix64 {
 mod tests {
     use super::*;
     use pdb_exec::AnnotatedRow;
-    use pdb_lineage::exact_probability;
+    use pdb_lineage::{exact_probability, Clause, Dnf};
     use pdb_storage::{tuple, DataType, Schema};
 
     /// A Boolean answer whose single bag carries the given DNF: one row per
@@ -653,19 +619,61 @@ mod tests {
         assert!((got[0].hi - want).abs() < 1e-12);
     }
 
+    /// The bag and root formula `anytime_confidences_ctx` builds for the one
+    /// bag of `answer_for(clauses, probs)`.
+    fn interned(clauses: &[&[u64]], probs: &BTreeMap<Variable, f64>) -> (Bag, Canonical) {
+        let answer = answer_for(clauses, probs);
+        Bag::intern(answer.iter().map(|row| row.lineage))
+    }
+
     #[test]
     fn crude_bounds_fold_in_clause_order_over_the_greedy_disjoint_subfamily() {
-        let probs = probs_for(&[1, 2, 3, 4, 5]);
-        let clause = |vars: &[u64]| Clause::new(vars.iter().map(|v| Variable(*v)));
+        let mut probs = probs_for(&[1, 2, 3, 4, 5]);
         // 3·4 is the first clause disjoint from 1·2; 4·5 then meets it, and
-        // 9 has no marginal, so 1·9 is impossible (and uses up nothing new).
-        let dnf = Dnf::new([&[1, 2][..], &[2, 3], &[3, 4], &[4, 5], &[1, 9]].map(clause));
+        // 9 is impossible, so 1·9 is too (and uses up nothing new).
+        probs.insert(Variable(9), 0.0);
+        let clauses: &[&[u64]] = &[&[1, 2], &[2, 3], &[3, 4], &[4, 5], &[1, 9]];
+        let (mut bag, root) = interned(clauses, &probs);
         let p = |a: u64, b: u64| probs[&Variable(a)] * probs[&Variable(b)];
-        let (lo, hi) = crude_bounds(&dnf, &bag_marginals(&dnf, &probs));
+        let (lo, hi) = bag.crude_bounds(&root);
         let miss_all = (1.0 - p(1, 2)) * (1.0 - p(2, 3)) * (1.0 - p(3, 4)) * (1.0 - p(4, 5));
         assert_eq!(hi.to_bits(), (1.0 - miss_all).to_bits());
         let miss_disjoint = (1.0 - p(1, 2)) * (1.0 - p(3, 4));
         assert_eq!(lo.to_bits(), (1.0 - miss_disjoint).to_bits());
+    }
+
+    #[test]
+    fn a_bag_is_interned_in_row_order_and_charged_by_the_pinned_constants() {
+        let probs = probs_for(&[1, 2, 3, 4, 7]);
+        // Unsorted rows, a repeated variable, a repeated derivation.
+        let clauses: &[&[u64]] = &[&[3, 1, 2], &[7, 4], &[1, 2, 3], &[4, 4]];
+        let (bag, root) = interned(clauses, &probs);
+        assert_eq!(bag.vars, [1, 2, 3, 4, 7].map(Variable));
+        assert_eq!(bag.p, [1, 2, 3, 4, 7].map(|v| probs[&Variable(v)]));
+        let by_rank = |f: &Canonical| {
+            let mut clauses: Vec<(u32, Vec<u32>)> = (f.ranks().iter().copied())
+                .zip(f.clauses().iter().map(<[u32]>::to_vec))
+                .collect();
+            clauses.sort();
+            clauses
+        };
+        let ranked = |clauses: &[(u32, &[u32])]| -> Vec<(u32, Vec<u32>)> {
+            clauses.iter().map(|(r, c)| (*r, c.to_vec())).collect()
+        };
+        assert_eq!(
+            by_rank(&root),
+            ranked(&[(0, &[0, 1, 2]), (1, &[3, 4]), (3, &[3])])
+        );
+        // c = 3 clauses, s = 6 occurrences: what the `Vec`-per-clause leaf
+        // of every pinned bracket weighed.
+        assert_eq!(leaf_bytes(&root), 80 + 24 * 3 + 8 * 6);
+        let x4 = root.cofactor(3, true);
+        assert_eq!(
+            by_rank(&x4),
+            ranked(&[(0, &[0, 1, 2]), (1, &[4]), (3, &[])])
+        );
+        assert_eq!(leaf_bytes(&x4), 80 + 24 * 3 + 8 * 4);
+        assert_eq!(leaf_bytes(&Canonical::default()), 80);
     }
 
     #[test]
@@ -777,13 +785,7 @@ mod tests {
         let full = anytime_confidences_ctx(&answer, &unbounded, &pool, &ctx).unwrap();
         // A frontier cap that fits the root leaf but no expansion: the crude
         // bounds come back unrefined instead of an error.
-        let root_bytes = {
-            let mut d = Dnf::empty();
-            for c in clauses {
-                d.add_clause(Clause::new(c.iter().map(|v| Variable(*v))));
-            }
-            leaf_bytes(&d)
-        };
+        let root_bytes = leaf_bytes(&interned(clauses, &probs).1);
         let tight =
             AnytimeConfig::new(ApproxPolicy::Bounds { eps: 0.0 }).with_frontier_budget(root_bytes);
         let got = anytime_confidences_ctx(&answer, &tight, &pool, &ctx).unwrap();

@@ -7,9 +7,9 @@
 //! instead of a linear scan. This matters for the brute-force oracle, which
 //! builds one clause per derivation row and cofactors formulas recursively
 //! during Shannon expansion. The bulk builders ([`Dnf::new`],
-//! [`Dnf::assign`]) make the index with one sort or one filter, never one
-//! search and insert per clause: the anytime loop cofactors a formula of
-//! thousands of clauses twice per refinement round.
+//! [`Dnf::assign`]) make the index with one sort, never one search and insert
+//! per clause. The anytime loop does not come here: its formulas are interned
+//! [`Canonical`](crate::Canonical) clause sets.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -164,15 +164,15 @@ impl Dnf {
         let mut clauses: Vec<Clause> = clauses.into_iter().collect();
         let mut sorted: Vec<u32> = (0..clauses.len() as u32).collect();
         sorted.sort_unstable_by_key(|&i| (&clauses[i as usize], i));
-        let mut keep = vec![true; clauses.len()];
-        sorted.dedup_by(|later, first| {
-            let duplicate = clauses[*later as usize] == clauses[*first as usize];
-            keep[*later as usize] = !duplicate;
-            duplicate
-        });
-        let sorted = renumbered(&sorted, &keep);
-        let mut keep = keep.iter();
-        clauses.retain(|_| *keep.next().expect("one flag per clause"));
+        sorted.dedup_by(|later, first| clauses[*later as usize] == clauses[*first as usize]);
+        // The survivors in insertion order: a clause's new index is its rank.
+        let mut kept = sorted.clone();
+        kept.sort_unstable();
+        let rank = |i: &u32| kept.binary_search(i);
+        let survivor = |i: &mut u32| *i = rank(i).expect("a survivor") as u32;
+        sorted.iter_mut().for_each(survivor);
+        let mut index = 0u32..;
+        clauses.retain(|_| rank(&index.next().expect("unbounded")).is_ok());
         Dnf { clauses, sorted }
     }
 
@@ -253,18 +253,9 @@ impl Dnf {
     }
 
     /// The formula restricted by setting `var` to `value` (Shannon cofactor).
+    /// Shortened clauses may coincide with others and sort elsewhere.
     pub fn assign(&self, var: Variable, value: bool) -> Dnf {
-        if value {
-            // Shortened clauses may coincide with others and sort elsewhere.
-            return Dnf::new(self.clauses.iter().filter_map(|c| c.assign(var, true)));
-        }
-        // Dropping clauses keeps the rest distinct and in their sorted order.
-        let keep: Vec<bool> = self.clauses.iter().map(|c| !c.contains(var)).collect();
-        let kept = self.clauses.iter().zip(&keep).filter(|(_, keep)| **keep);
-        Dnf {
-            clauses: kept.map(|(c, _)| c.clone()).collect(),
-            sorted: renumbered(&self.sorted, &keep),
-        }
+        Dnf::new(self.clauses.iter().filter_map(|c| c.assign(var, value)))
     }
 
     /// Whether the formula is identically true (contains the empty clause).
@@ -274,21 +265,6 @@ impl Dnf {
             .first()
             .is_some_and(|&i| self.clauses[i as usize].is_empty())
     }
-}
-
-/// The sorted index `sorted` after the clauses not flagged in `keep` are
-/// dropped and the rest renumbered in order.
-fn renumbered(sorted: &[u32], keep: &[bool]) -> Vec<u32> {
-    let mut next = 0;
-    let number: Vec<u32> = keep
-        .iter()
-        .map(|&keep| {
-            next += keep as u32;
-            next - keep as u32
-        })
-        .collect();
-    let kept = sorted.iter().filter(|&&i| keep[i as usize]);
-    kept.map(|&i| number[i as usize]).collect()
 }
 
 impl fmt::Display for Dnf {

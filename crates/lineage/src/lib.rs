@@ -19,7 +19,8 @@
 //!   operator is built from.
 //! * [`factorize`] / [`ReadOnceTree`] — read-once factorization of monotone
 //!   DNF: the exact linear-time fallback for lineage of *unsafe* queries,
-//!   returning the blocking sub-formula when no read-once form exists.
+//!   returning the blocking sub-formula when no read-once form exists;
+//!   [`Canonical`] is the interned form it works on and the anytime loop keeps.
 
 pub mod dnf;
 pub mod prob;
@@ -27,4 +28,6 @@ pub mod readonce;
 
 pub use dnf::{Clause, Dnf};
 pub use prob::{exact_probability, independent_and, independent_or};
-pub use readonce::{factorize, Factorization, ReadOnceTree};
+pub use readonce::{
+    factorize, intern, sort_dedup, Canonical, Clauses, Factorization, ReadOnceTree,
+};

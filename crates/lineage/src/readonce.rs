@@ -28,17 +28,24 @@
 //! # Cost
 //!
 //! The anytime loop factorizes both cofactors of every Shannon split, so a
-//! call is near-linear in the formula. Its variables are interned once to
-//! dense `u32` ids (their rank, so id order is variable order) and every
-//! clause set is one flat CSR over them. A recursion step indexes its clause
-//! set by variable, then absorbs by counting hits through the occurrence
-//! lists, finds ∨-components by union-find over the variables, and finds
-//! co-components by BFS on the complement graph with a shrinking unvisited
-//! list — `O(n + Σ|clause|²)`, no adjacency matrix. A step hands its clause
-//! set over to its children, which partition it, before it recurses, so the
-//! scratch alive at any moment is linear in the input.
-
-use std::collections::BTreeMap;
+//! call is near-linear in the formula. Variables are interned to dense `u32`
+//! ids (their rank, so id order is variable order) and every clause set is
+//! one flat CSR over them, [`Clauses`]. [`factorize`] interns its `Dnf` on
+//! every call ([`intern`], then the one sort of [`sort_dedup`]); the anytime
+//! loop interns a bag once, from its rows, and keeps every frontier leaf
+//! [`Canonical`]: a cofactor is a merge ([`Canonical::cofactor`]), already
+//! sorted when [`Canonical::factorize`] — the decomposition both entries
+//! share — absorbs it, and it keeps its bag's ids. Ids may thus come from a
+//! superset table: every comparison made here is between ids, and a monotone
+//! relabelling leaves them, hence the tree and its child order, unchanged.
+//! Only [`factorize`] builds the `Dnf` witness of a blocked formula. A
+//! recursion step indexes its clause set by variable, then absorbs by
+//! counting hits through the occurrence lists, finds ∨-components by
+//! union-find over the variables, and finds co-components by BFS on the
+//! complement graph with a shrinking unvisited list — `O(n + Σ|clause|²)`, no
+//! adjacency matrix. A step hands its clause set over to its children, which
+//! partition it, before it recurses, so the scratch alive at any moment is
+//! linear in the input.
 
 use pdb_storage::Variable;
 
@@ -57,18 +64,13 @@ pub enum ReadOnceTree {
 
 impl ReadOnceTree {
     /// Exact probability of the subtree under independent variables with the
-    /// given marginals: one bottom-up pass, products at ∧, `1 − Π(1 − pᵢ)`
-    /// at ∨. Variables missing from `probs` are treated as impossible
-    /// (probability 0).
-    pub fn probability(&self, probs: &BTreeMap<Variable, f64>) -> f64 {
+    /// marginals `p`: one bottom-up pass, products at ∧, `1 − Π(1 − pᵢ)` at ∨.
+    pub fn probability(&self, p: &impl Fn(Variable) -> f64) -> f64 {
         match self {
-            ReadOnceTree::Leaf(v) => probs.get(v).copied().unwrap_or(0.0),
-            ReadOnceTree::And(children) => children.iter().map(|c| c.probability(probs)).product(),
+            ReadOnceTree::Leaf(v) => p(*v),
+            ReadOnceTree::And(children) => children.iter().map(|c| c.probability(p)).product(),
             ReadOnceTree::Or(children) => {
-                let none: f64 = children
-                    .iter()
-                    .map(|c| 1.0 - c.probability(probs))
-                    .product();
+                let none: f64 = children.iter().map(|c| 1.0 - c.probability(p)).product();
                 1.0 - none
             }
         }
@@ -104,9 +106,10 @@ impl ReadOnceTree {
     }
 }
 
-/// Outcome of [`factorize`].
+/// Outcome of [`factorize`] (witness: a [`Dnf`]) and of
+/// [`Canonical::factorize`] (witness: the stuck clause set, left interned).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Factorization {
+pub enum Factorization<W = Dnf> {
     /// The formula is constant (empty DNF is false; a DNF containing the
     /// empty clause is true).
     Constant(bool),
@@ -114,10 +117,10 @@ pub enum Factorization {
     ReadOnce(ReadOnceTree),
     /// The formula is not read-once; the witness is the first sub-formula on
     /// which both decompositions got stuck.
-    Blocked(Dnf),
+    Blocked(W),
 }
 
-impl Factorization {
+impl<W> Factorization<W> {
     /// The read-once tree, if the formula factored.
     pub fn tree(&self) -> Option<&ReadOnceTree> {
         match self {
@@ -136,19 +139,22 @@ impl Factorization {
 /// Factorizes a monotone DNF into a read-once tree, or returns the blocking
 /// sub-formula when no read-once form exists.
 pub fn factorize(dnf: &Dnf) -> Factorization {
-    if dnf.is_false() {
-        return Factorization::Constant(false);
+    let (vars, root) = intern(dnf);
+    match sort_dedup(&root).factorize(&vars, &mut vec![0; vars.len()]) {
+        Factorization::Constant(b) => Factorization::Constant(b),
+        Factorization::ReadOnce(tree) => Factorization::ReadOnce(tree),
+        Factorization::Blocked(stuck) => {
+            let clause = |c: &[u32]| Clause::new(c.iter().map(|&id| vars[id as usize]));
+            Factorization::Blocked(Dnf::new(stuck.iter().map(clause)))
+        }
     }
-    if dnf.is_true() {
-        return Factorization::Constant(true);
-    }
-    // Intern: a variable's id is its rank among the formula's variables.
+}
+
+/// Interns a formula: its variables, ascending — a variable's id is its rank
+/// — and its clauses over those ids, in insertion order.
+pub fn intern(dnf: &Dnf) -> (Vec<Variable>, Clauses) {
     let occurrences = dnf.clauses().iter().flat_map(Clause::vars);
     let mut vars: Vec<Variable> = occurrences.copied().collect();
-    assert!(
-        u32::try_from(vars.len()).is_ok(),
-        "lineage formula with more than u32::MAX variable occurrences"
-    );
     vars.sort_unstable();
     vars.dedup();
     let id = |v| vars.binary_search(v).expect("interned above") as u32;
@@ -156,56 +162,143 @@ pub fn factorize(dnf: &Dnf) -> Factorization {
     for clause in dnf.clauses() {
         root.push(clause.vars().iter().map(id));
     }
-    let mut slot = vec![0u32; vars.len()];
-    match build(absorb(sort_dedup(&root), &mut slot), &vars, &mut slot) {
-        Ok(tree) => Factorization::ReadOnce(tree),
-        Err(blocking) => {
-            let clause = |c: &[u32]| Clause::new(c.iter().map(|&id| vars[id as usize]));
-            Factorization::Blocked(Dnf::new(blocking.iter().map(clause)))
-        }
-    }
+    (vars, root)
 }
 
-/// A clause set in flat CSR form over the call's variable ids: clause `i` is
-/// `vars[ends[i - 1]..ends[i]]`, ids ascending. No clause is empty.
-#[derive(Default)]
-struct Clauses {
+/// A clause set in flat CSR form over dense variable ids whose order is
+/// variable order: clause `i` is `vars[ends[i - 1]..ends[i]]`, ids ascending
+/// and distinct. An empty clause is the constant true.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Clauses {
     ends: Vec<u32>,
     vars: Vec<u32>,
 }
 
 impl Clauses {
-    fn len(&self) -> usize {
+    /// Number of clauses.
+    pub fn len(&self) -> usize {
         self.ends.len()
     }
 
-    fn clause(&self, i: usize) -> &[u32] {
+    /// Whether the set has no clauses (the constant false).
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every variable occurrence, clause after clause.
+    pub fn literals(&self) -> &[u32] {
+        &self.vars
+    }
+
+    /// The ids of clause `i`.
+    pub fn clause(&self, i: usize) -> &[u32] {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         &self.vars[start as usize..self.ends[i] as usize]
     }
 
-    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+    /// The clauses, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
         (0..self.len()).map(|i| self.clause(i))
     }
 
-    fn push(&mut self, clause: impl IntoIterator<Item = u32>) {
+    /// Appends a clause; `clause` yields its ids ascending and distinct.
+    pub fn push(&mut self, clause: impl IntoIterator<Item = u32>) {
         self.vars.extend(clause);
-        self.ends.push(self.vars.len() as u32);
+        let end = u32::try_from(self.vars.len());
+        self.ends
+            .push(end.expect("a formula of fewer than 2³² variable occurrences"));
     }
 }
 
-/// The clause set ordered by (length, content), duplicates dropped: the
-/// canonical order, with every clause behind the clauses it could contain.
-fn sort_dedup(set: &Clauses) -> Clauses {
-    let clause = |i: &u32| set.clause(*i as usize);
-    let mut order: Vec<u32> = (0..set.len() as u32).collect();
-    order.sort_unstable_by_key(|i| (clause(i).len(), clause(i)));
-    order.dedup_by(|b, a| clause(a) == clause(b));
-    let mut sorted = Clauses::default();
-    for i in &order {
-        sorted.push(clause(i).iter().copied());
+/// A formula as the anytime loop keeps it: the distinct clauses of a sequence
+/// in canonical order — by (length, content), so every clause is behind the
+/// clauses it could contain — each with its rank, the index of its first
+/// occurrence in the sequence. Read by ascending rank it is the sequence as
+/// one [`Dnf::add_clause`] per clause leaves it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Canonical {
+    clauses: Clauses,
+    rank: Vec<u32>,
+}
+
+/// The canonical form of a sequence of clauses.
+pub fn sort_dedup(sequence: &Clauses) -> Canonical {
+    let clause = |i: &u32| sequence.clause(*i as usize);
+    let mut rank: Vec<u32> = (0..sequence.len() as u32).collect();
+    rank.sort_unstable_by_key(|i| (clause(i).len(), clause(i), *i));
+    rank.dedup_by(|b, a| clause(a) == clause(b));
+    let mut clauses = Clauses::default();
+    rank.iter()
+        .for_each(|i| clauses.push(clause(i).iter().copied()));
+    Canonical { clauses, rank }
+}
+
+impl Canonical {
+    /// The clauses, in canonical order.
+    pub fn clauses(&self) -> &Clauses {
+        &self.clauses
     }
-    sorted
+
+    /// The rank of every clause.
+    pub fn ranks(&self) -> &[u32] {
+        &self.rank
+    }
+
+    /// The Shannon cofactor, clause for clause what [`Dnf::assign`] leaves:
+    /// `false` drops the clauses that mention `id`; `true` drops `id` from
+    /// them, and of two clauses that have become equal the one of higher
+    /// rank. Clauses that lose a variable they share stay in canonical order
+    /// and distinct, so the cofactor is a merge of them with the rest.
+    pub fn cofactor(&self, id: u32, value: bool) -> Canonical {
+        let set = &self.clauses;
+        let mut out = Canonical::default();
+        out.clauses.vars.reserve(set.vars.len());
+        out.clauses.ends.reserve(set.len());
+        out.rank.reserve(set.len());
+        let mut push = |clause: &mut dyn Iterator<Item = u32>, i: usize| {
+            out.clauses.push(clause);
+            out.rank.push(self.rank[i]);
+        };
+        let mentions = |i: &usize| set.clause(*i).binary_search(&id).is_ok();
+        let without = |i: usize| set.clause(i).iter().copied().filter(move |&v| v != id);
+        let mut shortened = (0..set.len()).filter(|i| value && mentions(i)).peekable();
+        for i in (0..set.len()).filter(|i| !mentions(i)) {
+            let whole = set.clause(i);
+            let mut survives = true;
+            while let Some(&s) = shortened.peek() {
+                let lengths = (set.clause(s).len() - 1).cmp(&whole.len());
+                let order = lengths.then_with(|| without(s).cmp(whole.iter().copied()));
+                if order.is_gt() {
+                    break;
+                }
+                shortened.next();
+                if order.is_lt() || self.rank[s] < self.rank[i] {
+                    push(&mut without(s), s);
+                    survives = order.is_lt();
+                }
+            }
+            if survives {
+                push(&mut whole.iter().copied(), i);
+            }
+        }
+        shortened.for_each(|s| push(&mut without(s), s));
+        out
+    }
+
+    /// [`factorize`] with the witness left interned. `vars[id]` is the
+    /// variable behind `id`, for the leaves of the tree; the table may hold
+    /// more variables than the formula mentions. `slot` is scratch of
+    /// `vars.len()` entries with anything in them.
+    pub fn factorize(&self, vars: &[Variable], slot: &mut [u32]) -> Factorization<Clauses> {
+        let set = &self.clauses;
+        if set.is_empty() || set.clause(0).is_empty() {
+            return Factorization::Constant(!set.is_empty());
+        }
+        match build(absorb(set, slot), vars, slot) {
+            Ok(tree) => Factorization::ReadOnce(tree),
+            Err(stuck) => Factorization::Blocked(stuck),
+        }
+    }
 }
 
 /// The distinct variables of one clause set, numbered in first-seen order
@@ -259,13 +352,13 @@ impl Occurrences {
 
 /// Absorption over a [`sort_dedup`]-ordered clause set: drops every clause
 /// that contains another one, which leaves the unique positive IDNF.
-fn absorb(set: Clauses, slot: &mut [u32]) -> Clauses {
+fn absorb(set: &Clauses, slot: &mut [u32]) -> Clauses {
     let n = set.len();
     if set.clause(0).len() == set.clause(n - 1).len() {
         // Distinct clauses of one length do not contain each other.
-        return set;
+        return set.clone();
     }
-    let occurrences = Occurrences::index(&set, slot);
+    let occurrences = Occurrences::index(set, slot);
     // Per clause: the candidate that last hit it, and how many of its
     // variables that candidate has hit; all of them means containment.
     let mut hits = vec![(usize::MAX, 0usize); n];
@@ -339,7 +432,8 @@ fn build(set: Clauses, vars: &[Variable], slot: &mut [u32]) -> Result<ReadOnceTr
     if !every_clause_meets_every_group {
         return Err(set);
     }
-    let mut projections: Vec<Clauses> = projections.iter().map(sort_dedup).collect();
+    let canonical = projections.iter().map(|p| sort_dedup(p).clauses);
+    let mut projections: Vec<Clauses> = canonical.collect();
     // Every (minimized, distinct) clause is the union of its projections, so
     // it maps to a distinct combination; |clauses| == Π|projᵢ| therefore
     // holds exactly when the map is onto the cross product.
@@ -432,6 +526,7 @@ fn co_components(set: &Clauses, occurrences: &Occurrences, slot: &[u32]) -> (Vec
 mod tests {
     use super::*;
     use crate::prob::exact_probability;
+    use std::collections::BTreeMap;
 
     fn v(i: u64) -> Variable {
         Variable(i)
@@ -460,7 +555,7 @@ mod tests {
         let f = factorize(d);
         let tree = f.tree().expect("expected read-once");
         let ps = probs(d);
-        let got = tree.probability(&ps);
+        let got = tree.probability(&|v| ps[&v]);
         let want = exact_probability(d, &ps);
         assert!(
             (got - want).abs() < 1e-12,

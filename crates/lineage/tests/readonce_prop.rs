@@ -1,6 +1,6 @@
 //! Property tests for the read-once factorization pass.
 //!
-//! Five angles:
+//! Six angles:
 //!
 //! * **Soundness on arbitrary DNFs** — whenever [`factorize`] claims a
 //!   read-once tree, its one-pass probability must equal the brute-force
@@ -23,12 +23,19 @@
 //!   must return the *same* tree or witness, child order included, because
 //!   the order of a tree's children is the order its probability is folded
 //!   in.
+//! * **The interned path** — what the anytime loop does instead of building
+//!   `Dnf`s: a [`Canonical`] cofactor, read by rank, is [`Dnf::assign`]
+//!   clause for clause in order, and [`Canonical::factorize`] over ids from
+//!   a superset table returns [`factorize`]'s tree or its witness.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use pdb_lineage::{exact_probability, factorize, Clause, Dnf, Factorization, ReadOnceTree};
+use pdb_lineage::{
+    exact_probability, factorize, sort_dedup, Canonical, Clause, Clauses, Dnf, Factorization,
+    ReadOnceTree,
+};
 use pdb_storage::Variable;
 
 fn probs_for(formula: &Dnf) -> BTreeMap<Variable, f64> {
@@ -307,6 +314,44 @@ fn decompose(clauses: &[Vec<Variable>]) -> Result<ReadOnceTree, Vec<Vec<Variable
     children.collect::<Result<_, _>>().map(ReadOnceTree::And)
 }
 
+/// The id of variable `v` in [`table`]: a superset table, in which the
+/// formula's variables are neither dense nor first.
+fn id(v: Variable) -> u32 {
+    3 * v.0 as u32 + 1
+}
+
+/// A variable table that maps every [`id`] back, with two variables of no
+/// formula around each.
+fn table(variables: u64) -> Vec<Variable> {
+    let variable = |i: u64| Variable(if i % 3 == 1 { i / 3 } else { 1 << 40 | i });
+    (0..3 * variables + 3).map(variable).collect()
+}
+
+/// The formula interned over [`id`]s as the anytime loop interns a bag: its
+/// clauses in insertion order, un-absorbed, then canonical with ranks.
+fn interned(dnf: &Dnf) -> Canonical {
+    let mut sequence = Clauses::default();
+    for clause in dnf.clauses() {
+        sequence.push(clause.vars().iter().map(|v| id(*v)));
+    }
+    sort_dedup(&sequence)
+}
+
+/// An interned formula read back by rank, as a list of clauses of variables.
+fn by_rank(formula: &Canonical) -> Vec<Vec<Variable>> {
+    let variable = |id: &u32| Variable((*id as u64 - 1) / 3);
+    let clauses = formula.clauses().iter();
+    let mut ranked: Vec<(u32, Vec<Variable>)> = (formula.ranks().iter().copied())
+        .zip(clauses.map(|c| c.iter().map(variable).collect()))
+        .collect();
+    ranked.sort();
+    ranked.into_iter().map(|(_, clause)| clause).collect()
+}
+
+fn clause_lists(dnf: &Dnf) -> Vec<Vec<Variable>> {
+    dnf.clauses().iter().map(|c| c.vars().to_vec()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -325,7 +370,7 @@ proptest! {
             Factorization::ReadOnce(tree) => {
                 prop_assert_eq!(tree.leaf_count(), tree.variables().len(),
                     "read-once trees mention each variable once");
-                let got = tree.probability(&probs);
+                let got = tree.probability(&|v| probs[&v]);
                 prop_assert!((got - want).abs() < 1e-12,
                     "tree gave {got}, oracle {want} for {dnf}");
             }
@@ -357,7 +402,7 @@ proptest! {
         let want = exact_probability(&dnf, &probs);
         match factorize(&dnf) {
             Factorization::ReadOnce(tree) => {
-                let got = tree.probability(&probs);
+                let got = tree.probability(&|v| probs[&v]);
                 prop_assert!((got - want).abs() < 1e-12, "{dnf}: {got} vs {want}");
             }
             other => prop_assert!(false, "expected read-once for {dnf}, got {other:?}"),
@@ -400,6 +445,66 @@ proptest! {
         prop_assert_eq!(factorize(&dnf), by_definition(&dnf), "on {}", dnf);
     }
 
+    /// Two Shannon cofactors deep, on every pair of variables — one of them
+    /// absent from the formula — and every pair of values: the interned
+    /// cofactor is `Dnf::assign`'s clause list in order. Short clauses over
+    /// few variables make shortening collide with an earlier or a later
+    /// clause, empty a clause (the constant true) and drop them all (false).
+    #[test]
+    fn interned_cofactors_are_dnf_assign_clause_for_clause_in_order(
+        clauses in proptest::collection::vec(
+            proptest::collection::vec(0u64..6, 1..4), 1..10),
+    ) {
+        let dnf = dnf_from(&clauses);
+        let vars = table(7);
+        let mut slot = vec![u32::MAX; vars.len()];
+        let root = interned(&dnf);
+        prop_assert_eq!(by_rank(&root), clause_lists(&dnf));
+        for (x, y) in (0..7u64).flat_map(|x| (0..7u64).map(move |y| (Variable(x), Variable(y)))) {
+            for (a, b) in [(true, true), (true, false), (false, true), (false, false)] {
+                let want = dnf.assign(x, a).assign(y, b);
+                let got = root.cofactor(id(x), a).cofactor(id(y), b);
+                prop_assert_eq!(by_rank(&got), clause_lists(&want), "{} | {}={} {}={}", dnf, x, a, y, b);
+                let constant = match got.factorize(&vars, &mut slot) {
+                    Factorization::Constant(value) => Some(value),
+                    _ => None,
+                };
+                let want_constant = (want.is_true() || want.is_false()).then_some(want.is_true());
+                prop_assert_eq!(constant, want_constant);
+            }
+        }
+    }
+
+    /// The decomposition behind both entries: over ids from a superset
+    /// table, on the un-absorbed clauses in insertion order, the interned
+    /// entry gives `factorize`'s tree, child for child, and is blocked
+    /// exactly when `factorize` is, on the same witness.
+    #[test]
+    fn the_interned_entry_is_factorize_over_a_superset_table(
+        seed in 0u64..u64::MAX,
+        clauses in 2usize..150,
+        plant in proptest::bool::ANY,
+    ) {
+        let mut rng = Rng(seed);
+        let mut next = 0u64;
+        let mut shape = Shape::random(&mut rng, clauses, true, &mut next);
+        if plant {
+            shape.plant_p4(&mut rng.range(0, shape.leaves() - 1), next);
+        }
+        let dnf = disguised(&mut rng, shape.expand());
+        let vars = table(next + 4);
+        let got = match interned(&dnf).factorize(&vars, &mut vec![u32::MAX; vars.len()]) {
+            Factorization::Constant(value) => Factorization::Constant(value),
+            Factorization::ReadOnce(tree) => Factorization::ReadOnce(tree),
+            Factorization::Blocked(stuck) => {
+                let clause = |c: &[u32]| Clause::new(c.iter().map(|&id| vars[id as usize]));
+                Factorization::Blocked(Dnf::new(stuck.iter().map(clause)))
+            }
+        };
+        prop_assert_eq!(got.is_read_once(), !plant);
+        prop_assert_eq!(got, factorize(&dnf), "on {}", dnf);
+    }
+
     /// Structured formulas of up to ~150 clauses, where the decomposition
     /// goes several levels deep on both sides of the read-once boundary.
     #[test]
@@ -439,7 +544,7 @@ proptest! {
         match factorize(&dnf) {
             Factorization::ReadOnce(tree) => {
                 prop_assert_eq!(tree.leaf_count() as u64, next, "every variable once");
-                let (got, want) = (tree.probability(&probs), shape.probability(&marginal));
+                let (got, want) = (tree.probability(&|v| probs[&v]), shape.probability(&marginal));
                 prop_assert!((got - want).abs() <= 1e-12 * want.max(1e-300),
                     "tree gave {got}, closed form {want} ({} clauses)", dnf.len());
             }

@@ -20,12 +20,22 @@
 //! * faults are one-shot, so an immediate re-run needs no cleanup and is
 //!   always bitwise-identical to the baseline — nothing is poisoned.
 //!
+//! The refinement loop of the anytime evaluator (`conf.bounds`, one
+//! checkpoint per round) is reached only by an unsafe query whose lineage
+//! does not factor: [`sweep_the_refinement_loop`] runs Q8 through the
+//! fallback plan under `Bounds { eps: 1e-3 }` and aims every action at a
+//! bag's first round, then takes every way out of the loop that is not an
+//! error — the frontier cap, the arena veto, a deadline before the first
+//! checkpoint and one met mid-refinement. Whatever the outcome, the frontier
+//! bytes charged to the governor are released to the last one.
+//!
 //! Everything lives in ONE `#[test]` because the installed fault plan is
 //! process-global state; parallel test threads would race on it.
 #![cfg(feature = "fault-inject")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
+use std::time::Duration;
 
 use pdb_fault::{clear, install, Fault, FaultAction, FaultPlan};
 use pdb_par::Pool;
@@ -36,8 +46,11 @@ use pdb_tpch::{
 };
 use proptest::prelude::*;
 use sprout_plan::eager::EagerPlan;
+use sprout_plan::fallback::FallbackPlan;
 use sprout_plan::lazy::LazyPlan;
-use sprout_plan::{GovernorBuilder, PlanError, SproutError, Stage};
+use sprout_plan::{
+    ApproxPolicy, ApproxResult, GovernorBuilder, PlanError, QueryGovernor, SproutError, Stage,
+};
 
 /// Every checkpoint site the governed engine exposes (module docs of
 /// `pdb_exec::ops`, `pdb_exec::columnar`, `pdb_conf::one_scan`).
@@ -51,6 +64,7 @@ const SITES: &[&str] = &[
     "project.write",
     "eager.aggregate",
     "conf.bag",
+    "conf.bounds",
 ];
 
 /// Above the largest observed checkpoint count, so random indices also land
@@ -204,7 +218,175 @@ fn check_seed(seed: u64) {
             }
         }
     }
+    static REFINEMENT: Once = Once::new();
+    REFINEMENT.call_once(sweep_the_refinement_loop);
     clear();
+}
+
+/// Q8's confidence stage under `Bounds { eps: 1e-3 }` on a precomputed
+/// answer, governed by `governor` alone — so the bytes it still holds when
+/// the stage returns are the refinement frontier's and nothing else's.
+fn refine(
+    catalog: &Catalog,
+    answer: &pdb_exec::Annotated,
+    threads: usize,
+    frontier_budget: Option<usize>,
+    governor: &QueryGovernor,
+) -> Result<ApproxResult, PlanError> {
+    let query = tpch_query("8").unwrap().query.unwrap();
+    let plan = FallbackPlan::build(&query, catalog, ApproxPolicy::Bounds { eps: 1e-3 })?
+        .with_pool(Pool::new(threads))
+        .with_seed(1)
+        .with_governor(governor.clone());
+    // `None` keeps the plan's default cap, which Q8 does not meet here.
+    match frontier_budget {
+        Some(bytes) => plan.with_frontier_budget(Some(bytes)),
+        None => plan,
+    }
+    .confidences(answer)
+}
+
+fn total_rounds(result: &ApproxResult) -> usize {
+    result.iter().map(|t| t.rounds).sum()
+}
+
+/// Every fault action at the first round of the first bag that is refined,
+/// and every non-error way out of the loop, on both backings at every pool
+/// size. SF 0.00025 is the smallest scale factor of the 0.00005 grid at
+/// which a bag of Q8 needs refinement (`TpchScale::tiny`, 0.0002, has none).
+fn sweep_the_refinement_loop() {
+    let data = TpchData::generate(TpchScale::new(0.00025));
+    let catalogs = [
+        ("row", probabilistic_catalog(&data, 1).unwrap()),
+        (
+            "columnar",
+            probabilistic_catalog_columnar(&data, 1).unwrap(),
+        ),
+    ];
+    for (backing, catalog) in &catalogs {
+        let query = tpch_query("8").unwrap().query.unwrap();
+        let answer = FallbackPlan::build(&query, catalog, ApproxPolicy::Bounds { eps: 1e-3 })
+            .unwrap()
+            .answer_tuples(catalog)
+            .unwrap();
+        for threads in POOL_SIZES {
+            let ctx = format!("refinement loop, {backing} @ {threads} threads");
+            clear();
+            let clean = || {
+                let governor = GovernorBuilder::new().build();
+                let result = refine(catalog, &answer, threads, None, &governor)
+                    .unwrap_or_else(|e| panic!("{ctx}: clean run failed: {e}"));
+                assert_eq!(governor.memory_used(), 0, "{ctx}: clean run");
+                result
+            };
+            let baseline = clean();
+            assert!(
+                total_rounds(&baseline) > 0,
+                "{ctx}: no bag is refined, `conf.bounds` is never reached"
+            );
+            // After any outcome: nothing charged, nothing poisoned.
+            let settled = |governor: &QueryGovernor, what: &str| {
+                assert_eq!(
+                    governor.memory_used(),
+                    0,
+                    "{ctx}: {what} left bytes charged"
+                );
+                assert_eq!(clean(), baseline, "{ctx}: re-run after {what}");
+            };
+            // Brackets of a run that was stopped early: valid, so around
+            // the baseline's (to rounding: crude bounds of a read-once bag
+            // fold `1 − (1 − p)` where the exact path reads `p`), in fewer
+            // rounds.
+            let degraded = |result: &ApproxResult, what: &str| {
+                assert_eq!(result.len(), baseline.len(), "{ctx}: {what}");
+                for (got, want) in result.iter().zip(&baseline) {
+                    assert_eq!(got.tuple, want.tuple, "{ctx}: {what}");
+                    let around = got.lo <= want.lo + 1e-12 && want.hi <= got.hi + 1e-12;
+                    assert!(around, "{ctx}: {what}: {got:?} is not around {want:?}");
+                    assert!(got.rounds <= want.rounds, "{ctx}: {what}");
+                }
+            };
+
+            for action in [FaultAction::Panic, FaultAction::Cancel, FaultAction::Budget] {
+                install(FaultPlan::new(vec![Fault::new(action, "conf.bounds", 0)]));
+                let governor = GovernorBuilder::new().build();
+                let what = format!("{action:?}@conf.bounds:0");
+                match refine(catalog, &answer, threads, None, &governor) {
+                    Err(PlanError::Governed(g)) => {
+                        assert_eq!(g.stage(), Stage::Confidence, "{ctx}: {what}");
+                        match (action, &g) {
+                            (FaultAction::Panic, SproutError::WorkerPanic { .. })
+                            | (FaultAction::Cancel, SproutError::Cancelled { .. })
+                            | (FaultAction::Budget, SproutError::MemoryBudgetExceeded { .. }) => {}
+                            other => panic!("{ctx}: action/error mismatch: {other:?}"),
+                        }
+                    }
+                    other => panic!("{ctx}: {what} did not interrupt the run: {other:?}"),
+                }
+                settled(&governor, &what);
+            }
+
+            // A round that outlasts the deadline: the brackets so far, not
+            // an error — and the bags behind it find the deadline passed at
+            // their first checkpoint and answer with their crude bounds.
+            install(FaultPlan::new(vec![Fault::new(
+                FaultAction::Slow(80),
+                "conf.bounds",
+                0,
+            )]));
+            let governor = GovernorBuilder::new()
+                .deadline(Duration::from_millis(40))
+                .build();
+            let late = refine(catalog, &answer, threads, None, &governor)
+                .unwrap_or_else(|e| panic!("{ctx}: a slow round is not an error: {e}"));
+            degraded(&late, "slow round");
+            assert!(total_rounds(&late) < total_rounds(&baseline), "{ctx}");
+            settled(&governor, "a slow round");
+
+            // The deadline passed before any bag's first checkpoint.
+            let governor = GovernorBuilder::new().deadline(Duration::ZERO).build();
+            std::thread::sleep(Duration::from_millis(2));
+            let crude = refine(catalog, &answer, threads, None, &governor)
+                .unwrap_or_else(|e| panic!("{ctx}: an expired deadline is not an error: {e}"));
+            degraded(&crude, "expired deadline");
+            assert_eq!(total_rounds(&crude), 0, "{ctx}: expired deadline");
+            settled(&governor, "an expired deadline");
+
+            // The frontier cap and the governor's arena budget, from too
+            // small for any root leaf to roomy: every size degrades or
+            // completes, and some size stops a refinement part-way — the
+            // break after the cap check, the veto of the children's bytes.
+            for arena in [false, true] {
+                let mut stopped_part_way = false;
+                for bytes in (6..20).map(|shift| 1usize << shift) {
+                    let governor = match arena {
+                        true => GovernorBuilder::new().memory_budget(bytes).build(),
+                        false => GovernorBuilder::new().build(),
+                    };
+                    let cap = (!arena).then_some(bytes);
+                    let what = format!(
+                        "{bytes} bytes of {}",
+                        ["frontier cap", "arena"][arena as usize]
+                    );
+                    let result = refine(catalog, &answer, threads, cap, &governor)
+                        .unwrap_or_else(|e| panic!("{ctx}: {what} is not an error: {e}"));
+                    degraded(&result, &what);
+                    assert_eq!(
+                        governor.memory_used(),
+                        0,
+                        "{ctx}: {what} left bytes charged"
+                    );
+                    let rounds = total_rounds(&result);
+                    stopped_part_way |= 0 < rounds && rounds < total_rounds(&baseline);
+                }
+                assert!(
+                    stopped_part_way,
+                    "{ctx}: arena {arena}: no size stopped a refinement"
+                );
+                assert_eq!(clean(), baseline, "{ctx}: re-run after the budgets");
+            }
+        }
+    }
 }
 
 fn check_run(
