@@ -19,10 +19,11 @@
 //! a columnar scan can be — and is, in `pdb-exec` — **bitwise-identical**
 //! to the row-at-a-time scan: same values, same lineage, same row order.
 //!
-//! Ingest ([`ColumnarTable::from_prob_table`]) is chunk-parallel on
-//! [`pdb_par::Pool`]: chunks encode their rows into disjoint sub-slices of
-//! the pre-sized column vectors and build their zone maps independently;
-//! string dictionaries are merged across chunks and re-ranked, so the
+//! Ingest ([`ColumnarTable::from_table`]) reads borrowed rows and is
+//! chunk-parallel on [`pdb_par::Pool`]: one row-major sweep per chunk writes
+//! every column's cells into the chunk's sub-slices of the pre-sized typed
+//! vectors, builds the zone maps and interns strings to chunk-local ids; the
+//! chunk dictionaries are then merged, sorted and the ids re-ranked, so the
 //! resulting table is identical at every thread count.
 
 mod column;
@@ -34,17 +35,18 @@ pub use zone::{
     BLOOM_SATURATION_DISTINCT, BLOOM_WORDS,
 };
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
+use std::iter::once;
 use std::sync::Arc;
 
 use pdb_par::Pool;
 
 use crate::error::{StorageError, StorageResult};
 use crate::schema::{DataType, Schema};
-use crate::table::ProbTable;
+use crate::table::{ProbTable, Table};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use crate::variable::Variable;
+use crate::variable::{Probability, Variable};
 
 /// Rows per chunk (row group). A multiple of 64 so chunk boundaries are
 /// null-bitmap word boundaries and parallel ingest writes disjoint words.
@@ -66,8 +68,32 @@ pub struct ColumnarTable {
 }
 
 impl ColumnarTable {
-    /// Converts a row-major table, chunk-parallel on `pool`. The result is
-    /// identical at every pool size.
+    /// Builds the columns from borrowed rows, chunk-parallel on `pool`;
+    /// `vars[r]` and `probs[r]` annotate row `r`. No row is copied, only its
+    /// cells' payloads, and the result is identical at every pool size.
+    ///
+    /// # Errors
+    /// Fails on a probability outside `(0, 1]`.
+    ///
+    /// # Panics
+    /// If `vars` or `probs` does not hold one entry per row.
+    pub fn from_table(
+        table: &Table,
+        vars: Vec<Variable>,
+        probs: Vec<f64>,
+        pool: &Pool,
+    ) -> StorageResult<ColumnarTable> {
+        assert!(
+            vars.len() == table.len() && probs.len() == table.len(),
+            "a (V, P) pair per row"
+        );
+        for &p in &probs {
+            Probability::new(p)?;
+        }
+        Self::build(table, vars, probs, pool, CHUNK_ROWS)
+    }
+
+    /// [`ColumnarTable::from_table`] over a row-major probabilistic table.
     ///
     /// # Errors
     /// Currently infallible for valid `ProbTable`s; the `Result` reserves
@@ -87,28 +113,72 @@ impl ColumnarTable {
         pool: &Pool,
         chunk_rows: usize,
     ) -> StorageResult<ColumnarTable> {
+        let (vars, probs) = (table.vars().to_vec(), table.probs().to_vec());
+        Self::build(table.data(), vars, probs, pool, chunk_rows)
+    }
+
+    /// The one ingest path. A row-major sweep per chunk fills every column's
+    /// typed storage at once; then a column in which a chunk met a non-canonical
+    /// variant becomes [`ColumnData::Mixed`], and string ids become ranks.
+    fn build(
+        table: &Table,
+        vars: Vec<Variable>,
+        probs: Vec<f64>,
+        pool: &Pool,
+        chunk_rows: usize,
+    ) -> StorageResult<ColumnarTable> {
         if chunk_rows == 0 || !chunk_rows.is_multiple_of(64) {
             return Err(StorageError::InvalidChunkSize(chunk_rows));
         }
-        let rows = table.len();
-        let schema = table.schema().clone();
-        let chunks = chunk_ranges(rows, chunk_rows);
-        let mut columns = Vec::with_capacity(schema.len());
-        let mut zones = Vec::with_capacity(schema.len());
-        for (c, col) in schema.columns().iter().enumerate() {
-            let cell = |r: usize| table.rows()[r].value(c);
-            let (data, zone) = build_column(col.data_type, rows, &chunks, &cell, pool);
-            columns.push(data);
-            zones.push(zone);
+        let (schema, rows) = (table.schema().clone(), table.rows());
+        let chunks: Vec<&[Tuple]> = rows.chunks(chunk_rows).collect();
+        let cuts: Vec<usize> = (0..rows.len()).step_by(chunk_rows).collect();
+        let mut columns: Vec<ColumnData> = schema
+            .columns()
+            .iter()
+            .map(|col| blank_column(col.data_type, rows.len()))
+            .collect();
+        // Chunk k's feeds are its windows of every column, in schema order.
+        let mut feeds: Vec<Vec<Feed>> = chunks.iter().map(|_| Vec::new()).collect();
+        for column in &mut columns {
+            open_windows(column, chunk_rows, &mut feeds);
+        }
+        let each: Vec<usize> = (0..chunks.len()).collect();
+        let mut swept = pool.map_slices_mut(&mut feeds, &each, |k, feed| {
+            sweep(chunks[k], std::mem::take(&mut feed[0]))
+        });
+
+        let mut zones = Vec::with_capacity(columns.len());
+        for (c, column) in columns.iter_mut().enumerate() {
+            let partial = swept.iter_mut().map(|chunk| chunk[c].0.take());
+            let Some(partial) = partial.collect::<Option<Vec<ZoneMap>>>() else {
+                // Mixed storage: keep the original values verbatim.
+                let mut values = vec![Value::Null; rows.len()];
+                zones.push(pool.map_slices_mut(&mut values, &cuts, |k, slice| {
+                    for (slot, row) in slice.iter_mut().zip(chunks[k]) {
+                        *slot = row.value(c).clone();
+                    }
+                    ZoneMap::build(slice.iter())
+                }));
+                *column = ColumnData::Mixed { values };
+                continue;
+            };
+            zones.push(match column {
+                ColumnData::Str { dict, codes, .. } => {
+                    let locals: Vec<&[_]> = swept.iter().map(|chunk| &chunk[c].1[..]).collect();
+                    rank_strings(dict, codes, &cuts, &partial, &locals, pool)
+                }
+                _ => partial,
+            });
         }
         Ok(ColumnarTable {
             schema,
-            len: rows,
+            len: rows.len(),
             chunk_rows,
             columns,
             zones,
-            vars: table.vars().to_vec(),
-            probs: table.probs().to_vec(),
+            vars,
+            probs,
         })
     }
 
@@ -215,248 +285,178 @@ impl ColumnarTable {
     }
 }
 
-/// The chunk ranges covering `0..rows` at `chunk_rows` rows per chunk.
-fn chunk_ranges(rows: usize, chunk_rows: usize) -> Vec<std::ops::Range<usize>> {
-    (0..rows.div_ceil(chunk_rows))
-        .map(|k| (k * chunk_rows)..((k + 1) * chunk_rows).min(rows))
-        .collect()
+/// All-zero, all-valid typed storage for `rows` rows of `data_type`: what
+/// the sweep fills speculatively, before any cell's variant is known.
+fn blank_column(data_type: DataType, rows: usize) -> ColumnData {
+    let nulls = NullBitmap::new(rows);
+    match data_type {
+        DataType::Int => ColumnData::Int {
+            values: vec![0; rows],
+            nulls,
+        },
+        DataType::Float => ColumnData::Float {
+            values: vec![0.0; rows],
+            nulls,
+        },
+        DataType::Date => ColumnData::Date {
+            values: vec![0; rows],
+            nulls,
+        },
+        DataType::Bool => ColumnData::Bool {
+            values: vec![false; rows],
+            nulls,
+        },
+        DataType::Str => ColumnData::Str {
+            dict: Vec::new(),
+            codes: vec![0; rows],
+            nulls,
+        },
+    }
 }
 
-/// Builds one column: typed storage when every non-null value is the
-/// canonical variant of `data_type`, [`ColumnData::Mixed`] otherwise, plus
-/// the per-chunk zone maps. Chunk-parallel; identical at every pool size.
-fn build_column<'a>(
-    data_type: DataType,
-    rows: usize,
-    chunks: &[std::ops::Range<usize>],
-    cell: &(impl Fn(usize) -> &'a Value + Sync),
-    pool: &Pool,
-) -> (ColumnData, Vec<ZoneMap>) {
-    // Pass 1 (parallel): canonical-variant check, and the distinct strings
-    // per chunk for dictionary columns.
-    let scans: Vec<(bool, BTreeSet<&'a str>)> = pool.map_ranges(chunks, |range| {
-        let mut canonical = true;
-        let mut strings: BTreeSet<&'a str> = BTreeSet::new();
-        for r in range {
-            let v = cell(r);
-            canonical &= ColumnData::is_canonical(data_type, v);
-            if data_type == DataType::Str {
-                if let Value::Str(s) = v {
-                    strings.insert(s);
-                }
+/// One chunk's cells of one typed column, writable in place.
+enum Window<'s> {
+    Int(&'s mut [i64]),
+    Float(&'s mut [f64]),
+    Date(&'s mut [i32]),
+    Bool(&'s mut [bool]),
+    Str(&'s mut [u32]),
+}
+
+/// What one chunk's sweep keeps per column.
+struct Feed<'a, 's> {
+    /// `None` once the chunk met a non-canonical variant in the column.
+    window: Option<Window<'s>>,
+    /// The chunk's own null-bitmap words: chunk sizes are multiples of 64.
+    words: &'s mut [u64],
+    /// Bounds under `Value`'s total order (NaN greatest, -0.0 == 0.0),
+    /// bloom filter and distinct hint; of a string column, only its NULLs.
+    stats: ZoneMapBuilder,
+    strings: Interner<'a>,
+}
+
+/// A swept chunk's summary of one column: the zone map (`None`: a
+/// non-canonical variant) and, for strings, the chunk dictionary.
+type Swept<'a> = (Option<ZoneMap>, Vec<&'a Arc<str>>);
+
+/// Deals the chunk windows of a blank `column` out to the chunks' feeds.
+fn open_windows<'s>(column: &'s mut ColumnData, n: usize, feeds: &mut [Vec<Feed<'_, 's>>]) {
+    let (cells, nulls): (Vec<Window>, _) = match column {
+        ColumnData::Int { values: v, nulls } => (v.chunks_mut(n).map(Window::Int).collect(), nulls),
+        ColumnData::Float { values: v, nulls } => {
+            (v.chunks_mut(n).map(Window::Float).collect(), nulls)
+        }
+        ColumnData::Date { values: v, nulls } => {
+            (v.chunks_mut(n).map(Window::Date).collect(), nulls)
+        }
+        ColumnData::Bool { values: v, nulls } => {
+            (v.chunks_mut(n).map(Window::Bool).collect(), nulls)
+        }
+        ColumnData::Str { codes, nulls, .. } => {
+            (codes.chunks_mut(n).map(Window::Str).collect(), nulls)
+        }
+        ColumnData::Mixed { .. } => unreachable!("blank columns are typed"),
+    };
+    let words = nulls.words_mut().chunks_mut(n / 64);
+    for ((window, words), feed) in cells.into_iter().zip(words).zip(feeds) {
+        feed.push(Feed {
+            window: Some(window),
+            words,
+            stats: ZoneMapBuilder::new(),
+            strings: Interner::default(),
+        });
+    }
+}
+
+/// A chunk's string dictionary in insertion order. A cell's id is its
+/// string's index plus one; 0 stays the code of NULL rows.
+#[derive(Default)]
+struct Interner<'a> {
+    dict: Vec<&'a Arc<str>>,
+    ids: HashMap<&'a str, u32>,
+    /// Direct-mapped on the allocation's address: a cell sharing its `Arc`
+    /// with an earlier cell is interned without hashing the string.
+    recent: [Option<(&'a Arc<str>, u32)>; 16],
+}
+
+impl<'a> Interner<'a> {
+    fn id(&mut self, s: &'a Arc<str>) -> u32 {
+        let address = Arc::as_ptr(s) as *const u8 as usize;
+        let slot = address.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (usize::BITS - 4);
+        if let Some((seen, id)) = self.recent[slot] {
+            if Arc::ptr_eq(seen, s) {
+                return id;
             }
         }
-        (canonical, strings)
-    });
-    if !scans.iter().all(|(c, _)| *c) {
-        // Mixed storage: keep the original values verbatim.
-        let mut values = vec![Value::Null; rows];
-        let cuts: Vec<usize> = chunks.iter().map(|c| c.start).collect();
-        let zones = pool.map_slices_mut(&mut values, &cuts, |k, slice| {
-            let range = chunks[k].clone();
-            for (i, r) in range.clone().enumerate() {
-                slice[i] = cell(r).clone();
-            }
-            ZoneMap::build(slice.iter())
+        let id = *self.ids.entry(s).or_insert_with(|| {
+            self.dict.push(s);
+            self.dict.len() as u32
         });
-        return (ColumnData::Mixed { values }, zones);
-    }
-
-    match data_type {
-        DataType::Int => build_typed(rows, chunks, pool, 0i64, cell, |v| match v {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }),
-        DataType::Float => build_typed(rows, chunks, pool, 0f64, cell, |v| match v {
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }),
-        DataType::Date => build_typed(rows, chunks, pool, 0i32, cell, |v| match v {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }),
-        DataType::Bool => build_typed(rows, chunks, pool, false, cell, |v| match v {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }),
-        DataType::Str => build_str(rows, chunks, pool, cell, scans),
+        self.recent[slot] = Some((s, id));
+        id
     }
 }
 
-/// A native element type of a typed column: maps back to the canonical
-/// `Value` variant (for zone-map bounds) and wraps a filled vector into its
-/// [`ColumnData`] variant.
-trait Native: Copy + Send + Sync {
-    fn to_value(self) -> Value;
-    fn into_column(values: Vec<Self>, nulls: NullBitmap) -> ColumnData;
-}
-impl Native for i64 {
-    fn to_value(self) -> Value {
-        Value::Int(self)
+/// The row-major sweep of one chunk: every cell goes to its column's feed,
+/// typed columns finish their zone maps, string columns their dictionaries.
+fn sweep<'a>(rows: &'a [Tuple], mut feeds: Vec<Feed<'a, '_>>) -> Vec<Swept<'a>> {
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(row.arity(), feeds.len(), "a row has one cell per column");
+        for (feed, v) in feeds.iter_mut().zip(row.values()) {
+            match (&mut feed.window, v) {
+                (None, _) => continue,
+                (Some(_), Value::Null) => feed.words[i / 64] |= 1 << (i % 64),
+                (Some(Window::Int(w)), Value::Int(x)) => w[i] = *x,
+                (Some(Window::Float(w)), Value::Float(x)) => w[i] = *x,
+                (Some(Window::Date(w)), Value::Date(x)) => w[i] = *x,
+                (Some(Window::Bool(w)), Value::Bool(x)) => w[i] = *x,
+                (Some(Window::Str(w)), Value::Str(s)) => w[i] = feed.strings.id(s),
+                (window, _) => *window = None,
+            }
+            // A string column's bounds and bloom come from its dictionaries.
+            if !matches!(v, Value::Str(_)) {
+                feed.stats.push(v);
+            }
+        }
     }
-    fn into_column(values: Vec<Self>, nulls: NullBitmap) -> ColumnData {
-        ColumnData::Int { values, nulls }
-    }
-}
-impl Native for f64 {
-    fn to_value(self) -> Value {
-        Value::Float(self)
-    }
-    fn into_column(values: Vec<Self>, nulls: NullBitmap) -> ColumnData {
-        ColumnData::Float { values, nulls }
-    }
-}
-impl Native for i32 {
-    fn to_value(self) -> Value {
-        Value::Date(self)
-    }
-    fn into_column(values: Vec<Self>, nulls: NullBitmap) -> ColumnData {
-        ColumnData::Date { values, nulls }
-    }
-}
-impl Native for bool {
-    fn to_value(self) -> Value {
-        Value::Bool(self)
-    }
-    fn into_column(values: Vec<Self>, nulls: NullBitmap) -> ColumnData {
-        ColumnData::Bool { values, nulls }
-    }
+    let finish = |f: Feed<'a, '_>| (f.window.map(|_| f.stats.finish()), f.strings.dict);
+    feeds.into_iter().map(finish).collect()
 }
 
-/// Chunk-parallel fill of one typed column vector + null bitmap + zone maps.
-fn build_typed<'a, T: Native>(
-    rows: usize,
-    chunks: &[std::ops::Range<usize>],
+/// Ranks a swept string column. The sorted union of the chunk dictionaries
+/// (`locals`) is the column's — independent of chunking, so identical at
+/// every pool size — and every chunk turns its ids into ranks and finishes
+/// its zone map (`partial` carries the null count) in one pass over its codes.
+fn rank_strings(
+    dict: &mut Vec<Arc<str>>,
+    codes: &mut [u32],
+    cuts: &[usize],
+    partial: &[ZoneMap],
+    locals: &[&[&Arc<str>]],
     pool: &Pool,
-    zero: T,
-    cell: &(impl Fn(usize) -> &'a Value + Sync),
-    extract: impl Fn(&Value) -> Option<T> + Sync,
-) -> (ColumnData, Vec<ZoneMap>) {
-    let mut values = vec![zero; rows];
-    let mut nulls = NullBitmap::new(rows);
-    let value_cuts: Vec<usize> = chunks.iter().map(|c| c.start).collect();
-    // Chunk sizes are multiples of 64, so chunk k owns bitmap words
-    // [start / 64, end / 64) exclusively.
-    let word_cuts: Vec<usize> = chunks.iter().map(|c| c.start / 64).collect();
-    let zones = pool.map_slices2_mut(
-        &mut values,
-        &value_cuts,
-        nulls.words_mut(),
-        &word_cuts,
-        |k, vseg, wseg| {
-            let range = chunks[k].clone();
-            // The builder computes bounds under Value's total order (NaN
-            // greatest, -0.0 == 0.0 — exactly what Value::cmp yields on the
-            // canonical variants), plus the bloom filter and distinct hint.
-            let mut stats = zone::ZoneMapBuilder::new();
-            for (i, r) in range.clone().enumerate() {
-                match extract(cell(r)) {
-                    Some(v) => {
-                        vseg[i] = v;
-                        stats.push(&v.to_value());
-                    }
-                    None => {
-                        wseg[i / 64] |= 1 << (i % 64);
-                        stats.push_null();
-                    }
-                }
-            }
-            stats.finish()
-        },
-    );
-    (T::into_column(values, nulls), zones)
-}
-
-/// Chunk-parallel build of an order-preserving dictionary column: the
-/// per-chunk distinct-string sets from pass 1 are merged and ranked, then
-/// every chunk encodes its codes against the canonical dictionary.
-fn build_str<'a>(
-    rows: usize,
-    chunks: &[std::ops::Range<usize>],
-    pool: &Pool,
-    cell: &(impl Fn(usize) -> &'a Value + Sync),
-    scans: Vec<(bool, BTreeSet<&'a str>)>,
-) -> (ColumnData, Vec<ZoneMap>) {
-    // Merge: the union of the per-chunk sets, already sorted — ranks are
-    // independent of chunking, so the dictionary is identical at every
-    // thread count.
-    let mut merged: BTreeSet<&'a str> = BTreeSet::new();
-    for (_, set) in &scans {
-        merged.extend(set.iter().copied());
-    }
-    let ordered: Vec<&'a str> = merged.into_iter().collect();
-    let dict: Vec<Arc<str>> = ordered.iter().map(|s| Arc::from(*s)).collect();
-
-    let mut codes = vec![0u32; rows];
-    let mut nulls = NullBitmap::new(rows);
-    let code_cuts: Vec<usize> = chunks.iter().map(|c| c.start).collect();
-    let word_cuts: Vec<usize> = chunks.iter().map(|c| c.start / 64).collect();
-    let zones = pool.map_slices2_mut(
-        &mut codes,
-        &code_cuts,
-        nulls.words_mut(),
-        &word_cuts,
-        |k, cseg, wseg| {
-            let range = chunks[k].clone();
-            let mut min_code: Option<u32> = None;
-            let mut max_code: Option<u32> = None;
-            let mut null_count = 0usize;
-            let mut seen_codes: Vec<u32> = Vec::new();
-            for (i, r) in range.clone().enumerate() {
-                match cell(r) {
-                    Value::Str(s) => {
-                        let code = ordered
-                            .binary_search(&s.as_ref())
-                            .expect("every string was collected in pass 1")
-                            as u32;
-                        cseg[i] = code;
-                        seen_codes.push(code);
-                        if min_code.is_none_or(|m| code < m) {
-                            min_code = Some(code);
-                        }
-                        if max_code.is_none_or(|m| code > m) {
-                            max_code = Some(code);
-                        }
-                    }
-                    _ => {
-                        wseg[i / 64] |= 1 << (i % 64);
-                        null_count += 1;
-                    }
-                }
-            }
-            // Bloom + distinct over the chunk's distinct codes: each
-            // distinct string is hashed exactly once. The distinct hint
-            // counts distinct hash keys, matching ZoneMapBuilder.
-            seen_codes.sort_unstable();
-            seen_codes.dedup();
-            let mut keys: Vec<u64> = seen_codes
-                .iter()
-                .map(|&c| zone::bloom_key_str(&dict[c as usize]))
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let mut bloom = [0u64; zone::BLOOM_WORDS];
-            for &key in &keys {
-                zone::bloom_insert(&mut bloom, key);
-            }
-            let repr = if seen_codes.is_empty() {
-                ChunkRepr::Hetero
-            } else {
-                ChunkRepr::Str
-            };
-            let distinct = keys.len() as u32;
-            ZoneMap {
-                min: min_code.map(|c| Value::Str(dict[c as usize].clone())),
-                max: max_code.map(|c| Value::Str(dict[c as usize].clone())),
-                null_count,
-                rows: range.len(),
-                bloom: zone::saturate_bloom(bloom, distinct),
-                distinct,
-                repr,
-            }
-        },
-    );
-    (ColumnData::Str { dict, codes, nulls }, zones)
+) -> Vec<ZoneMap> {
+    let mut ordered: Vec<&str> = locals.iter().copied().flatten().map(|s| &***s).collect();
+    ordered.sort_unstable();
+    ordered.dedup();
+    *dict = ordered.iter().map(|s| Arc::from(*s)).collect();
+    let dict = &*dict;
+    pool.map_slices_mut(codes, cuts, |k, codes| {
+        let rank = |s: &&Arc<str>| ordered.binary_search(&&***s).expect("interned") as u32;
+        let ranks: Vec<u32> = once(0).chain(locals[k].iter().map(rank)).collect();
+        for code in codes.iter_mut() {
+            *code = ranks[*code as usize];
+        }
+        // Each distinct string of the chunk is hashed and compared once.
+        let mut stats = ZoneMapBuilder::new();
+        for &code in &ranks[1..] {
+            stats.push(&Value::Str(dict[code as usize].clone()));
+        }
+        ZoneMap {
+            null_count: partial[k].null_count,
+            rows: codes.len(),
+            ..stats.finish()
+        }
+    })
 }
 
 #[cfg(test)]
@@ -681,3 +681,6 @@ mod tests {
         assert_eq!(col.to_prob_table().unwrap().len(), 0);
     }
 }
+
+#[cfg(test)]
+mod ingest_prop;

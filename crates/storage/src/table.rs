@@ -65,6 +65,11 @@ impl Table {
         &mut self.rows
     }
 
+    /// Consumes the table, returning its rows.
+    pub fn into_rows(self) -> Vec<Tuple> {
+        self.rows
+    }
+
     /// Inserts a row after validating arity and column types.
     ///
     /// # Errors
@@ -220,8 +225,8 @@ impl ProbTable {
         mut prob_of: impl FnMut(usize) -> f64,
     ) -> StorageResult<Self> {
         let mut out = ProbTable::new(table.schema().clone());
-        for (i, row) in table.rows().iter().enumerate() {
-            out.insert(row.clone(), gen.fresh(), prob_of(i))?;
+        for (i, row) in table.into_rows().into_iter().enumerate() {
+            out.insert(row, gen.fresh(), prob_of(i))?;
         }
         Ok(out)
     }

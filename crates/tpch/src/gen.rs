@@ -210,6 +210,13 @@ fn schema(pairs: &[(&str, DataType)]) -> Schema {
     Schema::from_pairs(pairs).expect("static schema")
 }
 
+/// One `Value::Str` per constant of a domain: rows clone it (a
+/// reference-count bump) instead of allocating the string once per cell,
+/// and ingest recognises the shared allocation by its address.
+fn shared(domain: &[&str]) -> Vec<Value> {
+    domain.iter().map(|name| Value::str(*name)).collect()
+}
+
 fn gen_region() -> Table {
     let mut t = Table::new(schema(&[("rkey", DataType::Int), ("rname", DataType::Str)]));
     for (i, name) in REGIONS.iter().enumerate() {
@@ -263,13 +270,14 @@ fn gen_cust(rng: &mut SmallRng, count: usize) -> Table {
         ("cacctbal", DataType::Float),
         ("mktsegment", DataType::Str),
     ]));
+    let segments = shared(&SEGMENTS);
     for ckey in 1..=count as i64 {
         t.insert(tuple![
             ckey,
             format!("Customer#{ckey:09}"),
             rng.gen_range(0..NATIONS.len() as i64),
             round2(rng.gen_range(-999.0..10_000.0)),
-            SEGMENTS[rng.gen_range(0..SEGMENTS.len())],
+            segments[rng.gen_range(0..segments.len())].clone(),
         ])
         .expect("valid row");
     }
@@ -294,27 +302,36 @@ fn gen_part(rng: &mut SmallRng, count: usize) -> Table {
     // counts and bloom filters on these columns their selectivity — an
     // `Eq`/`In` probe on `size` or `brand` skips the chunks holding other
     // product lines.
-    let mut attrs: Vec<(String, String, i64, &str)> = (0..count)
+    let types = shared(&PART_TYPES);
+    let containers = shared(&CONTAINERS);
+    // `Brand#ab` for digits a, b in 1..=5, at index 5 (a - 1) + (b - 1):
+    // index order is the names' lexicographic order.
+    let brands: Vec<Value> = (1..6)
+        .flat_map(|a| (1..6).map(move |b| Value::from(format!("Brand#{a}{b}"))))
+        .collect();
+    let mut attrs: Vec<(usize, usize, i64, usize)> = (0..count)
         .map(|_| {
-            let brand = format!("Brand#{}{}", rng.gen_range(1..6), rng.gen_range(1..6));
+            let brand = 5 * (rng.gen_range(1..6usize) - 1) + rng.gen_range(1..6usize) - 1;
             (
-                PART_TYPES[rng.gen_range(0..PART_TYPES.len())].to_string(),
+                rng.gen_range(0..PART_TYPES.len()),
                 brand,
                 rng.gen_range(1..51i64),
-                CONTAINERS[rng.gen_range(0..CONTAINERS.len())],
+                rng.gen_range(0..CONTAINERS.len()),
             )
         })
         .collect();
-    attrs.sort_unstable();
+    attrs.sort_unstable_by_key(|&(ptype, brand, size, container)| {
+        (PART_TYPES[ptype], brand, size, CONTAINERS[container])
+    });
     for (i, (ptype, brand, size, container)) in attrs.into_iter().enumerate() {
         let pkey = i as i64 + 1;
         t.insert(tuple![
             pkey,
             format!("part {pkey} forest lace"),
-            brand,
-            ptype,
+            brands[brand].clone(),
+            types[ptype].clone(),
             size,
-            container,
+            containers[container].clone(),
             round2(900.0 + rng.gen_range(0.0..200.0)),
         ])
         .expect("valid row");
@@ -379,8 +396,10 @@ fn gen_orders_items(
     ]));
     let start = date(1992, 1, 1);
     let end = date(1998, 8, 2);
-    let priorities = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
-    let flags = ["R", "A", "N"];
+    let priorities = shared(&["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"]);
+    let (fulfilled, open) = (Value::str("F"), Value::str("O"));
+    let flags = shared(&["R", "A", "N"]);
+    let modes = shared(&SHIP_MODES);
     // Orders arrive in date order: the dates are drawn from the same
     // uniform range as before, then assigned to ascending order keys, so
     // insertion order is clustered by `odate` (and, transitively, by the
@@ -397,14 +416,14 @@ fn gen_orders_items(
     let median = odates[orders / 2];
     for okey in 1..=orders as i64 {
         let odate = odates[okey as usize - 1];
-        let status = if odate <= median { "F" } else { "O" };
+        let status = if odate <= median { &fulfilled } else { &open };
         ord.insert(tuple![
             okey,
             rng.gen_range(1..=customers as i64),
-            status,
+            status.clone(),
             round2(rng.gen_range(1_000.0..400_000.0)),
             Value::Date(odate),
-            priorities[rng.gen_range(0..priorities.len())],
+            priorities[rng.gen_range(0..priorities.len())].clone(),
         ])
         .expect("valid row");
         let lines = rng.gen_range(1..=7);
@@ -419,8 +438,8 @@ fn gen_orders_items(
                 round2(rng.gen_range(900.0..100_000.0)),
                 round2(rng.gen_range(0.0..0.11)),
                 Value::Date(shipdate),
-                flags[rng.gen_range(0..flags.len())],
-                SHIP_MODES[rng.gen_range(0..SHIP_MODES.len())],
+                flags[rng.gen_range(0..flags.len())].clone(),
+                modes[rng.gen_range(0..modes.len())].clone(),
             ])
             .expect("valid row");
         }

@@ -40,15 +40,20 @@ fn build_catalog(data: &TpchData, seed: u64, columnar: bool) -> StorageResult<Ca
     let pool = pdb_par::Pool::from_env();
 
     let mut register = |name: &str, table: &Table| -> StorageResult<()> {
-        let prob = ProbTable::from_table(table.clone(), &mut gen, |_| {
-            // Probabilities in (0.05, 1.0]: away from zero so no tuple is
-            // trivially absent, and including certain tuples.
+        // Probabilities in (0.05, 1.0]: away from zero so no tuple is
+        // trivially absent, and including certain tuples.
+        let mut draw = || {
             let p: f64 = rng.gen_range(0.05..=1.0);
             (p * 100.0).round() / 100.0
-        })?;
+        };
         if columnar {
-            catalog.register_columnar(name, ColumnarTable::from_prob_table(&prob, &pool)?)
+            // The columns are built from the generator's rows where they
+            // lie: no row copy of the table exists on this arm.
+            let vars = (0..table.len()).map(|_| gen.fresh()).collect();
+            let probs = (0..table.len()).map(|_| draw()).collect();
+            catalog.register_columnar(name, ColumnarTable::from_table(table, vars, probs, &pool)?)
         } else {
+            let prob = ProbTable::from_table(table.clone(), &mut gen, |_| draw())?;
             catalog.register_table(name, prob)
         }
     };

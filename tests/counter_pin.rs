@@ -1,4 +1,5 @@
-//! The deterministic counters of five lazy queries, pinned.
+//! The deterministic counters of five lazy queries and of one eager, one
+//! hybrid and one MystiQ plan, pinned.
 //!
 //! The counters of `pdb-obs` are part of the determinism contract: a change
 //! that moves, drops or double-counts work — a scan run twice, a decode
@@ -6,8 +7,12 @@
 //! way — shows here as a changed number, not weeks later as a drift in
 //! `sprout_bench`'s `count` metrics. `counter_pin.txt` was generated at the
 //! commit before the plans began to own their intermediates (TPC-H SF 0.01,
-//! seed 1, columnar); a deliberate change regenerates it from the table this
-//! test prints on a mismatch.
+//! seed 1, columnar), and its three plan-family lines at the commit before
+//! columnar ingest began to read the generator's rows in place — the join
+//! and grouping counts see every base-table row, so they are also the
+//! cheapest proof that the ingested tables are that commit's, row for row.
+//! A deliberate change regenerates the file from the table this test prints
+//! on a mismatch.
 
 use std::sync::Arc;
 
@@ -18,9 +23,9 @@ const PINNED: &str = include_str!("counter_pin.txt");
 
 /// Single-table scans with and without a head (Q1 / B1, Q6 / B6) and one
 /// join query (Q15).
-const QUERIES: [&str; 5] = ["1", "B1", "6", "B6", "15"];
+const LAZY_QUERIES: [&str; 5] = ["1", "B1", "6", "B6", "15"];
 
-const COUNTERS: [Counter; 8] = [
+const LAZY_COUNTERS: [Counter; 8] = [
     Counter::RowsScanned,
     Counter::RowsEmitted,
     Counter::ChunksScanned,
@@ -31,28 +36,51 @@ const COUNTERS: [Counter; 8] = [
     Counter::ConfHugeBags,
 ];
 
+/// Grouping and join work, and the answer's size. The planner hands a
+/// MystiQ plan no collector (ROADMAP item 1(a)(iv)), so its line pins that
+/// the plan tallies nothing and the planner its answer rows.
+const PLAN_COUNTERS: [Counter; 4] = [
+    Counter::EagerGroups,
+    Counter::JoinProbes,
+    Counter::JoinMatches,
+    Counter::AnswerRows,
+];
+
+/// `(line label, query, plan, counters)`: the lazy lines, then Q3 eager, Q3
+/// hybrid with `Item` pushed down, and Q15 under MystiQ's safe plan.
+fn pinned_runs() -> Vec<(String, &'static str, PlanKind, &'static [Counter])> {
+    let lazy = LAZY_QUERIES.map(|id| (id.to_string(), id, PlanKind::Lazy, &LAZY_COUNTERS[..]));
+    let plans = [
+        ("3.eager", "3", PlanKind::Eager),
+        ("3.hybrid", "3", PlanKind::Hybrid(vec!["Item".to_string()])),
+        ("15.mystiq", "15", PlanKind::Mystiq),
+    ]
+    .map(|(label, id, kind)| (label.to_string(), id, kind, &PLAN_COUNTERS[..]));
+    lazy.into_iter().chain(plans).collect()
+}
+
 fn counter_table(db: &SproutDb, threads: usize) -> String {
-    QUERIES
-        .iter()
-        .map(|id| {
+    pinned_runs()
+        .into_iter()
+        .map(|(label, id, kind, counters)| {
             let query = tpch_query(id)
                 .unwrap_or_else(|| panic!("catalogue has {id}"))
                 .query
                 .unwrap_or_else(|| panic!("{id} is conjunctive"));
             let obs = QueryObs::new();
             let opts = QueryOptions {
-                kind: Some(PlanKind::Lazy),
+                kind: Some(kind),
                 pool: Some(Pool::new(threads)),
                 obs: Some(Arc::clone(&obs)),
                 ..QueryOptions::default()
             };
             db.query_with_options(&query, &opts)
-                .unwrap_or_else(|e| panic!("{id} lazy at {threads} threads: {e}"));
-            let cells: Vec<String> = COUNTERS
+                .unwrap_or_else(|e| panic!("{label} at {threads} threads: {e}"));
+            let cells: Vec<String> = counters
                 .iter()
                 .map(|c| format!("{}={}", c.name(), obs.get(*c)))
                 .collect();
-            format!("{id}: {}\n", cells.join(" "))
+            format!("{label}: {}\n", cells.join(" "))
         })
         .collect()
 }
