@@ -549,7 +549,9 @@ enum ItemResult {
 /// unit's partials are per root partition — concatenating them in item
 /// order yields the same list however the sub-ranges were cut — so the
 /// probabilities are bitwise-identical at every thread count, and identical
-/// to the unsplit sequential scan.
+/// to the unsplit scan. The pool decides only how a unit is cut: checkpoint
+/// `conf.bag` `u` runs once, where unit `u` starts, and a panicking item is
+/// isolated, at every pool size.
 pub(crate) fn unit_confidences(
     machine: &FlatScan,
     answer: &Annotated,
@@ -575,18 +577,6 @@ pub(crate) fn unit_confidences(
             (0..n).filter(|&u| unit_range(u).len() >= threshold).count() as u64,
         );
     }
-    if pool.threads() <= 1 {
-        // Sequential: one machine, one pass over the units — intra-unit
-        // splitting cannot help without a second worker. Checkpoint per
-        // unit, like the parallel path checkpoints per work item.
-        let mut machine = machine.clone();
-        let mut probs = Vec::with_capacity(n);
-        for u in 0..n {
-            ctx.checkpoint(Stage::Confidence, "conf.bag", u)?;
-            probs.push(machine.scan_bag(answer, &order[unit_range(u)]));
-        }
-        return Ok(probs);
-    }
     // Build the global work-item list. The root's variable is the first
     // preorder column, which is where the rows of a unit are sorted first.
     let root_col = machine.preorder_cols()[0];
@@ -601,17 +591,21 @@ pub(crate) fn unit_confidences(
             hi: range.end,
             split: false,
         };
-        if len < threshold {
+        // A unit is cut into at most one sub-range per worker, and finding
+        // the cut points costs a pass over its rows and a vector of up to
+        // one entry per row: with no second worker there is nothing to cut.
+        if len < threshold || pool.threads() < 2 {
             items.push(whole);
             continue;
         }
         let part_starts = root_partition_starts(answer, &order[range.clone()], root_col, pool);
-        if part_starts.len() == 1 {
+        let cuts = partition_by_weight(&part_starts, len, pool.threads());
+        if cuts.len() == 1 {
             // Every row carries the same root variable: unsplittable.
             items.push(whole);
             continue;
         }
-        for parts in partition_by_weight(&part_starts, len, pool.threads()) {
+        for parts in cuts {
             items.push(WorkItem {
                 unit: u as u32,
                 lo: range.start + part_starts[parts.start],
@@ -636,11 +630,10 @@ pub(crate) fn unit_confidences(
         .try_map_ranges(&worker_ranges, |_, item_range| {
             let mut machine = machine.clone();
             let mut out = Vec::with_capacity(item_range.len());
-            for (off, item) in items[item_range.clone()].iter().enumerate() {
-                // Checkpoint on the *global* work-item index so the
-                // fault-injection sweep addresses items deterministically
-                // however they are distributed across workers.
-                ctx.checkpoint(Stage::Confidence, "conf.bag", item_range.start + off)?;
+            for item in &items[item_range] {
+                if item.lo == unit_starts[item.unit as usize] {
+                    ctx.checkpoint(Stage::Confidence, "conf.bag", item.unit as usize)?;
+                }
                 let rows = &order[item.lo..item.hi];
                 if item.split {
                     let mut partials = Vec::new();
@@ -726,7 +719,7 @@ pub fn one_scan_confidences(
 
 /// [`one_scan_confidences`] on an explicit worker pool, with an explicit
 /// intra-bag [`SplitPolicy`], under a governor [`ExecContext`]: the bag
-/// scheduler runs a cancellation / deadline checkpoint at every work item
+/// scheduler runs a cancellation / deadline checkpoint at every bag
 /// (`conf.bag`), and an interrupted scan surfaces as
 /// [`ConfError::Governed`]. Confidences are bitwise-identical for every pool
 /// size *and* every policy — the policy only decides how much of the pool a

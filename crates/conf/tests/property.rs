@@ -664,59 +664,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 3 (PR 1): the optimized pipeline — normalized-key join,
-// sort-based dedup, streaming one-scan — against the brute-force oracle,
-// and the sort contract sort_dedup must preserve.
+// Scenario 3 (PR 1): the optimized pipeline — normalized-key join, the sort
+// into the one-scan order, streaming one-scan — against the brute-force
+// oracle.
 // ---------------------------------------------------------------------------
-
-/// The one-scan sort order of a signature: all data columns, then the
-/// variable columns of the 1scanTree in preorder.
-fn one_scan_order(
-    answer: &pdb_exec::Annotated,
-    sig: &pdb_query::Signature,
-) -> (Vec<String>, Vec<String>) {
-    let data_cols: Vec<String> = answer
-        .schema()
-        .names()
-        .into_iter()
-        .map(|s| s.to_string())
-        .collect();
-    let preorder = pdb_query::OneScanTree::build(sig)
-        .expect("1scan signature")
-        .preorder();
-    (data_cols, preorder)
-}
-
-/// Asserts the rows of `answer` are sorted by the given data columns, then
-/// by the variables of the given lineage columns — the contract the
-/// streaming operator relies on (Example V.12).
-fn assert_preorder_sorted(answer: &pdb_exec::Annotated, data_cols: &[String], preorder: &[String]) {
-    let col_idx: Vec<usize> = data_cols
-        .iter()
-        .map(|c| answer.column_index(c).unwrap())
-        .collect();
-    let rel_idx: Vec<usize> = preorder
-        .iter()
-        .map(|r| answer.relation_index(r).unwrap())
-        .collect();
-    for i in 1..answer.len() {
-        let a = answer.row(i - 1);
-        let b = answer.row(i);
-        let key = |r: pdb_exec::RowRef<'_>| -> Vec<_> {
-            col_idx
-                .iter()
-                .map(|&c| (Some(r.data[c].clone()), None))
-                .chain(rel_idx.iter().map(|&c| (None, Some(r.lineage[c].0))))
-                .collect()
-        };
-        assert!(
-            key(a) <= key(b),
-            "rows {} and {} violate the one-scan sort contract",
-            i - 1,
-            i
-        );
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -746,12 +697,12 @@ proptest! {
         let sig = query_signature(&q, &FdSet::empty()).unwrap();
         prop_assert!(sig.is_one_scan());
 
-        // Sort-based dedup into the one-scan order, then the streaming scan.
-        let (data_cols, preorder) = one_scan_order(&answer, &sig);
-        let deduped = pdb_exec::ops::sort_dedup(&answer, &data_cols, &preorder).unwrap();
+        // Sort into the one-scan order, then the streaming scan.
+        let mut sorted = answer.clone();
+        pdb_conf::one_scan::sort_for_signature(&mut sorted, &sig).unwrap();
         let ours =
             one_scan_confidences_presorted_tuned(
-                &deduped, &sig, &Pool::from_env(), SplitPolicy::default(),
+                &sorted, &sig, &Pool::from_env(), SplitPolicy::default(),
             ).unwrap();
         let oracle = brute_force_confidences(&answer);
         prop_assert_eq!(ours.len(), oracle.len());
@@ -761,43 +712,6 @@ proptest! {
                 (p1 - p2).abs() < 1e-9,
                 "pipeline {} vs oracle {} for {}", p1, p2, t1
             );
-        }
-    }
-
-    #[test]
-    fn sort_dedup_preserves_the_one_scan_sort_contract(
-        db in cust_ord_item_strategy(),
-    ) {
-        let catalog = build_cust_ord_item(&db);
-        let q = guiding_query(false);
-        let order: Vec<String> =
-            ["Cust", "Ord", "Item"].iter().map(|s| s.to_string()).collect();
-        let answer = evaluate_join_order(&q, &catalog, &order).unwrap();
-        let fds = if db.with_keys {
-            FdSet::from_catalog_decls(&catalog.fds())
-        } else {
-            FdSet::empty()
-        };
-        let sig = query_signature(&q, &fds).unwrap();
-        if !sig.is_one_scan() {
-            return Ok(());
-        }
-        let (data_cols, preorder) = one_scan_order(&answer, &sig);
-        let deduped = pdb_exec::ops::sort_dedup(&answer, &data_cols, &preorder).unwrap();
-        // Dedup only removes rows; the survivors stay in sorted order.
-        prop_assert!(deduped.len() <= answer.len());
-        assert_preorder_sorted(&deduped, &data_cols, &preorder);
-        // And the streaming operator computes identical confidences on the
-        // deduped input.
-        let from_dedup =
-            one_scan_confidences_presorted_tuned(
-                &deduped, &sig, &Pool::from_env(), SplitPolicy::default(),
-            ).unwrap();
-        let from_full = pdb_conf::one_scan::one_scan_confidences(&answer, &sig).unwrap();
-        prop_assert_eq!(from_dedup.len(), from_full.len());
-        for ((t1, p1), (t2, p2)) in from_dedup.iter().zip(from_full.iter()) {
-            prop_assert_eq!(t1, t2);
-            prop_assert!((p1 - p2).abs() < 1e-12);
         }
     }
 }

@@ -112,16 +112,10 @@ impl Annotated {
         }
     }
 
-    /// Grows the arenas to hold at least `additional` more rows.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.data.reserve(additional * self.data_width());
-        self.lineage.reserve(additional * self.lineage_width());
-    }
-
     /// Creates a relation of exactly `rows` placeholder rows (NULL data
     /// values, zero lineage pairs) whose arenas are overwritten in place
     /// through [`Annotated::arena_segments_mut`]. This is the reserve half of
-    /// the parallel operators' two-phase pattern: once per-chunk output
+    /// the operators' two-phase pattern: once per-range output
     /// counts are known, the output is sized exactly and disjoint workers
     /// fill their row ranges with no post-hoc stitch copy.
     pub fn with_placeholder_rows(schema: Schema, relations: Vec<String>, rows: usize) -> Self {
@@ -278,16 +272,14 @@ impl Annotated {
         debug_assert_eq!(self.lineage.len(), self.len * self.lineage_width());
     }
 
-    /// Appends `src` with its data projected onto `positions` (lineage
-    /// copied unchanged).
-    #[inline]
-    pub fn push_projected_row(&mut self, src: RowRef<'_>, positions: &[usize]) {
-        for &p in positions {
-            self.data.push(src.data[p].clone());
-        }
-        self.lineage.extend_from_slice(src.lineage);
-        self.len += 1;
-        debug_assert_eq!(self.data.len(), self.len * self.data_width());
+    /// Appends every row of `other` — a relation of the same shape — by
+    /// moving its arenas' contents behind this one's: no value is cloned.
+    pub fn append(&mut self, mut other: Annotated) {
+        debug_assert_eq!(other.schema, self.schema);
+        debug_assert_eq!(other.relations, self.relations);
+        self.data.append(&mut other.data);
+        self.lineage.append(&mut other.lineage);
+        self.len += other.len;
     }
 
     /// Index of data column `name`.

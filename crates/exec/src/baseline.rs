@@ -1,7 +1,7 @@
 //! The row-at-a-time reference join.
 //!
-//! [`crate::ops::natural_join_ctx`] is allocation-lean and radix-partitioned
-//! (normalized `u64` join keys, arena slice-append — see [`crate::ops`] and
+//! [`crate::ops::natural_join_ctx`] is allocation-lean (normalized `u64`
+//! join keys, one chained index, arena slice-append — see [`crate::ops`] and
 //! [`crate::key`]). This module keeps the obvious implementation — a
 //! `Vec<Value>` key per probed row, a `Tuple` and a fresh lineage `Vec` per
 //! output row — as the reference the tests hold the optimized join against:

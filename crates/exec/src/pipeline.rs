@@ -91,7 +91,7 @@ pub fn evaluate_join_order(
 /// [`ExecContext`]: every scan, join and copying projection of the pipeline
 /// fans out on the pool (each operator call is gated by its own input size,
 /// so small steps stay inline) and runs its cancellation / deadline / budget
-/// checkpoints; the final decode pass checkpoints per output segment
+/// checkpoints; the final decode pass checkpoints on the answer's row blocks
 /// (`late.decode`, [`Stage::Project`]). An interrupted step surfaces as
 /// [`ExecError::Governed`] naming the stage. The answer is bitwise-identical
 /// — values, lineage, row order — at every pool size, and a governed run
@@ -109,12 +109,36 @@ pub fn evaluate_join_order_ctx(
     pool: &Pool,
     ctx: &ExecContext,
 ) -> ExecResult<Annotated> {
+    evaluate_join_order_with(query, catalog, order, pool, ctx, |_, scanned| {
+        Ok::<_, ExecError>(scanned)
+    })
+}
+
+/// The engine's one join walk: [`evaluate_join_order_ctx`] with a step of
+/// the caller's after every relation's scan — `after_scan(relation,
+/// scanned)` returns what joins the running result in the scan's place (a
+/// hybrid plan aggregates the relations it pushes down there). The step
+/// sees string head columns as their dictionary ranks, which group and order
+/// as the strings do; it must keep the data columns it is handed.
+///
+/// # Errors
+/// Those of [`evaluate_join_order_ctx`], and the first error of
+/// `after_scan`.
+pub fn evaluate_join_order_with<E: From<ExecError>>(
+    query: &ConjunctiveQuery,
+    catalog: &Catalog,
+    order: &[String],
+    pool: &Pool,
+    ctx: &ExecContext,
+    mut after_scan: impl FnMut(&str, Annotated) -> Result<Annotated, E>,
+) -> Result<Annotated, E> {
     let query_rels: BTreeSet<&str> = query.relation_names().into_iter().collect();
     let order_rels: BTreeSet<&str> = order.iter().map(|s| s.as_str()).collect();
     if query_rels != order_rels || order.len() != query.relations.len() {
         return Err(ExecError::UnknownRelation(format!(
             "join order {order:?} is not a permutation of the query relations {query_rels:?}"
-        )));
+        ))
+        .into());
     }
 
     let head: BTreeSet<String> = query.head_set();
@@ -130,7 +154,7 @@ pub fn evaluate_join_order_ctx(
         let atom = query
             .relation(rel_name)
             .ok_or_else(|| ExecError::UnknownRelation(rel_name.clone()))?;
-        let table = catalog.backing(rel_name)?;
+        let table = catalog.backing(rel_name).map_err(ExecError::from)?;
 
         let keep: Vec<String> = atom
             .attributes
@@ -173,6 +197,7 @@ pub fn evaluate_join_order_ctx(
         };
 
         drop(scan_span);
+        let scanned = after_scan(rel_name, scanned)?;
 
         let acc = match current.take() {
             None => scanned,
@@ -233,9 +258,9 @@ pub fn evaluate_join_order_ctx(
     let (data, _) = answer.arena_segments_mut();
     let decoded = decode_pool
         .try_map_slices_mut(data, &cuts, |seg_idx, seg| {
-            ctx.checkpoint(Stage::Project, "late.decode", seg_idx)?;
             let mut n = 0usize;
-            for row in seg.chunks_exact_mut(dw) {
+            for (r, row) in ranges[seg_idx].clone().zip(seg.chunks_exact_mut(dw)) {
+                ops::checkpoint_row(ctx, Stage::Project, "late.decode", r)?;
                 for (j, dict) in &ranked_cols {
                     let cell = &mut row[*j];
                     match cell {

@@ -18,7 +18,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use pdb_exec::{baseline, ops, Annotated, ExecContext};
+use std::borrow::Cow;
+
+use pdb_exec::{baseline, ops, Annotated, ExecContext, KeyRuns, Stage};
 use pdb_storage::{tuple, DataType, ProbTable, Schema, Variable};
 
 struct CountingAllocator;
@@ -162,8 +164,23 @@ fn sort_and_dedup_allocate_bounded_scratch() {
         "normalized sort allocated {sort_allocs} times for {rows} rows"
     );
 
+    // Duplicate elimination is the grouping shell's: one run per distinct
+    // data tuple, collapsed to its first row.
+    let pool = pdb_par::Pool::sequential();
+    let ctx = ExecContext::unbounded();
     let dedup_allocs = allocations(|| {
-        let d = ops::distinct(&joined);
+        let runs = KeyRuns::build(&joined, &[], &[], Stage::Sort, &pool, &ctx).unwrap();
+        let d = runs
+            .collapse(
+                Cow::Borrowed(&joined),
+                &[0],
+                0,
+                Stage::Sort,
+                &pool,
+                &ctx,
+                |input, _, rows| Ok(input.row(rows[0] as usize).lineage[0]),
+            )
+            .unwrap();
         assert_eq!(d.len(), 50 * 40);
     });
     assert!(
@@ -286,12 +303,12 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
     use pdb_par::Pool;
     use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
 
-    // A 100×50 join (5000 output rows) driven through the parallel
-    // operators on an explicit 4-worker pool: every operator may allocate
-    // per-chunk scratch (survivor lists, partition lists, match buffers,
-    // thread spawns) and the exactly-sized output arenas — but never O(rows)
-    // allocations. The write phase clones `Value`s into pre-sized segments
-    // (`Arc` bumps for strings), so no per-row Vec/Tuple exists anywhere.
+    // A 100×50 join (5000 output rows) driven through the operators on an
+    // explicit 4-worker pool: every operator may allocate per-range scratch
+    // (survivor lists, join fragments, thread spawns) and the exactly-sized
+    // output arenas — but never O(rows) allocations. The write phase clones
+    // `Value`s into pre-sized segments (`Arc` bumps for strings), so no
+    // per-row Vec/Tuple exists anywhere.
     let (left, right) = join_inputs(100, 50);
     let pool = Pool::new(4);
     let ctx = ExecContext::unbounded();
@@ -308,18 +325,7 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
     assert_eq!(join_out.len(), rows);
     assert!(
         join_allocs < rows / 4,
-        "parallel partitioned join allocated {join_allocs} times for {rows} rows"
-    );
-
-    let pred = Predicate::new("S", "b", CompareOp::Lt, 25i64);
-    let filter_allocs = allocations(|| {
-        let f = ops::filter_with(&right, &pred, &pool).unwrap();
-        assert_eq!(f.len(), 100 * 25);
-    });
-    assert!(
-        filter_allocs < right.len() / 4,
-        "parallel filter allocated {filter_allocs} times for {} rows",
-        right.len()
+        "four-worker join allocated {join_allocs} times for {rows} rows"
     );
 
     let keep: Vec<String> = vec!["a".into()];
@@ -333,7 +339,7 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
         right.len()
     );
 
-    // End to end: the fused-scan + partitioned-join pipeline stays bounded.
+    // End to end: the fused-scan + join pipeline stays bounded.
     let catalog = pdb_storage::Catalog::new();
     let mut r = ProbTable::new(Schema::from_pairs(&[("a", DataType::Int)]).unwrap());
     let mut s =
@@ -347,6 +353,17 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
             s.insert(tuple![a, b], Variable(var), 0.5).unwrap();
         }
     }
+    let pred = Predicate::new("S", "b", CompareOp::Lt, 25i64);
+    let scan_allocs = allocations(|| {
+        let f =
+            ops::scan_filter_project_ctx(&s, "S", &[&pred], &["a".into(), "b".into()], &pool, &ctx);
+        assert_eq!(f.unwrap().len(), 100 * 25);
+    });
+    assert!(
+        scan_allocs < s.len() / 4,
+        "fused scan allocated {scan_allocs} times for {} rows",
+        s.len()
+    );
     catalog.register_table("R", r).unwrap();
     catalog.register_table("S", s).unwrap();
     let q = ConjunctiveQuery::build(&[("R", &["a"]), ("S", &["a", "b"])], &["b"], vec![]).unwrap();
@@ -529,13 +546,11 @@ fn late_materialization_decodes_at_most_the_output_strings() {
 #[test]
 fn partitioned_join_scatter_allocates_o_chunks_plus_partitions() {
     let _serial = serial();
-    // PR 5: the radix scatter is a counting sort over per-chunk histograms
-    // — one histogram per chunk, one flat scatter buffer, one cursor array
-    // per chunk — instead of `chunks x partitions` growing Vec<u32> lists.
-    // On this shape (8 workers -> 16 partitions, 8 scatter chunks, 4096
-    // build rows of mostly-distinct keys) the whole join stays in the low
-    // hundreds of allocations; the per-(chunk, partition) lists alone cost
-    // ~600 more (each non-empty list reallocates ~log2(rows/lists) times).
+    // An eight-worker join allocates by the piece of work, not by the row:
+    // the build side's key chunks and one chain index, and per probe morsel
+    // (a partition of the left rows) one fragment that reserves its share of
+    // the output. On this shape (4096 build rows of mostly-distinct keys,
+    // 4096 matches) the whole join stays in the low hundreds of allocations.
     let (left, right) = join_inputs(64, 64); // 4096 build rows, 4096 matches
     let pool = pdb_par::Pool::new(8);
     let ctx = ExecContext::unbounded();
@@ -547,7 +562,7 @@ fn partitioned_join_scatter_allocates_o_chunks_plus_partitions() {
     assert_eq!(out.unwrap().len(), 64 * 64);
     assert!(
         allocs < 768,
-        "partitioned join allocated {allocs} times; the counting-sort \
-         scatter should keep this shape well under 768"
+        "eight-worker join allocated {allocs} times; its chunks and \
+         morsels should keep this shape well under 768"
     );
 }

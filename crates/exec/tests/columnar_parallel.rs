@@ -224,7 +224,8 @@ fn backing_dispatch_is_representation_transparent() {
         for threads in POOLS {
             let pool = Pool::new(threads);
             assert_eq!(
-                ops::scan_backing_ctx(backing, "R", &attrs, &pool, &CTX).unwrap(),
+                ops::scan_filter_project_backing_ctx(backing, "R", &[], &attrs, &pool, &CTX)
+                    .unwrap(),
                 want_scan,
                 "scan dispatch at {threads} threads"
             );

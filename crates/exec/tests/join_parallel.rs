@@ -1,7 +1,7 @@
 //! Property tests for the morsel-driven parallel relational pipeline (PR 4).
 //!
-//! The contract under test: every parallel operator — the radix-partitioned
-//! hash join above all — produces an [`Annotated`] that is **bitwise
+//! The contract under test: every operator — the hash join above all, its
+//! probe side cut into one morsel per worker — produces an [`Annotated`] that is **bitwise
 //! identical** (values, lineage, row order) across `SPROUT_THREADS` ∈
 //! {1, 2, 4, 8}, and identical to the retained row-at-a-time seed join
 //! (`pdb_exec::baseline`), which emits `(left row, right row)`
@@ -110,8 +110,8 @@ proptest! {
     }
 
     /// The product shape (no shared column) goes through the same
-    /// partitioned machinery — every probe hits one partition — and must
-    /// replay the nested (left, right) emit exactly.
+    /// machinery — every probe walks the one chain of the whole build side —
+    /// and must replay the nested (left, right) emit exactly.
     #[test]
     fn product_join_is_identical_to_seed_at_every_thread_count(
         seed in 1u64..u64::MAX / 2,
@@ -130,7 +130,7 @@ proptest! {
     }
 
     /// Scan → filter → project chunking: identical output at every thread
-    /// count, and identical to the unfused sequential composition.
+    /// count, and identical to its definition, a row at a time.
     #[test]
     fn chunked_scan_filter_project_is_identical(
         seed in 1u64..u64::MAX / 2,
@@ -163,14 +163,15 @@ proptest! {
         let preds = [&pred];
         let reference =
             ops::scan_filter_project_ctx(&table, "T", &preds, &keep, &Pool::sequential(), &CTX).unwrap();
-        // The fused operator equals the unfused composition.
-        let unfused = ops::project(
-            &ops::filter(&ops::scan(&table, "T", &["a".into(), "b".into(), "c".into()]).unwrap(), &pred)
-                .unwrap(),
-            &keep,
-        )
-        .unwrap();
-        assert_identical(&unfused, &reference, "unfused composition")?;
+        let mut by_definition =
+            Annotated::new(reference.schema().clone(), reference.relations().to_vec());
+        for i in 0..table.len() {
+            let (row, var, prob) = table.triple(i);
+            if pred.matches(row.value(0)) {
+                by_definition.push_row(&[row.value(2).clone(), row.value(1).clone()], &[(var, prob)]);
+            }
+        }
+        assert_identical(&by_definition, &reference, "row-at-a-time definition")?;
         for threads in POOLS {
             let pool = Pool::new(threads);
             let fused = ops::scan_filter_project_ctx(&table, "T", &preds, &keep, &pool, &CTX).unwrap();
@@ -179,13 +180,10 @@ proptest! {
             let scanned_seq =
                 ops::scan_ctx(&table, "T", &["a".into(), "c".into()], &Pool::sequential(), &CTX).unwrap();
             assert_identical(&scanned, &scanned_seq, &format!("scan at {threads} threads"))?;
-            let filtered = ops::filter_with(&scanned, &pred, &pool).unwrap();
-            let filtered_seq = ops::filter_with(&scanned_seq, &pred, &Pool::sequential()).unwrap();
-            assert_identical(&filtered, &filtered_seq, &format!("filter at {threads} threads"))?;
         }
     }
 
-    /// The whole pipeline — fused scans, partitioned joins, projections —
+    /// The whole pipeline — fused scans, joins, projections —
     /// produces a bitwise-identical answer at every thread count.
     #[test]
     fn pipeline_answer_is_identical_at_every_thread_count(
@@ -284,11 +282,9 @@ fn all_distinct_keys_match_one_to_one() {
 #[test]
 fn keys_sharing_a_bucket_but_not_a_hash_do_not_match_each_other() {
     use pdb_exec::key::{JoinInterner, JoinKeys};
-    // Buckets are runs of high hash bits (below the radix-partition bits in
-    // the partitioned join): 64 build rows take at most 4 + 6 of them, so
+    // Buckets are runs of high hash bits: 64 build rows take 6 of them, so
     // integers whose key hashes agree on the top 12 bits all land in one
-    // bucket — of every partition layout tried here — with 64 different
-    // hashes.
+    // bucket with 64 different hashes.
     let candidates: Vec<Value> = (0..400_000).map(Value::Int).collect();
     let hashes = JoinKeys::build_side(candidates.len(), 1, &mut JoinInterner::new(), |r, _| {
         &candidates[r]

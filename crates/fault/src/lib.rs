@@ -54,7 +54,6 @@ pub mod sites {
         "scan.chunk",
         "scan.gather",
         "join.probe",
-        "join.write",
         "project.write",
         "eager.aggregate",
         "conf.bag",

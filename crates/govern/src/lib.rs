@@ -36,7 +36,7 @@ pub enum Stage {
     Catalog,
     /// Base-table scan (fused scan–filter–project, row or columnar).
     Scan,
-    /// Join (radix-partitioned hash join).
+    /// Join (hash join: build side, probe morsels).
     Join,
     /// Projection.
     Project,
@@ -46,8 +46,6 @@ pub enum Stage {
     Aggregate,
     /// Confidence computation (`FlatScan` bag work list).
     Confidence,
-    /// Plan-level orchestration (build, dispatch, validation).
-    Plan,
 }
 
 impl fmt::Display for Stage {
@@ -60,7 +58,6 @@ impl fmt::Display for Stage {
             Stage::Sort => "sort",
             Stage::Aggregate => "aggregate",
             Stage::Confidence => "confidence",
-            Stage::Plan => "plan",
         };
         f.write_str(s)
     }

@@ -146,53 +146,25 @@ impl Pool {
         }
     }
 
-    /// Applies `f` to every task and returns the results **in task order**.
+    /// Applies `f` to every task and returns the results **in task order**:
+    /// the infallible call of [`Pool::try_map`], which does the work.
     ///
-    /// Workers claim tasks through a shared atomic cursor (self-balancing)
-    /// and collect `(index, result)` pairs locally; the pairs are placed back
-    /// into task order after the scope joins, so the output is independent of
-    /// scheduling. Runs inline when the pool is sequential or there are
-    /// fewer than two tasks.
+    /// # Panics on worker panic
+    /// If `f` panics on a task, this call panics on the calling thread
+    /// (naming the task) after all workers have stopped.
     pub fn map<T, R, F>(&self, tasks: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let workers = self.threads().min(tasks.len());
-        if workers <= 1 {
-            return tasks.iter().map(f).collect();
+        match self.try_map(tasks, |_, task| Ok::<R, std::convert::Infallible>(f(task))) {
+            Ok(results) => results,
+            Err(TaskFailure::Panic { item, message }) => {
+                panic!("pdb-par worker panicked on task {item}: {message}")
+            }
+            Err(TaskFailure::Err { error, .. }) => match error {},
         }
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(tasks.len());
-        slots.resize_with(tasks.len(), || None);
-        let worker = |out: &mut Vec<(usize, R)>| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = tasks.get(i) else { break };
-            out.push((i, f(task)));
-        };
-        let collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        worker(&mut local);
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pdb-par worker panicked"))
-                .collect()
-        });
-        for (i, r) in collected.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every task index was claimed exactly once"))
-            .collect()
     }
 
     /// [`Pool::map`] over index ranges: applies `f` to each range in
@@ -206,9 +178,15 @@ impl Pool {
         self.map(ranges, |r| f(r.clone()))
     }
 
-    /// Fallible, panic-isolated [`Pool::map`]: applies `f(item_index, task)`
-    /// to every task and returns the results in task order, or the first
-    /// (lowest-indexed observed) [`TaskFailure`].
+    /// Applies `f(item_index, task)` to every task and returns the results
+    /// in task order, or the first (lowest-indexed observed)
+    /// [`TaskFailure`].
+    ///
+    /// Workers claim tasks through a shared atomic cursor (self-balancing)
+    /// and collect `(index, result)` pairs locally; the pairs are placed back
+    /// into task order after the scope joins, so the output is independent of
+    /// scheduling. Runs inline when the pool is sequential or there are
+    /// fewer than two tasks.
     ///
     /// Each work item runs under `catch_unwind`, so a panicking closure
     /// yields [`TaskFailure::Panic`] instead of unwinding through the pool;

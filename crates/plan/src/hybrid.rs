@@ -14,14 +14,14 @@ use std::sync::Arc;
 
 use pdb_conf::multi_scan::apply_pre_aggregation_ctx;
 use pdb_conf::{ConfidenceOperator, ConfidenceResult, SplitPolicy, Strategy};
-use pdb_exec::{ops, Annotated};
+use pdb_exec::pipeline::evaluate_join_order_with;
+use pdb_exec::Annotated;
 use pdb_govern::{ExecContext, QueryGovernor, QueryObs};
 use pdb_par::Pool;
 use pdb_query::reduct::FdReduct;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
 use pdb_storage::Catalog;
 
-use crate::eager::leaf_scan_attributes;
 use crate::error::{PlanError, PlanResult};
 use crate::join_order::greedy_join_order;
 
@@ -143,79 +143,34 @@ impl HybridPlan {
     }
 
     /// Evaluates the joins with the configured pushdowns, producing the
-    /// (partially aggregated) annotated answer.
+    /// (partially aggregated) annotated answer: the lazy pipeline's join walk
+    /// with the pushed-down `[R*]` operator after a pushed relation's scan.
     ///
     /// # Errors
     /// Fails on execution errors.
     pub fn answer_tuples(&self, catalog: &Catalog) -> PlanResult<Annotated> {
-        let ctx = &self.ctx;
-        let head: BTreeSet<String> = self.query.head_set();
-        let join_attrs = self.query.join_attributes();
-        let mut current: Option<Annotated> = None;
-
-        for (step, rel_name) in self.join_order.iter().enumerate() {
-            let atom = self.query.relation(rel_name).ok_or_else(|| {
-                PlanError::Query(pdb_query::QueryError::UnknownRelation(rel_name.clone()))
-            })?;
-            let table = catalog.backing(rel_name)?;
-            let keep = leaf_scan_attributes(atom, table.schema(), &join_attrs, &head);
-            // One fused scan-filter-project per leaf, gated on the base
-            // table's size; columnar backings take their zone-map fast
-            // path. Results are identical either way.
-            let mut scanned = ops::scan_filter_project_backing_ctx(
-                &table,
-                rel_name,
-                &self.query.predicates_for(rel_name),
-                &keep,
-                &self.pool.for_items(table.len()),
-                ctx,
-            )?;
-            if self.pushed.contains(rel_name) {
-                // The pushed-down `[R*]` operator: one row per distinct
-                // projected tuple, carrying a representative variable and the
-                // group's probability.
-                let step_sig = Signature::star(Signature::table(rel_name.clone()));
-                scanned = apply_pre_aggregation_ctx(
+        evaluate_join_order_with(
+            &self.query,
+            catalog,
+            &self.join_order,
+            &self.pool,
+            &self.ctx,
+            |rel_name, scanned| {
+                if !self.pushed.contains(rel_name) {
+                    return Ok(scanned);
+                }
+                // One row per distinct projected tuple, carrying a
+                // representative variable and the group's probability.
+                let step_sig = Signature::star(Signature::table(rel_name.to_string()));
+                Ok(apply_pre_aggregation_ctx(
                     &scanned,
                     &step_sig,
                     &self.pool,
                     SplitPolicy::default(),
-                    ctx,
-                )?;
-            }
-
-            let acc = match current.take() {
-                None => scanned,
-                Some(acc) => {
-                    let join_pool = self.pool.for_items(acc.len().max(scanned.len()));
-                    ops::natural_join_ctx(&acc, &scanned, &join_pool, ctx)?
-                }
-            };
-            // As in the lazy pipeline: keep what the head or a join still to
-            // come needs, the last step projecting straight to the head; a
-            // projection that keeps every column in place moves its input.
-            let remaining = &self.join_order[step + 1..];
-            let needed: Vec<String> = if remaining.is_empty() {
-                self.query.head.clone()
-            } else {
-                acc.schema()
-                    .names()
-                    .into_iter()
-                    .filter(|a| {
-                        head.contains(*a)
-                            || remaining.iter().any(|r| {
-                                self.query
-                                    .relation(r)
-                                    .is_some_and(|atom| atom.has_attribute(a))
-                            })
-                    })
-                    .map(str::to_string)
-                    .collect()
-            };
-            let pool = self.pool.for_items(acc.len());
-            current = Some(acc.into_projection_ctx(&needed, &pool, ctx)?);
-        }
-        Ok(current.expect("query has at least one relation"))
+                    &self.ctx,
+                )?)
+            },
+        )
     }
 }
 

@@ -376,7 +376,7 @@ impl<'a> Planner<'a> {
                 // `SafePlan`, to which it cannot attach a `QueryObs`, and
                 // its traced run fails an op whose replay and engine
                 // counters differ. So MystiQ ops tally nothing until the
-                // harness can (ROADMAP item 2(d)).
+                // harness can (ROADMAP item 1(a)(iv)).
                 let governed = self
                     .ctx
                     .governor()

@@ -7,14 +7,12 @@
 //! storage backings. The properties:
 //!
 //! * a run whose fault fires surfaces a structured
-//!   [`PlanError::Governed`] naming the interruption — or, for a `panic`
-//!   fault on a sequential (caller-thread) code path, a plain panic that the
-//!   test contains with `catch_unwind`; panic *isolation* is a property of
-//!   `pdb-par` workers, not of inline loops — except at `eager.aggregate`,
-//!   whose folds run inside the grouping shell's panic-isolated collapse at
-//!   every pool size and always yield `WorkerPanic { stage: Aggregate }` —
-//!   also where the collapse moves its input's data arena instead of
-//!   copying it (the `keyed-leaf` workload);
+//!   [`PlanError::Governed`] naming the interruption — a `panic` fault a
+//!   `WorkerPanic` at every pool size, because every checkpoint sits in a
+//!   work item `pdb-par` runs under `catch_unwind`, on one worker too (at
+//!   `eager.aggregate` the stage is `Aggregate`, also where the collapse
+//!   moves its input's data arena instead of copying it — the `keyed-leaf`
+//!   workload);
 //! * a run whose fault is never reached is bitwise-identical to the
 //!   baseline;
 //! * faults are one-shot, so an immediate re-run needs no cleanup and is
@@ -28,6 +26,9 @@
 //! error — the frontier cap, the arena veto, a deadline before the first
 //! checkpoint and one met mid-refinement. Whatever the outcome, the frontier
 //! bytes charged to the governor are released to the last one.
+//!
+//! What a budget does to a query does not depend on its pool either:
+//! [`the_smallest_sufficient_budget_is_the_same_on_one_worker_and_on_eight`].
 //!
 //! Everything lives in ONE `#[test]` because the installed fault plan is
 //! process-global state; parallel test threads would race on it.
@@ -60,7 +61,6 @@ const SITES: &[&str] = &[
     "scan.chunk",
     "scan.gather",
     "join.probe",
-    "join.write",
     "project.write",
     "eager.aggregate",
     "conf.bag",
@@ -82,7 +82,7 @@ struct Workload {
 
 /// Q1 on both backings (scan/conf checkpoints; the columnar catalog also
 /// exercises `scan.chunk`/`scan.gather`), the Fig. 1 intro join query
-/// (`join.probe`/`join.write`/`project.write`), and a table scanned along
+/// (`join.probe`/`project.write`), and a table scanned along
 /// its key, whose eager leaf reaches the aggregation sorted with one row per
 /// group — the collapse that keeps its input's data arena.
 fn workloads() -> &'static Vec<Workload> {
@@ -218,9 +218,54 @@ fn check_seed(seed: u64) {
             }
         }
     }
-    static REFINEMENT: Once = Once::new();
-    REFINEMENT.call_once(sweep_the_refinement_loop);
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        sweep_the_refinement_loop();
+        clear();
+        the_smallest_sufficient_budget_is_the_same_on_one_worker_and_on_eight();
+    });
     clear();
+}
+
+/// Q3 lazy on the columnar catalog charges the same bytes at every pool
+/// size, and nothing it charges is released: the budget an eight-worker run
+/// just fits is the budget a one-worker run just fits, and one byte less
+/// fails both.
+fn the_smallest_sufficient_budget_is_the_same_on_one_worker_and_on_eight() {
+    let data = TpchData::generate(TpchScale::tiny());
+    let catalog = probabilistic_catalog_columnar(&data, 1).unwrap();
+    let query = tpch_query("3").unwrap().query.unwrap();
+    let fds = FdSet::from_catalog_decls(&catalog.fds());
+    let run = |threads: usize, governor: QueryGovernor| {
+        LazyPlan::build(&query, &fds, &catalog)
+            .unwrap()
+            .with_pool(Pool::new(threads))
+            .with_governor(governor)
+            .execute(&catalog)
+    };
+    let measure = GovernorBuilder::new().build();
+    let baseline = run(8, measure.clone()).unwrap();
+    let enough = measure.memory_used();
+    assert!(enough > 0);
+    for threads in [8, 1] {
+        let fits = run(
+            threads,
+            GovernorBuilder::new().memory_budget(enough).build(),
+        )
+        .unwrap_or_else(|e| panic!("{enough} bytes at {threads} threads: {e}"));
+        assert_bitwise_eq(
+            &baseline,
+            &fits,
+            &format!("{enough} bytes at {threads} threads"),
+        );
+        match run(
+            threads,
+            GovernorBuilder::new().memory_budget(enough - 1).build(),
+        ) {
+            Err(PlanError::Governed(SproutError::MemoryBudgetExceeded { .. })) => {}
+            other => panic!("{} bytes at {threads} threads: {other:?}", enough - 1),
+        }
+    }
 }
 
 /// Q8's confidence stage under `Bounds { eps: 1e-3 }` on a precomputed
@@ -406,18 +451,17 @@ fn check_run(
         "{} {family:?} @ {threads} threads, {:?}@{}:{}",
         w.label, fault.action, fault.site, fault.index
     );
-    let outcome = catch_unwind(AssertUnwindSafe(|| governed_run(w, family, threads)));
-    match outcome {
+    match governed_run(w, family, threads) {
         // The fault never fired (index beyond this run, or a site the
         // workload does not reach): indistinguishable from an
         // uninterrupted run.
-        Ok(Ok(result)) => {
+        Ok(result) => {
             assert!(!must_fire, "{ctx}: the fault never fired");
             assert_bitwise_eq(&baseline, &result, &ctx)
         }
         // The fault fired: a structured interruption naming what
-        // happened — never a torn result.
-        Ok(Err(PlanError::Governed(g))) => match (fault.action, &g) {
+        // happened — never a torn result, never an unwinding thread.
+        Err(PlanError::Governed(g)) => match (fault.action, &g) {
             (FaultAction::Cancel, SproutError::Cancelled { .. })
             | (FaultAction::Budget, SproutError::MemoryBudgetExceeded { .. })
             | (FaultAction::Panic, SproutError::WorkerPanic { .. }) => {
@@ -427,14 +471,7 @@ fn check_run(
             }
             other => panic!("{ctx}: action/error mismatch: {other:?}"),
         },
-        Ok(Err(other)) => panic!("{ctx}: unstructured error: {other}"),
-        // A panic fault on a sequential code path unwinds through the
-        // caller; only the `panic` action may do that, and never at
-        // `eager.aggregate`.
-        Err(_) => assert!(
-            fault.action == FaultAction::Panic && fault.site != "eager.aggregate",
-            "{ctx}: fault escaped as a panic"
-        ),
+        Err(other) => panic!("{ctx}: unstructured error: {other}"),
     }
 
     // One-shot: the immediate re-run needs no clearing and nothing was

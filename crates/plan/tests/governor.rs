@@ -306,9 +306,9 @@ fn expired_deadline_interrupts_with_elapsed_and_budget() {
     assert!(rerun.is_ok());
 }
 
-/// Memory-budget exhaustion on the partitioned join path: the governed
-/// context charges the scatter buffer and the output arenas before
-/// allocating them, so a one-byte budget fails deterministically.
+/// Memory-budget exhaustion in a join on several workers: the governed
+/// context charges the output the probe fragments reserve and the build
+/// side before allocating them, so a one-byte budget fails deterministically.
 #[test]
 fn memory_budget_exhaustion_interrupts_the_partitioned_join() {
     let catalog = fixtures::fig1_catalog();
@@ -318,8 +318,8 @@ fn memory_budget_exhaustion_interrupts_the_partitioned_join() {
     let right = ops::scan(&ord, "Ord", &["okey".into(), "ckey".into()]).unwrap();
     let gov = GovernorBuilder::new().memory_budget(1).build();
     let ctx = ExecContext::governed(&gov);
-    // Pool::new(2) bypasses the for_items size gate, forcing the
-    // partitioned (accounting) join path even on the Fig. 1 toy tables.
+    // Pool::new(2) bypasses the for_items size gate: two probe morsels even
+    // on the Fig. 1 toy tables.
     let result = ops::natural_join_ctx(&left, &right, &Pool::new(2), &ctx);
     match result {
         Err(ExecError::Governed(SproutError::MemoryBudgetExceeded {
@@ -334,8 +334,8 @@ fn memory_budget_exhaustion_interrupts_the_partitioned_join() {
     assert!(ok.is_ok());
 }
 
-/// The same budget holds on one thread: every operator's sequential arm
-/// charges its output arenas before allocating them, so a query the server
+/// The same budget holds on one thread: every operator charges its output
+/// arenas before allocating them whatever the pool, so a query the server
 /// hands a single worker (`worker_threads / slots == 1`) cannot outrun its
 /// `memory_budget`.
 fn assert_budget_trips_on_one_thread(

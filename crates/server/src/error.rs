@@ -298,7 +298,7 @@ mod tests {
             ),
             (
                 SproutError::Failed {
-                    stage: Stage::Plan,
+                    stage: Stage::Catalog,
                     message: "boom".into(),
                 },
                 500,

@@ -15,7 +15,10 @@
 //! the `[lo, hi]` brackets and their round counts. The deterministic
 //! counters must be identical across thread counts and between the
 //! counters-only and the traced collector, and their backing-independent
-//! subset identical across backings.
+//! subset identical across backings. The governed cell keeps its governor:
+//! the bytes it was charged and the checkpoints it saw must be identical
+//! across thread counts within a backing — what a budget or a fault plan
+//! does to a query never depends on how many threads admission gave it.
 
 use std::sync::Arc;
 
@@ -104,8 +107,16 @@ fn pushed_relation(q: &ConjunctiveQuery) -> Vec<String> {
         .unwrap_or_default()
 }
 
-/// Runs one cell; returns its digest and, when a collector was attached,
-/// its counter totals.
+/// What a cell's watcher saw of a completed run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    Nothing,
+    /// `QueryGovernor::memory_used()` and `checkpoints_seen()`.
+    Governor(usize, u64),
+    Counters([u64; Counter::COUNT]),
+}
+
+/// Runs one cell; returns its digest and what its watcher saw.
 fn run_cell(
     db: &SproutDb,
     q: &ConjunctiveQuery,
@@ -113,7 +124,8 @@ fn run_cell(
     policy: Option<ApproxPolicy>,
     threads: usize,
     watch: Watch,
-) -> (Digest, Option<[u64; Counter::COUNT]>) {
+) -> (Digest, Seen) {
+    let governor = (watch == Watch::Governed).then(|| QueryGovernor::builder().build());
     let obs = match watch {
         Watch::Counters => Some(QueryObs::new()),
         Watch::Traced => Some(QueryObs::with_tracing()),
@@ -121,7 +133,7 @@ fn run_cell(
     };
     let opts = QueryOptions {
         kind: Some(kind.clone()),
-        governor: (watch == Watch::Governed).then(|| QueryGovernor::builder().build()),
+        governor: governor.clone(),
         policy,
         pool: Some(Pool::new(threads)),
         frontier_budget: Some(Some(FRONTIER_CAP)),
@@ -131,7 +143,12 @@ fn run_cell(
     let report = db
         .query_with_options(q, &opts)
         .unwrap_or_else(|e| panic!("{kind} at {threads} threads, {watch:?}: {e}"));
-    (digest(&report), obs.map(|o| o.counter_values()))
+    let seen = match (governor, obs) {
+        (Some(g), _) => Seen::Governor(g.memory_used(), g.checkpoints_seen()),
+        (None, Some(o)) => Seen::Counters(o.counter_values()),
+        (None, None) => Seen::Nothing,
+    };
+    (digest(&report), seen)
 }
 
 /// Sweeps one (query, plan kind) over backing × threads × watch.
@@ -146,17 +163,30 @@ fn sweep(
     let (reference, _) = run_cell(row, &q, kind, policy, 1, Watch::Plain);
     let mut row_counters = None;
     for (backing, db) in [("row", row), ("columnar", columnar)] {
-        // The first observed cell of this backing; every other one must
-        // match it, whatever its thread count or collector.
+        // The first observed and the first governed cell of this backing;
+        // every other one must match it, whatever its thread count or
+        // collector.
         let mut backing_counters = None;
+        let mut backing_governor = None;
         for threads in THREADS {
             for watch in WATCHES {
                 let cell = format!("q{id} {kind} {backing} {threads}t {watch:?}");
-                let (got, counters) = run_cell(db, &q, kind, policy, threads, watch);
+                let (got, seen) = run_cell(db, &q, kind, policy, threads, watch);
                 assert_eq!(got, reference, "{cell}: answer differs from row/1t/plain");
-                if let Some(counters) = counters {
-                    let first = *backing_counters.get_or_insert(counters);
-                    assert_eq!(counters, first, "{cell}: counters differ within {backing}");
+                match seen {
+                    Seen::Nothing => {}
+                    Seen::Governor(bytes, checkpoints) => {
+                        let first = *backing_governor.get_or_insert((bytes, checkpoints));
+                        assert_eq!(
+                            (bytes, checkpoints),
+                            first,
+                            "{cell}: bytes charged / checkpoints seen differ within {backing}"
+                        );
+                    }
+                    Seen::Counters(counters) => {
+                        let first = *backing_counters.get_or_insert(counters);
+                        assert_eq!(counters, first, "{cell}: counters differ within {backing}");
+                    }
                 }
             }
         }
