@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 use pdb_exec::Annotated;
 use pdb_govern::{Counter, ExecContext, SproutError, Stage};
-use pdb_lineage::{sort_dedup, Canonical, Clauses, Factorization};
+use pdb_lineage::{sort_dedup, Canonical, Clauses, FactorScratch, Factorization};
 use pdb_par::Pool;
 use pdb_storage::{Tuple, Value, Variable};
 
@@ -104,9 +104,10 @@ impl TupleConfidence {
 /// tuple with its bracket, ordered by tuple.
 pub type ApproxResult = Vec<TupleConfidence>;
 
-/// Default per-tuple frontier memory budget: 16 MiB of Shannon-expansion
-/// leaves. Refinement that would grow past this degrades to the bounds
-/// reached so far instead of allocating further.
+/// Default per-tuple frontier budget: 16 MiB of the structural charge for
+/// Shannon-expansion leaves, ≈ 2–3× what they occupy (see
+/// [`AnytimeConfig::frontier_budget`]). Refinement that would grow past it
+/// degrades to the bounds reached so far instead of growing the frontier.
 pub const DEFAULT_FRONTIER_BUDGET: usize = 16 << 20;
 
 /// Configuration of the anytime evaluator.
@@ -254,9 +255,11 @@ struct Bag {
     vars: Vec<Variable>,
     /// The marginal of every id.
     p: Vec<f64>,
-    /// Scratch per id, for one step at a time: `Canonical::factorize`'s
-    /// slots, occurrence counts, the variables a disjoint subfamily mentions.
-    scratch: Vec<u32>,
+    /// Scratch for every leaf's `Canonical::factorize`, and scratch per id for
+    /// one step at a time: occurrence counts, the variables a disjoint
+    /// subfamily mentions.
+    scratch: FactorScratch,
+    per_id: Vec<u32>,
     /// Scratch per row: the clause of every rank.
     by_rank: Vec<u32>,
 }
@@ -281,11 +284,12 @@ impl Bag {
             ids.dedup();
             clauses.push(ids.iter().copied());
         }
-        let (scratch, by_rank) = (vec![0; vars.len()], vec![0; clauses.len()]);
+        let (per_id, by_rank) = (vec![0; vars.len()], vec![0; clauses.len()]);
         let bag = Bag {
             vars,
             p,
-            scratch,
+            scratch: FactorScratch::default(),
+            per_id,
             by_rank,
         };
         (bag, sort_dedup(&clauses))
@@ -293,7 +297,7 @@ impl Bag {
 
     /// Bounds a formula of mass `mass`: constants and read-once formulas
     /// close exactly, the rest get crude dissociation bounds and stay open.
-    fn bound(&mut self, clauses: Canonical, mass: f64) -> BoundsLeaf {
+    fn bound(&mut self, mut clauses: Canonical, mass: f64) -> BoundsLeaf {
         let id = |v| self.vars.binary_search(&v).expect("a variable of the bag");
         let exact = match clauses.factorize(&self.vars, &mut self.scratch) {
             Factorization::Constant(b) => Some(if b { 1.0 } else { 0.0 }),
@@ -323,7 +327,7 @@ impl Bag {
         let mut miss_all = 1.0f64;
         let mut best_single = 0.0f64;
         let mut miss_disjoint = 1.0f64;
-        let used = &mut self.scratch;
+        let used = &mut self.per_id;
         used.fill(0);
         self.by_rank.fill(u32::MAX);
         for (i, &rank) in clauses.ranks().iter().enumerate() {
@@ -347,7 +351,7 @@ impl Bag {
     /// The most frequent variable of a formula that has one; equally
     /// frequent candidates, ascending, are broken by the seeded generator.
     fn split_variable(&mut self, clauses: &Canonical, rng: &mut SplitMix64) -> u32 {
-        let counts = &mut self.scratch;
+        let counts = &mut self.per_id;
         counts.fill(0);
         for &id in clauses.clauses().literals() {
             counts[id as usize] += 1;
@@ -418,8 +422,8 @@ fn dissociation_bounds(
     let mut rng = SplitMix64(seed);
     let mut global_lo = root.lo;
     let mut global_hi = root.hi;
-    // The frontier's resident bytes: charged against the per-tuple budget
-    // and the governor's arena accounting, released as leaves are replaced.
+    // The frontier's structural charge (≈ 2–3× what it occupies): held against
+    // the per-tuple budget and the governor's arena, released leaf by leaf.
     // Budget exhaustion is not an error here — the bounds reached so far are
     // valid, just wider; refinement simply stops growing the frontier.
     let mut frontier = Charged(ctx, leaf_bytes(&root.clauses));
@@ -464,18 +468,13 @@ fn dissociation_bounds(
             let id = bag.split_variable(&parent.clauses, &mut rng);
             let p = bag.p[id as usize];
 
-            // Build both cofactor leaves *before* touching the frontier, so a
-            // vetoed expansion leaves the parent (and its valid bounds) intact.
-            let mut children: Vec<BoundsLeaf> = Vec::with_capacity(2);
-            let mut children_bytes = 0usize;
-            for (value, branch_p) in [(true, p), (false, 1.0 - p)] {
-                if branch_p == 0.0 {
-                    continue;
-                }
-                let cofactor = parent.clauses.cofactor(id, value);
-                children_bytes += leaf_bytes(&cofactor);
-                children.push(bag.bound(cofactor, parent.mass * branch_p));
-            }
+            // Both cofactors and their charge *before* touching the frontier:
+            // a vetoed expansion leaves the parent intact and bounds nothing.
+            let cofactors = [(true, p), (false, 1.0 - p)].map(|(value, branch_p)| {
+                let mass = parent.mass * branch_p;
+                (branch_p != 0.0).then(|| (parent.clauses.cofactor(id, value), mass))
+            });
+            let children_bytes: usize = cofactors.iter().flatten().map(|c| leaf_bytes(&c.0)).sum();
             let parent_bytes = leaf_bytes(&parent.clauses);
             let grown = frontier.1 - parent_bytes + children_bytes;
             if config.frontier_budget.is_some_and(|budget| grown > budget) {
@@ -494,9 +493,11 @@ fn dissociation_bounds(
             // Frontier growth is seeded-deterministic per tuple (insertion-
             // order scans, structural budgets), so the leaf count is a valid
             // deterministic counter at every pool size.
-            ctx.tally(Counter::FrontierNodes, children.len() as u64);
+            let grown_by = cofactors.iter().flatten().count();
+            ctx.tally(Counter::FrontierNodes, grown_by as u64);
             leaves.swap_remove(idx);
-            leaves.extend(children);
+            let children = cofactors.into_iter().flatten();
+            leaves.extend(children.map(|(clauses, mass)| bag.bound(clauses, mass)));
             ctx.release(parent_bytes);
             frontier.1 = grown;
 

@@ -29,5 +29,5 @@ pub mod readonce;
 pub use dnf::{Clause, Dnf};
 pub use prob::{exact_probability, independent_and, independent_or};
 pub use readonce::{
-    factorize, intern, sort_dedup, Canonical, Clauses, Factorization, ReadOnceTree,
+    factorize, intern, sort_dedup, Canonical, Clauses, FactorScratch, Factorization, ReadOnceTree,
 };

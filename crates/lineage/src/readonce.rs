@@ -28,24 +28,24 @@
 //! # Cost
 //!
 //! The anytime loop factorizes both cofactors of every Shannon split, so a
-//! call is near-linear in the formula. Variables are interned to dense `u32`
-//! ids (their rank, so id order is variable order) and every clause set is
-//! one flat CSR over them, [`Clauses`]. [`factorize`] interns its `Dnf` on
-//! every call ([`intern`], then the one sort of [`sort_dedup`]); the anytime
-//! loop interns a bag once, from its rows, and keeps every frontier leaf
-//! [`Canonical`]: a cofactor is a merge ([`Canonical::cofactor`]), already
-//! sorted when [`Canonical::factorize`] — the decomposition both entries
-//! share — absorbs it, and it keeps its bag's ids. Ids may thus come from a
-//! superset table: every comparison made here is between ids, and a monotone
-//! relabelling leaves them, hence the tree and its child order, unchanged.
-//! Only [`factorize`] builds the `Dnf` witness of a blocked formula. A
-//! recursion step indexes its clause set by variable, then absorbs by
-//! counting hits through the occurrence lists, finds ∨-components by
-//! union-find over the variables, and finds co-components by BFS on the
-//! complement graph with a shrinking unvisited list — `O(n + Σ|clause|²)`, no
-//! adjacency matrix. A step hands its clause set over to its children, which
-//! partition it, before it recurses, so the scratch alive at any moment is
-//! linear in the input.
+//! call is near-linear in the formula. Clause sets are flat CSRs over dense
+//! `u32` variable ids whose order is variable order, [`Clauses`]. The loop
+//! interns a bag once and keeps every frontier leaf [`Canonical`] over the
+//! bag's ids — a cofactor is a merge ([`Canonical::cofactor`]), already in
+//! the order absorption wants — while [`factorize`] interns its `Dnf` on
+//! every call and alone builds a `Dnf` witness. A monotone relabelling of
+//! ids changes no comparison made here, so neither the tree nor its child
+//! order. A step indexes its clause set by variable, finds ∨-components by
+//! union-find and co-components by BFS on the complement graph with a
+//! shrinking unvisited list — `O(n + Σ|clause|²)`, no adjacency matrix. A
+//! clause set is a range of one permutation, which an ∨-step
+//! stable-partitions: no part is copied, nor read behind the first blocked
+//! one. Absorption counts hits through the top step's index, and only where
+//! a [`Canonical`]'s known minimality leaves a containment possible. A call
+//! allocates its ∧-projections, its tree and its witness; the rest is the
+//! caller's [`FactorScratch`].
+
+use std::ops::Range;
 
 use pdb_storage::Variable;
 
@@ -140,7 +140,9 @@ impl<W> Factorization<W> {
 /// sub-formula when no read-once form exists.
 pub fn factorize(dnf: &Dnf) -> Factorization {
     let (vars, root) = intern(dnf);
-    match sort_dedup(&root).factorize(&vars, &mut vec![0; vars.len()]) {
+    // A statement of its own, so the scratch is freed before the witness.
+    let factorization = sort_dedup(&root).factorize(&vars, &mut FactorScratch::default());
+    match factorization {
         Factorization::Constant(b) => Factorization::Constant(b),
         Factorization::ReadOnce(tree) => Factorization::ReadOnce(tree),
         Factorization::Blocked(stuck) => {
@@ -208,6 +210,21 @@ impl Clauses {
         self.ends
             .push(end.expect("a formula of fewer than 2³² variable occurrences"));
     }
+
+    /// The clauses `order` lists, in its order, copied into a set of their own.
+    fn listed(&self, order: &[u32]) -> Clauses {
+        let mut out = Clauses::default();
+        out.ends.reserve_exact(order.len());
+        out.vars
+            .reserve_exact(members(self, order).map(<[u32]>::len).sum());
+        members(self, order).for_each(|clause| out.push(clause.iter().copied()));
+        out
+    }
+}
+
+/// The clauses of `set` that `order` lists.
+fn members<'a>(set: &'a Clauses, order: &'a [u32]) -> impl Iterator<Item = &'a [u32]> + Clone {
+    order.iter().map(|&i| set.clause(i as usize))
 }
 
 /// A formula as the anytime loop keeps it: the distinct clauses of a sequence
@@ -215,10 +232,16 @@ impl Clauses {
 /// clauses it could contain — each with its rank, the index of its first
 /// occurrence in the sequence. Read by ascending rank it is the sequence as
 /// one [`Dnf::add_clause`] per clause leaves it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Canonical {
     clauses: Clauses,
     rank: Vec<u32>,
+    /// Known to hold no clause inside another (see [`Canonical::cofactor`]).
+    minimal: bool,
+    /// Per clause of a `true` cofactor of a minimal formula: whether it lost
+    /// the split variable. Only such a clause can lie inside another, and
+    /// only inside one that never held it.
+    lost: Vec<bool>,
 }
 
 /// The canonical form of a sequence of clauses.
@@ -227,10 +250,9 @@ pub fn sort_dedup(sequence: &Clauses) -> Canonical {
     let mut rank: Vec<u32> = (0..sequence.len() as u32).collect();
     rank.sort_unstable_by_key(|i| (clause(i).len(), clause(i), *i));
     rank.dedup_by(|b, a| clause(a) == clause(b));
-    let mut clauses = Clauses::default();
-    rank.iter()
-        .for_each(|i| clauses.push(clause(i).iter().copied()));
-    Canonical { clauses, rank }
+    let mut out = Canonical::default();
+    (out.clauses, out.rank) = (sequence.listed(&rank), rank);
+    out
 }
 
 impl Canonical {
@@ -248,16 +270,21 @@ impl Canonical {
     /// `false` drops the clauses that mention `id`; `true` drops `id` from
     /// them, and of two clauses that have become equal the one of higher
     /// rank. Clauses that lose a variable they share stay in canonical order
-    /// and distinct, so the cofactor is a merge of them with the rest.
+    /// and distinct, so the cofactor is a merge of them with the rest. Of a
+    /// formula known minimal, a `false` cofactor is known minimal and a
+    /// `true` one records which of its clauses lost `id`.
     pub fn cofactor(&self, id: u32, value: bool) -> Canonical {
         let set = &self.clauses;
+        let record = value && self.minimal;
         let mut out = Canonical::default();
         out.clauses.vars.reserve(set.vars.len());
         out.clauses.ends.reserve(set.len());
         out.rank.reserve(set.len());
-        let mut push = |clause: &mut dyn Iterator<Item = u32>, i: usize| {
+        out.lost.reserve(if record { set.len() } else { 0 });
+        let mut push = |clause: &mut dyn Iterator<Item = u32>, i: usize, lost: bool| {
             out.clauses.push(clause);
             out.rank.push(self.rank[i]);
+            out.lost.extend(Some(lost).filter(|_| record));
         };
         let mentions = |i: &usize| set.clause(*i).binary_search(&id).is_ok();
         let without = |i: usize| set.clause(i).iter().copied().filter(move |&v| v != id);
@@ -273,154 +300,288 @@ impl Canonical {
                 }
                 shortened.next();
                 if order.is_lt() || self.rank[s] < self.rank[i] {
-                    push(&mut without(s), s);
+                    push(&mut without(s), s, true);
                     survives = order.is_lt();
                 }
             }
             if survives {
-                push(&mut whole.iter().copied(), i);
+                push(&mut whole.iter().copied(), i, false);
             }
         }
-        shortened.for_each(|s| push(&mut without(s), s));
+        shortened.for_each(|s| push(&mut without(s), s, true));
+        out.minimal = !value && self.minimal;
         out
     }
 
     /// [`factorize`] with the witness left interned. `vars[id]` is the
     /// variable behind `id`, for the leaves of the tree; the table may hold
-    /// more variables than the formula mentions. `slot` is scratch of
-    /// `vars.len()` entries with anything in them.
-    pub fn factorize(&self, vars: &[Variable], slot: &mut [u32]) -> Factorization<Clauses> {
-        let set = &self.clauses;
-        if set.is_empty() || set.clause(0).is_empty() {
-            return Factorization::Constant(!set.is_empty());
+    /// more variables than the formula mentions. Records whether the formula
+    /// is minimal, which spares its cofactors all or most of their absorption.
+    pub fn factorize(
+        &mut self,
+        vars: &[Variable],
+        scratch: &mut FactorScratch,
+    ) -> Factorization<Clauses> {
+        let (set, s) = (&self.clauses, scratch);
+        let n = set.len();
+        if n == 0 || set.clause(0).is_empty() {
+            return Factorization::Constant(n > 0);
         }
-        match build(absorb(set, slot), vars, slot) {
+        s.slot.resize(s.slot.len().max(vars.len()), 0);
+        s.order.clear();
+        s.order.extend(0..n as u32);
+        s.bounds.clear();
+        // Distinct clauses of one length do not contain each other.
+        let indexed = !self.minimal && set.clause(0).len() < set.clause(n - 1).len();
+        if indexed {
+            s.index(set, 0..n);
+            s.absorb(set, &self.lost);
+        }
+        (self.minimal, self.lost) = (s.order.len() == n, Vec::new());
+        match build(set, 0..s.order.len(), indexed && self.minimal, vars, s) {
             Ok(tree) => Factorization::ReadOnce(tree),
             Err(stuck) => Factorization::Blocked(stuck),
         }
     }
 }
 
-/// The distinct variables of one clause set, numbered in first-seen order
-/// (their *slots*), each with the ascending indices of its clauses.
-struct Occurrences {
-    /// Slot → variable id.
+/// The scratch of [`Canonical::factorize`], kept from call to call.
+#[derive(Debug, Default)]
+pub struct FactorScratch {
+    /// The set's index: id → slot (never reset: an entry counts while `ids`
+    /// points back at it), slot → id, and the positions of the clauses of
+    /// slot `s`, `occurrences[offsets[s]..offsets[s + 1]]`.
+    slot: Vec<u32>,
     ids: Vec<u32>,
     offsets: Vec<u32>,
-    clauses: Vec<u32>,
+    occurrences: Vec<u32>,
+    /// Per clause: absorption's last candidate and hit count, ∨-component.
+    hits: Vec<[u32; 2]>,
+    component: Vec<u32>,
+    /// Per slot: union-find parent, ∨- then co-component, BFS stamp; and the
+    /// BFS's lists, the queue also holding the range an ∨-step partitions.
+    parent: Vec<u32>,
+    group: Vec<u32>,
+    stamp: Vec<u32>,
+    unvisited: Vec<u32>,
+    queue: Vec<u32>,
+    /// Every clause set of the recursion is a range of `order`, clause
+    /// indices into the formula or an ∧-projection pushed above the range it
+    /// projects; `bounds` holds the component ends of the ∨-steps on the path.
+    order: Vec<u32>,
+    bounds: Vec<u32>,
 }
 
-impl Occurrences {
-    /// Indexes `set`. `slot` is the call's id → slot table; it is never reset
-    /// between clause sets, because an entry counts only while `ids` points
-    /// back at it.
-    fn index(set: &Clauses, slot: &mut [u32]) -> Occurrences {
-        let mut ids: Vec<u32> = Vec::new();
-        let mut offsets: Vec<u32> = vec![0];
-        for &id in &set.vars {
-            if ids.get(slot[id as usize] as usize) != Some(&id) {
-                slot[id as usize] = ids.len() as u32;
-                ids.push(id);
-                offsets.push(0);
+impl FactorScratch {
+    /// Indexes the clause set `order[range]` of `set` by variable.
+    fn index(&mut self, set: &Clauses, range: Range<usize>) {
+        self.ids.clear();
+        self.offsets.clear();
+        for &id in members(set, &self.order[range.clone()]).flatten() {
+            if self.ids.get(self.slot[id as usize] as usize) != Some(&id) {
+                self.slot[id as usize] = self.ids.len() as u32;
+                self.ids.push(id);
+                self.offsets.push(0);
             }
-            offsets[slot[id as usize] as usize + 1] += 1;
+            self.offsets[self.slot[id as usize] as usize] += 1;
         }
-        for s in 1..offsets.len() {
-            offsets[s] += offsets[s - 1];
+        // Each slot's end; filled back to front, each end becomes its start.
+        let mut total = 0;
+        for offset in &mut self.offsets {
+            total += *offset;
+            *offset = total;
         }
-        let mut next = offsets.clone();
-        let mut clauses = vec![0u32; set.vars.len()];
-        for (i, clause) in set.iter().enumerate() {
-            for &id in clause {
-                let at = &mut next[slot[id as usize] as usize];
-                clauses[*at as usize] = i as u32;
-                *at += 1;
+        self.offsets.push(total);
+        self.occurrences.clear();
+        self.occurrences.resize(total as usize, 0);
+        for (p, &i) in self.order[range].iter().enumerate().rev() {
+            for &id in set.clause(i as usize) {
+                let at = &mut self.offsets[self.slot[id as usize] as usize];
+                *at -= 1;
+                self.occurrences[*at as usize] = p as u32;
             }
         }
-        Occurrences {
-            ids,
-            offsets,
-            clauses,
+    }
+
+    /// Absorption over the whole of the indexed `set`, in canonical order:
+    /// leaves in `order` the clauses that contain no other one — the unique
+    /// positive IDNF. A flag per clause in `lost` limits the search to a
+    /// flagged clause inside an unflagged one.
+    fn absorb(&mut self, set: &Clauses, lost: &[bool]) {
+        let lost = |k: u32| lost.get(k as usize).copied();
+        self.hits.clear();
+        self.hits.resize(set.len(), [u32::MAX, 0]);
+        self.order.clear();
+        // Clauses before `shorter` are strictly shorter than the candidate.
+        let mut shorter = 0;
+        for (i, candidate) in (0u32..).zip(set.iter()) {
+            if i > 0 && candidate.len() > set.clause(i as usize - 1).len() {
+                shorter = i;
+            }
+            let absorbed = lost(i) != Some(true)
+                && candidate.iter().any(|&id| {
+                    let s = self.slot[id as usize] as usize;
+                    let (at, end) = (self.offsets[s] as usize, self.offsets[s + 1] as usize);
+                    let absorbers = self.occurrences[at..end]
+                        .iter()
+                        .take_while(|&&k| k < shorter);
+                    absorbers.filter(|&&k| lost(k) != Some(false)).any(|&k| {
+                        let hit = &mut self.hits[k as usize];
+                        *hit = [i, if hit[0] == i { hit[1] + 1 } else { 1 }];
+                        hit[1] as usize == set.clause(k as usize).len()
+                    })
+                });
+            if !absorbed {
+                self.order.push(i);
+            }
         }
     }
 
-    /// The clauses the variable in slot `s` occurs in.
-    fn of(&self, s: u32) -> &[u32] {
-        &self.clauses[self.offsets[s as usize] as usize..self.offsets[s as usize + 1] as usize]
+    /// The connected components of the indexed clause set `order[range]` of
+    /// `set` under "shares a variable", numbered by smallest clause index (so
+    /// the tree shape is canonical). Stable-partitions the range by component
+    /// and pushes the end of each on `bounds`; returns the count and where.
+    fn clause_components(&mut self, set: &Clauses, range: Range<usize>) -> (usize, usize) {
+        fn find(parent: &mut [u32], mut s: u32) -> u32 {
+            while parent[s as usize] != s {
+                parent[s as usize] = parent[parent[s as usize] as usize];
+                s = parent[s as usize];
+            }
+            s
+        }
+        let members = members(set, &self.order[range.clone()]);
+        self.parent.clear();
+        self.parent.extend(0..self.ids.len() as u32);
+        for clause in members.clone() {
+            let root = find(&mut self.parent, self.slot[clause[0] as usize]);
+            for &id in &clause[1..] {
+                let other = find(&mut self.parent, self.slot[id as usize]);
+                self.parent[other as usize] = root;
+            }
+        }
+        // Per root its component, per component (on `bounds`) its clauses.
+        let at = self.bounds.len();
+        self.group.clear();
+        self.group.resize(self.ids.len(), u32::MAX);
+        self.component.clear();
+        for clause in members {
+            let root = find(&mut self.parent, self.slot[clause[0] as usize]) as usize;
+            if self.group[root] == u32::MAX {
+                self.group[root] = (self.bounds.len() - at) as u32;
+                self.bounds.push(0);
+            }
+            self.component.push(self.group[root]);
+            self.bounds[at + self.group[root] as usize] += 1;
+        }
+        // Counts into starts; the scatter moves each start to its end.
+        let mut start = range.start as u32;
+        for bound in &mut self.bounds[at..] {
+            (*bound, start) = (start, start + *bound);
+        }
+        self.queue.clear();
+        self.queue.extend_from_slice(&self.order[range]);
+        for (&i, &c) in self.queue.iter().zip(&self.component) {
+            let cursor = &mut self.bounds[at + c as usize];
+            self.order[*cursor as usize] = i;
+            *cursor += 1;
+        }
+        (self.bounds.len() - at, at)
+    }
+
+    /// Connected components of the *complement* of the variable
+    /// co-occurrence graph of the indexed `order[range]` of `set`: the group
+    /// of every slot into `group`, and the number of groups. One group means
+    /// no ∧-decomposition exists.
+    ///
+    /// BFS with a shrinking unvisited list: the co-occurrence neighbours of
+    /// the dequeued variable are stamped from its occurrence lists, and
+    /// every unvisited variable left unstamped is a complement neighbour. A
+    /// variable that stays was stamped and one that leaves never comes back,
+    /// so the search is `O(n + Σ|clause|²)` whatever the density of the
+    /// complement, and it ends once every variable is visited.
+    fn co_components(&mut self, set: &Clauses, range: Range<usize>) -> usize {
+        let n = self.ids.len();
+        self.group.resize(n, 0); // every entry is written before it is read
+        self.stamp.clear();
+        self.stamp.resize(n, u32::MAX);
+        self.unvisited.clear();
+        self.unvisited.extend(0..n as u32);
+        let mut groups = 0;
+        while let Some(start) = self.unvisited.pop() {
+            self.group[start as usize] = groups;
+            self.queue.clear();
+            self.queue.push(start);
+            while let Some(v) = self.queue.pop().filter(|_| !self.unvisited.is_empty()) {
+                let (at, end) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+                for &p in &self.occurrences[at as usize..end as usize] {
+                    for &id in set.clause(self.order[range.start + p as usize] as usize) {
+                        self.stamp[self.slot[id as usize] as usize] = v;
+                    }
+                }
+                self.unvisited.retain(|&u| {
+                    let stays = self.stamp[u as usize] == v;
+                    if !stays {
+                        self.group[u as usize] = groups;
+                        self.queue.push(u);
+                    }
+                    stays
+                });
+            }
+            groups += 1;
+        }
+        groups as usize
     }
 }
 
-/// Absorption over a [`sort_dedup`]-ordered clause set: drops every clause
-/// that contains another one, which leaves the unique positive IDNF.
-fn absorb(set: &Clauses, slot: &mut [u32]) -> Clauses {
-    let n = set.len();
-    if set.clause(0).len() == set.clause(n - 1).len() {
-        // Distinct clauses of one length do not contain each other.
-        return set.clone();
-    }
-    let occurrences = Occurrences::index(set, slot);
-    // Per clause: the candidate that last hit it, and how many of its
-    // variables that candidate has hit; all of them means containment.
-    let mut hits = vec![(usize::MAX, 0usize); n];
-    // Clauses before `shorter` are strictly shorter than the candidate.
-    let mut shorter = 0;
-    let mut kept = Clauses::default();
-    for (i, candidate) in set.iter().enumerate() {
-        if i > 0 && candidate.len() > set.clause(i - 1).len() {
-            shorter = i as u32;
-        }
-        let absorbed = candidate.iter().any(|&id| {
-            let of = occurrences.of(slot[id as usize]);
-            of.iter().take_while(|&&k| k < shorter).any(|&k| {
-                let hit = &mut hits[k as usize];
-                *hit = (i, if hit.0 == i { hit.1 + 1 } else { 1 });
-                hit.1 == set.clause(k as usize).len()
-            })
-        });
-        if !absorbed {
-            kept.push(candidate.iter().copied());
-        }
-    }
-    kept
-}
-
-/// Recursive unate decomposition over a minimized clause set. `Err` carries
-/// the blocking clause set.
-fn build(set: Clauses, vars: &[Variable], slot: &mut [u32]) -> Result<ReadOnceTree, Clauses> {
-    if set.len() == 1 {
+/// Recursive unate decomposition of the minimized clause set `order[range]`
+/// of `set`, indexed already when `indexed`. `Err` carries the blocking
+/// clause set.
+fn build(
+    set: &Clauses,
+    range: Range<usize>,
+    indexed: bool,
+    vars: &[Variable],
+    s: &mut FactorScratch,
+) -> Result<ReadOnceTree, Clauses> {
+    if range.len() == 1 {
         // A single clause: a leaf or a conjunction of leaves.
         let leaf = |&id: &u32| ReadOnceTree::Leaf(vars[id as usize]);
-        return Ok(match set.clause(0) {
+        return Ok(match set.clause(s.order[range.start] as usize) {
             [id] => leaf(id),
             ids => ReadOnceTree::And(ids.iter().map(leaf).collect()),
         });
     }
-    let occurrences = Occurrences::index(&set, slot);
-
-    // ∨-decomposition: connected components of clauses sharing a variable.
-    let (component, components) = clause_components(&set, occurrences.ids.len(), slot);
-    if components > 1 {
-        let mut parts: Vec<Clauses> = (0..components).map(|_| Clauses::default()).collect();
-        for (clause, &c) in set.iter().zip(&component) {
-            parts[c as usize].push(clause.iter().copied());
-        }
-        drop((set, occurrences, component));
-        let children = parts.into_iter().map(|part| build(part, vars, slot));
-        return children.collect::<Result<_, _>>().map(ReadOnceTree::Or);
+    if !indexed {
+        s.index(set, range.clone());
     }
 
+    // ∨-decomposition: connected components of clauses sharing a variable,
+    // each a range; the ones behind the first blocked one are never read.
+    let (components, at) = s.clause_components(set, range.clone());
+    if components > 1 {
+        let (mut children, mut start) = (Vec::new(), range.start);
+        for c in at..at + components {
+            let end = s.bounds[c] as usize;
+            children.push(build(set, start..end, false, vars, s)?);
+            start = end;
+        }
+        s.bounds.truncate(at);
+        return Ok(ReadOnceTree::Or(children));
+    }
+    s.bounds.truncate(at);
+
     // ∧-decomposition: co-components of the variable co-occurrence graph.
-    let (group, groups) = co_components(&set, &occurrences, slot);
+    let groups = s.co_components(set, range.clone());
     if groups == 1 {
         // Neither decomposition applies: provably not read-once.
-        return Err(set);
+        return Err(set.listed(&s.order[range]));
     }
     // Project the clause set onto every group and verify normality: the
     // clause set must be exactly the cross product of its projections.
     let mut projections: Vec<Clauses> = (0..groups).map(|_| Clauses::default()).collect();
-    let every_clause_meets_every_group = set.iter().all(|clause| {
+    let every_clause_meets_every_group = members(set, &s.order[range.clone()]).all(|clause| {
         for &id in clause {
-            let g = group[slot[id as usize] as usize];
+            let g = s.group[s.slot[id as usize] as usize];
             projections[g as usize].vars.push(id);
         }
         projections.iter_mut().all(|p| {
@@ -430,7 +591,7 @@ fn build(set: Clauses, vars: &[Variable], slot: &mut [u32]) -> Result<ReadOnceTr
         })
     });
     if !every_clause_meets_every_group {
-        return Err(set);
+        return Err(set.listed(&s.order[range]));
     }
     let canonical = projections.iter().map(|p| sort_dedup(p).clauses);
     let mut projections: Vec<Clauses> = canonical.collect();
@@ -438,88 +599,21 @@ fn build(set: Clauses, vars: &[Variable], slot: &mut [u32]) -> Result<ReadOnceTr
     // it maps to a distinct combination; |clauses| == Π|projᵢ| therefore
     // holds exactly when the map is onto the cross product.
     let product = projections.iter().map(Clauses::len);
-    if product.fold(1, usize::saturating_mul) != set.len() {
-        return Err(set);
+    if product.fold(1, usize::saturating_mul) != range.len() {
+        return Err(set.listed(&s.order[range]));
     }
     // A containment between two clauses of one projection would extend, by
     // any one clause of each other projection, to a containment in the
     // (minimized) cross product: the projections need no absorption pass.
     projections.sort_unstable_by_key(|p| p.vars.iter().copied().min());
-    drop((set, occurrences, group));
-    let children = projections.into_iter().map(|p| build(p, vars, slot));
-    children.collect::<Result<_, _>>().map(ReadOnceTree::And)
-}
-
-/// Connected components of the clause set under "shares a variable": the
-/// component of every clause, numbered by smallest clause index (so the tree
-/// shape is canonical), and their count. `vars` is the number of slots.
-fn clause_components(set: &Clauses, vars: usize, slot: &[u32]) -> (Vec<u32>, usize) {
-    fn find(parent: &mut [u32], mut s: u32) -> u32 {
-        while parent[s as usize] != s {
-            parent[s as usize] = parent[parent[s as usize] as usize];
-            s = parent[s as usize];
-        }
-        s
+    let mut children = Vec::with_capacity(groups);
+    for projection in &projections {
+        let lo = s.order.len();
+        s.order.extend(0..projection.len() as u32);
+        children.push(build(projection, lo..s.order.len(), false, vars, s)?);
+        s.order.truncate(lo);
     }
-    let mut parent: Vec<u32> = (0..vars as u32).collect();
-    for clause in set.iter() {
-        let root = find(&mut parent, slot[clause[0] as usize]);
-        for &id in &clause[1..] {
-            let other = find(&mut parent, slot[id as usize]);
-            parent[other as usize] = root;
-        }
-    }
-    let mut number = vec![u32::MAX; vars];
-    let mut components = 0;
-    let of_clause = |clause: &[u32]| {
-        let root = find(&mut parent, slot[clause[0] as usize]) as usize;
-        if number[root] == u32::MAX {
-            number[root] = components;
-            components += 1;
-        }
-        number[root]
-    };
-    (set.iter().map(of_clause).collect(), components as usize)
-}
-
-/// Connected components of the *complement* of the variable co-occurrence
-/// graph: the group of every slot, and the number of groups. One group means
-/// no ∧-decomposition exists.
-///
-/// BFS with a shrinking unvisited list: the co-occurrence neighbours of the
-/// dequeued variable are stamped from its occurrence lists, and every
-/// unvisited variable left unstamped is a complement neighbour. A variable
-/// that stays was stamped and one that leaves never comes back, so the
-/// search is `O(n + Σ|clause|²)` whatever the density of the complement.
-fn co_components(set: &Clauses, occurrences: &Occurrences, slot: &[u32]) -> (Vec<u32>, usize) {
-    let n = occurrences.ids.len();
-    let mut group = vec![0u32; n];
-    let mut groups = 0;
-    // Per slot: the dequeued variable whose neighbourhood last covered it.
-    let mut stamp = vec![u32::MAX; n];
-    let mut unvisited: Vec<u32> = (0..n as u32).collect();
-    let mut queue: Vec<u32> = Vec::new();
-    while let Some(start) = unvisited.pop() {
-        group[start as usize] = groups;
-        queue.push(start);
-        while let Some(v) = queue.pop() {
-            for &c in occurrences.of(v) {
-                for &id in set.clause(c as usize) {
-                    stamp[slot[id as usize] as usize] = v;
-                }
-            }
-            unvisited.retain(|&u| {
-                let stays = stamp[u as usize] == v;
-                if !stays {
-                    group[u as usize] = groups;
-                    queue.push(u);
-                }
-                stays
-            });
-        }
-        groups += 1;
-    }
-    (group, groups as usize)
+    Ok(ReadOnceTree::And(children))
 }
 
 #[cfg(test)]

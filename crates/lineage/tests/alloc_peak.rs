@@ -84,10 +84,12 @@ fn a_blocked_chain_over_100_000_variables_factorizes_in_linear_scratch() {
         Factorization::Blocked(witness) => assert_eq!(witness.len(), chain.len()),
         other => panic!("expected blocked, got {other:?}"),
     }
-    // Ids, one CSR in clause order, one in canonical order with its ranks
-    // and the copy of it the decomposition consumes, the occurrence index,
-    // the per-variable search state — and the witness, which is a formula
-    // as large as the input.
+    // Ids, one CSR in clause order, one in canonical order with its ranks,
+    // the scratch — the permutation, the occurrence index, the per-variable
+    // search state — then the stuck clause set, and after the scratch is
+    // freed the witness, which is a formula as large as the input (3.2 ×
+    // the input at the peak; 3.0 × when the decomposition consumed a copy of
+    // the formula and freed its index between steps).
     assert!(
         peak <= 4 * input,
         "factorize peaked at {peak} bytes on a {input}-byte formula"

@@ -1,6 +1,6 @@
 //! Property tests for the read-once factorization pass.
 //!
-//! Six angles:
+//! Seven angles:
 //!
 //! * **Soundness on arbitrary DNFs** — whenever [`factorize`] claims a
 //!   read-once tree, its one-pass probability must equal the brute-force
@@ -27,14 +27,17 @@
 //!   `Dnf`s: a [`Canonical`] cofactor, read by rank, is [`Dnf::assign`]
 //!   clause for clause in order, and [`Canonical::factorize`] over ids from
 //!   a superset table returns [`factorize`]'s tree or its witness.
+//! * **Chains of cofactors** — as the loop makes them, every leaf factorized
+//!   before it is split, so each passes on what it learned of its
+//!   minimality: at every leaf, the definition of the assigned formula.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
 use pdb_lineage::{
-    exact_probability, factorize, sort_dedup, Canonical, Clause, Clauses, Dnf, Factorization,
-    ReadOnceTree,
+    exact_probability, factorize, sort_dedup, Canonical, Clause, Clauses, Dnf, FactorScratch,
+    Factorization, ReadOnceTree,
 };
 use pdb_storage::Variable;
 
@@ -212,11 +215,17 @@ fn disguised(rng: &mut Rng, mut clauses: Vec<Vec<u64>>) -> Dnf {
 /// [`factorize`] by the definition of each step, as slow as the definition
 /// is: the reference the near-linear implementation is held to.
 fn by_definition(dnf: &Dnf) -> Factorization {
+    by_definition_counting(dnf, &mut 0)
+}
+
+/// [`by_definition`], adding to `interleaved` every ∨-step inside an
+/// ∧-projection whose components interleave in canonical order.
+fn by_definition_counting(dnf: &Dnf, interleaved: &mut usize) -> Factorization {
     if dnf.is_false() || dnf.is_true() {
         return Factorization::Constant(dnf.is_true());
     }
     let clauses = dnf.clauses().iter().map(|c| c.vars().to_vec()).collect();
-    match decompose(&minimized(clauses)) {
+    match decompose(&minimized(clauses), false, interleaved) {
         Ok(tree) => Factorization::ReadOnce(tree),
         Err(stuck) => Factorization::Blocked(Dnf::new(stuck.into_iter().map(Clause::new))),
     }
@@ -258,7 +267,11 @@ fn classes(n: usize, related: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> 
     }
 }
 
-fn decompose(clauses: &[Vec<Variable>]) -> Result<ReadOnceTree, Vec<Vec<Variable>>> {
+fn decompose(
+    clauses: &[Vec<Variable>],
+    under_and: bool,
+    interleaved: &mut usize,
+) -> Result<ReadOnceTree, Vec<Vec<Variable>>> {
     if let [clause] = clauses {
         let mut leaves: Vec<ReadOnceTree> = clause.iter().map(|v| ReadOnceTree::Leaf(*v)).collect();
         return Ok(match leaves.len() {
@@ -270,8 +283,18 @@ fn decompose(clauses: &[Vec<Variable>]) -> Result<ReadOnceTree, Vec<Vec<Variable
     let share = |i: usize, j: usize| clauses[i].iter().any(|v| clauses[j].contains(v));
     let components = classes(clauses.len(), share);
     if components.len() > 1 {
+        // Ordered by smallest member: a later component starts below the
+        // end of an earlier one.
+        let ends = components.iter().scan(0, |end, c| {
+            Some(std::mem::replace(end, c[c.len() - 1].max(*end)))
+        });
+        if under_and && components.iter().zip(ends).any(|(c, end)| c[0] < end) {
+            *interleaved += 1;
+        }
         let part = |c: &Vec<usize>| c.iter().map(|i| clauses[*i].clone()).collect::<Vec<_>>();
-        let children = components.iter().map(|c| decompose(&part(c)));
+        let children = components
+            .iter()
+            .map(|c| decompose(&part(c), under_and, interleaved));
         return children.collect::<Result<_, _>>().map(ReadOnceTree::Or);
     }
     // ∧: variables *not* sharing a clause, transitively.
@@ -310,7 +333,7 @@ fn decompose(clauses: &[Vec<Variable>]) -> Result<ReadOnceTree, Vec<Vec<Variable
     }
     let children = projections
         .into_iter()
-        .map(|p| decompose(&minimized(p.into_iter().collect())));
+        .map(|p| decompose(&minimized(p.into_iter().collect()), true, interleaved));
     children.collect::<Result<_, _>>().map(ReadOnceTree::And)
 }
 
@@ -457,15 +480,15 @@ proptest! {
     ) {
         let dnf = dnf_from(&clauses);
         let vars = table(7);
-        let mut slot = vec![u32::MAX; vars.len()];
+        let mut scratch = FactorScratch::default();
         let root = interned(&dnf);
         prop_assert_eq!(by_rank(&root), clause_lists(&dnf));
         for (x, y) in (0..7u64).flat_map(|x| (0..7u64).map(move |y| (Variable(x), Variable(y)))) {
             for (a, b) in [(true, true), (true, false), (false, true), (false, false)] {
                 let want = dnf.assign(x, a).assign(y, b);
-                let got = root.cofactor(id(x), a).cofactor(id(y), b);
+                let mut got = root.cofactor(id(x), a).cofactor(id(y), b);
                 prop_assert_eq!(by_rank(&got), clause_lists(&want), "{} | {}={} {}={}", dnf, x, a, y, b);
-                let constant = match got.factorize(&vars, &mut slot) {
+                let constant = match got.factorize(&vars, &mut scratch) {
                     Factorization::Constant(value) => Some(value),
                     _ => None,
                 };
@@ -493,7 +516,7 @@ proptest! {
         }
         let dnf = disguised(&mut rng, shape.expand());
         let vars = table(next + 4);
-        let got = match interned(&dnf).factorize(&vars, &mut vec![u32::MAX; vars.len()]) {
+        let got = match interned(&dnf).factorize(&vars, &mut FactorScratch::default()) {
             Factorization::Constant(value) => Factorization::Constant(value),
             Factorization::ReadOnce(tree) => Factorization::ReadOnce(tree),
             Factorization::Blocked(stuck) => {
@@ -570,4 +593,108 @@ proptest! {
             other => prop_assert!(false, "expected blocked ({} clauses), got {other:?}", dnf.len()),
         }
     }
+}
+
+/// What the chains of [`cofactor_chains_factorize_by_the_definition_at_every_leaf`]
+/// met, across every case.
+#[derive(Debug, Default)]
+struct Met {
+    minimal_roots: usize,
+    other_roots: usize,
+    /// `true` cofactors of a minimal formula in which a shortened clause
+    /// strictly absorbs a longer one.
+    shortened_absorbs: usize,
+    /// ∨-steps inside an ∧-projection whose components interleave in
+    /// canonical order.
+    interleaved_under_and: usize,
+}
+
+fn is_minimal(dnf: &Dnf) -> bool {
+    minimized(clause_lists(dnf)).len() == dnf.len()
+}
+
+/// A chain of Shannon cofactors, as the anytime loop makes one: every leaf
+/// is factorized before it is split, so it passes on what it learned of its
+/// minimality (a `false` cofactor of a minimal leaf is minimal; in a `true`
+/// one only a clause that lost the split variable can absorb another). At
+/// every leaf, [`Canonical::factorize`] is [`by_definition`] of the
+/// [`Dnf::assign`]ed formula, tree and witness. Roots are expansions of
+/// random shapes, a P4 planted in half of them, a few clauses over their own
+/// variables added to entangle them, and absorbed supersets injected into
+/// half — so half the roots are not minimal.
+#[test]
+fn cofactor_chains_factorize_by_the_definition_at_every_leaf() {
+    let name = "cofactor_chains_factorize_by_the_definition_at_every_leaf";
+    let mut met = Met::default();
+    proptest::run_cases(name, 96, |cases, _| {
+        let mut rng = Rng((0u64..u64::MAX).generate(cases));
+        let mut next = 0u64;
+        let size = rng.range(2, 40);
+        let mut shape = Shape::random(&mut rng, size, true, &mut next);
+        if rng.next().is_multiple_of(2) {
+            // An ∧ at the root: its first projection is the shape's ∨.
+            shape = Shape::And(vec![shape, Shape::random(&mut rng, 3, true, &mut next)]);
+        }
+        if rng.next().is_multiple_of(2) {
+            shape.plant_p4(&mut rng.range(0, shape.leaves() - 1), next);
+            next += 4;
+        }
+        let mut clauses = shape.expand();
+        for _ in 0..rng.range(0, 3) {
+            let width = rng.range(1, 3);
+            clauses.push(
+                (0..width)
+                    .map(|_| rng.range(0, next as usize - 1) as u64)
+                    .collect(),
+            );
+        }
+        let dnf = if rng.next().is_multiple_of(2) {
+            disguised(&mut rng, clauses)
+        } else {
+            for i in (1..clauses.len()).rev() {
+                clauses.swap(i, rng.range(0, i));
+            }
+            dnf_from(&clauses)
+        };
+        *match is_minimal(&dnf) {
+            true => &mut met.minimal_roots,
+            false => &mut met.other_roots,
+        } += 1;
+        let vars = table(next);
+        let mut scratch = FactorScratch::default();
+        let (mut formula, mut leaf) = (dnf.clone(), interned(&dnf));
+        for step in 0..=4 {
+            let got = match leaf.factorize(&vars, &mut scratch) {
+                Factorization::Constant(value) => Factorization::Constant(value),
+                Factorization::ReadOnce(tree) => Factorization::ReadOnce(tree),
+                Factorization::Blocked(stuck) => {
+                    let clause = |c: &[u32]| Clause::new(c.iter().map(|&id| vars[id as usize]));
+                    Factorization::Blocked(Dnf::new(stuck.iter().map(clause)))
+                }
+            };
+            let want = by_definition_counting(&formula, &mut met.interleaved_under_and);
+            prop_assert_eq!(got, want, "step {} of {}: {}", step, dnf, formula);
+            let variables: Vec<Variable> = formula.variables().into_iter().collect();
+            if step == 4 || variables.is_empty() {
+                break;
+            }
+            let x = variables[rng.range(0, variables.len() - 1)];
+            let value = rng.next().is_multiple_of(2);
+            let minimal = is_minimal(&formula);
+            leaf = leaf.cofactor(id(x), value);
+            formula = formula.assign(x, value);
+            if value && minimal && !is_minimal(&formula) {
+                met.shortened_absorbs += 1;
+            }
+        }
+        Ok(())
+    });
+    assert!(
+        met.minimal_roots > 0 && met.other_roots > 0,
+        "the generator makes minimal roots and others: {met:?}"
+    );
+    assert!(
+        met.shortened_absorbs > 0 && met.interleaved_under_and > 0,
+        "both cases the permutation and the recorded minimality must get right occur: {met:?}"
+    );
 }

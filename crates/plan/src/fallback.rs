@@ -98,10 +98,13 @@ impl FallbackPlan {
         self
     }
 
-    /// Caps the resident bytes of each tuple's Shannon-expansion frontier
-    /// (`None` removes the cap). Refinement that would outgrow the cap stops
-    /// and returns the current — wider but valid — bounds; the same bytes are
-    /// also charged against an attached governor's arena budget.
+    /// Caps the structural charge of each tuple's Shannon-expansion frontier
+    /// (`None` removes the cap): 80 bytes a leaf, 24 a clause and 8 a
+    /// variable occurrence, ≈ 2–3× what the leaves occupy (see
+    /// [`AnytimeConfig::frontier_budget`](pdb_conf::AnytimeConfig::frontier_budget)).
+    /// Refinement that would outgrow the cap stops and returns the current —
+    /// wider but valid — bounds; the same charge is also held against an
+    /// attached governor's arena budget.
     pub fn with_frontier_budget(mut self, bytes: Option<usize>) -> Self {
         self.config.frontier_budget = bytes;
         self

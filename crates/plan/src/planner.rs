@@ -156,8 +156,11 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Caps the resident bytes of the fallback's per-tuple Shannon-expansion
-    /// frontier: `Some(bytes)` to cap, `None` to remove the default cap.
+    /// Caps the structural charge of the fallback's per-tuple
+    /// Shannon-expansion frontier: `Some(bytes)` to cap, `None` to remove the
+    /// default cap. The charge is 80 bytes a leaf, 24 a clause and 8 a
+    /// variable occurrence, ≈ 2–3× what the leaves occupy (see
+    /// [`AnytimeConfig::frontier_budget`](pdb_conf::AnytimeConfig::frontier_budget)).
     /// Refinement that would outgrow the cap degrades to wider-but-valid
     /// bounds instead of erroring.
     pub fn with_frontier_budget(mut self, bytes: Option<usize>) -> Self {

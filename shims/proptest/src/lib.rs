@@ -286,19 +286,29 @@ pub fn seed_for(name: &str) -> u64 {
     h
 }
 
-/// Runs `body` for `cases` deterministic cases. Used by the [`proptest!`]
-/// macro; not part of the public proptest API.
+/// Runs `body` for `cases` deterministic cases — or as many as
+/// `PROPTEST_CASES` says, the variable upstream proptest reads, when it is
+/// set. Used by the [`proptest!`] macro; not part of the public proptest API.
 pub fn run_cases(
     name: &str,
     cases: u32,
     mut body: impl FnMut(&mut TestRng, u32) -> Result<(), TestCaseError>,
 ) {
+    let cases = case_count(std::env::var("PROPTEST_CASES").ok().as_deref(), cases);
     let mut rng = <TestRng as SeedableRng>::seed_from_u64(seed_for(name));
     for case in 0..cases {
         if let Err(e) = body(&mut rng, case) {
             panic!("property '{name}' failed at case {case}/{cases}: {e}");
         }
     }
+}
+
+/// The number of cases to run: `PROPTEST_CASES`, when set, replaces the
+/// configured count.
+fn case_count(var: Option<&str>, configured: u32) -> u32 {
+    var.map_or(configured, |cases| {
+        cases.parse().expect("PROPTEST_CASES is a number of cases")
+    })
 }
 
 /// Declares property tests. Matches the real macro's surface for the forms
@@ -398,6 +408,13 @@ mod tests {
                 .generate(&mut rng);
             assert!((0.1..=0.9).contains(&mapped));
         }
+    }
+
+    #[test]
+    fn proptest_cases_replaces_the_configured_count() {
+        assert_eq!(crate::case_count(None, 32), 32);
+        assert_eq!(crate::case_count(Some("500"), 32), 500);
+        assert_eq!(crate::case_count(Some("1"), 64), 1);
     }
 
     proptest! {
