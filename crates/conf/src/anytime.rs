@@ -4,7 +4,7 @@
 //! Safe plans do not exist for queries without a hierarchical FD-reduct —
 //! exact confidence computation is #P-hard in general. On concrete data,
 //! however, the per-tuple DNF lineage often still factors read-once
-//! ([`pdb_lineage::factorize`]), in which case the probability is exact and
+//! ([`Canonical::factorize`]), in which case the probability is exact and
 //! linear. When it does not, dissociation yields deterministic `[lo, hi]`
 //! bounds (Gatterbauer & Suciu, arXiv:1412.1069) that an anytime Shannon
 //! refinement loop tightens monotonically until they are `eps`-wide, the
@@ -535,8 +535,8 @@ impl SplitMix64 {
 mod tests {
     use super::*;
     use pdb_exec::AnnotatedRow;
-    use pdb_lineage::{exact_probability, Clause, Dnf};
     use pdb_storage::{tuple, DataType, Schema};
+    use pdb_testkit::brute_force_confidences;
 
     /// A Boolean answer whose single bag carries the given DNF: one row per
     /// clause, one lineage column per clause position (padded with fresh
@@ -548,7 +548,7 @@ mod tests {
         let schema = Schema::from_pairs(&[("a", DataType::Int)]).unwrap();
         let mut t = Annotated::new(schema, relations);
         for clause in clauses {
-            // Pad by repeating the last variable: Clause::new dedups.
+            // Pad by repeating the last variable: a clause is a set.
             let mut lineage: Vec<(Variable, f64)> = clause
                 .iter()
                 .map(|v| (Variable(*v), probs[&Variable(*v)]))
@@ -568,11 +568,7 @@ mod tests {
     }
 
     fn oracle(clauses: &[&[u64]], probs: &BTreeMap<Variable, f64>) -> f64 {
-        let mut d = Dnf::empty();
-        for c in clauses {
-            d.add_clause(Clause::new(c.iter().map(|v| Variable(*v))));
-        }
-        exact_probability(&d, probs)
+        brute_force_confidences(&answer_for(clauses, probs))[0].1
     }
 
     #[test]

@@ -224,13 +224,13 @@ fn grp_over_bags(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::brute_force_confidences;
     use pdb_exec::fixtures::{fig1_catalog, fig1_catalog_with_keys};
     use pdb_exec::pipeline::evaluate_join_order;
     use pdb_query::cq::intro_query_q;
     use pdb_query::reduct::query_signature;
     use pdb_query::FdSet;
     use pdb_storage::tuple;
+    use pdb_testkit::brute_force_confidences;
 
     fn order(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()

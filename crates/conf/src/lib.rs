@@ -7,8 +7,9 @@
 //! query and the signature of its hierarchical FD-reduct, the operator
 //! computes every distinct answer tuple together with its exact probability.
 //! Three interchangeable implementations are provided, in increasing order of
-//! sophistication, and cross-checked against each other and against
-//! brute-force lineage probability in the test suite:
+//! sophistication, and cross-checked against each other and against the
+//! dev-only `pdb-testkit`'s brute-force lineage probability — itself tied to
+//! possible-world semantics — in the test suite:
 //!
 //! * [`grp`] — the declarative semantics of Fig. 5: one group-by aggregation
 //!   per star of the signature plus propagation (projection) steps, exactly
@@ -21,8 +22,7 @@
 //!   signature to a 1scan one, then the streaming algorithm finishes the job.
 //!
 //! [`operator::ConfidenceOperator`] is the public entry point that picks the
-//! strategy from the signature, and [`brute`] is the exponential ground-truth
-//! oracle used by tests and by the tiny worked examples.
+//! strategy from the signature.
 //!
 //! For queries *without* a safe plan (no hierarchical FD-reduct — exact
 //! computation is #P-hard), [`anytime`] is a fourth evaluator family that
@@ -38,17 +38,13 @@
 //! root-variable boundaries and its per-partition partials are folded back
 //! with a fixed-shape `independent_or` reduction ([`one_scan::SplitPolicy`]).
 //! Both levels of parallelism are deterministic: results are
-//! bitwise-identical at every thread count and for every split policy. The
-//! recursive machine written the obvious way is kept in [`baseline`] as the
-//! reference the tests compare against.
+//! bitwise-identical at every thread count and for every split policy.
 //!
 //! `one_scan` and `multi_scan` each have one governed spelling,
 //! `op_ctx(answer, signature, pool, policy, ctx)`, plus a bare
 //! `op(answer, signature)` convenience on the default pool and policy.
 
 pub mod anytime;
-pub mod baseline;
-pub mod brute;
 pub mod error;
 pub mod grp;
 pub mod multi_scan;

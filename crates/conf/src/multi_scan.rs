@@ -200,7 +200,6 @@ pub fn apply_pre_aggregation_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::brute_force_confidences;
     use crate::grp::grp_confidences;
     use pdb_exec::fixtures::fig1_catalog;
     use pdb_exec::pipeline::evaluate_join_order;
@@ -208,6 +207,7 @@ mod tests {
     use pdb_query::reduct::query_signature;
     use pdb_query::FdSet;
     use pdb_storage::tuple;
+    use pdb_testkit::brute_force_confidences;
 
     fn order(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()

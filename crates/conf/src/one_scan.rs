@@ -69,9 +69,6 @@
 //! pins the chunk stitching against one sequential prefix scan on
 //! adversarial duplicate runs. The same scheduler drives the multi-scan
 //! pre-aggregation groups.
-//!
-//! The recursive machine of Fig. 8, written the obvious way, is kept in
-//! [`crate::baseline`] as the reference the tests hold this engine against.
 
 use pdb_exec::{Annotated, KeyRuns, RowRef};
 use pdb_govern::{Counter, ExecContext, Stage};
@@ -849,8 +846,6 @@ fn one_scan_tree(signature: &Signature) -> ConfResult<OneScanTree> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::one_scan_confidences_recursive;
-    use crate::brute::brute_force_confidences;
     use crate::grp::grp_confidences;
     use pdb_exec::fixtures::{fig1_catalog, fig1_catalog_with_keys};
     use pdb_exec::pipeline::evaluate_join_order;
@@ -858,6 +853,7 @@ mod tests {
     use pdb_query::reduct::query_signature;
     use pdb_query::FdSet;
     use pdb_storage::tuple;
+    use pdb_testkit::brute_force_confidences;
 
     fn order(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -1238,18 +1234,21 @@ mod tests {
     }
 
     #[test]
-    fn flat_machine_matches_the_recursive_baseline() {
+    fn flat_machine_matches_the_oracle_under_another_join_order() {
         let catalog = fig1_catalog_with_keys();
         let mut q = intro_query_q();
         q.predicates.clear();
         let answer = evaluate_join_order(&q, &catalog, &order(&["Item", "Ord", "Cust"])).unwrap();
         let sig = query_signature(&q, &tpch_fds(&catalog)).unwrap();
         let flat = one_scan_confidences(&answer, &sig).unwrap();
-        let recursive = one_scan_confidences_recursive(&answer, &sig).unwrap();
-        assert_eq!(flat.len(), recursive.len());
-        for ((t1, p1), (t2, p2)) in flat.iter().zip(recursive.iter()) {
+        let oracle = brute_force_confidences(&answer);
+        assert_eq!(flat.len(), oracle.len());
+        for ((t1, p1), (t2, p2)) in flat.iter().zip(oracle.iter()) {
             assert_eq!(t1, t2);
-            assert!((p1 - p2).abs() < 1e-12);
+            assert!(
+                (p1 - p2).abs() < 1e-12,
+                "{t1}: one-scan {p1} vs oracle {p2}"
+            );
         }
     }
 }

@@ -5,7 +5,8 @@
 //! [`Strategy::Auto`] picks the streaming one-scan algorithm when the
 //! signature allows it and falls back to the multi-scan schedule otherwise —
 //! exactly the decision procedure of Section V.C. The other strategies exist
-//! for testing, ablation benchmarks, and the worked examples.
+//! for testing, ablation benchmarks, and the worked examples; the tests'
+//! brute-force oracle is the dev-only `pdb-testkit`'s.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,7 +17,6 @@ use pdb_par::Pool;
 use pdb_query::Signature;
 use pdb_storage::Tuple;
 
-use crate::brute::brute_force_confidences;
 use crate::error::ConfResult;
 use crate::grp::grp_confidences_with;
 use crate::multi_scan::multi_scan_confidences_ctx;
@@ -34,8 +34,6 @@ pub enum Strategy {
     MultiScan,
     /// The declarative GRP-sequence semantics of Fig. 5.
     GrpSemantics,
-    /// Exponential brute force over the lineage (testing / tiny inputs only).
-    BruteForce,
 }
 
 impl fmt::Display for Strategy {
@@ -45,7 +43,6 @@ impl fmt::Display for Strategy {
             Strategy::OneScan => "one-scan",
             Strategy::MultiScan => "multi-scan",
             Strategy::GrpSemantics => "grp-semantics",
-            Strategy::BruteForce => "brute-force",
         };
         f.write_str(s)
     }
@@ -148,15 +145,11 @@ impl ConfidenceOperator {
             Strategy::MultiScan => {
                 multi_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
             }
-            // The sequential reference strategies check the governor once on
-            // entry; they exist for testing and tiny inputs only.
+            // The declarative reference checks the governor once on entry;
+            // it exists for testing and tiny inputs only.
             Strategy::GrpSemantics => {
                 ctx.checkpoint(Stage::Confidence, "conf.bag", 0)?;
                 grp_confidences_with(answer, &self.signature, pool)
-            }
-            Strategy::BruteForce => {
-                ctx.checkpoint(Stage::Confidence, "conf.bag", 0)?;
-                Ok(brute_force_confidences(answer))
             }
         }
     }
@@ -170,6 +163,7 @@ mod tests {
     use pdb_query::cq::intro_query_q;
     use pdb_query::reduct::query_signature;
     use pdb_query::FdSet;
+    use pdb_testkit::brute_force_confidences;
 
     fn order(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -183,16 +177,19 @@ mod tests {
         let fds = FdSet::from_catalog_decls(&catalog.fds());
         let op = ConfidenceOperator::new(query_signature(&q, &fds).unwrap());
         assert_eq!(op.scans(), 1);
+        let oracle = brute_force_confidences(&answer);
+        assert_eq!(oracle.len(), 1);
+        assert!((oracle[0].1 - 0.0028).abs() < 1e-12);
         for strategy in [
             Strategy::Auto,
             Strategy::OneScan,
             Strategy::MultiScan,
             Strategy::GrpSemantics,
-            Strategy::BruteForce,
         ] {
             let conf = op.compute(&answer, strategy).unwrap();
             assert_eq!(conf.len(), 1, "{strategy}");
-            assert!((conf[0].1 - 0.0028).abs() < 1e-9, "{strategy}");
+            assert_eq!(conf[0].0, oracle[0].0, "{strategy}");
+            assert!((conf[0].1 - oracle[0].1).abs() < 1e-9, "{strategy}");
         }
     }
 

@@ -1,5 +1,5 @@
-//! Allocations of one refinement round of the anytime loop, counted with a
-//! counting allocator (the pattern of `exec/tests/alloc_count.rs`).
+//! Allocations of one refinement round of the anytime loop, counted with the
+//! test kit's counting allocator.
 //!
 //! A frontier leaf is a flat interned clause set, and `factorize` recurses on
 //! ranges of one permutation held in the bag's scratch, so splitting a leaf —
@@ -13,47 +13,14 @@
 //! (a copy of every ∨-component, each grown by doubling); with a `Vec` per
 //! clause in every leaf, 4 869 on the 2 000-clause chain.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
-
 use pdb_conf::{anytime_confidences_ctx, AnytimeConfig, ApproxPolicy, Pool};
 use pdb_exec::annotated::{Annotated, AnnotatedRow};
 use pdb_govern::ExecContext;
 use pdb_storage::{tuple, DataType, Schema, Variable};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use pdb_testkit::alloc::{allocations, serial};
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-/// The counter is process-wide and the test harness runs tests on parallel
-/// threads: every test holds this lock while it counts.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A failed assertion in another test poisons the lock; the counter is
-    // still consistent.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+static GLOBAL: pdb_testkit::alloc::Counting = pdb_testkit::alloc::Counting;
 
 /// `chains` disjoint chains `x₀x₁ ∨ x₁x₂ ∨ …` of `clauses` clauses in all, as
 /// the one bag of a Boolean answer. A chain is one ∨-component and one
@@ -82,11 +49,13 @@ fn per_extra_round(answer: &Annotated) -> usize {
         let config = AnytimeConfig::new(ApproxPolicy::Bounds { eps: 0.0 })
             .with_seed(1)
             .with_max_rounds(rounds);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let got = anytime_confidences_ctx(answer, &config, &pool, &ctx).unwrap();
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(got[0].rounds, rounds, "the chains outlast {rounds} rounds");
-        allocations
+        let (got, made) = allocations(|| anytime_confidences_ctx(answer, &config, &pool, &ctx));
+        assert_eq!(
+            got.unwrap()[0].rounds,
+            rounds,
+            "the chains outlast {rounds} rounds"
+        );
+        made
     };
     (run(16) - run(8)) / 8
 }

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use pdb_conf::{anytime_confidences_ctx, AnytimeConfig, ApproxPolicy, Pool};
 use pdb_exec::annotated::{Annotated, AnnotatedRow};
 use pdb_govern::ExecContext;
-use pdb_lineage::{exact_probability, Clause, Dnf};
 use pdb_storage::{tuple, DataType, Schema, Variable};
+use pdb_testkit::brute_force_confidences;
 
 fn probs_for(clauses: &[Vec<u64>]) -> BTreeMap<Variable, f64> {
     clauses
@@ -32,7 +32,7 @@ fn answer_for(clauses: &[Vec<u64>], probs: &BTreeMap<Variable, f64>) -> Annotate
     let schema = Schema::from_pairs(&[("a", DataType::Int)]).unwrap();
     let mut t = Annotated::new(schema, relations);
     for clause in clauses {
-        // Pad by repeating the last variable: Clause::new dedups.
+        // Pad by repeating the last variable: a clause is a set.
         let mut lineage: Vec<(Variable, f64)> = clause
             .iter()
             .map(|v| (Variable(*v), probs[&Variable(*v)]))
@@ -43,14 +43,6 @@ fn answer_for(clauses: &[Vec<u64>], probs: &BTreeMap<Variable, f64>) -> Annotate
         t.push(AnnotatedRow::new(tuple![1i64], lineage));
     }
     t
-}
-
-fn oracle(clauses: &[Vec<u64>], probs: &BTreeMap<Variable, f64>) -> f64 {
-    let mut d = Dnf::empty();
-    for c in clauses {
-        d.add_clause(Clause::new(c.iter().map(|v| Variable(*v))));
-    }
-    exact_probability(&d, probs)
 }
 
 proptest! {
@@ -66,7 +58,7 @@ proptest! {
     ) {
         let probs = probs_for(&clauses);
         let answer = answer_for(&clauses, &probs);
-        let want = oracle(&clauses, &probs);
+        let want = brute_force_confidences(&answer)[0].1;
         let pool = Pool::new(2);
         let ctx = ExecContext::unbounded();
         let mut last_width = f64::INFINITY;

@@ -3,14 +3,13 @@
 //! For randomly generated tuple-independent databases and several query
 //! shapes, the streaming one-scan algorithm (Fig. 8), the multi-scan schedule
 //! (Example V.11) and the GRP-sequence semantics (Fig. 5) must all agree with
-//! the brute-force Shannon-expansion oracle.
+//! the brute-force Shannon-expansion oracle of `pdb-testkit`.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
-use pdb_conf::brute::brute_force_confidences;
 use pdb_conf::multi_scan::multi_scan_confidences_ctx;
 use pdb_conf::one_scan::{one_scan_confidences_ctx, one_scan_confidences_presorted_tuned};
 use pdb_conf::{
@@ -21,6 +20,7 @@ use pdb_exec::Annotated;
 use pdb_query::reduct::query_signature;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
 use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Variable};
+use pdb_testkit::brute_force_confidences;
 
 /// The ungoverned one-scan engine on an explicit pool and split policy.
 fn one_scan_on(

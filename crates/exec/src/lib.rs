@@ -17,8 +17,8 @@
 //!   key into one machine word and radix-sorts that; duplicate elimination
 //!   is sort-based. Every hot-path operator has one governed spelling,
 //!   `op_ctx(input…, pool, ctx)`, plus a bare `op(input…)` convenience on
-//!   the default pool. The row-at-a-time reference join the tests compare
-//!   against lives in [`baseline`].
+//!   the default pool. The join emits exactly what the nested loop of its
+//!   definition would, in the same order; the tests hold it to that loop.
 //! * [`KeyRuns`] — the grouping shell every aggregation shares: rows sorted
 //!   on normalized keys, cut into runs on the sorted packed words, one
 //!   output row per run, its buffers charged to the memory budget. An input
@@ -43,7 +43,6 @@
 //!   consumes.
 
 pub mod annotated;
-pub mod baseline;
 pub mod columnar;
 pub mod error;
 pub mod extensional;

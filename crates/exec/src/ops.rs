@@ -38,8 +38,8 @@
 //!   into a fragment of their own, and the fragments are appended in morsel
 //!   order (values move, nothing is cloned; a one-worker join has one morsel
 //!   and moves nothing). The emit order is `(left row, right row)`
-//!   lexicographic — that of the row-at-a-time reference join in
-//!   [`crate::baseline`].
+//!   lexicographic — that of the join's definition, a nested loop over the
+//!   left rows and then the right ones.
 //!
 //! The output is therefore **bitwise-identical at every thread count** —
 //! same values, same lineage, same row order — and so is what a governor
@@ -471,8 +471,7 @@ pub fn natural_join(left: &Annotated, right: &Annotated) -> ExecResult<Annotated
 /// morsel runs the fused probe-and-emit loop into a fragment of its own,
 /// and the fragments are appended in morsel order — the exact nested emit,
 /// `(left row, right row)` lexicographic, bitwise-identical at every thread
-/// count and to the row-at-a-time reference join
-/// ([`crate::baseline::natural_join_rowwise`]).
+/// count and to the nested loop of the join's definition.
 ///
 /// Checkpoints `join.probe` on the probe side's row blocks. Charged under
 /// [`Stage::Join`]: the build side (key words, hashes, chain index) before
@@ -698,9 +697,18 @@ mod tests {
         let cust = scan(&fig1_cust(), "Cust", &s(&["ckey", "cname"])).unwrap();
         let ord = scan(&fig1_ord(), "Ord", &s(&["okey", "ckey", "odate"])).unwrap();
         let fast = natural_join(&cust, &ord).unwrap();
-        let slow = crate::baseline::natural_join_rowwise(&cust, &ord).unwrap();
-        // Same rows in the same order: both emit (left row, right row)
-        // lexicographically.
+        // The join row at a time: every (left row, right row) pair in that
+        // order whose `ckey`s match, Cust's columns then Ord's others.
+        let mut slow = Annotated::new(fast.schema().clone(), fast.relations().to_vec());
+        for l in cust.iter() {
+            for r in ord.iter() {
+                if l.data[0] == r.data[1] {
+                    let data = [l.data, &[r.data[0].clone(), r.data[2].clone()]].concat();
+                    slow.push_row(&data, &[l.lineage, r.lineage].concat());
+                }
+            }
+        }
+        assert_eq!(slow.len(), 6);
         assert_eq!(fast, slow);
     }
 

@@ -1,67 +1,22 @@
-//! Allocation accounting for the join and confidence hot paths.
+//! Allocation accounting for the join and confidence hot paths, counted
+//! with the test kit's counting allocator.
 //!
-//! The PR-1 acceptance criterion is that `ops::natural_join` performs **no
-//! per-probed-row `Tuple` / `Vec<Value>` allocations**: output rows are
-//! appended to the result's flat arenas, whose growth is amortized
-//! (`O(log n)` reallocations for `n` rows). This test installs a counting
-//! global allocator and verifies exactly that, with the retained
-//! row-at-a-time baseline — which allocates per row by construction — as
-//! the control.
-//!
-//! PR 2 extends the accounting to the confidence path: the flat one-scan
-//! engine's inner loop over `N` rows must allocate `O(log N)` times
-//! (key/permutation buffers and arena doublings), not `O(N × nodes)` like
-//! the retained recursive machine, whose partition closes clone a
-//! `children` vector per visit.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+//! `ops::natural_join` performs **no per-probed-row `Tuple` / `Vec<Value>`
+//! allocations**: output rows are appended to the result's flat arenas,
+//! whose growth is amortized (`O(log n)` reallocations for `n` rows). The
+//! flat one-scan engine's inner loop over `N` rows allocates `O(log N)`
+//! times (key and permutation buffers, arena doublings), not `O(N × nodes)`.
+//! Both are held to one absolute count at two input sizes four times apart,
+//! which an allocation per row breaks at the smaller one already.
 
 use std::borrow::Cow;
 
-use pdb_exec::{baseline, ops, Annotated, ExecContext, KeyRuns, Stage};
+use pdb_exec::{ops, Annotated, ExecContext, KeyRuns, Stage};
 use pdb_storage::{tuple, DataType, ProbTable, Schema, Variable};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use pdb_testkit::alloc::{allocations, serial};
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-/// The counter is process-wide and the test harness runs tests on parallel
-/// threads: every test holds this lock for its whole body so another test's
-/// allocations are never charged to its measurement.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A failed assertion in another test poisons the lock; the counter
-    // itself is still consistent.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
+static GLOBAL: pdb_testkit::alloc::Counting = pdb_testkit::alloc::Counting;
 
 /// `R(a)` with `groups` keys and `S(a, b)` with `per_key` rows per key: the
 /// join emits `groups · per_key` rows.
@@ -92,48 +47,29 @@ fn join_inputs(groups: i64, per_key: i64) -> (Annotated, Annotated) {
 #[test]
 fn join_lineage_growth_is_amortized_slice_append() {
     let _serial = serial();
-    let (left, right) = join_inputs(100, 50);
-    let output_rows = 100 * 50;
-
-    // Warm up once so lazily initialized runtime structures don't get
-    // charged to either side.
-    ops::natural_join(&left, &right).unwrap();
-    baseline::natural_join_rowwise(&left, &right).unwrap();
-
-    let mut fast_out = None;
-    let fast = allocations(|| {
-        fast_out = Some(ops::natural_join(&left, &right).unwrap());
-    });
-    let mut slow_out = None;
-    let slow = allocations(|| {
-        slow_out = Some(baseline::natural_join_rowwise(&left, &right).unwrap());
-    });
-    let fast_out = fast_out.unwrap();
-    let slow_out = slow_out.unwrap();
-    assert_eq!(fast_out.len(), output_rows);
-    assert_eq!(slow_out.len(), output_rows);
-    // Lineage really is one dense arena.
-    assert_eq!(
-        fast_out.lineage_arena().len(),
-        output_rows * fast_out.lineage_width()
-    );
-
-    // The baseline allocates at least one Tuple Vec and one lineage Vec per
-    // output row, plus a key Vec per probed row.
-    assert!(
-        slow >= 2 * output_rows,
-        "row-at-a-time baseline allocated {slow} times for {output_rows} rows"
-    );
-    // The arena join allocates bounded bookkeeping (key normalization, hash
-    // index, arena doublings) — far below one allocation per output row.
-    assert!(
-        fast < output_rows / 4,
-        "arena join allocated {fast} times for {output_rows} rows"
-    );
-    assert!(
-        fast * 10 < slow,
-        "arena join ({fast} allocs) should be at least 10x leaner than the baseline ({slow})"
-    );
+    let ctx = ExecContext::unbounded();
+    for (groups, threads) in [100, 400].into_iter().flat_map(|g| [(g, 1), (g, 4)]) {
+        let (left, right) = join_inputs(groups, 50);
+        let output_rows = groups as usize * 50;
+        let pool = pdb_par::Pool::new(threads);
+        let join = || ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap();
+        // Warm up once so lazily initialized runtime structures are not
+        // charged.
+        join();
+        let (out, allocs) = allocations(join);
+        assert_eq!(out.len(), output_rows);
+        // Lineage really is one dense arena.
+        assert_eq!(out.lineage_arena().len(), output_rows * out.lineage_width());
+        // Bounded bookkeeping — key normalization, the chain index, a
+        // fragment per probe morsel, arena doublings: 30 on one worker and
+        // 127 on four, at 5 000 output rows and at 20 000 alike. A join that
+        // allocated a `Tuple` and a lineage `Vec` per output row would make
+        // 10 000 and 40 000.
+        assert!(
+            allocs < 256,
+            "the arena join allocated {allocs} times for {output_rows} rows on {threads} workers"
+        );
+    }
 }
 
 #[test]
@@ -154,7 +90,7 @@ fn sort_and_dedup_allocate_bounded_scratch() {
     let mut sorted = joined.clone();
     sorted.sort_for_confidence(&data_cols, &rels).unwrap(); // warm-up
     let mut sorted = joined.clone();
-    let sort_allocs = allocations(|| {
+    let ((), sort_allocs) = allocations(|| {
         sorted.sort_for_confidence(&data_cols, &rels).unwrap();
     });
     // Key buffer + permutation + two rebuilt arenas + per-column dictionary
@@ -168,7 +104,7 @@ fn sort_and_dedup_allocate_bounded_scratch() {
     // data tuple, collapsed to its first row.
     let pool = pdb_par::Pool::sequential();
     let ctx = ExecContext::unbounded();
-    let dedup_allocs = allocations(|| {
+    let ((), dedup_allocs) = allocations(|| {
         let runs = KeyRuns::build(&joined, &[], &[], Stage::Sort, &pool, &ctx).unwrap();
         let d = runs
             .collapse(
@@ -191,8 +127,8 @@ fn sort_and_dedup_allocate_bounded_scratch() {
 
 /// A three-level answer `R(a) ⋈ S(a, b) ⋈ T(a, b, c)` projected onto `a`,
 /// with the 1scan signature `(R (S T*)*)*`: every change of `b` closes a
-/// partition of the inner `S` node, the shape that made the recursive
-/// machine clone its `children` vector per visit.
+/// partition of the inner `S` node, where a machine that allocates per
+/// visit shows.
 fn confidence_inputs(
     groups: i64,
     per_group: i64,
@@ -277,11 +213,7 @@ fn parallel_sort_key_build_allocates_bounded_scratch() {
     let build =
         || SortKeys::build_with(rows, 3, 1, |r, c| &vals[r][c], |r, _| (r % 3) as u64, &pool);
     build(); // warm-up
-    let mut keys = None;
-    let parallel = allocations(|| {
-        keys = Some(build());
-    });
-    let keys = keys.unwrap();
+    let (keys, parallel) = allocations(build);
     // The parallel build allocates bounded scratch per chunk (dictionaries,
     // remaps, spawn bookkeeping) plus the one key buffer — far below one
     // allocation per row, like the sequential build it replaces.
@@ -317,11 +249,8 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
     // Warm-up so lazily initialized runtime structures are not charged.
     ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap();
 
-    let mut join_out = None;
-    let join_allocs = allocations(|| {
-        join_out = Some(ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap());
-    });
-    let join_out = join_out.unwrap();
+    let (join_out, join_allocs) =
+        allocations(|| ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap());
     assert_eq!(join_out.len(), rows);
     assert!(
         join_allocs < rows / 4,
@@ -329,7 +258,7 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
     );
 
     let keep: Vec<String> = vec!["a".into()];
-    let project_allocs = allocations(|| {
+    let ((), project_allocs) = allocations(|| {
         let p = ops::project_ctx(&right, &keep, &pool, &ctx).unwrap();
         assert_eq!(p.len(), right.len());
     });
@@ -354,7 +283,7 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
         }
     }
     let pred = Predicate::new("S", "b", CompareOp::Lt, 25i64);
-    let scan_allocs = allocations(|| {
+    let ((), scan_allocs) = allocations(|| {
         let f =
             ops::scan_filter_project_ctx(&s, "S", &[&pred], &["a".into(), "b".into()], &pool, &ctx);
         assert_eq!(f.unwrap().len(), 100 * 25);
@@ -369,7 +298,7 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
     let q = ConjunctiveQuery::build(&[("R", &["a"]), ("S", &["a", "b"])], &["b"], vec![]).unwrap();
     let order: Vec<String> = vec!["R".into(), "S".into()];
     evaluate_join_order_ctx(&q, &catalog, &order, &pool, &ctx).unwrap(); // warm-up
-    let pipeline_allocs = allocations(|| {
+    let ((), pipeline_allocs) = allocations(|| {
         let answer = evaluate_join_order_ctx(&q, &catalog, &order, &pool, &ctx).unwrap();
         assert_eq!(answer.len(), rows);
     });
@@ -382,60 +311,47 @@ fn chunked_parallel_pipeline_allocates_bounded_scratch() {
 #[test]
 fn one_scan_inner_loop_allocates_sublinearly() {
     let _serial = serial();
-    use pdb_conf::baseline::one_scan_confidences_recursive;
     use pdb_conf::one_scan::one_scan_confidences_ctx;
     use pdb_conf::{Pool, SplitPolicy};
 
-    let (answer, sig) = confidence_inputs(4, 50, 10);
-    let rows = answer.len();
-    assert_eq!(rows, 4 * 50 * 10);
-    let pool = Pool::sequential();
-    let flat_scan = || {
-        one_scan_confidences_ctx(
-            &answer,
-            &sig,
-            &pool,
-            SplitPolicy::default(),
-            &ExecContext::unbounded(),
-        )
-        .unwrap()
-    };
+    for per_group in [50, 200] {
+        let (answer, sig) = confidence_inputs(4, per_group, 10);
+        let rows = answer.len();
+        assert_eq!(rows, 4 * per_group as usize * 10);
+        let pool = Pool::sequential();
+        let flat_scan = || {
+            one_scan_confidences_ctx(
+                &answer,
+                &sig,
+                &pool,
+                SplitPolicy::default(),
+                &ExecContext::unbounded(),
+            )
+            .unwrap()
+        };
+        // Warm up so lazily initialized runtime structures are not charged.
+        flat_scan();
+        let (out, flat) = allocations(flat_scan);
 
-    // Warm up both paths so lazily initialized runtime structures are not
-    // charged to either side.
-    flat_scan();
-    one_scan_confidences_recursive(&answer, &sig).unwrap();
-
-    let mut flat_out = None;
-    let flat = allocations(|| {
-        flat_out = Some(flat_scan());
-    });
-    let mut recursive_out = None;
-    let recursive = allocations(|| {
-        recursive_out = Some(one_scan_confidences_recursive(&answer, &sig).unwrap());
-    });
-    let flat_out = flat_out.unwrap();
-    let recursive_out = recursive_out.unwrap();
-    assert_eq!(flat_out.len(), 4);
-    assert_eq!(recursive_out.len(), 4);
-    for ((t1, p1), (t2, p2)) in flat_out.iter().zip(recursive_out.iter()) {
-        assert_eq!(t1, t2);
-        assert!((p1 - p2).abs() < 1e-12);
+        // Every variable has probability ½, so each answer `a` has the closed
+        // form `½ · (1 − (1 − ½ · (1 − ½¹⁰))^per_group)`: `R(a)`, and some
+        // `S(a, b)` with one of its ten `T(a, b, c)`.
+        let some_t = 1.0 - 0.5f64.powi(10);
+        let want = 0.5 * (1.0 - (1.0 - 0.5 * some_t).powi(per_group as i32));
+        assert_eq!(out.len(), 4);
+        for (a, (t, p)) in out.iter().enumerate() {
+            assert_eq!(*t, tuple![a as i64]);
+            assert!((p - want).abs() < 1e-12, "{t}: {p} vs {want}");
+        }
+        // Bounded scratch — key words, the sorted permutation, bag
+        // bookkeeping, machine arrays, the output: 37 at 2 000 rows and at
+        // 8 000 alike. A machine that allocated per partition close (every
+        // change of `b`) would make 200 and 800 more.
+        assert!(
+            flat < 64,
+            "flat one-scan allocated {flat} times for {rows} rows"
+        );
     }
-
-    // The flat engine allocates bounded scratch: key words, the sorted
-    // permutation, bag bookkeeping, machine arrays, the output — far below
-    // one allocation per row.
-    assert!(
-        flat < rows / 8,
-        "flat one-scan allocated {flat} times for {rows} rows"
-    );
-    // The recursive machine clones a children vector per partition close
-    // (every change of `b`), on top of cloning and permuting the answer.
-    assert!(
-        flat * 2 < recursive,
-        "flat engine ({flat} allocs) should be leaner than the recursive baseline ({recursive})"
-    );
 }
 
 #[test]
@@ -473,12 +389,9 @@ fn bitmask_scan_allocates_bounded_scratch() {
     let keep: Vec<String> = vec!["k".into(), "s".into()];
     let ctx = ExecContext::unbounded();
     scan_filter_project_columnar_ctx(&col, "R", &preds, &keep, &pool, &ctx).unwrap(); // warm-up
-    let mut out = None;
-    let allocs = allocations(|| {
-        out =
-            Some(scan_filter_project_columnar_ctx(&col, "R", &preds, &keep, &pool, &ctx).unwrap());
+    let (out, allocs) = allocations(|| {
+        scan_filter_project_columnar_ctx(&col, "R", &preds, &keep, &pool, &ctx).unwrap()
     });
-    let out = out.unwrap();
     let expected = (0..rows).filter(|r| (r % 100) < 50).count();
     assert_eq!(out.len(), expected);
     assert!(
@@ -544,7 +457,7 @@ fn late_materialization_decodes_at_most_the_output_strings() {
 }
 
 #[test]
-fn partitioned_join_scatter_allocates_o_chunks_plus_partitions() {
+fn eight_worker_join_allocates_by_key_chunk_and_probe_morsel() {
     let _serial = serial();
     // An eight-worker join allocates by the piece of work, not by the row:
     // the build side's key chunks and one chain index, and per probe morsel
@@ -555,11 +468,8 @@ fn partitioned_join_scatter_allocates_o_chunks_plus_partitions() {
     let pool = pdb_par::Pool::new(8);
     let ctx = ExecContext::unbounded();
     ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap(); // warm-up
-    let mut out = None;
-    let allocs = allocations(|| {
-        out = Some(ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap());
-    });
-    assert_eq!(out.unwrap().len(), 64 * 64);
+    let (out, allocs) = allocations(|| ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap());
+    assert_eq!(out.len(), 64 * 64);
     assert!(
         allocs < 768,
         "eight-worker join allocated {allocs} times; its chunks and \

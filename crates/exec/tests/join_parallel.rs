@@ -3,8 +3,8 @@
 //! The contract under test: every operator — the hash join above all, its
 //! probe side cut into one morsel per worker — produces an [`Annotated`] that is **bitwise
 //! identical** (values, lineage, row order) across `SPROUT_THREADS` ∈
-//! {1, 2, 4, 8}, and identical to the retained row-at-a-time seed join
-//! (`pdb_exec::baseline`), which emits `(left row, right row)`
+//! {1, 2, 4, 8}, and identical to the join's definition, a nested loop
+//! ([`joined_by_definition`]) that emits `(left row, right row)`
 //! lexicographically by construction. Covered shapes include products (no
 //! shared column) and high-skew key distributions (one hot key owning a
 //! large fraction of both sides), NULL keys, and string/int/float key mixes.
@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pdb_exec::pipeline::evaluate_join_order_ctx;
-use pdb_exec::{baseline, ops, Annotated, ExecContext};
+use pdb_exec::{ops, Annotated, ExecContext};
 use pdb_par::Pool;
 use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
 use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Value, Variable};
@@ -80,6 +80,40 @@ fn join_tables(seed: u64, left: usize, right: usize, hot_pct: u64) -> (Annotated
     (l, r)
 }
 
+/// The natural join by its definition, a nested loop: every `(left row,
+/// right row)` pair in that order whose shared columns hold equal values,
+/// none of them NULL; the left row's values and then the right row's other
+/// columns, the left lineage and then the right.
+fn joined_by_definition(l: &Annotated, r: &Annotated) -> Annotated {
+    let (left, right) = (l.schema(), r.schema());
+    let shared: Vec<(usize, usize)> = (0..left.len())
+        .filter_map(|i| right.index_of(&left.column(i).name).ok().map(|j| (i, j)))
+        .collect();
+    let others: Vec<usize> = (0..right.len())
+        .filter(|&j| !left.contains(&right.column(j).name))
+        .collect();
+    let columns = left
+        .columns()
+        .iter()
+        .chain(others.iter().map(|&j| right.column(j)));
+    let schema = Schema::new(columns.cloned().collect()).unwrap();
+    let mut out = Annotated::new(schema, [l.relations(), r.relations()].concat());
+    for lrow in l.iter() {
+        for rrow in r.iter() {
+            let equal =
+                |&(i, j): &(usize, usize)| !lrow.data[i].is_null() && lrow.data[i] == rrow.data[j];
+            if shared.iter().all(equal) {
+                let data: Vec<Value> = (lrow.data.iter())
+                    .chain(others.iter().map(|&j| &rrow.data[j]))
+                    .cloned()
+                    .collect();
+                out.push_row(&data, &[lrow.lineage, rrow.lineage].concat());
+            }
+        }
+    }
+    out
+}
+
 /// Asserts `got` equals `want` bitwise: schema, relations, row order, data
 /// values and lineage pairs.
 fn assert_identical(got: &Annotated, want: &Annotated, what: &str) -> Result<(), TestCaseError> {
@@ -92,8 +126,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Natural-join determinism: identical output (values, lineage, row
-    /// order) at every thread count, and equal to the seed row-at-a-time
-    /// join, across hot-key skews from uniform to 90% one key.
+    /// order) at every thread count, and equal to the join's definition,
+    /// across hot-key skews from uniform to 90% one key.
     #[test]
     fn partitioned_join_is_identical_to_seed_at_every_thread_count(
         seed in 1u64..u64::MAX / 2,
@@ -102,7 +136,7 @@ proptest! {
         hot_pct in 0u64..90,
     ) {
         let (l, r) = join_tables(seed, left, right, hot_pct);
-        let reference = baseline::natural_join_rowwise(&l, &r).unwrap();
+        let reference = joined_by_definition(&l, &r);
         for threads in POOLS {
             let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
             assert_identical(&joined, &reference, &format!("join at {threads} threads"))?;
@@ -121,7 +155,7 @@ proptest! {
         let (l, r) = join_tables(seed, left, right, 30);
         let l = ops::project(&l, &["b".to_string()]).unwrap();
         let r = ops::project(&r, &["c".to_string()]).unwrap();
-        let reference = baseline::natural_join_rowwise(&l, &r).unwrap();
+        let reference = joined_by_definition(&l, &r);
         prop_assert_eq!(reference.len(), l.len() * r.len());
         for threads in POOLS {
             let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
@@ -247,12 +281,12 @@ fn keyed_sides(left_keys: &[Value], right_keys: &[Value]) -> (Annotated, Annotat
     )
 }
 
-/// Holds the join of the two sides to the row-at-a-time reference — rows
-/// and order — at pools 1, 2 and 8, and returns the reference's row count.
+/// Holds the join of the two sides to its definition — rows and order — at
+/// pools 1, 2, 4 and 8, and returns the definition's row count.
 fn assert_join_matches_reference(left_keys: &[Value], right_keys: &[Value], what: &str) -> usize {
     let (l, r) = keyed_sides(left_keys, right_keys);
-    let reference = baseline::natural_join_rowwise(&l, &r).unwrap();
-    for threads in [1, 2, 8] {
+    let reference = joined_by_definition(&l, &r);
+    for threads in POOLS {
         let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
         assert_eq!(joined, reference, "{what} at {threads} threads");
     }

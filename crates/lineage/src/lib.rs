@@ -1,7 +1,7 @@
 //! # pdb-lineage
 //!
 //! Boolean lineage of query answers over tuple-independent probabilistic
-//! databases, and *ground-truth* probability computation.
+//! databases, and its read-once factorization.
 //!
 //! For conjunctive queries the lineage of an answer tuple is a DNF formula
 //! over the input tuples' Boolean random variables (paper, Section I and
@@ -10,24 +10,23 @@
 //!
 //! The crate provides:
 //!
-//! * [`Clause`] and [`Dnf`] — relational DNF lineage.
-//! * [`exact_probability`] — exact `Pr[φ]` by Shannon expansion over the
-//!   formula's variables, exponential in the worst case and intended as the
-//!   oracle that the efficient operators of `pdb-conf` are tested against.
 //! * [`independent_or`] / [`independent_and`] — the linear-time probability
 //!   combinators for one-occurrence-form (1OF) formulas that the paper's
 //!   operator is built from.
-//! * [`factorize`] / [`ReadOnceTree`] — read-once factorization of monotone
-//!   DNF: the exact linear-time fallback for lineage of *unsafe* queries,
-//!   returning the blocking sub-formula when no read-once form exists;
-//!   [`Canonical`] is the interned form it works on and the anytime loop keeps.
+//! * [`Clauses`] / [`Canonical`] — a monotone DNF as a flat clause set over
+//!   dense variable ids, and the interned form the anytime loop keeps
+//!   ([`sort_dedup`] makes one from a sequence of clauses).
+//! * [`Canonical::factorize`] / [`ReadOnceTree`] — read-once factorization:
+//!   the exact linear-time fallback for lineage of *unsafe* queries,
+//!   returning the blocking clause set when no read-once form exists
+//!   ([`Factorization`]), with its scratch kept in a [`FactorScratch`].
+//!
+//! The oracles these are tested against — DNF lineage with its Shannon
+//! expansion, and possible-world semantics — live in the dev-only
+//! `pdb-testkit`.
 
-pub mod dnf;
 pub mod prob;
 pub mod readonce;
 
-pub use dnf::{Clause, Dnf};
-pub use prob::{exact_probability, independent_and, independent_or};
-pub use readonce::{
-    factorize, intern, sort_dedup, Canonical, Clauses, FactorScratch, Factorization, ReadOnceTree,
-};
+pub use prob::{independent_and, independent_or};
+pub use readonce::{sort_dedup, Canonical, Clauses, FactorScratch, Factorization, ReadOnceTree};

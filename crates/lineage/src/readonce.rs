@@ -10,7 +10,7 @@
 //! fallback path of the unsafe-query subsystem worthwhile (Roy et al.,
 //! arXiv:1012.0335).
 //!
-//! [`factorize`] implements the unate recursive decomposition:
+//! [`Canonical::factorize`] implements the unate recursive decomposition:
 //!
 //! 1. the DNF is absorption-minimized (positive IDNF),
 //! 2. ∨-decomposition splits the clause set into connected components of
@@ -32,15 +32,13 @@
 //! `u32` variable ids whose order is variable order, [`Clauses`]. The loop
 //! interns a bag once and keeps every frontier leaf [`Canonical`] over the
 //! bag's ids — a cofactor is a merge ([`Canonical::cofactor`]), already in
-//! the order absorption wants — while [`factorize`] interns its `Dnf` on
-//! every call and alone builds a `Dnf` witness. A monotone relabelling of
-//! ids changes no comparison made here, so neither the tree nor its child
-//! order. A step indexes its clause set by variable, finds ∨-components by
-//! union-find and co-components by BFS on the complement graph with a
-//! shrinking unvisited list — `O(n + Σ|clause|²)`, no adjacency matrix. A
-//! clause set is a range of one permutation, which an ∨-step
-//! stable-partitions: no part is copied, nor read behind the first blocked
-//! one. Absorption counts hits through the top step's index, and only where
+//! the order absorption wants. A monotone relabelling of ids changes no
+//! comparison made here, so neither the tree nor its child order. A step
+//! indexes its clause set by variable, finds ∨-components by union-find and
+//! co-components by BFS on the complement graph with a shrinking unvisited
+//! list — `O(n + Σ|clause|²)`, no adjacency matrix. A clause set is a range
+//! of one permutation, which an ∨-step stable-partitions: no part is copied,
+//! nor read behind the first blocked one. Absorption counts hits through the top step's index, and only where
 //! a [`Canonical`]'s known minimality leaves a containment possible. A call
 //! allocates its ∧-projections, its tree and its witness; the rest is the
 //! caller's [`FactorScratch`].
@@ -49,7 +47,7 @@ use std::ops::Range;
 
 use pdb_storage::Variable;
 
-use crate::dnf::{Clause, Dnf};
+use crate::prob::{independent_and, independent_or};
 
 /// A read-once factorization tree: every variable occurs in exactly one leaf.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,15 +62,15 @@ pub enum ReadOnceTree {
 
 impl ReadOnceTree {
     /// Exact probability of the subtree under independent variables with the
-    /// marginals `p`: one bottom-up pass, products at ∧, `1 − Π(1 − pᵢ)` at ∨.
+    /// marginals `p`: one bottom-up pass, [`independent_and`] at ∧ and
+    /// [`independent_or`] at ∨, children in order.
     pub fn probability(&self, p: &impl Fn(Variable) -> f64) -> f64 {
         match self {
             ReadOnceTree::Leaf(v) => p(*v),
-            ReadOnceTree::And(children) => children.iter().map(|c| c.probability(p)).product(),
-            ReadOnceTree::Or(children) => {
-                let none: f64 = children.iter().map(|c| 1.0 - c.probability(p)).product();
-                1.0 - none
+            ReadOnceTree::And(children) => {
+                independent_and(children.iter().map(|c| c.probability(p)))
             }
+            ReadOnceTree::Or(children) => independent_or(children.iter().map(|c| c.probability(p))),
         }
     }
 
@@ -106,21 +104,20 @@ impl ReadOnceTree {
     }
 }
 
-/// Outcome of [`factorize`] (witness: a [`Dnf`]) and of
-/// [`Canonical::factorize`] (witness: the stuck clause set, left interned).
+/// Outcome of [`Canonical::factorize`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Factorization<W = Dnf> {
+pub enum Factorization {
     /// The formula is constant (empty DNF is false; a DNF containing the
     /// empty clause is true).
     Constant(bool),
     /// The formula factors read-once.
     ReadOnce(ReadOnceTree),
-    /// The formula is not read-once; the witness is the first sub-formula on
-    /// which both decompositions got stuck.
-    Blocked(W),
+    /// The formula is not read-once; the witness is the first clause set on
+    /// which both decompositions got stuck, over the formula's ids.
+    Blocked(Clauses),
 }
 
-impl<W> Factorization<W> {
+impl Factorization {
     /// The read-once tree, if the formula factored.
     pub fn tree(&self) -> Option<&ReadOnceTree> {
         match self {
@@ -134,37 +131,6 @@ impl<W> Factorization<W> {
     pub fn is_read_once(&self) -> bool {
         !matches!(self, Factorization::Blocked(_))
     }
-}
-
-/// Factorizes a monotone DNF into a read-once tree, or returns the blocking
-/// sub-formula when no read-once form exists.
-pub fn factorize(dnf: &Dnf) -> Factorization {
-    let (vars, root) = intern(dnf);
-    // A statement of its own, so the scratch is freed before the witness.
-    let factorization = sort_dedup(&root).factorize(&vars, &mut FactorScratch::default());
-    match factorization {
-        Factorization::Constant(b) => Factorization::Constant(b),
-        Factorization::ReadOnce(tree) => Factorization::ReadOnce(tree),
-        Factorization::Blocked(stuck) => {
-            let clause = |c: &[u32]| Clause::new(c.iter().map(|&id| vars[id as usize]));
-            Factorization::Blocked(Dnf::new(stuck.iter().map(clause)))
-        }
-    }
-}
-
-/// Interns a formula: its variables, ascending — a variable's id is its rank
-/// — and its clauses over those ids, in insertion order.
-pub fn intern(dnf: &Dnf) -> (Vec<Variable>, Clauses) {
-    let occurrences = dnf.clauses().iter().flat_map(Clause::vars);
-    let mut vars: Vec<Variable> = occurrences.copied().collect();
-    vars.sort_unstable();
-    vars.dedup();
-    let id = |v| vars.binary_search(v).expect("interned above") as u32;
-    let mut root = Clauses::default();
-    for clause in dnf.clauses() {
-        root.push(clause.vars().iter().map(id));
-    }
-    (vars, root)
 }
 
 /// A clause set in flat CSR form over dense variable ids whose order is
@@ -230,8 +196,8 @@ fn members<'a>(set: &'a Clauses, order: &'a [u32]) -> impl Iterator<Item = &'a [
 /// A formula as the anytime loop keeps it: the distinct clauses of a sequence
 /// in canonical order — by (length, content), so every clause is behind the
 /// clauses it could contain — each with its rank, the index of its first
-/// occurrence in the sequence. Read by ascending rank it is the sequence as
-/// one [`Dnf::add_clause`] per clause leaves it.
+/// occurrence in the sequence. Read by ascending rank it is the sequence with
+/// every repeat of an earlier clause dropped.
 #[derive(Debug, Clone, Default)]
 pub struct Canonical {
     clauses: Clauses,
@@ -266,13 +232,14 @@ impl Canonical {
         &self.rank
     }
 
-    /// The Shannon cofactor, clause for clause what [`Dnf::assign`] leaves:
-    /// `false` drops the clauses that mention `id`; `true` drops `id` from
-    /// them, and of two clauses that have become equal the one of higher
-    /// rank. Clauses that lose a variable they share stay in canonical order
-    /// and distinct, so the cofactor is a merge of them with the rest. Of a
-    /// formula known minimal, a `false` cofactor is known minimal and a
-    /// `true` one records which of its clauses lost `id`.
+    /// The Shannon cofactor: `false` drops the clauses that mention `id`;
+    /// `true` drops `id` from them, and of two clauses that have become equal
+    /// the one of higher rank — read by rank, the restricted sequence with
+    /// every repeat of an earlier clause dropped. Clauses that lose a
+    /// variable they share stay in canonical order and distinct, so the
+    /// cofactor is a merge of them with the rest. Of a formula known minimal,
+    /// a `false` cofactor is known minimal and a `true` one records which of
+    /// its clauses lost `id`.
     pub fn cofactor(&self, id: u32, value: bool) -> Canonical {
         let set = &self.clauses;
         let record = value && self.minimal;
@@ -313,15 +280,12 @@ impl Canonical {
         out
     }
 
-    /// [`factorize`] with the witness left interned. `vars[id]` is the
-    /// variable behind `id`, for the leaves of the tree; the table may hold
-    /// more variables than the formula mentions. Records whether the formula
-    /// is minimal, which spares its cofactors all or most of their absorption.
-    pub fn factorize(
-        &mut self,
-        vars: &[Variable],
-        scratch: &mut FactorScratch,
-    ) -> Factorization<Clauses> {
+    /// Factorizes the formula into a read-once tree, or returns the blocking
+    /// clause set when no read-once form exists. `vars[id]` is the variable
+    /// behind `id`, for the leaves of the tree; the table may hold more
+    /// variables than the formula mentions. Records whether the formula is
+    /// minimal, which spares its cofactors all or most of their absorption.
+    pub fn factorize(&mut self, vars: &[Variable], scratch: &mut FactorScratch) -> Factorization {
         let (set, s) = (&self.clauses, scratch);
         let n = set.len();
         if n == 0 || set.clause(0).is_empty() {
@@ -619,80 +583,76 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prob::exact_probability;
-    use std::collections::BTreeMap;
+    use pdb_testkit::{exact_probability, Clause};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn v(i: u64) -> Variable {
         Variable(i)
     }
 
-    fn dnf(clauses: &[&[u64]]) -> Dnf {
-        let mut d = Dnf::empty();
-        for c in clauses {
-            d.add_clause(Clause::new(c.iter().map(|i| v(*i))));
+    /// Factorizes the clauses — each ascending — over a table in which
+    /// variable `i` has id `i`.
+    fn factorize(clauses: &[&[u64]]) -> Factorization {
+        let mut sequence = Clauses::default();
+        for clause in clauses {
+            sequence.push(clause.iter().map(|&i| i as u32));
         }
-        d
+        let vars: Vec<Variable> = (0..16).map(v).collect();
+        sort_dedup(&sequence).factorize(&vars, &mut FactorScratch::default())
     }
 
-    fn probs(d: &Dnf) -> BTreeMap<Variable, f64> {
-        d.variables()
-            .into_iter()
-            .map(|var| {
-                // Distinct, reproducible marginals in (0, 1).
-                let p = 0.05 + 0.9 * ((var.0 * 37 % 19) as f64 / 19.0);
-                (var, p)
-            })
-            .collect()
-    }
-
-    fn assert_exact(d: &Dnf) {
-        let f = factorize(d);
+    fn assert_exact(clauses: &[&[u64]]) {
+        let f = factorize(clauses);
         let tree = f.tree().expect("expected read-once");
-        let ps = probs(d);
+        // Distinct, reproducible marginals in (0, 1).
+        let variables: BTreeSet<Variable> =
+            clauses.iter().copied().flatten().map(|&i| v(i)).collect();
+        let marginal = |var: &Variable| 0.05 + 0.9 * ((var.0 * 37 % 19) as f64 / 19.0);
+        let ps: BTreeMap<Variable, f64> =
+            variables.iter().map(|var| (*var, marginal(var))).collect();
         let got = tree.probability(&|v| ps[&v]);
-        let want = exact_probability(d, &ps);
+        let formula = clauses.iter().map(|c| Clause::new(c.iter().map(|&i| v(i))));
+        let want = exact_probability(&formula.collect(), &ps);
         assert!(
             (got - want).abs() < 1e-12,
-            "tree {got} vs oracle {want} on {d}"
+            "tree {got} vs oracle {want} on {clauses:?}"
         );
         // Read-once: every variable occurs exactly once.
         let mut vars = tree.variables();
         vars.sort_unstable();
         let mut distinct = vars.clone();
         distinct.dedup();
-        assert_eq!(vars, distinct, "variable repeated in tree for {d}");
-        assert_eq!(vars.len(), d.variables().len());
+        assert_eq!(vars, distinct, "variable repeated in tree for {clauses:?}");
+        assert_eq!(vars.len(), variables.len());
     }
 
     #[test]
     fn constants_factor_trivially() {
-        assert_eq!(factorize(&Dnf::empty()), Factorization::Constant(false));
-        let mut t = Dnf::empty();
-        t.add_clause(Clause::empty());
-        assert_eq!(factorize(&t), Factorization::Constant(true));
+        assert_eq!(factorize(&[]), Factorization::Constant(false));
+        assert_eq!(factorize(&[&[]]), Factorization::Constant(true));
     }
 
     #[test]
     fn single_variable_and_single_clause() {
         assert_eq!(
-            factorize(&dnf(&[&[3]])),
+            factorize(&[&[3]]),
             Factorization::ReadOnce(ReadOnceTree::Leaf(v(3)))
         );
-        assert_exact(&dnf(&[&[1, 2, 3]]));
+        assert_exact(&[&[1, 2, 3]]);
     }
 
     #[test]
     fn disjoint_clauses_or_decompose() {
         // xy ∨ zu: independent clauses.
-        assert_exact(&dnf(&[&[1, 2], &[3, 4]]));
+        assert_exact(&[&[1, 2], &[3, 4]]);
     }
 
     #[test]
     fn shared_variable_and_decomposes() {
         // xb ∨ yb = (x ∨ y) ∧ b.
-        let d = dnf(&[&[1, 3], &[2, 3]]);
-        assert_exact(&d);
-        match factorize(&d).tree().unwrap() {
+        let d: &[&[u64]] = &[&[1, 3], &[2, 3]];
+        assert_exact(d);
+        match factorize(d).tree().unwrap() {
             ReadOnceTree::And(children) => assert_eq!(children.len(), 2),
             other => panic!("expected ∧-root, got {other:?}"),
         }
@@ -701,21 +661,21 @@ mod tests {
     #[test]
     fn cross_product_factorizes() {
         // (x ∨ y)(a ∨ b) expanded: xa ∨ xb ∨ ya ∨ yb.
-        assert_exact(&dnf(&[&[1, 3], &[1, 4], &[2, 3], &[2, 4]]));
+        assert_exact(&[&[1, 3], &[1, 4], &[2, 3], &[2, 4]]);
     }
 
     #[test]
     fn nested_factorization() {
         // x(a ∨ bc) ∨ d expanded: xa ∨ xbc ∨ d.
-        assert_exact(&dnf(&[&[1, 2], &[1, 3, 4], &[5]]));
+        assert_exact(&[&[1, 2], &[1, 3, 4], &[5]]);
     }
 
     #[test]
     fn absorption_is_applied_before_decomposition() {
         // xy ∨ x ≡ x: the absorbed clause must not block factorization.
-        let d = dnf(&[&[1, 2], &[1]]);
+        let d: &[&[u64]] = &[&[1, 2], &[1]];
         assert_eq!(
-            factorize(&d),
+            factorize(d),
             Factorization::ReadOnce(ReadOnceTree::Leaf(v(1)))
         );
     }
@@ -724,11 +684,11 @@ mod tests {
     fn the_path_p4_is_blocked() {
         // xy ∨ yz ∨ zu: the canonical non-read-once monotone formula (its
         // co-occurrence graph is the path P4).
-        let d = dnf(&[&[1, 2], &[2, 3], &[3, 4]]);
-        match factorize(&d) {
+        let d: &[&[u64]] = &[&[1, 2], &[2, 3], &[3, 4]];
+        match factorize(d) {
             Factorization::Blocked(witness) => {
                 assert_eq!(witness.len(), 3);
-                assert_eq!(witness.variables().len(), 4);
+                assert_eq!(witness.literals().iter().collect::<BTreeSet<_>>().len(), 4);
             }
             other => panic!("expected blocked, got {other:?}"),
         }
@@ -738,11 +698,11 @@ mod tests {
     fn blocked_witness_is_the_inner_subformula() {
         // (P4) ∨ w: the ∨-decomposition strips the independent clause and
         // the witness is the P4 core only.
-        let d = dnf(&[&[1, 2], &[2, 3], &[3, 4], &[9]]);
-        match factorize(&d) {
+        let d: &[&[u64]] = &[&[1, 2], &[2, 3], &[3, 4], &[9]];
+        match factorize(d) {
             Factorization::Blocked(witness) => {
                 assert_eq!(witness.len(), 3);
-                assert!(!witness.variables().contains(&v(9)));
+                assert!(!witness.literals().contains(&9));
             }
             other => panic!("expected blocked, got {other:?}"),
         }
@@ -752,14 +712,14 @@ mod tests {
     fn non_normal_connected_formula_is_blocked() {
         // xa ∨ xb ∨ ya: connected, co-components {x,y} and {a,b}, but the
         // clause set is not the full cross product (ya present, yb absent).
-        let d = dnf(&[&[1, 3], &[1, 4], &[2, 3]]);
-        assert!(matches!(factorize(&d), Factorization::Blocked(_)));
+        let d: &[&[u64]] = &[&[1, 3], &[1, 4], &[2, 3]];
+        assert!(matches!(factorize(d), Factorization::Blocked(_)));
     }
 
     #[test]
     fn leaf_count_and_variables() {
-        let d = dnf(&[&[1, 3], &[2, 3]]);
-        let tree = factorize(&d).tree().unwrap().clone();
+        let d: &[&[u64]] = &[&[1, 3], &[2, 3]];
+        let tree = factorize(d).tree().unwrap().clone();
         assert_eq!(tree.leaf_count(), 3);
         let mut vars = tree.variables();
         vars.sort_unstable();

@@ -3,8 +3,8 @@
 //! Seven angles:
 //!
 //! * **Soundness on arbitrary DNFs** — whenever [`factorize`] claims a
-//!   read-once tree, its one-pass probability must equal the brute-force
-//!   possible-worlds oracle ([`exact_probability`]), and the tree must
+//!   read-once tree, its one-pass probability must equal the test kit's
+//!   Shannon-expansion oracle ([`exact_probability`]), and the tree must
 //!   mention every variable exactly once.
 //! * **Completeness on known-read-once formulas** — a DNF *expanded from* a
 //!   random read-once tree must factor back into a read-once form.
@@ -18,15 +18,15 @@
 //!   closed form, and a P4 planted at a random leaf must come back as
 //!   exactly the witness.
 //! * **The definition** — [`by_definition`] is the decomposition written
-//!   down as its definition (all-pairs absorption, "shares a variable"
-//!   closed by repeated merging, a dense complement graph); [`factorize`]
-//!   must return the *same* tree or witness, child order included, because
-//!   the order of a tree's children is the order its probability is folded
-//!   in.
-//! * **The interned path** — what the anytime loop does instead of building
-//!   `Dnf`s: a [`Canonical`] cofactor, read by rank, is [`Dnf::assign`]
-//!   clause for clause in order, and [`Canonical::factorize`] over ids from
-//!   a superset table returns [`factorize`]'s tree or its witness.
+//!   down as its definition on a list of clauses (all-pairs absorption,
+//!   "shares a variable" closed by repeated merging, a dense complement
+//!   graph); [`factorize`] must return the *same* tree or witness, child
+//!   order included, because the order of a tree's children is the order
+//!   its probability is folded in.
+//! * **The interned path** — a [`Canonical`] cofactor, read by rank, is the
+//!   test kit's [`Dnf::assign`] clause for clause in order, and
+//!   [`Canonical::factorize`] over ids from a superset table returns the
+//!   tree or witness the formula's own dense ids give.
 //! * **Chains of cofactors** — as the loop makes them, every leaf factorized
 //!   before it is split, so each passes on what it learned of its
 //!   minimality: at every leaf, the definition of the assigned formula.
@@ -35,11 +35,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use pdb_lineage::{
-    exact_probability, factorize, sort_dedup, Canonical, Clause, Clauses, Dnf, FactorScratch,
-    Factorization, ReadOnceTree,
-};
+use pdb_lineage::{sort_dedup, Canonical, Clauses, FactorScratch, Factorization, ReadOnceTree};
 use pdb_storage::Variable;
+use pdb_testkit::{exact_probability, Clause, Dnf};
 
 fn probs_for(formula: &Dnf) -> BTreeMap<Variable, f64> {
     formula
@@ -50,11 +48,60 @@ fn probs_for(formula: &Dnf) -> BTreeMap<Variable, f64> {
 }
 
 fn dnf_from(clauses: &[Vec<u64>]) -> Dnf {
-    let mut d = Dnf::empty();
-    for c in clauses {
-        d.add_clause(Clause::new(c.iter().map(|v| Variable(*v))));
+    Dnf::new(
+        clauses
+            .iter()
+            .map(|c| Clause::new(c.iter().map(|v| Variable(*v)))),
+    )
+}
+
+/// A factorization with its witness read back as clauses of variables.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Constant(bool),
+    ReadOnce(ReadOnceTree),
+    Blocked(Vec<Vec<Variable>>),
+}
+
+impl Outcome {
+    /// The outcome of a formula factorized over the ids of `vars`.
+    fn of(factorization: Factorization, vars: &[Variable]) -> Outcome {
+        match factorization {
+            Factorization::Constant(value) => Outcome::Constant(value),
+            Factorization::ReadOnce(tree) => Outcome::ReadOnce(tree),
+            Factorization::Blocked(stuck) => {
+                let clause = |c: &[u32]| c.iter().map(|&id| vars[id as usize]).collect();
+                Outcome::Blocked(stuck.iter().map(clause).collect())
+            }
+        }
     }
-    d
+
+    fn is_read_once(&self) -> bool {
+        !matches!(self, Outcome::Blocked(_))
+    }
+}
+
+/// [`Canonical::factorize`] of the formula interned over the superset
+/// [`table`], as the anytime loop interns a bag.
+fn factorize(dnf: &Dnf) -> Outcome {
+    let vars = table(dnf.variables().last().map_or(0, |v| v.0 + 1));
+    Outcome::of(
+        interned(dnf).factorize(&vars, &mut FactorScratch::default()),
+        &vars,
+    )
+}
+
+/// [`Canonical::factorize`] over the formula's own variables, ascending: a
+/// variable's id is its rank.
+fn factorize_dense(dnf: &Dnf) -> Outcome {
+    let vars: Vec<Variable> = dnf.variables().into_iter().collect();
+    let id = |v: &Variable| vars.binary_search(v).expect("a variable of the formula") as u32;
+    let mut sequence = Clauses::default();
+    for clause in dnf.clauses() {
+        sequence.push(clause.vars().iter().map(id));
+    }
+    let factorization = sort_dedup(&sequence).factorize(&vars, &mut FactorScratch::default());
+    Outcome::of(factorization, &vars)
 }
 
 /// A random read-once tree over fresh variables, returned as the pair
@@ -212,22 +259,22 @@ fn disguised(rng: &mut Rng, mut clauses: Vec<Vec<u64>>) -> Dnf {
     dnf_from(&clauses)
 }
 
-/// [`factorize`] by the definition of each step, as slow as the definition
-/// is: the reference the near-linear implementation is held to.
-fn by_definition(dnf: &Dnf) -> Factorization {
-    by_definition_counting(dnf, &mut 0)
+/// [`factorize`] of a list of clauses — each sorted, of distinct variables —
+/// by the definition of each step, as slow as the definition is: the
+/// reference the near-linear implementation is held to.
+fn by_definition(clauses: &[Vec<Variable>]) -> Outcome {
+    by_definition_counting(clauses, &mut 0)
 }
 
 /// [`by_definition`], adding to `interleaved` every ∨-step inside an
 /// ∧-projection whose components interleave in canonical order.
-fn by_definition_counting(dnf: &Dnf, interleaved: &mut usize) -> Factorization {
-    if dnf.is_false() || dnf.is_true() {
-        return Factorization::Constant(dnf.is_true());
+fn by_definition_counting(clauses: &[Vec<Variable>], interleaved: &mut usize) -> Outcome {
+    if clauses.is_empty() || clauses.iter().any(Vec::is_empty) {
+        return Outcome::Constant(!clauses.is_empty());
     }
-    let clauses = dnf.clauses().iter().map(|c| c.vars().to_vec()).collect();
-    match decompose(&minimized(clauses), false, interleaved) {
-        Ok(tree) => Factorization::ReadOnce(tree),
-        Err(stuck) => Factorization::Blocked(Dnf::new(stuck.into_iter().map(Clause::new))),
+    match decompose(&minimized(clauses.to_vec()), false, interleaved) {
+        Ok(tree) => Outcome::ReadOnce(tree),
+        Err(stuck) => Outcome::Blocked(stuck),
     }
 }
 
@@ -390,22 +437,22 @@ proptest! {
         let probs = probs_for(&dnf);
         let want = exact_probability(&dnf, &probs);
         match factorize(&dnf) {
-            Factorization::ReadOnce(tree) => {
+            Outcome::ReadOnce(tree) => {
                 prop_assert_eq!(tree.leaf_count(), tree.variables().len(),
                     "read-once trees mention each variable once");
                 let got = tree.probability(&|v| probs[&v]);
                 prop_assert!((got - want).abs() < 1e-12,
                     "tree gave {got}, oracle {want} for {dnf}");
             }
-            Factorization::Constant(b) => {
+            Outcome::Constant(b) => {
                 prop_assert_eq!(want, if b { 1.0 } else { 0.0 });
             }
-            Factorization::Blocked(witness) => {
+            Outcome::Blocked(witness) => {
                 // The witness is a sub-formula of the absorption-minimized
                 // input: every one of its variables occurs in the input.
                 let vars = dnf.variables();
-                for v in witness.variables() {
-                    prop_assert!(vars.contains(&v), "witness var {v:?} not in input");
+                for v in witness.iter().flatten() {
+                    prop_assert!(vars.contains(v), "witness var {v:?} not in input");
                 }
                 prop_assert!(witness.len() >= 3,
                     "a blocked witness needs at least 3 entangled clauses");
@@ -424,7 +471,7 @@ proptest! {
         let probs = probs_for(&dnf);
         let want = exact_probability(&dnf, &probs);
         match factorize(&dnf) {
-            Factorization::ReadOnce(tree) => {
+            Outcome::ReadOnce(tree) => {
                 let got = tree.probability(&|v| probs[&v]);
                 prop_assert!((got - want).abs() < 1e-12, "{dnf}: {got} vs {want}");
             }
@@ -448,10 +495,9 @@ proptest! {
         // distributes it into every clause.
         let dnf = if or_composition { p4.or(&harmless) } else { p4.and(&harmless) };
         match factorize(&dnf) {
-            Factorization::Blocked(witness) => {
-                let vars = witness.variables();
-                prop_assert!(vars.iter().any(|v| v.0 < 4),
-                    "witness {witness} must involve the P4 core");
+            Outcome::Blocked(witness) => {
+                prop_assert!(witness.iter().flatten().any(|v| v.0 < 4),
+                    "witness {witness:?} must involve the P4 core");
             }
             other => prop_assert!(false, "expected blocked for {dnf}, got {other:?}"),
         }
@@ -465,7 +511,7 @@ proptest! {
             proptest::collection::vec(0u64..9, 1..5), 1..10),
     ) {
         let dnf = dnf_from(&clauses);
-        prop_assert_eq!(factorize(&dnf), by_definition(&dnf), "on {}", dnf);
+        prop_assert_eq!(factorize(&dnf), by_definition(&clause_lists(&dnf)), "on {}", dnf);
     }
 
     /// Two Shannon cofactors deep, on every pair of variables — one of them
@@ -498,10 +544,10 @@ proptest! {
         }
     }
 
-    /// The decomposition behind both entries: over ids from a superset
+    /// A monotone relabelling changes nothing: over ids from a superset
     /// table, on the un-absorbed clauses in insertion order, the interned
-    /// entry gives `factorize`'s tree, child for child, and is blocked
-    /// exactly when `factorize` is, on the same witness.
+    /// formula gives the tree, child for child, that the formula's own dense
+    /// ids give, and is blocked exactly when that is, on the same witness.
     #[test]
     fn the_interned_entry_is_factorize_over_a_superset_table(
         seed in 0u64..u64::MAX,
@@ -515,17 +561,9 @@ proptest! {
             shape.plant_p4(&mut rng.range(0, shape.leaves() - 1), next);
         }
         let dnf = disguised(&mut rng, shape.expand());
-        let vars = table(next + 4);
-        let got = match interned(&dnf).factorize(&vars, &mut FactorScratch::default()) {
-            Factorization::Constant(value) => Factorization::Constant(value),
-            Factorization::ReadOnce(tree) => Factorization::ReadOnce(tree),
-            Factorization::Blocked(stuck) => {
-                let clause = |c: &[u32]| Clause::new(c.iter().map(|&id| vars[id as usize]));
-                Factorization::Blocked(Dnf::new(stuck.iter().map(clause)))
-            }
-        };
+        let got = factorize(&dnf);
         prop_assert_eq!(got.is_read_once(), !plant);
-        prop_assert_eq!(got, factorize(&dnf), "on {}", dnf);
+        prop_assert_eq!(got, factorize_dense(&dnf), "on {}", dnf);
     }
 
     /// Structured formulas of up to ~150 clauses, where the decomposition
@@ -545,7 +583,7 @@ proptest! {
         let dnf = disguised(&mut rng, shape.expand());
         let got = factorize(&dnf);
         prop_assert_eq!(got.is_read_once(), !plant);
-        prop_assert_eq!(got, by_definition(&dnf), "on {}", dnf);
+        prop_assert_eq!(got, by_definition(&clause_lists(&dnf)), "on {}", dnf);
     }
 }
 
@@ -565,7 +603,7 @@ proptest! {
         let dnf = disguised(&mut rng, shape.expand());
         let probs: BTreeMap<Variable, f64> = (0..next).map(|v| (Variable(v), marginal(v))).collect();
         match factorize(&dnf) {
-            Factorization::ReadOnce(tree) => {
+            Outcome::ReadOnce(tree) => {
                 prop_assert_eq!(tree.leaf_count() as u64, next, "every variable once");
                 let (got, want) = (tree.probability(&|v| probs[&v]), shape.probability(&marginal));
                 prop_assert!((got - want).abs() <= 1e-12 * want.max(1e-300),
@@ -589,7 +627,7 @@ proptest! {
         let dnf = disguised(&mut rng, shape.expand());
         let p4 = dnf_from(&[vec![next, next + 1], vec![next + 1, next + 2], vec![next + 2, next + 3]]);
         match factorize(&dnf) {
-            Factorization::Blocked(witness) => prop_assert_eq!(witness, p4),
+            Outcome::Blocked(witness) => prop_assert_eq!(witness, clause_lists(&p4)),
             other => prop_assert!(false, "expected blocked ({} clauses), got {other:?}", dnf.len()),
         }
     }
@@ -618,7 +656,7 @@ fn is_minimal(dnf: &Dnf) -> bool {
 /// minimality (a `false` cofactor of a minimal leaf is minimal; in a `true`
 /// one only a clause that lost the split variable can absorb another). At
 /// every leaf, [`Canonical::factorize`] is [`by_definition`] of the
-/// [`Dnf::assign`]ed formula, tree and witness. Roots are expansions of
+/// [`Dnf::assign`]ed formula's clauses, tree and witness. Roots are expansions of
 /// random shapes, a P4 planted in half of them, a few clauses over their own
 /// variables added to entangle them, and absorbed supersets injected into
 /// half — so half the roots are not minimal.
@@ -664,15 +702,9 @@ fn cofactor_chains_factorize_by_the_definition_at_every_leaf() {
         let mut scratch = FactorScratch::default();
         let (mut formula, mut leaf) = (dnf.clone(), interned(&dnf));
         for step in 0..=4 {
-            let got = match leaf.factorize(&vars, &mut scratch) {
-                Factorization::Constant(value) => Factorization::Constant(value),
-                Factorization::ReadOnce(tree) => Factorization::ReadOnce(tree),
-                Factorization::Blocked(stuck) => {
-                    let clause = |c: &[u32]| Clause::new(c.iter().map(|&id| vars[id as usize]));
-                    Factorization::Blocked(Dnf::new(stuck.iter().map(clause)))
-                }
-            };
-            let want = by_definition_counting(&formula, &mut met.interleaved_under_and);
+            let got = Outcome::of(leaf.factorize(&vars, &mut scratch), &vars);
+            let want =
+                by_definition_counting(&clause_lists(&formula), &mut met.interleaved_under_and);
             prop_assert_eq!(got, want, "step {} of {}: {}", step, dnf, formula);
             let variables: Vec<Variable> = formula.variables().into_iter().collect();
             if step == 4 || variables.is_empty() {

@@ -18,6 +18,7 @@
 //! generated the table, which is why tier-1 had no such test before).
 
 use pdb_storage::Catalog;
+use pdb_testkit::Fnv1a;
 use pdb_tpch::{probabilistic_catalog_columnar, tpch_query, TpchData, TpchScale};
 use sprout_plan::fallback::FallbackPlan;
 use sprout_plan::{ApproxPolicy, Pool};
@@ -46,23 +47,19 @@ fn anytime_table(catalog: &Catalog, pool: Pool) -> String {
                 .with_frontier_budget(Some(FRONTIER_BUDGET))
                 .execute(catalog)
                 .unwrap_or_else(|e| panic!("{id}: fallback plan failed: {e}"));
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut eat = |bytes: &[u8]| {
-                for &b in bytes {
-                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            };
+            let mut h = Fnv1a::default();
             for t in &answer {
-                eat(format!("{:?}", t.tuple).as_bytes());
-                eat(&t.lo.to_bits().to_le_bytes());
-                eat(&t.hi.to_bits().to_le_bytes());
-                eat(&(t.rounds as u64).to_le_bytes());
+                h.eat(format!("{:?}", t.tuple).as_bytes());
+                h.eat(&t.lo.to_bits().to_le_bytes());
+                h.eat(&t.hi.to_bits().to_le_bytes());
+                h.eat(&(t.rounds as u64).to_le_bytes());
             }
             let refined = answer.iter().filter(|t| t.rounds > 0).count();
             let rounds: usize = answer.iter().map(|t| t.rounds).sum();
             format!(
-                "{id}: {} answers {refined} refined {rounds} rounds {h:016x}\n",
-                answer.len()
+                "{id}: {} answers {refined} refined {rounds} rounds {:016x}\n",
+                answer.len(),
+                h.finish()
             )
         })
         .collect()

@@ -17,6 +17,7 @@ use std::sync::OnceLock;
 
 use pdb_query::{ConjunctiveQuery, FdSet};
 use pdb_storage::Catalog;
+use pdb_testkit::Fnv1a;
 use pdb_tpch::{
     case_study_queries, fig12_query_c, fig12_query_d, probabilistic_catalog,
     probabilistic_catalog_columnar, selectivity_query_a, selectivity_query_b, tpch_query, TpchData,
@@ -46,17 +47,12 @@ fn catalogue() -> Vec<(String, ConjunctiveQuery)> {
 /// FNV-1a over the answer in order: each tuple's `Debug` form (which tells
 /// `Int(2)` from `Float(2.0)`) and the raw bits of its confidence.
 fn digest(answer: &[(pdb_storage::Tuple, f64)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::default();
     for (tuple, p) in answer {
-        eat(format!("{tuple:?}").as_bytes());
-        eat(&p.to_bits().to_le_bytes());
+        h.eat(format!("{tuple:?}").as_bytes());
+        h.eat(&p.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// One line per catalogue query: `prefix`, the query id, then the row count

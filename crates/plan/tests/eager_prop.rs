@@ -17,11 +17,11 @@
 
 use proptest::prelude::*;
 
-use pdb_conf::brute::brute_force_confidences;
 use pdb_conf::ConfidenceResult;
 use pdb_exec::pipeline::evaluate_join_order;
 use pdb_query::{ConjunctiveQuery, FdSet};
 use pdb_storage::{tuple, Catalog, ColumnarTable, DataType, ProbTable, Schema, Variable};
+use pdb_testkit::brute_force_confidences;
 use sprout_plan::eager::EagerPlan;
 use sprout_plan::safe::SafePlan;
 use sprout_plan::{PlanResult, Pool};

@@ -39,13 +39,6 @@ pub enum StorageError {
     /// A columnar chunk size is zero or not a multiple of 64 (chunk
     /// boundaries must fall on null-bitmap word boundaries).
     InvalidChunkSize(usize),
-    /// The possible-world enumeration was asked to expand too many variables.
-    TooManyWorlds {
-        /// Number of distinct variables in the database.
-        variables: usize,
-        /// Maximum number the enumerator accepts.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -76,10 +69,6 @@ impl fmt::Display for StorageError {
                     "columnar chunk size {n} is not a positive multiple of 64"
                 )
             }
-            StorageError::TooManyWorlds { variables, limit } => write!(
-                f,
-                "possible-world enumeration over {variables} variables exceeds the limit of {limit}"
-            ),
         }
     }
 }

@@ -25,8 +25,9 @@
 //!   [`StorageBacking`] (row or columnar), and scans dispatch on it.
 //! * [`TableStats`] — per-table optimizer statistics, memoized by the
 //!   catalog on a table's first use by a planner.
-//! * [`worlds`] — explicit possible-world enumeration, usable as a ground
-//!   truth oracle on small databases.
+//!
+//! Possible-world enumeration, the ground truth the engine is tested
+//! against, lives in the dev-only `pdb-testkit`.
 
 pub mod catalog;
 pub mod columnar;
@@ -37,7 +38,6 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 pub mod variable;
-pub mod worlds;
 
 pub use catalog::{Catalog, StorageBacking};
 pub use columnar::{ColumnData, ColumnarTable, NullBitmap, ZoneMap};

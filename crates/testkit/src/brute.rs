@@ -2,15 +2,16 @@
 //!
 //! Collects, for every distinct answer tuple, the DNF lineage over the input
 //! variables (one clause per derivation row) and evaluates its probability
-//! exactly by Shannon expansion. Worst-case exponential; used as the oracle
-//! that the efficient operators are validated against, and convenient for the
-//! toy examples of the paper.
+//! exactly by Shannon expansion. Worst-case exponential; the oracle that the
+//! efficient operators are validated against.
 
 use std::collections::BTreeMap;
 
 use pdb_exec::Annotated;
-use pdb_lineage::{exact_probability, Clause, Dnf};
 use pdb_storage::{Tuple, Variable};
+
+use crate::dnf::{Clause, Dnf};
+use crate::prob::exact_probability;
 
 /// Computes `(distinct answer tuple, exact confidence)` pairs from the
 /// annotated answer, ordered by tuple.
@@ -19,23 +20,17 @@ pub fn brute_force_confidences(answer: &Annotated) -> Vec<(Tuple, f64)> {
     // every occurrence of a variable in a tuple-independent database carries
     // the same probability.
     let mut probs: BTreeMap<Variable, f64> = BTreeMap::new();
-    let mut lineages: BTreeMap<Tuple, Dnf> = BTreeMap::new();
+    let mut lineages: BTreeMap<Tuple, Vec<Clause>> = BTreeMap::new();
     for row in answer.iter() {
         for (var, p) in row.lineage {
             probs.entry(*var).or_insert(*p);
         }
         let clause = Clause::new(row.lineage.iter().map(|(v, _)| *v));
-        lineages
-            .entry(row.data_tuple())
-            .or_insert_with(Dnf::empty)
-            .add_clause(clause);
+        lineages.entry(row.data_tuple()).or_default().push(clause);
     }
     lineages
         .into_iter()
-        .map(|(tuple, dnf)| {
-            let p = exact_probability(&dnf, &probs);
-            (tuple, p)
-        })
+        .map(|(tuple, clauses)| (tuple, exact_probability(&Dnf::new(clauses), &probs)))
         .collect()
 }
 

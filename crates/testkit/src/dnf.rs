@@ -1,15 +1,8 @@
 //! DNF lineage formulas over Boolean random variables.
 //!
-//! Storage is allocation-lean: a [`Clause`] keeps its variables in a sorted,
-//! deduplicated `Vec` (one contiguous allocation instead of a `BTreeSet`
-//! node per variable), and a [`Dnf`] maintains a sorted index over its
-//! clauses so duplicate detection in [`Dnf::add_clause`] is a binary search
-//! instead of a linear scan. This matters for the brute-force oracle, which
-//! builds one clause per derivation row and cofactors formulas recursively
-//! during Shannon expansion. The bulk builders ([`Dnf::new`],
-//! [`Dnf::assign`]) make the index with one sort, never one search and insert
-//! per clause. The anytime loop does not come here: its formulas are interned
-//! [`Canonical`](crate::Canonical) clause sets.
+//! A [`Clause`] keeps its variables sorted and deduplicated; a [`Dnf`] keeps
+//! its clauses in insertion order, each the first occurrence of its content.
+//! That order is what the engine's interned clause sets are read back to.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -132,23 +125,12 @@ impl fmt::Display for Clause {
 
 /// A DNF formula: a disjunction of clauses. The empty DNF is false.
 ///
-/// Clauses are kept in insertion order (observable through [`Dnf::clauses`]);
-/// a sorted side index makes duplicate detection logarithmic.
-#[derive(Debug, Clone, Default)]
+/// Clauses are kept in insertion order (observable through [`Dnf::clauses`]),
+/// each the first occurrence of its content.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dnf {
     clauses: Vec<Clause>,
-    /// Indices into `clauses`, ordered by clause; `add_clause` binary
-    /// searches here instead of scanning.
-    sorted: Vec<u32>,
 }
-
-impl PartialEq for Dnf {
-    fn eq(&self, other: &Self) -> bool {
-        self.clauses == other.clauses
-    }
-}
-
-impl Eq for Dnf {}
 
 impl Dnf {
     /// The false formula (no clauses).
@@ -156,41 +138,24 @@ impl Dnf {
         Dnf::default()
     }
 
-    /// A formula from the given clauses, deduplicated: of equal clauses the
-    /// first stays, so insertion order is what [`Dnf::add_clause`] one by one
-    /// would leave — with one sort instead of a search and an index insert
-    /// per clause.
+    /// A formula from the given clauses: of equal clauses the first stays,
+    /// so insertion order is what [`Dnf::add_clause`] one by one would leave.
     pub fn new(clauses: impl IntoIterator<Item = Clause>) -> Self {
-        let mut clauses: Vec<Clause> = clauses.into_iter().collect();
-        let mut sorted: Vec<u32> = (0..clauses.len() as u32).collect();
-        sorted.sort_unstable_by_key(|&i| (&clauses[i as usize], i));
-        sorted.dedup_by(|later, first| clauses[*later as usize] == clauses[*first as usize]);
-        // The survivors in insertion order: a clause's new index is its rank.
-        let mut kept = sorted.clone();
-        kept.sort_unstable();
-        let rank = |i: &u32| kept.binary_search(i);
-        let survivor = |i: &mut u32| *i = rank(i).expect("a survivor") as u32;
-        sorted.iter_mut().for_each(survivor);
-        let mut index = 0u32..;
-        clauses.retain(|_| rank(&index.next().expect("unbounded")).is_ok());
-        Dnf { clauses, sorted }
+        let mut seen = BTreeSet::new();
+        let clauses = clauses.into_iter().filter(|c| seen.insert(c.clone()));
+        Dnf {
+            clauses: clauses.collect(),
+        }
     }
 
     /// A single-variable formula.
     pub fn var(v: Variable) -> Self {
-        Dnf {
-            clauses: vec![Clause::new([v])],
-            sorted: vec![0],
-        }
+        Dnf::new([Clause::new([v])])
     }
 
     /// Adds a clause unless it is already present.
     pub fn add_clause(&mut self, clause: Clause) {
-        let pos = self
-            .sorted
-            .binary_search_by(|&i| self.clauses[i as usize].cmp(&clause));
-        if let Err(insert_at) = pos {
-            self.sorted.insert(insert_at, self.clauses.len() as u32);
+        if !self.clauses.contains(&clause) {
             self.clauses.push(clause);
         }
     }
@@ -215,6 +180,11 @@ impl Dnf {
         self.clauses.is_empty()
     }
 
+    /// Whether the formula is identically true (contains the empty clause).
+    pub fn is_true(&self) -> bool {
+        self.clauses.iter().any(Clause::is_empty)
+    }
+
     /// All variables mentioned.
     pub fn variables(&self) -> BTreeSet<Variable> {
         self.clauses
@@ -228,42 +198,32 @@ impl Dnf {
         self.clauses.iter().any(|c| c.eval(assignment))
     }
 
-    /// Disjunction of two formulas. Reserves the result up front and
-    /// deduplicates through the sorted index — no repeated linear scans.
+    /// Disjunction of two formulas.
     pub fn or(&self, other: &Dnf) -> Dnf {
-        let mut out = self.clone();
-        out.clauses.reserve(other.clauses.len());
-        for c in &other.clauses {
-            out.add_clause(c.clone());
-        }
-        out
+        Dnf::new(self.clauses.iter().chain(&other.clauses).cloned())
     }
 
     /// Conjunction of two formulas (clause-wise distribution).
     pub fn and(&self, other: &Dnf) -> Dnf {
-        let mut out = Dnf::empty();
-        out.clauses
-            .reserve(self.clauses.len() * other.clauses.len());
-        for a in &self.clauses {
-            for b in &other.clauses {
-                out.add_clause(a.and(b));
-            }
-        }
-        out
+        let product = self
+            .clauses
+            .iter()
+            .map(|a| other.clauses.iter().map(|b| a.and(b)));
+        Dnf::new(product.flatten())
     }
 
-    /// The formula restricted by setting `var` to `value` (Shannon cofactor).
-    /// Shortened clauses may coincide with others and sort elsewhere.
+    /// The formula restricted by setting `var` to `value` (Shannon cofactor):
+    /// `false` drops the clauses that mention `var`, `true` drops `var` from
+    /// them, and of clauses that have become equal the first stays.
     pub fn assign(&self, var: Variable, value: bool) -> Dnf {
         Dnf::new(self.clauses.iter().filter_map(|c| c.assign(var, value)))
     }
+}
 
-    /// Whether the formula is identically true (contains the empty clause).
-    pub fn is_true(&self) -> bool {
-        // The empty clause sorts first.
-        self.sorted
-            .first()
-            .is_some_and(|&i| self.clauses[i as usize].is_empty())
+impl FromIterator<Clause> for Dnf {
+    /// [`Dnf::new`].
+    fn from_iter<I: IntoIterator<Item = Clause>>(clauses: I) -> Self {
+        Dnf::new(clauses)
     }
 }
 
@@ -405,7 +365,7 @@ mod tests {
         })
     }
 
-    /// What the bulk builders must leave: `add_clause` one by one.
+    /// What `Dnf::new` and `Dnf::assign` must leave: `add_clause` one by one.
     fn one_by_one(clauses: impl IntoIterator<Item = Clause>) -> Dnf {
         let mut d = Dnf::empty();
         clauses.into_iter().for_each(|c| d.add_clause(c));
@@ -421,7 +381,6 @@ mod tests {
                 bulk.clauses, reference.clauses,
                 "first of equal clauses stays"
             );
-            assert_eq!(bulk.sorted, reference.sorted);
         }
     }
 
@@ -435,14 +394,13 @@ mod tests {
                     let restricted = d.clauses.iter().filter_map(|c| c.assign(var, value));
                     let want = one_by_one(restricted);
                     assert_eq!(got.clauses, want.clauses, "{d} | {var}={value}");
-                    assert_eq!(got.sorted, want.sorted, "{d} | {var}={value}");
                 }
             }
         }
     }
 
     #[test]
-    fn tautology_detection_via_sorted_index() {
+    fn tautology_detection() {
         let mut d = Dnf::new([Clause::new([v(1)])]);
         assert!(!d.is_true());
         d.add_clause(Clause::empty());

@@ -7,14 +7,11 @@
 //! (if false) — paper, Section II.A.
 //!
 //! Enumerating the worlds is exponential and only feasible for very small
-//! databases; it exists here as the *ground truth oracle* that every
-//! confidence-computation algorithm in the workspace is tested against.
+//! databases; it is the *ground truth* the confidence oracle is tied to.
 
 use std::collections::BTreeMap;
 
-use crate::error::{StorageError, StorageResult};
-use crate::table::{ProbTable, Table};
-use crate::variable::Variable;
+use pdb_storage::{ProbTable, Table, Variable};
 
 /// Largest number of distinct variables [`enumerate_worlds`] will expand
 /// (2^20 worlds).
@@ -71,19 +68,17 @@ pub fn variable_probabilities(tables: &[&ProbTable]) -> BTreeMap<Variable, f64> 
 
 /// Enumerates every possible world of the database formed by `tables`.
 ///
-/// # Errors
-/// Returns [`StorageError::TooManyWorlds`] if the database mentions more than
-/// [`MAX_WORLD_VARIABLES`] distinct variables.
-pub fn enumerate_worlds(tables: &[&ProbTable]) -> StorageResult<Vec<World>> {
+/// # Panics
+/// If the database mentions more than [`MAX_WORLD_VARIABLES`] distinct
+/// variables.
+pub fn enumerate_worlds(tables: &[&ProbTable]) -> Vec<World> {
     let probs = variable_probabilities(tables);
     let vars: Vec<Variable> = probs.keys().copied().collect();
-    if vars.len() > MAX_WORLD_VARIABLES {
-        return Err(StorageError::TooManyWorlds {
-            variables: vars.len(),
-            limit: MAX_WORLD_VARIABLES,
-        });
-    }
     let n = vars.len();
+    assert!(
+        n <= MAX_WORLD_VARIABLES,
+        "possible-world enumeration over {n} variables exceeds the limit of {MAX_WORLD_VARIABLES}"
+    );
     let mut worlds = Vec::with_capacity(1usize << n);
     for mask in 0u64..(1u64 << n) {
         let mut assignment = BTreeMap::new();
@@ -99,14 +94,13 @@ pub fn enumerate_worlds(tables: &[&ProbTable]) -> StorageResult<Vec<World>> {
             probability,
         });
     }
-    Ok(worlds)
+    worlds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{DataType, Schema};
-    use crate::tuple;
+    use pdb_storage::{tuple, DataType, Schema};
 
     fn cust() -> ProbTable {
         let schema =
@@ -120,25 +114,21 @@ mod tests {
     #[test]
     fn world_count_is_two_to_the_variables() {
         let c = cust();
-        let worlds = enumerate_worlds(&[&c]).unwrap();
+        let worlds = enumerate_worlds(&[&c]);
         assert_eq!(worlds.len(), 4);
     }
 
     #[test]
     fn world_probabilities_sum_to_one() {
         let c = cust();
-        let total: f64 = enumerate_worlds(&[&c])
-            .unwrap()
-            .iter()
-            .map(|w| w.probability)
-            .sum();
+        let total: f64 = enumerate_worlds(&[&c]).iter().map(|w| w.probability).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn marginal_of_a_tuple_matches_its_probability() {
         let c = cust();
-        let worlds = enumerate_worlds(&[&c]).unwrap();
+        let worlds = enumerate_worlds(&[&c]);
         let marginal: f64 = worlds
             .iter()
             .filter(|w| w.is_true(Variable(0)))
@@ -150,7 +140,7 @@ mod tests {
     #[test]
     fn instantiation_selects_true_tuples() {
         let c = cust();
-        let worlds = enumerate_worlds(&[&c]).unwrap();
+        let worlds = enumerate_worlds(&[&c]);
         let w = worlds
             .iter()
             .find(|w| w.is_true(Variable(0)) && !w.is_true(Variable(1)))
@@ -167,16 +157,16 @@ mod tests {
         for i in 0..(MAX_WORLD_VARIABLES as u64 + 1) {
             t.insert(tuple![i as i64], Variable(i), 0.5).unwrap();
         }
-        assert!(matches!(
-            enumerate_worlds(&[&t]),
-            Err(StorageError::TooManyWorlds { .. })
-        ));
+        let enumerate = std::panic::AssertUnwindSafe(|| enumerate_worlds(&[&t]));
+        let panic = std::panic::catch_unwind(enumerate).expect_err("2^21 worlds are refused");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("exceeds the limit of 20"), "{message}");
     }
 
     #[test]
     fn unknown_variable_is_false() {
         let c = cust();
-        let worlds = enumerate_worlds(&[&c]).unwrap();
+        let worlds = enumerate_worlds(&[&c]);
         assert!(!worlds[0].is_true(Variable(999)));
     }
 }

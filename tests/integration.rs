@@ -9,9 +9,11 @@ use pdb_query::cq::{intro_query_q, intro_query_q_prime};
 use pdb_query::reduct::query_signature;
 use pdb_query::FdSet;
 use pdb_storage::tuple;
+use pdb_testkit::brute_force_confidences;
 
 /// Every plan family and every operator strategy computes the confidence
-/// 0.0028 for the guiding query (Example V.1 / Example V.13).
+/// 0.0028 for the guiding query (Example V.1 / Example V.13), and so does the
+/// test kit's brute-force oracle.
 #[test]
 fn guiding_query_all_plans_and_strategies_agree() {
     let db = SproutDb::from_catalog(fixtures::fig1_catalog_with_keys());
@@ -47,6 +49,13 @@ fn guiding_query_all_plans_and_strategies_agree() {
         .map(|s| s.to_string())
         .collect();
     let answer = evaluate_join_order(&q, db.catalog(), &order).unwrap();
+    let oracle = brute_force_confidences(&answer);
+    assert_eq!(oracle.len(), 1);
+    assert!(
+        (oracle[0].1 - 0.0028).abs() < 1e-9,
+        "oracle: {}",
+        oracle[0].1
+    );
     let fds = FdSet::from_catalog_decls(&db.catalog().fds());
     let op = sprout::ConfidenceOperator::new(query_signature(&q, &fds).unwrap());
     for strategy in [
@@ -54,7 +63,6 @@ fn guiding_query_all_plans_and_strategies_agree() {
         Strategy::OneScan,
         Strategy::MultiScan,
         Strategy::GrpSemantics,
-        Strategy::BruteForce,
     ] {
         let conf = op.compute(&answer, strategy).unwrap();
         assert!((conf[0].1 - 0.0028).abs() < 1e-9, "{strategy}");

@@ -10,8 +10,15 @@
 //! A governed operator also has one *body*: what it does, checkpoints and
 //! charges is the same at every pool size, so no operator module may branch
 //! on a one-worker pool.
+//!
+//! The engine has one lineage formula type, `pdb-lineage`'s interned clause
+//! sets. The DNF the oracles expand lives in the dev-only `pdb-testkit`,
+//! which no crate takes as a normal dependency and no engine source names,
+//! and the confidence operator has no brute-force strategy.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+use sprout::Strategy;
 
 /// The operator modules, as `(label, path under the repository root)`.
 const MODULES: [(&str, &str); 6] = [
@@ -102,4 +109,91 @@ fn governed_operators_do_not_branch_on_a_one_worker_pool() {
             );
         }
     }
+}
+
+/// The `.rs` files under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("reading {dir:?}: {e}")) {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            out.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// The 1-based line of the first occurrence of `word` in `source` as a whole
+/// word (not inside a longer identifier), as `git grep -w` finds it.
+fn first_line_naming(source: &str, word: &str) -> Option<usize> {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    source
+        .lines()
+        .position(|line| {
+            line.match_indices(word).any(|(at, _)| {
+                !ident(line[..at].chars().next_back())
+                    && !ident(line[at + word.len()..].chars().next())
+            })
+        })
+        .map(|i| i + 1)
+}
+
+/// The lines of one `[section]` of a manifest.
+fn manifest_section<'a>(manifest: &'a str, section: &str) -> impl Iterator<Item = &'a str> {
+    let mut lines = manifest.lines().map(str::trim);
+    lines.find(|line| *line == section);
+    lines.take_while(|line| !line.starts_with('['))
+}
+
+#[test]
+fn no_engine_source_names_the_oracles_formula_type() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates = std::fs::read_dir(root.join("crates")).expect("the crates directory");
+    let crates = crates.map(|entry| entry.expect("a directory entry").path());
+    for krate in std::iter::once(root.to_path_buf()).chain(crates) {
+        if krate.ends_with("testkit") {
+            continue;
+        }
+        let manifest = std::fs::read_to_string(krate.join("Cargo.toml"))
+            .unwrap_or_else(|e| panic!("reading {krate:?}/Cargo.toml: {e}"));
+        assert!(
+            !manifest_section(&manifest, "[dependencies]").any(|l| l.starts_with("pdb-testkit")),
+            "{krate:?} takes the test kit as a normal dependency: it is dev-only"
+        );
+        for file in rust_files(&krate.join("src")) {
+            let source =
+                std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("reading {file:?}: {e}"));
+            if let Some(line) = first_line_naming(&source, "Dnf") {
+                panic!(
+                    "{}:{line} names `Dnf`: the engine's lineage is `pdb_lineage`'s \
+                     clause sets, the DNF oracle lives in `pdb-testkit`",
+                    file.display()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn the_confidence_operator_has_exactly_four_strategies() {
+    let all = [
+        Strategy::Auto,
+        Strategy::OneScan,
+        Strategy::MultiScan,
+        Strategy::GrpSemantics,
+    ];
+    for strategy in all {
+        // Exhaustive: a fifth variant does not compile here.
+        match strategy {
+            Strategy::Auto | Strategy::OneScan | Strategy::MultiScan | Strategy::GrpSemantics => {}
+        }
+    }
+    let names: std::collections::BTreeSet<String> = all.iter().map(Strategy::to_string).collect();
+    assert_eq!(
+        names.len(),
+        all.len(),
+        "every strategy has a name of its own"
+    );
 }
