@@ -34,12 +34,12 @@
 //! * **Natural join** — build-side keys are encoded once
 //!   ([`crate::key::JoinKeys::build_side_with`]) and indexed by one chained
 //!   hash index whose chains replay build rows ascending; probe morsels
-//!   (contiguous left-row ranges) each run the fused probe-and-emit loop
-//!   into a fragment of their own, and the fragments are appended in morsel
-//!   order (values move, nothing is cloned; a one-worker join has one morsel
-//!   and moves nothing). The emit order is `(left row, right row)`
-//!   lexicographic — that of the join's definition, a nested loop over the
-//!   left rows and then the right ones.
+//!   (contiguous left-row ranges) each list their matching row pairs and
+//!   emit them into a fragment of their own, sized exactly to them, and the
+//!   fragments are appended in morsel order (values move, nothing is
+//!   cloned; a one-worker join has one morsel and moves nothing). The emit
+//!   order is `(left row, right row)` lexicographic — that of the join's
+//!   definition, a nested loop over the left rows and then the right ones.
 //!
 //! The output is therefore **bitwise-identical at every thread count** —
 //! same values, same lineage, same row order — and so is what a governor
@@ -468,16 +468,17 @@ pub fn natural_join(left: &Annotated, right: &Annotated) -> ExecResult<Annotated
 /// The right side is the build side: its keys are encoded across the pool
 /// and indexed by one chained hash index whose chains replay build rows
 /// ascending. The left side is cut into one probe morsel per worker; a
-/// morsel runs the fused probe-and-emit loop into a fragment of its own,
-/// and the fragments are appended in morsel order — the exact nested emit,
+/// morsel first probes, listing its matching `(left row, right row)`
+/// pairs, then emits them into a fragment sized exactly to them, and the
+/// fragments are appended in morsel order — the exact nested emit,
 /// `(left row, right row)` lexicographic, bitwise-identical at every thread
 /// count and to the nested loop of the join's definition.
 ///
 /// Checkpoints `join.probe` on the probe side's row blocks. Charged under
 /// [`Stage::Join`]: the build side (key words, hashes, chain index) before
-/// it is built; an output of `max(left, right)` rows — what the fragments
-/// reserve between them — before the probe; and, at every checkpoint, the
-/// rows the morsels have emitted between them beyond that.
+/// it is built; an output of `max(left, right)` rows before the probe; and,
+/// at every checkpoint, the matches the morsels have found between them
+/// beyond that.
 ///
 /// # Errors
 /// Fails if the inputs share a lineage relation (self-join), or with
@@ -518,24 +519,24 @@ pub fn natural_join_ctx(
     let index = ChainIndex::build(right.len(), |r| keys.hash(r));
 
     // Probe side: each morsel encodes its left keys into a reused scratch
-    // buffer and emits its matches as it finds them — ascending, because
-    // left rows are walked in order and chains replay ascending.
+    // buffer and lists its matches as it finds them — ascending, because
+    // left rows are walked in order and chains replay ascending — then
+    // emits them into arenas of exactly their size. An output reserved
+    // before the probe would hold capacity no row writes; once freed, that
+    // untouched memory is where later allocations land and fault pages in,
+    // so how much of the heap a process touches would depend on the order
+    // its queries ran in.
     let morsels = even_ranges(left.len(), pool.threads());
     let fragments: Vec<Annotated> = pool
         .try_map_ranges(&morsels, |_, morsel| {
-            let share = reserved * morsel.len() / left.len().max(1);
-            let mut out = Annotated::with_row_capacity(
-                layout.schema.clone(),
-                layout.relations.clone(),
-                share,
-            );
+            let mut matches: Vec<(u32, u32)> = Vec::new();
             let mut charged = 0;
             let mut scratch: Vec<u64> = Vec::with_capacity(key_cols * CELL_WIDTH);
             for li in morsel {
                 if li.is_multiple_of(SEQ_CHECK_EVERY) {
                     ctx.checkpoint(Stage::Join, "join.probe", li / SEQ_CHECK_EVERY)?;
-                    charge(out.len() - charged)?;
-                    charged = out.len();
+                    charge(matches.len() - charged)?;
+                    charged = matches.len();
                 }
                 let lrow = left.row(li);
                 let Some(h) = JoinKeys::probe_row(&interner, key_cols, &mut scratch, |c| {
@@ -547,12 +548,24 @@ pub fn natural_join_ctx(
                 while ri != JOIN_NIL {
                     let r = ri as usize;
                     if keys.hash(r) == h && keys.row(r) == scratch.as_slice() {
-                        out.push_join_row(lrow, right.row(r), &layout.right_only_idx);
+                        matches.push((li as u32, ri));
                     }
                     ri = index.next[r];
                 }
             }
-            charge(out.len() - charged)?;
+            charge(matches.len() - charged)?;
+            let mut out = Annotated::with_row_capacity(
+                layout.schema.clone(),
+                layout.relations.clone(),
+                matches.len(),
+            );
+            for &(li, ri) in &matches {
+                out.push_join_row(
+                    left.row(li as usize),
+                    right.row(ri as usize),
+                    &layout.right_only_idx,
+                );
+            }
             Ok::<Annotated, ExecError>(out)
         })
         .map_err(|f| ExecError::from_task_failure(Stage::Join, f))?;

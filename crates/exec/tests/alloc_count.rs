@@ -12,8 +12,8 @@
 use std::borrow::Cow;
 
 use pdb_exec::{ops, Annotated, ExecContext, KeyRuns, Stage};
-use pdb_storage::{tuple, DataType, ProbTable, Schema, Variable};
-use pdb_testkit::alloc::{allocations, serial};
+use pdb_storage::{tuple, DataType, ProbTable, Schema, Value, Variable};
+use pdb_testkit::alloc::{allocations, peak_bytes, serial};
 
 #[global_allocator]
 static GLOBAL: pdb_testkit::alloc::Counting = pdb_testkit::alloc::Counting;
@@ -60,11 +60,11 @@ fn join_lineage_growth_is_amortized_slice_append() {
         assert_eq!(out.len(), output_rows);
         // Lineage really is one dense arena.
         assert_eq!(out.lineage_arena().len(), output_rows * out.lineage_width());
-        // Bounded bookkeeping — key normalization, the chain index, a
-        // fragment per probe morsel, arena doublings: 30 on one worker and
-        // 127 on four, at 5 000 output rows and at 20 000 alike. A join that
-        // allocated a `Tuple` and a lineage `Vec` per output row would make
-        // 10 000 and 40 000.
+        // Bounded bookkeeping — key normalization, the chain index, a match
+        // list and an exactly sized fragment per probe morsel, the match
+        // lists' doublings: 41 / 43 on one worker and 166 / 174 on four, at
+        // 5 000 / 20 000 output rows. A join that allocated a `Tuple` and a
+        // lineage `Vec` per output row would make 10 000 and 40 000.
         assert!(
             allocs < 256,
             "the arena join allocated {allocs} times for {output_rows} rows on {threads} workers"
@@ -461,8 +461,8 @@ fn eight_worker_join_allocates_by_key_chunk_and_probe_morsel() {
     let _serial = serial();
     // An eight-worker join allocates by the piece of work, not by the row:
     // the build side's key chunks and one chain index, and per probe morsel
-    // (a partition of the left rows) one fragment that reserves its share of
-    // the output. On this shape (4096 build rows of mostly-distinct keys,
+    // (a partition of the left rows) one match list and one fragment sized
+    // to those matches. On this shape (4096 build rows of mostly-distinct keys,
     // 4096 matches) the whole join stays in the low hundreds of allocations.
     let (left, right) = join_inputs(64, 64); // 4096 build rows, 4096 matches
     let pool = pdb_par::Pool::new(8);
@@ -475,4 +475,46 @@ fn eight_worker_join_allocates_by_key_chunk_and_probe_morsel() {
         "eight-worker join allocated {allocs} times; its chunks and \
          morsels should keep this shape well under 768"
     );
+}
+
+#[test]
+fn a_selective_join_allocates_its_output_for_its_matches_only() {
+    let _serial = serial();
+    // 20 000 probe rows against 20 000 build rows of which 10 match. The
+    // governor is charged `max(left, right)` output rows up front, but the
+    // arenas hold the 10 rows found: the build side (key words, hashes,
+    // chain index) is all the join allocates in proportion to its inputs.
+    let n = 20_000i64;
+    let mut var = 0u64;
+    let mut next = || {
+        var += 1;
+        Variable(var)
+    };
+    let mut r = ProbTable::new(Schema::from_pairs(&[("a", DataType::Int)]).unwrap());
+    for a in 0..n {
+        r.insert(tuple![a], next(), 0.5).unwrap();
+    }
+    let mut s =
+        ProbTable::new(Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]).unwrap());
+    for b in 0..n {
+        let a = if b < 10 { b } else { n + b };
+        s.insert(tuple![a, b], next(), 0.5).unwrap();
+    }
+    let names = |ns: &[&str]| ns.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let left = ops::scan(&r, "R", &names(&["a"])).unwrap();
+    let right = ops::scan(&s, "S", &names(&["a", "b"])).unwrap();
+    let ctx = ExecContext::unbounded();
+    for threads in [1, 4] {
+        let pool = pdb_par::Pool::new(threads);
+        let (out, peak) = peak_bytes(|| ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap());
+        assert_eq!(out.len(), 10);
+        let row_bytes = out.data_width() * std::mem::size_of::<Value>()
+            + out.lineage_width() * std::mem::size_of::<(Variable, f64)>();
+        let reserved = n as usize * row_bytes;
+        assert!(
+            peak < reserved,
+            "a join with 10 matches on {threads} workers peaked at {peak} B, \
+             no less than the {reserved} B of max(left, right) output rows"
+        );
+    }
 }

@@ -59,6 +59,11 @@ impl NullBitmap {
         range.filter(|&r| self.is_null(r)).count()
     }
 
+    /// Sizes the bitmap for `rows` rows; new rows are valid.
+    pub(super) fn resize(&mut self, rows: usize) {
+        self.words.resize(rows.div_ceil(64), 0);
+    }
+
     /// The backing words (64 rows per word). Exposed so parallel ingest can
     /// fill disjoint chunk-aligned word ranges in place.
     pub fn words_mut(&mut self) -> &mut [u64] {
@@ -201,6 +206,33 @@ impl ColumnData {
             }
         };
         non_null + has_null as usize
+    }
+
+    /// The null bitmap, unless the column is mixed.
+    pub(super) fn nulls_mut(&mut self) -> Option<&mut NullBitmap> {
+        match self {
+            ColumnData::Int { nulls, .. }
+            | ColumnData::Float { nulls, .. }
+            | ColumnData::Str { nulls, .. }
+            | ColumnData::Date { nulls, .. }
+            | ColumnData::Bool { nulls, .. } => Some(nulls),
+            ColumnData::Mixed { .. } => None,
+        }
+    }
+
+    /// Gives back the capacity growth left beyond the column's rows.
+    pub(super) fn shrink_to_fit(&mut self) {
+        match self {
+            ColumnData::Int { values, .. } => values.shrink_to_fit(),
+            ColumnData::Float { values, .. } => values.shrink_to_fit(),
+            ColumnData::Str { codes, .. } => codes.shrink_to_fit(),
+            ColumnData::Date { values, .. } => values.shrink_to_fit(),
+            ColumnData::Bool { values, .. } => values.shrink_to_fit(),
+            ColumnData::Mixed { values } => values.shrink_to_fit(),
+        }
+        if let Some(nulls) = self.nulls_mut() {
+            nulls.words.shrink_to_fit();
+        }
     }
 
     /// Whether `value` is the canonical variant for a column of `data_type`

@@ -13,7 +13,7 @@ use pdb_par::Pool;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use super::{ColumnData, ColumnarTable, ZoneMap};
+use super::{ColumnData, ColumnarBuilder, ColumnarTable, ZoneMap};
 use crate::error::StorageError;
 use crate::schema::{DataType, Schema};
 use crate::table::{ProbTable, Table};
@@ -27,7 +27,9 @@ mod reference {
 
     use pdb_par::Pool;
 
-    use super::super::{zone, ChunkRepr, ColumnData, ColumnarTable, NullBitmap, ZoneMap};
+    use super::super::{
+        zone, ChunkRepr, ColumnData, ColumnarData, ColumnarTable, NullBitmap, ZoneMap,
+    };
     use crate::schema::DataType;
     use crate::table::ProbTable;
     use crate::value::Value;
@@ -47,11 +49,13 @@ mod reference {
             zones.push(zone);
         }
         ColumnarTable {
-            schema,
-            len: rows,
-            chunk_rows,
-            columns,
-            zones,
+            data: Arc::new(ColumnarData {
+                schema,
+                len: rows,
+                chunk_rows,
+                columns,
+                zones,
+            }),
             vars: table.vars().to_vec(),
             probs: table.probs().to_vec(),
         }
@@ -316,8 +320,10 @@ const ROWS: [usize; 12] = [0, 1, 63, 64, 65, 127, 129, 1023, 1024, 1025, 2047, 2
 /// A table of `columns` random types. One cell in `null_den` is NULL (0:
 /// none). Strings come three ways, so every interning path runs: a clone of
 /// a shared `Arc`, a fresh allocation of the same text, a near-unique text.
-/// With `plant`, one cell of every FLOAT and DATE column holds the `Int`
-/// those types admit beside their canonical variant.
+/// With `plant`, two cells of every FLOAT and DATE column hold the `Int`
+/// those types admit beside their canonical variant: one in any row, so a
+/// column can turn mixed in its first chunk, and one in the second half of
+/// the rows, so a column cut into pieces can meet it after typed chunks.
 fn random_table(seed: u64, columns: usize, rows: usize, null_den: u32, plant: bool) -> ProbTable {
     let mut rng = TestRng::seed_from_u64(seed);
     let types: Vec<DataType> = (0..columns)
@@ -326,7 +332,10 @@ fn random_table(seed: u64, columns: usize, rows: usize, null_den: u32, plant: bo
     let pairs: Vec<(String, DataType)> = (0..columns).map(|c| format!("c{c}")).zip(types).collect();
     let named: Vec<(&str, DataType)> = pairs.iter().map(|(n, t)| (n.as_str(), *t)).collect();
     let shared: Vec<Value> = ["", "ash", "birch", "cedar"].map(Value::str).to_vec();
-    let planted = rng.gen_range(0..rows.max(1));
+    let planted = [
+        rng.gen_range(0..rows.max(1)),
+        rng.gen_range(rows / 2..rows.max(1)),
+    ];
     let mut table = ProbTable::new(Schema::from_pairs(&named).unwrap());
     for r in 0..rows {
         let cells = named.iter().map(|&(_, data_type)| {
@@ -334,7 +343,7 @@ fn random_table(seed: u64, columns: usize, rows: usize, null_den: u32, plant: bo
                 return Value::Null;
             }
             match data_type {
-                DataType::Float | DataType::Date if plant && r == planted => Value::Int(7),
+                DataType::Float | DataType::Date if plant && planted.contains(&r) => Value::Int(7),
                 DataType::Int => Value::Int(r as i64 / 5 - rng.gen_range(0..3i64)),
                 DataType::Float if rng.gen_range(0..8) == 0 => Value::Float(-0.0),
                 DataType::Float => Value::Float(rng.gen_range(-24..24i64) as f64 / 4.0),
@@ -355,6 +364,106 @@ fn random_table(seed: u64, columns: usize, rows: usize, null_den: u32, plant: bo
     table
 }
 
+/// `built` against `expected` column by column first, so a failure names
+/// the column and chunk; float columns by their bits; then as wholes.
+fn assert_same(
+    built: &ColumnarTable,
+    expected: &ColumnarTable,
+    table: &ProbTable,
+) -> Result<(), TestCaseError> {
+    for (c, col) in table.schema().columns().iter().enumerate() {
+        prop_assert_eq!(
+            built.column(c),
+            expected.column(c),
+            "column {} ({})",
+            c,
+            col.data_type
+        );
+        if let (ColumnData::Float { values, .. }, ColumnData::Float { values: old, .. }) =
+            (built.column(c), expected.column(c))
+        {
+            // `f64: PartialEq` cannot tell -0.0 from 0.0; the bits can.
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(values), bits(old), "column {} bits", c);
+        }
+        // A planted `Int` (unless a NULL took its cell) makes the column mixed.
+        let planted = table
+            .rows()
+            .iter()
+            .any(|row| matches!(row.value(c), Value::Int(_)));
+        if planted && matches!(col.data_type, DataType::Float | DataType::Date) {
+            let mixed = matches!(built.column(c), ColumnData::Mixed { .. });
+            prop_assert!(mixed, "column {} holds a planted Int", c);
+        }
+        for k in 0..expected.num_chunks() {
+            let (got, want): (&ZoneMap, &ZoneMap) = (built.zone(c, k), expected.zone(c, k));
+            prop_assert_eq!(got, want, "column {} chunk {}", c, k);
+        }
+    }
+    prop_assert!(built == expected, "tables differ outside columns and zones");
+    Ok(())
+}
+
+/// Piece sizes on both sides of both chunk sizes; `None` cuts at seeded
+/// random points instead.
+const PIECES: [Option<usize>; 8] = [
+    Some(1),
+    Some(63),
+    Some(64),
+    Some(65),
+    Some(1023),
+    Some(1024),
+    Some(1025),
+    None,
+];
+
+/// `0..rows` cut into consecutive pieces of `piece` rows, or at random
+/// points drawn from `seed`.
+fn cut(rows: usize, piece: Option<usize>, seed: u64) -> Vec<std::ops::Range<usize>> {
+    let mut rng = TestRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    let mut start = 0;
+    while start < rows {
+        let end = (start + piece.unwrap_or_else(|| rng.gen_range(1..1100))).min(rows);
+        out.push(start..end);
+        start = end;
+    }
+    out
+}
+
+/// `table` pushed to a builder piece by piece. With `fresh`, every piece is
+/// a copy whose strings are new allocations, dropped before the next piece
+/// is made, so a later piece's strings can take a dropped piece's addresses.
+fn build_in_pieces(
+    table: &ProbTable,
+    pieces: &[std::ops::Range<usize>],
+    fresh: bool,
+    pool: &Pool,
+    chunk_rows: usize,
+) -> ColumnarTable {
+    let mut builder = ColumnarBuilder::new(table.schema().clone(), chunk_rows, pool).unwrap();
+    for piece in pieces {
+        let rows = &table.rows()[piece.clone()];
+        if fresh {
+            let copy: Vec<Tuple> = rows
+                .iter()
+                .map(|row| {
+                    let cells = row.values().iter().map(|v| match v {
+                        Value::Str(s) => Value::str(s),
+                        v => v.clone(),
+                    });
+                    Tuple::new(cells.collect())
+                })
+                .collect();
+            builder.push(&copy);
+        } else {
+            builder.push(rows);
+        }
+    }
+    let (vars, probs) = (table.vars().to_vec(), table.probs().to_vec());
+    ColumnarTable::new(Arc::new(builder.finish()), vars, probs).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -373,27 +482,7 @@ proptest! {
         let pool = Pool::new([1, 2, 8][threads]);
         let expected = reference::ingest(&table, &Pool::sequential(), chunk_rows);
         let built = ColumnarTable::from_prob_table_chunked(&table, &pool, chunk_rows).unwrap();
-
-        // Column by column first, so a failure names the column and chunk.
-        for (c, col) in table.schema().columns().iter().enumerate() {
-            prop_assert_eq!(built.column(c), expected.column(c), "column {} ({})", c, col.data_type);
-            if let (ColumnData::Float { values, .. }, ColumnData::Float { values: old, .. }) =
-                (built.column(c), expected.column(c))
-            {
-                // `f64: PartialEq` cannot tell -0.0 from 0.0; the bits can.
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(values), bits(old), "column {} bits", c);
-            }
-            if plant && ROWS[rows] > 0 && matches!(col.data_type, DataType::Float | DataType::Date) {
-                let mixed = matches!(built.column(c), ColumnData::Mixed { .. });
-                prop_assert!(mixed || null_den > 0, "column {} holds a planted Int", c);
-            }
-            for k in 0..expected.num_chunks() {
-                let (got, want): (&ZoneMap, &ZoneMap) = (built.zone(c, k), expected.zone(c, k));
-                prop_assert_eq!(got, want, "column {} chunk {}", c, k);
-            }
-        }
-        prop_assert!(built == expected, "tables differ outside columns and zones");
+        assert_same(&built, &expected, &table)?;
         prop_assert!(built.to_prob_table().unwrap() == table, "round trip");
 
         if big_chunks {
@@ -402,6 +491,74 @@ proptest! {
             prop_assert!(borrowed == expected, "from_table");
         }
     }
+
+    #[test]
+    fn any_cut_into_pieces_builds_the_table_one_push_builds(
+        seed in 1u64..u64::MAX / 2,
+        columns in 1usize..7,
+        rows in 0usize..ROWS.len(),
+        null_den in 0u32..5,
+        plant in proptest::bool::ANY,
+        big_chunks in proptest::bool::ANY,
+        threads in 0usize..3,
+        piece in 0usize..PIECES.len(),
+        fresh in proptest::bool::ANY,
+    ) {
+        let table = random_table(seed, columns, ROWS[rows], null_den, plant);
+        let chunk_rows = if big_chunks { 1024 } else { 64 };
+        let pool = Pool::new([1, 2, 8][threads]);
+        let pieces = cut(table.len(), PIECES[piece], seed);
+        let built = build_in_pieces(&table, &pieces, fresh, &pool, chunk_rows);
+        let expected = reference::ingest(&table, &Pool::sequential(), chunk_rows);
+        assert_same(&built, &expected, &table)?;
+        let whole = if big_chunks {
+            let (vars, probs) = (table.vars().to_vec(), table.probs().to_vec());
+            ColumnarTable::from_table(table.data(), vars, probs, &pool).unwrap()
+        } else {
+            ColumnarTable::from_prob_table_chunked(&table, &pool, chunk_rows).unwrap()
+        };
+        prop_assert!(built == whole, "one push");
+    }
+}
+
+#[test]
+fn a_string_column_meeting_another_variant_in_a_later_piece_turns_mixed() {
+    // `Table::rows_mut` leaves the schema to its caller, so a STR column can
+    // hold an `Int`; the builder must decode the typed chunks before it.
+    let schema = Schema::from_pairs(&[("s", DataType::Str), ("k", DataType::Int)]).unwrap();
+    let names = ["ash", "birch", "cedar"].map(Value::str);
+    let mut table = Table::new(schema.clone());
+    for r in 0..300i64 {
+        let name = match r {
+            250 => Value::Int(250),
+            _ if r % 7 == 0 => Value::Null,
+            _ => names[r as usize % names.len()].clone(),
+        };
+        table.rows_mut().push(Tuple::new(vec![name, Value::Int(r)]));
+    }
+    let mut builder = ColumnarBuilder::new(schema, 64, &Pool::new(2)).unwrap();
+    for piece in table.rows().chunks(100) {
+        builder.push(piece);
+    }
+    let data = builder.finish();
+    let values: Vec<Value> = table
+        .rows()
+        .iter()
+        .map(|row| row.value(0).clone())
+        .collect();
+    assert_eq!(
+        data.columns[0],
+        ColumnData::Mixed {
+            values: values.clone()
+        }
+    );
+    let zones: Vec<ZoneMap> = values
+        .chunks(64)
+        .map(|chunk| ZoneMap::build(chunk.iter()))
+        .collect();
+    assert_eq!(data.zones[0], zones);
+    assert!(matches!(data.columns[1], ColumnData::Int { .. }));
+    assert_eq!(data.to_table(), table);
 }
 
 fn two_rows() -> Table {

@@ -13,18 +13,27 @@
 //! scan shape the lazy plans of the paper spend most of their relational
 //! time in.
 //!
+//! The data half — schema, columns, zone maps — is a [`ColumnarData`],
+//! immutable once built and held behind an `Arc`: tables that annotate the
+//! same rows with different variables and probabilities share it.
+//!
 //! The decode contract is exact: [`ColumnarTable::value`] reproduces the
 //! `Value` the row representation stores, variant included (columns whose
 //! stored variants are not uniform fall back to [`ColumnData::Mixed`]), so
 //! a columnar scan can be — and is, in `pdb-exec` — **bitwise-identical**
 //! to the row-at-a-time scan: same values, same lineage, same row order.
 //!
-//! Ingest ([`ColumnarTable::from_table`]) reads borrowed rows and is
+//! Ingest is incremental: a [`ColumnarBuilder`] takes rows in pieces of any
+//! size ([`ColumnarBuilder::push`]) and sweeps each chunk once it is whole,
 //! chunk-parallel on [`pdb_par::Pool`]: one row-major sweep per chunk writes
-//! every column's cells into the chunk's sub-slices of the pre-sized typed
-//! vectors, builds the zone maps and interns strings to chunk-local ids; the
-//! chunk dictionaries are then merged, sorted and the ids re-ranked, so the
-//! resulting table is identical at every thread count.
+//! every column's cells into the chunk's window of the typed vectors, builds
+//! the zone maps and interns strings to chunk-local ids. A column that meets
+//! a non-canonical variant in a later piece turns [`ColumnData::Mixed`] by
+//! decoding its earlier cells, which the decode contract makes exact.
+//! [`ColumnarBuilder::finish`] merges and sorts the chunk dictionaries and
+//! re-ranks the ids, so the table is the same at every thread count and
+//! however its rows were cut into pieces. [`ColumnarTable::from_table`] and
+//! [`ColumnarTable::from_prob_table`] are one push of all their rows.
 
 mod column;
 mod zone;
@@ -52,10 +61,10 @@ use crate::variable::{Probability, Variable};
 /// null-bitmap word boundaries and parallel ingest writes disjoint words.
 pub const CHUNK_ROWS: usize = 1024;
 
-/// A tuple-independent probabilistic relation stored column-major with
-/// per-chunk zone maps.
+/// The data half of a [`ColumnarTable`]: the schema, one [`ColumnData`] per
+/// column and the per-chunk zone maps, without the `V`/`P` annotation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnarTable {
+pub struct ColumnarData {
     schema: Schema,
     len: usize,
     chunk_rows: usize,
@@ -63,14 +72,76 @@ pub struct ColumnarTable {
     columns: Vec<ColumnData>,
     /// `zones[c][k]` summarises column `c` over chunk `k`.
     zones: Vec<Vec<ZoneMap>>,
+}
+
+impl ColumnarData {
+    /// The data schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `r`, decoded exactly as the row representation stores it.
+    fn row(&self, r: usize) -> Tuple {
+        Tuple::new(self.columns.iter().map(|col| col.value(r)).collect())
+    }
+
+    /// The decoded row view: every row, in order, exactly as the row
+    /// representation stores it.
+    pub fn to_table(&self) -> Table {
+        let mut table = Table::new(self.schema.clone());
+        table.rows_mut().extend((0..self.len).map(|r| self.row(r)));
+        table
+    }
+}
+
+/// A tuple-independent probabilistic relation stored column-major with
+/// per-chunk zone maps: shared [`ColumnarData`] and one `(variable,
+/// probability)` pair per row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnarTable {
+    data: Arc<ColumnarData>,
     vars: Vec<Variable>,
     probs: Vec<f64>,
 }
 
 impl ColumnarTable {
-    /// Builds the columns from borrowed rows, chunk-parallel on `pool`;
-    /// `vars[r]` and `probs[r]` annotate row `r`. No row is copied, only its
-    /// cells' payloads, and the result is identical at every pool size.
+    /// Annotates `data`'s rows: `vars[r]` and `probs[r]` belong to row `r`.
+    /// The columns are shared, not copied.
+    ///
+    /// # Errors
+    /// Fails on a probability outside `(0, 1]`.
+    ///
+    /// # Panics
+    /// If `vars` or `probs` does not hold one entry per row.
+    pub fn new(
+        data: Arc<ColumnarData>,
+        vars: Vec<Variable>,
+        probs: Vec<f64>,
+    ) -> StorageResult<ColumnarTable> {
+        assert!(
+            vars.len() == data.len && probs.len() == data.len,
+            "a (V, P) pair per row"
+        );
+        for &p in &probs {
+            Probability::new(p)?;
+        }
+        Ok(ColumnarTable { data, vars, probs })
+    }
+
+    /// Builds the columns from borrowed rows, chunk-parallel on `pool`:
+    /// one [`ColumnarBuilder::push`] of every row. `vars[r]` and `probs[r]`
+    /// annotate row `r`. Only the rows of a last, partial chunk are copied,
+    /// and the result is identical at every pool size.
     ///
     /// # Errors
     /// Fails on a probability outside `(0, 1]`.
@@ -83,13 +154,6 @@ impl ColumnarTable {
         probs: Vec<f64>,
         pool: &Pool,
     ) -> StorageResult<ColumnarTable> {
-        assert!(
-            vars.len() == table.len() && probs.len() == table.len(),
-            "a (V, P) pair per row"
-        );
-        for &p in &probs {
-            Probability::new(p)?;
-        }
         Self::build(table, vars, probs, pool, CHUNK_ROWS)
     }
 
@@ -117,9 +181,7 @@ impl ColumnarTable {
         Self::build(table.data(), vars, probs, pool, chunk_rows)
     }
 
-    /// The one ingest path. A row-major sweep per chunk fills every column's
-    /// typed storage at once; then a column in which a chunk met a non-canonical
-    /// variant becomes [`ColumnData::Mixed`], and string ids become ranks.
+    /// One push of all of `table`'s rows.
     fn build(
         table: &Table,
         vars: Vec<Variable>,
@@ -127,100 +189,55 @@ impl ColumnarTable {
         pool: &Pool,
         chunk_rows: usize,
     ) -> StorageResult<ColumnarTable> {
-        if chunk_rows == 0 || !chunk_rows.is_multiple_of(64) {
-            return Err(StorageError::InvalidChunkSize(chunk_rows));
-        }
-        let (schema, rows) = (table.schema().clone(), table.rows());
-        let chunks: Vec<&[Tuple]> = rows.chunks(chunk_rows).collect();
-        let cuts: Vec<usize> = (0..rows.len()).step_by(chunk_rows).collect();
-        let mut columns: Vec<ColumnData> = schema
-            .columns()
-            .iter()
-            .map(|col| blank_column(col.data_type, rows.len()))
-            .collect();
-        // Chunk k's feeds are its windows of every column, in schema order.
-        let mut feeds: Vec<Vec<Feed>> = chunks.iter().map(|_| Vec::new()).collect();
-        for column in &mut columns {
-            open_windows(column, chunk_rows, &mut feeds);
-        }
-        let each: Vec<usize> = (0..chunks.len()).collect();
-        let mut swept = pool.map_slices_mut(&mut feeds, &each, |k, feed| {
-            sweep(chunks[k], std::mem::take(&mut feed[0]))
-        });
+        let mut builder = ColumnarBuilder::new(table.schema().clone(), chunk_rows, pool)?;
+        builder.push(table.rows());
+        Self::new(Arc::new(builder.finish()), vars, probs)
+    }
 
-        let mut zones = Vec::with_capacity(columns.len());
-        for (c, column) in columns.iter_mut().enumerate() {
-            let partial = swept.iter_mut().map(|chunk| chunk[c].0.take());
-            let Some(partial) = partial.collect::<Option<Vec<ZoneMap>>>() else {
-                // Mixed storage: keep the original values verbatim.
-                let mut values = vec![Value::Null; rows.len()];
-                zones.push(pool.map_slices_mut(&mut values, &cuts, |k, slice| {
-                    for (slot, row) in slice.iter_mut().zip(chunks[k]) {
-                        *slot = row.value(c).clone();
-                    }
-                    ZoneMap::build(slice.iter())
-                }));
-                *column = ColumnData::Mixed { values };
-                continue;
-            };
-            zones.push(match column {
-                ColumnData::Str { dict, codes, .. } => {
-                    let locals: Vec<&[_]> = swept.iter().map(|chunk| &chunk[c].1[..]).collect();
-                    rank_strings(dict, codes, &cuts, &partial, &locals, pool)
-                }
-                _ => partial,
-            });
-        }
-        Ok(ColumnarTable {
-            schema,
-            len: rows.len(),
-            chunk_rows,
-            columns,
-            zones,
-            vars,
-            probs,
-        })
+    /// The shared data half: schema, columns and zone maps.
+    pub fn data(&self) -> &Arc<ColumnarData> {
+        &self.data
     }
 
     /// The data schema (without the `V`/`P` columns).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.data.schema
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.len
+        self.data.len
     }
 
     /// Whether the table has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.data.len == 0
     }
 
     /// Rows per chunk.
     pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
+        self.data.chunk_rows
     }
 
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
-        self.len.div_ceil(self.chunk_rows)
+        self.data.len.div_ceil(self.data.chunk_rows)
     }
 
     /// The row range of chunk `k`.
     pub fn chunk_range(&self, k: usize) -> std::ops::Range<usize> {
-        let start = k * self.chunk_rows;
-        start..(start + self.chunk_rows).min(self.len)
+        let start = k * self.data.chunk_rows;
+        start..(start + self.data.chunk_rows).min(self.data.len)
     }
 
     /// The typed data of column `c`.
     pub fn column(&self, c: usize) -> &ColumnData {
-        &self.columns[c]
+        &self.data.columns[c]
     }
 
     /// The zone map of column `c` over chunk `k`.
     pub fn zone(&self, c: usize, k: usize) -> &ZoneMap {
-        &self.zones[c][k]
+        &self.data.zones[c][k]
     }
 
     /// The tuple variables, aligned with row indices.
@@ -237,7 +254,7 @@ impl ColumnarTable {
     /// representation stores it.
     #[inline]
     pub fn value(&self, r: usize, c: usize) -> Value {
-        self.columns[c].value(r)
+        self.data.columns[c].value(r)
     }
 
     /// Number of distinct values in column `name` (NULL counts as one
@@ -246,8 +263,8 @@ impl ColumnarTable {
     /// # Errors
     /// Fails on unknown columns.
     pub fn distinct_count(&self, name: &str) -> StorageResult<usize> {
-        let c = self.schema.index_of(name)?;
-        Ok(self.columns[c].distinct_count(self.len))
+        let c = self.data.schema.index_of(name)?;
+        Ok(self.data.columns[c].distinct_count(self.data.len))
     }
 
     /// The largest per-chunk distinct-count hint for column `name`: an
@@ -259,8 +276,8 @@ impl ColumnarTable {
     /// # Errors
     /// Fails on unknown columns.
     pub fn max_chunk_distinct(&self, name: &str) -> StorageResult<usize> {
-        let c = self.schema.index_of(name)?;
-        Ok(self.zones[c]
+        let c = self.data.schema.index_of(name)?;
+        Ok(self.data.zones[c]
             .iter()
             .map(|z| z.distinct as usize)
             .max()
@@ -276,41 +293,216 @@ impl ColumnarTable {
     /// Propagates row validation errors (cannot fail for tables ingested
     /// from a valid `ProbTable`).
     pub fn to_prob_table(&self) -> StorageResult<ProbTable> {
-        let mut out = ProbTable::new(self.schema.clone());
-        for r in 0..self.len {
-            let values: Vec<Value> = (0..self.schema.len()).map(|c| self.value(r, c)).collect();
-            out.insert(Tuple::new(values), self.vars[r], self.probs[r])?;
+        let mut out = ProbTable::new(self.data.schema.clone());
+        for r in 0..self.data.len {
+            out.insert(self.data.row(r), self.vars[r], self.probs[r])?;
         }
         Ok(out)
     }
 }
 
-/// All-zero, all-valid typed storage for `rows` rows of `data_type`: what
-/// the sweep fills speculatively, before any cell's variant is known.
-fn blank_column(data_type: DataType, rows: usize) -> ColumnData {
-    let nulls = NullBitmap::new(rows);
+/// Incremental ingest: rows arrive in pieces of any size, each chunk is
+/// swept once it is whole, and [`ColumnarBuilder::finish`] ranks the string
+/// columns. The result depends on the rows alone — not on the pool size or
+/// on where the pieces were cut.
+pub struct ColumnarBuilder {
+    pool: Pool,
+    data: ColumnarData,
+    /// `locals[c][k]`: chunk `k`'s dictionary of string column `c`, its own
+    /// copies of the strings in first-seen order (empty for other columns).
+    locals: Vec<Vec<Vec<Arc<str>>>>,
+    /// Copies of the rows of the chunk still filling: fewer than a chunk.
+    tail: Vec<Tuple>,
+}
+
+impl ColumnarBuilder {
+    /// An empty builder for rows of `schema`, cut into `chunk_rows`-row
+    /// chunks and swept on `pool`.
+    ///
+    /// # Errors
+    /// Fails if `chunk_rows` is zero or not a multiple of 64 (chunk
+    /// boundaries must be null-bitmap word boundaries).
+    pub fn new(schema: Schema, chunk_rows: usize, pool: &Pool) -> StorageResult<ColumnarBuilder> {
+        if chunk_rows == 0 || !chunk_rows.is_multiple_of(64) {
+            return Err(StorageError::InvalidChunkSize(chunk_rows));
+        }
+        let columns = schema
+            .columns()
+            .iter()
+            .map(|col| blank_column(col.data_type))
+            .collect();
+        let width = schema.len();
+        Ok(ColumnarBuilder {
+            pool: *pool,
+            data: ColumnarData {
+                schema,
+                len: 0,
+                chunk_rows,
+                columns,
+                zones: vec![Vec::new(); width],
+            },
+            locals: vec![Vec::new(); width],
+            tail: Vec::new(),
+        })
+    }
+
+    /// Appends `rows`. Whole chunks are swept now; the rows of a chunk left
+    /// incomplete are copied and wait for the next piece or for `finish`.
+    ///
+    /// # Panics
+    /// On a row without one cell per column.
+    pub fn push(&mut self, mut rows: &[Tuple]) {
+        let chunk_rows = self.data.chunk_rows;
+        if !self.tail.is_empty() {
+            let fill = (chunk_rows - self.tail.len()).min(rows.len());
+            self.tail.extend_from_slice(&rows[..fill]);
+            rows = &rows[fill..];
+            if self.tail.len() < chunk_rows {
+                return;
+            }
+            let chunk = std::mem::take(&mut self.tail);
+            self.sweep(&chunk);
+            self.tail = chunk;
+            self.tail.clear();
+        }
+        let whole = rows.len() - rows.len() % chunk_rows;
+        self.sweep(&rows[..whole]);
+        self.tail.extend_from_slice(&rows[whole..]);
+    }
+
+    /// Sweeps the last, partial chunk and ranks every string column.
+    pub fn finish(mut self) -> ColumnarData {
+        let tail = std::mem::take(&mut self.tail);
+        self.sweep(&tail);
+        let data = &mut self.data;
+        let cuts: Vec<usize> = (0..data.len).step_by(data.chunk_rows).collect();
+        for ((column, zones), locals) in data
+            .columns
+            .iter_mut()
+            .zip(&mut data.zones)
+            .zip(&self.locals)
+        {
+            if let ColumnData::Str { dict, codes, .. } = column {
+                *zones = rank_strings(dict, codes, &cuts, zones, locals, &self.pool);
+            }
+            column.shrink_to_fit();
+            zones.shrink_to_fit();
+        }
+        self.data
+    }
+
+    /// Appends whole chunks (or the final partial one): one row-major sweep
+    /// per chunk, chunk-parallel.
+    fn sweep(&mut self, rows: &[Tuple]) {
+        if rows.is_empty() {
+            return;
+        }
+        let (start, chunk_rows) = (self.data.len, self.data.chunk_rows);
+        let chunks: Vec<&[Tuple]> = rows.chunks(chunk_rows).collect();
+        let cuts: Vec<usize> = (0..rows.len()).step_by(chunk_rows).collect();
+        let mut swept = {
+            // Chunk k's feeds are its windows of every column, in schema order.
+            let mut feeds: Vec<Vec<Feed>> = chunks.iter().map(|_| Vec::new()).collect();
+            for column in &mut self.data.columns {
+                open_windows(column, start, rows.len(), chunk_rows, &mut feeds);
+            }
+            let each: Vec<usize> = (0..chunks.len()).collect();
+            self.pool.map_slices_mut(&mut feeds, &each, |k, feed| {
+                sweep(chunks[k], std::mem::take(&mut feed[0]))
+            })
+        };
+        self.data.len += rows.len();
+
+        let columns = self.data.columns.iter_mut().zip(&mut self.data.zones);
+        for (c, ((column, zones), locals)) in columns.zip(&mut self.locals).enumerate() {
+            let partial = swept.iter_mut().map(|chunk| chunk[c].0.take());
+            if let Some(partial) = partial.collect::<Option<Vec<ZoneMap>>>() {
+                zones.extend(partial);
+                if let ColumnData::Str { .. } = column {
+                    locals.extend(
+                        swept
+                            .iter_mut()
+                            .map(|chunk| std::mem::take(&mut chunk[c].1)),
+                    );
+                }
+                continue;
+            }
+            // Mixed storage: the original values verbatim, earlier cells decoded.
+            let was_typed = !matches!(column, ColumnData::Mixed { .. });
+            let mut values = into_values(column, locals, chunk_rows, start);
+            if was_typed {
+                // Summarise the decoded chunks as a mixed column's.
+                let earlier: Vec<usize> = (0..start).step_by(chunk_rows).collect();
+                *zones = self.pool.map_slices_mut(&mut values, &earlier, |_, slice| {
+                    ZoneMap::build(slice.iter())
+                });
+            }
+            locals.clear();
+            values.resize(start + rows.len(), Value::Null);
+            zones.extend(
+                self.pool
+                    .map_slices_mut(&mut values[start..], &cuts, |k, slice| {
+                        for (slot, row) in slice.iter_mut().zip(chunks[k]) {
+                            *slot = row.value(c).clone();
+                        }
+                        ZoneMap::build(slice.iter())
+                    }),
+            );
+            *column = ColumnData::Mixed { values };
+        }
+    }
+}
+
+/// Empty typed storage of `data_type`: what the sweep fills speculatively,
+/// before any cell's variant is known.
+fn blank_column(data_type: DataType) -> ColumnData {
+    let nulls = NullBitmap::new(0);
     match data_type {
         DataType::Int => ColumnData::Int {
-            values: vec![0; rows],
+            values: Vec::new(),
             nulls,
         },
         DataType::Float => ColumnData::Float {
-            values: vec![0.0; rows],
+            values: Vec::new(),
             nulls,
         },
         DataType::Date => ColumnData::Date {
-            values: vec![0; rows],
+            values: Vec::new(),
             nulls,
         },
         DataType::Bool => ColumnData::Bool {
-            values: vec![false; rows],
+            values: Vec::new(),
             nulls,
         },
         DataType::Str => ColumnData::Str {
             dict: Vec::new(),
-            codes: vec![0; rows],
+            codes: Vec::new(),
             nulls,
         },
+    }
+}
+
+/// The `rows` swept cells of `column` as `Value`s, leaving it empty. String
+/// cells still hold chunk-local ids into `locals`.
+fn into_values(
+    column: &mut ColumnData,
+    locals: &[Vec<Arc<str>>],
+    chunk_rows: usize,
+    rows: usize,
+) -> Vec<Value> {
+    let column = std::mem::replace(column, ColumnData::Mixed { values: Vec::new() });
+    match column {
+        ColumnData::Mixed { values } => values,
+        ColumnData::Str { codes, nulls, .. } => (0..rows)
+            .map(|r| {
+                if nulls.is_null(r) {
+                    Value::Null
+                } else {
+                    Value::Str(locals[r / chunk_rows][codes[r] as usize - 1].clone())
+                }
+            })
+            .collect(),
+        typed => (0..rows).map(|r| typed.value(r)).collect(),
     }
 }
 
@@ -324,8 +516,10 @@ enum Window<'s> {
 }
 
 /// What one chunk's sweep keeps per column.
+#[derive(Default)]
 struct Feed<'a, 's> {
-    /// `None` once the chunk met a non-canonical variant in the column.
+    /// `None` once the chunk met a non-canonical variant in the column, and
+    /// from the start in a column that is already mixed.
     window: Option<Window<'s>>,
     /// The chunk's own null-bitmap words: chunk sizes are multiples of 64.
     words: &'s mut [u64],
@@ -337,27 +531,53 @@ struct Feed<'a, 's> {
 
 /// A swept chunk's summary of one column: the zone map (`None`: a
 /// non-canonical variant) and, for strings, the chunk dictionary.
-type Swept<'a> = (Option<ZoneMap>, Vec<&'a Arc<str>>);
+type Swept = (Option<ZoneMap>, Vec<Arc<str>>);
 
-/// Deals the chunk windows of a blank `column` out to the chunks' feeds.
-fn open_windows<'s>(column: &'s mut ColumnData, n: usize, feeds: &mut [Vec<Feed<'_, 's>>]) {
+/// Grows typed `column` by `rows` zero, valid rows from row `start` on and
+/// deals their windows out to the chunks' feeds, `n` rows each.
+fn open_windows<'s>(
+    column: &'s mut ColumnData,
+    start: usize,
+    rows: usize,
+    n: usize,
+    feeds: &mut [Vec<Feed<'_, 's>>],
+) {
+    let end = start + rows;
+    if let Some(nulls) = column.nulls_mut() {
+        nulls.resize(end);
+    }
     let (cells, nulls): (Vec<Window>, _) = match column {
-        ColumnData::Int { values: v, nulls } => (v.chunks_mut(n).map(Window::Int).collect(), nulls),
+        ColumnData::Int { values: v, nulls } => {
+            v.resize(end, 0);
+            (v[start..].chunks_mut(n).map(Window::Int).collect(), nulls)
+        }
         ColumnData::Float { values: v, nulls } => {
-            (v.chunks_mut(n).map(Window::Float).collect(), nulls)
+            v.resize(end, 0.0);
+            (v[start..].chunks_mut(n).map(Window::Float).collect(), nulls)
         }
         ColumnData::Date { values: v, nulls } => {
-            (v.chunks_mut(n).map(Window::Date).collect(), nulls)
+            v.resize(end, 0);
+            (v[start..].chunks_mut(n).map(Window::Date).collect(), nulls)
         }
         ColumnData::Bool { values: v, nulls } => {
-            (v.chunks_mut(n).map(Window::Bool).collect(), nulls)
+            v.resize(end, false);
+            (v[start..].chunks_mut(n).map(Window::Bool).collect(), nulls)
         }
         ColumnData::Str { codes, nulls, .. } => {
-            (codes.chunks_mut(n).map(Window::Str).collect(), nulls)
+            codes.resize(end, 0);
+            (
+                codes[start..].chunks_mut(n).map(Window::Str).collect(),
+                nulls,
+            )
         }
-        ColumnData::Mixed { .. } => unreachable!("blank columns are typed"),
+        ColumnData::Mixed { .. } => {
+            for feed in feeds {
+                feed.push(Feed::default());
+            }
+            return;
+        }
     };
-    let words = nulls.words_mut().chunks_mut(n / 64);
+    let words = nulls.words_mut()[start / 64..].chunks_mut(n / 64);
     for ((window, words), feed) in cells.into_iter().zip(words).zip(feeds) {
         feed.push(Feed {
             window: Some(window),
@@ -369,7 +589,8 @@ fn open_windows<'s>(column: &'s mut ColumnData, n: usize, feeds: &mut [Vec<Feed<
 }
 
 /// A chunk's string dictionary in insertion order. A cell's id is its
-/// string's index plus one; 0 stays the code of NULL rows.
+/// string's index plus one; 0 stays the code of NULL rows. It borrows the
+/// chunk's rows, so it lives no longer than one sweep.
 #[derive(Default)]
 struct Interner<'a> {
     dict: Vec<&'a Arc<str>>,
@@ -398,8 +619,9 @@ impl<'a> Interner<'a> {
 }
 
 /// The row-major sweep of one chunk: every cell goes to its column's feed,
-/// typed columns finish their zone maps, string columns their dictionaries.
-fn sweep<'a>(rows: &'a [Tuple], mut feeds: Vec<Feed<'a, '_>>) -> Vec<Swept<'a>> {
+/// typed columns finish their zone maps, string columns their dictionaries,
+/// which own their strings — the rows may be gone before they are ranked.
+fn sweep<'a>(rows: &'a [Tuple], mut feeds: Vec<Feed<'a, '_>>) -> Vec<Swept> {
     for (i, row) in rows.iter().enumerate() {
         assert_eq!(row.arity(), feeds.len(), "a row has one cell per column");
         for (feed, v) in feeds.iter_mut().zip(row.values()) {
@@ -419,7 +641,10 @@ fn sweep<'a>(rows: &'a [Tuple], mut feeds: Vec<Feed<'a, '_>>) -> Vec<Swept<'a>> 
             }
         }
     }
-    let finish = |f: Feed<'a, '_>| (f.window.map(|_| f.stats.finish()), f.strings.dict);
+    let finish = |f: Feed<'a, '_>| {
+        let dict = f.strings.dict.into_iter().cloned().collect();
+        (f.window.map(|_| f.stats.finish()), dict)
+    };
     feeds.into_iter().map(finish).collect()
 }
 
@@ -432,16 +657,17 @@ fn rank_strings(
     codes: &mut [u32],
     cuts: &[usize],
     partial: &[ZoneMap],
-    locals: &[&[&Arc<str>]],
+    locals: &[Vec<Arc<str>>],
     pool: &Pool,
 ) -> Vec<ZoneMap> {
-    let mut ordered: Vec<&str> = locals.iter().copied().flatten().map(|s| &***s).collect();
+    let mut ordered: Vec<&str> = locals.iter().flatten().map(|s| &**s).collect();
     ordered.sort_unstable();
     ordered.dedup();
+    // Fresh allocations, packed together: the chunks' copies go with `locals`.
     *dict = ordered.iter().map(|s| Arc::from(*s)).collect();
     let dict = &*dict;
     pool.map_slices_mut(codes, cuts, |k, codes| {
-        let rank = |s: &&Arc<str>| ordered.binary_search(&&***s).expect("interned") as u32;
+        let rank = |s: &Arc<str>| ordered.binary_search(&&**s).expect("interned") as u32;
         let ranks: Vec<u32> = once(0).chain(locals[k].iter().map(rank)).collect();
         for code in codes.iter_mut() {
             *code = ranks[*code as usize];

@@ -19,7 +19,9 @@
 //!   plus one [`Variable`] and one probability per tuple.
 //! * [`ColumnarTable`] — the same relation stored column-major: typed
 //!   column vectors with null bitmaps, fixed-size row groups, and per-chunk
-//!   zone maps for predicate-driven chunk skipping.
+//!   zone maps for predicate-driven chunk skipping. Its data half, a
+//!   [`ColumnarData`], is shared behind an `Arc`; a [`ColumnarBuilder`]
+//!   builds it from rows pushed in pieces of any size.
 //! * [`Catalog`] — a named collection of probabilistic tables together with
 //!   declared keys and functional dependencies; each entry is a
 //!   [`StorageBacking`] (row or columnar), and scans dispatch on it.
@@ -40,7 +42,7 @@ pub mod value;
 pub mod variable;
 
 pub use catalog::{Catalog, StorageBacking};
-pub use columnar::{ColumnData, ColumnarTable, NullBitmap, ZoneMap};
+pub use columnar::{ColumnData, ColumnarBuilder, ColumnarData, ColumnarTable, NullBitmap, ZoneMap};
 pub use error::{StorageError, StorageResult};
 pub use schema::{Column, DataType, Schema};
 pub use stats::TableStats;

@@ -7,10 +7,14 @@
 //! ~6 M lineitems; this generator preserves those ratios at whatever scale
 //! the caller asks for (benchmarks default to much smaller factors).
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pdb_storage::{tuple, DataType, Schema, Table, Value};
+use pdb_par::Pool;
+use pdb_storage::columnar::{ColumnarBuilder, ColumnarData, CHUNK_ROWS};
+use pdb_storage::{tuple, DataType, Schema, Table, Tuple, Value};
 
 use crate::dates::date;
 
@@ -90,7 +94,8 @@ pub struct TpchScale {
 }
 
 impl TpchScale {
-    /// A scale suitable for unit tests (a few hundred tuples in total).
+    /// A scale suitable for unit tests (1 813 tuples in total, 1 223 of them
+    /// lineitems).
     pub fn tiny() -> TpchScale {
         TpchScale {
             scale_factor: 0.0002,
@@ -136,29 +141,25 @@ impl TpchScale {
     }
 }
 
-/// The eight deterministic TPC-H tables (plus the customer-side copy of
-/// `Nation`), before probabilistic conversion.
+/// The eight deterministic TPC-H tables plus the customer-side copy of
+/// `Nation`, before probabilistic conversion, as columnar data: each
+/// relation's rows go through a columnar builder as they are generated, a
+/// chunk at a time, so no row copy of the database is ever resident. The
+/// columns sit behind an `Arc`, and the catalogs of
+/// [`crate::probabilistic_catalog_columnar`] share them.
 #[derive(Debug, Clone)]
 pub struct TpchData {
-    /// `Region(rkey, rname)`.
-    pub region: Table,
-    /// `Nation(nkey, nname, rkey)` — the supplier-side copy.
-    pub nation: Table,
-    /// `NationC(cnkey, cnname, crkey)` — the customer-side copy.
-    pub nation_c: Table,
-    /// `Supp(skey, sname, nkey, acctbal)`.
-    pub supp: Table,
-    /// `Cust(ckey, cname, cnkey, cacctbal, mktsegment)`.
-    pub cust: Table,
-    /// `Part(pkey, pname, brand, type, size, container, retailprice)`.
-    pub part: Table,
-    /// `Psupp(pkey, skey, availqty, supplycost)`.
-    pub psupp: Table,
-    /// `Ord(okey, ckey, ostatus, totalprice, odate, opriority)`.
-    pub ord: Table,
+    /// `(catalog name, data)` in registration order: `Region(rkey, rname)`;
+    /// `Nation(nkey, nname, rkey)`, the supplier-side copy;
+    /// `NationC(cnkey, cnname, crkey)`, the customer-side copy;
+    /// `Supp(skey, sname, nkey, acctbal)`;
+    /// `Cust(ckey, cname, cnkey, cacctbal, mktsegment)`;
+    /// `Part(pkey, pname, brand, type, size, container, retailprice)`;
+    /// `Psupp(pkey, skey, availqty, supplycost)`;
+    /// `Ord(okey, ckey, ostatus, totalprice, odate, opriority)`;
     /// `Item(okey, linenumber, pkey, skey, quantity, extendedprice, discount,
     /// shipdate, returnflag, shipmode)`.
-    pub item: Table,
+    tables: Vec<(&'static str, Arc<ColumnarData>)>,
 }
 
 impl TpchData {
@@ -180,34 +181,84 @@ impl TpchData {
             scale.suppliers(),
         );
         TpchData {
-            region,
-            nation,
-            nation_c,
-            supp,
-            cust,
-            part,
-            psupp,
-            ord,
-            item,
+            tables: vec![
+                ("Region", region),
+                ("Nation", nation),
+                ("NationC", nation_c),
+                ("Supp", supp),
+                ("Cust", cust),
+                ("Part", part),
+                ("Psupp", psupp),
+                ("Ord", ord),
+                ("Item", item),
+            ],
         }
     }
 
     /// Total number of tuples across all tables.
     pub fn total_tuples(&self) -> usize {
-        self.region.len()
-            + self.nation.len()
-            + self.nation_c.len()
-            + self.supp.len()
-            + self.cust.len()
-            + self.part.len()
-            + self.psupp.len()
-            + self.ord.len()
-            + self.item.len()
+        self.tables.iter().map(|(_, data)| data.len()).sum()
+    }
+
+    /// Every relation under its catalog name, in registration order.
+    pub fn tables(&self) -> impl Iterator<Item = (&'static str, &Arc<ColumnarData>)> {
+        self.tables.iter().map(|(name, data)| (*name, data))
+    }
+
+    /// A decoded row view of relation `name` (a catalog name such as
+    /// `"Item"`): a fresh [`Table`] holding every row, in generation order.
+    ///
+    /// # Panics
+    /// If no relation is called `name`.
+    pub fn table(&self, name: &str) -> Table {
+        let (_, data) = self
+            .tables
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no TPC-H relation {name}"));
+        data.to_table()
     }
 }
 
-fn schema(pairs: &[(&str, DataType)]) -> Schema {
-    Schema::from_pairs(pairs).expect("static schema")
+/// The most chunks a generated piece holds. The builder sweeps a piece's
+/// chunks in parallel, but generation itself is sequential, so beyond a few
+/// threads a larger piece saves little and only costs memory: at SF 0.01,
+/// 8 chunks per piece peak the set-up's heap at ≈ 1.35 × the catalog it
+/// keeps, 16 chunks at 1.80 ×.
+const MAX_PIECE_CHUNKS: usize = 8;
+
+/// One relation being generated: rows gather in a reused piece of one
+/// [`CHUNK_ROWS`]-row chunk per pool thread (at most [`MAX_PIECE_CHUNKS`]),
+/// which the builder sweeps chunk-parallel whenever it fills.
+struct Relation {
+    piece: Table,
+    piece_rows: usize,
+    builder: ColumnarBuilder,
+}
+
+impl Relation {
+    fn new(pairs: &[(&str, DataType)]) -> Relation {
+        let schema = Schema::from_pairs(pairs).expect("static schema");
+        let pool = Pool::from_env();
+        Relation {
+            builder: ColumnarBuilder::new(schema.clone(), CHUNK_ROWS, &pool).expect("chunk size"),
+            piece_rows: CHUNK_ROWS * pool.threads().min(MAX_PIECE_CHUNKS),
+            piece: Table::new(schema),
+        }
+    }
+
+    fn insert(&mut self, row: Tuple) {
+        self.piece.insert(row).expect("valid row");
+        if self.piece.len() == self.piece_rows {
+            self.builder.push(self.piece.rows());
+            self.piece.rows_mut().clear();
+        }
+    }
+
+    fn finish(mut self) -> Arc<ColumnarData> {
+        self.builder.push(self.piece.rows());
+        Arc::new(self.builder.finish())
+    }
 }
 
 /// One `Value::Str` per constant of a domain: rows clone it (a
@@ -217,59 +268,57 @@ fn shared(domain: &[&str]) -> Vec<Value> {
     domain.iter().map(|name| Value::str(*name)).collect()
 }
 
-fn gen_region() -> Table {
-    let mut t = Table::new(schema(&[("rkey", DataType::Int), ("rname", DataType::Str)]));
+fn gen_region() -> Arc<ColumnarData> {
+    let mut t = Relation::new(&[("rkey", DataType::Int), ("rname", DataType::Str)]);
     for (i, name) in REGIONS.iter().enumerate() {
-        t.insert(tuple![i as i64, *name]).expect("valid row");
+        t.insert(tuple![i as i64, *name]);
     }
-    t
+    t.finish()
 }
 
-fn gen_nation(customer_side: bool) -> Table {
+fn gen_nation(customer_side: bool) -> Arc<ColumnarData> {
     let (key, name, rkey) = if customer_side {
         ("cnkey", "cnname", "crkey")
     } else {
         ("nkey", "nname", "rkey")
     };
-    let mut t = Table::new(schema(&[
+    let mut t = Relation::new(&[
         (key, DataType::Int),
         (name, DataType::Str),
         (rkey, DataType::Int),
-    ]));
+    ]);
     for (i, nation) in NATIONS.iter().enumerate() {
-        t.insert(tuple![i as i64, *nation, (i % REGIONS.len()) as i64])
-            .expect("valid row");
+        t.insert(tuple![i as i64, *nation, (i % REGIONS.len()) as i64]);
     }
-    t
+    t.finish()
 }
 
-fn gen_supp(rng: &mut SmallRng, count: usize) -> Table {
-    let mut t = Table::new(schema(&[
+fn gen_supp(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
+    let mut t = Relation::new(&[
         ("skey", DataType::Int),
         ("sname", DataType::Str),
         ("nkey", DataType::Int),
         ("acctbal", DataType::Float),
-    ]));
+    ]);
     for skey in 1..=count as i64 {
         t.insert(tuple![
             skey,
             format!("Supplier#{skey:09}"),
             rng.gen_range(0..NATIONS.len() as i64),
             round2(rng.gen_range(-999.0..10_000.0)),
-        ])
-        .expect("valid row");
+        ]);
     }
-    t
+    t.finish()
 }
 
-fn gen_cust(rng: &mut SmallRng, count: usize) -> Table {
-    let mut t = Table::new(schema(&[
+fn gen_cust(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
+    let mut t = Relation::new(&[
         ("ckey", DataType::Int),
         ("cname", DataType::Str),
         ("cnkey", DataType::Int),
         ("cacctbal", DataType::Float),
         ("mktsegment", DataType::Str),
-    ]));
+    ]);
     let segments = shared(&SEGMENTS);
     for ckey in 1..=count as i64 {
         t.insert(tuple![
@@ -278,14 +327,13 @@ fn gen_cust(rng: &mut SmallRng, count: usize) -> Table {
             rng.gen_range(0..NATIONS.len() as i64),
             round2(rng.gen_range(-999.0..10_000.0)),
             segments[rng.gen_range(0..segments.len())].clone(),
-        ])
-        .expect("valid row");
+        ]);
     }
-    t
+    t.finish()
 }
 
-fn gen_part(rng: &mut SmallRng, count: usize) -> Table {
-    let mut t = Table::new(schema(&[
+fn gen_part(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
+    let mut t = Relation::new(&[
         ("pkey", DataType::Int),
         ("pname", DataType::Str),
         ("brand", DataType::Str),
@@ -293,7 +341,7 @@ fn gen_part(rng: &mut SmallRng, count: usize) -> Table {
         ("size", DataType::Int),
         ("container", DataType::Str),
         ("retailprice", DataType::Float),
-    ]));
+    ]);
     // The catalogue attributes are drawn from the same distributions as
     // before, then assigned to ascending part keys in sorted
     // (type, brand, size, container) order: a real part catalogue is
@@ -333,19 +381,18 @@ fn gen_part(rng: &mut SmallRng, count: usize) -> Table {
             size,
             containers[container].clone(),
             round2(900.0 + rng.gen_range(0.0..200.0)),
-        ])
-        .expect("valid row");
+        ]);
     }
-    t
+    t.finish()
 }
 
-fn gen_psupp(rng: &mut SmallRng, parts: usize, suppliers: usize) -> Table {
-    let mut t = Table::new(schema(&[
+fn gen_psupp(rng: &mut SmallRng, parts: usize, suppliers: usize) -> Arc<ColumnarData> {
+    let mut t = Relation::new(&[
         ("pkey", DataType::Int),
         ("skey", DataType::Int),
         ("availqty", DataType::Int),
         ("supplycost", DataType::Float),
-    ]));
+    ]);
     // TPC-H associates 4 suppliers with every part.
     for pkey in 1..=parts as i64 {
         let mut chosen = Vec::new();
@@ -360,11 +407,10 @@ fn gen_psupp(rng: &mut SmallRng, parts: usize, suppliers: usize) -> Table {
                 skey,
                 rng.gen_range(1..10_000i64),
                 round2(rng.gen_range(1.0..1_000.0)),
-            ])
-            .expect("valid row");
+            ]);
         }
     }
-    t
+    t.finish()
 }
 
 fn gen_orders_items(
@@ -373,16 +419,16 @@ fn gen_orders_items(
     customers: usize,
     parts: usize,
     suppliers: usize,
-) -> (Table, Table) {
-    let mut ord = Table::new(schema(&[
+) -> (Arc<ColumnarData>, Arc<ColumnarData>) {
+    let mut ord = Relation::new(&[
         ("okey", DataType::Int),
         ("ckey", DataType::Int),
         ("ostatus", DataType::Str),
         ("totalprice", DataType::Float),
         ("odate", DataType::Date),
         ("opriority", DataType::Str),
-    ]));
-    let mut item = Table::new(schema(&[
+    ]);
+    let mut item = Relation::new(&[
         ("okey", DataType::Int),
         ("linenumber", DataType::Int),
         ("pkey", DataType::Int),
@@ -393,7 +439,7 @@ fn gen_orders_items(
         ("shipdate", DataType::Date),
         ("returnflag", DataType::Str),
         ("shipmode", DataType::Str),
-    ]));
+    ]);
     let start = date(1992, 1, 1);
     let end = date(1998, 8, 2);
     let priorities = shared(&["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"]);
@@ -424,8 +470,7 @@ fn gen_orders_items(
             round2(rng.gen_range(1_000.0..400_000.0)),
             Value::Date(odate),
             priorities[rng.gen_range(0..priorities.len())].clone(),
-        ])
-        .expect("valid row");
+        ]);
         let lines = rng.gen_range(1..=7);
         for line in 1..=lines {
             let shipdate = odate + rng.gen_range(1..122);
@@ -440,11 +485,10 @@ fn gen_orders_items(
                 Value::Date(shipdate),
                 flags[rng.gen_range(0..flags.len())].clone(),
                 modes[rng.gen_range(0..modes.len())].clone(),
-            ])
-            .expect("valid row");
+            ]);
         }
     }
-    (ord, item)
+    (ord.finish(), item.finish())
 }
 
 fn round2(x: f64) -> f64 {
@@ -459,29 +503,29 @@ mod tests {
     fn cardinalities_follow_the_scale_factor() {
         let scale = TpchScale::tiny();
         let data = TpchData::generate(scale);
-        assert_eq!(data.region.len(), 5);
-        assert_eq!(data.nation.len(), 25);
-        assert_eq!(data.nation_c.len(), 25);
-        assert_eq!(data.cust.len(), scale.customers());
-        assert_eq!(data.ord.len(), scale.orders());
-        assert_eq!(data.psupp.len(), 4 * scale.parts());
+        assert_eq!(data.table("Region").len(), 5);
+        assert_eq!(data.table("Nation").len(), 25);
+        assert_eq!(data.table("NationC").len(), 25);
+        assert_eq!(data.table("Cust").len(), scale.customers());
+        assert_eq!(data.table("Ord").len(), scale.orders());
+        assert_eq!(data.table("Psupp").len(), 4 * scale.parts());
         // Roughly 4 lineitems per order.
-        assert!(data.item.len() >= data.ord.len());
-        assert!(data.item.len() <= 7 * data.ord.len());
+        assert!(data.table("Item").len() >= data.table("Ord").len());
+        assert!(data.table("Item").len() <= 7 * data.table("Ord").len());
     }
 
     #[test]
     fn generation_is_deterministic() {
         let a = TpchData::generate(TpchScale::tiny());
         let b = TpchData::generate(TpchScale::tiny());
-        assert_eq!(a.ord.rows(), b.ord.rows());
-        assert_eq!(a.item.rows(), b.item.rows());
+        assert_eq!(a.table("Ord").rows(), b.table("Ord").rows());
+        assert_eq!(a.table("Item").rows(), b.table("Item").rows());
         // A different seed produces different data.
         let c = TpchData::generate(TpchScale {
             seed: 123,
             ..TpchScale::tiny()
         });
-        assert_ne!(a.ord.rows(), c.ord.rows());
+        assert_ne!(a.table("Ord").rows(), c.table("Ord").rows());
     }
 
     #[test]
@@ -489,12 +533,12 @@ mod tests {
         let scale = TpchScale::tiny();
         let data = TpchData::generate(scale);
         let customers = scale.customers() as i64;
-        for row in data.ord.rows() {
+        for row in data.table("Ord").rows() {
             let ckey = row.value(1).as_int().unwrap();
             assert!(ckey >= 1 && ckey <= customers);
         }
         let orders = scale.orders() as i64;
-        for row in data.item.rows() {
+        for row in data.table("Item").rows() {
             let okey = row.value(0).as_int().unwrap();
             assert!(okey >= 1 && okey <= orders);
         }
@@ -506,7 +550,7 @@ mod tests {
         // columnar zone maps exploit.
         let data = TpchData::generate(TpchScale::tiny());
         let mut prev = i64::MIN;
-        for row in data.ord.rows() {
+        for row in data.table("Ord").rows() {
             let d = row.value(4).as_int().unwrap();
             assert!(d >= prev, "odate regressed");
             prev = d;
@@ -520,7 +564,7 @@ mod tests {
         // hold few distinct catalogue values.
         let data = TpchData::generate(TpchScale::tiny());
         let mut prev: Option<(String, String, i64, String)> = None;
-        for row in data.part.rows() {
+        for row in data.table("Part").rows() {
             let key = (
                 row.value(3).to_string(),
                 row.value(2).to_string(),
@@ -539,16 +583,15 @@ mod tests {
         // `F` iff the order date is at or before the median date: with
         // date-clustered insertion, `ostatus` is constant within almost
         // every chunk.
-        let data = TpchData::generate(TpchScale::tiny());
-        let mut dates: Vec<i64> = data
-            .ord
+        let ord = TpchData::generate(TpchScale::tiny()).table("Ord");
+        let mut dates: Vec<i64> = ord
             .rows()
             .iter()
             .map(|r| r.value(4).as_int().unwrap())
             .collect();
         dates.sort_unstable();
         let median = dates[dates.len() / 2];
-        for row in data.ord.rows() {
+        for row in ord.rows() {
             let d = row.value(4).as_int().unwrap();
             let status = row.value(2).to_string();
             let expected = if d <= median { "F" } else { "O" };
@@ -560,28 +603,28 @@ mod tests {
     fn keys_are_unique() {
         let data = TpchData::generate(TpchScale::tiny());
         assert_eq!(
-            data.ord.distinct_values("okey").unwrap().len(),
-            data.ord.len()
+            data.table("Ord").distinct_values("okey").unwrap().len(),
+            data.table("Ord").len()
         );
         assert_eq!(
-            data.cust.distinct_values("ckey").unwrap().len(),
-            data.cust.len()
+            data.table("Cust").distinct_values("ckey").unwrap().len(),
+            data.table("Cust").len()
         );
         assert_eq!(
-            data.part.distinct_values("pkey").unwrap().len(),
-            data.part.len()
+            data.table("Part").distinct_values("pkey").unwrap().len(),
+            data.table("Part").len()
         );
     }
 
     #[test]
     fn value_domains_match_the_query_constants() {
         let data = TpchData::generate(TpchScale::tiny());
-        let segments = data.cust.distinct_values("mktsegment").unwrap();
+        let segments = data.table("Cust").distinct_values("mktsegment").unwrap();
         assert!(segments.contains(&Value::str("BUILDING")));
-        let names = data.nation.distinct_values("nname").unwrap();
+        let names = data.table("Nation").distinct_values("nname").unwrap();
         assert!(names.contains(&Value::str("FRANCE")));
         assert!(names.contains(&Value::str("GERMANY")));
-        let modes = data.item.distinct_values("shipmode").unwrap();
+        let modes = data.table("Item").distinct_values("shipmode").unwrap();
         assert!(modes.contains(&Value::str("MAIL")));
     }
 

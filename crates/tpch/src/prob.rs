@@ -6,15 +6,18 @@
 //! which are what make the paper's signature refinements and FD-reducts
 //! kick in — are declared on the catalog.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pdb_storage::{Catalog, ColumnarTable, ProbTable, StorageResult, Table, VariableGenerator};
+use pdb_storage::{Catalog, ColumnarTable, ProbTable, StorageResult, VariableGenerator};
 
 use crate::gen::TpchData;
 
-/// Converts the deterministic tables into a probabilistic catalog, declaring
-/// the TPC-H keys.
+/// Converts the deterministic tables into a probabilistic catalog of row
+/// tables built from [`TpchData::table`]'s decoded views, declaring the
+/// TPC-H keys.
 ///
 /// `seed` controls the random probability assignment; the variable ids are
 /// assigned sequentially across tables, mirroring the paper's "distinct
@@ -27,8 +30,10 @@ pub fn probabilistic_catalog(data: &TpchData, seed: u64) -> StorageResult<Catalo
 /// tuples, variables and probabilities (the RNG sequence is identical), but
 /// every table is registered as a [`ColumnarTable`] — typed column vectors,
 /// chunked row groups, per-chunk zone maps — so scans take the vectorized
-/// zone-map fast path. Query results are bitwise-identical to the row
-/// catalog's; the row catalog remains the A/B control.
+/// zone-map fast path. The tables share `data`'s columns without copying
+/// them; only the variables and probabilities are drawn here. Query results
+/// are bitwise-identical to the row catalog's; the row catalog remains the
+/// A/B control.
 pub fn probabilistic_catalog_columnar(data: &TpchData, seed: u64) -> StorageResult<Catalog> {
     build_catalog(data, seed, true)
 }
@@ -37,9 +42,8 @@ fn build_catalog(data: &TpchData, seed: u64, columnar: bool) -> StorageResult<Ca
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut gen = VariableGenerator::new();
     let catalog = Catalog::new();
-    let pool = pdb_par::Pool::from_env();
 
-    let mut register = |name: &str, table: &Table| -> StorageResult<()> {
+    for (name, columns) in data.tables() {
         // Probabilities in (0.05, 1.0]: away from zero so no tuple is
         // trivially absent, and including certain tuples.
         let mut draw = || {
@@ -47,26 +51,17 @@ fn build_catalog(data: &TpchData, seed: u64, columnar: bool) -> StorageResult<Ca
             (p * 100.0).round() / 100.0
         };
         if columnar {
-            // The columns are built from the generator's rows where they
-            // lie: no row copy of the table exists on this arm.
-            let vars = (0..table.len()).map(|_| gen.fresh()).collect();
-            let probs = (0..table.len()).map(|_| draw()).collect();
-            catalog.register_columnar(name, ColumnarTable::from_table(table, vars, probs, &pool)?)
+            // The table shares the generator's columns: only the variables
+            // and probabilities are new.
+            let vars = (0..columns.len()).map(|_| gen.fresh()).collect();
+            let probs = (0..columns.len()).map(|_| draw()).collect();
+            catalog
+                .register_columnar(name, ColumnarTable::new(Arc::clone(columns), vars, probs)?)?;
         } else {
-            let prob = ProbTable::from_table(table.clone(), &mut gen, |_| draw())?;
-            catalog.register_table(name, prob)
+            let prob = ProbTable::from_table(columns.to_table(), &mut gen, |_| draw())?;
+            catalog.register_table(name, prob)?;
         }
-    };
-
-    register("Region", &data.region)?;
-    register("Nation", &data.nation)?;
-    register("NationC", &data.nation_c)?;
-    register("Supp", &data.supp)?;
-    register("Cust", &data.cust)?;
-    register("Part", &data.part)?;
-    register("Psupp", &data.psupp)?;
-    register("Ord", &data.ord)?;
-    register("Item", &data.item)?;
+    }
 
     catalog.declare_key("Region", &["rkey"])?;
     catalog.declare_key("Nation", &["nkey"])?;

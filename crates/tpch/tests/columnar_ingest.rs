@@ -1,9 +1,14 @@
-//! The columnar catalog against the detour it no longer takes.
+//! The columnar catalog against the builds it replaced, and its sharing.
 //!
-//! Before `build_catalog` read the generator's rows in place it cloned each
-//! table, annotated the clone into a `ProbTable` and converted that copy.
-//! Replayed here table by table, with the same seed: the tables must be
-//! `==` — columns, dictionaries, zone maps, variables, probabilities.
+//! `probabilistic_catalog_columnar` registers tables that share the
+//! generator's columns and only draw their variables and probabilities.
+//! Replayed here table by table, with the same seed, over the decoded row
+//! view `TpchData::table`: every catalog table must be `==` — columns,
+//! dictionaries, zone maps, variables, probabilities — to
+//! `ColumnarTable::from_table` over those rows, and to the clone, annotate
+//! and convert build the set-up once took.
+
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -18,27 +23,39 @@ fn all_nine_tables_equal_the_clone_annotate_convert_build() {
     let mut rng = SmallRng::seed_from_u64(1);
     let mut gen = VariableGenerator::new();
     let pool = pdb_par::Pool::from_env();
-    let tables = [
-        ("Region", &data.region),
-        ("Nation", &data.nation),
-        ("NationC", &data.nation_c),
-        ("Supp", &data.supp),
-        ("Cust", &data.cust),
-        ("Part", &data.part),
-        ("Psupp", &data.psupp),
-        ("Ord", &data.ord),
-        ("Item", &data.item),
-    ];
-    for (name, table) in tables {
+    for (name, _) in data.tables() {
+        let table = data.table(name);
         let prob = ProbTable::from_table(table.clone(), &mut gen, |_| {
             let p: f64 = rng.gen_range(0.05..=1.0);
             (p * 100.0).round() / 100.0
         })
         .unwrap();
-        let expected = ColumnarTable::from_prob_table(&prob, &pool).unwrap();
+        let (vars, probs) = (prob.vars().to_vec(), prob.probs().to_vec());
+        let from_rows = ColumnarTable::from_table(&table, vars, probs, &pool).unwrap();
         let StorageBacking::Columnar(got) = catalog.backing(name).unwrap() else {
             panic!("{name} is columnar");
         };
-        assert_eq!(*got, expected, "{name}");
+        assert_eq!(*got, from_rows, "{name}: from_table");
+        assert_eq!(
+            *got,
+            ColumnarTable::from_prob_table(&prob, &pool).unwrap(),
+            "{name}: from_prob_table"
+        );
+    }
+}
+
+#[test]
+fn every_catalog_table_shares_the_generated_columns() {
+    let data = TpchData::generate(TpchScale::tiny());
+    let catalog = probabilistic_catalog_columnar(&data, 1).unwrap();
+    assert_eq!(data.tables().count(), 9);
+    for (name, columns) in data.tables() {
+        let StorageBacking::Columnar(got) = catalog.backing(name).unwrap() else {
+            panic!("{name} is columnar");
+        };
+        assert!(
+            Arc::ptr_eq(got.data(), columns),
+            "{name} copies its columns"
+        );
     }
 }
