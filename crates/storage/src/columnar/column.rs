@@ -18,7 +18,8 @@
 
 use std::sync::Arc;
 
-use crate::schema::DataType;
+use crate::error::{StorageError, StorageResult};
+use crate::schema::{Column, DataType};
 use crate::value::Value;
 
 /// A null bitmap: bit `r` is set iff row `r` is SQL NULL.
@@ -57,6 +58,16 @@ impl NullBitmap {
                 .sum();
         }
         range.filter(|&r| self.is_null(r)).count()
+    }
+
+    /// Whether the bitmap is sized for exactly `rows` rows, with no bit set
+    /// beyond them.
+    fn fits(&self, rows: usize) -> bool {
+        self.words.len() == rows.div_ceil(64)
+            && self
+                .words
+                .last()
+                .is_none_or(|w| rows.is_multiple_of(64) || w >> (rows % 64) == 0)
     }
 
     /// Sizes the bitmap for `rows` rows; new rows are valid.
@@ -206,6 +217,77 @@ impl ColumnData {
             }
         };
         non_null + has_null as usize
+    }
+
+    /// Number of rows stored.
+    pub(super) fn rows(&self) -> usize {
+        match self {
+            ColumnData::Int { values, .. } => values.len(),
+            ColumnData::Float { values, .. } => values.len(),
+            ColumnData::Str { codes, .. } => codes.len(),
+            ColumnData::Date { values, .. } => values.len(),
+            ColumnData::Bool { values, .. } => values.len(),
+            ColumnData::Mixed { values } => values.len(),
+        }
+    }
+
+    /// Checks that `self` is typed storage of `column`'s declared type
+    /// holding `rows` rows, whose valid string cells index its dictionary.
+    pub(super) fn check(&self, column: &Column, rows: usize) -> StorageResult<()> {
+        let name = || column.name.clone();
+        let nulls = match (self, column.data_type) {
+            (ColumnData::Int { nulls, .. }, DataType::Int)
+            | (ColumnData::Float { nulls, .. }, DataType::Float)
+            | (ColumnData::Str { nulls, .. }, DataType::Str)
+            | (ColumnData::Date { nulls, .. }, DataType::Date)
+            | (ColumnData::Bool { nulls, .. }, DataType::Bool) => nulls,
+            (_, expected) => {
+                let column = name();
+                return Err(StorageError::ColumnType { column, expected });
+            }
+        };
+        let held = self.rows();
+        let actual = if nulls.fits(held) {
+            held
+        } else {
+            64 * nulls.words.len()
+        };
+        if actual != rows {
+            let (column, expected) = (name(), rows);
+            return Err(StorageError::ColumnLength {
+                column,
+                expected,
+                actual,
+            });
+        }
+        if let ColumnData::Str { dict, codes, .. } = self {
+            let mut valid = codes.iter().enumerate().filter(|&(r, _)| !nulls.is_null(r));
+            if let Some((_, &code)) = valid.find(|&(_, &code)| code as usize >= dict.len()) {
+                let (column, dictionary) = (name(), dict.len());
+                return Err(StorageError::CodeOutOfRange {
+                    column,
+                    code,
+                    dictionary,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Grows or cuts the column to `rows` rows; new rows are valid zeros
+    /// (NULL in a mixed column).
+    pub(super) fn resize(&mut self, rows: usize) {
+        match self {
+            ColumnData::Int { values, .. } => values.resize(rows, 0),
+            ColumnData::Float { values, .. } => values.resize(rows, 0.0),
+            ColumnData::Str { codes, .. } => codes.resize(rows, 0),
+            ColumnData::Date { values, .. } => values.resize(rows, 0),
+            ColumnData::Bool { values, .. } => values.resize(rows, false),
+            ColumnData::Mixed { values } => values.resize(rows, Value::Null),
+        }
+        if let Some(nulls) = self.nulls_mut() {
+            nulls.resize(rows);
+        }
     }
 
     /// The null bitmap, unless the column is mixed.

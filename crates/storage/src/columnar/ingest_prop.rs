@@ -1,11 +1,13 @@
-//! The row-major ingest held to the two-pass build it replaced.
+//! The row-major ingest held to the two-pass build it replaced, and the
+//! typed statistics kernel held to `ZoneMap::build`.
 //!
 //! [`reference`] is that build, verbatim: per column, one pass for the
 //! canonical-variant check and the chunks' `BTreeSet`s of strings, one pass
-//! to fill — a `binary_search` per string cell. It shares nothing with
-//! [`ColumnarTable::from_table`] but `ZoneMapBuilder`, so `==` between the
-//! two (columns, dictionaries, null bitmaps, every [`ZoneMap`] field) is the
-//! statement that ingest still produces the table it produced before.
+//! to fill — a `binary_search` per string cell — and `ZoneMapBuilder` for
+//! every chunk, where [`ColumnarTable::from_table`] runs the typed kernel.
+//! So `==` between the two (columns, dictionaries, null bitmaps, every
+//! [`ZoneMap`] field) is the statement that ingest still produces the table
+//! it produced before.
 
 use std::sync::Arc;
 
@@ -13,7 +15,10 @@ use pdb_par::Pool;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use super::{ColumnData, ColumnarBuilder, ColumnarTable, ZoneMap};
+use super::zone::KeySet;
+use super::{
+    bloom_key_str, chunk_zone, ColumnData, ColumnarBuilder, ColumnarTable, NullBitmap, ZoneMap,
+};
 use crate::error::StorageError;
 use crate::schema::{DataType, Schema};
 use crate::table::{ProbTable, Table};
@@ -518,6 +523,102 @@ proptest! {
             ColumnarTable::from_prob_table_chunked(&table, &pool, chunk_rows).unwrap()
         };
         prop_assert!(built == whole, "one push");
+    }
+}
+
+/// Chunk lengths the kernel is held to the definition at.
+const KERNEL_ROWS: [usize; 5] = [1, 63, 64, 65, 1024];
+
+/// A typed column of `rows` rows of type `TYPES[ty]`. One cell in `null_den`
+/// is NULL (0: none, 1: all). With `wide`, integers sit beyond ±2⁵³, where
+/// neighbours share an `f64` and so a bloom key, floats mix NaN and the
+/// infinities in, and strings and dates spread over more values than a
+/// filter holds before it saturates. String codes are ranks into a sorted
+/// dictionary, as after the finish.
+fn random_column(seed: u64, ty: usize, rows: usize, null_den: u32, wide: bool) -> ColumnData {
+    let mut rng = TestRng::seed_from_u64(seed);
+    let mut nulls = NullBitmap::new(rows);
+    for r in 0..rows {
+        if null_den == 1 || (null_den > 1 && rng.gen_range(0..null_den) == 0) {
+            nulls.set_null(r);
+        }
+    }
+    let span = if wide { 4 * rows as i64 + 80 } else { 12 };
+    match TYPES[ty] {
+        DataType::Int => {
+            let base = if wide { 1i64 << 53 } else { 0 };
+            let values = (0..rows)
+                .map(|_| rng.gen_range(-3i64..4) * base + rng.gen_range(-span..span))
+                .collect();
+            ColumnData::Int { values, nulls }
+        }
+        DataType::Float => {
+            // Narrow columns lie on one side of zero, so a bound is a tie of
+            // -0.0 and 0.0 in whichever order they came.
+            let special = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+            let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            let values = (0..rows)
+                .map(|_| match rng.gen_range(0..10) {
+                    k @ 0..=4 if wide => special[k],
+                    k @ 0..=3 => special[1 + k % 2],
+                    _ if wide => rng.gen_range(-span..span) as f64 / 4.0,
+                    _ => sign * rng.gen_range(1..span) as f64 / 4.0,
+                })
+                .collect();
+            ColumnData::Float { values, nulls }
+        }
+        DataType::Date => {
+            let values = (0..rows)
+                .map(|_| rng.gen_range(-span..span) as i32)
+                .collect();
+            ColumnData::Date { values, nulls }
+        }
+        DataType::Bool => {
+            let values = (0..rows).map(|_| rng.gen_bool(0.5)).collect();
+            ColumnData::Bool { values, nulls }
+        }
+        DataType::Str => {
+            let mut dict: Vec<Arc<str>> = (0..span).map(|i| Arc::from(format!("s{i}"))).collect();
+            dict.sort();
+            let codes = (0..rows).map(|_| rng.gen_range(0..span as u32)).collect();
+            ColumnData::Str { dict, codes, nulls }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn the_kernel_summarises_a_typed_chunk_as_the_definition_does(
+        seed in 1u64..u64::MAX / 2,
+        rows in 0usize..KERNEL_ROWS.len(),
+        offset in 0usize..3,
+        null_den in 0u32..4,
+        wide in proptest::bool::ANY,
+    ) {
+        // The chunk starts after `offset` others of 64 or 1 024 rows; one
+        // scratch set summarises every chunk of every type in turn.
+        let offset = [0, 64, 1024][offset];
+        let rows = KERNEL_ROWS[rows];
+        let mut set = KeySet::default();
+        for ty in 0..TYPES.len() {
+            let column = random_column(seed, ty, offset + rows, null_den, wide);
+            let keys: Vec<u64> = match &column {
+                ColumnData::Str { dict, .. } => dict.iter().map(|s| bloom_key_str(s)).collect(),
+                _ => Vec::new(),
+            };
+            for chunk in [0..offset, offset..offset + rows] {
+            let decoded: Vec<Value> = chunk.clone().map(|r| column.value(r)).collect();
+            let want = ZoneMap::build(decoded.iter());
+            let got = chunk_zone(&column, &keys, chunk, &mut set);
+            prop_assert_eq!(&got, &want);
+            // `Value`'s `==` cannot tell -0.0 from 0.0: the first-seen tie
+            // shows in the debug text.
+            prop_assert_eq!(format!("{:?}", got.min), format!("{:?}", want.min));
+            prop_assert_eq!(format!("{:?}", got.max), format!("{:?}", want.max));
+            }
+        }
     }
 }
 

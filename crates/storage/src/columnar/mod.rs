@@ -23,17 +23,23 @@
 //! a columnar scan can be — and is, in `pdb-exec` — **bitwise-identical**
 //! to the row-at-a-time scan: same values, same lineage, same row order.
 //!
-//! Ingest is incremental: a [`ColumnarBuilder`] takes rows in pieces of any
-//! size ([`ColumnarBuilder::push`]) and sweeps each chunk once it is whole,
-//! chunk-parallel on [`pdb_par::Pool`]: one row-major sweep per chunk writes
-//! every column's cells into the chunk's window of the typed vectors, builds
-//! the zone maps and interns strings to chunk-local ids. A column that meets
-//! a non-canonical variant in a later piece turns [`ColumnData::Mixed`] by
+//! There are two front doors and one finish. [`ColumnarData::from_columns`]
+//! takes whole typed columns — string columns as codes into an unranked
+//! dictionary — checks them against the schema and keeps them as the
+//! table's storage without a copy; the TPC-H generator builds its tables
+//! through it. A [`ColumnarBuilder`] takes rows in pieces of any size
+//! ([`ColumnarBuilder::push`]) and scatters their cells into the typed
+//! vectors and each string into its column's unranked dictionary. A column
+//! that meets a non-canonical variant turns [`ColumnData::Mixed`] by
 //! decoding its earlier cells, which the decode contract makes exact.
-//! [`ColumnarBuilder::finish`] merges and sorts the chunk dictionaries and
-//! re-ranks the ids, so the table is the same at every thread count and
-//! however its rows were cut into pieces. [`ColumnarTable::from_table`] and
-//! [`ColumnarTable::from_prob_table`] are one push of all their rows.
+//! Both end in the same finish, chunk-parallel on [`pdb_par::Pool`]: every
+//! string column's dictionary is sorted and its codes re-ranked, then the
+//! zone maps are built — typed columns by one statistics kernel over each
+//! chunk's cells and null words, with no `Value` per cell, `Mixed` columns
+//! by [`ZoneMap::build`]. The table depends on its values alone: not on the
+//! pool size, the front door, or where the pieces were cut.
+//! [`ColumnarTable::from_table`] and [`ColumnarTable::from_prob_table`] are
+//! one push of all their rows.
 
 mod column;
 mod zone;
@@ -45,16 +51,17 @@ pub use zone::{
 };
 
 use std::collections::HashMap;
-use std::iter::once;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pdb_par::Pool;
+use zone::{bool_key, date_key, float_key, typed_zone, KeySet};
 
 use crate::error::{StorageError, StorageResult};
 use crate::schema::{DataType, Schema};
 use crate::table::{ProbTable, Table};
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{total_f64_cmp, Value};
 use crate::variable::{Probability, Variable};
 
 /// Rows per chunk (row group). A multiple of 64 so chunk boundaries are
@@ -102,6 +109,84 @@ impl ColumnarData {
         table.rows_mut().extend((0..self.len).map(|r| self.row(r)));
         table
     }
+
+    /// The typed front door: `columns[c]` becomes column `c`'s storage
+    /// without a copy, cut into `chunk_rows`-row chunks, and the zone maps
+    /// are built on `pool`. A string column arrives as codes into an
+    /// unranked dictionary (its order, repeats and unused entries are
+    /// free); it leaves ranked, as every string column is. The value under
+    /// a NULL is kept, except a string code, which becomes 0. The result is
+    /// `==` to a [`ColumnarBuilder`]'s over the same rows.
+    ///
+    /// # Errors
+    /// Fails on a chunk size that is zero or not a multiple of 64, on a
+    /// column count other than the schema's, and on a column that is not
+    /// typed storage of its declared type, does not hold as many rows as
+    /// the first column, or has a valid row whose code is outside its
+    /// dictionary.
+    pub fn from_columns(
+        schema: Schema,
+        chunk_rows: usize,
+        columns: Vec<ColumnData>,
+        pool: &Pool,
+    ) -> StorageResult<ColumnarData> {
+        check_chunk_rows(chunk_rows)?;
+        if columns.len() != schema.len() {
+            return Err(StorageError::ArityMismatch {
+                expected: schema.len(),
+                actual: columns.len(),
+            });
+        }
+        let len = columns.first().map_or(0, ColumnData::rows);
+        for (column, data) in schema.columns().iter().zip(&columns) {
+            data.check(column, len)?;
+        }
+        let data = ColumnarData {
+            schema,
+            len,
+            chunk_rows,
+            columns,
+            zones: Vec::new(),
+        };
+        Ok(data.finish(pool))
+    }
+
+    /// The finish of both front doors: ranks every string column, then
+    /// builds every zone map, chunk-parallel.
+    fn finish(mut self, pool: &Pool) -> ColumnarData {
+        let chunks: Vec<Range<usize>> = (0..self.len)
+            .step_by(self.chunk_rows)
+            .map(|start| start..(start + self.chunk_rows).min(self.len))
+            .collect();
+        let cuts: Vec<usize> = chunks.iter().map(|chunk| chunk.start).collect();
+        let keys: Vec<Vec<u64>> = (self.columns.iter_mut())
+            .map(|column| match column {
+                ColumnData::Str { dict, codes, nulls } => {
+                    rank_strings(dict, codes, nulls, &cuts, pool)
+                }
+                _ => Vec::new(),
+            })
+            .collect();
+        let columns = &self.columns;
+        let by_chunk = pool.map_ranges(&chunks, |chunk| {
+            let mut set = KeySet::default();
+            let zone =
+                |(column, keys): (_, &Vec<u64>)| chunk_zone(column, keys, chunk.clone(), &mut set);
+            columns.iter().zip(&keys).map(zone).collect::<Vec<_>>()
+        });
+        self.zones = (self.columns.iter())
+            .map(|_| Vec::with_capacity(chunks.len()))
+            .collect();
+        for chunk in by_chunk {
+            for (zones, zone) in self.zones.iter_mut().zip(chunk) {
+                zones.push(zone);
+            }
+        }
+        for column in &mut self.columns {
+            column.shrink_to_fit();
+        }
+        self
+    }
 }
 
 /// A tuple-independent probabilistic relation stored column-major with
@@ -138,10 +223,9 @@ impl ColumnarTable {
         Ok(ColumnarTable { data, vars, probs })
     }
 
-    /// Builds the columns from borrowed rows, chunk-parallel on `pool`:
-    /// one [`ColumnarBuilder::push`] of every row. `vars[r]` and `probs[r]`
-    /// annotate row `r`. Only the rows of a last, partial chunk are copied,
-    /// and the result is identical at every pool size.
+    /// Builds the columns from borrowed rows: one [`ColumnarBuilder::push`]
+    /// of every row, finished on `pool`. `vars[r]` and `probs[r]` annotate
+    /// row `r`. The result is identical at every pool size.
     ///
     /// # Errors
     /// Fails on a probability outside `(0, 1]`.
@@ -267,8 +351,10 @@ impl ColumnarTable {
         Ok(self.data.columns[c].distinct_count(self.data.len))
     }
 
-    /// The largest per-chunk distinct-count hint for column `name`: an
-    /// upper bound on how many distinct values any single chunk holds.
+    /// The largest per-chunk distinct-count hint for column `name`. A hint
+    /// counts a chunk's distinct bloom keys, which key collisions can only
+    /// lower, so this is a lower bound on the most distinct values any
+    /// single chunk holds (exact unless a chunk's values share a key).
     /// Planners use it to estimate how many chunks an equality predicate
     /// can skip (a column whose chunks each hold few of the table's
     /// distinct values prunes well).
@@ -301,160 +387,74 @@ impl ColumnarTable {
     }
 }
 
-/// Incremental ingest: rows arrive in pieces of any size, each chunk is
-/// swept once it is whole, and [`ColumnarBuilder::finish`] ranks the string
-/// columns. The result depends on the rows alone — not on the pool size or
-/// on where the pieces were cut.
+/// Row ingest: rows arrive in pieces of any size and are scattered into
+/// typed columns, each string column's cells into one unranked dictionary
+/// of its own copies of the strings; [`ColumnarBuilder::finish`] is
+/// [`ColumnarData::from_columns`]'s finish. A column that meets a
+/// non-canonical variant turns [`ColumnData::Mixed`] by decoding its
+/// earlier cells, which the decode contract makes exact. The result depends
+/// on the rows alone — not on the pool size or on where the pieces were cut.
 pub struct ColumnarBuilder {
     pool: Pool,
     data: ColumnarData,
-    /// `locals[c][k]`: chunk `k`'s dictionary of string column `c`, its own
-    /// copies of the strings in first-seen order (empty for other columns).
-    locals: Vec<Vec<Vec<Arc<str>>>>,
-    /// Copies of the rows of the chunk still filling: fewer than a chunk.
-    tail: Vec<Tuple>,
+    /// Per column, the dictionary index of every string it holds.
+    ids: Vec<HashMap<Arc<str>, u32>>,
 }
 
 impl ColumnarBuilder {
     /// An empty builder for rows of `schema`, cut into `chunk_rows`-row
-    /// chunks and swept on `pool`.
+    /// chunks and finished on `pool`.
     ///
     /// # Errors
     /// Fails if `chunk_rows` is zero or not a multiple of 64 (chunk
     /// boundaries must be null-bitmap word boundaries).
     pub fn new(schema: Schema, chunk_rows: usize, pool: &Pool) -> StorageResult<ColumnarBuilder> {
-        if chunk_rows == 0 || !chunk_rows.is_multiple_of(64) {
-            return Err(StorageError::InvalidChunkSize(chunk_rows));
-        }
+        check_chunk_rows(chunk_rows)?;
         let columns = schema
             .columns()
             .iter()
             .map(|col| blank_column(col.data_type))
             .collect();
-        let width = schema.len();
         Ok(ColumnarBuilder {
             pool: *pool,
+            ids: vec![HashMap::new(); schema.len()],
             data: ColumnarData {
                 schema,
                 len: 0,
                 chunk_rows,
                 columns,
-                zones: vec![Vec::new(); width],
+                zones: Vec::new(),
             },
-            locals: vec![Vec::new(); width],
-            tail: Vec::new(),
         })
     }
 
-    /// Appends `rows`. Whole chunks are swept now; the rows of a chunk left
-    /// incomplete are copied and wait for the next piece or for `finish`.
+    /// Appends `rows`.
     ///
     /// # Panics
     /// On a row without one cell per column.
-    pub fn push(&mut self, mut rows: &[Tuple]) {
-        let chunk_rows = self.data.chunk_rows;
-        if !self.tail.is_empty() {
-            let fill = (chunk_rows - self.tail.len()).min(rows.len());
-            self.tail.extend_from_slice(&rows[..fill]);
-            rows = &rows[fill..];
-            if self.tail.len() < chunk_rows {
-                return;
-            }
-            let chunk = std::mem::take(&mut self.tail);
-            self.sweep(&chunk);
-            self.tail = chunk;
-            self.tail.clear();
+    pub fn push(&mut self, rows: &[Tuple]) {
+        let (start, end) = (self.data.len, self.data.len + rows.len());
+        for column in &mut self.data.columns {
+            column.resize(end);
         }
-        let whole = rows.len() - rows.len() % chunk_rows;
-        self.sweep(&rows[..whole]);
-        self.tail.extend_from_slice(&rows[whole..]);
+        for (r, row) in (start..).zip(rows) {
+            assert_eq!(row.arity(), self.ids.len(), "a row has one cell per column");
+            let columns = self.data.columns.iter_mut().zip(&mut self.ids);
+            for ((column, ids), v) in columns.zip(row.values()) {
+                scatter(column, ids, r, v);
+            }
+        }
+        self.data.len = end;
     }
 
-    /// Sweeps the last, partial chunk and ranks every string column.
-    pub fn finish(mut self) -> ColumnarData {
-        let tail = std::mem::take(&mut self.tail);
-        self.sweep(&tail);
-        let data = &mut self.data;
-        let cuts: Vec<usize> = (0..data.len).step_by(data.chunk_rows).collect();
-        for ((column, zones), locals) in data
-            .columns
-            .iter_mut()
-            .zip(&mut data.zones)
-            .zip(&self.locals)
-        {
-            if let ColumnData::Str { dict, codes, .. } = column {
-                *zones = rank_strings(dict, codes, &cuts, zones, locals, &self.pool);
-            }
-            column.shrink_to_fit();
-            zones.shrink_to_fit();
-        }
-        self.data
-    }
-
-    /// Appends whole chunks (or the final partial one): one row-major sweep
-    /// per chunk, chunk-parallel.
-    fn sweep(&mut self, rows: &[Tuple]) {
-        if rows.is_empty() {
-            return;
-        }
-        let (start, chunk_rows) = (self.data.len, self.data.chunk_rows);
-        let chunks: Vec<&[Tuple]> = rows.chunks(chunk_rows).collect();
-        let cuts: Vec<usize> = (0..rows.len()).step_by(chunk_rows).collect();
-        let mut swept = {
-            // Chunk k's feeds are its windows of every column, in schema order.
-            let mut feeds: Vec<Vec<Feed>> = chunks.iter().map(|_| Vec::new()).collect();
-            for column in &mut self.data.columns {
-                open_windows(column, start, rows.len(), chunk_rows, &mut feeds);
-            }
-            let each: Vec<usize> = (0..chunks.len()).collect();
-            self.pool.map_slices_mut(&mut feeds, &each, |k, feed| {
-                sweep(chunks[k], std::mem::take(&mut feed[0]))
-            })
-        };
-        self.data.len += rows.len();
-
-        let columns = self.data.columns.iter_mut().zip(&mut self.data.zones);
-        for (c, ((column, zones), locals)) in columns.zip(&mut self.locals).enumerate() {
-            let partial = swept.iter_mut().map(|chunk| chunk[c].0.take());
-            if let Some(partial) = partial.collect::<Option<Vec<ZoneMap>>>() {
-                zones.extend(partial);
-                if let ColumnData::Str { .. } = column {
-                    locals.extend(
-                        swept
-                            .iter_mut()
-                            .map(|chunk| std::mem::take(&mut chunk[c].1)),
-                    );
-                }
-                continue;
-            }
-            // Mixed storage: the original values verbatim, earlier cells decoded.
-            let was_typed = !matches!(column, ColumnData::Mixed { .. });
-            let mut values = into_values(column, locals, chunk_rows, start);
-            if was_typed {
-                // Summarise the decoded chunks as a mixed column's.
-                let earlier: Vec<usize> = (0..start).step_by(chunk_rows).collect();
-                *zones = self.pool.map_slices_mut(&mut values, &earlier, |_, slice| {
-                    ZoneMap::build(slice.iter())
-                });
-            }
-            locals.clear();
-            values.resize(start + rows.len(), Value::Null);
-            zones.extend(
-                self.pool
-                    .map_slices_mut(&mut values[start..], &cuts, |k, slice| {
-                        for (slot, row) in slice.iter_mut().zip(chunks[k]) {
-                            *slot = row.value(c).clone();
-                        }
-                        ZoneMap::build(slice.iter())
-                    }),
-            );
-            *column = ColumnData::Mixed { values };
-        }
+    /// Ranks the string columns and builds the zone maps.
+    pub fn finish(self) -> ColumnarData {
+        self.data.finish(&self.pool)
     }
 }
 
-/// Empty typed storage of `data_type`: what the sweep fills speculatively,
-/// before any cell's variant is known.
+/// Empty typed storage of `data_type`: what the builder fills
+/// speculatively, before any cell's variant is known.
 fn blank_column(data_type: DataType) -> ColumnData {
     let nulls = NullBitmap::new(0);
     match data_type {
@@ -482,207 +482,121 @@ fn blank_column(data_type: DataType) -> ColumnData {
     }
 }
 
-/// The `rows` swept cells of `column` as `Value`s, leaving it empty. String
-/// cells still hold chunk-local ids into `locals`.
-fn into_values(
-    column: &mut ColumnData,
-    locals: &[Vec<Arc<str>>],
-    chunk_rows: usize,
-    rows: usize,
-) -> Vec<Value> {
-    let column = std::mem::replace(column, ColumnData::Mixed { values: Vec::new() });
-    match column {
-        ColumnData::Mixed { values } => values,
-        ColumnData::Str { codes, nulls, .. } => (0..rows)
-            .map(|r| {
-                if nulls.is_null(r) {
-                    Value::Null
-                } else {
-                    Value::Str(locals[r / chunk_rows][codes[r] as usize - 1].clone())
+/// Writes `v` as row `r` of `column`, whose string `ids` index its
+/// dictionary. A non-canonical variant turns a typed column `Mixed`: its
+/// rows before `r` are decoded, the rows after it are still to come.
+fn scatter(column: &mut ColumnData, ids: &mut HashMap<Arc<str>, u32>, r: usize, v: &Value) {
+    match (&mut *column, v) {
+        (ColumnData::Mixed { values }, v) => values[r] = v.clone(),
+        (typed, Value::Null) => typed.nulls_mut().expect("typed").set_null(r),
+        (ColumnData::Int { values, .. }, Value::Int(x)) => values[r] = *x,
+        (ColumnData::Float { values, .. }, Value::Float(x)) => values[r] = *x,
+        (ColumnData::Date { values, .. }, Value::Date(x)) => values[r] = *x,
+        (ColumnData::Bool { values, .. }, Value::Bool(x)) => values[r] = *x,
+        (ColumnData::Str { dict, codes, .. }, Value::Str(s)) => {
+            codes[r] = match ids.get(&**s) {
+                Some(&id) => id,
+                None => {
+                    let id = dict.len() as u32;
+                    dict.push(Arc::from(&**s));
+                    ids.insert(Arc::clone(&dict[id as usize]), id);
+                    id
                 }
-            })
-            .collect(),
-        typed => (0..rows).map(|r| typed.value(r)).collect(),
-    }
-}
-
-/// One chunk's cells of one typed column, writable in place.
-enum Window<'s> {
-    Int(&'s mut [i64]),
-    Float(&'s mut [f64]),
-    Date(&'s mut [i32]),
-    Bool(&'s mut [bool]),
-    Str(&'s mut [u32]),
-}
-
-/// What one chunk's sweep keeps per column.
-#[derive(Default)]
-struct Feed<'a, 's> {
-    /// `None` once the chunk met a non-canonical variant in the column, and
-    /// from the start in a column that is already mixed.
-    window: Option<Window<'s>>,
-    /// The chunk's own null-bitmap words: chunk sizes are multiples of 64.
-    words: &'s mut [u64],
-    /// Bounds under `Value`'s total order (NaN greatest, -0.0 == 0.0),
-    /// bloom filter and distinct hint; of a string column, only its NULLs.
-    stats: ZoneMapBuilder,
-    strings: Interner<'a>,
-}
-
-/// A swept chunk's summary of one column: the zone map (`None`: a
-/// non-canonical variant) and, for strings, the chunk dictionary.
-type Swept = (Option<ZoneMap>, Vec<Arc<str>>);
-
-/// Grows typed `column` by `rows` zero, valid rows from row `start` on and
-/// deals their windows out to the chunks' feeds, `n` rows each.
-fn open_windows<'s>(
-    column: &'s mut ColumnData,
-    start: usize,
-    rows: usize,
-    n: usize,
-    feeds: &mut [Vec<Feed<'_, 's>>],
-) {
-    let end = start + rows;
-    if let Some(nulls) = column.nulls_mut() {
-        nulls.resize(end);
-    }
-    let (cells, nulls): (Vec<Window>, _) = match column {
-        ColumnData::Int { values: v, nulls } => {
-            v.resize(end, 0);
-            (v[start..].chunks_mut(n).map(Window::Int).collect(), nulls)
-        }
-        ColumnData::Float { values: v, nulls } => {
-            v.resize(end, 0.0);
-            (v[start..].chunks_mut(n).map(Window::Float).collect(), nulls)
-        }
-        ColumnData::Date { values: v, nulls } => {
-            v.resize(end, 0);
-            (v[start..].chunks_mut(n).map(Window::Date).collect(), nulls)
-        }
-        ColumnData::Bool { values: v, nulls } => {
-            v.resize(end, false);
-            (v[start..].chunks_mut(n).map(Window::Bool).collect(), nulls)
-        }
-        ColumnData::Str { codes, nulls, .. } => {
-            codes.resize(end, 0);
-            (
-                codes[start..].chunks_mut(n).map(Window::Str).collect(),
-                nulls,
-            )
-        }
-        ColumnData::Mixed { .. } => {
-            for feed in feeds {
-                feed.push(Feed::default());
-            }
-            return;
-        }
-    };
-    let words = nulls.words_mut()[start / 64..].chunks_mut(n / 64);
-    for ((window, words), feed) in cells.into_iter().zip(words).zip(feeds) {
-        feed.push(Feed {
-            window: Some(window),
-            words,
-            stats: ZoneMapBuilder::new(),
-            strings: Interner::default(),
-        });
-    }
-}
-
-/// A chunk's string dictionary in insertion order. A cell's id is its
-/// string's index plus one; 0 stays the code of NULL rows. It borrows the
-/// chunk's rows, so it lives no longer than one sweep.
-#[derive(Default)]
-struct Interner<'a> {
-    dict: Vec<&'a Arc<str>>,
-    ids: HashMap<&'a str, u32>,
-    /// Direct-mapped on the allocation's address: a cell sharing its `Arc`
-    /// with an earlier cell is interned without hashing the string.
-    recent: [Option<(&'a Arc<str>, u32)>; 16],
-}
-
-impl<'a> Interner<'a> {
-    fn id(&mut self, s: &'a Arc<str>) -> u32 {
-        let address = Arc::as_ptr(s) as *const u8 as usize;
-        let slot = address.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (usize::BITS - 4);
-        if let Some((seen, id)) = self.recent[slot] {
-            if Arc::ptr_eq(seen, s) {
-                return id;
             }
         }
-        let id = *self.ids.entry(s).or_insert_with(|| {
-            self.dict.push(s);
-            self.dict.len() as u32
-        });
-        self.recent[slot] = Some((s, id));
-        id
-    }
-}
-
-/// The row-major sweep of one chunk: every cell goes to its column's feed,
-/// typed columns finish their zone maps, string columns their dictionaries,
-/// which own their strings — the rows may be gone before they are ranked.
-fn sweep<'a>(rows: &'a [Tuple], mut feeds: Vec<Feed<'a, '_>>) -> Vec<Swept> {
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row.arity(), feeds.len(), "a row has one cell per column");
-        for (feed, v) in feeds.iter_mut().zip(row.values()) {
-            match (&mut feed.window, v) {
-                (None, _) => continue,
-                (Some(_), Value::Null) => feed.words[i / 64] |= 1 << (i % 64),
-                (Some(Window::Int(w)), Value::Int(x)) => w[i] = *x,
-                (Some(Window::Float(w)), Value::Float(x)) => w[i] = *x,
-                (Some(Window::Date(w)), Value::Date(x)) => w[i] = *x,
-                (Some(Window::Bool(w)), Value::Bool(x)) => w[i] = *x,
-                (Some(Window::Str(w)), Value::Str(s)) => w[i] = feed.strings.id(s),
-                (window, _) => *window = None,
-            }
-            // A string column's bounds and bloom come from its dictionaries.
-            if !matches!(v, Value::Str(_)) {
-                feed.stats.push(v);
-            }
+        (typed, v) => {
+            let mut values: Vec<Value> = (0..r).map(|row| typed.value(row)).collect();
+            values.resize(typed.rows(), Value::Null);
+            values[r] = v.clone();
+            *typed = ColumnData::Mixed { values };
         }
     }
-    let finish = |f: Feed<'a, '_>| {
-        let dict = f.strings.dict.into_iter().cloned().collect();
-        (f.window.map(|_| f.stats.finish()), dict)
-    };
-    feeds.into_iter().map(finish).collect()
 }
 
-/// Ranks a swept string column. The sorted union of the chunk dictionaries
-/// (`locals`) is the column's — independent of chunking, so identical at
-/// every pool size — and every chunk turns its ids into ranks and finishes
-/// its zone map (`partial` carries the null count) in one pass over its codes.
+/// Fails unless chunks of `chunk_rows` rows start on null-bitmap words.
+fn check_chunk_rows(chunk_rows: usize) -> StorageResult<()> {
+    if chunk_rows == 0 || !chunk_rows.is_multiple_of(64) {
+        return Err(StorageError::InvalidChunkSize(chunk_rows));
+    }
+    Ok(())
+}
+
+/// The zone map of `column` over `chunk`: the typed kernel, whose string
+/// cells are ranks with bloom keys `keys[rank]`, or, for a `Mixed` column,
+/// the definition.
+fn chunk_zone<'a>(
+    column: &'a ColumnData,
+    keys: &[u64],
+    chunk: Range<usize>,
+    set: &mut KeySet,
+) -> ZoneMap {
+    let words = |bitmap: &'a NullBitmap| &bitmap.words()[chunk.start / 64..chunk.end.div_ceil(64)];
+    let rows = chunk.clone();
+    match column {
+        ColumnData::Int { values, nulls } => {
+            let key = |x: i64| float_key(x as f64);
+            typed_zone(&values[rows], words(nulls), key, Ord::cmp, Value::Int, set)
+        }
+        ColumnData::Float { values, nulls } => {
+            let (cells, cmp) = (&values[rows], |a: &f64, b: &f64| total_f64_cmp(*a, *b));
+            typed_zone(cells, words(nulls), float_key, cmp, Value::Float, set)
+        }
+        ColumnData::Date { values, nulls } => {
+            let cells = &values[rows];
+            typed_zone(cells, words(nulls), date_key, Ord::cmp, Value::Date, set)
+        }
+        ColumnData::Bool { values, nulls } => {
+            let cells = &values[rows];
+            typed_zone(cells, words(nulls), bool_key, Ord::cmp, Value::Bool, set)
+        }
+        ColumnData::Str { dict, codes, nulls } => {
+            let key = |r: u32| keys[r as usize];
+            let value = |r: u32| Value::Str(dict[r as usize].clone());
+            typed_zone(&codes[rows], words(nulls), key, Ord::cmp, value, set)
+        }
+        ColumnData::Mixed { values } => ZoneMap::build(values[rows].iter()),
+    }
+}
+
+/// Ranks string column `(dict, codes, nulls)` in place: `dict` becomes the
+/// sorted distinct strings the valid rows use, and each code the rank of
+/// its string — independent of the dictionary's order, so of how it was
+/// built. NULL rows get code 0. Returns each rank's [`bloom_key_str`], so
+/// every distinct string is hashed once.
 fn rank_strings(
     dict: &mut Vec<Arc<str>>,
     codes: &mut [u32],
+    nulls: &NullBitmap,
     cuts: &[usize],
-    partial: &[ZoneMap],
-    locals: &[Vec<Arc<str>>],
     pool: &Pool,
-) -> Vec<ZoneMap> {
-    let mut ordered: Vec<&str> = locals.iter().flatten().map(|s| &**s).collect();
-    ordered.sort_unstable();
-    ordered.dedup();
-    // Fresh allocations, packed together: the chunks' copies go with `locals`.
-    *dict = ordered.iter().map(|s| Arc::from(*s)).collect();
-    let dict = &*dict;
+) -> Vec<u64> {
+    let mut used = vec![false; dict.len()];
+    for (r, &code) in codes.iter().enumerate() {
+        if !nulls.is_null(r) {
+            used[code as usize] = true;
+        }
+    }
+    let mut ids: Vec<usize> = (0..dict.len()).filter(|&id| used[id]).collect();
+    ids.sort_unstable_by(|&a, &b| dict[a].cmp(&dict[b]));
+    let mut ranks = vec![0u32; dict.len()];
+    let mut sorted: Vec<Arc<str>> = Vec::with_capacity(ids.len());
+    for id in ids {
+        if sorted.last() != Some(&dict[id]) {
+            sorted.push(Arc::clone(&dict[id]));
+        }
+        ranks[id] = sorted.len() as u32 - 1;
+    }
+    *dict = sorted;
     pool.map_slices_mut(codes, cuts, |k, codes| {
-        let rank = |s: &Arc<str>| ordered.binary_search(&&**s).expect("interned") as u32;
-        let ranks: Vec<u32> = once(0).chain(locals[k].iter().map(rank)).collect();
-        for code in codes.iter_mut() {
-            *code = ranks[*code as usize];
+        for (r, code) in (cuts[k]..).zip(codes) {
+            *code = if nulls.is_null(r) {
+                0
+            } else {
+                ranks[*code as usize]
+            };
         }
-        // Each distinct string of the chunk is hashed and compared once.
-        let mut stats = ZoneMapBuilder::new();
-        for &code in &ranks[1..] {
-            stats.push(&Value::Str(dict[code as usize].clone()));
-        }
-        ZoneMap {
-            null_count: partial[k].null_count,
-            rows: codes.len(),
-            ..stats.finish()
-        }
-    })
+    });
+    dict.iter().map(|s| bloom_key_str(s)).collect()
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 //! - **Distinct hint** (`distinct`): the number of distinct [`bloom_key`]s
 //!   in the chunk — equal values always share a key, so the hint never
 //!   exceeds the true distinct count (hash collisions can only lower it).
+//!   [`ZoneMapBuilder`], the definition, sorts and dedups the keys;
+//!   [`typed_zone`] counts them in a reused open-addressing [`KeySet`].
 //! - **Representation tag** (`repr`): the uniform non-null [`Value`]
 //!   variant of the chunk, if there is one. Typed columns are uniform by
 //!   construction; for `Mixed` columns the tag is what lets the scan run a
@@ -30,6 +32,12 @@
 //! All three are built from the chunk's value *set*, so they are identical
 //! at every ingest thread count (bloom insertion is bitwise OR — order
 //! independent).
+//!
+//! Typed columns are summarised by the kernel [`typed_zone`] from a chunk's
+//! cells and null words, with no `Value` per cell; `Mixed` columns by
+//! [`ZoneMapBuilder`]. Both build the same `ZoneMap` from the same values.
+
+use std::cmp::Ordering;
 
 use crate::value::{normal_bits, Value};
 
@@ -240,24 +248,128 @@ impl ZoneMapBuilder {
 /// NaN == NaN) always produce equal keys. `None` for NULL, which never
 /// participates in equality pruning.
 pub fn bloom_key(v: &Value) -> Option<u64> {
-    let (class, bits) = match v {
+    Some(match v {
         Value::Null => return None,
         // Numbers hash through their normalized f64 bit pattern so that
         // cross-variant equal values agree (Value::cmp compares Int against
         // Float through f64 as well).
-        Value::Int(i) => (1u64, normal_bits(*i as f64)),
-        Value::Float(f) => (1u64, normal_bits(*f)),
-        Value::Str(s) => return Some(bloom_key_str(s)),
-        Value::Date(d) => (3u64, *d as u32 as u64),
-        Value::Bool(b) => (4u64, *b as u64),
-    };
-    Some(mix(mix(0x9e37_79b9_7f4a_7c15, class), bits))
+        Value::Int(i) => float_key(*i as f64),
+        Value::Float(f) => float_key(*f),
+        Value::Str(s) => bloom_key_str(s),
+        Value::Date(d) => date_key(*d),
+        Value::Bool(b) => bool_key(*b),
+    })
+}
+
+/// [`bloom_key`] of `Value::Float(f)`, and of `Value::Int` through `f64`.
+pub(crate) fn float_key(f: f64) -> u64 {
+    mix(mix(SEED, 1), normal_bits(f))
+}
+
+/// [`bloom_key`] of `Value::Date(d)`.
+pub(crate) fn date_key(d: i32) -> u64 {
+    mix(mix(SEED, 3), d as u32 as u64)
+}
+
+/// [`bloom_key`] of `Value::Bool(b)`.
+pub(crate) fn bool_key(b: bool) -> u64 {
+    mix(mix(SEED, 4), b as u64)
 }
 
 /// [`bloom_key`] of `Value::Str(s)` without constructing the `Value`; the
 /// dictionary ingest path hashes each distinct string exactly once.
 pub fn bloom_key_str(s: &str) -> u64 {
-    mix(mix(0x9e37_79b9_7f4a_7c15, 2u64), hash_bytes(s.as_bytes()))
+    mix(mix(SEED, 2), hash_bytes(s.as_bytes()))
+}
+
+const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The typed statistics kernel: the [`ZoneMap`] of one chunk of a typed
+/// column, `==` to [`ZoneMap::build`] over its decoded values.
+///
+/// `cells` holds one cell per row, valid or not, and bit `i` of `nulls` is
+/// set iff row `i` is NULL. A valid cell decodes to `value(cell)`, whose
+/// [`bloom_key`] is `key(cell)` and whose place in `Value`'s total order is
+/// given by `cmp`. The bounds keep the first-seen cell on ties, as
+/// [`ZoneMapBuilder`] does. `set` is scratch, reused from call to call.
+pub(crate) fn typed_zone<T: Copy>(
+    cells: &[T],
+    nulls: &[u64],
+    key: impl Fn(T) -> u64,
+    cmp: impl Fn(&T, &T) -> Ordering,
+    value: impl Fn(T) -> Value,
+    set: &mut KeySet,
+) -> ZoneMap {
+    debug_assert_eq!(nulls.len(), cells.len().div_ceil(64), "a word per 64 rows");
+    set.clear(cells.len());
+    let mut bloom = [0; BLOOM_WORDS];
+    let mut bounds: Option<(T, T)> = None;
+    let mut valid = 0;
+    for (block, word) in cells.chunks(64).zip(nulls) {
+        for (_, cell) in block.iter().enumerate().filter(|(i, _)| word >> i & 1 == 0) {
+            valid += 1;
+            let k = key(*cell);
+            if set.insert(k) {
+                bloom_insert(&mut bloom, k);
+            }
+            match &mut bounds {
+                None => bounds = Some((*cell, *cell)),
+                Some((min, _)) if cmp(cell, min) == Ordering::Less => *min = *cell,
+                Some((_, max)) if cmp(cell, max) == Ordering::Greater => *max = *cell,
+                Some(_) => {}
+            }
+        }
+    }
+    let (min, max) = (bounds.map(|b| value(b.0)), bounds.map(|b| value(b.1)));
+    ZoneMap {
+        repr: min.as_ref().map_or(ChunkRepr::Hetero, ChunkRepr::of),
+        min,
+        max,
+        null_count: cells.len() - valid,
+        rows: cells.len(),
+        bloom: saturate_bloom(bloom, set.len),
+        distinct: set.len,
+    }
+}
+
+/// The distinct [`bloom_key`]s of a chunk, in open addressing. A slot is
+/// picked by the high bits of a multiply, which every key bit reaches: the
+/// keys of small integers differ in their high bits only. Zero marks an
+/// empty slot, so the key 0 is tracked apart.
+#[derive(Debug, Default)]
+pub(crate) struct KeySet {
+    slots: Vec<u64>,
+    shift: u32,
+    zero: bool,
+    /// Distinct keys inserted since the last `clear`.
+    len: u32,
+}
+
+impl KeySet {
+    /// Empties the set, sized for `keys` keys at most half full.
+    fn clear(&mut self, keys: usize) {
+        let slots = (2 * keys).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(slots, 0);
+        self.shift = u64::BITS - slots.trailing_zeros();
+        (self.zero, self.len) = (false, 0);
+    }
+
+    /// Inserts `key`; whether it was new.
+    fn insert(&mut self, key: u64) -> bool {
+        let new = if key == 0 {
+            !std::mem::replace(&mut self.zero, true)
+        } else {
+            let mask = self.slots.len() - 1;
+            let mut slot = ((key ^ key >> 32).wrapping_mul(SEED) >> self.shift) as usize;
+            while self.slots[slot] != 0 && self.slots[slot] != key {
+                slot = (slot + 1) & mask;
+            }
+            std::mem::replace(&mut self.slots[slot], key) == 0
+        };
+        self.len += new as u32;
+        new
+    }
 }
 
 /// Sets the two filter bits of `key` (both inside one 64-bit block).
@@ -295,7 +407,7 @@ fn mix(h: u64, x: u64) -> u64 {
 }
 
 fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = mix(0x9e37_79b9_7f4a_7c15, bytes.len() as u64);
+    let mut h = mix(SEED, bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         h = mix(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));

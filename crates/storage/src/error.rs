@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::schema::DataType;
+
 /// Errors raised by storage-layer operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StorageError {
@@ -39,6 +41,33 @@ pub enum StorageError {
     /// A columnar chunk size is zero or not a multiple of 64 (chunk
     /// boundaries must fall on null-bitmap word boundaries).
     InvalidChunkSize(usize),
+    /// A column handed over as typed storage is not storage of its
+    /// declared type.
+    ColumnType {
+        /// The column name.
+        column: String,
+        /// Its declared type.
+        expected: DataType,
+    },
+    /// A column handed over as typed storage holds another number of rows
+    /// than the table's first column.
+    ColumnLength {
+        /// The column name.
+        column: String,
+        /// The rows of the first column.
+        expected: usize,
+        /// The rows the column, or its null bitmap, holds.
+        actual: usize,
+    },
+    /// A string column holds a code its dictionary has no entry for.
+    CodeOutOfRange {
+        /// The column name.
+        column: String,
+        /// The code.
+        code: u32,
+        /// The dictionary's length.
+        dictionary: usize,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -69,6 +98,22 @@ impl fmt::Display for StorageError {
                     "columnar chunk size {n} is not a positive multiple of 64"
                 )
             }
+            StorageError::ColumnType { column, expected } => {
+                write!(f, "column {column} is not {expected} storage")
+            }
+            StorageError::ColumnLength {
+                column,
+                expected,
+                actual,
+            } => write!(f, "column {column} holds {actual} rows, not {expected}"),
+            StorageError::CodeOutOfRange {
+                column,
+                code,
+                dictionary,
+            } => write!(
+                f,
+                "column {column} has code {code} beyond its {dictionary} strings"
+            ),
         }
     }
 }

@@ -20,8 +20,9 @@
 //! * [`ColumnarTable`] — the same relation stored column-major: typed
 //!   column vectors with null bitmaps, fixed-size row groups, and per-chunk
 //!   zone maps for predicate-driven chunk skipping. Its data half, a
-//!   [`ColumnarData`], is shared behind an `Arc`; a [`ColumnarBuilder`]
-//!   builds it from rows pushed in pieces of any size.
+//!   [`ColumnarData`], is shared behind an `Arc`; it is built from whole
+//!   typed columns ([`ColumnarData::from_columns`]) or by a
+//!   [`ColumnarBuilder`] from rows pushed in pieces of any size.
 //! * [`Catalog`] — a named collection of probabilistic tables together with
 //!   declared keys and functional dependencies; each entry is a
 //!   [`StorageBacking`] (row or columnar), and scans dispatch on it.

@@ -20,10 +20,11 @@ pub struct TableStats {
     /// count on either backing.
     pub distinct: BTreeMap<String, usize>,
     /// Largest per-chunk distinct-count hint per column, from the columnar
-    /// zone statistics (absent for row-backed tables). A column whose
-    /// chunks each hold few distinct values clusters well: an `Eq`/`In`
-    /// probe touches roughly `chunk_distinct / distinct` of its chunks
-    /// after zone pruning.
+    /// zone statistics (absent for row-backed tables): a lower bound on the
+    /// most distinct values one chunk holds, as bloom-key collisions can
+    /// only lower a hint. A column whose chunks each hold few distinct
+    /// values clusters well: an `Eq`/`In` probe touches roughly
+    /// `chunk_distinct / distinct` of its chunks after zone pruning.
     pub chunk_distinct: BTreeMap<String, usize>,
 }
 

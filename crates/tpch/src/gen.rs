@@ -13,8 +13,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pdb_par::Pool;
-use pdb_storage::columnar::{ColumnarBuilder, ColumnarData, CHUNK_ROWS};
-use pdb_storage::{tuple, DataType, Schema, Table, Tuple, Value};
+use pdb_storage::columnar::{ColumnData, ColumnarData, NullBitmap, CHUNK_ROWS};
+use pdb_storage::{DataType, Schema, Table};
 
 use crate::dates::date;
 
@@ -143,10 +143,11 @@ impl TpchScale {
 
 /// The eight deterministic TPC-H tables plus the customer-side copy of
 /// `Nation`, before probabilistic conversion, as columnar data: each
-/// relation's rows go through a columnar builder as they are generated, a
-/// chunk at a time, so no row copy of the database is ever resident. The
-/// columns sit behind an `Arc`, and the catalogs of
-/// [`crate::probabilistic_catalog_columnar`] share them.
+/// relation draws straight into typed vectors — numbers, dates, and codes
+/// into string dictionaries — which become its columns without a copy
+/// ([`ColumnarData::from_columns`]), so neither a row copy of the database
+/// nor a `Value` per cell is ever built. The columns sit behind an `Arc`,
+/// and the catalogs of [`crate::probabilistic_catalog_columnar`] share them.
 #[derive(Debug, Clone)]
 pub struct TpchData {
     /// `(catalog name, data)` in registration order: `Region(rkey, rname)`;
@@ -220,60 +221,56 @@ impl TpchData {
     }
 }
 
-/// The most chunks a generated piece holds. The builder sweeps a piece's
-/// chunks in parallel, but generation itself is sequential, so beyond a few
-/// threads a larger piece saves little and only costs memory: at SF 0.01,
-/// 8 chunks per piece peak the set-up's heap at ≈ 1.35 × the catalog it
-/// keeps, 16 chunks at 1.80 ×.
-const MAX_PIECE_CHUNKS: usize = 8;
+/// A typed column without NULLs, and its type.
+type Typed = (DataType, ColumnData);
 
-/// One relation being generated: rows gather in a reused piece of one
-/// [`CHUNK_ROWS`]-row chunk per pool thread (at most [`MAX_PIECE_CHUNKS`]),
-/// which the builder sweeps chunk-parallel whenever it fills.
-struct Relation {
-    piece: Table,
-    piece_rows: usize,
-    builder: ColumnarBuilder,
+/// The relation of the named `columns`, chunked and summarised on the pool
+/// `SPROUT_THREADS` sets.
+fn relation(columns: Vec<(&str, Typed)>) -> Arc<ColumnarData> {
+    let pairs: Vec<(&str, DataType)> = columns.iter().map(|(name, (ty, _))| (*name, *ty)).collect();
+    let schema = Schema::from_pairs(&pairs).expect("static schema");
+    let columns = columns.into_iter().map(|(_, (_, data))| data).collect();
+    let data = ColumnarData::from_columns(schema, CHUNK_ROWS, columns, &Pool::from_env());
+    Arc::new(data.expect("generated columns fit their schema"))
 }
 
-impl Relation {
-    fn new(pairs: &[(&str, DataType)]) -> Relation {
-        let schema = Schema::from_pairs(pairs).expect("static schema");
-        let pool = Pool::from_env();
-        Relation {
-            builder: ColumnarBuilder::new(schema.clone(), CHUNK_ROWS, &pool).expect("chunk size"),
-            piece_rows: CHUNK_ROWS * pool.threads().min(MAX_PIECE_CHUNKS),
-            piece: Table::new(schema),
-        }
-    }
-
-    fn insert(&mut self, row: Tuple) {
-        self.piece.insert(row).expect("valid row");
-        if self.piece.len() == self.piece_rows {
-            self.builder.push(self.piece.rows());
-            self.piece.rows_mut().clear();
-        }
-    }
-
-    fn finish(mut self) -> Arc<ColumnarData> {
-        self.builder.push(self.piece.rows());
-        Arc::new(self.builder.finish())
-    }
+fn ints(values: Vec<i64>) -> Typed {
+    let nulls = NullBitmap::new(values.len());
+    (DataType::Int, ColumnData::Int { values, nulls })
 }
 
-/// One `Value::Str` per constant of a domain: rows clone it (a
-/// reference-count bump) instead of allocating the string once per cell,
-/// and ingest recognises the shared allocation by its address.
-fn shared(domain: &[&str]) -> Vec<Value> {
-    domain.iter().map(|name| Value::str(*name)).collect()
+fn floats(values: Vec<f64>) -> Typed {
+    let nulls = NullBitmap::new(values.len());
+    (DataType::Float, ColumnData::Float { values, nulls })
+}
+
+fn dates(values: Vec<i32>) -> Typed {
+    let nulls = NullBitmap::new(values.len());
+    (DataType::Date, ColumnData::Date { values, nulls })
+}
+
+/// A string column: row `r` holds `dict[codes[r]]`.
+fn strs(codes: Vec<u32>, dict: Vec<Arc<str>>) -> Typed {
+    let nulls = NullBitmap::new(codes.len());
+    (DataType::Str, ColumnData::Str { dict, codes, nulls })
+}
+
+/// A string column whose row `r` holds the `r`-th name, each stored once.
+fn listed(names: impl Iterator<Item = impl AsRef<str>>) -> Typed {
+    let dict: Vec<Arc<str>> = names.map(|name| Arc::from(name.as_ref())).collect();
+    strs((0..dict.len() as u32).collect(), dict)
+}
+
+/// The dictionary of a domain of constants.
+fn domain(names: &[&str]) -> Vec<Arc<str>> {
+    names.iter().map(|&name| Arc::from(name)).collect()
 }
 
 fn gen_region() -> Arc<ColumnarData> {
-    let mut t = Relation::new(&[("rkey", DataType::Int), ("rname", DataType::Str)]);
-    for (i, name) in REGIONS.iter().enumerate() {
-        t.insert(tuple![i as i64, *name]);
-    }
-    t.finish()
+    relation(vec![
+        ("rkey", ints((0..REGIONS.len() as i64).collect())),
+        ("rname", listed(REGIONS.iter())),
+    ])
 }
 
 fn gen_nation(customer_side: bool) -> Arc<ColumnarData> {
@@ -282,66 +279,52 @@ fn gen_nation(customer_side: bool) -> Arc<ColumnarData> {
     } else {
         ("nkey", "nname", "rkey")
     };
-    let mut t = Relation::new(&[
-        (key, DataType::Int),
-        (name, DataType::Str),
-        (rkey, DataType::Int),
-    ]);
-    for (i, nation) in NATIONS.iter().enumerate() {
-        t.insert(tuple![i as i64, *nation, (i % REGIONS.len()) as i64]);
-    }
-    t.finish()
+    let keys = 0..NATIONS.len() as i64;
+    relation(vec![
+        (key, ints(keys.clone().collect())),
+        (name, listed(NATIONS.iter())),
+        (rkey, ints(keys.map(|i| i % REGIONS.len() as i64).collect())),
+    ])
 }
 
 fn gen_supp(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
-    let mut t = Relation::new(&[
-        ("skey", DataType::Int),
-        ("sname", DataType::Str),
-        ("nkey", DataType::Int),
-        ("acctbal", DataType::Float),
-    ]);
-    for skey in 1..=count as i64 {
-        t.insert(tuple![
-            skey,
-            format!("Supplier#{skey:09}"),
-            rng.gen_range(0..NATIONS.len() as i64),
-            round2(rng.gen_range(-999.0..10_000.0)),
-        ]);
+    let (mut nkey, mut acctbal) = (Vec::with_capacity(count), Vec::with_capacity(count));
+    for _ in 0..count {
+        nkey.push(rng.gen_range(0..NATIONS.len() as i64));
+        acctbal.push(round2(rng.gen_range(-999.0..10_000.0)));
     }
-    t.finish()
+    relation(vec![
+        ("skey", ints((1..=count as i64).collect())),
+        (
+            "sname",
+            listed((1..=count).map(|skey| format!("Supplier#{skey:09}"))),
+        ),
+        ("nkey", ints(nkey)),
+        ("acctbal", floats(acctbal)),
+    ])
 }
 
 fn gen_cust(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
-    let mut t = Relation::new(&[
-        ("ckey", DataType::Int),
-        ("cname", DataType::Str),
-        ("cnkey", DataType::Int),
-        ("cacctbal", DataType::Float),
-        ("mktsegment", DataType::Str),
-    ]);
-    let segments = shared(&SEGMENTS);
-    for ckey in 1..=count as i64 {
-        t.insert(tuple![
-            ckey,
-            format!("Customer#{ckey:09}"),
-            rng.gen_range(0..NATIONS.len() as i64),
-            round2(rng.gen_range(-999.0..10_000.0)),
-            segments[rng.gen_range(0..segments.len())].clone(),
-        ]);
+    let (mut cnkey, mut acctbal) = (Vec::with_capacity(count), Vec::with_capacity(count));
+    let mut segment = Vec::with_capacity(count);
+    for _ in 0..count {
+        cnkey.push(rng.gen_range(0..NATIONS.len() as i64));
+        acctbal.push(round2(rng.gen_range(-999.0..10_000.0)));
+        segment.push(rng.gen_range(0..SEGMENTS.len() as u32));
     }
-    t.finish()
+    relation(vec![
+        ("ckey", ints((1..=count as i64).collect())),
+        (
+            "cname",
+            listed((1..=count).map(|ckey| format!("Customer#{ckey:09}"))),
+        ),
+        ("cnkey", ints(cnkey)),
+        ("cacctbal", floats(acctbal)),
+        ("mktsegment", strs(segment, domain(&SEGMENTS))),
+    ])
 }
 
 fn gen_part(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
-    let mut t = Relation::new(&[
-        ("pkey", DataType::Int),
-        ("pname", DataType::Str),
-        ("brand", DataType::Str),
-        ("type", DataType::Str),
-        ("size", DataType::Int),
-        ("container", DataType::Str),
-        ("retailprice", DataType::Float),
-    ]);
     // The catalogue attributes are drawn from the same distributions as
     // before, then assigned to ascending part keys in sorted
     // (type, brand, size, container) order: a real part catalogue is
@@ -350,67 +333,76 @@ fn gen_part(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
     // counts and bloom filters on these columns their selectivity — an
     // `Eq`/`In` probe on `size` or `brand` skips the chunks holding other
     // product lines.
-    let types = shared(&PART_TYPES);
-    let containers = shared(&CONTAINERS);
-    // `Brand#ab` for digits a, b in 1..=5, at index 5 (a - 1) + (b - 1):
-    // index order is the names' lexicographic order.
-    let brands: Vec<Value> = (1..6)
-        .flat_map(|a| (1..6).map(move |b| Value::from(format!("Brand#{a}{b}"))))
-        .collect();
-    let mut attrs: Vec<(usize, usize, i64, usize)> = (0..count)
+    let mut attrs: Vec<(u32, u32, i64, u32)> = (0..count)
         .map(|_| {
-            let brand = 5 * (rng.gen_range(1..6usize) - 1) + rng.gen_range(1..6usize) - 1;
+            // `Brand#ab` for digits a, b in 1..=5, at index 5 (a - 1) + (b - 1):
+            // index order is the names' lexicographic order.
+            let brand = 5 * (rng.gen_range(1..6u32) - 1) + rng.gen_range(1..6u32) - 1;
             (
-                rng.gen_range(0..PART_TYPES.len()),
+                rng.gen_range(0..PART_TYPES.len() as u32),
                 brand,
                 rng.gen_range(1..51i64),
-                rng.gen_range(0..CONTAINERS.len()),
+                rng.gen_range(0..CONTAINERS.len() as u32),
             )
         })
         .collect();
     attrs.sort_unstable_by_key(|&(ptype, brand, size, container)| {
-        (PART_TYPES[ptype], brand, size, CONTAINERS[container])
-    });
-    for (i, (ptype, brand, size, container)) in attrs.into_iter().enumerate() {
-        let pkey = i as i64 + 1;
-        t.insert(tuple![
-            pkey,
-            format!("part {pkey} forest lace"),
-            brands[brand].clone(),
-            types[ptype].clone(),
+        (
+            PART_TYPES[ptype as usize],
+            brand,
             size,
-            containers[container].clone(),
-            round2(900.0 + rng.gen_range(0.0..200.0)),
-        ]);
+            CONTAINERS[container as usize],
+        )
+    });
+    let [mut brand, mut ptype, mut container]: [Vec<u32>; 3] =
+        std::array::from_fn(|_| Vec::with_capacity(count));
+    let (mut size, mut price) = (Vec::with_capacity(count), Vec::with_capacity(count));
+    for (t, b, s, c) in attrs {
+        ptype.push(t);
+        brand.push(b);
+        size.push(s);
+        container.push(c);
+        price.push(round2(900.0 + rng.gen_range(0.0..200.0)));
     }
-    t.finish()
+    let brands = (1..6).flat_map(|a| (1..6).map(move |b| Arc::from(format!("Brand#{a}{b}"))));
+    relation(vec![
+        ("pkey", ints((1..=count as i64).collect())),
+        (
+            "pname",
+            listed((1..=count).map(|pkey| format!("part {pkey} forest lace"))),
+        ),
+        ("brand", strs(brand, brands.collect())),
+        ("type", strs(ptype, domain(&PART_TYPES))),
+        ("size", ints(size)),
+        ("container", strs(container, domain(&CONTAINERS))),
+        ("retailprice", floats(price)),
+    ])
 }
 
 fn gen_psupp(rng: &mut SmallRng, parts: usize, suppliers: usize) -> Arc<ColumnarData> {
-    let mut t = Relation::new(&[
-        ("pkey", DataType::Int),
-        ("skey", DataType::Int),
-        ("availqty", DataType::Int),
-        ("supplycost", DataType::Float),
-    ]);
     // TPC-H associates 4 suppliers with every part.
-    for pkey in 1..=parts as i64 {
-        let mut chosen = Vec::new();
+    let [mut pkey, mut skey, mut availqty]: [Vec<i64>; 3] =
+        std::array::from_fn(|_| Vec::with_capacity(4 * parts));
+    let mut supplycost = Vec::with_capacity(4 * parts);
+    for part in 1..=parts as i64 {
+        let chosen = skey.len();
         for _ in 0..4 {
-            let mut skey = rng.gen_range(1..=suppliers as i64);
-            while chosen.contains(&skey) {
-                skey = rng.gen_range(1..=suppliers as i64);
+            let mut supplier = rng.gen_range(1..=suppliers as i64);
+            while skey[chosen..].contains(&supplier) {
+                supplier = rng.gen_range(1..=suppliers as i64);
             }
-            chosen.push(skey);
-            t.insert(tuple![
-                pkey,
-                skey,
-                rng.gen_range(1..10_000i64),
-                round2(rng.gen_range(1.0..1_000.0)),
-            ]);
+            pkey.push(part);
+            skey.push(supplier);
+            availqty.push(rng.gen_range(1..10_000i64));
+            supplycost.push(round2(rng.gen_range(1.0..1_000.0)));
         }
     }
-    t.finish()
+    relation(vec![
+        ("pkey", ints(pkey)),
+        ("skey", ints(skey)),
+        ("availqty", ints(availqty)),
+        ("supplycost", floats(supplycost)),
+    ])
 }
 
 fn gen_orders_items(
@@ -420,32 +412,8 @@ fn gen_orders_items(
     parts: usize,
     suppliers: usize,
 ) -> (Arc<ColumnarData>, Arc<ColumnarData>) {
-    let mut ord = Relation::new(&[
-        ("okey", DataType::Int),
-        ("ckey", DataType::Int),
-        ("ostatus", DataType::Str),
-        ("totalprice", DataType::Float),
-        ("odate", DataType::Date),
-        ("opriority", DataType::Str),
-    ]);
-    let mut item = Relation::new(&[
-        ("okey", DataType::Int),
-        ("linenumber", DataType::Int),
-        ("pkey", DataType::Int),
-        ("skey", DataType::Int),
-        ("quantity", DataType::Int),
-        ("extendedprice", DataType::Float),
-        ("discount", DataType::Float),
-        ("shipdate", DataType::Date),
-        ("returnflag", DataType::Str),
-        ("shipmode", DataType::Str),
-    ]);
     let start = date(1992, 1, 1);
     let end = date(1998, 8, 2);
-    let priorities = shared(&["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"]);
-    let (fulfilled, open) = (Value::str("F"), Value::str("O"));
-    let flags = shared(&["R", "A", "N"]);
-    let modes = shared(&SHIP_MODES);
     // Orders arrive in date order: the dates are drawn from the same
     // uniform range as before, then assigned to ascending order keys, so
     // insertion order is clustered by `odate` (and, transitively, by the
@@ -460,35 +428,59 @@ fn gen_orders_items(
     // constant within almost every chunk, so equality probes on it prune
     // half the table instead of scanning all of it.
     let median = odates[orders / 2];
-    for okey in 1..=orders as i64 {
-        let odate = odates[okey as usize - 1];
-        let status = if odate <= median { &fulfilled } else { &open };
-        ord.insert(tuple![
-            okey,
-            rng.gen_range(1..=customers as i64),
-            status.clone(),
-            round2(rng.gen_range(1_000.0..400_000.0)),
-            Value::Date(odate),
-            priorities[rng.gen_range(0..priorities.len())].clone(),
-        ]);
-        let lines = rng.gen_range(1..=7);
-        for line in 1..=lines {
-            let shipdate = odate + rng.gen_range(1..122);
-            item.insert(tuple![
-                okey,
-                line as i64,
-                rng.gen_range(1..=parts as i64),
-                rng.gen_range(1..=suppliers as i64),
-                rng.gen_range(1..=50i64),
-                round2(rng.gen_range(900.0..100_000.0)),
-                round2(rng.gen_range(0.0..0.11)),
-                Value::Date(shipdate),
-                flags[rng.gen_range(0..flags.len())].clone(),
-                modes[rng.gen_range(0..modes.len())].clone(),
-            ]);
+    let priorities = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
+    let (flags, statuses) = (["R", "A", "N"], ["F", "O"]);
+    let (mut ckey, mut totalprice) = (Vec::with_capacity(orders), Vec::with_capacity(orders));
+    let (mut status, mut priority) = (Vec::with_capacity(orders), Vec::with_capacity(orders));
+    // 1..=7 lines an order: 4 on average, with a standard deviation of 2 an
+    // order, so room for the mean plus four standard deviations of the
+    // total is rarely outgrown.
+    let lines = 4 * orders + 8 * (orders as f64).sqrt() as usize;
+    let [mut okey, mut linenumber, mut pkey, mut skey, mut quantity]: [Vec<i64>; 5] =
+        std::array::from_fn(|_| Vec::with_capacity(lines));
+    let [mut extendedprice, mut discount]: [Vec<f64>; 2] =
+        std::array::from_fn(|_| Vec::with_capacity(lines));
+    let [mut flag, mut mode]: [Vec<u32>; 2] = std::array::from_fn(|_| Vec::with_capacity(lines));
+    let mut shipdate = Vec::with_capacity(lines);
+    for (order, &odate) in (1..=orders as i64).zip(&odates) {
+        ckey.push(rng.gen_range(1..=customers as i64));
+        status.push(u32::from(odate > median));
+        totalprice.push(round2(rng.gen_range(1_000.0..400_000.0)));
+        priority.push(rng.gen_range(0..priorities.len() as u32));
+        for line in 1..=rng.gen_range(1..=7i64) {
+            shipdate.push(odate + rng.gen_range(1..122));
+            okey.push(order);
+            linenumber.push(line);
+            pkey.push(rng.gen_range(1..=parts as i64));
+            skey.push(rng.gen_range(1..=suppliers as i64));
+            quantity.push(rng.gen_range(1..=50i64));
+            extendedprice.push(round2(rng.gen_range(900.0..100_000.0)));
+            discount.push(round2(rng.gen_range(0.0..0.11)));
+            flag.push(rng.gen_range(0..flags.len() as u32));
+            mode.push(rng.gen_range(0..SHIP_MODES.len() as u32));
         }
     }
-    (ord.finish(), item.finish())
+    let ord = relation(vec![
+        ("okey", ints((1..=orders as i64).collect())),
+        ("ckey", ints(ckey)),
+        ("ostatus", strs(status, domain(&statuses))),
+        ("totalprice", floats(totalprice)),
+        ("odate", dates(odates)),
+        ("opriority", strs(priority, domain(&priorities))),
+    ]);
+    let item = relation(vec![
+        ("okey", ints(okey)),
+        ("linenumber", ints(linenumber)),
+        ("pkey", ints(pkey)),
+        ("skey", ints(skey)),
+        ("quantity", ints(quantity)),
+        ("extendedprice", floats(extendedprice)),
+        ("discount", floats(discount)),
+        ("shipdate", dates(shipdate)),
+        ("returnflag", strs(flag, domain(&flags))),
+        ("shipmode", strs(mode, domain(&SHIP_MODES))),
+    ]);
+    (ord, item)
 }
 
 fn round2(x: f64) -> f64 {
@@ -498,6 +490,7 @@ fn round2(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdb_storage::Value;
 
     #[test]
     fn cardinalities_follow_the_scale_factor() {

@@ -7,14 +7,14 @@
 //! over these variables", Section VII), and the catalogue of TPC-H-derived
 //! conjunctive queries used in Sections VI and VII.
 //!
-//! The generated data is columnar from its first row: [`TpchData`] streams
-//! each relation through a [`pdb_storage::ColumnarBuilder`], one chunk per
-//! pool thread (at most 8) at a time, and keeps the finished
-//! [`pdb_storage::ColumnarData`] behind an `Arc`, which the tables of
+//! The generated data is columnar from its first draw: [`TpchData`] draws
+//! each relation straight into typed vectors — numbers, dates, and codes
+//! into string dictionaries — hands them to
+//! [`pdb_storage::ColumnarData::from_columns`], which keeps them as the
+//! columns, and holds the result behind an `Arc`, which the tables of
 //! [`probabilistic_catalog_columnar`] share — they only add variables and
-//! probabilities. [`TpchData::table`] is a
-//! decoded row view, for tests and for the row catalog
-//! ([`probabilistic_catalog`]).
+//! probabilities. [`TpchData::table`] is a decoded row view, for tests and
+//! for the row catalog ([`probabilistic_catalog`]).
 //!
 //! Two deliberate deviations from the original benchmark kit are documented
 //! in `DESIGN.md`: the generator produces proportionally scaled tables rather

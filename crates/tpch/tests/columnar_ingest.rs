@@ -1,4 +1,5 @@
-//! The columnar catalog against the builds it replaced, and its sharing.
+//! The columnar catalog against the builds it replaced, its sharing, and
+//! the typed front door the generator builds it through.
 //!
 //! `probabilistic_catalog_columnar` registers tables that share the
 //! generator's columns and only draw their variables and probabilities.
@@ -6,23 +7,34 @@
 //! view `TpchData::table`: every catalog table must be `==` — columns,
 //! dictionaries, zone maps, variables, probabilities — to
 //! `ColumnarTable::from_table` over those rows, and to the clone, annotate
-//! and convert build the set-up once took.
+//! and convert build the set-up once took. At SF 0.01 `Item` has 60-odd
+//! chunks and its dictionaries span them.
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pdb_storage::{ColumnarTable, ProbTable, StorageBacking, VariableGenerator};
+use pdb_par::Pool;
+use pdb_storage::{
+    ColumnData, ColumnarBuilder, ColumnarData, ColumnarTable, DataType, NullBitmap, ProbTable,
+    Schema, StorageBacking, StorageError, Tuple, Value, Variable, VariableGenerator,
+};
 use pdb_tpch::{probabilistic_catalog_columnar, TpchData, TpchScale};
 
 #[test]
 fn all_nine_tables_equal_the_clone_annotate_convert_build() {
-    let data = TpchData::generate(TpchScale::tiny());
+    for scale in [TpchScale::tiny(), TpchScale::new(0.01)] {
+        every_table_equals_the_row_builds(scale);
+    }
+}
+
+fn every_table_equals_the_row_builds(scale: TpchScale) {
+    let data = TpchData::generate(scale);
     let catalog = probabilistic_catalog_columnar(&data, 1).unwrap();
     let mut rng = SmallRng::seed_from_u64(1);
     let mut gen = VariableGenerator::new();
-    let pool = pdb_par::Pool::from_env();
+    let pool = Pool::from_env();
     for (name, _) in data.tables() {
         let table = data.table(name);
         let prob = ProbTable::from_table(table.clone(), &mut gen, |_| {
@@ -58,4 +70,124 @@ fn every_catalog_table_shares_the_generated_columns() {
             "{name} copies its columns"
         );
     }
+}
+
+/// `k INT, s STR`: the shape every front-door test below feeds.
+fn schema() -> Schema {
+    Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]).unwrap()
+}
+
+fn ints(values: Vec<i64>) -> ColumnData {
+    let nulls = NullBitmap::new(values.len());
+    ColumnData::Int { values, nulls }
+}
+
+/// Codes into the unranked dictionary `["b", "a", "b", "unused"]`.
+fn strs(codes: Vec<u32>) -> ColumnData {
+    let dict = ["b", "a", "b", "unused"].map(Arc::from).to_vec();
+    let nulls = NullBitmap::new(codes.len());
+    ColumnData::Str { dict, codes, nulls }
+}
+
+fn from_columns(columns: Vec<ColumnData>) -> Result<ColumnarData, StorageError> {
+    ColumnarData::from_columns(schema(), 64, columns, &Pool::new(2))
+}
+
+#[test]
+fn from_columns_builds_the_table_the_builder_builds() {
+    // A repeated and an unused dictionary entry, and a NULL whose code is
+    // out of range: the finish ranks the strings used and zeroes the code.
+    let mut column = strs((0..130).map(|r| r % 3).collect());
+    if let ColumnData::Str { codes, nulls, .. } = &mut column {
+        codes[7] = 99;
+        nulls.set_null(7);
+    }
+    let got = from_columns(vec![ints((0..130).collect()), column]).unwrap();
+    let rows: Vec<Tuple> = (0..130)
+        .map(|r| {
+            let s = match r {
+                7 => Value::Null,
+                _ => Value::str(["b", "a", "b"][r % 3]),
+            };
+            Tuple::new(vec![Value::Int(r as i64), s])
+        })
+        .collect();
+    let mut builder = ColumnarBuilder::new(schema(), 64, &Pool::sequential()).unwrap();
+    builder.push(&rows);
+    assert_eq!(got, builder.finish());
+    let (vars, probs) = ((0..130).map(Variable).collect(), vec![0.5; 130]);
+    let table = ColumnarTable::new(Arc::new(got), vars, probs).unwrap();
+    let ColumnData::Str { dict, codes, .. } = table.column(1) else {
+        panic!("a string column");
+    };
+    assert_eq!(dict, &["a", "b"].map(Arc::from).to_vec());
+    assert_eq!(codes[7], 0);
+}
+
+#[test]
+fn from_columns_refuses_a_column_of_the_wrong_length() {
+    let got = from_columns(vec![ints(vec![1, 2, 3]), strs(vec![0, 1])]);
+    assert_eq!(
+        got,
+        Err(StorageError::ColumnLength {
+            column: "s".into(),
+            expected: 3,
+            actual: 2
+        })
+    );
+    // A null bitmap sized for other rows is a wrong length too.
+    let nulls = NullBitmap::new(200);
+    let short = ColumnData::Int {
+        values: vec![1, 2],
+        nulls,
+    };
+    let got = from_columns(vec![short, strs(vec![0, 1])]);
+    assert_eq!(
+        got,
+        Err(StorageError::ColumnLength {
+            column: "k".into(),
+            expected: 2,
+            actual: 256
+        })
+    );
+}
+
+#[test]
+fn from_columns_refuses_storage_of_another_type() {
+    let floats = ColumnData::Float {
+        values: vec![1.0],
+        nulls: NullBitmap::new(1),
+    };
+    let got = from_columns(vec![floats, strs(vec![0])]);
+    assert_eq!(
+        got,
+        Err(StorageError::ColumnType {
+            column: "k".into(),
+            expected: DataType::Int
+        })
+    );
+    let mixed = ColumnData::Mixed {
+        values: vec![Value::str("a")],
+    };
+    let got = from_columns(vec![ints(vec![1]), mixed]);
+    assert_eq!(
+        got,
+        Err(StorageError::ColumnType {
+            column: "s".into(),
+            expected: DataType::Str
+        })
+    );
+}
+
+#[test]
+fn from_columns_refuses_a_code_outside_the_dictionary() {
+    let got = from_columns(vec![ints(vec![1, 2, 3]), strs(vec![0, 4, 1])]);
+    assert_eq!(
+        got,
+        Err(StorageError::CodeOutOfRange {
+            column: "s".into(),
+            code: 4,
+            dictionary: 4
+        })
+    );
 }

@@ -1,14 +1,17 @@
 //! Peak heap during columnar set-up, held to the size of what it builds.
 //!
-//! `TpchData::generate` streams each relation's rows through a columnar
-//! builder a few chunks at a time, and `probabilistic_catalog_columnar`
-//! shares the finished columns, adding only the variables and
-//! probabilities. So from before the generator runs until the catalog
-//! stands, the live heap is what the catalog keeps plus per-piece scratch
-//! of at most 8 chunks per relation, whatever the thread count. Generating row tables
-//! first — the whole database as `Vec<Value>` rows beside the columns — peaks
-//! at several times the catalog; the test kit's counting allocator, tracking
-//! live bytes, keeps any such copy from coming back unnoticed.
+//! `TpchData::generate` draws each relation straight into typed vectors,
+//! reserved for their final length, which become the relation's columns
+//! without a copy; `probabilistic_catalog_columnar` shares the finished
+//! columns, adding only the variables and probabilities. So from before the
+//! generator runs until the catalog stands, the live heap is what the
+//! catalog keeps plus a few chunks of scratch, whatever the thread count:
+//! measured at 1.00 × on one thread and on eight. Generating row tables
+//! first — the whole database as `Vec<Value>` rows beside the columns —
+//! peaked at 4.07 ×, and streaming rows through a row builder in pieces of
+//! up to 8 chunks at up to 1.33 × (eight threads); the test kit's counting
+//! allocator, tracking live bytes, keeps any such copy from coming back
+//! unnoticed.
 
 use pdb_testkit::alloc::{live_bytes, peak_bytes, serial};
 use pdb_tpch::{probabilistic_catalog_columnar, TpchData, TpchScale};
@@ -17,7 +20,7 @@ use pdb_tpch::{probabilistic_catalog_columnar, TpchData, TpchScale};
 static GLOBAL: pdb_testkit::alloc::Counting = pdb_testkit::alloc::Counting;
 
 #[test]
-fn columnar_set_up_peaks_within_half_again_of_the_catalog_it_keeps() {
+fn columnar_set_up_peaks_within_five_percent_of_the_catalog_it_keeps() {
     let _serial = serial();
     let entry = live_bytes();
     let ((data, catalog), peak) = peak_bytes(|| {
@@ -30,7 +33,7 @@ fn columnar_set_up_peaks_within_half_again_of_the_catalog_it_keeps() {
     let kept = live_bytes() - entry;
     assert_eq!(catalog.total_tuples(), tuples);
     assert!(
-        2 * peak <= 3 * kept,
-        "set-up peaked at {peak} bytes above entry to keep {kept}: something copies the rows"
+        20 * peak <= 21 * kept,
+        "set-up peaked at {peak} bytes above entry to keep {kept}: something copies the columns"
     );
 }
