@@ -87,7 +87,8 @@ pub fn multi_scan_confidences_ctx(
     let schedule = signature.scan_schedule();
     let mut current: Option<Annotated> = None;
     for step in &schedule.pre_aggregations {
-        let input = current.as_ref().unwrap_or(answer);
+        // The answer is borrowed; every later input is the pass's own.
+        let input = current.take().map_or(Cow::Borrowed(answer), Cow::Owned);
         current = Some(apply_pre_aggregation_ctx(input, step, pool, policy, ctx)?);
     }
     let input = current.as_ref().unwrap_or(answer);
@@ -101,7 +102,7 @@ pub fn multi_scan_confidences_ctx(
 /// Fails if the step references relations missing from the input.
 pub fn apply_pre_aggregation(input: &Annotated, step: &Signature) -> ConfResult<Annotated> {
     apply_pre_aggregation_ctx(
-        input,
+        Cow::Borrowed(input),
         step,
         &Pool::from_env().for_items(input.len()),
         SplitPolicy::default(),
@@ -121,33 +122,35 @@ pub fn apply_pre_aggregation(input: &Annotated, step: &Signature) -> ConfResult<
 /// [`crate::one_scan`]) — so a pre-aggregation whose input collapses into
 /// one giant group still scales with cores. The output is bitwise-identical
 /// for every pool size and policy; the pass runs the `conf.bag` checkpoints
-/// of [`multi_scan_confidences_ctx`].
+/// of [`multi_scan_confidences_ctx`]. An owned `input` is compacted in place
+/// ([`KeyRuns::collapse`]).
 ///
 /// # Errors
 /// Fails if the step references relations missing from the input, or with
 /// [`ConfError::Governed`] when the governor interrupts the pass.
 pub fn apply_pre_aggregation_ctx(
-    input: &Annotated,
+    input: Cow<'_, Annotated>,
     step: &Signature,
     pool: &Pool,
     policy: SplitPolicy,
     ctx: &ExecContext,
 ) -> ConfResult<Annotated> {
     let step_tables: BTreeSet<String> = step.tables().into_iter().collect();
-    let leftmost_col = input.relation_index(step.leftmost_table())?;
-    let other_cols: Vec<usize> = (0..input.lineage_width())
-        .filter(|&c| !step_tables.contains(&input.relations()[c]))
+    let source: &Annotated = &input;
+    let leftmost_col = source.relation_index(step.leftmost_table())?;
+    let other_cols: Vec<usize> = (0..source.lineage_width())
+        .filter(|&c| !step_tables.contains(&source.relations()[c]))
         .collect();
 
     // The step's own streaming machine, over the step signature's 1scanTree.
     let tree = OneScanTree::build(step)?;
-    let machine = FlatScan::new(&tree, input)?;
+    let machine = FlatScan::new(&tree, source)?;
 
     // Rows of the same (data values, other-relation variables) group form a
     // run and, within a run, follow the order the step's streaming
     // evaluation requires.
     let runs = KeyRuns::build(
-        input,
+        source,
         &other_cols,
         &machine.preorder_cols(),
         Stage::Confidence,
@@ -162,7 +165,7 @@ pub fn apply_pre_aggregation_ctx(
     // so many medium-huge groups overlap.
     let probs = unit_confidences(
         &machine,
-        input,
+        source,
         runs.order(),
         runs.starts(),
         pool,
@@ -175,7 +178,7 @@ pub fn apply_pre_aggregation_ctx(
     // column order preserved), with the step's leftmost table carrying the
     // group's representative variable (the minimum, Fig. 5's `min(V)`) and
     // the aggregated probability.
-    let kept_cols: Vec<usize> = (0..input.lineage_width())
+    let kept_cols: Vec<usize> = (0..source.lineage_width())
         .filter(|&c| c == leftmost_col || other_cols.contains(&c))
         .collect();
     let fold = |input: &Annotated, g: usize, rows: &[u32]| {
@@ -187,7 +190,7 @@ pub fn apply_pre_aggregation_ctx(
         Ok((representative, probs[g]))
     };
     Ok(runs.collapse(
-        Cow::Borrowed(input),
+        input,
         &kept_cols,
         leftmost_col,
         Stage::Confidence,
@@ -285,7 +288,7 @@ mod tests {
         let step = Signature::star(Signature::table("Item"));
         let ctx = ExecContext::unbounded();
         let sequential = apply_pre_aggregation_ctx(
-            &answer,
+            Cow::Borrowed(&answer),
             &step,
             &Pool::sequential(),
             SplitPolicy::default(),
@@ -294,7 +297,7 @@ mod tests {
         .unwrap();
         for threads in [2, 4, 8] {
             let parallel = apply_pre_aggregation_ctx(
-                &answer,
+                Cow::Borrowed(&answer),
                 &step,
                 &Pool::new(threads),
                 SplitPolicy::default(),

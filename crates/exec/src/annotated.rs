@@ -149,14 +149,54 @@ impl Annotated {
         }
     }
 
-    /// This relation with its lineage columns replaced: the schema and the
-    /// data arena stay where they are — nothing is copied.
-    pub(crate) fn with_lineage(
-        self,
+    /// This relation cut down to `rows` rows, row `k` being row `exemplar(k)`
+    /// (distinct rows) moved inside the data arena, which is then shrunk, and
+    /// with its lineage columns replaced. Row `k` is swapped with its
+    /// exemplar, which was set aside when its own row was written if it
+    /// comes first — never when the exemplars ascend, as in key order.
+    pub(crate) fn into_rows(
+        mut self,
+        rows: usize,
+        exemplar: impl Fn(usize) -> usize,
         relations: Vec<String>,
         lineage: Vec<(Variable, f64)>,
     ) -> Self {
-        Annotated::from_arenas(self.schema, relations, self.len, self.data, lineage)
+        let (w, data) = (self.data_width(), &mut self.data);
+        // Bit `e` marks an exemplar a later output row takes; its slot in
+        // `aside` is its rank among the marked rows.
+        let mut later = vec![0u64; rows.div_ceil(64)];
+        for k in 0..rows {
+            let e = exemplar(k);
+            if e < k {
+                later[e / 64] |= 1 << (e % 64);
+            }
+        }
+        let mut firsts = vec![0; later.len() + 1];
+        for (i, word) in later.iter().enumerate() {
+            firsts[i + 1] = firsts[i] + word.count_ones() as usize;
+        }
+        let slot = |e: usize| {
+            let below = later[e / 64] & ((1 << (e % 64)) - 1);
+            w * (firsts[e / 64] + below.count_ones() as usize)
+        };
+        let mut aside = vec![Value::Null; firsts[later.len()] * w];
+        for k in 0..rows {
+            let (head, tail) = data.split_at_mut((k + 1) * w);
+            let row = &mut head[k * w..];
+            if later[k / 64] >> (k % 64) & 1 == 1 {
+                row.swap_with_slice(&mut aside[slot(k)..][..w]);
+            }
+            match exemplar(k) {
+                e if e < k => row.swap_with_slice(&mut aside[slot(e)..][..w]),
+                e if e > k => row.swap_with_slice(&mut tail[(e - k - 1) * w..][..w]),
+                _ => {}
+            }
+        }
+        if data.len() > rows * w {
+            data.truncate(rows * w);
+            data.shrink_to_fit();
+        }
+        Annotated::from_arenas(self.schema, relations, rows, self.data, lineage)
     }
 
     /// Mutable views of both arenas, for disjoint parallel segment writes
@@ -184,6 +224,14 @@ impl Annotated {
     #[inline]
     pub fn lineage_width(&self) -> usize {
         self.relations.len()
+    }
+
+    /// The data column names of the natural join with `right`: these, then
+    /// those of `right` these lack.
+    pub fn join_names<'a>(&'a self, right: &'a Annotated) -> impl Iterator<Item = &'a str> {
+        let right_only = right.schema.names().into_iter();
+        let right_only = right_only.filter(|a| !self.schema.contains(a));
+        self.schema.names().into_iter().chain(right_only)
     }
 
     /// The source relations whose `V`/`P` columns are present, in order.
@@ -257,13 +305,16 @@ impl Annotated {
         self.len += 1;
     }
 
-    /// Appends the join of two rows: left data, then the right values at
-    /// `right_only` positions; left lineage, then right lineage.
+    /// Appends the join of two rows: the data values at `columns`, positions
+    /// in the left row's values followed by the right row's; left lineage,
+    /// then right lineage.
     #[inline]
-    pub fn push_join_row(&mut self, left: RowRef<'_>, right: RowRef<'_>, right_only: &[usize]) {
-        self.data.extend_from_slice(left.data);
-        for &i in right_only {
-            self.data.push(right.data[i].clone());
+    pub fn push_join_row(&mut self, left: RowRef<'_>, right: RowRef<'_>, columns: &[usize]) {
+        for &c in columns {
+            self.data.push(match c.checked_sub(left.data.len()) {
+                None => left.data[c].clone(),
+                Some(r) => right.data[r].clone(),
+            });
         }
         self.lineage.extend_from_slice(left.lineage);
         self.lineage.extend_from_slice(right.lineage);

@@ -49,6 +49,8 @@
 //! merge sort over the word runs. Both yield the same stable permutation at
 //! every thread count.
 
+use std::borrow::Borrow;
+
 use pdb_storage::Value;
 
 /// Words per mixed cell: `(type class, primary order, tie-break)`.
@@ -553,19 +555,20 @@ impl SortKeys {
     /// fall back to the comparator-based stable chunk-merge sort over the
     /// word runs. Every path yields the identical permutation.
     pub fn sorted_permutation_with(&self, rows: usize, pool: &pdb_par::Pool) -> Vec<u32> {
-        self.sorted_runs(rows, 0, pool).0
+        SortKeys::sorted_runs(self, rows, 0, pool).0
     }
 
     /// [`SortKeys::sorted_permutation_with`]'s permutation, and the sorted
     /// positions where the first `prefix_words` words of the run change
     /// (position 0 included) — the grouping shell's runs, cut on the sorted
     /// packed words. Only columns past the prefix are candidates for being
-    /// left out of the sort.
+    /// left out of the sort. Keys handed over by value are freed once every
+    /// row is packed for the radix sort.
     ///
     /// # Panics
     /// If `prefix_words` exceeds [`SortKeys::width`].
     pub(crate) fn sorted_runs(
-        &self,
+        keys: impl Borrow<SortKeys>,
         rows: usize,
         prefix_words: usize,
         pool: &pdb_par::Pool,
@@ -573,24 +576,25 @@ impl SortKeys {
         if rows == 0 {
             return (Vec::new(), Vec::new());
         }
-        if let Some(packing) = self.packing(rows, prefix_words) {
+        if let Some(packing) = keys.borrow().packing(rows, prefix_words) {
             let total_bits = packing.key_bits + packing.row_bits;
             return if total_bits <= u64::BITS {
-                self.pack_sort_cut::<u64>(rows, &packing, packing.row_bits, pool)
+                SortKeys::pack_sort_cut::<u64>(keys, rows, &packing, packing.row_bits, pool)
             } else if total_bits <= u128::BITS {
-                self.pack_sort_cut::<u128>(rows, &packing, packing.row_bits, pool)
+                SortKeys::pack_sort_cut::<u128>(keys, rows, &packing, packing.row_bits, pool)
             } else {
-                self.pack_sort_cut::<(u128, u32)>(rows, &packing, 0, pool)
+                SortKeys::pack_sort_cut::<(u128, u32)>(keys, rows, &packing, 0, pool)
             };
         }
+        let keys = keys.borrow();
         let order = pdb_par::sorted_permutation_by(rows, pool, |a, b| {
-            self.row(a as usize).cmp(self.row(b as usize))
+            keys.row(a as usize).cmp(keys.row(b as usize))
         });
         let starts = (0..rows)
             .filter(|&k| {
                 k == 0
-                    || self.row(order[k] as usize)[..prefix_words]
-                        != self.row(order[k - 1] as usize)[..prefix_words]
+                    || keys.row(order[k] as usize)[..prefix_words]
+                        != keys.row(order[k - 1] as usize)[..prefix_words]
             })
             .collect();
         (order, starts)
@@ -632,10 +636,11 @@ impl SortKeys {
         })
     }
 
-    /// Packs every row as `T` (the row index in the `low_bits` bits below
-    /// the key, or beside it when `low_bits` is 0), sorts, and cuts the runs.
+    /// Packs every row of `keys` as `T` (the row index in the `low_bits`
+    /// bits below the key, or beside it when `low_bits` is 0), drops `keys`,
+    /// sorts, and cuts the runs.
     fn pack_sort_cut<T: PackedKey>(
-        &self,
+        keys: impl Borrow<SortKeys>,
         rows: usize,
         packing: &Packing,
         low_bits: u32,
@@ -644,7 +649,7 @@ impl SortKeys {
         let mut packed: Vec<T> = Vec::with_capacity(rows);
         let mut sorted_already = true;
         for r in 0..rows {
-            let run = self.row(r);
+            let run = keys.borrow().row(r);
             let mut key = T::ZERO;
             for (c, &bits) in packing.col_bits.iter().enumerate() {
                 if bits > 0 {
@@ -657,6 +662,7 @@ impl SortKeys {
             }
             packed.push(key);
         }
+        drop(keys);
         if !sorted_already {
             sort_packed(&mut packed, low_bits, packing.key_bits, pool);
         }

@@ -40,6 +40,8 @@
 //!   cloned; a one-worker join has one morsel and moves nothing). The emit
 //!   order is `(left row, right row)` lexicographic — that of the join's
 //!   definition, a nested loop over the left rows and then the right ones.
+//!   A fragment holds only the data columns the caller keeps
+//!   ([`natural_join_project_ctx`]).
 //!
 //! The output is therefore **bitwise-identical at every thread count** —
 //! same values, same lineage, same row order — and so is what a governor
@@ -386,14 +388,11 @@ impl Annotated {
     }
 }
 
-/// Resolves the shared/output columns of a natural join. Shared columns are
-/// the names occurring on both sides; the output schema is the left schema
-/// followed by the right-only columns.
+/// Resolves the shared columns of a natural join — the names occurring on
+/// both sides — and its lineage columns, the left's then the right's.
 pub(crate) struct JoinLayout {
     pub left_key_idx: Vec<usize>,
     pub right_key_idx: Vec<usize>,
-    pub right_only_idx: Vec<usize>,
-    pub schema: Schema,
     pub relations: Vec<String>,
 }
 
@@ -418,25 +417,11 @@ pub(crate) fn join_layout(left: &Annotated, right: &Annotated) -> ExecResult<Joi
         .iter()
         .map(|n| right.column_index(n))
         .collect::<ExecResult<_>>()?;
-    let right_only_idx: Vec<usize> = right_names
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| !shared.contains(n))
-        .map(|(i, _)| i)
-        .collect();
-
-    let mut schema_cols = left.schema().columns().to_vec();
-    for &i in &right_only_idx {
-        schema_cols.push(right.schema().column(i).clone());
-    }
-    let schema = Schema::new(schema_cols)?;
     let mut relations = left.relations().to_vec();
     relations.extend(right.relations().iter().cloned());
     Ok(JoinLayout {
         left_key_idx,
         right_key_idx,
-        right_only_idx,
-        schema,
         relations,
     })
 }
@@ -464,7 +449,21 @@ pub fn natural_join(left: &Annotated, right: &Annotated) -> ExecResult<Annotated
     )
 }
 
-/// [`natural_join`] on an explicit worker pool under a governor context.
+/// [`natural_join`] on an explicit worker pool under a governor context:
+/// [`natural_join_project_ctx`] keeping every column, with its errors.
+pub fn natural_join_ctx(
+    left: &Annotated,
+    right: &Annotated,
+    pool: &Pool,
+    ctx: &ExecContext,
+) -> ExecResult<Annotated> {
+    let all: Vec<String> = left.join_names(right).map(String::from).collect();
+    natural_join_project_ctx(left, right, &all, pool, ctx)
+}
+
+/// [`natural_join_ctx`] writing only the data columns `keep` names, in that
+/// order: bitwise the join followed by [`project_ctx`]`(keep)`.
+///
 /// The right side is the build side: its keys are encoded across the pool
 /// and indexed by one chained hash index whose chains replay build rows
 /// ascending. The left side is cut into one probe morsel per worker; a
@@ -475,23 +474,39 @@ pub fn natural_join(left: &Annotated, right: &Annotated) -> ExecResult<Annotated
 /// count and to the nested loop of the join's definition.
 ///
 /// Checkpoints `join.probe` on the probe side's row blocks. Charged under
-/// [`Stage::Join`]: the build side (key words, hashes, chain index) before
-/// it is built; an output of `max(left, right)` rows before the probe; and,
-/// at every checkpoint, the matches the morsels have found between them
-/// beyond that.
+/// [`Stage::Join`], in rows of the kept columns: the build side (key words,
+/// hashes, chain index) before it is built; an output of `max(left, right)`
+/// rows before the probe; and, at every checkpoint, the matches the morsels
+/// have found between them beyond that.
 ///
 /// # Errors
-/// Fails if the inputs share a lineage relation (self-join), or with
-/// [`ExecError::Governed`] when the governor interrupts the join.
-pub fn natural_join_ctx(
+/// Fails if the inputs share a lineage relation (self-join) or `keep` names
+/// a column neither side has, or with [`ExecError::Governed`] when the
+/// governor interrupts the join.
+pub fn natural_join_project_ctx(
     left: &Annotated,
     right: &Annotated,
+    keep: &[String],
     pool: &Pool,
     ctx: &ExecContext,
 ) -> ExecResult<Annotated> {
     let layout = join_layout(left, right)?;
+    // Each kept column as a position in the left row's values followed by
+    // the right row's.
+    let mut columns = Vec::with_capacity(keep.len());
+    let mut sources = Vec::with_capacity(keep.len());
+    for a in keep {
+        let (side, offset) = match left.column_index(a) {
+            Ok(_) => (left, 0),
+            Err(_) => (right, left.data_width()),
+        };
+        let c = side.column_index(a)?;
+        columns.push(side.schema().column(c).clone());
+        sources.push(offset + c);
+    }
+    let schema = Schema::new(columns)?;
     let key_cols = layout.right_key_idx.len();
-    let row_bytes = arena_bytes(1, layout.schema.len(), layout.relations.len());
+    let row_bytes = arena_bytes(1, schema.len(), layout.relations.len());
     let reserved = left.len().max(right.len());
     ctx.account(Stage::Join, reserved * row_bytes)?;
     // Charges the part of `fresh` newly emitted rows that takes the join's
@@ -555,16 +570,12 @@ pub fn natural_join_ctx(
             }
             charge(matches.len() - charged)?;
             let mut out = Annotated::with_row_capacity(
-                layout.schema.clone(),
+                schema.clone(),
                 layout.relations.clone(),
                 matches.len(),
             );
             for &(li, ri) in &matches {
-                out.push_join_row(
-                    left.row(li as usize),
-                    right.row(ri as usize),
-                    &layout.right_only_idx,
-                );
+                out.push_join_row(left.row(li as usize), right.row(ri as usize), &sources);
             }
             Ok::<Annotated, ExecError>(out)
         })

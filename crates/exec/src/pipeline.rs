@@ -12,18 +12,18 @@
 //! lineage-annotated answer relation the confidence-computation operator
 //! consumes. One pipeline serves both storage backings.
 //!
-//! The pipeline owns its running result, so a step that changes nothing
-//! copies nothing: a projection that keeps every column in place — the
-//! common case, since a scan already keeps only head and join attributes —
-//! hands its input on ([`Annotated::into_projection_ctx`]; no arena is
-//! allocated or charged and no `project.write` checkpoint runs), and the
-//! last step projects straight to the head's column order instead of to the
-//! schema's and then again to the head's. A single-relation query therefore
-//! copies its scan's output only if the head reorders it. The by-reference
-//! operators ([`ops::project_ctx`], [`ops::natural_join_ctx`], the fused
-//! scans) are what a caller chaining them by hand gets, and
-//! `tests/pipeline_staged.rs` holds the pipeline's answer and counters to
-//! exactly such a chain.
+//! Every row of an intermediate is written once. A join step writes only
+//! the columns a later step or the head needs
+//! ([`ops::natural_join_project_ctx`]), the last one straight in the head's
+//! column order; the first step owns its scan, so a projection that keeps
+//! every column in place — the common case, since a scan already keeps only
+//! head and join attributes — hands it on ([`Annotated::into_projection_ctx`];
+//! no arena is allocated or charged and no `project.write` checkpoint
+//! runs). A single-relation query therefore copies its scan's output only
+//! if the head reorders it. The by-reference operators
+//! ([`ops::natural_join_ctx`], [`ops::project_ctx`], the fused scans) are
+//! what a caller chaining them by hand gets, and `tests/pipeline_staged.rs`
+//! holds the pipeline's answer and counters to exactly such a chain.
 //!
 //! # Late string materialization
 //!
@@ -199,28 +199,16 @@ pub fn evaluate_join_order_with<E: From<ExecError>>(
         drop(scan_span);
         let scanned = after_scan(rel_name, scanned)?;
 
-        let acc = match current.take() {
-            None => scanned,
-            Some(acc) => {
-                let join_span = ctx.span_with("join", rel_name.as_str());
-                let gated = pool.for_items(acc.len().max(scanned.len()));
-                let joined = ops::natural_join_ctx(&acc, &scanned, &gated, ctx)?;
-                drop(join_span);
-                joined
-            }
-        };
-
         // Keep what the head or a join still to come needs; the last step
-        // projects straight to the head, in the head's column order. The
-        // running result is owned, so a projection that keeps every column
-        // in place moves it.
+        // keeps the head, in the head's column order. A join writes only
+        // those columns; a first step's scan is owned, so a projection that
+        // keeps every column in place moves it.
         let remaining = &order[step + 1..];
-        let needed: Vec<String> = if remaining.is_empty() {
-            query.head.clone()
-        } else {
-            acc.schema()
-                .names()
-                .into_iter()
+        let needed = |names: &mut dyn Iterator<Item = &str>| -> Vec<String> {
+            if remaining.is_empty() {
+                return query.head.clone();
+            }
+            names
                 .filter(|a| {
                     head.contains(*a)
                         || remaining
@@ -230,8 +218,21 @@ pub fn evaluate_join_order_with<E: From<ExecError>>(
                 .map(str::to_string)
                 .collect()
         };
-        let gated = pool.for_items(acc.len());
-        current = Some(acc.into_projection_ctx(&needed, &gated, ctx)?);
+        current = Some(match current.take() {
+            None => {
+                let keep = needed(&mut scanned.schema().names().into_iter());
+                let gated = pool.for_items(scanned.len());
+                scanned.into_projection_ctx(&keep, &gated, ctx)?
+            }
+            Some(acc) => {
+                let keep = needed(&mut acc.join_names(&scanned));
+                let join_span = ctx.span_with("join", rel_name.as_str());
+                let gated = pool.for_items(acc.len().max(scanned.len()));
+                let joined = ops::natural_join_project_ctx(&acc, &scanned, &keep, &gated, ctx)?;
+                drop(join_span);
+                joined
+            }
+        });
     }
 
     let mut answer = current.expect("query has at least one relation");

@@ -28,11 +28,13 @@
 //! pass does not replay); the input then takes the key path whole —
 //! normalized keys, one radix sort of the packed words, the boundaries read
 //! off the sorted words. Either way the result is the stable sort's, so
-//! which path ran never shows in it.
+//! which path ran never shows in it. Trailing order variables that already
+//! ascend in input order get no key word: a stable sort leaves them as they
+//! are.
 //!
-//! [`KeyRuns::collapse`] has the matching case: given an input it owns whose
-//! runs are its rows, one each and in order, the output's data arena *is* the
-//! input's. It is moved, and only the lineage arena is written.
+//! [`KeyRuns::collapse`] copies no data value of an input it owns: each
+//! run's first row is moved inside the input's data arena, which is then
+//! shrunk to the runs, and only the lineage arena is written afresh.
 //!
 //! Runs come in ascending key order, which is `Value`'s order on the data
 //! columns — the order a `BTreeMap<Tuple, _>` iterates in — except in the
@@ -49,7 +51,7 @@ use pdb_storage::{Value, Variable};
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
-use crate::key::{cmp_one_variant, CELL_WIDTH};
+use crate::key::{cmp_one_variant, SortKeys, CELL_WIDTH};
 use crate::ops::arena_bytes;
 
 /// A relation's rows sorted on `(data columns, group variables, order
@@ -140,13 +142,18 @@ impl KeyRuns {
             return Ok(KeyRuns { order, starts });
         }
         let col_idx: Vec<usize> = (0..input.data_width()).collect();
+        // Trailing order variables that already ascend in input order (a
+        // base table's, after a scan) are as a stable sort leaves them.
+        let var = |r: usize, c: usize| input.row(r).lineage[c].0;
+        let descends = |&c: &usize| (1..input.len()).any(|r| var(r - 1, c) > var(r, c));
+        let order_cols = &order_cols[..order_cols.iter().rposition(descends).map_or(0, |e| e + 1)];
         let rel_idx: Vec<usize> = group_cols.iter().chain(order_cols).copied().collect();
         ctx.account(stage, sort_bytes(input.len(), col_idx.len(), rel_idx.len()))?;
         let keys = input.sort_keys_with(&col_idx, &rel_idx, pool);
         // Runs are cut on the normalized key prefix — the top bits of the
         // sorted packed words, no `Value` dispatch.
         let prefix_words = keys.data_words() + group_cols.len();
-        let (order, starts) = keys.sorted_runs(input.len(), prefix_words, pool);
+        let (order, starts) = SortKeys::sorted_runs(keys, input.len(), prefix_words, pool);
         Ok(KeyRuns { order, starts })
     }
 
@@ -181,22 +188,17 @@ impl KeyRuns {
         &self.order[self.starts[run]..end]
     }
 
-    /// Whether the runs are the input's rows, one each and in input order.
-    fn are_the_input_rows(&self) -> bool {
-        self.starts.len() == self.order.len()
-            && self.order.iter().enumerate().all(|(k, &r)| r as usize == k)
-    }
-
     /// Collapses every run to one output row, in run order: the data values
     /// and the lineage columns `kept_cols` of the run's first row (in sort
     /// order), with column `slot` — one of `kept_cols` — replaced by
     /// `fold(input, run, rows)`. Runs are weight-balanced across the pool by
     /// row count and written in place into disjoint arena segments; `fold`
     /// runs exactly once per run, in ascending run order within a segment.
-    /// An owned `input` whose runs are its rows, one each and in order,
-    /// gives up its data arena to the output instead of having it copied.
-    /// The arenas the output allocates are charged to `ctx`'s memory budget
-    /// under `stage` beforehand.
+    ///
+    /// A borrowed `input` has every run's first row copied into a fresh data
+    /// arena; an owned one has it moved inside its own once the folds are
+    /// done (see the module documentation). The arenas the output allocates
+    /// are charged to `ctx`'s memory budget under `stage` beforehand.
     ///
     /// # Errors
     /// [`ExecError::Governed`] when the output exceeds the memory budget;
@@ -215,9 +217,9 @@ impl KeyRuns {
         fold: impl Fn(&Annotated, usize, &[u32]) -> ExecResult<(Variable, f64)> + Sync,
     ) -> ExecResult<Annotated> {
         let source: &Annotated = &input;
-        let moves_data = matches!(input, Cow::Owned(_)) && self.are_the_input_rows();
-        // Data values written per run: none when the arena is moved.
-        let dw = if moves_data { 0 } else { source.data_width() };
+        // Data values copied per run: none when the arena is kept.
+        let owned = matches!(input, Cow::Owned(_));
+        let dw = if owned { 0 } else { source.data_width() };
         let lw = kept_cols.len();
         ctx.account(stage, arena_bytes(self.len(), dw, lw))?;
         let mut data = vec![Value::Null; self.len() * dw];
@@ -252,10 +254,11 @@ impl KeyRuns {
             .iter()
             .map(|&c| source.relations()[c].clone())
             .collect();
+        let exemplar = |run: usize| self.order[self.starts[run]] as usize;
         Ok(match input {
-            Cow::Owned(owned) if moves_data => owned.with_lineage(relations, lineage),
-            other => {
-                Annotated::from_arenas(other.schema().clone(), relations, self.len(), data, lineage)
+            Cow::Owned(owned) => owned.into_rows(self.len(), exemplar, relations, lineage),
+            Cow::Borrowed(input) => {
+                Annotated::from_arenas(input.schema().clone(), relations, self.len(), data, lineage)
             }
         })
     }

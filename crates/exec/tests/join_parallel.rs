@@ -9,6 +9,9 @@
 //! shared column) and high-skew key distributions (one hot key owning a
 //! large fraction of both sides), NULL keys, and string/int/float key mixes.
 //!
+//! The projecting join (`natural_join_project_ctx`) is held to the join
+//! followed by `project_ctx`, for every subset of the output columns.
+//!
 //! The flat chained join index (PR 19) adds its own corners, each held to the
 //! same reference bit for bit: one long chain, all-distinct keys, keys that
 //! share a bucket but not a hash, NULLs, cross-type numeric equals, strings
@@ -19,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pdb_exec::pipeline::evaluate_join_order_ctx;
-use pdb_exec::{ops, Annotated, ExecContext};
+use pdb_exec::{ops, Annotated, ExecContext, ExecError, GovernorBuilder};
 use pdb_par::Pool;
 use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
 use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Value, Variable};
@@ -141,6 +144,55 @@ proptest! {
             let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
             assert_identical(&joined, &reference, &format!("join at {threads} threads"))?;
         }
+    }
+
+    /// The projecting join writes what the join followed by `project_ctx`
+    /// writes, bit for bit, for every subset of the output columns — in
+    /// schema order and reversed — at every pool size, over string, NULL
+    /// and duplicate keys; and what a governor is charged and the
+    /// checkpoints it passes are the same at every pool size.
+    #[test]
+    fn projecting_join_is_the_join_then_the_projection(
+        seed in 1u64..u64::MAX / 2,
+        left in 40usize..200,
+        right in 40usize..200,
+        hot_pct in 0u64..90,
+    ) {
+        let (l, r) = join_tables(seed, left, right, hot_pct);
+        let joined = ops::natural_join_ctx(&l, &r, &Pool::sequential(), &CTX).unwrap();
+        let names: Vec<String> = joined.schema().names().iter().map(|n| n.to_string()).collect();
+        prop_assert_eq!(names.len(), 3);
+        for subset in 0..1u32 << names.len() {
+            let in_order: Vec<String> = (names.iter().enumerate())
+                .filter(|(i, _)| subset >> i & 1 == 1)
+                .map(|(_, n)| n.clone())
+                .collect();
+            let reversed: Vec<String> = in_order.iter().rev().cloned().collect();
+            for keep in [in_order, reversed] {
+                let want = ops::project_ctx(&joined, &keep, &Pool::sequential(), &CTX).unwrap();
+                let mut governed = Vec::new();
+                for threads in POOLS {
+                    let gov = GovernorBuilder::new().build();
+                    let ctx = ExecContext::governed(&gov);
+                    let got =
+                        ops::natural_join_project_ctx(&l, &r, &keep, &Pool::new(threads), &ctx)
+                            .unwrap();
+                    let what = format!("join onto {keep:?} at {threads} threads");
+                    assert_identical(&got, &want, &what)?;
+                    governed.push((gov.memory_used(), gov.checkpoints_seen()));
+                }
+                prop_assert!(
+                    governed.windows(2).all(|w| w[0] == w[1]),
+                    "join onto {:?}: (charged, checkpoints) by pool {:?}",
+                    keep,
+                    governed
+                );
+            }
+        }
+        prop_assert!(matches!(
+            ops::natural_join_project_ctx(&l, &r, &["nope".to_string()], &Pool::sequential(), &CTX),
+            Err(ExecError::UnknownColumn(_))
+        ));
     }
 
     /// The product shape (no shared column) goes through the same

@@ -8,6 +8,12 @@
 //! of column types, sizes and input orders, the permutation and the run
 //! starts of the one-word / radix kernel equal a stable `sort_by` on the
 //! three-word cell encoding every column used to get.
+//!
+//! And `KeyRuns::collapse` of an input it owns — each run's first row moved
+//! inside the input's arena — against the gather of a borrowed one, on the
+//! same zoo.
+
+use std::borrow::Cow;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -593,5 +599,46 @@ fn inputs_that_arrive_sorted_match_the_reference_too() {
             relation_of(0, 1, (0..n).map(rows).collect()),
             1,
         );
+    }
+}
+
+#[test]
+fn an_owned_collapse_moves_the_rows_a_borrowed_one_copies() {
+    // The in-place move — exemplars swapped forward or set aside, the other
+    // rows dropped, the arena shrunk — equals the gather into a fresh arena
+    // on every shape of the zoo, with no, one or two data columns (strings
+    // and NULLs among them), runs of every length and every pool size.
+    let cutoff = pdb_par::SEQUENTIAL_CUTOFF;
+    let shapes = [
+        Shape::Random,
+        Shape::Presorted,
+        Shape::Reversed,
+        Shape::AllEqual,
+    ];
+    let columns = [(Kind::Str, true), (Kind::Int, false)];
+    let ctx = ExecContext::unbounded();
+    for case in 0..24usize {
+        let rows = [0, 1, 7, 300, cutoff + 1, 1500][case % 6];
+        let (shape, width) = (shapes[case % 4], case % 3);
+        let input = zoo_relation(&columns[..width], 2, rows, shape, 7000 + case as u64);
+        let group_cols: &[usize] = if case % 5 < 2 { &[0] } else { &[] };
+        let fold = |input: &Annotated, run: usize, rows: &[u32]| {
+            let last = input.row(rows[rows.len() - 1] as usize);
+            Ok((last.lineage[1].0, run as f64))
+        };
+        for threads in [1, 2, 8] {
+            let pool = Pool::new(threads);
+            let runs = KeyRuns::build(&input, group_cols, &[1], Stage::Aggregate, &pool, &ctx);
+            let runs = runs.unwrap();
+            let collapse = |input: Cow<'_, Annotated>| {
+                runs.collapse(input, &[0, 1], 1, Stage::Aggregate, &pool, &ctx, fold)
+                    .unwrap()
+            };
+            assert_eq!(
+                collapse(Cow::Owned(input.clone())),
+                collapse(Cow::Borrowed(&input)),
+                "{rows} rows {shape:?}, {width} columns, {threads} threads"
+            );
+        }
     }
 }

@@ -9,10 +9,12 @@
 //! group); joins between such relations multiply probabilities implicitly
 //! through the next aggregation's propagation step.
 //!
-//! The walk owns every intermediate: a node's projection hands on a join
-//! result whose columns are all kept in place, and an aggregation whose
-//! input arrives in key order with one row per group keeps that input's data
-//! arena and rewrites only its lineage (see [`KeyRuns`]).
+//! Every intermediate exists once. A node's last join writes only the
+//! columns needed above it or in the head
+//! ([`ops::natural_join_project_ctx`]), and the walk owns what it
+//! aggregates: the aggregation moves each group's first row inside its
+//! input's data arena, shrinks the arena to the groups and writes only a
+//! fresh lineage arena (see [`KeyRuns`]).
 //!
 //! The MystiQ plan ([`crate::safe`]) *is* that safe plan, so it is this
 //! module's tree walk too. The two families differ in two values an
@@ -192,17 +194,21 @@ impl EagerPlan {
                 }
                 // The first child in that order is the representative; the
                 // others join onto it left to right.
-                let mut evaluated = evaluated.into_iter();
+                let mut evaluated = evaluated.into_iter().peekable();
                 let (mut joined, representative) =
                     evaluated.next().expect("an inner node has children");
-                for (child, _) in evaluated {
+                while let Some((child, _)) = evaluated.next() {
                     let join_pool = self.pool.for_items(joined.len().max(child.len()));
-                    joined = ops::natural_join_ctx(&joined, &child, &join_pool, ctx)?;
+                    joined = if evaluated.peek().is_some() {
+                        ops::natural_join_ctx(&joined, &child, &join_pool, ctx)?
+                    } else {
+                        // The last join writes only what the node keeps.
+                        let names = joined.join_names(&child);
+                        let keep = kept_attributes(names, needed_above, head);
+                        ops::natural_join_project_ctx(&joined, &child, &keep, &join_pool, ctx)?
+                    };
                 }
-                let keep = kept_attributes(joined.schema(), needed_above, head);
-                let pool = self.pool.for_items(joined.len());
-                let projected = joined.into_projection_ctx(&keep, &pool, ctx)?;
-                let aggregated = self.aggregate_joined(projected, &representative)?;
+                let aggregated = self.aggregate_joined(joined, &representative)?;
                 Ok((aggregated, representative))
             }
         }
@@ -213,9 +219,8 @@ impl EagerPlan {
     /// columns and then the variables of `order_cols`, and every run of
     /// equal data collapses to its first row with lineage column `slot` —
     /// the only one kept — set to `fold(input, rows)`. Output rows come in
-    /// ascending key order. The aggregation owns `input`: a relation that
-    /// arrives in key order with one row per group — a table scanned along
-    /// its key — keeps its data arena and has only its lineage rewritten.
+    /// ascending key order. The aggregation owns `input` and compacts its
+    /// data arena in place; only the lineage arena is written afresh.
     /// Identical at every pool size; checkpoints `eager.aggregate` once per
     /// [`ops::SEQ_CHECK_EVERY`] runs, on the global run index.
     ///
@@ -363,16 +368,14 @@ pub(crate) fn leaf_scan_attributes(
         .collect()
 }
 
-/// The columns of `schema` a node's projection keeps: those needed above it
-/// or in the head.
-fn kept_attributes(
-    schema: &Schema,
+/// The columns of a node's output, in the order `names` lists them, that it
+/// keeps: those needed above it or in the head.
+fn kept_attributes<'a>(
+    names: impl Iterator<Item = &'a str>,
     needed_above: &BTreeSet<String>,
     head: &BTreeSet<String>,
 ) -> Vec<String> {
-    schema
-        .names()
-        .into_iter()
+    names
         .filter(|a| needed_above.contains(*a) || head.contains(*a))
         .map(|s| s.to_string())
         .collect()

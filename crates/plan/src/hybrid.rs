@@ -9,6 +9,7 @@
 //! confidence computation happens at the top with the correspondingly
 //! simplified signature (each pushed `R*` replaced by the bare `R`).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -163,7 +164,7 @@ impl HybridPlan {
                 // representative variable and the group's probability.
                 let step_sig = Signature::star(Signature::table(rel_name.to_string()));
                 Ok(apply_pre_aggregation_ctx(
-                    &scanned,
+                    Cow::Owned(scanned),
                     &step_sig,
                     &self.pool,
                     SplitPolicy::default(),

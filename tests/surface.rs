@@ -31,7 +31,7 @@ const MODULES: [(&str, &str); 6] = [
 ];
 
 /// The pinned surface, sorted.
-const SURFACE: [&str; 25] = [
+const SURFACE: [&str; 26] = [
     "conf::grp::grp_confidences",
     "conf::grp::grp_confidences_with",
     "conf::multi_scan::apply_pre_aggregation",
@@ -47,6 +47,7 @@ const SURFACE: [&str; 25] = [
     "exec::columnar::scan_filter_project_columnar_ranked_ctx",
     "exec::ops::natural_join",
     "exec::ops::natural_join_ctx",
+    "exec::ops::natural_join_project_ctx",
     "exec::ops::project",
     "exec::ops::project_ctx",
     "exec::ops::scan",
