@@ -14,18 +14,21 @@
 //!    needs no per-row evaluation at all;
 //! 2. runs **compare-to-bitmask kernels** ([`crate::kernel`]) over the
 //!    remaining chunks — each predicate is compiled once into a typed
-//!    comparison (`PredEval`) against the column's native representation
-//!    (`i64`, `f64`, `i32` days, `bool`, dictionary ranks), then a
-//!    branch-free loop fills a 16×`u64` selection bitmask per 1024-row
-//!    chunk; the null bitmap is AND-ed out, conjunctions AND their masks,
-//!    `IN` alternatives OR theirs. `Mixed` columns consult the per-chunk
-//!    representation tag and run a typed loop whenever the chunk is
-//!    uniformly typed, falling back to per-row `Value` evaluation only on
-//!    genuinely heterogeneous chunks;
+//!    comparison (`PredEval`) against the column's physical representation:
+//!    over a packed column (integers, `i32` days, dictionary ranks, each a
+//!    base plus `u8`/`u16`/`u32`/`u64` words) and a boolean one it becomes
+//!    a word interval or a constant ([`kernel::WordTest`]), over floats an
+//!    `f64` comparison; a branch-free loop fills a 16×`u64` selection
+//!    bitmask per 1024-row chunk, the null bitmap is AND-ed out,
+//!    conjunctions AND their masks, `IN` alternatives OR theirs. `Mixed`
+//!    columns consult the per-chunk representation tag and run a typed
+//!    loop whenever the chunk is uniformly typed, falling back to per-row
+//!    `Value` evaluation only on genuinely heterogeneous chunks;
 //! 3. **gathers** only the projected columns of the survivors straight into
 //!    the output's pre-sized arena segments (sized by mask popcounts —
 //!    never a per-row `Vec` push), iterating set mask bits with one typed
-//!    loop per (column, segment). Dictionary columns can be gathered as
+//!    loop per (column, segment), a packed column's width matched once per
+//!    segment. Dictionary columns can be gathered as
 //!    **ranks** (`Value::Int` codes) instead of decoded `Arc<str>`s; ranks
 //!    order exactly like their strings, which is what lets the late
 //!    materialization path carry them through join → sort → dedup and
@@ -39,16 +42,20 @@
 //! case by case (including NaN-greatest float normalization, cross-type
 //! rank ordering and NULL-fails-everything), the zone statistics are built
 //! from the same total order, and `PredEval` is retained as the scalar
-//! oracle: debug builds re-check every chunk's mask against it row by row.
+//! oracle: debug builds re-check every chunk's mask against it row by row,
+//! and [`ChunkPredicate`] exposes both masks to property tests.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pdb_govern::{Counter, ExecContext, Stage};
 use pdb_par::Pool;
 use pdb_query::{CompareOp, Predicate};
-use pdb_storage::columnar::ChunkRepr;
-use pdb_storage::{total_f64_cmp, ColumnData, ColumnarTable, Value, Variable, ZoneMap};
+use pdb_storage::columnar::{ChunkRepr, Packed, Word};
+use pdb_storage::{
+    total_f64_cmp, with_words, ColumnData, ColumnarTable, NullBitmap, Value, Variable, ZoneMap,
+};
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
@@ -225,24 +232,25 @@ fn prune_pred(zone: &ZoneMap, cp: &CompiledPred<'_>) -> (Prune, bool) {
 
 /// One predicate compiled against one column's physical representation:
 /// yields the `Value::cmp` ordering of a non-null row against the constant
-/// without constructing a `Value`. The bitmask kernels are the vectorized
-/// form of exactly this dispatch; `PredEval` stays as the scalar oracle
-/// (debug builds verify every mask against it).
+/// without constructing a `Value`. This is the scalar oracle; the bitmask
+/// kernels evaluate the same comparison as a [`kernel::WordTest`] over a
+/// packed column's words ([`PredEval::thresholds`]) or a float or boolean
+/// loop, and debug builds verify every mask against it.
 enum PredEval<'a> {
     /// The constant is NULL: every row fails.
     AllFalse,
     /// Constant of a different type class: `Value::cmp` falls back to the
     /// type rank, so every non-null row compares the same way.
     ConstOrd(Ordering),
-    /// `i64` column vs integer constant (exact integer comparison —
+    /// Integer column vs integer constant (exact integer comparison —
     /// `Value::cmp` never goes through floats for Int/Int).
     IntInt(i64),
-    /// `i64` column vs float constant (`Value::cmp` compares through f64).
+    /// Integer column vs float constant (`Value::cmp` compares through f64).
     IntFloat(f64),
     /// `f64` column vs numeric constant (integers cast, as `Value::cmp`
     /// does).
     FloatNum(f64),
-    /// `i32` date column vs date constant.
+    /// Date column vs date constant.
     DateDate(i32),
     /// Dictionary column vs string constant: `ip` is the constant's
     /// insertion point in the sorted dictionary, `present` whether it
@@ -254,6 +262,15 @@ enum PredEval<'a> {
     /// Mixed column: evaluate on the stored `Value` directly (the kernel
     /// layer specializes per chunk through the representation tag).
     Mixed(&'a Value),
+}
+
+/// One decoded non-null cell of a typed column, as the oracle compares it:
+/// a packed column's value (integer, date or rank), a float or a boolean.
+#[derive(Clone, Copy)]
+enum Cell {
+    Int(i64),
+    Float(f64),
+    Bool(bool),
 }
 
 impl PredEval<'_> {
@@ -288,29 +305,22 @@ impl PredEval<'_> {
         }
     }
 
-    /// The `Value::cmp` ordering of non-null row `r` against the constant.
-    /// Only the debug-build oracle walks rows scalar-wise in release-shaped
-    /// code paths, hence the `dead_code` allowance outside debug builds.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    /// The `Value::cmp` ordering of a non-null cell against the constant.
     #[inline]
-    fn ordering(&self, column: &ColumnData, r: usize) -> Option<Ordering> {
-        match (self, column) {
+    fn ordering(&self, cell: Cell) -> Option<Ordering> {
+        match (self, cell) {
             (PredEval::AllFalse, _) => None,
             (PredEval::ConstOrd(ord), _) => Some(*ord),
-            (PredEval::IntInt(c), ColumnData::Int { values, .. }) => Some(values[r].cmp(c)),
-            (PredEval::IntFloat(c), ColumnData::Int { values, .. }) => {
-                Some(total_f64_cmp(values[r] as f64, *c))
-            }
-            (PredEval::FloatNum(c), ColumnData::Float { values, .. }) => {
-                Some(total_f64_cmp(values[r], *c))
-            }
-            (PredEval::DateDate(c), ColumnData::Date { values, .. }) => Some(values[r].cmp(c)),
-            (PredEval::BoolBool(c), ColumnData::Bool { values, .. }) => Some(values[r].cmp(c)),
-            (PredEval::StrRank { ip, present }, ColumnData::Str { codes, .. }) => {
-                let code = codes[r];
-                Some(if code < *ip {
+            (PredEval::IntInt(c), Cell::Int(x)) => Some(x.cmp(c)),
+            (PredEval::IntFloat(c), Cell::Int(x)) => Some(total_f64_cmp(x as f64, *c)),
+            (PredEval::FloatNum(c), Cell::Float(x)) => Some(total_f64_cmp(x, *c)),
+            (PredEval::DateDate(c), Cell::Int(x)) => Some(x.cmp(&i64::from(*c))),
+            (PredEval::BoolBool(c), Cell::Bool(x)) => Some(x.cmp(c)),
+            (PredEval::StrRank { ip, present }, Cell::Int(code)) => {
+                let ip = i64::from(*ip);
+                Some(if code < ip {
                     Ordering::Less
-                } else if *present && code == *ip {
+                } else if *present && code == ip {
                     Ordering::Equal
                 } else {
                     Ordering::Greater
@@ -320,22 +330,84 @@ impl PredEval<'_> {
         }
     }
 
-    /// Whether non-null row `r` satisfies `op constant` — exactly
-    /// `op.eval(&column.value(r), constant)`. Retained as the scalar oracle
-    /// the debug-build cross-check runs against every masked chunk.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    #[inline]
-    fn matches(&self, column: &ColumnData, op: CompareOp, r: usize) -> bool {
-        if let PredEval::Mixed(c) = self {
-            if let ColumnData::Mixed { values } = column {
-                return op.eval(&values[r], c);
+    /// `(a, b)`: the first value that compares at or above the constant and
+    /// the first that compares above it, for the comparisons a packed column
+    /// evaluates. The values `Value::cmp` orders `Less` are those below `a`,
+    /// `Equal` those in `a..b`, `Greater` the rest — so every operator is an
+    /// interval of values. An integer compared with a float constant goes
+    /// through `f64`, which is monotone: its two thresholds are found by
+    /// bisection (a NaN constant, greatest, leaves every integer below it).
+    fn thresholds(&self) -> Option<(i128, i128)> {
+        let next = |x: i128| (x, x + 1);
+        Some(match *self {
+            PredEval::IntInt(c) => next(c.into()),
+            PredEval::DateDate(c) => next(c.into()),
+            PredEval::BoolBool(c) => next(c.into()),
+            PredEval::StrRank { ip, present } => (ip.into(), i128::from(ip) + i128::from(present)),
+            PredEval::IntFloat(c) => (first_int(|v| v as f64 >= c), first_int(|v| v as f64 > c)),
+            _ => return None,
+        })
+    }
+
+    /// The oracle's mask of `op` over `range` of `column`, row by row: a
+    /// NULL row fails, any other passes iff its [`PredEval::ordering`]
+    /// satisfies `op` (`CompareOp::eval` on a `Mixed` column). A packed
+    /// column's rows are decoded once for the chunk.
+    fn oracle_mask(&self, column: &ColumnData, op: CompareOp, range: Range<usize>) -> Vec<u64> {
+        let (start, n) = (range.start, range.len());
+        let mut out = vec![0; kernel::mask_words(n)];
+        let pass = |i: usize, cell: Cell| {
+            !column.is_null(start + i) && self.ordering(cell).is_some_and(|o| op_ord(op, o))
+        };
+        match column {
+            ColumnData::Mixed { values } => kernel::fill_with(n, &mut out, |i| match self {
+                PredEval::Mixed(c) => op.eval(&values[start + i], c),
+                _ => false,
+            }),
+            ColumnData::Float { values, .. } => {
+                kernel::fill_with(n, &mut out, |i| pass(i, Cell::Float(values[start + i])))
+            }
+            ColumnData::Bool { values, .. } => {
+                kernel::fill_with(n, &mut out, |i| pass(i, Cell::Bool(values[start + i])))
+            }
+            ColumnData::Int { values, .. }
+            | ColumnData::Date { values, .. }
+            | ColumnData::Str { codes: values, .. } => {
+                let cells = values.decode(range);
+                kernel::fill_with(n, &mut out, |i| pass(i, Cell::Int(cells[i])))
             }
         }
-        match self.ordering(column, r) {
-            None => false,
-            Some(ord) => op_ord(op, ord),
+        out
+    }
+}
+
+/// The first `i64` at which the monotone `pred` holds, or `i64::MAX + 1`.
+fn first_int(pred: impl Fn(i64) -> bool) -> i128 {
+    let (mut lo, mut hi) = (i128::from(i64::MIN), i128::from(i64::MAX) + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid as i64) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
         }
     }
+    lo
+}
+
+/// The word test of `op` over words `w ≤ top` holding `base + w`, from the
+/// constant's thresholds `(a, b)` ([`PredEval::thresholds`]).
+fn word_test((base, top): (i64, u64), op: CompareOp, (a, b): (i128, i128)) -> kernel::WordTest {
+    let (min, max) = (i128::from(i64::MIN), i128::from(i64::MAX));
+    let (lo, hi, negate) = match op {
+        CompareOp::Eq | CompareOp::In => (a, b - 1, false),
+        CompareOp::Ne => (a, b - 1, true),
+        CompareOp::Lt => (min, a - 1, false),
+        CompareOp::Le => (min, b - 1, false),
+        CompareOp::Gt => (b, max, false),
+        CompareOp::Ge => (a, max, false),
+    };
+    kernel::WordTest::new(base, top, lo, hi, negate)
 }
 
 /// Whether an ordering outcome satisfies `op` (`In` behaves as `Eq`
@@ -366,12 +438,99 @@ fn representative(column: &ColumnData) -> Value {
 }
 
 /// One predicate compiled for the scan: its operator, column position, and
-/// one [`PredEval`] per constant (one for every operator except `In`).
+/// one [`PredEval`] per constant (one for every operator except `In`),
+/// with its [`kernel::WordTest`] when the column is packed.
 struct CompiledPred<'a> {
     op: CompareOp,
     col: usize,
     constants: Vec<&'a Value>,
     evals: Vec<PredEval<'a>>,
+    tests: Vec<Option<kernel::WordTest>>,
+}
+
+impl<'a> CompiledPred<'a> {
+    /// Compiles `p` against column `col` of `table`.
+    fn new(table: &ColumnarTable, p: &'a Predicate, col: usize) -> CompiledPred<'a> {
+        let column = table.column(col);
+        let constants: Vec<&Value> = if p.op == CompareOp::In {
+            p.constants().collect()
+        } else {
+            vec![&p.constant]
+        };
+        let evals: Vec<PredEval<'a>> = (constants.iter())
+            .map(|v| PredEval::compile(column, v))
+            .collect();
+        let op = CompiledPred::alternative_op(p.op);
+        let frame = match column {
+            ColumnData::Bool { .. } => Some((0, 1)),
+            _ => column.packed().map(|p| (p.base(), p.top())),
+        };
+        let tests = (evals.iter())
+            .map(|e| Some(word_test(frame?, op, e.thresholds()?)))
+            .collect();
+        CompiledPred {
+            op: p.op,
+            col,
+            constants,
+            evals,
+            tests,
+        }
+    }
+
+    /// The operator each constant is compared with (`IN` = any equal).
+    fn alternative_op(op: CompareOp) -> CompareOp {
+        if op == CompareOp::In {
+            CompareOp::Eq
+        } else {
+            op
+        }
+    }
+
+    /// The scalar oracle's mask over `range`: a row passes iff some
+    /// alternative matches it.
+    fn oracle_mask(&self, table: &ColumnarTable, range: Range<usize>) -> Vec<u64> {
+        let (column, op) = (
+            table.column(self.col),
+            CompiledPred::alternative_op(self.op),
+        );
+        let mut out = vec![0; kernel::mask_words(range.len())];
+        for eval in &self.evals {
+            kernel::or_into(&mut out, &eval.oracle_mask(column, op, range.clone()));
+        }
+        out
+    }
+}
+
+/// One predicate compiled against a columnar table as the scan compiles it,
+/// for checking the kernels against the scalar oracle: debug builds of the
+/// scan hold the two masks equal on every chunk they mask, and property
+/// tests do so in release builds too.
+pub struct ChunkPredicate<'a> {
+    table: &'a ColumnarTable,
+    compiled: CompiledPred<'a>,
+}
+
+impl<'a> ChunkPredicate<'a> {
+    /// Compiles `predicate` against `table`.
+    ///
+    /// # Errors
+    /// Fails if the predicate's attribute is not a column of `table`.
+    pub fn new(table: &'a ColumnarTable, predicate: &'a Predicate) -> ExecResult<Self> {
+        let col = (table.schema().index_of(&predicate.attribute))
+            .map_err(|_| ExecError::UnknownColumn(predicate.attribute.clone()))?;
+        let compiled = CompiledPred::new(table, predicate, col);
+        Ok(ChunkPredicate { table, compiled })
+    }
+
+    /// Chunk `k`'s selection masks: the kernels' (NULL rows cleared), then
+    /// the scalar oracle's.
+    pub fn masks(&self, k: usize) -> (Vec<u64>, Vec<u64>) {
+        let range = self.table.chunk_range(k);
+        let words = kernel::mask_words(range.len());
+        let (mut kernel, mut scratch) = (vec![0; words], vec![0; words]);
+        build_pred_mask(self.table, k, &self.compiled, &mut kernel, &mut scratch);
+        (kernel, self.compiled.oracle_mask(self.table, range))
+    }
 }
 
 /// The survivors of one chunk.
@@ -415,41 +574,40 @@ fn null_words<'a>(column: &'a ColumnData, range: &std::ops::Range<usize>) -> Opt
 }
 
 /// Fills `out` with the selection mask of one compiled comparison over one
-/// chunk, dispatching to the typed kernel for the column's representation.
-/// NULL handling for typed columns happens in the caller (one
-/// `and_not_nulls` per predicate); `Mixed` chunks fail NULL rows inline.
+/// chunk: the interval kernel over a packed or boolean column's words when
+/// the comparison has a word `test`, else the float kernel or the mixed
+/// chunk loops. NULL handling for typed columns happens in the caller
+/// (one `and_not_nulls` per predicate); `Mixed` chunks fail NULL rows
+/// inline.
 fn eval_mask(
     column: &ColumnData,
     repr: ChunkRepr,
     eval: &PredEval<'_>,
+    test: Option<kernel::WordTest>,
     op: CompareOp,
-    range: &std::ops::Range<usize>,
+    range: Range<usize>,
     out: &mut [u64],
 ) {
-    let rg = range.clone();
-    match (eval, column) {
-        (PredEval::AllFalse, _) => kernel::fill_const(false, rg.len(), out),
-        (PredEval::ConstOrd(ord), _) => kernel::fill_const(op_ord(op, *ord), rg.len(), out),
-        (PredEval::IntInt(c), ColumnData::Int { values, .. }) => {
-            kernel::fill_i64(&values[rg], *c, op, out)
+    match (test, eval, column) {
+        (Some(test), _, ColumnData::Bool { values, .. }) => {
+            kernel::fill_words(&values[range], test, out)
         }
-        (PredEval::IntFloat(c), ColumnData::Int { values, .. }) => {
-            kernel::fill_i64_vs_f64(&values[rg], *c, op, out)
+        (Some(test), _, column) => {
+            let words = column
+                .packed()
+                .expect("a word test of a packed column")
+                .words();
+            with_words!(words, w => kernel::fill_words(&w[range], test, out))
         }
-        (PredEval::FloatNum(c), ColumnData::Float { values, .. }) => {
-            kernel::fill_f64(&values[rg], *c, op, out)
+        (None, PredEval::AllFalse, _) => kernel::fill_const(false, range.len(), out),
+        (None, PredEval::ConstOrd(ord), _) => {
+            kernel::fill_const(op_ord(op, *ord), range.len(), out)
         }
-        (PredEval::DateDate(c), ColumnData::Date { values, .. }) => {
-            kernel::fill_i32(&values[rg], *c, op, out)
+        (None, PredEval::FloatNum(c), ColumnData::Float { values, .. }) => {
+            kernel::fill_f64(&values[range], *c, op, out)
         }
-        (PredEval::BoolBool(c), ColumnData::Bool { values, .. }) => {
-            kernel::fill_bool(&values[rg], *c, op, out)
-        }
-        (PredEval::StrRank { ip, present }, ColumnData::Str { codes, .. }) => {
-            kernel::fill_rank(&codes[rg], *ip, *present, op, out)
-        }
-        (PredEval::Mixed(c), ColumnData::Mixed { values }) => {
-            mixed_chunk_mask(&values[rg], repr, op, c, out)
+        (None, PredEval::Mixed(c), ColumnData::Mixed { values }) => {
+            mixed_chunk_mask(&values[range], repr, op, c, out)
         }
         _ => unreachable!("PredEval compiled for this column"),
     }
@@ -529,35 +687,30 @@ fn repr_representative(repr: ChunkRepr) -> Value {
     }
 }
 
-/// Builds the full selection mask of one predicate over one chunk into
+/// Builds the full selection mask of one predicate over chunk `k` into
 /// `out` (`IN` ORs one equality mask per alternative, built in `scratch`),
 /// then ANDs the null bitmap out for typed columns.
 fn build_pred_mask(
     table: &ColumnarTable,
     k: usize,
-    range: &std::ops::Range<usize>,
     cp: &CompiledPred<'_>,
     out: &mut [u64],
     scratch: &mut [u64],
 ) {
-    let column = table.column(cp.col);
+    let (column, range) = (table.column(cp.col), table.chunk_range(k));
     let repr = table.zone(cp.col, k).repr;
-    let op = if cp.op == CompareOp::In {
-        CompareOp::Eq
-    } else {
-        cp.op
-    };
-    for (ci, eval) in cp.evals.iter().enumerate() {
+    let op = CompiledPred::alternative_op(cp.op);
+    for (ci, (eval, test)) in cp.evals.iter().zip(&cp.tests).enumerate() {
         if ci == 0 {
-            eval_mask(column, repr, eval, op, range, out);
+            eval_mask(column, repr, eval, *test, op, range.clone(), out);
         } else {
-            eval_mask(column, repr, eval, op, range, scratch);
+            eval_mask(column, repr, eval, *test, op, range.clone(), scratch);
             kernel::or_into(out, scratch);
         }
     }
     // Typed kernels evaluate the (meaningless) stored natives of NULL rows;
     // clear them in one pass. Mixed chunks already failed NULLs per row.
-    if let Some(nw) = null_words(column, range) {
+    if let Some(nw) = null_words(column, &range) {
         kernel::and_not_nulls(out, nw);
     }
 }
@@ -569,27 +722,15 @@ fn build_pred_mask(
 fn mask_agrees_with_oracle(
     table: &ColumnarTable,
     compiled: &[CompiledPred<'_>],
-    range: &std::ops::Range<usize>,
+    range: &Range<usize>,
     mask: &[u64],
 ) -> bool {
-    for (i, r) in range.clone().enumerate() {
-        let want = compiled.iter().all(|cp| {
-            let column = table.column(cp.col);
-            if column.is_null(r) {
-                return false;
-            }
-            if cp.op == CompareOp::In {
-                cp.evals.iter().any(|e| e.matches(column, CompareOp::Eq, r))
-            } else {
-                cp.evals[0].matches(column, cp.op, r)
-            }
-        });
-        let got = mask[i / 64] >> (i % 64) & 1 == 1;
-        if want != got {
-            return false;
-        }
+    let mut want = vec![0; mask.len()];
+    kernel::fill_const(true, range.len(), &mut want);
+    for cp in compiled {
+        kernel::and_into(&mut want, &cp.oracle_mask(table, range.clone()));
     }
-    true
+    want == mask
 }
 
 /// Fused scan → filter → project over a columnar table on an explicit
@@ -666,27 +807,8 @@ pub fn scan_filter_project_columnar_ranked_ctx(
 
     // Compile each predicate against its column's physical representation
     // (one PredEval per constant; several only for IN).
-    let compiled: Vec<CompiledPred<'_>> = predicates
-        .iter()
-        .zip(&pred_positions)
-        .map(|(p, &c)| {
-            let column = table.column(c);
-            let constants: Vec<&Value> = if p.op == CompareOp::In {
-                p.constants().collect()
-            } else {
-                vec![&p.constant]
-            };
-            let evals = constants
-                .iter()
-                .map(|v| PredEval::compile(column, v))
-                .collect();
-            CompiledPred {
-                op: p.op,
-                col: c,
-                constants,
-                evals,
-            }
-        })
+    let compiled: Vec<CompiledPred<'_>> = (predicates.iter().zip(&pred_positions))
+        .map(|(p, &c)| CompiledPred::new(table, p, c))
         .collect();
 
     // Which kept columns are gathered as dictionary ranks, and their
@@ -733,9 +855,9 @@ pub fn scan_filter_project_columnar_ranked_ctx(
             let mut am = vec![0u64; words];
             for (i, cp) in partial.iter().enumerate() {
                 if i == 0 {
-                    build_pred_mask(table, k, &range, cp, &mut acc, &mut am);
+                    build_pred_mask(table, k, cp, &mut acc, &mut am);
                 } else {
-                    build_pred_mask(table, k, &range, cp, &mut pm, &mut am);
+                    build_pred_mask(table, k, cp, &mut pm, &mut am);
                     kernel::and_into(&mut acc, &pm);
                     if kernel::popcount(&acc) == 0 {
                         break;
@@ -801,8 +923,6 @@ pub fn scan_filter_project_columnar_ranked_ctx(
     let data_cuts: Vec<usize> = offsets.iter().map(|o| o * dw).collect();
     let lineage_cuts: Vec<usize> = offsets.clone();
     let (data, lineage) = out.arena_segments_mut();
-    let vars = table.vars();
-    let probs = table.probs();
     pool.try_map_slices2_mut(data, &data_cuts, lineage, &lineage_cuts, |k, dseg, lseg| {
         ctx.checkpoint(Stage::Scan, "scan.gather", k)?;
         match &survivors[k].0 {
@@ -811,9 +931,7 @@ pub fn scan_filter_project_columnar_ranked_ctx(
                 for (j, &c) in keep_positions.iter().enumerate() {
                     gather_column(table.column(c), range.clone(), rank_col[j], dseg, j, dw);
                 }
-                for (slot, r) in range.clone().enumerate() {
-                    lseg[slot] = (vars[r], probs[r]);
-                }
+                gather_lineage(table, range.clone(), lseg);
             }
             ChunkSurvivors::Mask { start, words, .. } => {
                 for (j, &c) in keep_positions.iter().enumerate() {
@@ -826,9 +944,7 @@ pub fn scan_filter_project_columnar_ranked_ctx(
                         dw,
                     );
                 }
-                for (slot, r) in kernel::mask_rows(*start, words).enumerate() {
-                    lseg[slot] = (vars[r], probs[r]);
-                }
+                gather_lineage(table, kernel::mask_rows(*start, words), lseg);
             }
         }
         Ok(())
@@ -838,9 +954,10 @@ pub fn scan_filter_project_columnar_ranked_ctx(
 }
 
 /// Gathers one projected column of a chunk's survivors into the output
-/// segment: one typed loop per (column, segment) — the `Value` enum is
-/// matched once, not once per cell. `ranked` gathers dictionary columns as
-/// rank codes (`Value::Int`) instead of cloning `Arc<str>`s.
+/// segment: one typed loop per (column, segment) — the column's
+/// representation, and a packed column's word width, are matched once, not
+/// once per cell. `ranked` gathers dictionary columns as rank codes
+/// (`Value::Int`) instead of cloning `Arc<str>`s.
 fn gather_column(
     column: &ColumnData,
     rows: impl Iterator<Item = usize>,
@@ -849,56 +966,31 @@ fn gather_column(
     j: usize,
     dw: usize,
 ) {
+    let cells = dseg.iter_mut().skip(j).step_by(dw);
     match column {
-        ColumnData::Int { values, nulls } => {
-            for (slot, r) in rows.enumerate() {
-                dseg[slot * dw + j] = if nulls.is_null(r) {
-                    Value::Null
-                } else {
-                    Value::Int(values[r])
-                };
-            }
+        ColumnData::Int { values, nulls } => gather_packed(values, nulls, rows, cells, Value::Int),
+        ColumnData::Date { values, nulls } => {
+            gather_packed(values, nulls, rows, cells, |d| Value::Date(d as i32))
+        }
+        ColumnData::Str { codes, nulls, .. } if ranked => {
+            gather_packed(codes, nulls, rows, cells, Value::Int)
+        }
+        ColumnData::Str { dict, codes, nulls } => {
+            let decode = |code: i64| Value::Str(dict[code as usize].clone());
+            gather_packed(codes, nulls, rows, cells, decode)
         }
         ColumnData::Float { values, nulls } => {
-            for (slot, r) in rows.enumerate() {
-                dseg[slot * dw + j] = if nulls.is_null(r) {
+            for (cell, r) in cells.zip(rows) {
+                *cell = if nulls.is_null(r) {
                     Value::Null
                 } else {
                     Value::Float(values[r])
                 };
             }
         }
-        ColumnData::Str { dict, codes, nulls } => {
-            if ranked {
-                for (slot, r) in rows.enumerate() {
-                    dseg[slot * dw + j] = if nulls.is_null(r) {
-                        Value::Null
-                    } else {
-                        Value::Int(codes[r] as i64)
-                    };
-                }
-            } else {
-                for (slot, r) in rows.enumerate() {
-                    dseg[slot * dw + j] = if nulls.is_null(r) {
-                        Value::Null
-                    } else {
-                        Value::Str(dict[codes[r] as usize].clone())
-                    };
-                }
-            }
-        }
-        ColumnData::Date { values, nulls } => {
-            for (slot, r) in rows.enumerate() {
-                dseg[slot * dw + j] = if nulls.is_null(r) {
-                    Value::Null
-                } else {
-                    Value::Date(values[r])
-                };
-            }
-        }
         ColumnData::Bool { values, nulls } => {
-            for (slot, r) in rows.enumerate() {
-                dseg[slot * dw + j] = if nulls.is_null(r) {
+            for (cell, r) in cells.zip(rows) {
+                *cell = if nulls.is_null(r) {
                     Value::Null
                 } else {
                     Value::Bool(values[r])
@@ -906,11 +998,48 @@ fn gather_column(
             }
         }
         ColumnData::Mixed { values } => {
-            for (slot, r) in rows.enumerate() {
-                dseg[slot * dw + j] = values[r].clone();
+            for (cell, r) in cells.zip(rows) {
+                *cell = values[r].clone();
             }
         }
     }
+}
+
+/// [`gather_column`] of a packed column, the width matched once: a valid
+/// row `r` becomes `value(base + words[r])`.
+fn gather_packed<'a>(
+    packed: &Packed,
+    nulls: &NullBitmap,
+    rows: impl Iterator<Item = usize>,
+    cells: impl Iterator<Item = &'a mut Value>,
+    value: impl Fn(i64) -> Value,
+) {
+    let base = packed.base();
+    with_words!(packed.words(), w => {
+        for (cell, r) in cells.zip(rows) {
+            *cell = if nulls.is_null(r) {
+                Value::Null
+            } else {
+                value(base.wrapping_add(w[r].offset() as i64))
+            };
+        }
+    })
+}
+
+/// Writes the `(variable, probability)` pair of each of `rows` to
+/// `lineage`, the variables' word width matched once.
+fn gather_lineage(
+    table: &ColumnarTable,
+    rows: impl Iterator<Item = usize>,
+    lineage: &mut [(Variable, f64)],
+) {
+    let (vars, probs) = (table.vars(), table.probs());
+    let base = vars.base();
+    with_words!(vars.words(), w => {
+        for (slot, r) in lineage.iter_mut().zip(rows) {
+            *slot = (Variable(base.wrapping_add(w[r].offset() as i64) as u64), probs[r]);
+        }
+    })
 }
 
 /// Plain columnar scan (no predicates): decodes the `attributes` columns of

@@ -3,24 +3,33 @@
 //! Each kernel fills a **selection bitmask** for one chunk of a typed
 //! column: bit `i` of word `i / 64` is set iff row `chunk_start + i`
 //! satisfies the compiled predicate. A 1024-row chunk is 16 `u64` words.
-//! The loops are written per physical representation (`i64`, `f64`, `i32`
-//! dates, `bool`, `u32` dictionary ranks) as chunked, branch-free
-//! `mask |= (cmp as u64) << bit` folds the autovectorizer reliably lifts —
-//! constant-dependent branches (NaN constants, absent dictionary strings)
-//! are hoisted *out* of the loop, never inside it.
+//! The loops are chunked, branch-free `mask |= (cmp as u64) << bit` folds
+//! the autovectorizer reliably lifts. There are two: [`fill_f64`] for
+//! floats, and the **interval kernel** [`fill_words`] for every
+//! [`Packed`](pdb_storage::columnar::Packed)
+//! column — integers, dates and dictionary ranks, at whichever word width
+//! the column has — and for booleans (`false < true`, one-bit words). Over
+//! words every comparison is an interval `lo ≤ w ≤ hi`, possibly negated
+//! (for `Ne`), or a constant mask ([`WordTest`]): the constant is shifted
+//! by the column's `−base`, a float constant against integers becomes the
+//! integers it orders above and below, and a string constant's insertion
+//! point and presence give the ranks. Constant-dependent cases (NaN
+//! constants, absent dictionary strings, constants outside the column's
+//! frame) are decided *before* the loop, never inside it.
 //!
 //! Semantics replay `CompareOp::eval` ∘ `Value::cmp` exactly: NaN compares
 //! greatest among floats (and equal to itself), `-0.0 == 0.0`, dictionary
 //! ranks order like their strings, and NULL fails everything (callers AND
 //! the null bitmap out afterwards with [`and_not_nulls`]). The scalar
-//! `PredEval` path in `crate::columnar` is the oracle these kernels are
-//! property-tested against.
+//! oracle of `crate::columnar` (`ChunkPredicate::oracle_mask`) is what
+//! these kernels are property-tested against.
 //!
 //! Masks compose bitwise: conjunctions AND per-predicate masks, `IN` lists
 //! OR per-alternative equality masks. Survivor counts are popcounts and
 //! the gather iterates set bits — no per-row `Vec` growth anywhere.
 
 use pdb_query::CompareOp;
+use pdb_storage::columnar::Word;
 
 /// Number of mask words needed for a `len`-row chunk.
 #[inline]
@@ -71,98 +80,6 @@ pub fn fill_const(value: bool, len: usize, out: &mut [u64]) {
         if let Some(last) = out.last_mut() {
             *last = (1u64 << (len % 64)) - 1;
         }
-    }
-}
-
-/// `i64` column vs integer constant — exact integer comparison
-/// (`Value::cmp` never goes through floats for Int/Int).
-pub fn fill_i64(values: &[i64], c: i64, op: CompareOp, out: &mut [u64]) {
-    match op {
-        CompareOp::Eq | CompareOp::In => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v == c,
-        ),
-        CompareOp::Ne => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v != c,
-        ),
-        CompareOp::Lt => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v < c,
-        ),
-        CompareOp::Le => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v <= c,
-        ),
-        CompareOp::Gt => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v > c,
-        ),
-        CompareOp::Ge => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v >= c,
-        ),
-    }
-}
-
-/// `i64` column vs float constant: `Value::cmp` compares through `f64`
-/// with NaN greatest. `v as f64` is never NaN, so a NaN constant makes
-/// every row compare `Less` — hoisted to a constant mask.
-pub fn fill_i64_vs_f64(values: &[i64], c: f64, op: CompareOp, out: &mut [u64]) {
-    if c.is_nan() {
-        let r = matches!(op, CompareOp::Ne | CompareOp::Lt | CompareOp::Le);
-        fill_const(r, values.len(), out);
-        return;
-    }
-    match op {
-        CompareOp::Eq | CompareOp::In => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v as f64 == c,
-        ),
-        CompareOp::Ne => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v as f64 != c,
-        ),
-        CompareOp::Lt => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| (v as f64) < c,
-        ),
-        CompareOp::Le => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v as f64 <= c,
-        ),
-        CompareOp::Gt => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v as f64 > c,
-        ),
-        CompareOp::Ge => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v as f64 >= c,
-        ),
     }
 }
 
@@ -230,146 +147,53 @@ pub fn fill_f64(values: &[f64], c: f64, op: CompareOp, out: &mut [u64]) {
     }
 }
 
-/// `i32` date column vs date constant.
-pub fn fill_i32(values: &[i32], c: i32, op: CompareOp, out: &mut [u64]) {
-    match op {
-        CompareOp::Eq | CompareOp::In => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v == c,
-        ),
-        CompareOp::Ne => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v != c,
-        ),
-        CompareOp::Lt => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v < c,
-        ),
-        CompareOp::Le => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v <= c,
-        ),
-        CompareOp::Gt => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v > c,
-        ),
-        CompareOp::Ge => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v >= c,
-        ),
+/// A comparison over the words of a
+/// [`Packed`](pdb_storage::columnar::Packed) column (or a boolean
+/// column, whose words are its values): every row answers
+/// the same, or a row matches iff its word lies in `lo..=hi` (iff it does
+/// not, with `negate`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WordTest {
+    /// Every row matches (`true`) or none does.
+    Const(bool),
+    /// `(lo ≤ w ≤ hi) != negate`.
+    Interval { lo: u64, hi: u64, negate: bool },
+}
+
+impl WordTest {
+    /// The test of `(lo ≤ v ≤ hi) != negate` over values `v = base + w` of
+    /// words `w ≤ top`: the interval is shifted by `−base` and clipped to
+    /// the words, and one that misses them all or covers them all is a
+    /// constant.
+    pub fn new(base: i64, top: u64, lo: i128, hi: i128, negate: bool) -> WordTest {
+        let (base, top) = (i128::from(base), i128::from(top));
+        let (lo, hi) = ((lo - base).max(0), (hi - base).min(top));
+        if lo > hi {
+            WordTest::Const(negate)
+        } else if lo == 0 && hi == top {
+            WordTest::Const(!negate)
+        } else {
+            let (lo, hi) = (lo as u64, hi as u64);
+            WordTest::Interval { lo, hi, negate }
+        }
     }
 }
 
-/// `bool` column vs boolean constant (`false < true`).
-pub fn fill_bool(values: &[bool], c: bool, op: CompareOp, out: &mut [u64]) {
-    match op {
-        CompareOp::Eq | CompareOp::In => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v == c,
-        ),
-        CompareOp::Ne => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v != c,
-        ),
-        CompareOp::Lt => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| !v & c,
-        ),
-        CompareOp::Le => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v <= c,
-        ),
-        CompareOp::Gt => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v & !c,
-        ),
-        CompareOp::Ge => fill(
-            values,
-            out,
-            #[inline(always)]
-            |v| v >= c,
-        ),
-    }
-}
-
-/// Dictionary-rank column vs string constant: `ip` is the constant's
-/// insertion point in the sorted dictionary, `present` whether it occurs.
-/// Codes are ranks, so `code < ip` ⇔ the string sorts below the constant;
-/// `Le`/`Gt` fold `present` in as a `u64` add so the loop stays branch-free.
-pub fn fill_rank(codes: &[u32], ip: u32, present: bool, op: CompareOp, out: &mut [u64]) {
-    let ip64 = ip as u64;
-    let bound = ip64 + present as u64; // first rank strictly above the constant
-    match op {
-        CompareOp::Eq | CompareOp::In => {
-            if !present {
-                fill_const(false, codes.len(), out);
-            } else {
-                fill(
-                    codes,
-                    out,
-                    #[inline(always)]
-                    |v| v == ip,
-                );
-            }
+/// The interval kernel — one loop for every packed representation
+/// (integers, dates, dictionary ranks) at every width, and for booleans:
+/// bit `i` of `out` ⇔ `words[i]` passes `test`.
+pub fn fill_words<W: Word>(words: &[W], test: WordTest, out: &mut [u64]) {
+    match test {
+        WordTest::Const(value) => fill_const(value, words.len(), out),
+        WordTest::Interval { lo, hi, negate } => {
+            let (lo, hi) = (W::of(lo), W::of(hi));
+            fill(
+                words,
+                out,
+                #[inline(always)]
+                |w| ((w >= lo) & (w <= hi)) != negate,
+            )
         }
-        CompareOp::Ne => {
-            if !present {
-                fill_const(true, codes.len(), out);
-            } else {
-                fill(
-                    codes,
-                    out,
-                    #[inline(always)]
-                    |v| v != ip,
-                );
-            }
-        }
-        CompareOp::Lt => fill(
-            codes,
-            out,
-            #[inline(always)]
-            |v| v < ip,
-        ),
-        CompareOp::Le => fill(
-            codes,
-            out,
-            #[inline(always)]
-            |v| (v as u64) < bound,
-        ),
-        CompareOp::Gt => fill(
-            codes,
-            out,
-            #[inline(always)]
-            |v| v as u64 >= bound,
-        ),
-        CompareOp::Ge => fill(
-            codes,
-            out,
-            #[inline(always)]
-            |v| v >= ip,
-        ),
     }
 }
 
@@ -428,6 +252,7 @@ pub fn mask_rows(start: usize, mask: &[u64]) -> impl Iterator<Item = usize> + Cl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdb_storage::columnar::Packed;
 
     #[test]
     fn fill_const_clears_tail_bits() {
@@ -440,29 +265,21 @@ mod tests {
     }
 
     #[test]
-    fn i64_kernel_matches_direct_compare() {
-        let values: Vec<i64> = (0..130).map(|i| (i * 7 % 91) - 40).collect();
-        for op in [
-            CompareOp::Eq,
-            CompareOp::Ne,
-            CompareOp::Lt,
-            CompareOp::Le,
-            CompareOp::Gt,
-            CompareOp::Ge,
+    fn interval_kernel_matches_direct_compare() {
+        let words: Vec<u8> = (0..130).map(|i| (i * 7 % 91) as u8).collect();
+        for (lo, hi, negate) in [
+            (0, 3, false),
+            (3, 3, true),
+            (10, 90, false),
+            (40, 255, true),
         ] {
-            let mut m = vec![0u64; mask_words(values.len())];
-            fill_i64(&values, 3, op, &mut m);
-            for (i, &v) in values.iter().enumerate() {
-                let want = match op {
-                    CompareOp::Eq | CompareOp::In => v == 3,
-                    CompareOp::Ne => v != 3,
-                    CompareOp::Lt => v < 3,
-                    CompareOp::Le => v <= 3,
-                    CompareOp::Gt => v > 3,
-                    CompareOp::Ge => v >= 3,
-                };
-                assert_eq!(m[i / 64] >> (i % 64) & 1 == 1, want, "{op:?} row {i}");
+            let mut m = vec![0u64; mask_words(words.len())];
+            fill_words(&words, WordTest::Interval { lo, hi, negate }, &mut m);
+            for (i, &w) in words.iter().enumerate() {
+                let want = (lo <= w.into() && u64::from(w) <= hi) != negate;
+                assert_eq!(m[i / 64] >> (i % 64) & 1 == 1, want, "{lo}..={hi} row {i}");
             }
+            assert_eq!(m[2] >> 2, 0, "bits past the rows stay clear");
         }
     }
 
@@ -484,23 +301,44 @@ mod tests {
     }
 
     #[test]
-    fn rank_kernel_handles_absent_constants() {
-        let codes = [0u32, 1, 2, 3];
-        let mut m = vec![0u64; 1];
-        // Constant sorts between ranks 1 and 2 but is absent: ip=2.
-        fill_rank(&codes, 2, false, CompareOp::Le, &mut m);
-        assert_eq!(m[0], 0b0011); // ranks 0,1 are ≤ the constant
-        fill_rank(&codes, 2, false, CompareOp::Gt, &mut m);
-        assert_eq!(m[0], 0b1100);
-        fill_rank(&codes, 2, false, CompareOp::Eq, &mut m);
-        assert_eq!(m[0], 0);
-        fill_rank(&codes, 2, false, CompareOp::Ne, &mut m);
-        assert_eq!(m[0], 0b1111);
-        // Present constant at rank 2.
-        fill_rank(&codes, 2, true, CompareOp::Le, &mut m);
-        assert_eq!(m[0], 0b0111);
-        fill_rank(&codes, 2, true, CompareOp::Gt, &mut m);
-        assert_eq!(m[0], 0b1000);
+    fn word_tests_shift_by_the_base_and_clip_to_the_width() {
+        let column: Packed = [10i64, 12, 300].into_iter().collect(); // u16 over 10
+        let (min, max) = (i128::from(i64::MIN), i128::from(i64::MAX));
+        let interval = |lo, hi, negate| WordTest::Interval { lo, hi, negate };
+        assert_eq!(
+            WordTest::new(column.base(), column.top(), 11, 20, false),
+            interval(1, 10, false)
+        );
+        assert_eq!(
+            WordTest::new(column.base(), column.top(), min, 12, true),
+            interval(0, 2, true)
+        );
+        assert_eq!(
+            WordTest::new(column.base(), column.top(), 300, max, false),
+            interval(290, 65_535, false)
+        );
+        // Below the base, or past the widest word: no row is inside.
+        assert_eq!(
+            WordTest::new(column.base(), column.top(), min, 9, false),
+            WordTest::Const(false)
+        );
+        assert_eq!(
+            WordTest::new(column.base(), column.top(), 5, 9, true),
+            WordTest::Const(true)
+        );
+        assert_eq!(
+            WordTest::new(column.base(), column.top(), 65_546, max, false),
+            WordTest::Const(false)
+        );
+        // Every word the width holds: every row is.
+        assert_eq!(
+            WordTest::new(column.base(), column.top(), min, max, false),
+            WordTest::Const(true)
+        );
+        assert_eq!(
+            WordTest::new(column.base(), column.top(), 10, 65_545, true),
+            WordTest::Const(false)
+        );
     }
 
     #[test]

@@ -12,17 +12,31 @@
 //! * **Late materialization** — carrying string head columns as dictionary
 //!   ranks through join → sort → dedup and decoding only the final answer
 //!   must be bitwise-identical to the eager row path at 1/2/4/8 threads.
+//! * **Interval kernel vs oracle at every word width** — integer, date and
+//!   dictionary columns are packed at `u8`/`u16`/`u32`/`u64` words over a
+//!   base; for every operator and `In`, with constants below the base, at
+//!   it, inside, at the maximum, above it, at `i64::MIN` / `i64::MAX`,
+//!   float constants against integers (NaN, ±0.0, 2⁵³ + 1), absent strings
+//!   and constants of other types, each chunk's kernel mask must equal the
+//!   scalar oracle's row by row ([`ChunkPredicate`]) — in release builds
+//!   too, where the scan's own debug cross-check is compiled out — and the
+//!   scan must equal the row path.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pdb_exec::columnar::scan_filter_project_columnar_ctx;
+use std::sync::Arc;
+
+use pdb_exec::columnar::{scan_filter_project_columnar_ctx, ChunkPredicate};
 use pdb_exec::{evaluate_join_order_ctx, ops, ExecContext};
 use pdb_par::Pool;
 use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
-use pdb_storage::columnar::{ZoneMap, ZoneMapBuilder};
-use pdb_storage::{Catalog, ColumnarTable, DataType, ProbTable, Schema, Tuple, Value, Variable};
+use pdb_storage::columnar::{Packed, ZoneMap, ZoneMapBuilder};
+use pdb_storage::{
+    Catalog, ColumnData, ColumnarData, ColumnarTable, DataType, NullBitmap, ProbTable, Schema,
+    Tuple, Value, Variable,
+};
 
 const POOLS: [usize; 4] = [1, 2, 4, 8];
 
@@ -267,6 +281,225 @@ proptest! {
                 evaluate_join_order_ctx(&q, &col_catalog, &order, &Pool::new(threads), &CTX)
                     .unwrap();
             prop_assert_eq!(&got, &want, "{} threads", threads);
+        }
+    }
+}
+
+/// Value spans at each word width's edges: `u8` holds 0 and 255, `u16`
+/// 256 and 65 535, `u32` 65 536 and 2³² − 1, `u64` 2³² and the full `i64`
+/// range, where `max − min` overflows `i64`.
+const SPANS: [u64; 8] = [
+    0,
+    255,
+    256,
+    65_535,
+    65_536,
+    u32::MAX as u64,
+    1 << 32,
+    u64::MAX,
+];
+
+/// Dictionary sizes on both sides of the `u8` / `u16` code boundary.
+const DICTS: [usize; 4] = [1, 2, 256, 257];
+
+/// `i INT`, `d DATE`, `s STR`, `b BOOL` over `rows` rows cut into 64-row
+/// chunks: `i` spans `base..=base + span`, `d` the same span (at most the
+/// `u32` one) at an end of the `i32` days, `s` draws from a dictionary of
+/// `dict` strings `w00000`, `w00002`, … (even numbers, so odd ones are
+/// absent). Both ends of each range occur; one row in `null_den` is NULL
+/// (0: none), holding its column's smallest value under the NULL so the
+/// width stays the span's.
+fn width_table(
+    seed: u64,
+    span: u64,
+    base: i64,
+    high_days: bool,
+    dict: usize,
+    null_den: u32,
+    rows: usize,
+) -> ColumnarTable {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let days = span.min(u32::MAX as u64);
+    let day0 = if high_days {
+        i32::MAX as i64 - days as i64
+    } else {
+        i32::MIN as i64
+    };
+    let at = |b: i64, r: usize, span: u64, rng: &mut SmallRng| match r {
+        0 => b,
+        1 => b.wrapping_add(span as i64),
+        _ => b.wrapping_add(rng.gen_range(0..=span) as i64),
+    };
+    let mut nulls = [
+        NullBitmap::new(rows),
+        NullBitmap::new(rows),
+        NullBitmap::new(rows),
+        NullBitmap::new(rows),
+    ];
+    let (mut i, mut d, mut s, mut b) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for r in 0..rows {
+        i.push(at(base, r, span, &mut rng));
+        d.push(at(day0, r, days, &mut rng));
+        s.push(if r == 0 {
+            dict as i64 - 1
+        } else {
+            rng.gen_range(0..dict as i64)
+        });
+        b.push(rng.gen_bool(0.5));
+        for bitmap in &mut nulls {
+            if r > 1 && null_den > 0 && rng.gen_range(0..null_den) == 0 {
+                bitmap.set_null(r);
+            }
+        }
+    }
+    let [ni, nd, ns, nb] = nulls;
+    let low = |values: &mut Vec<i64>, nulls: &NullBitmap| {
+        let min = *values.iter().min().unwrap();
+        (0..values.len())
+            .filter(|&r| nulls.is_null(r))
+            .for_each(|r| values[r] = min);
+        values.iter().copied().collect::<Packed>()
+    };
+    let columns = vec![
+        ColumnData::Int {
+            values: low(&mut i, &ni),
+            nulls: ni,
+        },
+        ColumnData::Date {
+            values: low(&mut d, &nd),
+            nulls: nd,
+        },
+        ColumnData::Str {
+            dict: (0..dict)
+                .map(|k| Arc::from(format!("w{:05}", 2 * k)))
+                .collect(),
+            codes: low(&mut s, &ns),
+            nulls: ns,
+        },
+        ColumnData::Bool {
+            values: b,
+            nulls: nb,
+        },
+    ];
+    let schema = Schema::from_pairs(&[
+        ("i", DataType::Int),
+        ("d", DataType::Date),
+        ("s", DataType::Str),
+        ("b", DataType::Bool),
+    ])
+    .unwrap();
+    let data = ColumnarData::from_columns(schema, 64, columns, &Pool::new(2)).unwrap();
+    let vars: Vec<Variable> = (0..rows as u64).map(Variable).collect();
+    ColumnarTable::new(Arc::new(data), vars, vec![0.5; rows]).unwrap()
+}
+
+/// The constants each column is probed with: around its frame, at the ends
+/// of `i64`, and of other types (`Value::cmp` orders those by type rank).
+fn probes(table: &ColumnarTable, c: usize) -> Vec<Value> {
+    let packed = table.column(c).packed();
+    let (lo, hi) = packed.map_or((0, 1), |p| {
+        let values = p.decode(0..p.len());
+        (*values.iter().min().unwrap(), *values.iter().max().unwrap())
+    });
+    let around = [
+        lo.checked_sub(1),
+        Some(lo),
+        Some(((i128::from(lo) + i128::from(hi)) / 2) as i64),
+        Some(hi),
+        hi.checked_add(1),
+    ];
+    let around = around.into_iter().flatten();
+    let mut probes = vec![Value::Null, Value::Int(7), Value::str("w00001")];
+    match c {
+        0 => {
+            probes.extend(around.chain([i64::MIN, i64::MAX]).map(Value::Int));
+            let two53 = (1i64 << 53) as f64;
+            probes.extend(
+                [
+                    f64::NAN,
+                    0.0,
+                    -0.0,
+                    two53,
+                    (1i64 << 53) as f64 + 2.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    lo as f64 + 0.5,
+                    hi as f64 - 0.5,
+                    ((1i64 << 53) + 1) as f64,
+                ]
+                .map(Value::Float),
+            );
+        }
+        1 => probes.extend(
+            around
+                .chain([i32::MIN.into(), i32::MAX.into()])
+                .map(|d| Value::Date(d.clamp(i32::MIN.into(), i32::MAX.into()) as i32)),
+        ),
+        2 => {
+            let ColumnData::Str { dict, .. } = table.column(2) else {
+                unreachable!()
+            };
+            probes.extend(
+                dict.iter()
+                    .take(3)
+                    .chain(dict.last())
+                    .map(|s| Value::Str(s.clone())),
+            );
+            probes.extend(["", "a", "w", "w00003", "w99999x", "z"].map(Value::str));
+        }
+        _ => probes.extend([false, true].map(Value::Bool)),
+    }
+    probes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every operator and `In`, against every column of a table packed at
+    /// one word width: the interval kernel's mask of every chunk equals the
+    /// scalar oracle's, and the scan equals the row path.
+    #[test]
+    fn the_interval_kernel_agrees_with_the_oracle_at_every_width(
+        seed in 1u64..u64::MAX / 2,
+        span in 0usize..SPANS.len(),
+        base_kind in 0usize..4,
+        high_days in proptest::bool::ANY,
+        dict in 0usize..DICTS.len(),
+        null_den in 0u32..4,
+        rows in 130usize..200,
+    ) {
+        let span = SPANS[span];
+        // A negative base, a small one, the lowest, and the highest the span allows.
+        let base = match base_kind {
+            _ if span == u64::MAX => i64::MIN,
+            0 => -((span / 2) as i64) - 1,
+            1 => 1_000,
+            2 => i64::MIN,
+            _ => i64::MAX - span as i64,
+        };
+        let table = width_table(seed, span, base, high_days, DICTS[dict], null_den, rows);
+        let row = table.to_prob_table().unwrap();
+        let keep = names(&["i", "d", "s", "b"]);
+        for (c, attr) in ["i", "d", "s", "b"].into_iter().enumerate() {
+            let probes = probes(&table, c);
+            let mut preds: Vec<Predicate> = (0..6)
+                .flat_map(|op| probes.iter().map(move |v| Predicate::new("R", attr, compare_op(op), v.clone())))
+                .collect();
+            preds.push(Predicate::is_in("R", attr, probes.iter().skip(1).step_by(2).cloned()));
+            preds.push(Predicate::is_in("R", attr, probes.iter().cloned()));
+            for pred in &preds {
+                let check = ChunkPredicate::new(&table, pred).unwrap();
+                for k in 0..table.num_chunks() {
+                    let (kernel, oracle) = check.masks(k);
+                    prop_assert_eq!(kernel, oracle, "{:?} chunk {}", pred, k);
+                }
+            }
+            for pred in preds.iter().step_by(5) {
+                let preds = [pred];
+                let want = ops::scan_filter_project(&row, "R", &preds, &keep).unwrap();
+                let got = scan_filter_project_columnar_ctx(&table, "R", &preds, &keep, &Pool::new(2), &CTX).unwrap();
+                prop_assert_eq!(&got, &want, "{:?}", pred);
+            }
         }
     }
 }

@@ -1,8 +1,11 @@
-//! Typed column vectors and null bitmaps — the physical layer of
+//! Typed columns and null bitmaps — the physical layer of
 //! [`crate::columnar::ColumnarTable`].
 //!
-//! Each attribute is stored as one dense, typed vector plus a null bitmap.
-//! The vector variant is chosen from the column's [`DataType`] **only when
+//! Each attribute is stored as one dense typed column plus a null bitmap.
+//! Integers, dates (days since 1970-01-01) and dictionary codes are
+//! [`Packed`]: a base plus one `u8`/`u16`/`u32`/`u64` word per row, the
+//! narrowest that holds the column's range. Floats stay `f64` and booleans
+//! `bool`. The variant is chosen from the column's [`DataType`] **only when
 //! every non-null stored value is the canonical [`Value`] variant of that
 //! type**; columns mixing representations (legal under
 //! [`DataType::admits`], e.g. `Value::Int` stored in a `FLOAT` column) fall
@@ -12,12 +15,14 @@
 //! scan exactly, value enum variants included.
 //!
 //! Strings are dictionary-encoded with an **order-preserving** dictionary:
-//! `dict` is sorted lexicographically and `codes[r]` is the rank of row
-//! `r`'s string, so comparing codes compares strings and the per-chunk
-//! min/max codes double as zone-map bounds.
+//! `dict` is sorted lexicographically and row `r`'s code is the rank of its
+//! string, so comparing codes compares strings and the per-chunk min/max
+//! codes double as zone-map bounds.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
+use super::packed::Packed;
 use crate::error::{StorageError, StorageResult};
 use crate::schema::{Column, DataType};
 use crate::value::Value;
@@ -89,25 +94,25 @@ impl NullBitmap {
     }
 }
 
-/// One attribute's values, stored as a typed vector plus the null bitmap.
+/// One attribute's values, stored as a typed column plus the null bitmap.
 ///
-/// For every variant the value vector has one (possibly meaningless, for
-/// NULL rows) entry per row; NULL-ness lives exclusively in the bitmap.
+/// For every variant the column has one (possibly meaningless, for NULL
+/// rows) entry per row; NULL-ness lives exclusively in the bitmap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// 64-bit integers.
-    Int { values: Vec<i64>, nulls: NullBitmap },
+    Int { values: Packed, nulls: NullBitmap },
     /// 64-bit floats, stored bit-exactly (NaN payloads included).
     Float { values: Vec<f64>, nulls: NullBitmap },
     /// Dictionary-encoded strings: `dict` sorted lexicographically,
-    /// `codes[r]` the rank of row `r`'s string (0 for NULL rows).
+    /// `codes.get(r)` the rank of row `r`'s string (0 for NULL rows).
     Str {
         dict: Vec<Arc<str>>,
-        codes: Vec<u32>,
+        codes: Packed,
         nulls: NullBitmap,
     },
-    /// Days since 1970-01-01.
-    Date { values: Vec<i32>, nulls: NullBitmap },
+    /// Days since 1970-01-01, each within `i32`.
+    Date { values: Packed, nulls: NullBitmap },
     /// Booleans.
     Bool {
         values: Vec<bool>,
@@ -129,7 +134,7 @@ impl ColumnData {
                 if nulls.is_null(r) {
                     Value::Null
                 } else {
-                    Value::Int(values[r])
+                    Value::Int(values.get(r))
                 }
             }
             ColumnData::Float { values, nulls } => {
@@ -143,14 +148,14 @@ impl ColumnData {
                 if nulls.is_null(r) {
                     Value::Null
                 } else {
-                    Value::Str(dict[codes[r] as usize].clone())
+                    Value::Str(dict[codes.get(r) as usize].clone())
                 }
             }
             ColumnData::Date { values, nulls } => {
                 if nulls.is_null(r) {
                     Value::Null
                 } else {
-                    Value::Date(values[r])
+                    Value::Date(values.get(r) as i32)
                 }
             }
             ColumnData::Bool { values, nulls } => {
@@ -161,6 +166,17 @@ impl ColumnData {
                 }
             }
             ColumnData::Mixed { values } => values[r].clone(),
+        }
+    }
+
+    /// The packed storage of an integer or date column, or of a string
+    /// column's codes.
+    pub fn packed(&self) -> Option<&Packed> {
+        match self {
+            ColumnData::Int { values, .. }
+            | ColumnData::Date { values, .. }
+            | ColumnData::Str { codes: values, .. } => Some(values),
+            _ => None,
         }
     }
 
@@ -183,7 +199,9 @@ impl ColumnData {
     pub fn distinct_count(&self, rows: usize) -> usize {
         let has_null = (0..rows).any(|r| self.is_null(r));
         let non_null = match self {
-            ColumnData::Int { values, nulls } => distinct_keys(nulls, rows, |r| values[r] as u64),
+            ColumnData::Int { values, nulls } | ColumnData::Date { values, nulls } => {
+                distinct_keys(nulls, rows, |r| values.get(r) as u64)
+            }
             // Fold -0.0 onto 0.0 and all NaNs together, matching `Value`'s
             // total order (one distinct NaN, -0.0 == 0.0).
             ColumnData::Float { values, nulls } => distinct_keys(nulls, rows, |r| {
@@ -198,7 +216,6 @@ impl ColumnData {
             }),
             // The dictionary is exactly the distinct non-null strings.
             ColumnData::Str { dict, .. } => dict.len(),
-            ColumnData::Date { values, nulls } => distinct_keys(nulls, rows, |r| values[r] as u64),
             ColumnData::Bool { values, nulls } => {
                 let mut seen = [false; 2];
                 for r in (0..rows).filter(|&r| !nulls.is_null(r)) {
@@ -222,10 +239,9 @@ impl ColumnData {
     /// Number of rows stored.
     pub(super) fn rows(&self) -> usize {
         match self {
-            ColumnData::Int { values, .. } => values.len(),
+            ColumnData::Int { values, .. } | ColumnData::Date { values, .. } => values.len(),
             ColumnData::Float { values, .. } => values.len(),
             ColumnData::Str { codes, .. } => codes.len(),
-            ColumnData::Date { values, .. } => values.len(),
             ColumnData::Bool { values, .. } => values.len(),
             ColumnData::Mixed { values } => values.len(),
         }
@@ -260,10 +276,24 @@ impl ColumnData {
                 actual,
             });
         }
+        let Some(packed) = self.packed() else {
+            return Ok(());
+        };
+        let wrapped = packed.first_wrapped().or_else(|| match self {
+            ColumnData::Date { values, .. } => {
+                first_outside(values, i32::MIN.into()..=i32::MAX.into(), |_| true)
+            }
+            _ => None,
+        });
+        if let Some(row) = wrapped {
+            let column = name();
+            return Err(StorageError::WordOutOfFrame { column, row });
+        }
         if let ColumnData::Str { dict, codes, .. } = self {
-            let mut valid = codes.iter().enumerate().filter(|&(r, _)| !nulls.is_null(r));
-            if let Some((_, &code)) = valid.find(|&(_, &code)| code as usize >= dict.len()) {
+            let valid = |r: usize| !nulls.is_null(r);
+            if let Some(row) = first_outside(codes, 0..=dict.len() as i64 - 1, valid) {
                 let (column, dictionary) = (name(), dict.len());
+                let code = codes.get(row);
                 return Err(StorageError::CodeOutOfRange {
                     column,
                     code,
@@ -278,10 +308,9 @@ impl ColumnData {
     /// (NULL in a mixed column).
     pub(super) fn resize(&mut self, rows: usize) {
         match self {
-            ColumnData::Int { values, .. } => values.resize(rows, 0),
+            ColumnData::Int { values, .. } | ColumnData::Date { values, .. } => values.resize(rows),
             ColumnData::Float { values, .. } => values.resize(rows, 0.0),
-            ColumnData::Str { codes, .. } => codes.resize(rows, 0),
-            ColumnData::Date { values, .. } => values.resize(rows, 0),
+            ColumnData::Str { codes, .. } => codes.resize(rows),
             ColumnData::Bool { values, .. } => values.resize(rows, false),
             ColumnData::Mixed { values } => values.resize(rows, Value::Null),
         }
@@ -302,13 +331,17 @@ impl ColumnData {
         }
     }
 
-    /// Gives back the capacity growth left beyond the column's rows.
-    pub(super) fn shrink_to_fit(&mut self) {
+    /// Puts a packed column in canonical form and gives back the capacity
+    /// growth left beyond the column's rows.
+    pub(super) fn finish(&mut self) {
         match self {
-            ColumnData::Int { values, .. } => values.shrink_to_fit(),
+            ColumnData::Int { values, .. }
+            | ColumnData::Date { values, .. }
+            | ColumnData::Str { codes: values, .. } => {
+                values.canonicalize();
+                values.shrink_to_fit()
+            }
             ColumnData::Float { values, .. } => values.shrink_to_fit(),
-            ColumnData::Str { codes, .. } => codes.shrink_to_fit(),
-            ColumnData::Date { values, .. } => values.shrink_to_fit(),
             ColumnData::Bool { values, .. } => values.shrink_to_fit(),
             ColumnData::Mixed { values } => values.shrink_to_fit(),
         }
@@ -330,6 +363,20 @@ impl ColumnData {
                 | (DataType::Bool, Value::Bool(_))
         )
     }
+}
+
+/// The first row `r` with `counted(r)` whose value lies outside `domain`;
+/// rows are read one by one only when the column's bounds leave it.
+fn first_outside(
+    packed: &Packed,
+    domain: RangeInclusive<i64>,
+    counted: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let (min, max) = packed.bounds()?;
+    if domain.contains(&min) && domain.contains(&max) {
+        return None;
+    }
+    (0..packed.len()).find(|&r| counted(r) && !domain.contains(&packed.get(r)))
 }
 
 /// Number of distinct keys among the non-null rows: `key` maps a row to a
@@ -363,7 +410,7 @@ mod tests {
         let mut nulls = NullBitmap::new(3);
         nulls.set_null(1);
         let col = ColumnData::Int {
-            values: vec![7, 0, -2],
+            values: [7, 0, -2].into_iter().collect(),
             nulls,
         };
         assert_eq!(col.value(0), Value::Int(7));
@@ -378,7 +425,7 @@ mod tests {
         let dict: Vec<Arc<str>> = vec![Arc::from("a"), Arc::from("b")];
         let col = ColumnData::Str {
             dict,
-            codes: vec![1, 0, 1],
+            codes: [1, 0, 1].into_iter().collect(),
             nulls: NullBitmap::new(3),
         };
         assert_eq!(col.value(0), Value::str("b"));
@@ -402,7 +449,7 @@ mod tests {
         let mut nulls = NullBitmap::new(4);
         nulls.set_null(1);
         let col = ColumnData::Date {
-            values: vec![-3, 99, 10, -3],
+            values: [-3, 99, 10, -3].into_iter().collect(),
             nulls: nulls.clone(),
         };
         assert_eq!(col.distinct_count(4), 3); // {-3, 10, NULL}

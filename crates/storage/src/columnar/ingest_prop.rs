@@ -61,7 +61,7 @@ mod reference {
                 columns,
                 zones,
             }),
-            vars: table.vars().to_vec(),
+            vars: table.vars().to_vec().into(),
             probs: table.probs().to_vec(),
         }
     }
@@ -146,6 +146,7 @@ mod reference {
             Value::Int(self)
         }
         fn into_column(values: Vec<Self>, nulls: NullBitmap) -> ColumnData {
+            let values = values.into_iter().collect();
             ColumnData::Int { values, nulls }
         }
     }
@@ -162,6 +163,7 @@ mod reference {
             Value::Date(self)
         }
         fn into_column(values: Vec<Self>, nulls: NullBitmap) -> ColumnData {
+            let values = values.into_iter().collect();
             ColumnData::Date { values, nulls }
         }
     }
@@ -307,6 +309,7 @@ mod reference {
                 }
             },
         );
+        let codes = codes.into_iter().collect();
         (ColumnData::Str { dict, codes, nulls }, zones)
     }
 }

@@ -4,8 +4,10 @@
 //! A [`ColumnarTable`] stores the same logical relation as a
 //! [`crate::table::ProbTable`] — data columns plus one `(variable,
 //! probability)` pair per tuple — but laid out **column-major**: each
-//! attribute is one dense typed vector ([`ColumnData`]) with a null bitmap,
-//! rows are grouped into fixed-size chunks (row groups), and every
+//! attribute is one dense typed column ([`ColumnData`]) with a null bitmap
+//! — integers, dates and dictionary codes, and the variables beside them,
+//! [`Packed`] as a base plus the narrowest words that hold the column's
+//! range — rows are grouped into fixed-size chunks (row groups), and every
 //! `(column, chunk)` pair carries a [`ZoneMap`] (min/max under `Value`'s
 //! total order, null count). Selective scans evaluate constant predicates
 //! against the zone maps first and skip whole chunks whose value range
@@ -33,18 +35,21 @@
 //! that meets a non-canonical variant turns [`ColumnData::Mixed`] by
 //! decoding its earlier cells, which the decode contract makes exact.
 //! Both end in the same finish, chunk-parallel on [`pdb_par::Pool`]: every
-//! string column's dictionary is sorted and its codes re-ranked, then the
-//! zone maps are built — typed columns by one statistics kernel over each
-//! chunk's cells and null words, with no `Value` per cell, `Mixed` columns
-//! by [`ZoneMap::build`]. The table depends on its values alone: not on the
-//! pool size, the front door, or where the pieces were cut.
+//! string column's dictionary is sorted and its codes re-ranked, every
+//! packed column is put in canonical form (see [`Packed`]), then the zone
+//! maps are built — typed columns by one statistics kernel over each
+//! chunk's cells or words and null words, with no `Value` per cell, `Mixed`
+//! columns by [`ZoneMap::build`]. The table depends on its values alone:
+//! not on the pool size, the front door, or where the pieces were cut.
 //! [`ColumnarTable::from_table`] and [`ColumnarTable::from_prob_table`] are
 //! one push of all their rows.
 
 mod column;
+mod packed;
 mod zone;
 
 pub use column::{ColumnData, NullBitmap};
+pub use packed::{Packed, Word, Words};
 pub use zone::{
     bloom_key, bloom_key_str, bloom_probe, saturate_bloom, ChunkRepr, ZoneMap, ZoneMapBuilder,
     BLOOM_SATURATION_DISTINCT, BLOOM_WORDS,
@@ -56,6 +61,8 @@ use std::sync::Arc;
 
 use pdb_par::Pool;
 use zone::{bool_key, date_key, float_key, typed_zone, KeySet};
+
+use crate::with_words;
 
 use crate::error::{StorageError, StorageResult};
 use crate::schema::{DataType, Schema};
@@ -167,6 +174,9 @@ impl ColumnarData {
                 _ => Vec::new(),
             })
             .collect();
+        for column in &mut self.columns {
+            column.finish();
+        }
         let columns = &self.columns;
         let by_chunk = pool.map_ranges(&chunks, |chunk| {
             let mut set = KeySet::default();
@@ -182,44 +192,58 @@ impl ColumnarData {
                 zones.push(zone);
             }
         }
-        for column in &mut self.columns {
-            column.shrink_to_fit();
-        }
         self
     }
 }
 
 /// A tuple-independent probabilistic relation stored column-major with
 /// per-chunk zone maps: shared [`ColumnarData`] and one `(variable,
-/// probability)` pair per row.
+/// probability)` pair per row. The variables are a [`Packed`] column of
+/// their ids, in canonical form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarTable {
     data: Arc<ColumnarData>,
-    vars: Vec<Variable>,
+    vars: Packed,
     probs: Vec<f64>,
 }
 
+/// The packed column of the variables' ids.
+impl From<Vec<Variable>> for Packed {
+    fn from(vars: Vec<Variable>) -> Packed {
+        vars.iter().map(|v| v.id() as i64).collect()
+    }
+}
+
 impl ColumnarTable {
-    /// Annotates `data`'s rows: `vars[r]` and `probs[r]` belong to row `r`.
-    /// The columns are shared, not copied.
+    /// Annotates `data`'s rows: row `r`'s variable is `vars`' row `r` (a
+    /// `Vec<Variable>` or the [`Packed`] ids, such as
+    /// [`Packed::sequence`]), its probability `probs[r]`. The columns are
+    /// shared, not copied.
     ///
     /// # Errors
-    /// Fails on a probability outside `(0, 1]`.
+    /// Fails on a probability outside `(0, 1]`, and on packed ids that
+    /// wrap ([`StorageError::WordOutOfFrame`] of column `V`).
     ///
     /// # Panics
     /// If `vars` or `probs` does not hold one entry per row.
     pub fn new(
         data: Arc<ColumnarData>,
-        vars: Vec<Variable>,
+        vars: impl Into<Packed>,
         probs: Vec<f64>,
     ) -> StorageResult<ColumnarTable> {
+        let mut vars = vars.into();
         assert!(
             vars.len() == data.len && probs.len() == data.len,
             "a (V, P) pair per row"
         );
+        if let Some(row) = vars.first_wrapped() {
+            let column = "V".to_string();
+            return Err(StorageError::WordOutOfFrame { column, row });
+        }
         for &p in &probs {
             Probability::new(p)?;
         }
+        vars.canonicalize();
         Ok(ColumnarTable { data, vars, probs })
     }
 
@@ -324,9 +348,14 @@ impl ColumnarTable {
         &self.data.zones[c][k]
     }
 
-    /// The tuple variables, aligned with row indices.
-    pub fn vars(&self) -> &[Variable] {
+    /// The tuple variables' ids, aligned with row indices.
+    pub fn vars(&self) -> &Packed {
         &self.vars
+    }
+
+    /// Row `r`'s variable.
+    pub fn var(&self, r: usize) -> Variable {
+        Variable(self.vars.get(r) as u64)
     }
 
     /// The tuple probabilities, aligned with row indices.
@@ -381,7 +410,7 @@ impl ColumnarTable {
     pub fn to_prob_table(&self) -> StorageResult<ProbTable> {
         let mut out = ProbTable::new(self.data.schema.clone());
         for r in 0..self.data.len {
-            out.insert(self.data.row(r), self.vars[r], self.probs[r])?;
+            out.insert(self.data.row(r), self.var(r), self.probs[r])?;
         }
         Ok(out)
     }
@@ -454,12 +483,14 @@ impl ColumnarBuilder {
 }
 
 /// Empty typed storage of `data_type`: what the builder fills
-/// speculatively, before any cell's variant is known.
+/// speculatively, before any cell's variant is known. Packed columns take
+/// the widest frame of their type; the finish packs them.
 fn blank_column(data_type: DataType) -> ColumnData {
     let nulls = NullBitmap::new(0);
+    let frame = |min: i64, max: i64| Packed::with_domain(min, max, 0);
     match data_type {
         DataType::Int => ColumnData::Int {
-            values: Vec::new(),
+            values: frame(i64::MIN, i64::MAX),
             nulls,
         },
         DataType::Float => ColumnData::Float {
@@ -467,7 +498,7 @@ fn blank_column(data_type: DataType) -> ColumnData {
             nulls,
         },
         DataType::Date => ColumnData::Date {
-            values: Vec::new(),
+            values: frame(i32::MIN.into(), i32::MAX.into()),
             nulls,
         },
         DataType::Bool => ColumnData::Bool {
@@ -476,7 +507,7 @@ fn blank_column(data_type: DataType) -> ColumnData {
         },
         DataType::Str => ColumnData::Str {
             dict: Vec::new(),
-            codes: Vec::new(),
+            codes: frame(0, u32::MAX.into()),
             nulls,
         },
     }
@@ -489,12 +520,12 @@ fn scatter(column: &mut ColumnData, ids: &mut HashMap<Arc<str>, u32>, r: usize, 
     match (&mut *column, v) {
         (ColumnData::Mixed { values }, v) => values[r] = v.clone(),
         (typed, Value::Null) => typed.nulls_mut().expect("typed").set_null(r),
-        (ColumnData::Int { values, .. }, Value::Int(x)) => values[r] = *x,
+        (ColumnData::Int { values, .. }, Value::Int(x)) => values.set(r, *x),
         (ColumnData::Float { values, .. }, Value::Float(x)) => values[r] = *x,
-        (ColumnData::Date { values, .. }, Value::Date(x)) => values[r] = *x,
+        (ColumnData::Date { values, .. }, Value::Date(x)) => values.set(r, (*x).into()),
         (ColumnData::Bool { values, .. }, Value::Bool(x)) => values[r] = *x,
         (ColumnData::Str { dict, codes, .. }, Value::Str(s)) => {
-            codes[r] = match ids.get(&**s) {
+            let id = match ids.get(&**s) {
                 Some(&id) => id,
                 None => {
                     let id = dict.len() as u32;
@@ -502,7 +533,8 @@ fn scatter(column: &mut ColumnData, ids: &mut HashMap<Arc<str>, u32>, r: usize, 
                     ids.insert(Arc::clone(&dict[id as usize]), id);
                     id
                 }
-            }
+            };
+            codes.set(r, id.into())
         }
         (typed, v) => {
             let mut values: Vec<Value> = (0..r).map(|row| typed.value(row)).collect();
@@ -535,47 +567,72 @@ fn chunk_zone<'a>(
     match column {
         ColumnData::Int { values, nulls } => {
             let key = |x: i64| float_key(x as f64);
-            typed_zone(&values[rows], words(nulls), key, Ord::cmp, Value::Int, set)
+            packed_zone(values, words(nulls), rows, key, Value::Int, set)
         }
         ColumnData::Float { values, nulls } => {
             let (cells, cmp) = (&values[rows], |a: &f64, b: &f64| total_f64_cmp(*a, *b));
             typed_zone(cells, words(nulls), float_key, cmp, Value::Float, set)
         }
         ColumnData::Date { values, nulls } => {
-            let cells = &values[rows];
-            typed_zone(cells, words(nulls), date_key, Ord::cmp, Value::Date, set)
+            let (key, value) = (|d: i64| date_key(d as i32), |d: i64| Value::Date(d as i32));
+            packed_zone(values, words(nulls), rows, key, value, set)
         }
         ColumnData::Bool { values, nulls } => {
             let cells = &values[rows];
             typed_zone(cells, words(nulls), bool_key, Ord::cmp, Value::Bool, set)
         }
         ColumnData::Str { dict, codes, nulls } => {
-            let key = |r: u32| keys[r as usize];
-            let value = |r: u32| Value::Str(dict[r as usize].clone());
-            typed_zone(&codes[rows], words(nulls), key, Ord::cmp, value, set)
+            let key = |r: i64| keys[r as usize];
+            let value = |r: i64| Value::Str(dict[r as usize].clone());
+            packed_zone(codes, words(nulls), rows, key, value, set)
         }
         ColumnData::Mixed { values } => ZoneMap::build(values[rows].iter()),
     }
 }
 
+/// [`typed_zone`] over the words of a packed column's `rows`, the width
+/// matched once: words order like the values they hold, and a valid word
+/// `x` decodes to `base + x`, with key `key` and value `value` of that.
+fn packed_zone(
+    packed: &Packed,
+    nulls: &[u64],
+    rows: Range<usize>,
+    key: impl Fn(i64) -> u64,
+    value: impl Fn(i64) -> Value,
+    set: &mut KeySet,
+) -> ZoneMap {
+    let base = packed.base();
+    let at = |x: u64| base.wrapping_add(x as i64);
+    let (key, value) = (|x: u64| key(at(x)), |x: u64| value(at(x)));
+    with_words!(packed.words(), w => {
+        typed_zone(&w[rows], nulls, |x| key(x.offset()), Ord::cmp, |x| value(x.offset()), set)
+    })
+}
+
 /// Ranks string column `(dict, codes, nulls)` in place: `dict` becomes the
 /// sorted distinct strings the valid rows use, and each code the rank of
 /// its string — independent of the dictionary's order, so of how it was
-/// built. NULL rows get code 0. Returns each rank's [`bloom_key_str`], so
-/// every distinct string is hashed once.
+/// built. NULL rows get code 0. The codes keep their width — a rank is
+/// below the count of distinct codes in use, which the width holds — and
+/// their base becomes 0. Returns each rank's [`bloom_key_str`], so every
+/// distinct string is hashed once.
 fn rank_strings(
     dict: &mut Vec<Arc<str>>,
-    codes: &mut [u32],
+    codes: &mut Packed,
     nulls: &NullBitmap,
     cuts: &[usize],
     pool: &Pool,
 ) -> Vec<u64> {
+    let (base, words) = codes.parts_mut();
+    let id = |x: u64| base.wrapping_add(x as i64) as usize;
     let mut used = vec![false; dict.len()];
-    for (r, &code) in codes.iter().enumerate() {
-        if !nulls.is_null(r) {
-            used[code as usize] = true;
+    with_words!(&*words, w => {
+        for (r, x) in w.iter().enumerate() {
+            if !nulls.is_null(r) {
+                used[id(x.offset())] = true;
+            }
         }
-    }
+    });
     let mut ids: Vec<usize> = (0..dict.len()).filter(|&id| used[id]).collect();
     ids.sort_unstable_by(|&a, &b| dict[a].cmp(&dict[b]));
     let mut ranks = vec![0u32; dict.len()];
@@ -587,15 +644,13 @@ fn rank_strings(
         ranks[id] = sorted.len() as u32 - 1;
     }
     *dict = sorted;
-    pool.map_slices_mut(codes, cuts, |k, codes| {
-        for (r, code) in (cuts[k]..).zip(codes) {
-            *code = if nulls.is_null(r) {
-                0
-            } else {
-                ranks[*code as usize]
-            };
+    with_words!(words, w => pool.map_slices_mut(w, cuts, |k, codes| {
+        for (r, x) in (cuts[k]..).zip(codes) {
+            let rank = if nulls.is_null(r) { 0 } else { ranks[id(x.offset())] };
+            *x = Word::of(rank.into());
         }
-    });
+    }));
+    *base = 0;
     dict.iter().map(|s| bloom_key_str(s)).collect()
 }
 
@@ -659,7 +714,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(col.vars(), table.vars());
+            assert_eq!(col.vars(), &Packed::from(table.vars().to_vec()));
             assert_eq!(col.probs(), table.probs());
         }
     }
@@ -702,7 +757,7 @@ mod tests {
         for r in 0..100 {
             if !nulls.is_null(r) {
                 assert_eq!(
-                    Value::Str(dict[codes[r] as usize].clone()),
+                    Value::Str(dict[codes.get(r) as usize].clone()),
                     *table.rows()[r].value(1)
                 );
             }
@@ -798,6 +853,45 @@ mod tests {
         assert!(matches!(col.column(0), ColumnData::Mixed { .. }));
         assert_eq!(col.zone(0, 0).repr, ChunkRepr::Float);
         assert_eq!(col.zone(0, 1).repr, ChunkRepr::Int);
+    }
+
+    #[test]
+    fn packed_columns_round_trip_extreme_dates_dictionaries_and_nulls() {
+        let schema = Schema::from_pairs(&[
+            ("d", DataType::Date),
+            ("k", DataType::Int),
+            ("s1", DataType::Str),
+            ("s256", DataType::Str),
+            ("s257", DataType::Str),
+        ])
+        .unwrap();
+        let rows: Vec<Tuple> = (0..300)
+            .map(|r: i64| {
+                let day = [i32::MIN, i32::MAX, 0][r as usize % 3];
+                // The NULL cell holds 0 under it, so `k` spans 0..=1_299.
+                let k = if r == 7 {
+                    Value::Null
+                } else {
+                    Value::Int(1_000 + r)
+                };
+                let s = |n: i64| Value::str(format!("s{:03}", r % n));
+                Tuple::new(vec![Value::Date(day), k, s(1), s(256), s(257)])
+            })
+            .collect();
+        let mut builder = ColumnarBuilder::new(schema.clone(), 64, &Pool::new(2)).unwrap();
+        builder.push(&rows);
+        let data = builder.finish();
+        assert_eq!(data.to_table().rows(), rows.as_slice());
+        let widths: Vec<usize> = (data.columns.iter())
+            .map(|c| c.packed().unwrap().width())
+            .collect();
+        assert_eq!(widths, [4, 2, 1, 1, 2]);
+        let packed = |c: usize| data.columns[c].packed().unwrap();
+        assert_eq!((packed(0).base(), packed(1).base()), (i32::MIN.into(), 0));
+        // The typed door keeps the same values in the same packed form.
+        let columns = data.columns.clone();
+        let typed = ColumnarData::from_columns(schema, 64, columns, &Pool::sequential()).unwrap();
+        assert_eq!(typed, data);
     }
 
     #[test]

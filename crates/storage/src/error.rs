@@ -64,9 +64,26 @@ pub enum StorageError {
         /// The column name.
         column: String,
         /// The code.
-        code: u32,
+        code: i64,
         /// The dictionary's length.
         dictionary: usize,
+    },
+    /// A value lies outside the frame of the packed column it was put in.
+    OutOfDomain {
+        /// The value.
+        value: i64,
+        /// The frame's smallest value.
+        min: i64,
+        /// The frame's largest value.
+        max: i64,
+    },
+    /// A packed column handed over as typed storage holds a word that
+    /// decodes outside its type: past `i64::MAX`, or a date beyond `i32`.
+    WordOutOfFrame {
+        /// The column name.
+        column: String,
+        /// The first row holding such a word.
+        row: usize,
     },
 }
 
@@ -114,6 +131,12 @@ impl fmt::Display for StorageError {
                 f,
                 "column {column} has code {code} beyond its {dictionary} strings"
             ),
+            StorageError::OutOfDomain { value, min, max } => {
+                write!(f, "value {value} is outside the frame {min}..={max}")
+            }
+            StorageError::WordOutOfFrame { column, row } => {
+                write!(f, "column {column} row {row} decodes outside its type")
+            }
         }
     }
 }

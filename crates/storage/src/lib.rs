@@ -18,8 +18,10 @@
 //! * [`ProbTable`] — a tuple-independent probabilistic relation: a [`Table`]
 //!   plus one [`Variable`] and one probability per tuple.
 //! * [`ColumnarTable`] — the same relation stored column-major: typed
-//!   column vectors with null bitmaps, fixed-size row groups, and per-chunk
-//!   zone maps for predicate-driven chunk skipping. Its data half, a
+//!   columns with null bitmaps (integers, dates, dictionary codes and the
+//!   variables as [`columnar::Packed`] frame-of-reference words),
+//!   fixed-size row groups, and per-chunk zone maps for predicate-driven
+//!   chunk skipping. Its data half, a
 //!   [`ColumnarData`], is shared behind an `Arc`; it is built from whole
 //!   typed columns ([`ColumnarData::from_columns`]) or by a
 //!   [`ColumnarBuilder`] from rows pushed in pieces of any size.

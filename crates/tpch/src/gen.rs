@@ -7,13 +7,14 @@
 //! ~6 M lineitems; this generator preserves those ratios at whatever scale
 //! the caller asks for (benchmarks default to much smaller factors).
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pdb_par::Pool;
-use pdb_storage::columnar::{ColumnData, ColumnarData, NullBitmap, CHUNK_ROWS};
+use pdb_storage::columnar::{ColumnData, ColumnarData, NullBitmap, Packed, CHUNK_ROWS};
 use pdb_storage::{DataType, Schema, Table};
 
 use crate::dates::date;
@@ -234,7 +235,31 @@ fn relation(columns: Vec<(&str, Typed)>) -> Arc<ColumnarData> {
     Arc::new(data.expect("generated columns fit their schema"))
 }
 
-fn ints(values: Vec<i64>) -> Typed {
+/// An empty packed column framed for the values of `domain`, with room for
+/// `rows` rows: the generator writes each column's words as it draws them.
+fn packed(domain: RangeInclusive<i64>, rows: usize) -> Packed {
+    Packed::with_domain(*domain.start(), *domain.end(), rows)
+}
+
+/// Appends `value` to `column`, inlined so each call site matches its own
+/// column's width.
+///
+/// # Panics
+/// If `value` lies outside the column's declared domain.
+#[inline(always)]
+fn put(column: &mut Packed, value: i64) {
+    column
+        .push(value)
+        .expect("a generated value lies in its domain");
+}
+
+/// An empty packed column framed for `0..len` — the codes into a dictionary
+/// of `len` strings, or keys counted from 0 — with room for `rows` rows.
+fn codes(len: usize, rows: usize) -> Packed {
+    packed(0..=len as i64 - 1, rows)
+}
+
+fn ints(values: Packed) -> Typed {
     let nulls = NullBitmap::new(values.len());
     (DataType::Int, ColumnData::Int { values, nulls })
 }
@@ -244,13 +269,13 @@ fn floats(values: Vec<f64>) -> Typed {
     (DataType::Float, ColumnData::Float { values, nulls })
 }
 
-fn dates(values: Vec<i32>) -> Typed {
+fn dates(values: Packed) -> Typed {
     let nulls = NullBitmap::new(values.len());
     (DataType::Date, ColumnData::Date { values, nulls })
 }
 
-/// A string column: row `r` holds `dict[codes[r]]`.
-fn strs(codes: Vec<u32>, dict: Vec<Arc<str>>) -> Typed {
+/// A string column: row `r` holds `dict[codes.get(r)]`.
+fn strs(codes: Packed, dict: Vec<Arc<str>>) -> Typed {
     let nulls = NullBitmap::new(codes.len());
     (DataType::Str, ColumnData::Str { dict, codes, nulls })
 }
@@ -258,7 +283,7 @@ fn strs(codes: Vec<u32>, dict: Vec<Arc<str>>) -> Typed {
 /// A string column whose row `r` holds the `r`-th name, each stored once.
 fn listed(names: impl Iterator<Item = impl AsRef<str>>) -> Typed {
     let dict: Vec<Arc<str>> = names.map(|name| Arc::from(name.as_ref())).collect();
-    strs((0..dict.len() as u32).collect(), dict)
+    strs(Packed::sequence(0, dict.len()), dict)
 }
 
 /// The dictionary of a domain of constants.
@@ -268,7 +293,7 @@ fn domain(names: &[&str]) -> Vec<Arc<str>> {
 
 fn gen_region() -> Arc<ColumnarData> {
     relation(vec![
-        ("rkey", ints((0..REGIONS.len() as i64).collect())),
+        ("rkey", ints(Packed::sequence(0, REGIONS.len()))),
         ("rname", listed(REGIONS.iter())),
     ])
 }
@@ -279,22 +304,25 @@ fn gen_nation(customer_side: bool) -> Arc<ColumnarData> {
     } else {
         ("nkey", "nname", "rkey")
     };
-    let keys = 0..NATIONS.len() as i64;
+    let mut regions = codes(REGIONS.len(), NATIONS.len());
+    for nation in 0..NATIONS.len() {
+        put(&mut regions, (nation % REGIONS.len()) as i64);
+    }
     relation(vec![
-        (key, ints(keys.clone().collect())),
+        (key, ints(Packed::sequence(0, NATIONS.len()))),
         (name, listed(NATIONS.iter())),
-        (rkey, ints(keys.map(|i| i % REGIONS.len() as i64).collect())),
+        (rkey, ints(regions)),
     ])
 }
 
 fn gen_supp(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
-    let (mut nkey, mut acctbal) = (Vec::with_capacity(count), Vec::with_capacity(count));
+    let (mut nkey, mut acctbal) = (codes(NATIONS.len(), count), Vec::with_capacity(count));
     for _ in 0..count {
-        nkey.push(rng.gen_range(0..NATIONS.len() as i64));
+        put(&mut nkey, rng.gen_range(0..NATIONS.len() as i64));
         acctbal.push(round2(rng.gen_range(-999.0..10_000.0)));
     }
     relation(vec![
-        ("skey", ints((1..=count as i64).collect())),
+        ("skey", ints(Packed::sequence(1, count))),
         (
             "sname",
             listed((1..=count).map(|skey| format!("Supplier#{skey:09}"))),
@@ -305,15 +333,15 @@ fn gen_supp(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
 }
 
 fn gen_cust(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
-    let (mut cnkey, mut acctbal) = (Vec::with_capacity(count), Vec::with_capacity(count));
-    let mut segment = Vec::with_capacity(count);
+    let (mut cnkey, mut acctbal) = (codes(NATIONS.len(), count), Vec::with_capacity(count));
+    let mut segment = codes(SEGMENTS.len(), count);
     for _ in 0..count {
-        cnkey.push(rng.gen_range(0..NATIONS.len() as i64));
+        put(&mut cnkey, rng.gen_range(0..NATIONS.len() as i64));
         acctbal.push(round2(rng.gen_range(-999.0..10_000.0)));
-        segment.push(rng.gen_range(0..SEGMENTS.len() as u32));
+        put(&mut segment, rng.gen_range(0..SEGMENTS.len() as u32).into());
     }
     relation(vec![
-        ("ckey", ints((1..=count as i64).collect())),
+        ("ckey", ints(Packed::sequence(1, count))),
         (
             "cname",
             listed((1..=count).map(|ckey| format!("Customer#{ckey:09}"))),
@@ -354,19 +382,19 @@ fn gen_part(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
             CONTAINERS[container as usize],
         )
     });
-    let [mut brand, mut ptype, mut container]: [Vec<u32>; 3] =
-        std::array::from_fn(|_| Vec::with_capacity(count));
-    let (mut size, mut price) = (Vec::with_capacity(count), Vec::with_capacity(count));
+    let (mut brand, mut ptype) = (codes(25, count), codes(PART_TYPES.len(), count));
+    let (mut container, mut size) = (codes(CONTAINERS.len(), count), packed(1..=50, count));
+    let mut price = Vec::with_capacity(count);
     for (t, b, s, c) in attrs {
-        ptype.push(t);
-        brand.push(b);
-        size.push(s);
-        container.push(c);
+        put(&mut ptype, t.into());
+        put(&mut brand, b.into());
+        put(&mut size, s);
+        put(&mut container, c.into());
         price.push(round2(900.0 + rng.gen_range(0.0..200.0)));
     }
     let brands = (1..6).flat_map(|a| (1..6).map(move |b| Arc::from(format!("Brand#{a}{b}"))));
     relation(vec![
-        ("pkey", ints((1..=count as i64).collect())),
+        ("pkey", ints(Packed::sequence(1, count))),
         (
             "pname",
             listed((1..=count).map(|pkey| format!("part {pkey} forest lace"))),
@@ -381,19 +409,23 @@ fn gen_part(rng: &mut SmallRng, count: usize) -> Arc<ColumnarData> {
 
 fn gen_psupp(rng: &mut SmallRng, parts: usize, suppliers: usize) -> Arc<ColumnarData> {
     // TPC-H associates 4 suppliers with every part.
-    let [mut pkey, mut skey, mut availqty]: [Vec<i64>; 3] =
-        std::array::from_fn(|_| Vec::with_capacity(4 * parts));
-    let mut supplycost = Vec::with_capacity(4 * parts);
+    let rows = 4 * parts;
+    let (mut pkey, mut skey) = (
+        packed(1..=parts as i64, rows),
+        packed(1..=suppliers as i64, rows),
+    );
+    let (mut availqty, mut supplycost) = (packed(1..=9_999, rows), Vec::with_capacity(rows));
     for part in 1..=parts as i64 {
-        let chosen = skey.len();
-        for _ in 0..4 {
+        let mut chosen = [0; 4];
+        for i in 0..4 {
             let mut supplier = rng.gen_range(1..=suppliers as i64);
-            while skey[chosen..].contains(&supplier) {
+            while chosen[..i].contains(&supplier) {
                 supplier = rng.gen_range(1..=suppliers as i64);
             }
-            pkey.push(part);
-            skey.push(supplier);
-            availqty.push(rng.gen_range(1..10_000i64));
+            chosen[i] = supplier;
+            put(&mut pkey, part);
+            put(&mut skey, supplier);
+            put(&mut availqty, rng.gen_range(1..10_000i64));
             supplycost.push(round2(rng.gen_range(1.0..1_000.0)));
         }
     }
@@ -430,42 +462,55 @@ fn gen_orders_items(
     let median = odates[orders / 2];
     let priorities = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
     let (flags, statuses) = (["R", "A", "N"], ["F", "O"]);
-    let (mut ckey, mut totalprice) = (Vec::with_capacity(orders), Vec::with_capacity(orders));
-    let (mut status, mut priority) = (Vec::with_capacity(orders), Vec::with_capacity(orders));
+    let (mut ckey, mut totalprice) = (
+        packed(1..=customers as i64, orders),
+        Vec::with_capacity(orders),
+    );
+    let (mut status, mut priority) = (codes(2, orders), codes(priorities.len(), orders));
+    let mut odate = packed(start.into()..=(end - 1).into(), orders);
     // 1..=7 lines an order: 4 on average, with a standard deviation of 2 an
     // order, so room for the mean plus four standard deviations of the
     // total is rarely outgrown.
     let lines = 4 * orders + 8 * (orders as f64).sqrt() as usize;
-    let [mut okey, mut linenumber, mut pkey, mut skey, mut quantity]: [Vec<i64>; 5] =
-        std::array::from_fn(|_| Vec::with_capacity(lines));
+    let (mut okey, mut linenumber) = (packed(1..=orders as i64, lines), packed(1..=7, lines));
+    let (mut pkey, mut skey) = (
+        packed(1..=parts as i64, lines),
+        packed(1..=suppliers as i64, lines),
+    );
+    let mut quantity = packed(1..=50, lines);
     let [mut extendedprice, mut discount]: [Vec<f64>; 2] =
         std::array::from_fn(|_| Vec::with_capacity(lines));
-    let [mut flag, mut mode]: [Vec<u32>; 2] = std::array::from_fn(|_| Vec::with_capacity(lines));
-    let mut shipdate = Vec::with_capacity(lines);
-    for (order, &odate) in (1..=orders as i64).zip(&odates) {
-        ckey.push(rng.gen_range(1..=customers as i64));
-        status.push(u32::from(odate > median));
+    let (mut flag, mut mode) = (codes(flags.len(), lines), codes(SHIP_MODES.len(), lines));
+    let mut shipdate = packed((start + 1).into()..=(end + 120).into(), lines);
+    for (order, &day) in (1..=orders as i64).zip(&odates) {
+        put(&mut ckey, rng.gen_range(1..=customers as i64));
+        put(&mut status, i64::from(day > median));
+        put(&mut odate, day.into());
         totalprice.push(round2(rng.gen_range(1_000.0..400_000.0)));
-        priority.push(rng.gen_range(0..priorities.len() as u32));
+        put(
+            &mut priority,
+            rng.gen_range(0..priorities.len() as u32).into(),
+        );
         for line in 1..=rng.gen_range(1..=7i64) {
-            shipdate.push(odate + rng.gen_range(1..122));
-            okey.push(order);
-            linenumber.push(line);
-            pkey.push(rng.gen_range(1..=parts as i64));
-            skey.push(rng.gen_range(1..=suppliers as i64));
-            quantity.push(rng.gen_range(1..=50i64));
+            put(&mut shipdate, (day + rng.gen_range(1..122i32)).into());
+            put(&mut okey, order);
+            put(&mut linenumber, line);
+            put(&mut pkey, rng.gen_range(1..=parts as i64));
+            put(&mut skey, rng.gen_range(1..=suppliers as i64));
+            put(&mut quantity, rng.gen_range(1..=50i64));
             extendedprice.push(round2(rng.gen_range(900.0..100_000.0)));
             discount.push(round2(rng.gen_range(0.0..0.11)));
-            flag.push(rng.gen_range(0..flags.len() as u32));
-            mode.push(rng.gen_range(0..SHIP_MODES.len() as u32));
+            put(&mut flag, rng.gen_range(0..flags.len() as u32).into());
+            put(&mut mode, rng.gen_range(0..SHIP_MODES.len() as u32).into());
         }
     }
+    drop(odates);
     let ord = relation(vec![
-        ("okey", ints((1..=orders as i64).collect())),
+        ("okey", ints(Packed::sequence(1, orders))),
         ("ckey", ints(ckey)),
         ("ostatus", strs(status, domain(&statuses))),
         ("totalprice", floats(totalprice)),
-        ("odate", dates(odates)),
+        ("odate", dates(odate)),
         ("opriority", strs(priority, domain(&priorities))),
     ]);
     let item = relation(vec![

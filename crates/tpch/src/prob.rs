@@ -11,6 +11,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use pdb_storage::columnar::Packed;
 use pdb_storage::{Catalog, ColumnarTable, ProbTable, StorageResult, VariableGenerator};
 
 use crate::gen::TpchData;
@@ -52,8 +53,10 @@ fn build_catalog(data: &TpchData, seed: u64, columnar: bool) -> StorageResult<Ca
         };
         if columnar {
             // The table shares the generator's columns: only the variables
-            // and probabilities are new.
-            let vars = (0..columns.len()).map(|_| gen.fresh()).collect();
+            // and probabilities are new. The variables are the next ids in
+            // turn, packed as the sequence they are.
+            let vars = Packed::sequence(gen.count() as i64, columns.len());
+            gen = VariableGenerator::starting_at(gen.count() + columns.len() as u64);
             let probs = (0..columns.len()).map(|_| draw()).collect();
             catalog
                 .register_columnar(name, ColumnarTable::new(Arc::clone(columns), vars, probs)?)?;

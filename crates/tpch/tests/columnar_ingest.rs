@@ -16,6 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pdb_par::Pool;
+use pdb_storage::columnar::{Packed, Words};
 use pdb_storage::{
     ColumnData, ColumnarBuilder, ColumnarData, ColumnarTable, DataType, NullBitmap, ProbTable,
     Schema, StorageBacking, StorageError, Tuple, Value, Variable, VariableGenerator,
@@ -79,6 +80,7 @@ fn schema() -> Schema {
 
 fn ints(values: Vec<i64>) -> ColumnData {
     let nulls = NullBitmap::new(values.len());
+    let values = values.into_iter().collect();
     ColumnData::Int { values, nulls }
 }
 
@@ -86,6 +88,7 @@ fn ints(values: Vec<i64>) -> ColumnData {
 fn strs(codes: Vec<u32>) -> ColumnData {
     let dict = ["b", "a", "b", "unused"].map(Arc::from).to_vec();
     let nulls = NullBitmap::new(codes.len());
+    let codes = codes.into_iter().collect();
     ColumnData::Str { dict, codes, nulls }
 }
 
@@ -97,9 +100,8 @@ fn from_columns(columns: Vec<ColumnData>) -> Result<ColumnarData, StorageError> 
 fn from_columns_builds_the_table_the_builder_builds() {
     // A repeated and an unused dictionary entry, and a NULL whose code is
     // out of range: the finish ranks the strings used and zeroes the code.
-    let mut column = strs((0..130).map(|r| r % 3).collect());
-    if let ColumnData::Str { codes, nulls, .. } = &mut column {
-        codes[7] = 99;
+    let mut column = strs((0..130).map(|r| if r == 7 { 99 } else { r % 3 }).collect());
+    if let ColumnData::Str { nulls, .. } = &mut column {
         nulls.set_null(7);
     }
     let got = from_columns(vec![ints((0..130).collect()), column]).unwrap();
@@ -115,13 +117,13 @@ fn from_columns_builds_the_table_the_builder_builds() {
     let mut builder = ColumnarBuilder::new(schema(), 64, &Pool::sequential()).unwrap();
     builder.push(&rows);
     assert_eq!(got, builder.finish());
-    let (vars, probs) = ((0..130).map(Variable).collect(), vec![0.5; 130]);
+    let (vars, probs) = ((0..130).map(Variable).collect::<Vec<_>>(), vec![0.5; 130]);
     let table = ColumnarTable::new(Arc::new(got), vars, probs).unwrap();
     let ColumnData::Str { dict, codes, .. } = table.column(1) else {
         panic!("a string column");
     };
     assert_eq!(dict, &["a", "b"].map(Arc::from).to_vec());
-    assert_eq!(codes[7], 0);
+    assert_eq!(codes.get(7), 0);
 }
 
 #[test]
@@ -138,7 +140,7 @@ fn from_columns_refuses_a_column_of_the_wrong_length() {
     // A null bitmap sized for other rows is a wrong length too.
     let nulls = NullBitmap::new(200);
     let short = ColumnData::Int {
-        values: vec![1, 2],
+        values: [1, 2].into_iter().collect(),
         nulls,
     };
     let got = from_columns(vec![short, strs(vec![0, 1])]);
@@ -190,4 +192,69 @@ fn from_columns_refuses_a_code_outside_the_dictionary() {
             dictionary: 4
         })
     );
+}
+
+#[test]
+fn item_and_ord_columns_pack_at_the_width_their_ranges_need() {
+    let data = TpchData::generate(TpchScale::new(0.01));
+    let catalog = probabilistic_catalog_columnar(&data, 1).unwrap();
+    // Bytes a row per column in schema order (`None`: an `f64` column),
+    // then the variables'.
+    let ord = [Some(2), Some(2), Some(1), None, Some(2), Some(1)];
+    let item = [
+        Some(2), // okey 1..=15 000
+        Some(1), // linenumber 1..=7
+        Some(2), // pkey 1..=2 000
+        Some(1), // skey 1..=100
+        Some(1), // quantity 1..=50
+        None,
+        None,
+        Some(2), // shipdate, 2 400-odd days
+        Some(1), // returnflag, 3 codes
+        Some(1), // shipmode, 7 codes
+    ];
+    for (name, widths, vars) in [("Ord", &ord[..], 2), ("Item", &item[..], 2)] {
+        let StorageBacking::Columnar(table) = catalog.backing(name).unwrap() else {
+            panic!("{name} is columnar");
+        };
+        let got: Vec<Option<usize>> = (0..table.schema().len())
+            .map(|c| table.column(c).packed().map(Packed::width))
+            .collect();
+        assert_eq!(got, widths, "{name}");
+        assert_eq!(table.vars().width(), vars, "{name} variables");
+    }
+}
+
+#[test]
+fn from_columns_refuses_a_word_outside_its_frame() {
+    // u8 words over `i64::MAX - 1`: the third reaches past `i64::MAX`.
+    let wrapped = ColumnData::Int {
+        values: Packed::from_parts(i64::MAX - 1, Words::U8(vec![0, 1, 2])),
+        nulls: NullBitmap::new(3),
+    };
+    let got = from_columns(vec![wrapped, strs(vec![0, 1, 0])]);
+    let column = "k".to_string();
+    assert_eq!(got, Err(StorageError::WordOutOfFrame { column, row: 2 }));
+    // A date is an `i32` count of days.
+    let days = ColumnData::Date {
+        values: [0, i64::from(i32::MAX) + 1].into_iter().collect(),
+        nulls: NullBitmap::new(2),
+    };
+    let schema = Schema::from_pairs(&[("d", DataType::Date)]).unwrap();
+    let got = ColumnarData::from_columns(schema, 64, vec![days], &Pool::sequential());
+    let column = "d".to_string();
+    assert_eq!(got, Err(StorageError::WordOutOfFrame { column, row: 1 }));
+    // A code below the dictionary, from a negative base.
+    let codes = Packed::from_parts(-1, Words::U8(vec![1, 2, 0]));
+    let nulls = NullBitmap::new(3);
+    let dict = ["a", "b"].map(Arc::from).to_vec();
+    let below = ColumnData::Str { dict, codes, nulls };
+    let got = from_columns(vec![ints(vec![1, 2, 3]), below]);
+    let column = "s".to_string();
+    let want = StorageError::CodeOutOfRange {
+        column,
+        code: -1,
+        dictionary: 2,
+    };
+    assert_eq!(got, Err(want));
 }
