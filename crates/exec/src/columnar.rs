@@ -11,7 +11,9 @@
 //!    filter decides `Eq`/`Ne`/`In` membership (no false negatives, so an
 //!    absent probe skips the chunk outright), and a chunk the statistics
 //!    prove *entirely* matching (null-free, range inside the predicate)
-//!    needs no per-row evaluation at all;
+//!    needs no per-row evaluation at all. An `IN` list is sorted, so one
+//!    binary search finds the members inside `[min, max]`, and only those
+//!    are probed against the bloom filter;
 //! 2. runs **compare-to-bitmask kernels** ([`crate::kernel`]) over the
 //!    remaining chunks — each predicate is compiled once into a typed
 //!    comparison (`PredEval`) against the column's physical representation:
@@ -19,10 +21,16 @@
 //!    base plus `u8`/`u16`/`u32`/`u64` words) and a boolean one it becomes
 //!    a word interval or a constant ([`kernel::WordTest`]), over floats an
 //!    `f64` comparison; a branch-free loop fills a 16×`u64` selection
-//!    bitmask per 1024-row chunk, the null bitmap is AND-ed out,
-//!    conjunctions AND their masks, `IN` alternatives OR theirs. `Mixed`
-//!    columns consult the per-chunk representation tag and run a typed
-//!    loop whenever the chunk is uniformly typed, falling back to per-row
+//!    bitmask per 1024-row chunk, the null bitmap is AND-ed out, and
+//!    conjunctions AND their masks. An `IN` list over a packed or boolean
+//!    column is **one** pass too: the words its members equal form one
+//!    exact set (a bitmap over their span, or sorted words past 64 × the
+//!    member count) that the interval kernel reads — however long the
+//!    list, which is what makes an eager plan's key-set filters
+//!    (`sprout_plan::eager`) cheap. Over floats and `Mixed` columns an
+//!    `IN` binary-searches the sorted list per row. `Mixed` columns
+//!    consult the per-chunk representation tag and run a typed loop
+//!    whenever the chunk is uniformly typed, falling back to per-row
 //!    `Value` evaluation only on genuinely heterogeneous chunks;
 //! 3. **gathers** only the projected columns of the survivors straight into
 //!    the output's pre-sized arena segments (sized by mask popcounts —
@@ -201,32 +209,29 @@ fn prune_one(zone: &ZoneMap, op: CompareOp, constant: &Value) -> (Prune, bool) {
     }
 }
 
-/// Pruning decision for one compiled predicate (`IN` combines its
-/// alternatives: all-skip ⇒ skip, any-full ⇒ full).
+/// Pruning decision for one compiled predicate. An `IN` list skips a
+/// chunk when no member lies in `[min, max]` (one binary search of the
+/// sorted list, [`Predicate::members_within`]) or the bloom filter holds
+/// none of those that do, and takes a null-free chunk whole when a member
+/// equals both its bounds.
 fn prune_pred(zone: &ZoneMap, cp: &CompiledPred<'_>) -> (Prune, bool) {
-    if cp.op != CompareOp::In {
-        return prune_one(zone, cp.op, cp.constants[0]);
+    let p = cp.pred;
+    if p.op != CompareOp::In {
+        return prune_one(zone, p.op, &p.constant);
     }
-    let mut all_skip = true;
-    let mut any_full = false;
-    let mut by_bloom = false;
-    for c in &cp.constants {
-        let (p, b) = prune_one(zone, CompareOp::Eq, c);
-        match p {
-            Prune::Skip => by_bloom |= b,
-            Prune::Full => {
-                all_skip = false;
-                any_full = true;
-            }
-            Prune::Partial => all_skip = false,
-        }
-    }
-    if all_skip {
-        (Prune::Skip, by_bloom)
-    } else if any_full {
-        (Prune::Full, false)
-    } else {
+    let (Some(min), Some(max)) = (&zone.min, &zone.max) else {
+        return (Prune::Skip, false); // all rows NULL
+    };
+    let inside = || p.members_within(min, max);
+    if inside().next().is_none() {
+        (Prune::Skip, false)
+    } else if min == max && inside().any(|c| c == min && c == max) {
+        let full = zone.null_count == 0;
+        (if full { Prune::Full } else { Prune::Partial }, false)
+    } else if inside().any(|c| zone.may_contain(c)) {
         (Prune::Partial, false)
+    } else {
+        (Prune::Skip, true)
     }
 }
 
@@ -262,6 +267,8 @@ enum PredEval<'a> {
     /// Mixed column: evaluate on the stored `Value` directly (the kernel
     /// layer specializes per chunk through the representation tag).
     Mixed(&'a Value),
+    /// An `IN` list: a row matches iff [`Predicate::matches`] its value.
+    Member(&'a Predicate),
 }
 
 /// One decoded non-null cell of a typed column, as the oracle compares it:
@@ -356,6 +363,10 @@ impl PredEval<'_> {
     fn oracle_mask(&self, column: &ColumnData, op: CompareOp, range: Range<usize>) -> Vec<u64> {
         let (start, n) = (range.start, range.len());
         let mut out = vec![0; kernel::mask_words(n)];
+        if let PredEval::Member(p) = self {
+            kernel::fill_with(n, &mut out, |i| p.matches(&column.value(start + i)));
+            return out;
+        }
         let pass = |i: usize, cell: Cell| {
             !column.is_null(start + i) && self.ordering(cell).is_some_and(|o| op_ord(op, o))
         };
@@ -437,67 +448,55 @@ fn representative(column: &ColumnData) -> Value {
     }
 }
 
-/// One predicate compiled for the scan: its operator, column position, and
-/// one [`PredEval`] per constant (one for every operator except `In`),
-/// with its [`kernel::WordTest`] when the column is packed.
+/// One predicate compiled for the scan: the predicate, its column
+/// position, its [`PredEval`] (an `IN` list's is [`PredEval::Member`]),
+/// and its [`kernel::WordTest`] when the column is packed or boolean.
 struct CompiledPred<'a> {
-    op: CompareOp,
+    pred: &'a Predicate,
     col: usize,
-    constants: Vec<&'a Value>,
-    evals: Vec<PredEval<'a>>,
-    tests: Vec<Option<kernel::WordTest>>,
+    eval: PredEval<'a>,
+    test: Option<kernel::WordTest>,
 }
 
 impl<'a> CompiledPred<'a> {
-    /// Compiles `p` against column `col` of `table`.
+    /// Compiles `p` against column `col` of `table`. Over words, an `IN`
+    /// list is the set of words its members equal: each member's `Eq`
+    /// interval ([`PredEval::thresholds`]), clipped to the frame.
     fn new(table: &ColumnarTable, p: &'a Predicate, col: usize) -> CompiledPred<'a> {
         let column = table.column(col);
-        let constants: Vec<&Value> = if p.op == CompareOp::In {
-            p.constants().collect()
-        } else {
-            vec![&p.constant]
-        };
-        let evals: Vec<PredEval<'a>> = (constants.iter())
-            .map(|v| PredEval::compile(column, v))
-            .collect();
-        let op = CompiledPred::alternative_op(p.op);
         let frame = match column {
             ColumnData::Bool { .. } => Some((0, 1)),
             _ => column.packed().map(|p| (p.base(), p.top())),
         };
-        let tests = (evals.iter())
-            .map(|e| Some(word_test(frame?, op, e.thresholds()?)))
-            .collect();
-        CompiledPred {
-            op: p.op,
-            col,
-            constants,
-            evals,
-            tests,
-        }
-    }
-
-    /// The operator each constant is compared with (`IN` = any equal).
-    fn alternative_op(op: CompareOp) -> CompareOp {
-        if op == CompareOp::In {
-            CompareOp::Eq
+        let (eval, test) = if p.op == CompareOp::In {
+            let test = frame.map(|(base, top)| {
+                let mut words = Vec::new();
+                for c in p.constants() {
+                    if let Some((a, b)) = PredEval::compile(column, c).thresholds() {
+                        let lo = (a - i128::from(base)).max(0);
+                        let hi = (b - 1 - i128::from(base)).min(top.into());
+                        words.extend((lo..=hi).map(|w| w as u64));
+                    }
+                }
+                kernel::WordTest::set(words, top)
+            });
+            (PredEval::Member(p), test)
         } else {
-            op
+            let eval = PredEval::compile(column, &p.constant);
+            let test = frame.and_then(|frame| Some(word_test(frame, p.op, eval.thresholds()?)));
+            (eval, test)
+        };
+        CompiledPred {
+            pred: p,
+            col,
+            eval,
+            test,
         }
     }
 
-    /// The scalar oracle's mask over `range`: a row passes iff some
-    /// alternative matches it.
+    /// The scalar oracle's mask over `range`.
     fn oracle_mask(&self, table: &ColumnarTable, range: Range<usize>) -> Vec<u64> {
-        let (column, op) = (
-            table.column(self.col),
-            CompiledPred::alternative_op(self.op),
-        );
-        let mut out = vec![0; kernel::mask_words(range.len())];
-        for eval in &self.evals {
-            kernel::or_into(&mut out, &eval.oracle_mask(column, op, range.clone()));
-        }
-        out
+        (self.eval).oracle_mask(table.column(self.col), self.pred.op, range)
     }
 }
 
@@ -526,9 +525,8 @@ impl<'a> ChunkPredicate<'a> {
     /// the scalar oracle's.
     pub fn masks(&self, k: usize) -> (Vec<u64>, Vec<u64>) {
         let range = self.table.chunk_range(k);
-        let words = kernel::mask_words(range.len());
-        let (mut kernel, mut scratch) = (vec![0; words], vec![0; words]);
-        build_pred_mask(self.table, k, &self.compiled, &mut kernel, &mut scratch);
+        let mut kernel = vec![0; kernel::mask_words(range.len())];
+        build_pred_mask(self.table, k, &self.compiled, &mut kernel);
         (kernel, self.compiled.oracle_mask(self.table, range))
     }
 }
@@ -575,15 +573,15 @@ fn null_words<'a>(column: &'a ColumnData, range: &std::ops::Range<usize>) -> Opt
 
 /// Fills `out` with the selection mask of one compiled comparison over one
 /// chunk: the interval kernel over a packed or boolean column's words when
-/// the comparison has a word `test`, else the float kernel or the mixed
-/// chunk loops. NULL handling for typed columns happens in the caller
-/// (one `and_not_nulls` per predicate); `Mixed` chunks fail NULL rows
-/// inline.
+/// the comparison has a word `test`, else the float kernel, the mixed
+/// chunk loops, or an `IN` list's per-row binary search. NULL handling for
+/// typed columns happens in the caller (one `and_not_nulls` per
+/// predicate); `Mixed` chunks fail NULL rows inline.
 fn eval_mask(
     column: &ColumnData,
     repr: ChunkRepr,
     eval: &PredEval<'_>,
-    test: Option<kernel::WordTest>,
+    test: Option<&kernel::WordTest>,
     op: CompareOp,
     range: Range<usize>,
     out: &mut [u64],
@@ -609,6 +607,9 @@ fn eval_mask(
         (None, PredEval::Mixed(c), ColumnData::Mixed { values }) => {
             mixed_chunk_mask(&values[range], repr, op, c, out)
         }
+        (None, PredEval::Member(p), column) => kernel::fill_with(range.len(), out, |i| {
+            p.matches(&column.value(range.start + i))
+        }),
         _ => unreachable!("PredEval compiled for this column"),
     }
 }
@@ -688,26 +689,12 @@ fn repr_representative(repr: ChunkRepr) -> Value {
 }
 
 /// Builds the full selection mask of one predicate over chunk `k` into
-/// `out` (`IN` ORs one equality mask per alternative, built in `scratch`),
-/// then ANDs the null bitmap out for typed columns.
-fn build_pred_mask(
-    table: &ColumnarTable,
-    k: usize,
-    cp: &CompiledPred<'_>,
-    out: &mut [u64],
-    scratch: &mut [u64],
-) {
+/// `out`, then ANDs the null bitmap out for typed columns.
+fn build_pred_mask(table: &ColumnarTable, k: usize, cp: &CompiledPred<'_>, out: &mut [u64]) {
     let (column, range) = (table.column(cp.col), table.chunk_range(k));
     let repr = table.zone(cp.col, k).repr;
-    let op = CompiledPred::alternative_op(cp.op);
-    for (ci, (eval, test)) in cp.evals.iter().zip(&cp.tests).enumerate() {
-        if ci == 0 {
-            eval_mask(column, repr, eval, *test, op, range.clone(), out);
-        } else {
-            eval_mask(column, repr, eval, *test, op, range.clone(), scratch);
-            kernel::or_into(out, scratch);
-        }
-    }
+    let test = cp.test.as_ref();
+    eval_mask(column, repr, &cp.eval, test, cp.pred.op, range.clone(), out);
     // Typed kernels evaluate the (meaningless) stored natives of NULL rows;
     // clear them in one pass. Mixed chunks already failed NULLs per row.
     if let Some(nw) = null_words(column, &range) {
@@ -716,8 +703,9 @@ fn build_pred_mask(
 }
 
 /// Scalar-oracle check of one chunk's mask: row `r` survives iff every
-/// compiled predicate matches under [`PredEval`] (`IN` = any alternative
-/// equal). Debug builds assert this for every masked chunk.
+/// compiled predicate matches under [`PredEval`] (`IN`:
+/// [`Predicate::matches`]). Debug builds assert this for every masked
+/// chunk.
 #[cfg(debug_assertions)]
 fn mask_agrees_with_oracle(
     table: &ColumnarTable,
@@ -805,11 +793,15 @@ pub fn scan_filter_project_columnar_ranked_ctx(
         .schema()
         .project(&keep.iter().map(|s| s.as_str()).collect::<Vec<_>>())?;
 
-    // Compile each predicate against its column's physical representation
-    // (one PredEval per constant; several only for IN).
+    // Compile each predicate against its column's physical representation;
+    // an IN list's word set is charged to the scan.
     let compiled: Vec<CompiledPred<'_>> = (predicates.iter().zip(&pred_positions))
         .map(|(p, &c)| CompiledPred::new(table, p, c))
         .collect();
+    let set_bytes = (compiled.iter().filter_map(|cp| cp.test.as_ref()))
+        .map(kernel::WordTest::heap_bytes)
+        .sum();
+    ctx.account(Stage::Scan, set_bytes)?;
 
     // Which kept columns are gathered as dictionary ranks, and their
     // decode dictionaries.
@@ -846,18 +838,16 @@ pub fn scan_filter_project_columnar_ranked_ctx(
                 return Ok((ChunkSurvivors::All(range), false));
             }
             // Selection bitmask: first undecided predicate fills it, the
-            // rest AND theirs in (alternative masks for IN go through the
-            // scratch buffer). Fixed-size allocations per chunk, never per
-            // row.
+            // rest AND theirs in. Fixed-size allocations per chunk, never
+            // per row.
             let words = kernel::mask_words(range.len());
             let mut acc = vec![0u64; words];
             let mut pm = vec![0u64; words];
-            let mut am = vec![0u64; words];
             for (i, cp) in partial.iter().enumerate() {
                 if i == 0 {
-                    build_pred_mask(table, k, cp, &mut acc, &mut am);
+                    build_pred_mask(table, k, cp, &mut acc);
                 } else {
-                    build_pred_mask(table, k, cp, &mut pm, &mut am);
+                    build_pred_mask(table, k, cp, &mut pm);
                     kernel::and_into(&mut acc, &pm);
                     if kernel::popcount(&acc) == 0 {
                         break;

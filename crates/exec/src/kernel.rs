@@ -15,7 +15,10 @@
 //! integers it orders above and below, and a string constant's insertion
 //! point and presence give the ranks. Constant-dependent cases (NaN
 //! constants, absent dictionary strings, constants outside the column's
-//! frame) are decided *before* the loop, never inside it.
+//! frame) are decided *before* the loop, never inside it. An `IN` list is
+//! one test too: the words of every value a member equals, as an exact
+//! bitmap over the members' span or, when that span is wider than 64 × the
+//! member count, the sorted words and a binary search ([`WordTest::set`]).
 //!
 //! Semantics replay `CompareOp::eval` ∘ `Value::cmp` exactly: NaN compares
 //! greatest among floats (and equal to itself), `-0.0 == 0.0`, dictionary
@@ -24,9 +27,9 @@
 //! oracle of `crate::columnar` (`ChunkPredicate::oracle_mask`) is what
 //! these kernels are property-tested against.
 //!
-//! Masks compose bitwise: conjunctions AND per-predicate masks, `IN` lists
-//! OR per-alternative equality masks. Survivor counts are popcounts and
-//! the gather iterates set bits — no per-row `Vec` growth anywhere.
+//! Masks compose bitwise: conjunctions AND per-predicate masks. Survivor
+//! counts are popcounts and the gather iterates set bits — no per-row `Vec`
+//! growth anywhere.
 
 use pdb_query::CompareOp;
 use pdb_storage::columnar::Word;
@@ -150,14 +153,18 @@ pub fn fill_f64(values: &[f64], c: f64, op: CompareOp, out: &mut [u64]) {
 /// A comparison over the words of a
 /// [`Packed`](pdb_storage::columnar::Packed) column (or a boolean
 /// column, whose words are its values): every row answers
-/// the same, or a row matches iff its word lies in `lo..=hi` (iff it does
-/// not, with `negate`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// the same, a row matches iff its word lies in `lo..=hi` (iff it does
+/// not, with `negate`), or iff its word is in a set.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WordTest {
     /// Every row matches (`true`) or none does.
     Const(bool),
     /// `(lo ≤ w ≤ hi) != negate`.
     Interval { lo: u64, hi: u64, negate: bool },
+    /// `w` is in the set whose bit `w − lo` is set.
+    Bitmap { lo: u64, bits: Vec<u64> },
+    /// `w` is one of the set's words, ascending.
+    Sorted(Vec<u64>),
 }
 
 impl WordTest {
@@ -177,16 +184,50 @@ impl WordTest {
             WordTest::Interval { lo, hi, negate }
         }
     }
+
+    /// The test of membership in `words` (any order, repeats allowed) over
+    /// words `≤ top`: a constant or an interval when the words are
+    /// consecutive, else a bitmap over their span unless the span exceeds
+    /// 64 × their count, where the sorted words take less room.
+    pub fn set(mut words: Vec<u64>, top: u64) -> WordTest {
+        words.sort_unstable();
+        words.dedup();
+        let (Some(&lo), Some(&hi)) = (words.first(), words.last()) else {
+            return WordTest::Const(false);
+        };
+        let span = hi - lo;
+        if span == words.len() as u64 - 1 {
+            return WordTest::new(0, top, lo.into(), hi.into(), false);
+        }
+        if span / 64 >= words.len() as u64 {
+            return WordTest::Sorted(words);
+        }
+        let mut bits = vec![0u64; (span / 64 + 1) as usize];
+        for w in words {
+            bits[((w - lo) / 64) as usize] |= 1 << ((w - lo) % 64);
+        }
+        WordTest::Bitmap { lo, bits }
+    }
+
+    /// The heap bytes the test holds (a set's bitmap or word list).
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            WordTest::Bitmap { bits: words, .. } | WordTest::Sorted(words) => {
+                std::mem::size_of_val(words.as_slice())
+            }
+            _ => 0,
+        }
+    }
 }
 
 /// The interval kernel — one loop for every packed representation
 /// (integers, dates, dictionary ranks) at every width, and for booleans:
 /// bit `i` of `out` ⇔ `words[i]` passes `test`.
-pub fn fill_words<W: Word>(words: &[W], test: WordTest, out: &mut [u64]) {
+pub fn fill_words<W: Word>(words: &[W], test: &WordTest, out: &mut [u64]) {
     match test {
-        WordTest::Const(value) => fill_const(value, words.len(), out),
+        WordTest::Const(value) => fill_const(*value, words.len(), out),
         WordTest::Interval { lo, hi, negate } => {
-            let (lo, hi) = (W::of(lo), W::of(hi));
+            let (lo, hi, negate) = (W::of(*lo), W::of(*hi), *negate);
             fill(
                 words,
                 out,
@@ -194,6 +235,22 @@ pub fn fill_words<W: Word>(words: &[W], test: WordTest, out: &mut [u64]) {
                 |w| ((w >= lo) & (w <= hi)) != negate,
             )
         }
+        WordTest::Bitmap { lo, bits } => fill(
+            words,
+            out,
+            #[inline(always)]
+            |w| {
+                let d = w.offset().wrapping_sub(*lo);
+                bits.get((d / 64) as usize)
+                    .is_some_and(|b| b >> (d % 64) & 1 == 1)
+            },
+        ),
+        WordTest::Sorted(set) => fill(
+            words,
+            out,
+            #[inline(always)]
+            |w| set.binary_search(&w.offset()).is_ok(),
+        ),
     }
 }
 
@@ -209,13 +266,6 @@ pub fn and_not_nulls(mask: &mut [u64], null_words: &[u64]) {
 pub fn and_into(acc: &mut [u64], m: &[u64]) {
     for (a, &b) in acc.iter_mut().zip(m) {
         *a &= b;
-    }
-}
-
-/// Disjunction (`IN` alternatives): `acc |= m`.
-pub fn or_into(acc: &mut [u64], m: &[u64]) {
-    for (a, &b) in acc.iter_mut().zip(m) {
-        *a |= b;
     }
 }
 
@@ -274,7 +324,7 @@ mod tests {
             (40, 255, true),
         ] {
             let mut m = vec![0u64; mask_words(words.len())];
-            fill_words(&words, WordTest::Interval { lo, hi, negate }, &mut m);
+            fill_words(&words, &WordTest::Interval { lo, hi, negate }, &mut m);
             for (i, &w) in words.iter().enumerate() {
                 let want = (lo <= w.into() && u64::from(w) <= hi) != negate;
                 assert_eq!(m[i / 64] >> (i % 64) & 1 == 1, want, "{lo}..={hi} row {i}");
@@ -339,6 +389,37 @@ mod tests {
             WordTest::new(column.base(), column.top(), 10, 65_545, true),
             WordTest::Const(false)
         );
+    }
+
+    #[test]
+    fn word_sets_are_bitmaps_up_to_64_words_a_member() {
+        // Consecutive words are an interval, every word of the width a
+        // constant, and no word none.
+        assert_eq!(WordTest::set(vec![5, 3, 4, 4], 255), interval(3, 5));
+        assert_eq!(WordTest::set(vec![1, 0], 1), WordTest::Const(true));
+        assert_eq!(WordTest::set(Vec::new(), 255), WordTest::Const(false));
+        // Two members 127 apart fit a bitmap of two words; 128 apart they
+        // take the sorted list.
+        let bitmap = WordTest::set(vec![10, 137], u64::MAX);
+        assert!(matches!(bitmap, WordTest::Bitmap { lo: 10, ref bits } if bits.len() == 2));
+        assert_eq!(bitmap.heap_bytes(), 16);
+        let sorted = WordTest::set(vec![138, 10], u64::MAX);
+        assert_eq!(sorted, WordTest::Sorted(vec![10, 138]));
+        let words: Vec<u64> = (0..200).collect();
+        for test in [bitmap, sorted] {
+            let mut m = vec![0u64; mask_words(words.len())];
+            fill_words(&words, &test, &mut m);
+            let hits: Vec<usize> = mask_rows(0, &m).collect();
+            assert!(hits == [10, 137] || hits == [10, 138], "{test:?}: {hits:?}");
+        }
+    }
+
+    fn interval(lo: u64, hi: u64) -> WordTest {
+        WordTest::Interval {
+            lo,
+            hi,
+            negate: false,
+        }
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //!   scalar oracle's row by row ([`ChunkPredicate`]) — in release builds
 //!   too, where the scan's own debug cross-check is compiled out — and the
 //!   scan must equal the row path.
+//! * **`IN` lists of every length at every width** — lists of 0, 1, 2, 63,
+//!   64, 65 and 5 000 constants, dense enough for the kernel's bitmap or
+//!   sparse enough for its sorted words, with repeats, NULL, the frame's
+//!   ends, values beyond them, constants of other types and absent
+//!   strings: the kernel mask equals the oracle's and the scan the row
+//!   path's.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -499,6 +505,100 @@ proptest! {
                 let want = ops::scan_filter_project(&row, "R", &preds, &keep).unwrap();
                 let got = scan_filter_project_columnar_ctx(&table, "R", &preds, &keep, &Pool::new(2), &CTX).unwrap();
                 prop_assert_eq!(&got, &want, "{:?}", pred);
+            }
+        }
+    }
+}
+
+/// An `IN` list of `n` constants for column `c` of `table` (a
+/// [`width_table`]): members drawn from a window of words above the
+/// column's smallest value — `n` wide (the kernel's bitmap), `64 n + 64`
+/// wide (its sorted words) or the whole frame — with both window ends in
+/// the list, every eighth constant repeating an earlier one, a NULL, and
+/// every eighth one of the column's [`probes`] (other types, absent
+/// strings, values beyond the frame).
+fn in_list(
+    table: &ColumnarTable,
+    c: usize,
+    n: usize,
+    window: usize,
+    rng: &mut SmallRng,
+) -> Vec<Value> {
+    let (lo, hi) = table.column(c).packed().map_or((0, 1), |p| {
+        let values = p.decode(0..p.len());
+        (*values.iter().min().unwrap(), *values.iter().max().unwrap())
+    });
+    let frame = (i128::from(hi) - i128::from(lo)) as u64;
+    let width = match window {
+        0 => n as u64,
+        1 => 64 * n as u64 + 64,
+        _ => frame,
+    }
+    .min(frame);
+    let at = |w: u64| match table.column(c) {
+        ColumnData::Int { .. } => Value::Int(lo.wrapping_add(w as i64)),
+        ColumnData::Date { .. } => Value::Date((lo + w as i64) as i32),
+        ColumnData::Str { dict, .. } => Value::Str(dict[(lo + w as i64) as usize].clone()),
+        _ => Value::Bool(w == 1),
+    };
+    let probes = probes(table, c);
+    let mut list: Vec<Value> = Vec::with_capacity(n);
+    for k in 0..n {
+        let v = match k {
+            0 => at(0),
+            1 => at(width),
+            3 => Value::Null,
+            _ if k % 8 == 2 => list[rng.gen_range(0..k)].clone(),
+            _ if k % 8 == 5 => probes[rng.gen_range(0..probes.len())].clone(),
+            _ => at(rng.gen_range(0..=width)),
+        };
+        list.push(v);
+    }
+    list
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `IN` lists of every length the kernel's word set distinguishes,
+    /// against every column of a table packed at one word width: the kernel
+    /// mask of every chunk equals the scalar oracle's, and the scan equals
+    /// the row path.
+    #[test]
+    fn in_lists_agree_with_the_oracle_at_every_width_and_length(
+        seed in 1u64..u64::MAX / 2,
+        span in 0usize..SPANS.len(),
+        base_kind in 0usize..4,
+        high_days in proptest::bool::ANY,
+        dict in 0usize..DICTS.len(),
+        null_den in 0u32..4,
+        rows in 130usize..200,
+        window in 0usize..3,
+    ) {
+        let span = SPANS[span];
+        let base = match base_kind {
+            _ if span == u64::MAX => i64::MIN,
+            0 => -((span / 2) as i64) - 1,
+            1 => 1_000,
+            2 => i64::MIN,
+            _ => i64::MAX - span as i64,
+        };
+        let table = width_table(seed, span, base, high_days, DICTS[dict], null_den, rows);
+        let row = table.to_prob_table().unwrap();
+        let keep = names(&["i", "d", "s", "b"]);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1f);
+        for (c, attr) in ["i", "d", "s", "b"].into_iter().enumerate() {
+            for n in [0, 1, 2, 63, 64, 65, 5_000] {
+                let pred = Predicate::is_in("R", attr, in_list(&table, c, n, window, &mut rng));
+                let check = ChunkPredicate::new(&table, &pred).unwrap();
+                for k in 0..table.num_chunks() {
+                    let (kernel, oracle) = check.masks(k);
+                    prop_assert_eq!(kernel, oracle, "{} IN of {} chunk {}", attr, n, k);
+                }
+                let preds = [&pred];
+                let want = ops::scan_filter_project(&row, "R", &preds, &keep).unwrap();
+                let got = scan_filter_project_columnar_ctx(&table, "R", &preds, &keep, &Pool::new(2), &CTX).unwrap();
+                prop_assert_eq!(&got, &want, "{} IN of {}", attr, n);
             }
         }
     }

@@ -16,6 +16,18 @@
 //! input's data arena, shrinks the arena to the groups and writes only a
 //! fresh lineage arena (see [`KeyRuns`]).
 //!
+//! **Semi-join reduction.** Before the tree is joined, each leaf is scanned
+//! and aggregated once, in [`greedy_join_order`]'s order, with an `IN`
+//! filter on every join attribute an earlier leaf produced: that leaf's
+//! distinct keys (the smallest set, if several did), a one-pass word set
+//! over a columnar table ([`pdb_exec::kernel::WordTest::set`]). A filter is built
+//! only when its set is below half the column's exact distinct count
+//! ([`pdb_storage::TableStats`]); an empty set ends the walk with the empty
+//! answer. Answers stay bitwise-identical: a filter attribute is in every
+//! group key up to the node where the two leaves meet, so the filter drops
+//! whole groups the join there drops anyway, and every other group sees the
+//! same rows in the same order. NULL never matches, in `IN` or a join.
+//!
 //! The MystiQ plan ([`crate::safe`]) *is* that safe plan, so it is this
 //! module's tree walk too. The two families differ in two values an
 //! [`EagerPlan`] holds: the order an inner node joins its children in (a
@@ -23,7 +35,7 @@
 //! [`ProbAggregation`]).
 
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use pdb_conf::ConfidenceResult;
@@ -33,10 +45,11 @@ use pdb_govern::{Counter, ExecContext, QueryGovernor, QueryObs, Stage};
 use pdb_lineage::independent_or;
 use pdb_par::Pool;
 use pdb_query::reduct::FdReduct;
-use pdb_query::{ConjunctiveQuery, FdSet, QueryTree, RelationAtom};
+use pdb_query::{ConjunctiveQuery, FdSet, Predicate, QueryTree, RelationAtom};
 use pdb_storage::{Catalog, Schema, Tuple, Variable};
 
 use crate::error::{PlanError, PlanResult};
+use crate::join_order::greedy_join_order;
 
 /// An eager plan for a hierarchical (FD-reduct) query.
 #[derive(Debug, Clone)]
@@ -131,7 +144,10 @@ impl EagerPlan {
     pub fn execute(&self, catalog: &Catalog) -> PlanResult<ConfidenceResult> {
         let ctx = &self.ctx;
         let head: BTreeSet<String> = self.query.head_set();
-        let (result, _) = self.eval_node(&self.tree, &BTreeSet::new(), &head, catalog)?;
+        let Some(mut leaves) = self.scan_leaves(catalog, &head)? else {
+            return Ok(Vec::new());
+        };
+        let (result, _) = self.eval_node(&self.tree, &BTreeSet::new(), &head, &mut leaves)?;
         // The root aggregation groups by the head attributes; its single
         // lineage column holds the confidence of each distinct tuple. The
         // projection restores the head's column order — on the plan's pool
@@ -147,37 +163,89 @@ impl EagerPlan {
         Ok(out)
     }
 
+    /// Scans and aggregates every leaf once, in the greedy join order, each
+    /// scan filtered by the key sets of the leaves before it (see the module
+    /// docs). A leaf keeps its interface attributes and the head's; `None`
+    /// when a key set comes out empty, so the answer is empty.
+    fn scan_leaves(
+        &self,
+        catalog: &Catalog,
+        head: &BTreeSet<String>,
+    ) -> PlanResult<Option<BTreeMap<String, Annotated>>> {
+        let order = greedy_join_order(&self.query, catalog)?;
+        let reductions = reductions(&self.query, &order);
+        // Every (leaf, attribute) a later scan is filtered by, and once the
+        // leaf is scanned, its distinct keys as an `IN` filter.
+        let mut keys: BTreeMap<(&str, &str), Option<Predicate>> = (reductions.iter().flatten())
+            .flat_map(|(a, sources)| sources.iter().map(move |s| ((*s, *a), None)))
+            .collect();
+        let mut leaves = BTreeMap::new();
+        for (relation, reductions) in order.iter().zip(&reductions) {
+            let atom = self.query.relation(relation).expect("in the query");
+            let table = catalog.backing(relation)?;
+            let needed = interface_attributes(&self.query, &BTreeSet::from([relation.clone()]));
+            let keep = leaf_scan_attributes(atom, table.schema(), &needed, head);
+            // A single-table walk reads no statistics, as its order did not.
+            let stats = (!reductions.is_empty()).then(|| catalog.table_stats(relation));
+            let stats = stats.transpose()?;
+            let filters: Vec<Predicate> = (reductions.iter())
+                .filter_map(|(a, sources)| {
+                    let set = (sources.iter())
+                        .filter_map(|s| keys[&(*s, *a)].as_ref())
+                        .min_by_key(|set| set.alternatives.len())?;
+                    let members = set.alternatives.len() + 1;
+                    let distinct = *stats.as_ref()?.distinct.get(*a)?;
+                    (2 * members < distinct)
+                        .then(|| Predicate::is_in(relation, *a, set.constants().cloned()))
+                })
+                .collect();
+            let mut predicates = self.query.predicates_for(relation);
+            predicates.extend(&filters);
+            // One fused scan-filter-project, gated on the base table's
+            // size; predicates are evaluated on the table's own columns, so
+            // only the kept ones are materialised, and a columnar backing's
+            // zone maps prune before any row is decoded. The result is
+            // identical across backings.
+            let scanned = ops::scan_filter_project_backing_ctx(
+                &table,
+                relation,
+                &predicates,
+                &keep,
+                &self.pool.for_items(table.len()),
+                &self.ctx,
+            )?;
+            let aggregated = self.aggregate_single_column(scanned)?;
+            for ((_, a), set) in keys.iter_mut().filter(|((s, _), _)| s == relation) {
+                let Ok(c) = aggregated.column_index(a) else {
+                    continue;
+                };
+                let column = aggregated.iter().map(|r| r.data[c].clone());
+                let members = Predicate::is_in(relation, *a, column);
+                if members.constant.is_null() {
+                    return Ok(None); // no key, so no answer
+                }
+                *set = Some(members);
+            }
+            leaves.insert(relation.clone(), aggregated);
+        }
+        Ok(Some(leaves))
+    }
+
     /// Evaluates one node of the query tree into a relation with a single
-    /// lineage column, aggregated per (attributes needed above ∪ head).
+    /// lineage column, aggregated per (attributes needed above ∪ head); a
+    /// leaf comes aggregated from `leaves`.
     fn eval_node(
         &self,
         node: &QueryTree,
         needed_above: &BTreeSet<String>,
         head: &BTreeSet<String>,
-        catalog: &Catalog,
+        leaves: &mut BTreeMap<String, Annotated>,
     ) -> PlanResult<(Annotated, String)> {
         let ctx = &self.ctx;
         match node {
             QueryTree::Leaf { relation, .. } => {
-                let atom = self.query.relation(relation).ok_or_else(|| {
-                    PlanError::Query(pdb_query::QueryError::UnknownRelation(relation.clone()))
-                })?;
-                let table = catalog.backing(relation)?;
-                let keep = leaf_scan_attributes(atom, table.schema(), needed_above, head);
-                // The leaf runs one fused scan-filter-project, gated on the
-                // base table's size; predicates are evaluated on the table's
-                // own columns, so only the kept ones are materialised, and a
-                // columnar backing's zone maps prune before any row is
-                // decoded. The result is identical across backings.
-                let scanned = ops::scan_filter_project_backing_ctx(
-                    &table,
-                    relation,
-                    &self.query.predicates_for(relation),
-                    &keep,
-                    &self.pool.for_items(table.len()),
-                    ctx,
-                )?;
-                Ok((self.aggregate_single_column(scanned)?, relation.clone()))
+                let leaf = leaves.remove(relation).expect("every leaf is scanned");
+                Ok((leaf, relation.clone()))
             }
             QueryTree::Inner { children, .. } => {
                 // Every child subtree keeps its *interface* attributes: the
@@ -190,7 +258,7 @@ impl EagerPlan {
                 for child in (self.child_order)(children) {
                     let child_rels: BTreeSet<String> = child.relations().into_iter().collect();
                     let child_needed = interface_attributes(&self.query, &child_rels);
-                    evaluated.push(self.eval_node(child, &child_needed, head, catalog)?);
+                    evaluated.push(self.eval_node(child, &child_needed, head, leaves)?);
                 }
                 // The first child in that order is the representative; the
                 // others join onto it left to right.
@@ -351,6 +419,30 @@ pub(crate) fn interface_attributes(
         .collect()
 }
 
+/// The semi-join reduction of leaves scanned in `order`: for each leaf, each
+/// of its attributes an earlier leaf also has, with those earlier leaves in
+/// scan order. The leaf's scan filters the attribute by the smallest of
+/// their key sets.
+pub(crate) fn reductions<'a>(
+    query: &'a ConjunctiveQuery,
+    order: &'a [String],
+) -> Vec<Vec<(&'a str, Vec<&'a str>)>> {
+    let atoms: Vec<&RelationAtom> = order.iter().filter_map(|r| query.relation(r)).collect();
+    (0..atoms.len())
+        .map(|i| {
+            (atoms[i].attributes.iter())
+                .filter_map(|a| {
+                    let sources: Vec<&str> = (atoms[..i].iter())
+                        .filter(|s| s.has_attribute(a))
+                        .map(|s| s.name.as_str())
+                        .collect();
+                    (!sources.is_empty()).then_some((a.as_str(), sources))
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// The attributes a leaf scan of `atom` keeps, in the atom's order: those
 /// physically present in `schema` that are needed above the leaf or in the
 /// head. Predicate columns are not among them unless they are needed too —
@@ -497,6 +589,47 @@ mod tests {
                 assert_eq!(p1.to_bits(), p2.to_bits(), "{t1}");
             }
         }
+    }
+
+    #[test]
+    fn a_reduction_filter_never_removes_a_row_the_join_matches() {
+        // Each leaf aggregated without its reduction filters, joined with
+        // the leaves its filters came from, joins exactly as the reduced
+        // leaf does: every row the filters removed lacked a partner.
+        let catalog = fig1_catalog();
+        let q = intro_query_q();
+        let plan = EagerPlan::build(&q, &FdSet::empty()).unwrap();
+        let head = q.head_set();
+        let leaves = plan.scan_leaves(&catalog, &head).unwrap().unwrap();
+        let order = greedy_join_order(&q, &catalog).unwrap();
+        let mut removed = 0;
+        for (relation, reductions) in order.iter().zip(reductions(&q, &order)) {
+            let table = catalog.backing(relation).unwrap();
+            let needed = interface_attributes(&q, &BTreeSet::from([relation.clone()]));
+            let atom = q.relation(relation).unwrap();
+            let keep = leaf_scan_attributes(atom, table.schema(), &needed, &head);
+            let predicates = q.predicates_for(relation);
+            let scanned = ops::scan_filter_project_backing_ctx(
+                &table,
+                relation,
+                &predicates,
+                &keep,
+                &Pool::sequential(),
+                &ExecContext::unbounded(),
+            )
+            .unwrap();
+            let unreduced = plan.aggregate_single_column(scanned).unwrap();
+            let reduced = &leaves[relation];
+            removed += unreduced.len() - reduced.len();
+            let sources: BTreeSet<&str> = reductions.into_iter().flat_map(|(_, s)| s).collect();
+            let join = |leaf: &Annotated| {
+                (sources.iter()).fold(leaf.clone(), |joined, s| {
+                    ops::natural_join(&joined, &leaves[*s]).unwrap()
+                })
+            };
+            assert_eq!(join(&unreduced), join(reduced), "{relation}");
+        }
+        assert!(removed > 0, "the fixture's filters remove rows");
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub struct ExplainScan {
     pub rows: usize,
     /// Predicates evaluated inside the scan, rendered `Rel.attr op const`.
     pub pushdowns: Vec<String>,
+    /// An eager or MystiQ plan's semi-join reduction filters of the scan,
+    /// rendered `Item.okey ⊆ keys(Ord)` (see [`crate::eager`]).
+    pub reductions: Vec<String>,
 }
 
 /// The planner's explained decision for one (query, plan-kind) pair.
@@ -100,6 +103,9 @@ impl PlanExplain {
             ));
             if !scan.pushdowns.is_empty() {
                 out.push_str(&format!(" where {}", scan.pushdowns.join(" and ")));
+            }
+            if !scan.reductions.is_empty() {
+                out.push_str(&format!(" reduced by {}", scan.reductions.join(" and ")));
             }
             out.push('\n');
         }

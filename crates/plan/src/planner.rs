@@ -15,7 +15,7 @@ use pdb_query::reduct::FdReduct;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
 use pdb_storage::Catalog;
 
-use crate::eager::EagerPlan;
+use crate::eager::{self, EagerPlan};
 use crate::error::{PlanError, PlanResult};
 use crate::explain::{ExplainPath, ExplainScan, PlanExplain};
 use crate::fallback::FallbackPlan;
@@ -241,9 +241,16 @@ impl<'a> Planner<'a> {
             ExplainPath::Fallback => None,
         };
         let join_order = greedy_join_order(query, self.catalog)?;
-        let scan_details = join_order
-            .iter()
-            .map(|rel| {
+        // Eager and MystiQ plans scan their leaves in the greedy order, each
+        // reduced by the key sets of the leaves before it.
+        let reductions = match (path, &kind) {
+            (ExplainPath::Safe, PlanKind::Eager | PlanKind::Mystiq | PlanKind::MystiqLogSpace) => {
+                eager::reductions(query, &join_order)
+            }
+            _ => vec![Vec::new(); join_order.len()],
+        };
+        let scan_details = (join_order.iter().zip(reductions))
+            .map(|(rel, reductions)| {
                 let table = self.catalog.backing(rel)?;
                 Ok(ExplainScan {
                     relation: rel.clone(),
@@ -256,6 +263,9 @@ impl<'a> Planner<'a> {
                         .predicates_for(rel)
                         .iter()
                         .map(|p| p.to_string())
+                        .collect(),
+                    reductions: (reductions.into_iter())
+                        .map(|(a, sources)| format!("{rel}.{a} ⊆ keys({})", sources.join(", ")))
                         .collect(),
                 })
             })

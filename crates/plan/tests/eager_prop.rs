@@ -14,13 +14,24 @@
 //! sorted — leaves in key order with one row per key (the collapse moves
 //! their data arena), sorted leaves with duplicates, and shuffled ones — to
 //! one closed form, on both backings.
+//!
+//! The walk scans its leaves with semi-join reduction first: each leaf is
+//! filtered by the key sets of the leaves scanned before it. A generated
+//! three-relation chain `R(a, r) ⋈ S(a, b) ⋈ T(b, t)`, whose selective `R`
+//! filters `S` and, through `S`'s surviving keys, `T` — two hops — holds
+//! the reduction to the oracle with NULL join keys, an `S.a` column that
+//! spells its keys as integers and floats alike (a `Mixed` column once
+//! columnar), and an `R` selection that keeps no row.
 
 use proptest::prelude::*;
 
 use pdb_conf::ConfidenceResult;
 use pdb_exec::pipeline::evaluate_join_order;
+use pdb_query::{CompareOp, Predicate};
 use pdb_query::{ConjunctiveQuery, FdSet};
-use pdb_storage::{tuple, Catalog, ColumnarTable, DataType, ProbTable, Schema, Variable};
+use pdb_storage::{
+    tuple, Catalog, ColumnarTable, DataType, ProbTable, Schema, Tuple, Value, Variable,
+};
 use pdb_testkit::brute_force_confidences;
 use sprout_plan::eager::EagerPlan;
 use sprout_plan::safe::SafePlan;
@@ -385,5 +396,116 @@ fn leaves_that_arrive_in_key_order_sorted_with_duplicates_or_shuffled() {
             &mystiq_at_every_pool_size_and_backing(&q, &catalog),
             &expected,
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Semi-join reduction: a generated three-relation chain.
+// ---------------------------------------------------------------------------
+
+/// `R(a, r)`, `S(a, b)` and `T(b, t)`; `None` is a NULL key, and an `S` row
+/// flagged `float` spells its `a` as a float.
+#[derive(Debug, Clone)]
+struct Chain {
+    r: Vec<(Option<i64>, i64, f64)>,
+    s: Vec<(Option<i64>, bool, Option<i64>, f64)>,
+    t: Vec<(Option<i64>, i64, f64)>,
+}
+
+/// A key in `0..24`, NULL one time in eight.
+fn key() -> impl Strategy<Value = Option<i64>> {
+    (0i64..24, 0u32..8).prop_map(|(k, null)| (null > 0).then_some(k))
+}
+
+fn chain_strategy() -> impl Strategy<Value = Chain> {
+    let r = proptest::collection::vec((key(), 0i64..4, prob()), 0..24);
+    let s = proptest::collection::vec((key(), proptest::bool::ANY, key(), prob()), 0..40);
+    let t = proptest::collection::vec((key(), 0i64..3, prob()), 0..24);
+    (r, s, t).prop_map(|(r, s, t)| Chain { r, s, t })
+}
+
+fn build_chain(db: &Chain) -> Catalog {
+    let key = |k: Option<i64>| k.map_or(Value::Null, Value::Int);
+    let mut var = 0u64;
+    let mut table = |columns: [(&str, DataType); 2], rows: Vec<(Value, Value, f64)>| {
+        let mut table = ProbTable::new(Schema::from_pairs(&columns).unwrap());
+        for (x, y, p) in rows {
+            var += 1;
+            table
+                .insert(Tuple::new(vec![x, y]), Variable(var), p)
+                .unwrap();
+        }
+        table
+    };
+    let r = (db.r.iter())
+        .map(|&(a, r, p)| (key(a), Value::Int(r), p))
+        .collect();
+    let s = (db.s.iter())
+        .map(|&(a, float, b, p)| {
+            let a = match a {
+                Some(a) if float => Value::Float(a as f64),
+                a => key(a),
+            };
+            (a, key(b), p)
+        })
+        .collect();
+    let t = (db.t.iter())
+        .map(|&(b, t, p)| (key(b), Value::Int(t), p))
+        .collect();
+    let catalog = Catalog::new();
+    let r = table([("a", DataType::Int), ("r", DataType::Int)], r);
+    let s = table([("a", DataType::Float), ("b", DataType::Int)], s);
+    let t = table([("b", DataType::Int), ("t", DataType::Int)], t);
+    catalog.register_table("R", r).unwrap();
+    catalog.register_table("S", s).unwrap();
+    catalog.register_table("T", t).unwrap();
+    catalog
+}
+
+/// The chain with `R.r = pick` (`pick = 4` keeps no `R` row), projected on
+/// `head`.
+fn chain_query(head: &[&str], pick: i64) -> ConjunctiveQuery {
+    ConjunctiveQuery::build(
+        &[("R", &["a", "r"]), ("S", &["a", "b"]), ("T", &["b", "t"])],
+        head,
+        vec![Predicate::new("R", "r", CompareOp::Eq, pick)],
+    )
+    .unwrap()
+}
+
+/// Within a few ulps of 1.0: the plans combine probabilities as
+/// complements `1 − Π(1 − p)`, exact to the ulp of 1.0, not to that of a
+/// small result.
+fn assert_within_ulps(plan: &ConfidenceResult, oracle: &ConfidenceResult) {
+    assert_eq!(plan.len(), oracle.len());
+    for ((t1, p1), (t2, p2)) in plan.iter().zip(oracle.iter()) {
+        assert_eq!(t1, t2);
+        let within = (p1 - p2).abs() <= 8.0 * f64::EPSILON;
+        assert!(within, "{t1}: plan {p1} vs oracle {p2}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The reduced eager and MystiQ walks against the oracle, bitwise at
+    /// every pool size and on both backings.
+    #[test]
+    fn reduced_walks_agree_with_the_oracle_on_a_chain(
+        db in chain_strategy(),
+        head_pick in 0usize..4,
+        pick in 0i64..5,
+    ) {
+        let heads: [&[&str]; 4] = [&["b"], &["a", "b"], &["b", "t"], &["r", "b"]];
+        let q = chain_query(heads[head_pick], pick);
+        let catalog = build_chain(&db);
+        let columnar = columnar_twin(&catalog);
+        let oracle = oracle(&q, &catalog);
+        let eager = EagerPlan::build(&q, &FdSet::empty()).expect("query is hierarchical");
+        let got = at_every_pool_size(&[&catalog, &columnar], |pool, catalog| {
+            eager.clone().with_pool(pool).execute(catalog)
+        });
+        assert_within_ulps(&got, &oracle);
+        assert_within_ulps(&mystiq_at_every_pool_size_and_backing(&q, &catalog), &oracle);
     }
 }

@@ -7,6 +7,10 @@
 //! before statistics moved into the catalog (TPC-H SF 0.01, seed 1); a
 //! deliberate planner change regenerates it from the table this test prints
 //! on a mismatch.
+//!
+//! The eager and MystiQ walks scan their leaves in that order, each reduced
+//! by the key sets of the leaves before it, so the order also fixes the
+//! reduction filters `EXPLAIN` lists; Q18's and Q21's are pinned here.
 
 use pdb_query::ConjunctiveQuery;
 use pdb_storage::Catalog;
@@ -16,6 +20,7 @@ use pdb_tpch::{
     TpchScale,
 };
 use sprout_plan::join_order::greedy_join_order;
+use sprout_plan::{PlanKind, Planner};
 
 const PINNED: &str = include_str!("join_order_pin.txt");
 
@@ -61,4 +66,45 @@ fn greedy_join_orders_match_the_pinned_table_on_both_backings() {
     assert_eq!(order_table(&row), PINNED, "row backing orders differ");
     // Asked again, the memoized statistics give the same orders.
     assert_eq!(order_table(&columnar), PINNED, "second planning differs");
+}
+
+#[test]
+fn eager_and_mystiq_explains_list_the_reduction_filters_of_q18_and_q21() {
+    let data = TpchData::generate(TpchScale::new(0.01));
+    let catalog = probabilistic_catalog_columnar(&data, 1).expect("columnar catalog");
+    let planner = Planner::new(&catalog);
+    let pinned = [
+        (
+            "18",
+            vec![
+                vec![],
+                vec!["Ord.ckey ⊆ keys(Cust)"],
+                vec!["Item.okey ⊆ keys(Ord)"],
+            ],
+        ),
+        (
+            "21",
+            vec![
+                vec![],
+                vec!["Supp.nkey ⊆ keys(Nation)"],
+                vec!["Item.skey ⊆ keys(Supp)"],
+                vec!["Ord.okey ⊆ keys(Item)"],
+            ],
+        ),
+    ];
+    for (id, want) in pinned {
+        let query = tpch_query(id).and_then(|e| e.query).expect("conjunctive");
+        for kind in [PlanKind::Eager, PlanKind::Mystiq] {
+            let explain = planner.explain(&query, kind.clone()).unwrap();
+            let got: Vec<Vec<&str>> = (explain.scan_details.iter())
+                .map(|s| s.reductions.iter().map(String::as_str).collect())
+                .collect();
+            assert_eq!(got, want, "Q{id} {kind}");
+            let rendered = explain.render();
+            assert!(rendered.contains(" reduced by "), "{rendered}");
+        }
+        // A lazy plan's scans take no reduction.
+        let lazy = planner.explain(&query, PlanKind::Lazy).unwrap();
+        assert!(lazy.scan_details.iter().all(|s| s.reductions.is_empty()));
+    }
 }

@@ -6,10 +6,11 @@
 //! natural joins: "we assume that the join attributes have the same name in
 //! the joined tables".
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use pdb_storage::Value;
+use pdb_storage::{total_f64_cmp, Value};
 
 use crate::error::{QueryError, QueryResult};
 
@@ -81,6 +82,9 @@ pub struct Predicate {
     pub constant: Value,
     /// Additional constants for `In` predicates; `constant` holds the first
     /// list element and this holds the rest (empty for every other operator).
+    /// [`Predicate::is_in`] keeps the list ascending (numbers compared as
+    /// `f64`s, see [`Predicate::members_within`]), without duplicates or
+    /// NULLs, which membership relies on.
     pub alternatives: Vec<Value>,
 }
 
@@ -101,16 +105,26 @@ impl Predicate {
         }
     }
 
-    /// Creates an `IN (v1, …, vk)` membership predicate. NULL list elements
-    /// never match (SQL semantics), and an *empty* list selects nothing: it
-    /// is represented as the single member NULL, which every evaluation path
-    /// (oracle, kernels, zone pruning) already treats as never-matching.
+    /// Creates an `IN (v1, …, vk)` membership predicate. The list is kept
+    /// sorted and deduplicated, so membership is a binary search. NULL list
+    /// elements never match (SQL semantics) and are dropped, and an *empty*
+    /// list selects nothing: it is represented as the single member NULL,
+    /// which every evaluation path (oracle, kernels, zone pruning) already
+    /// treats as never-matching.
     pub fn is_in(
         relation: impl Into<String>,
         attribute: impl Into<String>,
         values: impl IntoIterator<Item = impl Into<Value>>,
     ) -> Self {
         let mut list: Vec<Value> = values.into_iter().map(Into::into).collect();
+        list.retain(|v| !v.is_null());
+        // Numbers equal as `f64`s sort integers (exactly) before floats, so
+        // the order is total and only identical spellings are duplicates.
+        let is_float = |v: &Value| matches!(v, Value::Float(_));
+        list.sort_by(|a, b| {
+            (numeric_cmp(a, b).then_with(|| is_float(a).cmp(&is_float(b)))).then_with(|| a.cmp(b))
+        });
+        list.dedup_by(|a, b| is_float(a) == is_float(b) && a == b);
         let constant = if list.is_empty() {
             Value::Null
         } else {
@@ -133,12 +147,47 @@ impl Predicate {
 
     /// The single evaluation oracle: whether column value `v` satisfies this
     /// predicate. NULL column values never match, and for `In` NULL list
-    /// elements never match either.
+    /// elements never match either. `In` membership is a binary search of
+    /// the sorted list, then `Value`'s equality.
     pub fn matches(&self, v: &Value) -> bool {
         match self.op {
-            CompareOp::In => !v.is_null() && self.constants().any(|c| !c.is_null() && v == c),
+            CompareOp::In => !v.is_null() && self.members_within(v, v).any(|c| c == v),
             op => op.eval(v, &self.constant),
         }
+    }
+
+    /// The members of an `IN` list within `lo..=hi`, ascending, under
+    /// `Value`'s order with every number compared as its `f64` (a NULL
+    /// never is). `Value::cmp` compares two integers exactly, so beyond
+    /// ±2⁵³ it is not transitive against floats and a list sorted by it
+    /// cannot be searched; this order is total, and it puts every member
+    /// `Value::cmp` places in `lo..=hi` inside it too.
+    pub fn members_within<'a>(
+        &'a self,
+        lo: &'a Value,
+        hi: &'a Value,
+    ) -> impl Iterator<Item = &'a Value> {
+        let from = (self.alternatives).partition_point(|c| numeric_cmp(c, lo).is_lt());
+        let first = numeric_cmp(&self.constant, lo)
+            .is_ge()
+            .then_some(&self.constant);
+        (first.into_iter().chain(&self.alternatives[from..]))
+            .filter(|c| !c.is_null())
+            .take_while(move |c| numeric_cmp(c, hi).is_le())
+    }
+}
+
+/// `Value`'s order with every number compared as its `f64`: a coarsening of
+/// `Value::cmp` that is a total order.
+fn numeric_cmp(a: &Value, b: &Value) -> Ordering {
+    let number = |v: &Value| match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Float(f) => Some(*f),
+        _ => None,
+    };
+    match (number(a), number(b)) {
+        (Some(x), Some(y)) => total_f64_cmp(x, y),
+        _ => a.cmp(b),
     }
 }
 
@@ -429,6 +478,30 @@ mod tests {
         // Display renders the full list.
         let p = Predicate::is_in("R", "a", ["x", "y"]);
         assert_eq!(p.to_string(), "R.a IN (x, y)");
+    }
+
+    #[test]
+    fn in_lists_are_sorted_deduplicated_and_searched_exactly() {
+        let list = [Value::Int(5), Value::Null, Value::Int(1), Value::Int(5)];
+        let p = Predicate::is_in("R", "a", list.into_iter().chain([Value::Float(1.0)]));
+        assert_eq!(p.to_string(), "R.a IN (1, 1, 5)");
+        // Beyond 2^53 a float equals every integer that rounds to it, and
+        // `Value::cmp` is not transitive there: membership still finds it.
+        let big = 1i64 << 60;
+        let p = Predicate::is_in(
+            "R",
+            "a",
+            [
+                Value::Int(big + 100),
+                Value::Float(big as f64),
+                Value::Int(big - 100),
+            ],
+        );
+        for v in [big - 100, big - 50, big, big + 50, big + 100, big + 1000] {
+            let v = Value::Int(v);
+            assert_eq!(p.matches(&v), p.constants().any(|c| c == &v), "{v}");
+        }
+        assert!(p.matches(&Value::Int(big + 50)));
     }
 
     #[test]

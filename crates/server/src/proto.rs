@@ -471,8 +471,9 @@ pub fn answer_lines(report: &PlanReport) -> Vec<String> {
 }
 
 /// Renders a [`PlanExplain`] as the `"explain": "plan"` response document:
-/// the chosen path, tractability, signature, join order, per-scan backing
-/// and pushdowns, and the policy in force — all as plain data.
+/// the chosen path, tractability, signature, join order, per-scan backing,
+/// pushdowns and semi-join reduction filters, and the policy in force —
+/// all as plain data.
 pub fn explain_json(ex: &PlanExplain) -> Json {
     let mut fields = vec![
         ("kind".to_string(), Json::Str(ex.kind.to_string())),
@@ -516,6 +517,10 @@ pub fn explain_json(ex: &PlanExplain) -> Json {
                         (
                             "pushdowns".to_string(),
                             Json::Array(s.pushdowns.iter().map(Json::str).collect()),
+                        ),
+                        (
+                            "reductions".to_string(),
+                            Json::Array(s.reductions.iter().map(Json::str).collect()),
                         ),
                     ])
                 })

@@ -78,7 +78,37 @@ fn explain_plan_describes_the_plan_without_executing() {
     for scan in scans {
         assert_eq!(scan.get("backing").and_then(Json::as_str), Some("row"));
         assert!(scan.get("rows").and_then(Json::as_i64).unwrap() > 0);
+        let reductions = scan.get("reductions").unwrap().as_array().unwrap();
+        assert!(reductions.is_empty(), "a lazy scan takes no reduction");
     }
+
+    // An eager plan's scans list the key sets of the leaves before them.
+    let resp = one_shot(
+        addr,
+        "POST",
+        "/query",
+        &query_body(
+            &intro_query_q(),
+            &[("explain", "\"plan\""), ("kind", "\"eager\"")],
+        ),
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let plan = resp.json();
+    let reductions: Vec<&str> = (plan.get("scan_details").unwrap().as_array().unwrap())
+        .iter()
+        .flat_map(|s| s.get("reductions").unwrap().as_array().unwrap())
+        .map(|r| r.as_str().unwrap())
+        .collect();
+    assert_eq!(
+        reductions,
+        [
+            "Item.ckey ⊆ keys(Cust)",
+            "Ord.okey ⊆ keys(Item)",
+            "Ord.ckey ⊆ keys(Cust, Item)"
+        ],
+        "{}",
+        resp.body
+    );
 
     // The plan pass never executes: nothing reaches the debug ring and no
     // engine rows are counted.

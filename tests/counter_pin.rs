@@ -1,5 +1,5 @@
-//! The deterministic counters of five lazy queries and of one eager, one
-//! hybrid and one MystiQ plan, pinned.
+//! The deterministic counters of five lazy queries, of four eager plans, and
+//! of one hybrid and one MystiQ plan, pinned.
 //!
 //! The counters of `pdb-obs` are part of the determinism contract: a change
 //! that moves, drops or double-counts work — a scan run twice, a decode
@@ -11,8 +11,11 @@
 //! columnar ingest began to read the generator's rows in place — the join
 //! and grouping counts see every base-table row, so they are also the
 //! cheapest proof that the ingested tables are that commit's, row for row.
-//! A deliberate change regenerates the file from the table this test prints
-//! on a mismatch.
+//! The eager lines were regenerated when the eager walk began to reduce its
+//! leaves by the key sets of the leaves scanned before them: they pin the
+//! rows the scans keep and the chunks they skip too, so that reduction
+//! stays pinned. A deliberate change regenerates the file from the table
+//! this test prints on a mismatch.
 
 use std::sync::Arc;
 
@@ -46,17 +49,37 @@ const PLAN_COUNTERS: [Counter; 4] = [
     Counter::AnswerRows,
 ];
 
-/// `(line label, query, plan, counters)`: the lazy lines, then Q3 eager, Q3
-/// hybrid with `Item` pushed down, and Q15 under MystiQ's safe plan.
+/// The eager plans' semi-join reduction shows in the rows their scans keep
+/// and the chunks they skip, then in the plan counters.
+const EAGER_QUERIES: [&str; 4] = ["3", "7", "18", "21"];
+
+const EAGER_COUNTERS: [Counter; 6] = [
+    Counter::RowsEmitted,
+    Counter::ChunksSkipped,
+    Counter::EagerGroups,
+    Counter::JoinProbes,
+    Counter::JoinMatches,
+    Counter::AnswerRows,
+];
+
+/// `(line label, query, plan, counters)`: the lazy lines, the eager lines,
+/// then Q3 hybrid with `Item` pushed down, and Q15 under MystiQ's safe plan.
 fn pinned_runs() -> Vec<(String, &'static str, PlanKind, &'static [Counter])> {
     let lazy = LAZY_QUERIES.map(|id| (id.to_string(), id, PlanKind::Lazy, &LAZY_COUNTERS[..]));
+    let eager = EAGER_QUERIES.map(|id| {
+        (
+            format!("{id}.eager"),
+            id,
+            PlanKind::Eager,
+            &EAGER_COUNTERS[..],
+        )
+    });
     let plans = [
-        ("3.eager", "3", PlanKind::Eager),
         ("3.hybrid", "3", PlanKind::Hybrid(vec!["Item".to_string()])),
         ("15.mystiq", "15", PlanKind::Mystiq),
     ]
     .map(|(label, id, kind)| (label.to_string(), id, kind, &PLAN_COUNTERS[..]));
-    lazy.into_iter().chain(plans).collect()
+    lazy.into_iter().chain(eager).chain(plans).collect()
 }
 
 fn counter_table(db: &SproutDb, threads: usize) -> String {
