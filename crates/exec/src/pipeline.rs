@@ -25,6 +25,22 @@
 //! what a caller chaining them by hand gets, and `tests/pipeline_staged.rs`
 //! holds the pipeline's answer and counters to exactly such a chain.
 //!
+//! # Semi-join reduction
+//!
+//! With `reduce` set ([`evaluate_join_order_with`]; the hybrid plan's walk),
+//! every scan after the first takes one more `IN` predicate per attribute
+//! its relation shares with the running result, holding that result's
+//! distinct non-NULL keys, when they are fewer than half the column's exact
+//! distinct count ([`Predicate::semi_join`]). Hierarchical queries are
+//! acyclic, so a row with no partner in the running result joins nothing;
+//! over a columnar table the `IN` is one word-set pass after zone pruning.
+//! The answer stays bitwise-identical — values, lineage, row order: the
+//! scan is the join's build side, and the join emits in probe order with
+//! each probe row's matches ascending, so dropping partner-less build rows
+//! reorders nothing; a filter attribute is a kept data column, so an
+//! aggregation `after_scan` runs drops whole groups and leaves the others
+//! as they were.
+//!
 //! # Late string materialization
 //!
 //! On columnar backings, string head columns stay in their **dictionary
@@ -58,7 +74,7 @@ use std::sync::Arc;
 
 use pdb_govern::{Counter, ExecContext, Stage};
 use pdb_par::Pool;
-use pdb_query::ConjunctiveQuery;
+use pdb_query::{ConjunctiveQuery, Predicate};
 use pdb_storage::{Catalog, StorageBacking, Value};
 
 use crate::annotated::Annotated;
@@ -109,7 +125,7 @@ pub fn evaluate_join_order_ctx(
     pool: &Pool,
     ctx: &ExecContext,
 ) -> ExecResult<Annotated> {
-    evaluate_join_order_with(query, catalog, order, pool, ctx, |_, scanned| {
+    evaluate_join_order_with(query, catalog, order, pool, ctx, false, |_, scanned| {
         Ok::<_, ExecError>(scanned)
     })
 }
@@ -121,6 +137,12 @@ pub fn evaluate_join_order_ctx(
 /// sees string head columns as their dictionary ranks, which group and order
 /// as the strings do; it must keep the data columns it is handed.
 ///
+/// With `reduce`, every scan after the first is semi-join reduced (see the
+/// module docs). Only the hybrid plan sets it: the benchmark harness replays
+/// the lazy and fallback walks operator by operator and holds their counters
+/// to the engine's. Once that replay is deleted, so is this argument, and
+/// every walk reduces.
+///
 /// # Errors
 /// Those of [`evaluate_join_order_ctx`], and the first error of
 /// `after_scan`.
@@ -130,6 +152,7 @@ pub fn evaluate_join_order_with<E: From<ExecError>>(
     order: &[String],
     pool: &Pool,
     ctx: &ExecContext,
+    reduce: bool,
     mut after_scan: impl FnMut(&str, Annotated) -> Result<Annotated, E>,
 ) -> Result<Annotated, E> {
     let query_rels: BTreeSet<&str> = query.relation_names().into_iter().collect();
@@ -162,7 +185,17 @@ pub fn evaluate_join_order_with<E: From<ExecError>>(
             .filter(|a| head.contains(*a) || join_attrs.contains(*a))
             .cloned()
             .collect();
-        let predicates = query.predicates_for(rel_name);
+        let mut filters = Vec::new();
+        if let Some(acc) = current.as_ref().filter(|_| reduce) {
+            let stats = catalog.table_stats(rel_name).map_err(ExecError::from)?;
+            for a in atom.attributes.iter().filter(|a| acc.schema().contains(a)) {
+                let c = acc.column_index(a)?;
+                let keys = acc.iter().map(|r| r.data[c].clone());
+                filters.extend(Predicate::semi_join(&stats, rel_name, a, keys));
+            }
+        }
+        let mut predicates = query.predicates_for(rel_name);
+        predicates.extend(&filters);
         let scan_pool = pool.for_items(table.len());
         let scan_span = ctx.span_with("scan", rel_name.as_str());
         let scanned = match &table {
@@ -373,8 +406,9 @@ mod tests {
 
     // -- Late string materialization --------------------------------------
 
+    use crate::KeyRuns;
     use pdb_govern::QueryObs;
-    use pdb_query::{CompareOp, Predicate, RelationAtom};
+    use pdb_query::{CompareOp, RelationAtom};
     use pdb_storage::{ColumnarTable, DataType, ProbTable, Schema, Tuple, Variable};
 
     /// Two-table catalog with string head columns: `Cust(ckey, cname)` ⋈
@@ -509,6 +543,112 @@ mod tests {
         let late = evaluate_join_order_ctx(&q, &columnar, &o, &Pool::new(4), &ctx).unwrap();
         assert_eq!(late, want);
         assert_eq!(late.len(), 2);
+    }
+
+    // -- Semi-join reduction ------------------------------------------------
+
+    /// `R(a, r)`, `S(a, b)` and `T(b, t)`, row-backed or columnar: NULL keys
+    /// on every join column, and `S.a` spelling its keys as floats and, every
+    /// third row, as integers (a `Mixed` column once columnar).
+    fn chain_catalog(columnar: bool) -> Catalog {
+        // Key `k % of`, NULL when `k` is a multiple of `null_every`.
+        let key = |k: usize, of: usize, null_every: usize| match k % null_every {
+            0 => Value::Null,
+            _ => Value::Int((k % of) as i64),
+        };
+        let mut var = 0u64;
+        let mut table = |columns: [(&str, DataType); 2], rows: Vec<(Value, Value)>| {
+            let mut t = ProbTable::new(Schema::from_pairs(&columns).unwrap());
+            for (x, y) in rows {
+                var += 1;
+                let p = 0.1 + 0.1 * (var % 8) as f64;
+                t.insert(Tuple::new(vec![x, y]), Variable(var), p).unwrap();
+            }
+            t
+        };
+        let r = (0..60).map(|i| (key(i, 40, 9), Value::Int((i % 5) as i64)));
+        let s = (0..300).map(|i| {
+            let a = match key(i * 7, 40, 11) {
+                Value::Int(k) if i % 3 != 0 => Value::Float(k as f64),
+                a => a,
+            };
+            (a, key(i * 3, 40, 13))
+        });
+        let t = (0..240).map(|i| (key(i, 120, 17), Value::Int((i % 3) as i64)));
+        let (int, float) = (DataType::Int, DataType::Float);
+        let catalog = Catalog::new();
+        let pool = Pool::sequential();
+        for (name, t) in [
+            ("R", table([("a", int), ("r", int)], r.collect())),
+            ("S", table([("a", float), ("b", int)], s.collect())),
+            ("T", table([("b", int), ("t", int)], t.collect())),
+        ] {
+            if columnar {
+                let t = ColumnarTable::from_prob_table_chunked(&t, &pool, 64).unwrap();
+                catalog.register_columnar(name, t).unwrap();
+            } else {
+                catalog.register_table(name, t).unwrap();
+            }
+        }
+        catalog
+    }
+
+    /// `[S*]` after `S`'s scan: one row per distinct data tuple, carrying the
+    /// group's first variable and its rows' independent-or.
+    fn pushed_s(rel: &str, scanned: Annotated) -> ExecResult<Annotated> {
+        if rel != "S" {
+            return Ok(scanned);
+        }
+        let (pool, ctx) = (Pool::new(2), ExecContext::unbounded());
+        let runs = KeyRuns::build(&scanned, &[], &[0], Stage::Aggregate, &pool, &ctx)?;
+        let fold = |input: &Annotated, _: usize, rows: &[u32]| {
+            let pair = |r: u32| input.row(r as usize).lineage[0];
+            let none = rows.iter().map(|&r| 1.0 - pair(r).1).product::<f64>();
+            Ok((pair(rows[0]).0, 1.0 - none))
+        };
+        let input = std::borrow::Cow::Owned(scanned);
+        runs.collapse(input, &[0], 0, Stage::Aggregate, &pool, &ctx, fold)
+    }
+
+    #[test]
+    fn the_reduced_walk_answers_bitwise_as_the_unreduced_one() {
+        let q = |pick: i64| {
+            ConjunctiveQuery::new(
+                vec![
+                    RelationAtom::new("R", &["a", "r"]),
+                    RelationAtom::new("S", &["a", "b"]),
+                    RelationAtom::new("T", &["b", "t"]),
+                ],
+                vec!["r".to_string(), "b".to_string(), "t".to_string()],
+                vec![Predicate::new("R", "r", CompareOp::Eq, pick)],
+            )
+            .unwrap()
+        };
+        let o = order(&["R", "S", "T"]);
+        for columnar in [false, true] {
+            let catalog = chain_catalog(columnar);
+            // `r = 1` keeps a few `R` keys; `r = 9` keeps no row at all.
+            for pick in [1, 9] {
+                let q = q(pick);
+                let run = |reduce: bool, threads: usize| {
+                    let obs = QueryObs::new();
+                    let ctx = ExecContext::unbounded().with_obs(Arc::clone(&obs));
+                    let pool = Pool::new(threads);
+                    let answer =
+                        evaluate_join_order_with(&q, &catalog, &o, &pool, &ctx, reduce, pushed_s)
+                            .unwrap();
+                    (answer, obs.get(Counter::RowsEmitted))
+                };
+                let (want, unreduced_rows) = run(false, 1);
+                assert_eq!(want.is_empty(), pick == 9, "columnar {columnar}");
+                for threads in [1, 4] {
+                    let (got, reduced_rows) = run(true, threads);
+                    let at = format!("columnar {columnar}, r = {pick}, {threads} threads");
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{at}");
+                    assert!(reduced_rows < unreduced_rows, "{at}: the filters drop rows");
+                }
+            }
+        }
     }
 
     #[test]

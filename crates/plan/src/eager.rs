@@ -22,11 +22,12 @@
 //! distinct keys (the smallest set, if several did), a one-pass word set
 //! over a columnar table ([`pdb_exec::kernel::WordTest::set`]). A filter is built
 //! only when its set is below half the column's exact distinct count
-//! ([`pdb_storage::TableStats`]); an empty set ends the walk with the empty
-//! answer. Answers stay bitwise-identical: a filter attribute is in every
-//! group key up to the node where the two leaves meet, so the filter drops
-//! whole groups the join there drops anyway, and every other group sees the
-//! same rows in the same order. NULL never matches, in `IN` or a join.
+//! ([`Predicate::semi_join`], the rule the hybrid plan's join walk uses
+//! too); an empty set ends the walk with the empty answer. Answers stay
+//! bitwise-identical: a filter attribute is in every group key up to the
+//! node where the two leaves meet, so the filter drops whole groups the
+//! join there drops anyway, and every other group sees the same rows in the
+//! same order. NULL never matches, in `IN` or a join.
 //!
 //! The MystiQ plan ([`crate::safe`]) *is* that safe plan, so it is this
 //! module's tree walk too. The two families differ in two values an
@@ -193,10 +194,7 @@ impl EagerPlan {
                     let set = (sources.iter())
                         .filter_map(|s| keys[&(*s, *a)].as_ref())
                         .min_by_key(|set| set.alternatives.len())?;
-                    let members = set.alternatives.len() + 1;
-                    let distinct = *stats.as_ref()?.distinct.get(*a)?;
-                    (2 * members < distinct)
-                        .then(|| Predicate::is_in(relation, *a, set.constants().cloned()))
+                    Predicate::semi_join(stats.as_ref()?, relation, a, set.constants().cloned())
                 })
                 .collect();
             let mut predicates = self.query.predicates_for(relation);

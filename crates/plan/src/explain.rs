@@ -44,8 +44,11 @@ pub struct ExplainScan {
     pub rows: usize,
     /// Predicates evaluated inside the scan, rendered `Rel.attr op const`.
     pub pushdowns: Vec<String>,
-    /// An eager or MystiQ plan's semi-join reduction filters of the scan,
-    /// rendered `Item.okey ⊆ keys(Ord)` (see [`crate::eager`]).
+    /// The semi-join reduction filters of an eager, MystiQ or hybrid plan's
+    /// scan, rendered `Item.okey ⊆ keys(Ord)` (see [`crate::eager`]) or, in
+    /// a hybrid plan, `Item.okey ⊆ keys(Cust ⋈ Ord)` (the running result,
+    /// see [`pdb_exec::pipeline`]). Each is built at run time only if its
+    /// key set passes [`pdb_query::Predicate::semi_join`]'s rule.
     pub reductions: Vec<String>,
 }
 

@@ -8,6 +8,13 @@
 //! leaf), the joins then run in the optimizer's order, and the remaining
 //! confidence computation happens at the top with the correspondingly
 //! simplified signature (each pushed `R*` replaced by the bare `R`).
+//!
+//! The joins are the lazy pipeline's walk with its semi-join reduction on
+//! (see [`pdb_exec::pipeline`]): every scan after the first keeps only the
+//! rows whose join keys the running result holds, before a pushed
+//! aggregation runs. Q18's `[Item*]` aggregates the line items of one
+//! customer's orders, not the whole table. The answer tuples, their lineage
+//! and their order are those of the unreduced walk.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -156,6 +163,7 @@ impl HybridPlan {
             &self.join_order,
             &self.pool,
             &self.ctx,
+            true,
             |rel_name, scanned| {
                 if !self.pushed.contains(rel_name) {
                     return Ok(scanned);

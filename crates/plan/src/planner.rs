@@ -242,15 +242,19 @@ impl<'a> Planner<'a> {
         };
         let join_order = greedy_join_order(query, self.catalog)?;
         // Eager and MystiQ plans scan their leaves in the greedy order, each
-        // reduced by the key sets of the leaves before it.
+        // reduced by the key sets of the leaves before it; a hybrid plan's
+        // scans are reduced by the running result, the join of every
+        // relation before them.
         let reductions = match (path, &kind) {
-            (ExplainPath::Safe, PlanKind::Eager | PlanKind::Mystiq | PlanKind::MystiqLogSpace) => {
-                eager::reductions(query, &join_order)
-            }
+            (
+                ExplainPath::Safe,
+                PlanKind::Eager | PlanKind::Mystiq | PlanKind::MystiqLogSpace | PlanKind::Hybrid(_),
+            ) => eager::reductions(query, &join_order),
             _ => vec![Vec::new(); join_order.len()],
         };
-        let scan_details = (join_order.iter().zip(reductions))
-            .map(|(rel, reductions)| {
+        let hybrid = matches!(kind, PlanKind::Hybrid(_));
+        let scan_details = (join_order.iter().zip(reductions).enumerate())
+            .map(|(step, (rel, reductions))| {
                 let table = self.catalog.backing(rel)?;
                 Ok(ExplainScan {
                     relation: rel.clone(),
@@ -265,7 +269,14 @@ impl<'a> Planner<'a> {
                         .map(|p| p.to_string())
                         .collect(),
                     reductions: (reductions.into_iter())
-                        .map(|(a, sources)| format!("{rel}.{a} ⊆ keys({})", sources.join(", ")))
+                        .map(|(a, sources)| {
+                            let keys = if hybrid {
+                                join_order[..step].join(" ⋈ ")
+                            } else {
+                                sources.join(", ")
+                            };
+                            format!("{rel}.{a} ⊆ keys({keys})")
+                        })
                         .collect(),
                 })
             })

@@ -11,7 +11,7 @@
 //! them on a table's first use and keeps them until the table is replaced.
 //! This module only combines them into estimates for one query.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pdb_query::{CompareOp, ConjunctiveQuery, Predicate};
@@ -171,15 +171,11 @@ impl Statistics {
 }
 
 /// Number of distinct non-null constants a predicate probes: 1 for scalar
-/// operators, the deduplicated list length for `IN` (duplicate and NULL
-/// alternatives match nothing extra).
+/// operators, the length of [`Predicate::is_in`]'s normalized list for `IN`
+/// (its empty list is the one member NULL).
 fn in_list_len(predicate: &Predicate) -> usize {
     match predicate.op {
-        CompareOp::In => predicate
-            .constants()
-            .filter(|c| !c.is_null())
-            .collect::<BTreeSet<_>>()
-            .len(),
+        CompareOp::In => predicate.constants().filter(|c| !c.is_null()).count(),
         _ => 1,
     }
 }
@@ -253,6 +249,17 @@ mod tests {
             ],
         );
         assert!((stats.predicate_selectivity(&p) - 0.5).abs() < 1e-12);
+        // Beyond ±2⁵³ the list keeps every spelling a distinct count does.
+        let big = 1i64 << 60;
+        let spellings = [
+            pdb_storage::Value::Int(big - 100),
+            pdb_storage::Value::Int(big + 100),
+            pdb_storage::Value::Float(big as f64),
+        ];
+        assert_eq!(
+            in_list_len(&Predicate::is_in("Cust", "cname", spellings)),
+            3
+        );
         // A list longer than the domain caps at 1.
         let p = Predicate::is_in("Cust", "cname", ["a", "b", "c", "d", "e", "f"]);
         assert!((stats.predicate_selectivity(&p) - 1.0).abs() < 1e-12);

@@ -9,8 +9,10 @@
 //! on a mismatch.
 //!
 //! The eager and MystiQ walks scan their leaves in that order, each reduced
-//! by the key sets of the leaves before it, so the order also fixes the
-//! reduction filters `EXPLAIN` lists; Q18's and Q21's are pinned here.
+//! by the key sets of the leaves before it, and the hybrid plan's join walk
+//! reduces each scan after the first by the running result's keys, so the
+//! order also fixes the reduction filters `EXPLAIN` lists; eager and MystiQ
+//! Q18 and Q21, and hybrid Q3 and Q18, are pinned here.
 
 use pdb_query::ConjunctiveQuery;
 use pdb_storage::Catalog;
@@ -104,6 +106,37 @@ fn eager_and_mystiq_explains_list_the_reduction_filters_of_q18_and_q21() {
             assert!(rendered.contains(" reduced by "), "{rendered}");
         }
         // A lazy plan's scans take no reduction.
+        let lazy = planner.explain(&query, PlanKind::Lazy).unwrap();
+        assert!(lazy.scan_details.iter().all(|s| s.reductions.is_empty()));
+    }
+}
+
+#[test]
+fn hybrid_explains_list_the_reduction_filters_of_q3_and_q18() {
+    let data = TpchData::generate(TpchScale::new(0.01));
+    let catalog = probabilistic_catalog_columnar(&data, 1).expect("columnar catalog");
+    let planner = Planner::new(&catalog);
+    // Both join `Cust Ord Item`; each scan after the first is reduced by
+    // the running result's keys.
+    let want = vec![
+        vec![],
+        vec!["Ord.ckey ⊆ keys(Cust)"],
+        vec!["Item.okey ⊆ keys(Cust ⋈ Ord)"],
+    ];
+    for id in ["3", "18"] {
+        let query = tpch_query(id).and_then(|e| e.query).expect("conjunctive");
+        let kind = PlanKind::Hybrid(vec!["Item".to_string()]);
+        let explain = planner.explain(&query, kind).unwrap();
+        let got: Vec<Vec<&str>> = (explain.scan_details.iter())
+            .map(|s| s.reductions.iter().map(String::as_str).collect())
+            .collect();
+        assert_eq!(got, want, "Q{id} hybrid");
+        let rendered = explain.render();
+        assert!(
+            rendered.contains(" reduced by Item.okey ⊆ keys(Cust ⋈ Ord)"),
+            "{rendered}"
+        );
+        // None for lazy.
         let lazy = planner.explain(&query, PlanKind::Lazy).unwrap();
         assert!(lazy.scan_details.iter().all(|s| s.reductions.is_empty()));
     }

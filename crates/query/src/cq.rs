@@ -6,11 +6,10 @@
 //! natural joins: "we assume that the join attributes have the same name in
 //! the joined tables".
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use pdb_storage::{total_f64_cmp, Value};
+use pdb_storage::{numeric_cmp, sort_distinct, TableStats, Value};
 
 use crate::error::{QueryError, QueryResult};
 
@@ -106,8 +105,9 @@ impl Predicate {
     }
 
     /// Creates an `IN (v1, …, vk)` membership predicate. The list is kept
-    /// sorted and deduplicated, so membership is a binary search. NULL list
-    /// elements never match (SQL semantics) and are dropped, and an *empty*
+    /// sorted and deduplicated ([`sort_distinct`], as a distinct count
+    /// counts), so membership is a binary search. NULL list elements never
+    /// match (SQL semantics) and are dropped, and an *empty*
     /// list selects nothing: it is represented as the single member NULL,
     /// which every evaluation path (oracle, kernels, zone pruning) already
     /// treats as never-matching.
@@ -118,13 +118,7 @@ impl Predicate {
     ) -> Self {
         let mut list: Vec<Value> = values.into_iter().map(Into::into).collect();
         list.retain(|v| !v.is_null());
-        // Numbers equal as `f64`s sort integers (exactly) before floats, so
-        // the order is total and only identical spellings are duplicates.
-        let is_float = |v: &Value| matches!(v, Value::Float(_));
-        list.sort_by(|a, b| {
-            (numeric_cmp(a, b).then_with(|| is_float(a).cmp(&is_float(b)))).then_with(|| a.cmp(b))
-        });
-        list.dedup_by(|a, b| is_float(a) == is_float(b) && a == b);
+        sort_distinct(&mut list);
         let constant = if list.is_empty() {
             Value::Null
         } else {
@@ -137,6 +131,22 @@ impl Predicate {
             constant,
             alternatives: list,
         }
+    }
+
+    /// A semi-join reduction filter: `relation.attribute IN keys` (NULLs and
+    /// repeats dropped; no key selects nothing), built only when its list
+    /// holds fewer than half the column's exact distinct count in `stats`,
+    /// so that the scan drops at least half the column's values for one
+    /// word-set pass.
+    pub fn semi_join(
+        stats: &TableStats,
+        relation: &str,
+        attribute: &str,
+        keys: impl IntoIterator<Item = Value>,
+    ) -> Option<Self> {
+        let distinct = *stats.distinct.get(attribute)?;
+        let filter = Predicate::is_in(relation, attribute, keys);
+        (2 * (filter.alternatives.len() + 1) < distinct).then_some(filter)
     }
 
     /// All constants the predicate compares against: `constant` followed by
@@ -174,20 +184,6 @@ impl Predicate {
         (first.into_iter().chain(&self.alternatives[from..]))
             .filter(|c| !c.is_null())
             .take_while(move |c| numeric_cmp(c, hi).is_le())
-    }
-}
-
-/// `Value`'s order with every number compared as its `f64`: a coarsening of
-/// `Value::cmp` that is a total order.
-fn numeric_cmp(a: &Value, b: &Value) -> Ordering {
-    let number = |v: &Value| match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    };
-    match (number(a), number(b)) {
-        (Some(x), Some(y)) => total_f64_cmp(x, y),
-        _ => a.cmp(b),
     }
 }
 

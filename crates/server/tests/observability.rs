@@ -110,6 +110,34 @@ fn explain_plan_describes_the_plan_without_executing() {
         resp.body
     );
 
+    // A hybrid plan's scans list the running result before them.
+    let resp = one_shot(
+        addr,
+        "POST",
+        "/query",
+        &query_body(
+            &intro_query_q(),
+            &[("explain", "\"plan\""), ("kind", r#"{"hybrid":["Item"]}"#)],
+        ),
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let plan = resp.json();
+    let reductions: Vec<&str> = (plan.get("scan_details").unwrap().as_array().unwrap())
+        .iter()
+        .flat_map(|s| s.get("reductions").unwrap().as_array().unwrap())
+        .map(|r| r.as_str().unwrap())
+        .collect();
+    assert_eq!(
+        reductions,
+        [
+            "Item.ckey ⊆ keys(Cust)",
+            "Ord.okey ⊆ keys(Cust ⋈ Item)",
+            "Ord.ckey ⊆ keys(Cust ⋈ Item)"
+        ],
+        "{}",
+        resp.body
+    );
+
     // The plan pass never executes: nothing reaches the debug ring and no
     // engine rows are counted.
     let debug = one_shot(addr, "GET", "/debug/queries", "").json();

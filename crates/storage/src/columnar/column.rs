@@ -194,8 +194,8 @@ impl ColumnData {
     }
 
     /// Number of distinct values in the column, NULL counted as one value —
-    /// the same count [`crate::table::Table::distinct_values`] produces on
-    /// the row representation (the planner's statistics source).
+    /// the count [`crate::TableStats`] takes of the row representation
+    /// ([`crate::value::sort_distinct`]; the planner's statistics source).
     pub fn distinct_count(&self, rows: usize) -> usize {
         let has_null = (0..rows).any(|r| self.is_null(r));
         let non_null = match self {
@@ -224,13 +224,10 @@ impl ColumnData {
                 seen[0] as usize + seen[1] as usize
             }
             ColumnData::Mixed { values } => {
-                // `Value`'s own total order already equates -0.0/0.0, NaNs,
-                // and cross-type numeric equals — and includes NULL, so
-                // return directly.
-                return values[..rows]
-                    .iter()
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .len();
+                // Counts NULL as one value, so return directly.
+                let mut values: Vec<&Value> = values[..rows].iter().collect();
+                crate::value::sort_distinct(&mut values);
+                return values.len();
             }
         };
         non_null + has_null as usize
@@ -472,8 +469,9 @@ mod tests {
         };
         assert_eq!(col.value(0), Value::Int(2));
         assert!(matches!(col.value(1), Value::Float(_)));
-        // Value::cmp equates Int(2) and Float(2.0): {2, NULL}.
-        assert_eq!(col.distinct_count(3), 2);
+        // Counted as an `IN` list counts: Int(2) and Float(2.0) are two
+        // spellings, {2, 2.0, NULL}.
+        assert_eq!(col.distinct_count(3), 3);
         assert!(col.is_null(2));
     }
 

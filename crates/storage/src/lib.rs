@@ -51,5 +51,5 @@ pub use schema::{Column, DataType, Schema};
 pub use stats::TableStats;
 pub use table::{ProbTable, Table};
 pub use tuple::Tuple;
-pub use value::{total_f64_cmp, Value};
+pub use value::{numeric_cmp, sort_distinct, total_f64_cmp, Value};
 pub use variable::{Probability, Variable, VariableGenerator};

@@ -5,11 +5,11 @@
 //! [`crate::Catalog::table_stats`] computes it on a table's first use by a
 //! planner and memoizes it until the table is replaced.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::catalog::StorageBacking;
 use crate::error::StorageResult;
-use crate::value::Value;
+use crate::value::{sort_distinct, Value};
 
 /// Statistics of one table: cardinality and per-column distinct counts.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -17,7 +17,8 @@ pub struct TableStats {
     /// Number of tuples.
     pub cardinality: usize,
     /// Distinct values per column, NULL counted as one value — the same
-    /// count on either backing.
+    /// count on either backing, in the order and with the duplicates of an
+    /// `IN` list ([`sort_distinct`]), so the two compare like for like.
     pub distinct: BTreeMap<String, usize>,
     /// Largest per-chunk distinct-count hint per column, from the columnar
     /// zone statistics (absent for row-backed tables): a lower bound on the
@@ -39,13 +40,12 @@ impl TableStats {
         };
         for (c, name) in table.schema().names().into_iter().enumerate() {
             let distinct = match table {
-                StorageBacking::Row(t) => t
-                    .data()
-                    .rows()
-                    .iter()
-                    .map(|row| row.value(c))
-                    .collect::<BTreeSet<&Value>>()
-                    .len(),
+                StorageBacking::Row(t) => {
+                    let mut values: Vec<&Value> =
+                        t.data().rows().iter().map(|row| row.value(c)).collect();
+                    sort_distinct(&mut values);
+                    values.len()
+                }
                 StorageBacking::Columnar(t) => {
                     stats
                         .chunk_distinct

@@ -166,6 +166,38 @@ pub fn total_f64_cmp(a: f64, b: f64) -> Ordering {
     }
 }
 
+/// `Value`'s order with every number compared as its `f64`: a coarsening of
+/// `Value::cmp` that is a total order. `Value::cmp` compares two integers
+/// exactly, so beyond ±2⁵³ it is not transitive against floats.
+pub fn numeric_cmp(a: &Value, b: &Value) -> Ordering {
+    let number = |v: &Value| match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Float(f) => Some(*f),
+        _ => None,
+    };
+    match (number(a), number(b)) {
+        (Some(x), Some(y)) => total_f64_cmp(x, y),
+        _ => a.cmp(b),
+    }
+}
+
+/// Sorts `values` ascending and drops duplicates: the normal form of an `IN`
+/// list, and how a distinct count counts (NULL, if present, is one value).
+/// Numbers equal as `f64`s ([`numeric_cmp`]) sort integers (exactly) before
+/// floats, so the order is total and only identical spellings are
+/// duplicates — `Int(2)` and `Float(2.0)` are two values here.
+pub fn sort_distinct<V: std::borrow::Borrow<Value>>(values: &mut Vec<V>) {
+    let is_float = |v: &Value| matches!(v, Value::Float(_));
+    values.sort_by(|a, b| {
+        let (a, b) = (a.borrow(), b.borrow());
+        (numeric_cmp(a, b).then_with(|| is_float(a).cmp(&is_float(b)))).then_with(|| a.cmp(b))
+    });
+    values.dedup_by(|a, b| {
+        let (a, b) = (a.borrow(), b.borrow());
+        is_float(a) == is_float(b) && a == b
+    });
+}
+
 /// Bit pattern used for hashing floats consistently with `total_f64_cmp`:
 /// NaNs collapse onto one pattern and `-0.0` onto `0.0`, so equal floats
 /// (under the total order) always share bits. Used by `Value`'s `Hash` and

@@ -2,12 +2,12 @@
 //!
 //! The single-threaded memo contract (same allocation on the second call,
 //! dropped by `replace_table`, unknown tables) is unit-tested next to the
-//! catalog; these tests need threads or generated data.
+//! catalog; these tests need threads, generated data or both backings.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use pdb_storage::{Catalog, DataType, ProbTable, Schema, Tuple, Value, Variable};
+use pdb_storage::{Catalog, ColumnarTable, DataType, ProbTable, Schema, Tuple, Value, Variable};
 use pdb_tpch::{probabilistic_catalog, probabilistic_catalog_columnar, TpchData, TpchScale};
 
 /// `rows` rows of `(k, g)`: `k` unique, `g` cycling through `groups` values.
@@ -103,4 +103,30 @@ fn row_and_columnar_ingests_yield_the_same_statistics() {
             "{name}"
         );
     }
+}
+
+#[test]
+fn distinct_counts_beyond_two_to_the_53_agree_on_both_backings() {
+    // `Value::cmp` equates `Int(2⁶⁰ + 100)` with `Float(2⁶⁰)` but orders it
+    // above `Int(2⁶⁰ − 100)`, which it puts below the float: no order. The
+    // count takes an `IN` list's order and duplicates, so three spellings
+    // are three values on the row table and on its `Mixed` column twin.
+    let schema = Schema::from_pairs(&[("k", DataType::Float)]).unwrap();
+    let mut t = ProbTable::new(schema);
+    let big = 1i64 << 60;
+    let values = [
+        Value::Int(big - 100),
+        Value::Int(big + 100),
+        Value::Float(big as f64),
+    ];
+    for (r, v) in values.into_iter().enumerate() {
+        t.insert(Tuple::new(vec![v]), Variable(r as u64), 0.5)
+            .unwrap();
+    }
+    let catalog = Catalog::new();
+    let columnar = ColumnarTable::from_prob_table(&t, &pdb_par::Pool::new(1)).unwrap();
+    catalog.register_columnar("C", columnar).unwrap();
+    catalog.register_table("R", t).unwrap();
+    assert_eq!(catalog.table_stats("R").unwrap().distinct["k"], 3);
+    assert_eq!(catalog.table_stats("C").unwrap().distinct["k"], 3);
 }

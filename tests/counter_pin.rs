@@ -1,5 +1,5 @@
-//! The deterministic counters of five lazy queries, of four eager plans, and
-//! of one hybrid and one MystiQ plan, pinned.
+//! The deterministic counters of five lazy queries, of four eager plans, of
+//! two hybrid plans and of one MystiQ plan, pinned.
 //!
 //! The counters of `pdb-obs` are part of the determinism contract: a change
 //! that moves, drops or double-counts work — a scan run twice, a decode
@@ -14,8 +14,12 @@
 //! The eager lines were regenerated when the eager walk began to reduce its
 //! leaves by the key sets of the leaves scanned before them: they pin the
 //! rows the scans keep and the chunks they skip too, so that reduction
-//! stays pinned. A deliberate change regenerates the file from the table
-//! this test prints on a mismatch.
+//! stays pinned. The hybrid lines were regenerated, and Q18's added, when
+//! the hybrid plan's join walk began to reduce each scan after the first by
+//! the running result's key set: their probes, matches and answer rows do
+//! not move under it, so they now pin the eager lines' counters, whose
+//! `rows_emitted` and `chunks_skipped` do. A deliberate change regenerates
+//! the file from the table this test prints on a mismatch.
 
 use std::sync::Arc;
 
@@ -49,9 +53,12 @@ const PLAN_COUNTERS: [Counter; 4] = [
     Counter::AnswerRows,
 ];
 
-/// The eager plans' semi-join reduction shows in the rows their scans keep
-/// and the chunks they skip, then in the plan counters.
+/// The eager and hybrid plans' semi-join reduction shows in the rows their
+/// scans keep and the chunks they skip, then in the plan counters.
 const EAGER_QUERIES: [&str; 4] = ["3", "7", "18", "21"];
+
+/// The hybrid plans `sprout_bench` runs, `Item` pushed down.
+const HYBRID_QUERIES: [&str; 2] = ["3", "18"];
 
 const EAGER_COUNTERS: [Counter; 6] = [
     Counter::RowsEmitted,
@@ -63,7 +70,7 @@ const EAGER_COUNTERS: [Counter; 6] = [
 ];
 
 /// `(line label, query, plan, counters)`: the lazy lines, the eager lines,
-/// then Q3 hybrid with `Item` pushed down, and Q15 under MystiQ's safe plan.
+/// the hybrid lines, and Q15 under MystiQ's safe plan.
 fn pinned_runs() -> Vec<(String, &'static str, PlanKind, &'static [Counter])> {
     let lazy = LAZY_QUERIES.map(|id| (id.to_string(), id, PlanKind::Lazy, &LAZY_COUNTERS[..]));
     let eager = EAGER_QUERIES.map(|id| {
@@ -74,12 +81,19 @@ fn pinned_runs() -> Vec<(String, &'static str, PlanKind, &'static [Counter])> {
             &EAGER_COUNTERS[..],
         )
     });
-    let plans = [
-        ("3.hybrid", "3", PlanKind::Hybrid(vec!["Item".to_string()])),
-        ("15.mystiq", "15", PlanKind::Mystiq),
-    ]
-    .map(|(label, id, kind)| (label.to_string(), id, kind, &PLAN_COUNTERS[..]));
-    lazy.into_iter().chain(eager).chain(plans).collect()
+    let hybrid = HYBRID_QUERIES.map(|id| {
+        let kind = PlanKind::Hybrid(vec!["Item".to_string()]);
+        (format!("{id}.hybrid"), id, kind, &EAGER_COUNTERS[..])
+    });
+    let mystiq = (
+        "15.mystiq".to_string(),
+        "15",
+        PlanKind::Mystiq,
+        &PLAN_COUNTERS[..],
+    );
+    (lazy.into_iter().chain(eager).chain(hybrid))
+        .chain([mystiq])
+        .collect()
 }
 
 fn counter_table(db: &SproutDb, threads: usize) -> String {
