@@ -416,10 +416,10 @@ impl FlatScan {
 
 /// Root-partition start offsets of the bag `rows` (offset 0 plus every `k`
 /// whose root variable — lineage column `root_col` — differs from row
-/// `k − 1`'s), chunked across the pool for large bags. Chunk boundaries
-/// stitch exactly: a chunk's first row is compared against the previous
-/// chunk's last row, so the offsets are identical to one sequential prefix
-/// scan at every thread count (pinned by a unit test).
+/// `k − 1`'s), over `pool.for_items(rows.len())`'s thread count of chunks.
+/// Chunk boundaries stitch exactly: a chunk's first row is compared against
+/// the previous chunk's last row, so the offsets are identical to one
+/// prefix scan at every thread count (pinned by a unit test).
 pub(crate) fn root_partition_starts(
     answer: &Annotated,
     rows: &[u32],
@@ -427,25 +427,18 @@ pub(crate) fn root_partition_starts(
     pool: &Pool,
 ) -> Vec<usize> {
     let root_of = |row: u32| answer.row(row as usize).lineage[root_col].0;
-    let n = rows.len();
-    let chunks = pool.threads().min(n.max(1));
-    if chunks <= 1 || n < pdb_par::SEQUENTIAL_CUTOFF {
-        let mut starts = vec![0usize];
-        let mut prev = root_of(rows[0]);
-        for (k, &r) in rows.iter().enumerate().skip(1) {
-            let v = root_of(r);
+    let ranges = pdb_par::even_ranges(rows.len(), pool.for_items(rows.len()).threads());
+    let per_chunk: Vec<Vec<usize>> = pool.map_ranges(&ranges, |range| {
+        let mut prev = root_of(rows[range.start.saturating_sub(1)]);
+        let mut starts = Vec::new();
+        for k in range {
+            let v = root_of(rows[k]);
             if v != prev {
                 starts.push(k);
                 prev = v;
             }
         }
-        return starts;
-    }
-    let ranges = pdb_par::even_ranges(n, chunks);
-    let per_chunk: Vec<Vec<usize>> = pool.map_ranges(&ranges, |range| {
-        range
-            .filter(|&k| k > 0 && root_of(rows[k]) != root_of(rows[k - 1]))
-            .collect()
+        starts
     });
     let mut starts = vec![0usize];
     for chunk in per_chunk {

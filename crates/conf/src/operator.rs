@@ -2,17 +2,18 @@
 //!
 //! [`ConfidenceOperator`] bundles a query signature with the machinery that
 //! evaluates it over a lineage-annotated answer. The default
-//! [`Strategy::Auto`] picks the streaming one-scan algorithm when the
-//! signature allows it and falls back to the multi-scan schedule otherwise —
-//! exactly the decision procedure of Section V.C. The other strategies exist
-//! for testing, ablation benchmarks, and the worked examples; the tests'
-//! brute-force oracle is the dev-only `pdb-testkit`'s.
+//! [`Strategy::Auto`] runs the signature's scan schedule (Section V.C): one
+//! pre-aggregation scan per part that lacks the 1scan property, then the
+//! streaming one-scan algorithm — a single scan when the schedule is empty.
+//! The other strategies exist for testing, ablation benchmarks, and the
+//! worked examples; the tests' brute-force oracle is the dev-only
+//! `pdb-testkit`'s.
 
 use std::fmt;
 use std::sync::Arc;
 
 use pdb_exec::Annotated;
-use pdb_govern::{ExecContext, QueryGovernor, QueryObs, Stage};
+use pdb_govern::{ExecContext, QueryObs, Stage};
 use pdb_par::Pool;
 use pdb_query::Signature;
 use pdb_storage::Tuple;
@@ -25,7 +26,8 @@ use crate::one_scan::{one_scan_confidences_ctx, SplitPolicy};
 /// The evaluation strategy of the operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// One scan if the signature has the 1scan property, multi-scan otherwise.
+    /// The scan schedule: one scan if the signature has the 1scan property,
+    /// pre-aggregation scans before it otherwise.
     #[default]
     Auto,
     /// Force the streaming one-scan algorithm (fails on non-1scan signatures).
@@ -82,15 +84,6 @@ impl ConfidenceOperator {
         }
     }
 
-    /// Attaches a [`QueryGovernor`]: subsequent [`compute`](Self::compute)
-    /// calls observe its cancellation token, deadline, and memory budget at
-    /// every bag-boundary checkpoint, returning
-    /// [`ConfError::Governed`](crate::ConfError::Governed) when interrupted.
-    pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.ctx = self.ctx.with_governor(governor);
-        self
-    }
-
     /// Attaches a per-query observability collector: subsequent
     /// [`compute`](Self::compute) calls tally bag counters into it (and
     /// record spans when the collector has tracing enabled).
@@ -99,8 +92,11 @@ impl ConfidenceOperator {
         self
     }
 
-    /// Replaces the whole execution context — governor and collector — in
-    /// one call (what a plan that already holds one does).
+    /// Sets the execution context: subsequent [`compute`](Self::compute)
+    /// calls observe its governor's cancellation token, deadline and memory
+    /// budget at every bag-boundary checkpoint, returning
+    /// [`ConfError::Governed`](crate::ConfError::Governed) when interrupted,
+    /// and tally bag counters into its collector.
     pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
         self.ctx = ctx;
         self
@@ -132,18 +128,11 @@ impl ConfidenceOperator {
         let ctx = &self.ctx;
         let _span = ctx.span_with("conf", strategy.to_string());
         match strategy {
-            Strategy::Auto => {
-                if self.signature.is_one_scan() {
-                    one_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
-                } else {
-                    multi_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
-                }
+            Strategy::Auto | Strategy::MultiScan => {
+                multi_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
             }
             Strategy::OneScan => {
                 one_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
-            }
-            Strategy::MultiScan => {
-                multi_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
             }
             // The declarative reference checks the governor once on entry;
             // it exists for testing and tiny inputs only.

@@ -48,6 +48,16 @@
 //! compression — several full-range float columns, say — take a comparator
 //! merge sort over the word runs. Both yield the same stable permutation at
 //! every thread count.
+//!
+//! # One body at every pool size
+//!
+//! [`SortKeys::build_with`], [`JoinKeys::build_side_with`] and the packed
+//! radix sort each have one body. The pool decides how many contiguous
+//! chunks the rows are cut into — `Pool::for_items(rows)`'s thread count for
+//! the encoders, so an input under the fan-out cutoff is one chunk — and
+//! which worker runs each; one chunk runs the same passes inline. Sort keys
+//! are bit-identical at every chunking; join keys' string codes may differ
+//! between chunkings, which equality-only keys never show.
 
 use std::borrow::Borrow;
 
@@ -81,6 +91,9 @@ fn ordered_i64(i: i64) -> u64 {
     (i as u64) ^ (1 << 63)
 }
 
+/// The type class word of a string's mixed cell.
+const STR_CLASS: u64 = 2;
+
 /// Encodes one mixed cell given a resolved string code. Returns
 /// `(class, primary, tiebreak)`; the type class equals `Value`'s type rank
 /// so cross-type comparisons order the same way.
@@ -100,7 +113,7 @@ fn encode_cell(v: &Value, str_code: u64) -> [u64; CELL_WIDTH] {
             };
             [1, ordered_f64(*f), tie]
         }
-        Value::Str(_) => [2, str_code, 0],
+        Value::Str(_) => [STR_CLASS, str_code, 0],
         Value::Date(d) => [3, ordered_i64(*d as i64), 0],
         Value::Bool(b) => [4, *b as u64, 0],
     }
@@ -275,14 +288,6 @@ impl<'a> FxStrInterner<'a> {
     }
 }
 
-/// Per-chunk string dictionary of the parallel join-key build: the chunk's
-/// interner plus each chunk cell's insertion id (`u32::MAX` for non-string
-/// cells).
-struct ChunkDict<'a> {
-    interner: FxStrInterner<'a>,
-    ids: Vec<u32>,
-}
-
 // ---------------------------------------------------------------------------
 // Sort keys: order-preserving, dictionary-ranked strings.
 // ---------------------------------------------------------------------------
@@ -358,66 +363,16 @@ impl SortKeys {
     /// one word per cell when all its cells share a variant and
     /// [`CELL_WIDTH`] words otherwise (see the module documentation).
     ///
-    /// This entry point runs sequentially; [`SortKeys::build_with`] fans the
-    /// encoding out across a worker pool and produces bit-identical keys.
-    pub fn build<'a>(
-        rows: usize,
-        columns: usize,
-        extra: usize,
-        mut cell_at: impl FnMut(usize, usize) -> &'a Value,
-        mut extra_at: impl FnMut(usize, usize) -> u64,
-    ) -> SortKeys {
-        // Pass 1: encode as if no column mixed variants, learning on the way
-        // whether one does. The order-preserving rank is assigned once over
-        // a column's distinct strings.
-        let width = columns + extra;
-        let mut words = vec![0u64; rows * width];
-        let mut surveys: Vec<ColumnSurvey<'a>> = Vec::new();
-        surveys.resize_with(columns, ColumnSurvey::default);
-        encode_narrow(
-            &mut words,
-            0..rows,
-            &mut surveys,
-            extra,
-            &mut cell_at,
-            &mut extra_at,
-        );
-        let ranks: Vec<Vec<u64>> = surveys.iter().map(|s| s.strings.ranks()).collect();
-        let cell_widths: Vec<usize> = surveys.iter().map(|s| cell_words(s.mask)).collect();
-        if cell_widths.iter().all(|&w| w == 1) {
-            rank_strings(&mut words, width, &ranks);
-            return SortKeys {
-                words,
-                width,
-                data_words: columns,
-            };
-        }
-        // Pass 2, only with a mixed column: re-encode at the wider layout.
-        let mut keys = SortKeys::zeroed(rows, &cell_widths, extra);
-        encode_rows(
-            &mut keys.words,
-            0..rows,
-            &cell_widths,
-            extra,
-            cell_at,
-            |r, c| ranks[c][words[r * width + c] as usize],
-            extra_at,
-        );
-        keys
-    }
-
-    /// [`SortKeys::build`] with an explicit worker pool.
-    ///
-    /// Both passes are chunked over contiguous row ranges: every chunk
-    /// encodes its rows directly into its disjoint sub-slice of the key
-    /// buffer against its own per-column survey, and the per-chunk surveys
-    /// are merged (variant masks by union; dictionaries in chunk order) into
-    /// one canonical interner per column whose **rank** assignment — a sort
-    /// over the distinct strings, independent of insertion order — each
-    /// chunk then applies to its slice. The resulting words are
-    /// bit-identical to the sequential build at every thread count, because
-    /// cell widths and ranks depend only on the column's variant and
-    /// distinct-string *sets*.
+    /// The rows are cut into `pool.for_items(rows)`'s thread count of
+    /// contiguous chunks, and both passes run per chunk: every chunk encodes
+    /// its rows directly into its disjoint sub-slice of the key buffer
+    /// against its own per-column survey, and the per-chunk surveys are
+    /// merged (variant masks by union; dictionaries in chunk order, the first
+    /// chunk's seeding the column's) into one interner per column whose
+    /// **rank** assignment — a sort over the distinct strings, independent of
+    /// insertion order — each chunk then applies to its slice. The words are
+    /// bit-identical at every thread count, because cell widths and ranks
+    /// depend only on the column's variant and distinct-string *sets*.
     pub fn build_with<'a, C, E>(
         rows: usize,
         columns: usize,
@@ -430,16 +385,14 @@ impl SortKeys {
         C: Fn(usize, usize) -> &'a Value + Sync,
         E: Fn(usize, usize) -> u64 + Sync,
     {
-        let chunks = pool.threads().min(rows.max(1));
-        if chunks <= 1 || rows < pdb_par::SEQUENTIAL_CUTOFF {
-            return SortKeys::build(rows, columns, extra, cell_at, extra_at);
-        }
-        let ranges = pdb_par::even_ranges(rows, chunks);
-        // Pass 1 (parallel): each chunk encodes narrowly into its slice.
+        let ranges = pdb_par::even_ranges(rows, pool.for_items(rows).threads());
+        // Pass 1: each chunk encodes as if no column mixed variants, learning
+        // on the way whether one does (a string as its id in the chunk's
+        // survey, until ranks are known).
         let width = columns + extra;
         let mut words = vec![0u64; rows * width];
         let cuts: Vec<usize> = ranges.iter().map(|r| r.start * width).collect();
-        let chunk_surveys: Vec<Vec<ColumnSurvey<'a>>> =
+        let mut chunk_surveys: Vec<Vec<ColumnSurvey<'a>>> =
             pool.map_slices_mut(&mut words, &cuts, |ci, slice| {
                 let mut surveys = Vec::new();
                 surveys.resize_with(columns, ColumnSurvey::default);
@@ -453,22 +406,19 @@ impl SortKeys {
                 );
                 surveys
             });
-        // Merge (sequential, O(distinct strings)): one canonical interner
-        // per column, visited in chunk order; each chunk gets its
-        // local-id → rank table.
+        // Merge (O(distinct strings)): the first chunk's dictionary is the
+        // column's, and every later chunk's strings are interned into it in
+        // chunk order; each chunk gets its local-id → rank table.
         let mut cell_widths = Vec::with_capacity(columns);
-        let mut chunk_ranks: Vec<Vec<Vec<u64>>> = vec![Vec::with_capacity(columns); chunks];
+        let mut chunk_ranks: Vec<Vec<Vec<u64>>> = vec![Vec::with_capacity(columns); ranges.len()];
         for c in 0..columns {
-            let mut mask = 0u8;
-            let mut canonical = FxStrInterner::default();
-            let canonical_ids: Vec<Vec<u32>> = chunk_surveys
-                .iter()
-                .map(|surveys| {
-                    mask |= surveys[c].mask;
-                    let strs = &surveys[c].strings.strs;
-                    strs.iter().map(|s| canonical.intern(s)).collect()
-                })
-                .collect();
+            let mask = chunk_surveys.iter().fold(0, |mask, s| mask | s[c].mask);
+            let mut canonical = std::mem::take(&mut chunk_surveys[0][c].strings);
+            let mut canonical_ids: Vec<Vec<u32>> = vec![(0..canonical.strs.len() as u32).collect()];
+            for surveys in &chunk_surveys[1..] {
+                let strs = &surveys[c].strings.strs;
+                canonical_ids.push(strs.iter().map(|s| canonical.intern(s)).collect());
+            }
             let ranks = canonical.ranks();
             for (local_ranks, ids) in chunk_ranks.iter_mut().zip(canonical_ids) {
                 local_ranks.push(ids.into_iter().map(|id| ranks[id as usize]).collect());
@@ -485,8 +435,8 @@ impl SortKeys {
                 data_words: columns,
             };
         }
-        // Pass 2 (parallel), only with a mixed column: each chunk re-encodes
-        // into its slice of the wider buffer.
+        // Pass 2, only with a mixed column: each chunk re-encodes into its
+        // slice of the wider buffer.
         let mut keys = SortKeys::zeroed(rows, &cell_widths, extra);
         let wide_cuts: Vec<usize> = ranges.iter().map(|r| r.start * keys.width).collect();
         pool.map_slices_mut(&mut keys.words, &wide_cuts, |ci, slice| {
@@ -861,52 +811,51 @@ fn radix_sort<T: PackedKey>(values: &mut [T], low_bits: u32, key_bits: u32) {
     }
 }
 
-/// Deterministic (possibly parallel) sort of distinct packed keys:
-/// contiguous chunks are [`radix_sort`]ed by the pool's workers and merged
-/// pairwise, the left run winning ties. Values are distinct (each carries
-/// its row index), so the result is their unique ascending order at every
-/// thread count.
+/// Deterministic sort of distinct packed keys: the pool's contiguous chunks
+/// are [`radix_sort`]ed in place by its workers, then merged pairwise
+/// between `values` and one scratch buffer, the left run winning ties.
+/// Values are distinct (each carries its row index), so the result is their
+/// unique ascending order at every thread count.
 fn sort_packed<T: PackedKey>(values: &mut [T], low_bits: u32, key_bits: u32, pool: &pdb_par::Pool) {
-    if pool.threads() <= 1 {
-        return radix_sort(values, low_bits, key_bits);
-    }
-    let ranges = pdb_par::even_ranges(values.len(), pool.threads());
-    let mut runs: Vec<Vec<T>> = pool.map_ranges(&ranges, |r| {
-        let mut run = values[r].to_vec();
-        radix_sort(&mut run, low_bits, key_bits);
-        run
-    });
-    // Pairwise merge rounds over the sorted runs.
+    let mut runs = pdb_par::even_ranges(values.len(), pool.threads());
+    let cuts: Vec<usize> = runs.iter().map(|r| r.start).collect();
+    pool.map_slices_mut(values, &cuts, |_, run| radix_sort(run, low_bits, key_bits));
+    let mut scratch: Vec<T> = Vec::new();
+    let mut in_scratch = false;
+    // Pairwise merge rounds: each round merges runs 2i and 2i + 1 from one
+    // buffer into the same positions of the other.
     while runs.len() > 1 {
-        let pairs: Vec<(Vec<T>, Vec<T>)> = {
-            let mut pairs = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut iter = runs.drain(..);
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => pairs.push((a, b)),
-                    None => pairs.push((a, Vec::new())),
-                }
-            }
-            pairs
+        let merged: Vec<std::ops::Range<usize>> = (runs.chunks(2))
+            .map(|pair| pair[0].start..pair[pair.len() - 1].end)
+            .collect();
+        let cuts: Vec<usize> = merged.iter().map(|r| r.start).collect();
+        scratch.resize(values.len(), T::ZERO);
+        let (src, dst): (&[T], &mut [T]) = if in_scratch {
+            (&scratch, &mut *values)
+        } else {
+            (&*values, &mut scratch)
         };
-        runs = pool.map(&pairs, |(a, b)| {
-            let mut out = Vec::with_capacity(a.len() + b.len());
+        pool.map_slices_mut(dst, &cuts, |i, out| {
+            let pair = &runs[2 * i..(2 * i + 2).min(runs.len())];
+            let a = &src[pair[0].clone()];
+            let b = pair.get(1).map_or(&[][..], |r| &src[r.clone()]);
             let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                if a[i] <= b[j] {
-                    out.push(a[i]);
+            for slot in out.iter_mut() {
+                *slot = if j == b.len() || (i < a.len() && a[i] <= b[j]) {
                     i += 1;
+                    a[i - 1]
                 } else {
-                    out.push(b[j]);
                     j += 1;
-                }
+                    b[j - 1]
+                };
             }
-            out.extend_from_slice(&a[i..]);
-            out.extend_from_slice(&b[j..]);
-            out
         });
+        in_scratch = !in_scratch;
+        runs = merged;
     }
-    values.copy_from_slice(&runs[0]);
+    if in_scratch {
+        values.copy_from_slice(&scratch);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -944,12 +893,15 @@ impl<'a> JoinInterner<'a> {
 }
 
 impl JoinKeys {
-    /// [`JoinKeys::build_side`] with an explicit worker pool: the encoding is
-    /// chunked over contiguous row ranges. Each chunk interns its strings
-    /// into a private dictionary; the per-chunk dictionaries are merged into
-    /// `interner` in chunk order (so codes are deterministic for a given
-    /// chunking) and each chunk then encodes its rows into its disjoint
-    /// sub-slices of the word and hash buffers.
+    /// Encodes the *build* side of a join, interning its strings into
+    /// `interner`. The rows are cut into `pool.for_items(rows)`'s thread
+    /// count of contiguous chunks. Each chunk encodes its rows in one pass
+    /// over the cells, a string by its id in a dictionary of the chunk's
+    /// own, and the chunks' words and hashes are joined in chunk order (one
+    /// chunk's are taken as they are). The chunk dictionaries are then merged
+    /// into `interner` in chunk order, and only a chunk that saw strings
+    /// walks its words again, to replace each string's chunk id by its shared
+    /// code and rehash the row.
     ///
     /// String codes are insertion-order ids, so they — and therefore the
     /// hashes — may differ between thread counts. That is sound here because
@@ -967,113 +919,49 @@ impl JoinKeys {
     where
         C: Fn(usize, usize) -> &'a Value + Sync,
     {
-        let chunks = pool.threads().min(rows.max(1));
-        if chunks <= 1 {
-            return JoinKeys::build_side(rows, columns, interner, cell_at);
-        }
-        let ranges = pdb_par::even_ranges(rows, chunks);
-        // Pass 1 (parallel): per-chunk string dictionary plus each cell's
-        // local insertion id (`u32::MAX` for non-string cells). One interner
-        // per chunk — join codes are global across columns.
-        let chunk_dicts: Vec<Option<ChunkDict<'a>>> = pool.map_ranges(&ranges, |range| {
-            let mut dict: Option<ChunkDict<'a>> = None;
-            for r in range.clone() {
-                for c in 0..columns {
-                    if let Value::Str(s) = cell_at(r, c) {
-                        let d = dict.get_or_insert_with(|| ChunkDict {
-                            interner: FxStrInterner::default(),
-                            ids: vec![u32::MAX; range.len() * columns],
-                        });
-                        d.ids[(r - range.start) * columns + c] = d.interner.intern(s);
-                    }
-                }
-            }
-            dict
-        });
-        // Merge (sequential, O(distinct strings)): intern every chunk's
-        // strings into the shared interner in chunk order, keeping a
-        // local-id → shared-code remap per chunk.
-        let remaps: Vec<Option<Vec<u64>>> = chunk_dicts
-            .iter()
-            .map(|dict| {
-                dict.as_ref()
-                    .map(|d| d.interner.strs.iter().map(|s| interner.intern(s)).collect())
-            })
-            .collect();
-        // Pass 2 (parallel): each chunk encodes into its slice of the word
-        // and hash buffers.
+        let ranges = pdb_par::even_ranges(rows, pool.for_items(rows).threads());
         let width = columns * CELL_WIDTH;
-        let mut words = vec![0u64; rows * width];
-        let mut hashes = vec![0u64; rows];
+        let chunks = pool.map_ranges(&ranges, |range| encode_join_rows(range, columns, &cell_at));
+        // The first chunk's buffers take the others' rows, in chunk order.
+        let mut chunks = chunks.into_iter();
+        let (mut words, mut hashes, dict) = chunks.next().expect("even_ranges yields a range");
+        words.reserve_exact(rows * width - words.len());
+        hashes.reserve_exact(rows - hashes.len());
+        let mut dicts = vec![dict];
+        for (chunk_words, chunk_hashes, dict) in chunks {
+            words.extend_from_slice(&chunk_words);
+            hashes.extend_from_slice(&chunk_hashes);
+            dicts.push(dict);
+        }
         let word_cuts: Vec<usize> = ranges.iter().map(|r| r.start * width).collect();
         let hash_cuts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
+        let remaps: Vec<Vec<u64>> = (dicts.iter())
+            .map(|dict| dict.strs.iter().map(|s| interner.intern(s)).collect())
+            .collect();
         pool.map_slices2_mut(
             &mut words,
             &word_cuts,
             &mut hashes,
             &hash_cuts,
             |ci, word_seg, hash_seg| {
-                let range = &ranges[ci];
-                let dict = &chunk_dicts[ci];
                 let remap = &remaps[ci];
-                for (local, r) in range.clone().enumerate() {
-                    let base = local * width;
-                    let mut joinable = true;
-                    for c in 0..columns {
-                        let v = cell_at(r, c);
-                        joinable &= !v.is_null();
-                        let code = match (dict, remap, v) {
-                            (Some(d), Some(remap), Value::Str(_)) => {
-                                remap[d.ids[local * columns + c] as usize]
-                            }
-                            _ => 0,
-                        };
-                        word_seg[base + c * CELL_WIDTH..base + (c + 1) * CELL_WIDTH]
-                            .copy_from_slice(&encode_cell(v, code));
+                if remap.is_empty() {
+                    return;
+                }
+                for (row, hash) in word_seg.chunks_exact_mut(width).zip(hash_seg) {
+                    let mut strings = false;
+                    for cell in row.chunks_exact_mut(CELL_WIDTH) {
+                        if cell[0] == STR_CLASS {
+                            cell[1] = remap[cell[1] as usize];
+                            strings = true;
+                        }
                     }
-                    hash_seg[local] = if joinable {
-                        joinable_hash(&word_seg[base..base + width])
-                    } else {
-                        UNJOINABLE
-                    };
+                    if strings && *hash != UNJOINABLE {
+                        *hash = joinable_hash(row);
+                    }
                 }
             },
         );
-        JoinKeys {
-            words,
-            hashes,
-            width,
-        }
-    }
-
-    /// Encodes the *build* side: interns unseen strings.
-    pub fn build_side<'a>(
-        rows: usize,
-        columns: usize,
-        interner: &mut JoinInterner<'a>,
-        mut cell_at: impl FnMut(usize, usize) -> &'a Value,
-    ) -> JoinKeys {
-        let width = columns * CELL_WIDTH;
-        let mut words = Vec::with_capacity(rows * width);
-        let mut hashes = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let start = words.len();
-            let mut joinable = true;
-            for c in 0..columns {
-                let v = cell_at(r, c);
-                joinable &= !v.is_null();
-                let code = match v {
-                    Value::Str(s) => interner.intern(s),
-                    _ => 0,
-                };
-                words.extend_from_slice(&encode_cell(v, code));
-            }
-            hashes.push(if joinable {
-                joinable_hash(&words[start..])
-            } else {
-                UNJOINABLE
-            });
-        }
         JoinKeys {
             words,
             hashes,
@@ -1119,6 +1007,38 @@ impl JoinKeys {
     }
 }
 
+/// Encodes the join keys of rows `range`, `columns` cells each, in one pass:
+/// each row's mixed cells (a string by its id in the returned dictionary,
+/// which the call builds) and its hash ([`UNJOINABLE`] for a NULL key).
+fn encode_join_rows<'a>(
+    range: std::ops::Range<usize>,
+    columns: usize,
+    cell_at: impl Fn(usize, usize) -> &'a Value,
+) -> (Vec<u64>, Vec<u64>, FxStrInterner<'a>) {
+    let mut words = Vec::with_capacity(range.len() * columns * CELL_WIDTH);
+    let mut hashes = Vec::with_capacity(range.len());
+    let mut dict = FxStrInterner::default();
+    for r in range {
+        let start = words.len();
+        let mut joinable = true;
+        for c in 0..columns {
+            let v = cell_at(r, c);
+            joinable &= !v.is_null();
+            let code = match v {
+                Value::Str(s) => dict.intern(s) as u64,
+                _ => 0,
+            };
+            words.extend_from_slice(&encode_cell(v, code));
+        }
+        hashes.push(if joinable {
+            joinable_hash(&words[start..])
+        } else {
+            UNJOINABLE
+        });
+    }
+    (words, hashes, dict)
+}
+
 /// Hash sentinel marking rows that can never join (NULL in a key column).
 pub const UNJOINABLE: u64 = u64::MAX;
 
@@ -1141,7 +1061,14 @@ mod tests {
     fn cmp_encoded(a: &Value, b: &Value) -> Ordering {
         // Encode through a two-row sort-key table so string ranking applies.
         let vals = [a.clone(), b.clone()];
-        let keys = SortKeys::build(2, 1, 0, |r, _| &vals[r], |_, _| 0);
+        let keys = SortKeys::build_with(
+            2,
+            1,
+            0,
+            |r, _| &vals[r],
+            |_, _| 0,
+            &pdb_par::Pool::sequential(),
+        );
         keys.row(0).cmp(keys.row(1))
     }
 
@@ -1194,7 +1121,13 @@ mod tests {
     fn join_keys_match_value_equality() {
         let build = [Value::Int(2), Value::str("x"), Value::Float(3.5)];
         let mut interner = JoinInterner::new();
-        let keys = JoinKeys::build_side(3, 1, &mut interner, |r, _| &build[r]);
+        let keys = JoinKeys::build_side_with(
+            3,
+            1,
+            &mut interner,
+            |r, _| &build[r],
+            &pdb_par::Pool::sequential(),
+        );
         let mut scratch = Vec::new();
 
         // Float(2.0) must find Int(2).
@@ -1214,7 +1147,13 @@ mod tests {
         assert!(JoinKeys::probe_row(&interner, 1, &mut scratch, |_| &Value::Null).is_none());
         let null_side = [Value::Null];
         let mut interner = JoinInterner::new();
-        let keys = JoinKeys::build_side(1, 1, &mut interner, |r, _| &null_side[r]);
+        let keys = JoinKeys::build_side_with(
+            1,
+            1,
+            &mut interner,
+            |r, _| &null_side[r],
+            &pdb_par::Pool::sequential(),
+        );
         assert_eq!(keys.hash(0), UNJOINABLE);
     }
 
@@ -1225,7 +1164,7 @@ mod tests {
         // the equality relation and that probes through the merged interner
         // find exactly the rows with equal key values.
         let strings = ["x", "", "y", "x", "longer-string-value"];
-        let rows = 40;
+        let rows = 600;
         let vals: Vec<[Value; 2]> = (0..rows)
             .map(|r| {
                 [
@@ -1238,7 +1177,7 @@ mod tests {
                 ]
             })
             .collect();
-        for threads in [2, 4, 8] {
+        for threads in [1, 2, 4, 8] {
             let mut interner = JoinInterner::new();
             let keys = JoinKeys::build_side_with(
                 rows,
@@ -1273,7 +1212,14 @@ mod tests {
     #[test]
     fn sorted_permutation_is_stable() {
         let vals = [Value::Int(1), Value::Int(0), Value::Int(1), Value::Int(0)];
-        let keys = SortKeys::build(4, 1, 0, |r, _| &vals[r], |_, _| 0);
+        let keys = SortKeys::build_with(
+            4,
+            1,
+            0,
+            |r, _| &vals[r],
+            |_, _| 0,
+            &pdb_par::Pool::sequential(),
+        );
         assert_eq!(keys.sorted_permutation(4), vec![1, 3, 0, 2]);
     }
 
@@ -1292,12 +1238,13 @@ mod tests {
                 ]
             })
             .collect();
-        let keys = SortKeys::build(
+        let keys = SortKeys::build_with(
             rows,
             2,
             1,
             |r, c| &vals[r][c],
             |r, _| ((r * 61) % 23) as u64,
+            &pdb_par::Pool::sequential(),
         );
         let mut expected: Vec<u32> = (0..rows as u32).collect();
         expected.sort_by(|&a, &b| keys.row(a as usize).cmp(keys.row(b as usize)));
@@ -1320,7 +1267,14 @@ mod tests {
                 ]
             })
             .collect();
-        let keys = SortKeys::build(rows, 2, 1, |r, c| &vals[r][c], |r, _| (rows - r) as u64);
+        let keys = SortKeys::build_with(
+            rows,
+            2,
+            1,
+            |r, c| &vals[r][c],
+            |r, _| (rows - r) as u64,
+            &pdb_par::Pool::sequential(),
+        );
         let mut expected: Vec<u32> = (0..rows as u32).collect();
         expected.sort_by(|&a, &b| keys.row(a as usize).cmp(keys.row(b as usize)));
         for threads in [1, 4] {
@@ -1345,13 +1299,27 @@ mod tests {
                 [Value::Int(okey), Value::Int((r as i64 * 7919) % 500 + 1)]
             })
             .collect();
-        let keys = SortKeys::build(rows, 2, 1, |r, c| &vals[r][c], |r, _| 1_000_000 + r as u64);
+        let keys = SortKeys::build_with(
+            rows,
+            2,
+            1,
+            |r, c| &vals[r][c],
+            |r, _| 1_000_000 + r as u64,
+            &pdb_par::Pool::sequential(),
+        );
         assert_eq!((keys.width(), keys.data_words()), (3, 2));
         let packing = keys.packing(rows, 2).expect("packs");
         assert_eq!(packing.col_bits, [19, 9]);
         assert!(packing.key_bits + packing.row_bits <= u64::BITS);
         // A variable column that does not ascend is sorted, and still fits.
-        let keys = SortKeys::build(rows, 2, 1, |r, c| &vals[r][c], |r, _| (rows - r) as u64);
+        let keys = SortKeys::build_with(
+            rows,
+            2,
+            1,
+            |r, c| &vals[r][c],
+            |r, _| (rows - r) as u64,
+            &pdb_par::Pool::sequential(),
+        );
         let packing = keys.packing(rows, 2).expect("packs");
         assert_eq!(packing.col_bits, [19, 9, 19]);
         assert!(packing.key_bits + packing.row_bits <= u128::BITS);
@@ -1364,7 +1332,14 @@ mod tests {
                 ]
             })
             .collect();
-        let keys = SortKeys::build(512, 2, 1, |r, c| &floats[r][c], |r, _| (512 - r) as u64);
+        let keys = SortKeys::build_with(
+            512,
+            2,
+            1,
+            |r, c| &floats[r][c],
+            |r, _| (512 - r) as u64,
+            &pdb_par::Pool::sequential(),
+        );
         assert!(keys.packing(512, 0).is_none());
     }
 }

@@ -215,17 +215,24 @@ fn parallel_sort_key_build_allocates_bounded_scratch() {
         || SortKeys::build_with(rows, 3, 1, |r, c| &vals[r][c], |r, _| (r % 3) as u64, &pool);
     build(); // warm-up
     let (keys, parallel) = allocations(build);
-    // The parallel build allocates bounded scratch per chunk (dictionaries,
+    // The chunked build allocates bounded scratch per chunk (dictionaries,
     // remaps, spawn bookkeeping) plus the one key buffer — far below one
-    // allocation per row, like the sequential build it replaces.
+    // allocation per row.
     assert!(
         parallel < rows / 4,
         "parallel sort-key build allocated {parallel} times for {rows} rows"
     );
-    // And it produced the sequential words.
-    let sequential = SortKeys::build(rows, 3, 1, |r, c| &vals[r][c], |r, _| (r % 3) as u64);
+    // And it produced the one-chunk words.
+    let one_chunk = SortKeys::build_with(
+        rows,
+        3,
+        1,
+        |r, c| &vals[r][c],
+        |r, _| (r % 3) as u64,
+        &pdb_par::Pool::sequential(),
+    );
     for r in 0..rows {
-        assert_eq!(keys.row(r), sequential.row(r), "row {r}");
+        assert_eq!(keys.row(r), one_chunk.row(r), "row {r}");
     }
 }
 

@@ -346,6 +346,49 @@ fn assert_join_matches_reference(left_keys: &[Value], right_keys: &[Value], what
 }
 
 #[test]
+fn build_side_keys_are_equal_exactly_when_the_values_are_at_every_pool_size() {
+    use pdb_exec::key::{JoinInterner, JoinKeys, UNJOINABLE};
+    // Two key columns of the skewed domain, past the fan-out cutoff: at
+    // pools 1, 2 and 8 the build side's key rows equal exactly when both
+    // cells are non-NULL and equal as values (a nested loop over all pairs),
+    // and every joinable row probes to its own hash and words.
+    let mut rng = SmallRng::seed_from_u64(38);
+    let rows = 700;
+    let vals: Vec<[Value; 2]> = (0..rows)
+        .map(|_| [skewed_key(&mut rng, 20), skewed_key(&mut rng, 0)])
+        .collect();
+    for threads in [1, 2, 8] {
+        let mut interner = JoinInterner::new();
+        let keys = JoinKeys::build_side_with(
+            rows,
+            2,
+            &mut interner,
+            |r, c| &vals[r][c],
+            &Pool::new(threads),
+        );
+        let joinable = |r: usize| vals[r].iter().all(|v| !v.is_null());
+        let mut scratch = Vec::new();
+        for r in 0..rows {
+            assert_eq!(
+                keys.hash(r) != UNJOINABLE,
+                joinable(r),
+                "{threads} threads row {r}"
+            );
+            for s in 0..rows {
+                let by_definition = joinable(r) && vals[r] == vals[s];
+                let by_keys = keys.hash(r) != UNJOINABLE && keys.row(r) == keys.row(s);
+                assert_eq!(by_keys, by_definition, "{threads} threads rows {r}/{s}");
+            }
+            if joinable(r) {
+                let hash = JoinKeys::probe_row(&interner, 2, &mut scratch, |c| &vals[r][c]);
+                assert_eq!(hash, Some(keys.hash(r)), "{threads} threads row {r}");
+                assert_eq!(scratch, keys.row(r), "{threads} threads row {r}");
+            }
+        }
+    }
+}
+
+#[test]
 fn one_key_on_the_whole_build_side_replays_its_chain_in_row_order() {
     let left = vec![Value::Int(7); 5];
     let right = vec![Value::Int(7); 300];
@@ -372,9 +415,13 @@ fn keys_sharing_a_bucket_but_not_a_hash_do_not_match_each_other() {
     // integers whose key hashes agree on the top 12 bits all land in one
     // bucket with 64 different hashes.
     let candidates: Vec<Value> = (0..400_000).map(Value::Int).collect();
-    let hashes = JoinKeys::build_side(candidates.len(), 1, &mut JoinInterner::new(), |r, _| {
-        &candidates[r]
-    });
+    let hashes = JoinKeys::build_side_with(
+        candidates.len(),
+        1,
+        &mut JoinInterner::new(),
+        |r, _| &candidates[r],
+        &Pool::sequential(),
+    );
     let top = |r: usize| hashes.hash(r) >> 52;
     let colliding: Vec<Value> = (0..candidates.len())
         .filter(|&r| top(r) == top(0))

@@ -1,8 +1,8 @@
-//! Property tests for the parallel `SortKeys::build_with` (PR 3): the
-//! chunked column encoding — per-chunk string dictionaries merged into one
-//! canonical interner — must produce key words (and therefore packed keys
-//! and sorted permutations) identical to the sequential build on mixed
-//! numeric/string/NULL columns, at every thread count.
+//! Property tests for `SortKeys::build_with`, the one body of the sort-key
+//! encoding: on mixed numeric/string/NULL columns its key words are identical
+//! at every pool size — per-chunk string dictionaries merged into one
+//! interner — and the sorted permutation is a stable sort of the rows by
+//! `Value` order, written out here.
 //!
 //! And the sort itself against a definitional reference (PR 19): over a zoo
 //! of column types, sizes and input orders, the permutation and the run
@@ -26,8 +26,8 @@ use pdb_par::Pool;
 use pdb_storage::{DataType, Schema, Tuple, Value, Variable};
 
 /// Deterministically expands a proptest-chosen seed and string pool into a
-/// row set large enough (past `pdb_par::SEQUENTIAL_CUTOFF`) to take the
-/// chunked parallel path. Column 0 mixes ints and NULLs, column 1 mixes
+/// row set large enough (past `pdb_par::SEQUENTIAL_CUTOFF`) to be cut into
+/// several chunks. Column 0 mixes ints and NULLs, column 1 mixes
 /// dictionary strings and NULLs (strings only in a prefix of the rows, so
 /// later chunks have **no** dictionary for the column), column 2 mixes
 /// floats and ints (equal-comparing cross-type values included).
@@ -58,11 +58,57 @@ fn expand_rows(seed: u64, strings: &[String], rows: usize, str_prefix: usize) ->
         .collect()
 }
 
+/// The order the keys must reproduce: a stable sort of the rows by `Value`
+/// order over their cells, then by their extra word.
+fn stable_value_sort(vals: &[[Value; 3]], extra: impl Fn(usize) -> u64) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..vals.len() as u32).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        vals[a].cmp(&vals[b]).then(extra(a).cmp(&extra(b)))
+    });
+    order
+}
+
+/// Builds the keys of `vals` (one extra word from `extra`) at pools 1, 2 and
+/// 8 and holds them to each other word for word, and their permutation to
+/// [`stable_value_sort`].
+fn assert_keys_agree_and_sort_by_value_order(
+    vals: &[[Value; 3]],
+    extra: impl Fn(usize) -> u64 + Sync,
+) -> Result<(), TestCaseError> {
+    let rows = vals.len();
+    let expected = stable_value_sort(vals, &extra);
+    let build =
+        |pool: &Pool| SortKeys::build_with(rows, 3, 1, |r, c| &vals[r][c], |r, _| extra(r), pool);
+    let one = build(&Pool::new(1));
+    for threads in [1usize, 2, 8] {
+        let pool = Pool::new(threads);
+        let keys = build(&pool);
+        prop_assert_eq!(keys.width(), one.width());
+        for r in 0..rows {
+            prop_assert_eq!(
+                keys.row(r),
+                one.row(r),
+                "row {} diverges at {} threads",
+                r,
+                threads
+            );
+        }
+        prop_assert_eq!(
+            keys.sorted_permutation_with(rows, &pool),
+            expected.clone(),
+            "permutation at {} threads",
+            threads
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn parallel_build_matches_sequential_on_mixed_columns(
+    fn keys_agree_across_pools_and_sort_by_value_order_on_mixed_columns(
         seed in 1u64..u64::MAX / 2,
         string_seeds in proptest::collection::vec(0u64..u64::MAX / 2, 1..8),
         rows in 600usize..900,
@@ -82,50 +128,20 @@ proptest! {
         // a fraction, or everywhere.
         let str_prefix = rows * str_prefix_num / 3;
         let vals = expand_rows(seed, &strings, rows, str_prefix);
-        let sequential = SortKeys::build(
-            rows, 3, 1,
-            |r, c| &vals[r][c],
-            |r, _| ((r * 31) % 13) as u64,
-        );
-        for threads in [2usize, 3, 4, 8] {
-            let parallel = SortKeys::build_with(
-                rows, 3, 1,
-                |r, c| &vals[r][c],
-                |r, _| ((r * 31) % 13) as u64,
-                &Pool::new(threads),
-            );
-            prop_assert_eq!(parallel.width(), sequential.width());
-            for r in 0..rows {
-                prop_assert_eq!(
-                    parallel.row(r), sequential.row(r),
-                    "row {} diverges at {} threads", r, threads
-                );
-            }
-            // Same words ⇒ same packed keys ⇒ same stable permutation; spot
-            // check the end-to-end contract anyway.
-            prop_assert_eq!(
-                parallel.sorted_permutation_with(rows, &Pool::new(threads)),
-                sequential.sorted_permutation_with(rows, &Pool::sequential()),
-                "permutation diverges at {} threads", threads
-            );
-        }
+        assert_keys_agree_and_sort_by_value_order(&vals, |r| ((r * 31) % 13) as u64)?;
     }
 }
 
 #[test]
-fn parallel_build_small_inputs_degrade_to_sequential() {
-    // Below the cutoff the parallel entry point must run the sequential
-    // build (and still agree with it).
+fn small_inputs_agree_across_pools_and_sort_by_value_order() {
+    // Below the fan-out cutoff every pool cuts one chunk.
     let vals = [
         [Value::Int(2), Value::str("x"), Value::Float(2.0)],
         [Value::Null, Value::str(""), Value::Int(2)],
         [Value::Int(-1), Value::Null, Value::Float(0.5)],
+        [Value::Int(2), Value::str("x"), Value::Int(2)],
     ];
-    let sequential = SortKeys::build(3, 3, 0, |r, c| &vals[r][c], |_, _| 0);
-    let parallel = SortKeys::build_with(3, 3, 0, |r, c| &vals[r][c], |_, _| 0, &Pool::new(8));
-    for r in 0..3 {
-        assert_eq!(parallel.row(r), sequential.row(r), "row {r}");
-    }
+    assert_keys_agree_and_sort_by_value_order(&vals, |_| 0).unwrap();
 }
 
 // ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use pdb_conf::ConfidenceResult;
 use pdb_exec::extensional::{mystiq_log_aggregate, AggregationError, ProbAggregation};
 use pdb_exec::{ops, Annotated, ExecResult, KeyRuns};
-use pdb_govern::{Counter, ExecContext, QueryGovernor, QueryObs, Stage};
+use pdb_govern::{Counter, ExecContext, QueryObs, Stage};
 use pdb_lineage::independent_or;
 use pdb_par::Pool;
 use pdb_query::reduct::FdReduct;
@@ -107,18 +107,12 @@ impl EagerPlan {
         self
     }
 
-    /// Attaches a [`QueryGovernor`]: the plan's scans, projections and joins
-    /// observe its cancellation token, deadline, and memory budget at every
-    /// morsel/chunk checkpoint, returning [`PlanError::Governed`] when
-    /// interrupted. The happy path is bitwise-identical to the ungoverned
-    /// one.
-    pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.ctx = self.ctx.with_governor(governor);
-        self
-    }
-
-    /// Replaces the whole execution context — governor and collector — in
-    /// one call (what [`Planner`](crate::Planner) does).
+    /// Sets the execution context the plan's scans, projections, joins and
+    /// per-node aggregations run under: they observe its governor's
+    /// cancellation token, deadline and memory budget at every morsel/chunk
+    /// checkpoint (returning [`PlanError::Governed`] when interrupted) and
+    /// tally deterministic counters into its collector. Answers are
+    /// bitwise-identical with or without either.
     pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
         self.ctx = ctx;
         self

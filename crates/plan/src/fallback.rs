@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use pdb_conf::{anytime_confidences_ctx, AnytimeConfig, ApproxPolicy, ApproxResult};
 use pdb_exec::{evaluate_join_order_ctx, Annotated};
-use pdb_govern::{ExecContext, QueryGovernor, QueryObs};
+use pdb_govern::{ExecContext, QueryObs};
 use pdb_par::Pool;
 use pdb_query::ConjunctiveQuery;
 use pdb_storage::Catalog;
@@ -67,18 +67,12 @@ impl FallbackPlan {
         self
     }
 
-    /// Attaches a [`QueryGovernor`]. The relational pipeline observes it at
-    /// every morsel checkpoint; the confidence stage observes it at every
-    /// bag and refinement-round checkpoint. Under [`ApproxPolicy::Bounds`] a
+    /// Sets the execution context. The relational pipeline observes its
+    /// governor at every morsel checkpoint; the confidence stage at every bag
+    /// and refinement-round checkpoint. Under [`ApproxPolicy::Bounds`] a
     /// *deadline* during refinement degrades to the best bounds so far
-    /// instead of an error; cancellation always aborts.
-    pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.ctx = self.ctx.with_governor(governor);
-        self
-    }
-
-    /// Replaces the whole execution context — governor and collector — in
-    /// one call (what [`Planner`](crate::Planner) does).
+    /// instead of an error; cancellation always aborts. Both stages tally
+    /// deterministic counters into its collector.
     pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
         self.ctx = ctx;
         self

@@ -24,7 +24,7 @@ use pdb_conf::multi_scan::apply_pre_aggregation_ctx;
 use pdb_conf::{ConfidenceOperator, ConfidenceResult, SplitPolicy, Strategy};
 use pdb_exec::pipeline::evaluate_join_order_with;
 use pdb_exec::Annotated;
-use pdb_govern::{ExecContext, QueryGovernor, QueryObs};
+use pdb_govern::{ExecContext, QueryObs};
 use pdb_par::Pool;
 use pdb_query::reduct::FdReduct;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
@@ -92,19 +92,13 @@ impl HybridPlan {
         self
     }
 
-    /// Attaches a [`QueryGovernor`]: the relational pipeline, the pushed-down
-    /// aggregations, and the top-level confidence operator observe its
-    /// cancellation token, deadline, and memory budget at every
-    /// morsel/chunk/bag checkpoint, returning [`PlanError::Governed`] when
-    /// interrupted. The happy path is bitwise-identical to the ungoverned
-    /// one.
-    pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.ctx = self.ctx.with_governor(governor);
-        self
-    }
-
-    /// Replaces the whole execution context — governor and collector — in
-    /// one call (what [`Planner`](crate::Planner) does).
+    /// Sets the execution context the relational pipeline, the pushed-down
+    /// aggregations and the top-level confidence operator run under: they
+    /// observe its governor's cancellation token, deadline and memory budget
+    /// at every morsel/chunk/bag checkpoint (returning
+    /// [`PlanError::Governed`] when interrupted) and tally deterministic
+    /// counters into its collector. Answers are bitwise-identical with or
+    /// without either.
     pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
         self.ctx = ctx;
         self

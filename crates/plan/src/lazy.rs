@@ -2,11 +2,9 @@
 //! order and run the confidence-computation operator once, at the very top of
 //! the plan (Fig. 7 (c)).
 
-use std::sync::Arc;
-
 use pdb_conf::{ConfidenceOperator, ConfidenceResult, Strategy};
 use pdb_exec::{evaluate_join_order_ctx, Annotated};
-use pdb_govern::{ExecContext, QueryGovernor, QueryObs};
+use pdb_govern::ExecContext;
 use pdb_par::Pool;
 use pdb_query::reduct::FdReduct;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
@@ -49,27 +47,12 @@ impl LazyPlan {
         })
     }
 
-    /// Attaches a per-query observability collector: the pipeline and the
-    /// confidence operator tally deterministic counters into it (and record
-    /// spans when the collector has tracing enabled). Pure telemetry — the
-    /// answer stays bitwise-identical.
-    pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.ctx = self.ctx.with_obs(obs);
-        self
-    }
-
-    /// Attaches a [`QueryGovernor`]: the relational pipeline and the
-    /// confidence operator observe its cancellation token, deadline, and
-    /// memory budget at every morsel/chunk/bag checkpoint, returning
-    /// [`PlanError::Governed`] when interrupted. The happy path is
-    /// bitwise-identical to the ungoverned one.
-    pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.ctx = self.ctx.with_governor(governor);
-        self
-    }
-
-    /// Replaces the whole execution context — governor and collector — in
-    /// one call (what [`Planner`](crate::Planner) does).
+    /// Sets the execution context the relational pipeline and the confidence
+    /// operator run under: they observe its governor's cancellation token,
+    /// deadline and memory budget at every morsel/chunk/bag checkpoint
+    /// (returning [`PlanError::Governed`] when interrupted) and tally
+    /// deterministic counters into its collector. Answers are
+    /// bitwise-identical with or without either.
     pub fn with_ctx(mut self, ctx: ExecContext) -> Self {
         self.ctx = ctx;
         self

@@ -24,8 +24,9 @@
 //!   plan's tree walk with MystiQ's join order (deepest subtree first) and
 //!   either the stable or the log-space probability aggregation (Section
 //!   VII). Same operators, pool and governor as the other plans.
-//! * [`planner`] — a small facade choosing and executing plans, reporting the
-//!   timings the benchmark harness consumes.
+//! * [`planner`] — a small facade choosing and executing plans under one
+//!   [`QueryOptions`] bundle, reporting the timings the benchmark harness
+//!   consumes.
 //! * [`explain`] — the planner's decision procedure as data (EXPLAIN),
 //!   without executing.
 
@@ -50,4 +51,4 @@ pub use pdb_govern::{
     SproutError, Stage,
 };
 pub use pdb_par::Pool;
-pub use planner::{PlanKind, PlanReport, Planner};
+pub use planner::{ExplainMode, PlanKind, PlanReport, Planner, QueryOptions};

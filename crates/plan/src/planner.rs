@@ -2,6 +2,13 @@
 //! measurements the paper's evaluation section is built from (time to compute
 //! the answer tuples vs. time to compute the probabilities, number of answer
 //! tuples vs. distinct tuples, number of scans).
+//!
+//! A [`Planner`] is configured by one [`QueryOptions`] bundle, given at
+//! construction and read by [`Planner::explain`] and [`Planner::execute`]
+//! alike: the pool, the fallback policy, its seed and frontier cap, and the
+//! governor and collector, which every plan receives as one
+//! [`ExecContext`]. The `sprout` facade re-exports the bundle and passes a
+//! caller's straight through.
 
 use std::fmt;
 use std::sync::Arc;
@@ -90,103 +97,99 @@ impl PlanReport {
     }
 }
 
-/// Plans and executes queries over a catalog, using the catalog's declared
-/// keys and functional dependencies to refine signatures.
+/// What [`QueryOptions::explain`] asks a caller to render, if anything.
+///
+/// `Plan` callers usually skip execution entirely and call
+/// [`Planner::explain`] instead; carrying the mode in [`QueryOptions`] lets
+/// multiplexing callers (the server) thread one options bundle through
+/// admission, execution, and response rendering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExplainMode {
+    /// Describe the chosen plan without executing.
+    Plan,
+    /// Execute, and report the plan plus the observed span tree and counters.
+    Analyze,
+}
+
+/// The planner's configuration: plan kind, governor, approximation policy,
+/// worker pool, the anytime frontier's memory cap and the collector, in one
+/// bundle that [`Planner::explain`] and [`Planner::execute`] both read.
+///
+/// Because every engine path is bitwise-deterministic at every pool size, two
+/// runs with the same `kind`/`policy`/`seed`/`frontier_budget` produce
+/// identical answers regardless of `pool` and regardless of whether a
+/// governor interrupted neither of them.
+#[derive(Debug, Clone, Default)]
+pub struct QueryOptions {
+    /// Plan family; `None` means [`PlanKind::Lazy`], the SPROUT default.
+    pub kind: Option<PlanKind>,
+    /// Governor observed at every morsel/chunk/bag checkpoint: the plan
+    /// returns [`PlanError::Governed`] when it interrupts, and worker panics
+    /// are isolated into [`pdb_govern::SproutError::WorkerPanic`]. The MystiQ
+    /// plans run on the eager plan's operators and are governed the same way.
+    pub governor: Option<QueryGovernor>,
+    /// Fallback policy for unsafe queries: when the chosen plan kind fails
+    /// with [`PlanError::UnsafeQuery`], the planner retries with a
+    /// [`FallbackPlan`] under the policy (read-once factorization, then
+    /// anytime dissociation bounds if the policy allows them). Queries *with*
+    /// a safe plan are unaffected. `None` keeps the exact-only behaviour
+    /// (unsafe queries error with the blocking attribute pair).
+    pub policy: Option<ApproxPolicy>,
+    /// Worker pool every plan fans out on; `None` reads `SPROUT_THREADS`
+    /// when a plan runs. Results are bitwise-identical at every pool size,
+    /// which is what lets an admission scheduler hand queries different
+    /// thread shares without changing their answers.
+    pub pool: Option<Pool>,
+    /// Seed of the fallback's refinement tie-breaker (deterministic per seed
+    /// at every pool size).
+    pub seed: u64,
+    /// Frontier memory cap override: `Some(Some(bytes))` caps, `Some(None)`
+    /// removes the default cap, `None` keeps the default. The charge is 80
+    /// bytes a leaf, 24 a clause and 8 a variable occurrence, ≈ 2–3× what the
+    /// leaves occupy (see
+    /// [`AnytimeConfig::frontier_budget`](pdb_conf::AnytimeConfig::frontier_budget));
+    /// refinement that would outgrow the cap degrades to wider-but-valid
+    /// bounds instead of erroring.
+    pub frontier_budget: Option<Option<usize>>,
+    /// Per-query observability collector: when set, every stage tallies its
+    /// deterministic counters into it and — when the collector has tracing
+    /// enabled — the planner records `plan` / `plan.tuples` /
+    /// `plan.confidence` spans around each phase. Pure telemetry — answers
+    /// are bitwise-identical with or without it.
+    pub obs: Option<Arc<QueryObs>>,
+    /// Explain mode the caller wants rendered alongside (or instead of) the
+    /// result. Wire frontends consult it; the engine executes identically
+    /// either way.
+    pub explain: Option<ExplainMode>,
+}
+
+/// Plans and executes queries over a catalog under one [`QueryOptions`]
+/// bundle, using the catalog's declared keys and functional dependencies to
+/// refine signatures.
 #[derive(Debug)]
 pub struct Planner<'a> {
     catalog: &'a Catalog,
+    opts: &'a QueryOptions,
     use_fds: bool,
-    /// Governor and collector handed to every plan the planner executes.
-    ctx: ExecContext,
-    approx_policy: Option<ApproxPolicy>,
-    approx_seed: u64,
-    /// `None` until [`with_pool`](Self::with_pool): the default pool is read
-    /// from the environment only when a plan actually needs it.
-    pool: Option<Pool>,
-    frontier_budget: Option<Option<usize>>,
 }
 
 impl<'a> Planner<'a> {
     /// A planner that exploits the catalog's functional dependencies.
-    pub fn new(catalog: &'a Catalog) -> Planner<'a> {
+    pub fn new(catalog: &'a Catalog, opts: &'a QueryOptions) -> Planner<'a> {
         Planner {
             catalog,
+            opts,
             use_fds: true,
-            ctx: ExecContext::unbounded(),
-            approx_policy: None,
-            approx_seed: 0,
-            pool: None,
-            frontier_budget: None,
         }
     }
 
     /// A planner that ignores functional dependencies (used by the Fig. 13
     /// ablation).
-    pub fn without_fds(catalog: &'a Catalog) -> Planner<'a> {
+    pub fn without_fds(catalog: &'a Catalog, opts: &'a QueryOptions) -> Planner<'a> {
         Planner {
             use_fds: false,
-            ..Planner::new(catalog)
+            ..Planner::new(catalog, opts)
         }
-    }
-
-    /// Enables the intensional fallback for unsafe queries: when the chosen
-    /// plan kind fails with [`PlanError::UnsafeQuery`], the planner retries
-    /// with a [`FallbackPlan`] under `policy` (read-once factorization,
-    /// then anytime dissociation bounds if the policy allows them) instead
-    /// of surfacing the error. Queries *with* a safe plan are unaffected —
-    /// their results stay bitwise-identical to a planner without a policy.
-    pub fn with_approx_policy(mut self, policy: ApproxPolicy) -> Self {
-        self.approx_policy = Some(policy);
-        self
-    }
-
-    /// Sets the seed of the fallback's refinement tie-breaker (deterministic
-    /// per seed at every pool size).
-    pub fn with_approx_seed(mut self, seed: u64) -> Self {
-        self.approx_seed = seed;
-        self
-    }
-
-    /// Sets the worker pool every plan fans out on, in place of the default
-    /// read from `SPROUT_THREADS`. Results are bitwise-identical at every
-    /// pool size, which is what lets an admission scheduler hand queries
-    /// different thread shares without changing their answers.
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Caps the structural charge of the fallback's per-tuple
-    /// Shannon-expansion frontier: `Some(bytes)` to cap, `None` to remove the
-    /// default cap. The charge is 80 bytes a leaf, 24 a clause and 8 a
-    /// variable occurrence, ≈ 2–3× what the leaves occupy (see
-    /// [`AnytimeConfig::frontier_budget`](pdb_conf::AnytimeConfig::frontier_budget)).
-    /// Refinement that would outgrow the cap degrades to wider-but-valid
-    /// bounds instead of erroring.
-    pub fn with_frontier_budget(mut self, bytes: Option<usize>) -> Self {
-        self.frontier_budget = Some(bytes);
-        self
-    }
-
-    /// Attaches a [`QueryGovernor`] to every plan the planner executes:
-    /// lazy, eager, and hybrid plans observe its cancellation token,
-    /// deadline, and memory budget at every morsel/chunk/bag checkpoint and
-    /// return [`PlanError::Governed`] when interrupted. The MystiQ plans
-    /// run on the eager plan's operators and are governed the same way.
-    pub fn with_governor(mut self, governor: QueryGovernor) -> Self {
-        self.ctx = self.ctx.with_governor(governor);
-        self
-    }
-
-    /// Attaches a per-query observability collector to every plan the
-    /// planner executes: scans, joins, aggregations, and confidence stages
-    /// tally deterministic counters into it, and — when the collector has
-    /// tracing enabled — the planner records `plan` / `plan.tuples` /
-    /// `plan.confidence` spans around each phase. Pure telemetry: answers,
-    /// row order, and confidences stay bitwise-identical.
-    pub fn with_obs(mut self, obs: Arc<QueryObs>) -> Self {
-        self.ctx = self.ctx.with_obs(obs);
-        self
     }
 
     /// The dependency set the planner uses.
@@ -231,7 +234,7 @@ impl<'a> Planner<'a> {
         let tractable = reduct.is_hierarchical();
         let path = if tractable {
             ExplainPath::Safe
-        } else if self.approx_policy.is_some() {
+        } else if self.opts.policy.is_some() {
             ExplainPath::Fallback
         } else {
             return Err(PlanError::unsafe_query(query, &reduct.hierarchy()));
@@ -290,7 +293,7 @@ impl<'a> Planner<'a> {
             join_order,
             scan_details,
             policy: match path {
-                ExplainPath::Fallback => self.approx_policy,
+                ExplainPath::Fallback => self.opts.policy,
                 ExplainPath::Safe => None,
             },
             uses_fds: self.use_fds,
@@ -298,9 +301,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Executes `query` with the chosen plan kind and reports timings. When
-    /// an approximation policy is set (see
-    /// [`with_approx_policy`](Self::with_approx_policy)) and the query has
-    /// no safe plan, the planner falls back to the intensional evaluators
+    /// the options set an approximation policy
+    /// ([`QueryOptions::policy`]) and the query has no safe plan, the planner falls back to the intensional evaluators
     /// instead of erroring, and the report's `approx` field is `Some`.
     ///
     /// # Errors
@@ -308,22 +310,32 @@ impl<'a> Planner<'a> {
     /// and no approximation policy is set, if a table is missing, or (for
     /// [`PlanKind::MystiqLogSpace`]) the aggregation overflows.
     pub fn execute(&self, query: &ConjunctiveQuery, kind: PlanKind) -> PlanResult<PlanReport> {
-        let _span = self.ctx.span_with("plan", kind.to_string());
+        let ctx = self.ctx();
+        let _span = ctx.span_with("plan", kind.to_string());
         let report = match self.execute_exact(query, kind.clone()) {
-            Err(PlanError::UnsafeQuery { .. }) if self.approx_policy.is_some() => {
+            Err(PlanError::UnsafeQuery { .. }) if self.opts.policy.is_some() => {
                 self.execute_fallback(query, kind)
             }
             other => other,
         }?;
-        self.ctx
-            .tally(Counter::AnswerRows, report.distinct_tuples as u64);
+        ctx.tally(Counter::AnswerRows, report.distinct_tuples as u64);
         Ok(report)
     }
 
-    /// The pool every plan runs on: the one set by
-    /// [`with_pool`](Self::with_pool), else the `SPROUT_THREADS` default.
+    /// The pool every plan runs on: the options' pool, else the
+    /// `SPROUT_THREADS` default.
     fn pool(&self) -> Pool {
-        self.pool.unwrap_or_else(Pool::from_env)
+        self.opts.pool.unwrap_or_else(Pool::from_env)
+    }
+
+    /// The options' governor and collector, as every plan takes them.
+    fn ctx(&self) -> ExecContext {
+        let ctx = (self.opts.governor.as_ref())
+            .map_or_else(ExecContext::unbounded, ExecContext::governed);
+        match &self.opts.obs {
+            Some(obs) => ctx.with_obs(Arc::clone(obs)),
+            None => ctx,
+        }
     }
 
     /// Runs one planner phase under its trace span and returns its result with
@@ -333,7 +345,7 @@ impl<'a> Planner<'a> {
         site: &'static str,
         phase: impl FnOnce() -> PlanResult<T>,
     ) -> PlanResult<(T, Duration)> {
-        let _span = self.ctx.span(site);
+        let _span = self.ctx().span(site);
         let start = Instant::now();
         let out = phase()?;
         Ok((out, start.elapsed()))
@@ -345,7 +357,7 @@ impl<'a> Planner<'a> {
             PlanKind::Lazy => {
                 let plan = LazyPlan::build(query, &fds, self.catalog)?
                     .with_pool(self.pool())
-                    .with_ctx(self.ctx.clone());
+                    .with_ctx(self.ctx());
                 let (answer, tuple_time) =
                     self.timed("plan.tuples", || plan.answer_tuples(self.catalog))?;
                 let (confidences, confidence_time) =
@@ -365,14 +377,14 @@ impl<'a> Planner<'a> {
             PlanKind::Eager => {
                 let plan = EagerPlan::build(query, &fds)?
                     .with_pool(self.pool())
-                    .with_ctx(self.ctx.clone());
+                    .with_ctx(self.ctx());
                 self.execute_fused(kind, || plan.execute(self.catalog))
             }
             PlanKind::Hybrid(pushed) => {
                 let pushed_refs: Vec<&str> = pushed.iter().map(|s| s.as_str()).collect();
                 let plan = HybridPlan::build(query, &fds, self.catalog, &pushed_refs)?
                     .with_pool(self.pool())
-                    .with_ctx(self.ctx.clone());
+                    .with_ctx(self.ctx());
                 let (answer, tuple_time) =
                     self.timed("plan.tuples", || plan.answer_tuples(self.catalog))?;
                 let (confidences, confidence_time) =
@@ -401,9 +413,7 @@ impl<'a> Planner<'a> {
                 // its traced run fails an op whose replay and engine
                 // counters differ. So MystiQ ops tally nothing until the
                 // harness can (ROADMAP item 1(a)(iv)).
-                let governed = self
-                    .ctx
-                    .governor()
+                let governed = (self.opts.governor.as_ref())
                     .map_or_else(ExecContext::unbounded, ExecContext::governed);
                 let plan = SafePlan::build_with_aggregation(query, &fds, aggregation)?
                     .with_pool(self.pool())
@@ -440,14 +450,12 @@ impl<'a> Planner<'a> {
     /// lineage. The requested plan kind is recorded unchanged in the report
     /// so callers can see which exact family was attempted.
     fn execute_fallback(&self, query: &ConjunctiveQuery, kind: PlanKind) -> PlanResult<PlanReport> {
-        let policy = self
-            .approx_policy
-            .expect("fallback runs only with a policy");
+        let policy = self.opts.policy.expect("fallback runs only with a policy");
         let mut plan = FallbackPlan::build(query, self.catalog, policy)?
-            .with_seed(self.approx_seed)
+            .with_seed(self.opts.seed)
             .with_pool(self.pool())
-            .with_ctx(self.ctx.clone());
-        if let Some(budget) = self.frontier_budget {
+            .with_ctx(self.ctx());
+        if let Some(budget) = self.opts.frontier_budget {
             plan = plan.with_frontier_budget(budget);
         }
         let (answer, tuple_time) =
@@ -478,10 +486,21 @@ mod tests {
     use pdb_exec::fixtures::{fig1_catalog, fig1_catalog_with_keys};
     use pdb_query::cq::{intro_query_q, intro_query_q_prime};
 
+    const DEFAULT: QueryOptions = QueryOptions {
+        kind: None,
+        governor: None,
+        policy: None,
+        pool: None,
+        seed: 0,
+        frontier_budget: None,
+        obs: None,
+        explain: None,
+    };
+
     #[test]
     fn all_plan_kinds_agree_on_the_intro_query() {
         let catalog = fig1_catalog_with_keys();
-        let planner = Planner::new(&catalog);
+        let planner = Planner::new(&catalog, &DEFAULT);
         let q = intro_query_q();
         let kinds = [
             PlanKind::Lazy,
@@ -500,8 +519,10 @@ mod tests {
     fn planner_without_fds_reports_more_scans() {
         let catalog = fig1_catalog_with_keys();
         let q = intro_query_q();
-        let with_fds = Planner::new(&catalog).execute(&q, PlanKind::Lazy).unwrap();
-        let without = Planner::without_fds(&catalog)
+        let with_fds = Planner::new(&catalog, &DEFAULT)
+            .execute(&q, PlanKind::Lazy)
+            .unwrap();
+        let without = Planner::without_fds(&catalog, &DEFAULT)
             .execute(&q, PlanKind::Lazy)
             .unwrap();
         assert!(without.scans.unwrap() > with_fds.scans.unwrap());
@@ -513,11 +534,11 @@ mod tests {
         let with_keys = fig1_catalog_with_keys();
         let without_keys = fig1_catalog();
         let q = intro_query_q_prime();
-        assert!(Planner::new(&with_keys).is_tractable(&q));
-        assert!(!Planner::new(&without_keys).is_tractable(&q));
-        assert!(Planner::new(&without_keys).signature(&q).is_err());
+        assert!(Planner::new(&with_keys, &DEFAULT).is_tractable(&q));
+        assert!(!Planner::new(&without_keys, &DEFAULT).is_tractable(&q));
+        assert!(Planner::new(&without_keys, &DEFAULT).signature(&q).is_err());
         assert!(matches!(
-            Planner::new(&without_keys).execute(&q, PlanKind::Lazy),
+            Planner::new(&without_keys, &DEFAULT).execute(&q, PlanKind::Lazy),
             Err(PlanError::UnsafeQuery { .. })
         ));
     }
@@ -527,15 +548,18 @@ mod tests {
         let without_keys = fig1_catalog();
         let q = intro_query_q_prime();
         // With a policy the unsafe query produces brackets instead of erroring.
-        let planner =
-            Planner::new(&without_keys).with_approx_policy(ApproxPolicy::Bounds { eps: 1e-9 });
+        let opts = QueryOptions {
+            policy: Some(ApproxPolicy::Bounds { eps: 1e-9 }),
+            ..QueryOptions::default()
+        };
+        let planner = Planner::new(&without_keys, &opts);
         let report = planner.execute(&q, PlanKind::Lazy).unwrap();
         let brackets = report.approx.as_ref().unwrap();
         assert_eq!(brackets.len(), 1);
         assert!(brackets[0].lo <= 0.0028 + 1e-12 && 0.0028 <= brackets[0].hi + 1e-12);
         // A safe query under the same policy is bitwise-identical to the
         // policy-free planner: the fallback never runs.
-        let exact = Planner::new(&without_keys)
+        let exact = Planner::new(&without_keys, &DEFAULT)
             .execute(&intro_query_q(), PlanKind::Lazy)
             .unwrap();
         let with_policy = planner.execute(&intro_query_q(), PlanKind::Lazy).unwrap();
@@ -549,7 +573,7 @@ mod tests {
     #[test]
     fn report_exposes_timings_and_counts() {
         let catalog = fig1_catalog();
-        let planner = Planner::new(&catalog);
+        let planner = Planner::new(&catalog, &DEFAULT);
         let report = planner.execute(&intro_query_q(), PlanKind::Lazy).unwrap();
         assert_eq!(report.answer_tuples, Some(2));
         assert_eq!(report.distinct_tuples, 1);

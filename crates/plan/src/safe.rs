@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn a_log_space_overflow_and_nothing_else_is_a_mystiq_runtime_error() {
-        use crate::planner::{PlanKind, Planner};
+        use crate::planner::{PlanKind, Planner, QueryOptions};
         use pdb_govern::{GovernorBuilder, SproutError};
         use pdb_storage::{DataType, ProbTable, Schema, Variable};
 
@@ -194,24 +194,30 @@ mod tests {
         let q = ConjunctiveQuery::build(&[("R", &["g", "x"])], &["g"], vec![]).unwrap();
 
         for threads in [1usize, 8] {
-            let planner = || Planner::new(&catalog).with_pool(Pool::new(threads));
-            match planner().execute(&q, PlanKind::MystiqLogSpace) {
+            let opts = QueryOptions {
+                pool: Some(Pool::new(threads)),
+                ..QueryOptions::default()
+            };
+            let planner = Planner::new(&catalog, &opts);
+            match planner.execute(&q, PlanKind::MystiqLogSpace) {
                 Err(PlanError::MystiqRuntimeError(message)) => assert!(
                     message.contains("group of 200000 duplicates"),
                     "{threads} threads: {message}"
                 ),
                 other => panic!("{threads} threads: expected MystiqRuntimeError, got {other:?}"),
             }
-            let stable = planner().execute(&q, PlanKind::Mystiq).unwrap().confidences;
+            let stable = planner.execute(&q, PlanKind::Mystiq).unwrap().confidences;
             assert_eq!(stable, vec![(tuple![0i64], 1.0)], "{threads} threads");
 
             // An interruption of the same plan stays an interruption.
             let cancelled = GovernorBuilder::new().build();
             cancelled.cancel();
+            let governed = QueryOptions {
+                governor: Some(cancelled),
+                ..opts
+            };
             assert!(matches!(
-                planner()
-                    .with_governor(cancelled)
-                    .execute(&q, PlanKind::MystiqLogSpace),
+                Planner::new(&catalog, &governed).execute(&q, PlanKind::MystiqLogSpace),
                 Err(PlanError::Governed(SproutError::Cancelled { .. }))
             ));
         }

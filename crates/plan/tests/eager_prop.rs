@@ -30,7 +30,6 @@ use proptest::prelude::*;
 
 use pdb_conf::ConfidenceResult;
 use pdb_exec::pipeline::evaluate_join_order;
-use pdb_query::signature::OneScanTree;
 use pdb_query::{CompareOp, Predicate};
 use pdb_query::{ConjunctiveQuery, FdSet};
 use pdb_storage::{
@@ -558,14 +557,6 @@ fn hybrid_agrees_with_the_oracle_at_every_push_set(q: &ConjunctiveQuery, db: &Ch
             .collect();
         let hybrid =
             HybridPlan::build(q, &FdSet::empty(), &sets, &push).expect("query is hierarchical");
-        // The confidence operator builds no one-scan tree for a signature
-        // whose top level joins starred parts only, such as `(R* S)* T*`
-        // (heads `b` and `r, b` unless `T` is pushed): it fails on any
-        // non-empty answer, with or without reduction.
-        let final_signature = hybrid.top_signature().scan_schedule().final_signature;
-        if OneScanTree::build(&final_signature).is_err() {
-            continue;
-        }
         let got = at_every_pool_size(&[&sets, &columnar], |pool, catalog| {
             hybrid.clone().with_pool(pool).execute(catalog)
         });

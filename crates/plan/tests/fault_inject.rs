@@ -50,7 +50,8 @@ use sprout_plan::eager::EagerPlan;
 use sprout_plan::fallback::FallbackPlan;
 use sprout_plan::lazy::LazyPlan;
 use sprout_plan::{
-    ApproxPolicy, ApproxResult, GovernorBuilder, PlanError, QueryGovernor, SproutError, Stage,
+    ApproxPolicy, ApproxResult, ExecContext, GovernorBuilder, PlanError, QueryGovernor,
+    SproutError, Stage,
 };
 
 /// Every checkpoint site the governed engine exposes (module docs of
@@ -161,11 +162,11 @@ fn governed_run(
     match family {
         Family::Lazy => LazyPlan::build(&w.query, &w.fds, &w.catalog)?
             .with_pool(Pool::new(threads))
-            .with_governor(gov)
+            .with_ctx(ExecContext::governed(&gov))
             .execute(&w.catalog),
         Family::Eager => EagerPlan::build(&w.query, &w.fds)?
             .with_pool(Pool::new(threads))
-            .with_governor(gov)
+            .with_ctx(ExecContext::governed(&gov))
             .execute(&w.catalog),
     }
 }
@@ -240,7 +241,7 @@ fn the_smallest_sufficient_budget_is_the_same_on_one_worker_and_on_eight() {
         LazyPlan::build(&query, &fds, &catalog)
             .unwrap()
             .with_pool(Pool::new(threads))
-            .with_governor(governor)
+            .with_ctx(ExecContext::governed(&governor))
             .execute(&catalog)
     };
     let measure = GovernorBuilder::new().build();
@@ -282,7 +283,7 @@ fn refine(
     let plan = FallbackPlan::build(&query, catalog, ApproxPolicy::Bounds { eps: 1e-3 })?
         .with_pool(Pool::new(threads))
         .with_seed(1)
-        .with_governor(governor.clone());
+        .with_ctx(ExecContext::governed(governor));
     // `None` keeps the plan's default cap, which Q8 does not meet here.
     match frontier_budget {
         Some(bytes) => plan.with_frontier_budget(Some(bytes)),

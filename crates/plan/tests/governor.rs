@@ -20,7 +20,8 @@ use pdb_tpch::{
 use sprout_plan::eager::EagerPlan;
 use sprout_plan::lazy::LazyPlan;
 use sprout_plan::{
-    GovernorBuilder, PlanError, PlanKind, PlanResult, Planner, QueryGovernor, SproutError, Stage,
+    GovernorBuilder, PlanError, PlanKind, PlanResult, Planner, QueryGovernor, QueryOptions,
+    SproutError, Stage,
 };
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -74,7 +75,7 @@ fn governed_happy_path_is_bitwise_identical_across_threads_and_backings() {
             let governed = LazyPlan::build(&q, &fds, catalog)
                 .unwrap()
                 .with_pool(Pool::new(threads))
-                .with_governor(gov.clone())
+                .with_ctx(ExecContext::governed(&gov))
                 .execute(catalog)
                 .unwrap();
             assert_bitwise_eq(&baseline, &governed, &format!("{threads} threads"));
@@ -144,7 +145,10 @@ fn cancellation_at_every_checkpoint_of_a_small_q1_run() {
             .unwrap()
             .with_pool(Pool::new(threads));
         sweep_every_checkpoint(&format!("lazy, {threads} threads"), |gov| match gov {
-            Some(gov) => lazy.clone().with_governor(gov).execute(&row),
+            Some(gov) => lazy
+                .clone()
+                .with_ctx(ExecContext::governed(&gov))
+                .execute(&row),
             None => lazy.execute(&row),
         });
 
@@ -154,7 +158,10 @@ fn cancellation_at_every_checkpoint_of_a_small_q1_run() {
                 .with_pool(Pool::new(threads));
             let last =
                 sweep_every_checkpoint(&format!("eager, {threads} threads"), |gov| match gov {
-                    Some(gov) => eager.clone().with_governor(gov).execute(&row),
+                    Some(gov) => eager
+                        .clone()
+                        .with_ctx(ExecContext::governed(&gov))
+                        .execute(&row),
                     None => eager.execute(&row),
                 });
             assert_eq!(
@@ -168,12 +175,14 @@ fn cancellation_at_every_checkpoint_of_a_small_q1_run() {
             // checkpoints — down to the same closing operator — not just
             // the entry.
             let last = sweep_every_checkpoint(&format!("mystiq, {threads} threads"), |gov| {
-                let planner = Planner::new(&row).with_pool(Pool::new(threads));
-                let planner = match gov {
-                    Some(gov) => planner.with_governor(gov),
-                    None => planner,
+                let opts = QueryOptions {
+                    pool: Some(Pool::new(threads)),
+                    governor: gov,
+                    ..QueryOptions::default()
                 };
-                Ok(planner.execute(q, PlanKind::Mystiq)?.confidences)
+                Ok(Planner::new(&row, &opts)
+                    .execute(q, PlanKind::Mystiq)?
+                    .confidences)
             });
             assert_eq!(
                 last.stage(),
@@ -193,10 +202,12 @@ fn memory_budget_exhaustion_interrupts_the_mystiq_plan() {
     for catalog in [&row, &col] {
         for threads in POOL_SIZES {
             let gov = GovernorBuilder::new().memory_budget(1).build();
-            let result = Planner::new(catalog)
-                .with_pool(Pool::new(threads))
-                .with_governor(gov)
-                .execute(&q, PlanKind::Mystiq);
+            let opts = QueryOptions {
+                pool: Some(Pool::new(threads)),
+                governor: Some(gov),
+                ..QueryOptions::default()
+            };
+            let result = Planner::new(catalog, &opts).execute(&q, PlanKind::Mystiq);
             match result {
                 Err(PlanError::Governed(SproutError::MemoryBudgetExceeded {
                     requested,
@@ -247,7 +258,7 @@ fn memory_budget_exhaustion_interrupts_the_eager_aggregation() {
             let result = EagerPlan::build(&q, &fds)
                 .unwrap()
                 .with_pool(pool)
-                .with_governor(gov)
+                .with_ctx(ExecContext::governed(&gov))
                 .execute(catalog);
             match result {
                 Err(PlanError::Governed(SproutError::MemoryBudgetExceeded {
@@ -275,7 +286,7 @@ fn pre_cancelled_governor_interrupts_at_the_first_checkpoint() {
     gov.cancel();
     let result = LazyPlan::build(&q, &fds, &row)
         .unwrap()
-        .with_governor(gov)
+        .with_ctx(ExecContext::governed(&gov))
         .execute(&row);
     match result {
         Err(PlanError::Governed(SproutError::Cancelled { .. })) => {}
@@ -291,7 +302,7 @@ fn expired_deadline_interrupts_with_elapsed_and_budget() {
     let gov = GovernorBuilder::new().deadline(Duration::ZERO).build();
     let result = LazyPlan::build(&q, &fds, &row)
         .unwrap()
-        .with_governor(gov)
+        .with_ctx(ExecContext::governed(&gov))
         .execute(&row);
     match result {
         Err(PlanError::Governed(SproutError::DeadlineExceeded {
@@ -404,10 +415,15 @@ fn planner_facade_threads_the_governor_through_every_plan_kind() {
         PlanKind::Mystiq,
     ] {
         // Uninterrupted: governed result matches the ungoverned one.
-        let baseline = Planner::new(&catalog).execute(&q, kind.clone()).unwrap();
+        let baseline = Planner::new(&catalog, &QueryOptions::default())
+            .execute(&q, kind.clone())
+            .unwrap();
         let gov = GovernorBuilder::new().build();
-        let governed = Planner::new(&catalog)
-            .with_governor(gov.clone())
+        let opts = QueryOptions {
+            governor: Some(gov.clone()),
+            ..QueryOptions::default()
+        };
+        let governed = Planner::new(&catalog, &opts)
             .execute(&q, kind.clone())
             .unwrap();
         assert_bitwise_eq(
@@ -422,9 +438,11 @@ fn planner_facade_threads_the_governor_through_every_plan_kind() {
         // Pre-cancelled: every plan kind observes the token.
         let cancelled = GovernorBuilder::new().build();
         cancelled.cancel();
-        let result = Planner::new(&catalog)
-            .with_governor(cancelled)
-            .execute(&q, kind.clone());
+        let opts = QueryOptions {
+            governor: Some(cancelled),
+            ..QueryOptions::default()
+        };
+        let result = Planner::new(&catalog, &opts).execute(&q, kind.clone());
         match result {
             Err(PlanError::Governed(SproutError::Cancelled { .. })) => {}
             other => panic!("{kind}: expected Cancelled, got {other:?}"),

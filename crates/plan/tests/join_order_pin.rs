@@ -22,7 +22,7 @@ use pdb_tpch::{
     TpchScale,
 };
 use sprout_plan::join_order::greedy_join_order;
-use sprout_plan::{PlanKind, Planner};
+use sprout_plan::{PlanKind, Planner, QueryOptions};
 
 const PINNED: &str = include_str!("join_order_pin.txt");
 
@@ -74,7 +74,8 @@ fn greedy_join_orders_match_the_pinned_table_on_both_backings() {
 fn eager_and_mystiq_explains_list_the_reduction_filters_of_q18_and_q21() {
     let data = TpchData::generate(TpchScale::new(0.01));
     let catalog = probabilistic_catalog_columnar(&data, 1).expect("columnar catalog");
-    let planner = Planner::new(&catalog);
+    let opts = QueryOptions::default();
+    let planner = Planner::new(&catalog, &opts);
     let pinned = [
         (
             "18",
@@ -115,7 +116,8 @@ fn eager_and_mystiq_explains_list_the_reduction_filters_of_q18_and_q21() {
 fn hybrid_explains_list_the_reduction_filters_of_q3_and_q18() {
     let data = TpchData::generate(TpchScale::new(0.01));
     let catalog = probabilistic_catalog_columnar(&data, 1).expect("columnar catalog");
-    let planner = Planner::new(&catalog);
+    let opts = QueryOptions::default();
+    let planner = Planner::new(&catalog, &opts);
     // Both join `Cust Ord Item`; each scan after the first is reduced by
     // the running result's keys.
     let want = vec![

@@ -120,44 +120,27 @@ impl Signature {
         }
     }
 
-    /// Whether a bare (unstarred) table occurs at the top level of this
-    /// signature — the existence condition of Definition V.8.
-    fn has_bare_table_at_top(&self) -> bool {
-        match self {
-            Signature::Table(_) => true,
-            Signature::Star(_) => false,
-            Signature::Concat(parts) => parts.iter().any(|p| matches!(p, Signature::Table(_))),
-        }
-    }
-
-    /// The 1scan property (Definition V.8): every starred subexpression `β*`
-    /// must contain a bare table at the top level of `β` and `β` must itself
-    /// have the property.
+    /// The 1scan property (Definition V.8): every concatenation — the body
+    /// of a star, and the top level, where the operator groups the answer by
+    /// its data columns — holds a bare table at its own level, and every part
+    /// has the property. It is exactly the condition under which
+    /// [`OneScanTree::build`] finds a bare table to root each level at.
     pub fn is_one_scan(&self) -> bool {
         match self {
             Signature::Table(_) => true,
-            Signature::Star(inner) => inner.has_bare_table_at_top() && inner.is_one_scan(),
-            Signature::Concat(parts) => parts.iter().all(|p| p.is_one_scan()),
-        }
-    }
-
-    /// Counts starred subexpressions (including this one) that lack the 1scan
-    /// property.
-    fn non_one_scan_stars(&self) -> usize {
-        match self {
-            Signature::Table(_) => 0,
-            Signature::Star(inner) => {
-                let own = usize::from(!self.is_one_scan());
-                own + inner.non_one_scan_stars()
+            Signature::Star(inner) => inner.is_one_scan(),
+            Signature::Concat(parts) => {
+                parts.iter().any(|p| matches!(p, Signature::Table(_)))
+                    && parts.iter().all(Signature::is_one_scan)
             }
-            Signature::Concat(parts) => parts.iter().map(|p| p.non_one_scan_stars()).sum(),
         }
     }
 
-    /// `#scans` (Definition V.8): one plus the number of starred
-    /// subexpressions without the 1scan property.
+    /// `#scans` (Definition V.8, Proposition V.10): one plus the number of
+    /// pre-aggregations of the [`scan_schedule`](Self::scan_schedule), one
+    /// per concatenation without a bare table.
     pub fn scan_count(&self) -> usize {
-        1 + self.non_one_scan_stars()
+        self.scan_schedule().scans()
     }
 
     /// Computes the scan schedule of an operator `[self]` (Example V.11): a
@@ -266,53 +249,30 @@ impl ScanSchedule {
     }
 }
 
-/// Finds the innermost starred subexpression of `sig` that lacks the 1scan
-/// property, removes the blockage by picking its first starred child `γ*`
-/// (preferring starred tables), replaces `γ*` by `γ`'s leftmost table inside
-/// `sig`, and returns the extracted `γ*`. Returns `None` when `sig` already
-/// has the 1scan property.
+/// Finds the innermost concatenation of `sig` without a bare table — a
+/// star's body or the top level, whose parts are then all starred — and
+/// removes the blockage: picks its first starred part `γ*` (preferring
+/// starred tables), replaces `γ*` by `γ`'s leftmost table inside `sig`, and
+/// returns the extracted `γ*`. Returns `None` when `sig` already has the
+/// 1scan property.
 fn take_innermost_blocking_star(sig: &mut Signature) -> Option<Signature> {
-    if sig.is_one_scan() {
-        return None;
-    }
-    // Descend into children first so the innermost blocking star is handled.
     match sig {
         Signature::Table(_) => None,
+        Signature::Star(inner) => take_innermost_blocking_star(inner),
         Signature::Concat(parts) => {
-            for p in parts.iter_mut() {
-                if let Some(step) = take_innermost_blocking_star(p) {
-                    return Some(step);
-                }
-            }
-            None
-        }
-        Signature::Star(inner) => {
-            if let Some(step) = take_innermost_blocking_star(inner) {
+            // Descend into the parts first so the innermost blockage goes
+            // first.
+            if let Some(step) = parts.iter_mut().find_map(take_innermost_blocking_star) {
                 return Some(step);
             }
-            // All descendants are 1scan but this star is not: its body has no
-            // bare table at the top level, so every top-level part is starred.
-            let parts: Vec<&Signature> = match inner.as_ref() {
-                Signature::Concat(parts) => parts.iter().collect(),
-                single => vec![single],
-            };
-            let chosen_idx = parts
-                .iter()
+            if parts.iter().any(|p| matches!(p, Signature::Table(_))) {
+                return None;
+            }
+            let chosen = (parts.iter())
                 .position(|p| matches!(p, Signature::Star(b) if matches!(b.as_ref(), Signature::Table(_))))
                 .or_else(|| parts.iter().position(|p| matches!(p, Signature::Star(_))))?;
-            let chosen = parts[chosen_idx].clone();
-            let replacement = Signature::Table(chosen.leftmost_table().to_string());
-            // Rebuild the inner body with the chosen part replaced.
-            let new_inner = match inner.as_ref() {
-                Signature::Concat(parts) => {
-                    let mut new_parts = parts.clone();
-                    new_parts[chosen_idx] = replacement;
-                    Signature::concat(new_parts)
-                }
-                _ => replacement,
-            };
-            **inner = new_inner;
-            Some(chosen)
+            let replacement = Signature::Table(parts[chosen].leftmost_table().to_string());
+            Some(std::mem::replace(&mut parts[chosen], replacement))
         }
     }
 }
@@ -598,15 +558,21 @@ mod tests {
         // Example V.9.
         assert!(sig("(Cust(Ord Item*)*)*").is_one_scan());
         assert!(!sig("(Cust*(Ord*Item*)*)*").is_one_scan());
-        assert!(sig("R*S*").is_one_scan());
         assert!(sig("Nation1(Supp(Nation2(Cust(Ord Item*)*)*)*)*").is_one_scan());
+        // The top level is a level too: its 1scanTree needs a bare root.
+        assert!(!sig("R*S*").is_one_scan());
+        assert!(!sig("(R* S)* T*").is_one_scan());
+        assert!(sig("R S*").is_one_scan());
     }
 
     #[test]
     fn scan_counts_match_example_v11() {
         assert_eq!(sig("(Cust*(Ord*Item*)*)*").scan_count(), 3);
         assert_eq!(sig("(Cust(Ord Item*)*)*").scan_count(), 1);
-        assert_eq!(sig("R*S*").scan_count(), 1);
+        assert_eq!(sig("R*S*").scan_count(), 2);
+        // A star whose body has a bare table costs nothing, even above one
+        // that needs a pre-aggregation.
+        assert_eq!(sig("(R(S*T*)*)*").scan_count(), 2);
     }
 
     #[test]
@@ -637,6 +603,48 @@ mod tests {
             assert!(step.is_one_scan(), "pre-aggregation {step} must be 1scan");
         }
         assert!(schedule.final_signature.is_one_scan());
+    }
+
+    #[test]
+    fn a_top_level_of_starred_parts_is_pre_aggregated_to_a_bare_root() {
+        // q(b) :- R(a, r), S(a, b), T(b, t): the starred T* is aggregated
+        // first, and T roots the final scan.
+        let schedule = sig("(R* S)* T*").scan_schedule();
+        assert_eq!(schedule.pre_aggregations, vec![sig("T*")]);
+        assert_eq!(schedule.final_signature, sig("(R* S)* T"));
+        assert_eq!(sig("(R* S)* T*").scan_count(), 2);
+        let tree = OneScanTree::build(&schedule.final_signature).unwrap();
+        assert_eq!(tree.to_string(), "T(S(R))");
+        // Without a starred table the first starred part goes.
+        let schedule = sig("(R* S)* (T* U)*").scan_schedule();
+        assert_eq!(schedule.pre_aggregations, vec![sig("(R* S)*")]);
+        assert_eq!(schedule.final_signature, sig("R (T* U)*"));
+    }
+
+    #[test]
+    fn the_one_scan_property_is_what_the_one_scan_tree_needs() {
+        for s in [
+            "R",
+            "R*",
+            "R*S*",
+            "R S*",
+            "(R* S)* T*",
+            "(R* S)* T",
+            "(Cust*(Ord*Item*)*)*",
+            "(Cust(Ord Item*)*)*",
+            "((A*B*)*(C*D*)*)*",
+            "(R1(R2 R3*)*(R4 R5*)*)*",
+            "(R(S*T*)*)*",
+        ] {
+            let s = sig(s);
+            assert_eq!(s.is_one_scan(), OneScanTree::build(&s).is_ok(), "{s}");
+            let schedule = s.scan_schedule();
+            assert_eq!(schedule.scans(), s.scan_count(), "{s}");
+            assert!(OneScanTree::build(&schedule.final_signature).is_ok(), "{s}");
+            for step in &schedule.pre_aggregations {
+                assert!(OneScanTree::build(step).is_ok(), "{s}: step {step}");
+            }
+        }
     }
 
     #[test]

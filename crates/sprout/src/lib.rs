@@ -21,9 +21,15 @@
 //! assert!((report.confidences[0].1 - 0.0028).abs() < 1e-9);
 //! ```
 //!
+//! Everything a query runs under beyond its plan kind — governor, fallback
+//! policy, worker pool, seed, frontier cap, collector — is one
+//! [`QueryOptions`] bundle, the [`Planner`]'s configuration, which
+//! [`SproutDb::query_with_options`] and [`SproutDb::explain_with_options`]
+//! hand to the planner unchanged.
+//!
 //! The crate re-exports the building blocks (queries, signatures, plans,
-//! the confidence operator) so downstream users can drop to the lower level
-//! when they need to.
+//! the confidence operator, the options bundle) so downstream users can drop
+//! to the lower level when they need to.
 
 use std::sync::Arc;
 
@@ -38,61 +44,11 @@ pub use pdb_storage::{
     total_f64_cmp, Catalog, DataType, ProbTable, Schema, Table, Tuple, Value, Variable,
 };
 pub use sprout_plan::{
-    ApproxPolicy, ApproxResult, ConfMethod, Counter, ExecContext, ExplainPath, ExplainScan,
-    FallbackPlan, GovernorBuilder, PlanError, PlanExplain, PlanKind, PlanReport, PlanResult,
-    Planner, Pool, QueryGovernor, QueryObs, SpanGuard, SpanNode, SproutError, Stage,
-    TupleConfidence,
+    ApproxPolicy, ApproxResult, ConfMethod, Counter, ExecContext, ExplainMode, ExplainPath,
+    ExplainScan, FallbackPlan, GovernorBuilder, PlanError, PlanExplain, PlanKind, PlanReport,
+    PlanResult, Planner, Pool, QueryGovernor, QueryObs, QueryOptions, SpanGuard, SpanNode,
+    SproutError, Stage, TupleConfidence,
 };
-
-/// What [`SproutDb::query_with_options`] should explain, if anything.
-///
-/// `Plan` callers usually skip execution entirely and call
-/// [`SproutDb::explain`] instead; carrying the mode in [`QueryOptions`] lets
-/// multiplexing callers (the server) thread one options bundle through
-/// admission, execution, and response rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExplainMode {
-    /// Describe the chosen plan without executing.
-    Plan,
-    /// Execute, and report the plan plus the observed span tree and counters.
-    Analyze,
-}
-
-/// Per-query execution options, for callers that multiplex many queries over
-/// shared resources (notably the `sprout-server` admission scheduler): plan
-/// kind, governor, approximation policy, worker pool, and the anytime
-/// frontier's memory cap, all in one bundle.
-///
-/// Because every engine path is bitwise-deterministic at every pool size, two
-/// runs with the same `kind`/`policy`/`seed`/`frontier_budget` produce
-/// identical answers regardless of `pool` and regardless of whether a
-/// governor interrupted neither of them.
-#[derive(Debug, Clone, Default)]
-pub struct QueryOptions {
-    /// Plan family; `None` means [`PlanKind::Lazy`], the SPROUT default.
-    pub kind: Option<PlanKind>,
-    /// Governor observed at every morsel/chunk/bag checkpoint.
-    pub governor: Option<QueryGovernor>,
-    /// Fallback policy for unsafe queries; `None` keeps the exact-only
-    /// behaviour (unsafe queries error with the blocking attribute pair).
-    pub policy: Option<ApproxPolicy>,
-    /// Worker pool; `None` reads `SPROUT_THREADS` per plan as before.
-    pub pool: Option<Pool>,
-    /// Seed of the fallback's refinement tie-breaker.
-    pub seed: u64,
-    /// Frontier memory cap override: `Some(Some(bytes))` caps, `Some(None)`
-    /// removes the default cap, `None` keeps the default.
-    pub frontier_budget: Option<Option<usize>>,
-    /// Per-query observability collector: when set, every stage tallies its
-    /// deterministic counters into it (and records spans when the collector
-    /// has tracing enabled). Pure telemetry — answers are bitwise-identical
-    /// with or without it.
-    pub obs: Option<Arc<QueryObs>>,
-    /// Explain mode the caller wants rendered alongside (or instead of) the
-    /// result. [`Self::explain`] itself is consulted by wire frontends; the
-    /// engine executes identically either way.
-    pub explain: Option<ExplainMode>,
-}
 
 /// A probabilistic database with the SPROUT confidence-computation engine on
 /// top.
@@ -162,7 +118,7 @@ impl SproutDb {
     /// Whether `query` admits exact confidence computation in polynomial time
     /// under the declared dependencies (i.e. has a hierarchical FD-reduct).
     pub fn is_tractable(&self, query: &ConjunctiveQuery) -> bool {
-        Planner::new(&self.catalog).is_tractable(query)
+        Planner::new(&self.catalog, &QueryOptions::default()).is_tractable(query)
     }
 
     /// The signature the confidence operator uses for `query`.
@@ -170,7 +126,7 @@ impl SproutDb {
     /// # Errors
     /// Fails if the query is intractable.
     pub fn signature(&self, query: &ConjunctiveQuery) -> PlanResult<Signature> {
-        Planner::new(&self.catalog).signature(query)
+        Planner::new(&self.catalog, &QueryOptions::default()).signature(query)
     }
 
     /// Executes `query` with the given plan kind, returning the full report
@@ -179,26 +135,15 @@ impl SproutDb {
     /// # Errors
     /// Fails if the query is intractable or a referenced table is missing.
     pub fn query(&self, query: &ConjunctiveQuery, kind: PlanKind) -> PlanResult<PlanReport> {
-        Planner::new(&self.catalog).execute(query, kind)
+        Planner::new(&self.catalog, &QueryOptions::default()).execute(query, kind)
     }
 
     /// Executes `query` under a full [`QueryOptions`] bundle — the entry
     /// point the server's admission scheduler uses. Everything beyond the
-    /// plan kind rides in the bundle:
-    ///
-    /// * `governor` — the whole plan (relational pipeline, pushed-down
-    ///   aggregations, confidence operator) observes its cancellation token,
-    ///   wall-clock deadline and memory budget at every morsel/chunk/bag
-    ///   checkpoint, and worker panics are isolated into
-    ///   [`SproutError::WorkerPanic`]; the happy path is bitwise-identical to
-    ///   [`Self::query`].
-    /// * `policy` — if the query has no safe plan under the declared
-    ///   dependencies, the planner falls back to read-once factorization of
-    ///   the per-tuple lineage (exact when it succeeds) and, under
-    ///   [`ApproxPolicy::Bounds`], anytime dissociation brackets for the rest
-    ///   (`PlanReport::approx`) instead of erroring. Queries with a safe plan
-    ///   run exactly as by [`Self::query`].
-    /// * `pool` — the shared-pool thread share.
+    /// plan kind rides in the bundle (see [`QueryOptions`]): the governor,
+    /// the fallback policy for unsafe queries, the worker pool, the fallback's
+    /// seed and frontier cap, and the collector. Queries with a safe plan and
+    /// no governor interruption answer bitwise as by [`Self::query`].
     ///
     /// # Errors
     /// Returns the full [`PlanError`] taxonomy (so callers can map, e.g.,
@@ -209,23 +154,8 @@ impl SproutDb {
         query: &ConjunctiveQuery,
         opts: &QueryOptions,
     ) -> PlanResult<PlanReport> {
-        let mut planner = Planner::new(&self.catalog).with_approx_seed(opts.seed);
-        if let Some(gov) = &opts.governor {
-            planner = planner.with_governor(gov.clone());
-        }
-        if let Some(policy) = opts.policy {
-            planner = planner.with_approx_policy(policy);
-        }
-        if let Some(pool) = &opts.pool {
-            planner = planner.with_pool(*pool);
-        }
-        if let Some(budget) = opts.frontier_budget {
-            planner = planner.with_frontier_budget(budget);
-        }
-        if let Some(obs) = &opts.obs {
-            planner = planner.with_obs(obs.clone());
-        }
-        planner.execute(query, opts.kind.clone().unwrap_or(PlanKind::Lazy))
+        Planner::new(&self.catalog, opts)
+            .execute(query, opts.kind.clone().unwrap_or(PlanKind::Lazy))
     }
 
     /// Explains what [`Self::query`] would do for `query` under the given
@@ -236,13 +166,13 @@ impl SproutDb {
     /// Fails like planning would: unknown relations, or an unsafe query with
     /// no approximation policy.
     pub fn explain(&self, query: &ConjunctiveQuery, kind: PlanKind) -> PlanResult<PlanExplain> {
-        Planner::new(&self.catalog).explain(query, kind)
+        Planner::new(&self.catalog, &QueryOptions::default()).explain(query, kind)
     }
 
-    /// Explains under a full [`QueryOptions`] bundle — the same planner
-    /// configuration [`Self::query_with_options`] would execute with, so the
-    /// explained decision (notably safe vs. fallback under the bundle's
-    /// policy) matches execution exactly.
+    /// Explains under a full [`QueryOptions`] bundle — the planner
+    /// [`Self::query_with_options`] executes with, so the explained decision
+    /// (notably safe vs. fallback under the bundle's policy) matches
+    /// execution exactly.
     ///
     /// # Errors
     /// See [`Self::explain`].
@@ -251,11 +181,8 @@ impl SproutDb {
         query: &ConjunctiveQuery,
         opts: &QueryOptions,
     ) -> PlanResult<PlanExplain> {
-        let mut planner = Planner::new(&self.catalog);
-        if let Some(policy) = opts.policy {
-            planner = planner.with_approx_policy(policy);
-        }
-        planner.explain(query, opts.kind.clone().unwrap_or(PlanKind::Lazy))
+        Planner::new(&self.catalog, opts)
+            .explain(query, opts.kind.clone().unwrap_or(PlanKind::Lazy))
     }
 
     /// Executes `query` ignoring all declared functional dependencies — the
@@ -268,7 +195,7 @@ impl SproutDb {
         query: &ConjunctiveQuery,
         kind: PlanKind,
     ) -> PlanResult<PlanReport> {
-        Planner::without_fds(&self.catalog).execute(query, kind)
+        Planner::without_fds(&self.catalog, &QueryOptions::default()).execute(query, kind)
     }
 }
 

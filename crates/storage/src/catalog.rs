@@ -8,14 +8,15 @@
 //! declarations; the query crate interprets them.
 //!
 //! The catalog also owns the one thing that is derived from a table and
-//! costs a pass over it: the optimizer statistics ([`TableStats`]), built on
-//! first use and dropped when the table is replaced. It owns no row view of
+//! costs a pass over it: the optimizer statistics ([`TableStats`]), held in a
+//! once-cell of the table's entry, filled on first use and gone with the
+//! entry when the table is replaced. It owns no row view of
 //! a columnar table: [`Catalog::table`] is a conversion, made on every call
 //! with no lock held — read [`Catalog::backing`] for a table's `len()` or
 //! `schema()`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -60,14 +61,31 @@ impl StorageBacking {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Whether `self` and `other` are handles to one table allocation.
-    fn same_table(&self, other: &StorageBacking) -> bool {
-        match (self, other) {
-            (StorageBacking::Row(a), StorageBacking::Row(b)) => Arc::ptr_eq(a, b),
-            (StorageBacking::Columnar(a), StorageBacking::Columnar(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+/// One registered table: its backing and the once-cell of its optimizer
+/// statistics. Replacing the table registers a new entry, so the cell always
+/// describes the backing beside it.
+#[derive(Debug)]
+struct TableEntry {
+    backing: StorageBacking,
+    stats: OnceLock<StorageResult<Arc<TableStats>>>,
+}
+
+impl TableEntry {
+    fn new(backing: StorageBacking) -> Arc<TableEntry> {
+        Arc::new(TableEntry {
+            backing,
+            stats: OnceLock::new(),
+        })
+    }
+
+    /// The statistics of the backing, computed by the first caller while the
+    /// others wait for it.
+    fn stats(&self) -> StorageResult<Arc<TableStats>> {
+        (self.stats)
+            .get_or_init(|| TableStats::compute(&self.backing).map(Arc::new))
+            .clone()
     }
 }
 
@@ -93,11 +111,7 @@ pub struct Catalog {
 
 #[derive(Debug, Default)]
 struct CatalogInner {
-    tables: BTreeMap<String, StorageBacking>,
-    /// Optimizer statistics, filled on a table's first use by a planner (see
-    /// [`Catalog::table_stats`]). An entry always describes the backing
-    /// currently registered under its name.
-    stats: BTreeMap<String, Arc<TableStats>>,
+    tables: BTreeMap<String, Arc<TableEntry>>,
     keys: BTreeMap<String, Vec<String>>,
     fds: Vec<FdDecl>,
 }
@@ -142,18 +156,20 @@ impl Catalog {
         if inner.tables.contains_key(&name) {
             return Err(StorageError::DuplicateTable(name));
         }
-        inner.tables.insert(name, backing);
+        inner.tables.insert(name, TableEntry::new(backing));
         Ok(())
     }
 
     /// Replaces (or inserts) a row-major table under `name`.
     pub fn replace_table(&self, name: impl Into<String>, table: ProbTable) {
-        let name = name.into();
-        let mut inner = self.inner.write();
-        inner.stats.remove(&name);
-        inner
-            .tables
-            .insert(name, StorageBacking::Row(Arc::new(table)));
+        let entry = TableEntry::new(StorageBacking::Row(Arc::new(table)));
+        self.inner.write().tables.insert(name.into(), entry);
+    }
+
+    /// The entry registered under `name`.
+    fn entry(&self, name: &str) -> StorageResult<Arc<TableEntry>> {
+        (self.inner.read().tables.get(name).cloned())
+            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
     /// The storage backing registered under `name` — the representation
@@ -162,12 +178,7 @@ impl Catalog {
     /// # Errors
     /// Returns [`StorageError::UnknownTable`] if no such table exists.
     pub fn backing(&self, name: &str) -> StorageResult<StorageBacking> {
-        self.inner
-            .read()
-            .tables
-            .get(name)
-            .cloned()
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
+        Ok(self.entry(name)?.backing.clone())
     }
 
     /// The table registered under `name` as a row-major [`ProbTable`]. A
@@ -187,53 +198,16 @@ impl Catalog {
     }
 
     /// The optimizer statistics of the table registered under `name`:
-    /// computed on the first call, shared by every later one, and dropped
-    /// when [`Catalog::replace_table`] replaces the table. Tables no planner
-    /// asks about never pay the column walks.
+    /// computed on the first call, shared by every later one, and gone with
+    /// the table when [`Catalog::replace_table`] replaces it. Tables no
+    /// planner asks about never pay the column walks. The walks run with no
+    /// catalog lock held, so queries on other tables plan and scan meanwhile;
+    /// first uses racing on one table compute once and share the result.
     ///
     /// # Errors
     /// Returns [`StorageError::UnknownTable`] if no such table exists.
     pub fn table_stats(&self, name: &str) -> StorageResult<Arc<TableStats>> {
-        let backing = {
-            let inner = self.inner.read();
-            if let Some(stats) = inner.stats.get(name) {
-                return Ok(stats.clone());
-            }
-            inner
-                .tables
-                .get(name)
-                .cloned()
-                .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?
-        };
-        // The column walks run with no lock held, so queries on other
-        // tables plan and scan meanwhile.
-        let stats = Arc::new(TableStats::compute(&backing)?);
-        Ok(self.memoize_stats(name, &backing, stats))
-    }
-
-    /// Publishes `stats`, computed from `backing`, as the memo entry of
-    /// `name` — unless a racing first use already did (its allocation wins,
-    /// so all callers share one) or the name no longer maps to `backing`
-    /// (the caller still gets the statistics of the table it asked about,
-    /// but they are not cached under a name that now means another table).
-    fn memoize_stats(
-        &self,
-        name: &str,
-        backing: &StorageBacking,
-        stats: Arc<TableStats>,
-    ) -> Arc<TableStats> {
-        let mut inner = self.inner.write();
-        if let Some(existing) = inner.stats.get(name) {
-            return existing.clone();
-        }
-        if inner
-            .tables
-            .get(name)
-            .is_some_and(|b| b.same_table(backing))
-        {
-            inner.stats.insert(name.to_string(), stats.clone());
-        }
-        stats
+        self.entry(name)?.stats()
     }
 
     /// All registered table names, sorted.
@@ -293,8 +267,7 @@ impl Catalog {
         let mut out = inner.fds.clone();
         for (table, key) in &inner.keys {
             if let Some(t) = inner.tables.get(table) {
-                let rhs: Vec<String> = t
-                    .schema()
+                let rhs: Vec<String> = (t.backing.schema())
                     .names()
                     .into_iter()
                     .map(|s| s.to_string())
@@ -314,7 +287,12 @@ impl Catalog {
 
     /// Total number of tuples across all registered tables.
     pub fn total_tuples(&self) -> usize {
-        self.inner.read().tables.values().map(|t| t.len()).sum()
+        self.inner
+            .read()
+            .tables
+            .values()
+            .map(|t| t.backing.len())
+            .sum()
     }
 }
 
@@ -443,19 +421,17 @@ mod tests {
     #[test]
     fn stats_of_a_replaced_table_are_not_cached_under_its_name() {
         // The interleaving a racing `replace_table` produces, step by step:
-        // a first use reads the backing and computes, the table is replaced,
-        // then the first use tries to publish.
+        // a first use takes the entry, the table is replaced, then the first
+        // use computes.
         let c = Catalog::new();
         c.register_table("Cust", small_table()).unwrap();
-        let old = c.backing("Cust").unwrap();
-        let old_stats = Arc::new(TableStats::compute(&old).unwrap());
+        let old = c.entry("Cust").unwrap();
         let mut bigger = small_table();
         bigger
             .insert(tuple![3i64, "Ann"], Variable(2), 0.3)
             .unwrap();
         c.replace_table("Cust", bigger);
-        let returned = c.memoize_stats("Cust", &old, old_stats.clone());
-        assert!(Arc::ptr_eq(&returned, &old_stats));
+        assert_eq!(old.stats().unwrap().cardinality, 2);
         assert_eq!(c.table_stats("Cust").unwrap().cardinality, 3);
     }
 

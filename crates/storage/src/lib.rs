@@ -28,8 +28,8 @@
 //! * [`Catalog`] — a named collection of probabilistic tables together with
 //!   declared keys and functional dependencies; each entry is a
 //!   [`StorageBacking`] (row or columnar), and scans dispatch on it.
-//! * [`TableStats`] — per-table optimizer statistics, memoized by the
-//!   catalog on a table's first use by a planner.
+//! * [`TableStats`] — per-table optimizer statistics, computed once into a
+//!   cell of the table's catalog entry on its first use by a planner.
 //!
 //! Possible-world enumeration, the ground truth the engine is tested
 //! against, lives in the dev-only `pdb-testkit`.

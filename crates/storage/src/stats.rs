@@ -3,7 +3,8 @@
 //! A host engine keeps the numbers its cost-based optimizer reads in the
 //! catalog, next to the table they describe. [`TableStats`] is that record;
 //! [`crate::Catalog::table_stats`] computes it on a table's first use by a
-//! planner and memoizes it until the table is replaced.
+//! planner, once, into a cell of the table's catalog entry, which a
+//! replaced table does not inherit.
 
 use std::collections::BTreeMap;
 

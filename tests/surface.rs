@@ -8,8 +8,9 @@
 //! diff here, to be argued for in review.
 //!
 //! A governed operator also has one *body*: what it does, checkpoints and
-//! charges is the same at every pool size, so no operator module may branch
-//! on a one-worker pool.
+//! charges is the same at every pool size, so no operator module, and none
+//! of the key kernels and grouping shell under them, may branch on a
+//! one-worker pool or a one-chunk cut.
 //!
 //! The engine has one lineage formula type, `pdb-lineage`'s interned clause
 //! sets. The DNF the oracles expand lives in the dev-only `pdb-testkit`,
@@ -98,11 +99,13 @@ fn governed_operators_do_not_branch_on_a_one_worker_pool() {
     for path in [
         "crates/exec/src/ops.rs",
         "crates/exec/src/pipeline.rs",
+        "crates/exec/src/key.rs",
+        "crates/exec/src/runs.rs",
         "crates/conf/src/one_scan.rs",
     ] {
         let source = std::fs::read_to_string(root.join(path))
             .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        for fork in ["threads() <= 1", "threads() == 1"] {
+        for fork in ["threads() <= 1", "threads() == 1", "chunks <= 1"] {
             assert!(
                 !source.contains(fork),
                 "{path} branches on `{fork}`: the pool decides which worker runs \
