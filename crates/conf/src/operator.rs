@@ -32,8 +32,6 @@ pub enum Strategy {
     Auto,
     /// Force the streaming one-scan algorithm (fails on non-1scan signatures).
     OneScan,
-    /// Force the multi-scan schedule.
-    MultiScan,
     /// The declarative GRP-sequence semantics of Fig. 5.
     GrpSemantics,
 }
@@ -43,7 +41,6 @@ impl fmt::Display for Strategy {
         let s = match self {
             Strategy::Auto => "auto",
             Strategy::OneScan => "one-scan",
-            Strategy::MultiScan => "multi-scan",
             Strategy::GrpSemantics => "grp-semantics",
         };
         f.write_str(s)
@@ -128,7 +125,7 @@ impl ConfidenceOperator {
         let ctx = &self.ctx;
         let _span = ctx.span_with("conf", strategy.to_string());
         match strategy {
-            Strategy::Auto | Strategy::MultiScan => {
+            Strategy::Auto => {
                 multi_scan_confidences_ctx(answer, &self.signature, pool, policy, ctx)
             }
             Strategy::OneScan => {
@@ -169,12 +166,7 @@ mod tests {
         let oracle = brute_force_confidences(&answer);
         assert_eq!(oracle.len(), 1);
         assert!((oracle[0].1 - 0.0028).abs() < 1e-12);
-        for strategy in [
-            Strategy::Auto,
-            Strategy::OneScan,
-            Strategy::MultiScan,
-            Strategy::GrpSemantics,
-        ] {
+        for strategy in [Strategy::Auto, Strategy::OneScan, Strategy::GrpSemantics] {
             let conf = op.compute(&answer, strategy).unwrap();
             assert_eq!(conf.len(), 1, "{strategy}");
             assert_eq!(conf[0].0, oracle[0].0, "{strategy}");

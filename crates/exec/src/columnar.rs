@@ -24,8 +24,9 @@
 //!    bitmask per 1024-row chunk, the null bitmap is AND-ed out, and
 //!    conjunctions AND their masks. An `IN` list over a packed or boolean
 //!    column is **one** pass too: the words its members equal form one
-//!    exact set (a bitmap over their span, or sorted words past 64 × the
-//!    member count) that the interval kernel reads — however long the
+//!    exact set (a bitmap over their span, or sorted words once the bitmap
+//!    would pass `max(members, 2¹⁴)` words) that the interval kernel reads
+//!    — however long the
 //!    list, which is what makes an eager plan's key-set filters
 //!    (`sprout_plan::eager`) cheap. Over floats and `Mixed` columns an
 //!    `IN` binary-searches the sorted list per row. `Mixed` columns

@@ -17,8 +17,10 @@
 //! constants, absent dictionary strings, constants outside the column's
 //! frame) are decided *before* the loop, never inside it. An `IN` list is
 //! one test too: the words of every value a member equals, as an exact
-//! bitmap over the members' span or, when that span is wider than 64 × the
-//! member count, the sorted words and a binary search ([`WordTest::set`]).
+//! bitmap over the members' span, one bit-test a row, whenever the bitmap
+//! takes at most [`BITMAP_WORDS`] words (128 KiB, cache-sized) or no more
+//! words than there are members; past that, the sorted words and a binary
+//! search ([`WordTest::set`]).
 //!
 //! Semantics replay `CompareOp::eval` ∘ `Value::cmp` exactly: NaN compares
 //! greatest among floats (and equal to itself), `-0.0 == 0.0`, dictionary
@@ -150,6 +152,11 @@ pub fn fill_f64(values: &[f64], c: f64, op: CompareOp, out: &mut [u64]) {
     }
 }
 
+/// The bitmap words an `IN` set may always take, whatever its member count:
+/// 2¹⁴ words, 128 KiB, a span of 2²⁰ words. A set of more members may take
+/// one word a member.
+pub const BITMAP_WORDS: u64 = 1 << 14;
+
 /// A comparison over the words of a
 /// [`Packed`](pdb_storage::columnar::Packed) column (or a boolean
 /// column, whose words are its values): every row answers
@@ -187,8 +194,11 @@ impl WordTest {
 
     /// The test of membership in `words` (any order, repeats allowed) over
     /// words `≤ top`: a constant or an interval when the words are
-    /// consecutive, else a bitmap over their span unless the span exceeds
-    /// 64 × their count, where the sorted words take less room.
+    /// consecutive, else a bitmap over their span when it takes at most
+    /// `max(members, BITMAP_WORDS)` words, else the sorted words. A bitmap
+    /// answers a row with one bit-test where the sorted words take a binary
+    /// search, so a few members over a wide span still take the bitmap while
+    /// it stays cache-sized.
     pub fn set(mut words: Vec<u64>, top: u64) -> WordTest {
         words.sort_unstable();
         words.dedup();
@@ -199,7 +209,7 @@ impl WordTest {
         if span == words.len() as u64 - 1 {
             return WordTest::new(0, top, lo.into(), hi.into(), false);
         }
-        if span / 64 >= words.len() as u64 {
+        if span / 64 >= (words.len() as u64).max(BITMAP_WORDS) {
             return WordTest::Sorted(words);
         }
         let mut bits = vec![0u64; (span / 64 + 1) as usize];
@@ -209,7 +219,8 @@ impl WordTest {
         WordTest::Bitmap { lo, bits }
     }
 
-    /// The heap bytes the test holds (a set's bitmap or word list).
+    /// The heap bytes the test holds (a set's bitmap or word list): up to
+    /// `8 · max(members, BITMAP_WORDS)` for a bitmap.
     pub fn heap_bytes(&self) -> usize {
         match self {
             WordTest::Bitmap { bits: words, .. } | WordTest::Sorted(words) => {
@@ -392,25 +403,47 @@ mod tests {
     }
 
     #[test]
-    fn word_sets_are_bitmaps_up_to_64_words_a_member() {
+    fn word_sets_are_bitmaps_up_to_a_cache_sized_span() {
         // Consecutive words are an interval, every word of the width a
         // constant, and no word none.
         assert_eq!(WordTest::set(vec![5, 3, 4, 4], 255), interval(3, 5));
         assert_eq!(WordTest::set(vec![1, 0], 1), WordTest::Const(true));
         assert_eq!(WordTest::set(Vec::new(), 255), WordTest::Const(false));
-        // Two members 127 apart fit a bitmap of two words; 128 apart they
-        // take the sorted list.
-        let bitmap = WordTest::set(vec![10, 137], u64::MAX);
-        assert!(matches!(bitmap, WordTest::Bitmap { lo: 10, ref bits } if bits.len() == 2));
-        assert_eq!(bitmap.heap_bytes(), 16);
-        let sorted = WordTest::set(vec![138, 10], u64::MAX);
-        assert_eq!(sorted, WordTest::Sorted(vec![10, 138]));
-        let words: Vec<u64> = (0..200).collect();
+        // Two members take a bitmap as long as it is at most 2¹⁴ words: a
+        // span of 2²⁰ words. One word further they take the sorted list.
+        let last = 10 + (BITMAP_WORDS * 64 - 1);
+        let bitmap = WordTest::set(vec![10, 137, last], u64::MAX);
+        assert!(matches!(
+            bitmap,
+            WordTest::Bitmap { lo: 10, ref bits } if bits.len() as u64 == BITMAP_WORDS
+        ));
+        assert_eq!(bitmap.heap_bytes(), 128 << 10);
+        let sorted = WordTest::set(vec![last + 1, 137, 10], u64::MAX);
+        assert_eq!(sorted, WordTest::Sorted(vec![10, 137, last + 1]));
+        assert_eq!(sorted.heap_bytes(), 24);
+        // Past 2¹⁴ members a set may take one word a member: 2¹⁴ + 1
+        // members 64 apart are a bitmap, and one more word of span is not.
+        let spread: Vec<u64> = (0..=BITMAP_WORDS).map(|m| m * 64).collect();
+        assert!(matches!(
+            WordTest::set(spread.clone(), u64::MAX),
+            WordTest::Bitmap { ref bits, .. } if bits.len() as u64 == BITMAP_WORDS + 1
+        ));
+        let mut wider = spread;
+        *wider.last_mut().unwrap() += 64;
+        assert!(matches!(
+            WordTest::set(wider, u64::MAX),
+            WordTest::Sorted(_)
+        ));
+        // Both tests select the same rows.
+        let words: Vec<u64> = (0..200).chain([last, last + 1]).collect();
         for test in [bitmap, sorted] {
             let mut m = vec![0u64; mask_words(words.len())];
             fill_words(&words, &test, &mut m);
-            let hits: Vec<usize> = mask_rows(0, &m).collect();
-            assert!(hits == [10, 137] || hits == [10, 138], "{test:?}: {hits:?}");
+            let hits: Vec<u64> = mask_rows(0, &m).map(|i| words[i]).collect();
+            assert!(
+                hits == [10, 137, last] || hits == [10, 137, last + 1],
+                "{test:?}: {hits:?}"
+            );
         }
     }
 

@@ -11,10 +11,11 @@
 //!   sufficient to understand the relationships between tuples in the query
 //!   answer").
 //! * [`ops`] — scans, selections, projections, natural joins, sorts and
-//!   duplicate elimination over annotated results. Joins and sorts run over
-//!   normalized `u64` key runs ([`key`]): a join probes a flat chained index
-//!   on the precomputed key hash, a sort packs each row's range-compressed
-//!   key into one machine word and radix-sorts that; duplicate elimination
+//!   duplicate elimination over annotated results. A join probes a flat
+//!   chained index on its key cells' hash, computed and compared where the
+//!   cells lie ([`key::join_row_hash`], [`key::join_equal`]); a sort
+//!   normalizes its keys into `u64` runs ([`key`]), packs each row's
+//!   range-compressed key into one machine word and radix-sorts that; duplicate elimination
 //!   is sort-based. Every hot-path operator has one governed spelling,
 //!   `op_ctx(input…, pool, ctx)`, plus a bare `op(input…)` convenience on
 //!   the default pool. The join emits exactly what the nested loop of its

@@ -6,9 +6,10 @@
 //! completely standard; the probabilistic machinery lives in `pdb-conf`.
 //!
 //! The operators are allocation-lean: output rows land in the result's flat
-//! arenas (see [`crate::annotated`]) and join keys are normalized to flat
-//! `u64` runs computed once per row (see [`crate::key`]) instead of
-//! per-probe `Vec<Value>` clones. Grouping and duplicate elimination are
+//! arenas (see [`crate::annotated`]), and a join hashes and compares its key
+//! cells where they lie ([`crate::key::join_row_hash`],
+//! [`crate::key::join_equal`]) instead of copying them or cloning a
+//! `Vec<Value>` per probe. Grouping and duplicate elimination are
 //! [`crate::KeyRuns`]' job, not an operator's.
 //!
 //! # One body per operator
@@ -31,10 +32,10 @@
 //!   exactly input order — with no post-hoc copy.
 //! * **Project** — the output row count is the input's, so contiguous row
 //!   ranges are written in place the same way.
-//! * **Natural join** — build-side keys are encoded once
-//!   ([`crate::key::JoinKeys::build_side_with`]) and indexed by one chained
-//!   hash index whose chains replay build rows ascending; probe morsels
-//!   (contiguous left-row ranges) each list their matching row pairs and
+//! * **Natural join** — the build side is one chained hash index and
+//!   nothing else: each build row's key cells are hashed in place while the
+//!   index is linked, and its chains replay build rows ascending; probe
+//!   morsels (contiguous left-row ranges) each list their matching row pairs and
 //!   emit them into a fragment of their own, sized exactly to them, and the
 //!   fragments are appended in morsel order (values move, nothing is
 //!   cloned; a one-worker join has one morsel and moves nothing). The emit
@@ -66,7 +67,7 @@ use pdb_storage::{ProbTable, Schema, StorageBacking, Value, Variable};
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
-use crate::key::{JoinInterner, JoinKeys, CELL_WIDTH, UNJOINABLE};
+use crate::key::{join_equal, join_row_hash};
 
 /// The checkpoint period of every row loop: the loop over rows `0..n` of an
 /// operator's input (or output) runs checkpoint `b` of its site when it
@@ -96,12 +97,11 @@ pub(crate) fn arena_bytes(rows: usize, dw: usize, lw: usize) -> usize {
     rows * (dw * std::mem::size_of::<Value>() + lw * std::mem::size_of::<(Variable, f64)>())
 }
 
-/// Bytes of a join's build side over `rows` rows of `key_cols` key columns:
-/// per row the mixed key cells, the hash and the chain link, plus the chain
-/// heads. Charged under [`Stage::Join`] before the keys are encoded.
-fn build_side_bytes(rows: usize, key_cols: usize) -> usize {
-    let key_row = (key_cols * CELL_WIDTH + 1) * std::mem::size_of::<u64>();
-    rows * key_row + (rows + ChainIndex::buckets(rows)) * std::mem::size_of::<u32>()
+/// Bytes of a join's build side over `rows` rows: its chain index, a link
+/// per row plus the chain heads, whatever the key's width. Charged under
+/// [`Stage::Join`] before the index is built.
+fn build_side_bytes(rows: usize) -> usize {
+    (rows + ChainIndex::buckets(rows)) * std::mem::size_of::<u32>()
 }
 
 /// The default pool of the plain operator entry points: `SPROUT_THREADS`
@@ -431,11 +431,11 @@ pub(crate) fn join_layout(left: &Annotated, right: &Annotated) -> ExecResult<Joi
 /// the right-only columns; the lineage columns of both inputs are
 /// concatenated.
 ///
-/// The join key of every build-side row is normalized once into a flat `u64`
-/// run with a precomputed hash; probing encodes the probe key into a reused
-/// scratch buffer and compares machine words. The inner loop appends to the
-/// output arenas by slice-append: **no `Tuple` or `Vec<Value>` is allocated
-/// per probed row** (verified by `tests/alloc_count.rs`). The emit order is
+/// The build side's key cells are hashed where they lie into one chained
+/// index; a probe row hashes its own cells the same way and compares them in
+/// place against each chain entry. The inner loop appends to the output
+/// arenas by slice-append: **no `Tuple` or `Vec<Value>` is allocated per
+/// probed row** (verified by `tests/alloc_count.rs`). The emit order is
 /// `(left row, right row)` lexicographic.
 ///
 /// # Errors
@@ -464,9 +464,13 @@ pub fn natural_join_ctx(
 /// [`natural_join_ctx`] writing only the data columns `keep` names, in that
 /// order: bitwise the join followed by [`project_ctx`]`(keep)`.
 ///
-/// The right side is the build side: its keys are encoded across the pool
-/// and indexed by one chained hash index whose chains replay build rows
-/// ascending. The left side is cut into one probe morsel per worker; a
+/// The right side is the build side, and all it builds is one chained hash
+/// index whose chains replay build rows ascending: each row's hash is
+/// [`join_row_hash`] of its key cells, computed while the row is linked,
+/// and a row with a NULL key is left out. No key is copied. A probe row
+/// hashes its cells the same way, and a chain entry matches when every key
+/// cell is [`join_equal`] to the probe's, compared in the two sides' own
+/// arenas. The left side is cut into one probe morsel per worker; a
 /// morsel first probes, listing its matching `(left row, right row)`
 /// pairs, then emits them into a fragment sized exactly to them, and the
 /// fragments are appended in morsel order — the exact nested emit,
@@ -474,8 +478,8 @@ pub fn natural_join_ctx(
 /// count and to the nested loop of the join's definition.
 ///
 /// Checkpoints `join.probe` on the probe side's row blocks. Charged under
-/// [`Stage::Join`], in rows of the kept columns: the build side (key words,
-/// hashes, chain index) before it is built; an output of `max(left, right)`
+/// [`Stage::Join`], in rows of the kept columns: the build side (its chain
+/// index) before it is built; an output of `max(left, right)`
 /// rows before the probe; and, at every checkpoint, the matches the morsels
 /// have found between them beyond that.
 ///
@@ -505,7 +509,6 @@ pub fn natural_join_project_ctx(
         sources.push(offset + c);
     }
     let schema = Schema::new(columns)?;
-    let key_cols = layout.right_key_idx.len();
     let row_bytes = arena_bytes(1, schema.len(), layout.relations.len());
     let reserved = left.len().max(right.len());
     ctx.account(Stage::Join, reserved * row_bytes)?;
@@ -519,24 +522,18 @@ pub fn natural_join_project_ctx(
         ctx.account(Stage::Join, beyond * row_bytes)
     };
 
-    // Build side: every right-side key normalized once, indexed by a chained
-    // hash table over flat arrays. The interner is shared with the probe
-    // side (lookup only from here on).
-    ctx.account(Stage::Join, build_side_bytes(right.len(), key_cols))?;
-    let mut interner = JoinInterner::new();
-    let keys = JoinKeys::build_side_with(
-        right.len(),
-        key_cols,
-        &mut interner,
-        |r, c| &right.row(r).data[layout.right_key_idx[c]],
-        pool,
-    );
-    let index = ChainIndex::build(right.len(), |r| keys.hash(r));
+    // Build side: the chain index alone, over the right rows' hashes.
+    ctx.account(Stage::Join, build_side_bytes(right.len()))?;
+    let right_key = |r: usize| {
+        let data = right.row(r).data;
+        layout.right_key_idx.iter().map(move |&c| &data[c])
+    };
+    let index = ChainIndex::build(right.len(), |r| join_row_hash(right_key(r)));
 
-    // Probe side: each morsel encodes its left keys into a reused scratch
-    // buffer and lists its matches as it finds them — ascending, because
-    // left rows are walked in order and chains replay ascending — then
-    // emits them into arenas of exactly their size. An output reserved
+    // Probe side: each morsel hashes its left keys in place and lists its
+    // matches as it finds them — ascending, because left rows are walked in
+    // order and chains replay ascending — then emits them into arenas of
+    // exactly their size. An output reserved
     // before the probe would hold capacity no row writes; once freed, that
     // untouched memory is where later allocations land and fault pages in,
     // so how much of the heap a process touches would depend on the order
@@ -546,23 +543,25 @@ pub fn natural_join_project_ctx(
         .try_map_ranges(&morsels, |_, morsel| {
             let mut matches: Vec<(u32, u32)> = Vec::new();
             let mut charged = 0;
-            let mut scratch: Vec<u64> = Vec::with_capacity(key_cols * CELL_WIDTH);
             for li in morsel {
                 if li.is_multiple_of(SEQ_CHECK_EVERY) {
                     ctx.checkpoint(Stage::Join, "join.probe", li / SEQ_CHECK_EVERY)?;
                     charge(matches.len() - charged)?;
                     charged = matches.len();
                 }
-                let lrow = left.row(li);
-                let Some(h) = JoinKeys::probe_row(&interner, key_cols, &mut scratch, |c| {
-                    &lrow.data[layout.left_key_idx[c]]
-                }) else {
+                let ldata = left.row(li).data;
+                let left_key = layout.left_key_idx.iter().map(|&c| &ldata[c]);
+                let Some(h) = join_row_hash(left_key.clone()) else {
                     continue;
                 };
                 let mut ri = index.first(h);
                 while ri != JOIN_NIL {
                     let r = ri as usize;
-                    if keys.hash(r) == h && keys.row(r) == scratch.as_slice() {
+                    if left_key
+                        .clone()
+                        .zip(right_key(r))
+                        .all(|(a, b)| join_equal(a, b))
+                    {
                         matches.push((li as u32, ri));
                     }
                     ri = index.next[r];
@@ -599,7 +598,8 @@ const JOIN_NIL: u32 = u32::MAX;
 /// bucket and `next[row]` the next higher one ([`JOIN_NIL`] ends the chain),
 /// so every chain replays its rows ascending. A bucket is a run of high bits
 /// of the key hash — already a mix, not rehashed — and may chain rows of
-/// different hashes: a probe compares the stored hash before the key words.
+/// different keys: a probe compares every entry's key cells. No hash is
+/// stored.
 struct ChainIndex {
     heads: Vec<u32>,
     next: Vec<u32>,
@@ -608,9 +608,9 @@ struct ChainIndex {
 }
 
 impl ChainIndex {
-    /// Indexes rows `0..rows`, skipping those `hash_of` reports
-    /// [`UNJOINABLE`]. Rows are linked in reverse so chains ascend.
-    fn build(rows: usize, hash_of: impl Fn(usize) -> u64) -> ChainIndex {
+    /// Indexes rows `0..rows`, skipping those `hash_of` finds unjoinable
+    /// (`None`). Rows are linked in reverse so chains ascend.
+    fn build(rows: usize, hash_of: impl Fn(usize) -> Option<u64>) -> ChainIndex {
         let buckets = ChainIndex::buckets(rows);
         let mut index = ChainIndex {
             heads: vec![JOIN_NIL; buckets],
@@ -618,8 +618,7 @@ impl ChainIndex {
             bucket_shift: u64::BITS - buckets.trailing_zeros(),
         };
         for row in (0..rows).rev() {
-            let h = hash_of(row);
-            if h != UNJOINABLE {
+            if let Some(h) = hash_of(row) {
                 let bucket = index.bucket(h);
                 index.next[row] = index.heads[bucket];
                 index.heads[bucket] = row as u32;
@@ -827,8 +826,8 @@ mod tests {
             }
         }
         // A join of NULL keys matches nothing: it charges the output it
-        // reserves and its build side's key words, hashes and chain index —
-        // the same bytes whatever the pool.
+        // reserves and its build side's chain index — the same bytes
+        // whatever the pool.
         let schema = Schema::from_pairs(&[("k", DataType::Int)]).unwrap();
         let side = |relation: &str| {
             let mut t = Annotated::new(schema.clone(), vec![relation.to_string()]);
@@ -851,7 +850,7 @@ mod tests {
             assert!(joined.unwrap().is_empty());
             assert_eq!(
                 gov.memory_used(),
-                arena_bytes(5, 1, 2) + build_side_bytes(5, 1),
+                arena_bytes(5, 1, 2) + build_side_bytes(5),
                 "{threads} threads"
             );
         }

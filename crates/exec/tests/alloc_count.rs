@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use pdb_exec::{ops, Annotated, ExecContext, KeyRuns, Stage};
 use pdb_storage::{tuple, DataType, ProbTable, Schema, Value, Variable};
-use pdb_testkit::alloc::{allocations, peak_bytes, serial};
+use pdb_testkit::alloc::{allocations, allocations_of_at_least, peak_bytes, serial};
 
 #[global_allocator]
 static GLOBAL: pdb_testkit::alloc::Counting = pdb_testkit::alloc::Counting;
@@ -61,9 +61,9 @@ fn join_lineage_growth_is_amortized_slice_append() {
         assert_eq!(out.len(), output_rows);
         // Lineage really is one dense arena.
         assert_eq!(out.lineage_arena().len(), output_rows * out.lineage_width());
-        // Bounded bookkeeping — key normalization, the chain index, a match
-        // list and an exactly sized fragment per probe morsel, the match
-        // lists' doublings: 41 / 43 on one worker and 166 / 174 on four, at
+        // Bounded bookkeeping — the chain index, a match list and an
+        // exactly sized fragment per probe morsel, the match lists'
+        // doublings: 44 / 46 on one worker and 117 / 126 on four, at
         // 5 000 / 20 000 output rows. A join that allocated a `Tuple` and a
         // lineage `Vec` per output row would make 10 000 and 40 000.
         assert!(
@@ -465,13 +465,13 @@ fn late_materialization_decodes_at_most_the_output_strings() {
 }
 
 #[test]
-fn eight_worker_join_allocates_by_key_chunk_and_probe_morsel() {
+fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
     let _serial = serial();
     // An eight-worker join allocates by the piece of work, not by the row:
-    // the build side's key chunks and one chain index, and per probe morsel
-    // (a partition of the left rows) one match list and one fragment sized
-    // to those matches. On this shape (4096 build rows of mostly-distinct keys,
-    // 4096 matches) the whole join stays in the low hundreds of allocations.
+    // one chain index, and per probe morsel (a partition of the left rows)
+    // one match list and one fragment sized to those matches. On this shape
+    // (4096 build rows of mostly-distinct keys, 4096 matches) the whole join
+    // stays in the low hundreds of allocations.
     let (left, right) = join_inputs(64, 64); // 4096 build rows, 4096 matches
     let pool = pdb_par::Pool::new(8);
     let ctx = ExecContext::unbounded();
@@ -480,9 +480,67 @@ fn eight_worker_join_allocates_by_key_chunk_and_probe_morsel() {
     assert_eq!(out.len(), 64 * 64);
     assert!(
         allocs < 768,
-        "eight-worker join allocated {allocs} times; its chunks and \
+        "eight-worker join allocated {allocs} times; its index and \
          morsels should keep this shape well under 768"
     );
+
+    // The build side is the chain index alone: whatever the key's width
+    // (an integer, a string, a float) and the build side's row count, on
+    // one worker and on eight, the join makes exactly two allocations of 4
+    // bytes a build row or more — `heads` and `next` — and, on one worker,
+    // no more allocations at 200 000 build rows than at 50 000 (eight
+    // workers' thread start-up varies by an allocation). A normalized copy
+    // of the keys (words and hashes) would make two more.
+    let names = |ns: &[&str]| ns.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let key_names = ["k0", "k1", "k2"];
+    let key_cell = |c: usize, r: i64| match c {
+        0 => Value::Int(r),
+        1 => Value::str(["x", "y", "z"][r as usize % 3]),
+        _ => Value::Float(r as f64 / 2.0),
+    };
+    let side = |relation: &str, width: usize, rows: i64, payload: &str| {
+        let mut columns: Vec<(&str, DataType)> = (key_names[..width].iter())
+            .zip([DataType::Int, DataType::Str, DataType::Float])
+            .map(|(&n, t)| (n, t))
+            .collect();
+        columns.push((payload, DataType::Int));
+        let mut t = Annotated::new(
+            Schema::from_pairs(&columns).unwrap(),
+            vec![relation.to_string()],
+        );
+        for r in 0..rows {
+            let mut cells: Vec<Value> = (0..width).map(|c| key_cell(c, r * 7)).collect();
+            cells.push(Value::Int(r));
+            t.push(pdb_exec::AnnotatedRow::new(
+                pdb_storage::Tuple::new(cells),
+                vec![(Variable(r as u64), 0.5)],
+            ));
+        }
+        t
+    };
+    for width in 1..=3 {
+        let left = side("L", width, 10, "b");
+        let mut counts = Vec::new();
+        for rows in [50_000, 200_000] {
+            let right = side("R", width, rows, "c");
+            let keep = names(&["k0", "b", "c"]);
+            for threads in [1, 8] {
+                let pool = pdb_par::Pool::new(threads);
+                let join = || ops::natural_join_project_ctx(&left, &right, &keep, &pool, &ctx);
+                let ((out, allocs), large) =
+                    allocations_of_at_least(4 * rows as usize, || allocations(join));
+                assert_eq!(out.unwrap().len(), 10, "every left row finds its build row");
+                assert_eq!(
+                    large, 2,
+                    "{width} key columns, {rows} build rows, {threads} workers"
+                );
+                if threads == 1 {
+                    counts.push(allocs);
+                }
+            }
+        }
+        assert_eq!(counts[0], counts[1], "{width} key columns, one worker");
+    }
 }
 
 #[test]
@@ -490,8 +548,8 @@ fn a_selective_join_allocates_its_output_for_its_matches_only() {
     let _serial = serial();
     // 20 000 probe rows against 20 000 build rows of which 10 match. The
     // governor is charged `max(left, right)` output rows up front, but the
-    // arenas hold the 10 rows found: the build side (key words, hashes,
-    // chain index) is all the join allocates in proportion to its inputs.
+    // arenas hold the 10 rows found: the build side (its chain index) is
+    // all the join allocates in proportion to its inputs.
     let n = 20_000i64;
     let mut var = 0u64;
     let mut next = || {

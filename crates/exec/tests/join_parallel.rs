@@ -16,11 +16,19 @@
 //! same reference bit for bit: one long chain, all-distinct keys, keys that
 //! share a bucket but not a hash, NULLs, cross-type numeric equals, strings
 //! the build side never saw, empty sides.
+//!
+//! Join equality is the mixed three-word cell of a sort key, written out
+//! here ([`mixed_cell`]): `pdb_exec::key::join_equal` is held to it, and
+//! `join_hash` to hashing equal cells alike, over the cells where numbers
+//! of two spellings meet (±2⁵³, 2⁵³ + 1, `i64::MAX` against 2⁶³, ±0.0,
+//! NaN), dates beside integers, strings and NULL; a property joins sides
+//! drawn from those cells against the nested loop.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use pdb_exec::key::{join_equal, join_hash, join_row_hash};
 use pdb_exec::pipeline::evaluate_join_order_ctx;
 use pdb_exec::{ops, Annotated, ExecContext, ExecError, GovernorBuilder};
 use pdb_par::Pool;
@@ -83,10 +91,41 @@ fn join_tables(seed: u64, left: usize, right: usize, hot_pct: u64) -> (Annotated
     (l, r)
 }
 
+/// A join-key cell's mixed encoding `(type class, primary, tie-break)`,
+/// written out, with a string's content beside it in place of its dictionary
+/// code. Numbers share class 1: the primary is the value as an `f64` (NaN
+/// one pattern, `-0.0` folded onto `0.0`) and the tie-break the exact
+/// integer (a float's saturating cast; 0 for NaN), so `Int(2)` and
+/// `Float(2.0)` are one cell while `Int(2⁵³ + 1)` and `Float(2⁵³)` are two.
+fn mixed_cell(v: &Value) -> (u64, u64, u64, Option<&str>) {
+    let float = |f: f64| {
+        if f.is_nan() {
+            f64::NAN.to_bits()
+        } else if f == 0.0 {
+            0
+        } else {
+            f.to_bits()
+        }
+    };
+    match v {
+        Value::Null => (0, 0, 0, None),
+        Value::Int(i) => (1, float(*i as f64), *i as u64, None),
+        Value::Float(f) => {
+            let tie = if f.is_nan() { 0 } else { *f as i64 as u64 };
+            (1, float(*f), tie, None)
+        }
+        Value::Str(s) => (2, 0, 0, Some(&**s)),
+        Value::Date(d) => (3, *d as i64 as u64, 0, None),
+        Value::Bool(b) => (4, *b as u64, 0, None),
+    }
+}
+
 /// The natural join by its definition, a nested loop: every `(left row,
-/// right row)` pair in that order whose shared columns hold equal values,
-/// none of them NULL; the left row's values and then the right row's other
-/// columns, the left lineage and then the right.
+/// right row)` pair in that order whose shared columns hold equal
+/// [`mixed_cell`]s, none of them NULL; the left row's values and then the
+/// right row's other columns, the left lineage and then the right. (Equal
+/// mixed cells are equal values, but for integers beyond ±2⁵³ against
+/// floats, which `Value` compares through `f64`.)
 fn joined_by_definition(l: &Annotated, r: &Annotated) -> Annotated {
     let (left, right) = (l.schema(), r.schema());
     let shared: Vec<(usize, usize)> = (0..left.len())
@@ -103,8 +142,9 @@ fn joined_by_definition(l: &Annotated, r: &Annotated) -> Annotated {
     let mut out = Annotated::new(schema, [l.relations(), r.relations()].concat());
     for lrow in l.iter() {
         for rrow in r.iter() {
-            let equal =
-                |&(i, j): &(usize, usize)| !lrow.data[i].is_null() && lrow.data[i] == rrow.data[j];
+            let equal = |&(i, j): &(usize, usize)| {
+                !lrow.data[i].is_null() && mixed_cell(&lrow.data[i]) == mixed_cell(&rrow.data[j])
+            };
             if shared.iter().all(equal) {
                 let data: Vec<Value> = (lrow.data.iter())
                     .chain(others.iter().map(|&j| &rrow.data[j]))
@@ -347,45 +387,49 @@ fn assert_join_matches_reference(left_keys: &[Value], right_keys: &[Value], what
 
 #[test]
 fn build_side_keys_are_equal_exactly_when_the_values_are_at_every_pool_size() {
-    use pdb_exec::key::{JoinInterner, JoinKeys, UNJOINABLE};
-    // Two key columns of the skewed domain, past the fan-out cutoff: at
-    // pools 1, 2 and 8 the build side's key rows equal exactly when both
-    // cells are non-NULL and equal as values (a nested loop over all pairs),
-    // and every joinable row probes to its own hash and words.
+    // Two key columns of the skewed domain, past the fan-out cutoff, joined
+    // with themselves: at pools 1, 2 and 8 a pair of rows joins exactly when
+    // both cells are non-NULL and equal (the nested loop over all pairs).
     let mut rng = SmallRng::seed_from_u64(38);
-    let rows = 700;
-    let vals: Vec<[Value; 2]> = (0..rows)
+    let keys: Vec<[Value; 2]> = (0..700)
         .map(|_| [skewed_key(&mut rng, 20), skewed_key(&mut rng, 0)])
         .collect();
+    let (l, r) = two_key_sides(&keys, &keys);
+    let reference = joined_by_definition(&l, &r);
     for threads in [1, 2, 8] {
-        let mut interner = JoinInterner::new();
-        let keys = JoinKeys::build_side_with(
-            rows,
-            2,
-            &mut interner,
-            |r, c| &vals[r][c],
-            &Pool::new(threads),
-        );
-        let joinable = |r: usize| vals[r].iter().all(|v| !v.is_null());
-        let mut scratch = Vec::new();
-        for r in 0..rows {
-            assert_eq!(
-                keys.hash(r) != UNJOINABLE,
-                joinable(r),
-                "{threads} threads row {r}"
-            );
-            for s in 0..rows {
-                let by_definition = joinable(r) && vals[r] == vals[s];
-                let by_keys = keys.hash(r) != UNJOINABLE && keys.row(r) == keys.row(s);
-                assert_eq!(by_keys, by_definition, "{threads} threads rows {r}/{s}");
-            }
-            if joinable(r) {
-                let hash = JoinKeys::probe_row(&interner, 2, &mut scratch, |c| &vals[r][c]);
-                assert_eq!(hash, Some(keys.hash(r)), "{threads} threads row {r}");
-                assert_eq!(scratch, keys.row(r), "{threads} threads row {r}");
-            }
-        }
+        let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
+        assert_eq!(joined, reference, "{threads} threads");
     }
+    let joinable = keys.iter().filter(|k| !k[0].is_null() && !k[1].is_null());
+    assert!(
+        reference.len() > joinable.count(),
+        "the key domain repeats keys"
+    );
+}
+
+/// `L(k, j, b)` and `R(k, j, c)` with the given two-cell keys; `b` / `c`
+/// number the rows.
+fn two_key_sides(left_keys: &[[Value; 2]], right_keys: &[[Value; 2]]) -> (Annotated, Annotated) {
+    let side = |name: &str, payload: &str, keys: &[[Value; 2]], first_var: u64| {
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("j", DataType::Int),
+            (payload, DataType::Int),
+        ])
+        .unwrap();
+        let mut t = Annotated::new(schema, vec![name.into()]);
+        for (i, [k, j]) in keys.iter().enumerate() {
+            t.push(pdb_exec::AnnotatedRow::new(
+                pdb_storage::Tuple::new(vec![k.clone(), j.clone(), Value::Int(i as i64)]),
+                vec![(Variable(first_var + i as u64), 0.5)],
+            ));
+        }
+        t
+    };
+    (
+        side("L", "b", left_keys, 0),
+        side("R", "c", right_keys, 1_000_000),
+    )
 }
 
 #[test]
@@ -410,23 +454,15 @@ fn all_distinct_keys_match_one_to_one() {
 
 #[test]
 fn keys_sharing_a_bucket_but_not_a_hash_do_not_match_each_other() {
-    use pdb_exec::key::{JoinInterner, JoinKeys};
     // Buckets are runs of high hash bits: 64 build rows take 6 of them, so
     // integers whose key hashes agree on the top 12 bits all land in one
     // bucket with 64 different hashes.
-    let candidates: Vec<Value> = (0..400_000).map(Value::Int).collect();
-    let hashes = JoinKeys::build_side_with(
-        candidates.len(),
-        1,
-        &mut JoinInterner::new(),
-        |r, _| &candidates[r],
-        &Pool::sequential(),
-    );
-    let top = |r: usize| hashes.hash(r) >> 52;
-    let colliding: Vec<Value> = (0..candidates.len())
-        .filter(|&r| top(r) == top(0))
+    let top = |v: &Value| join_row_hash([v]).expect("an integer joins") >> 52;
+    let first = top(&Value::Int(0));
+    let colliding: Vec<Value> = (0..400_000)
+        .map(Value::Int)
+        .filter(|v| top(v) == first)
         .take(64)
-        .map(|r| candidates[r].clone())
         .collect();
     assert_eq!(colliding.len(), 64, "enough candidates share 12 hash bits");
     // Probe with every colliding key twice, plus keys of other buckets.
@@ -492,4 +528,112 @@ fn empty_sides_join_to_nothing() {
     assert_eq!(assert_join_matches_reference(&[], &some, "empty left"), 0);
     assert_eq!(assert_join_matches_reference(&some, &[], "empty right"), 0);
     assert_eq!(assert_join_matches_reference(&[], &[], "both empty"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Join equality over the cells where spellings meet.
+// ---------------------------------------------------------------------------
+
+/// Key cells where two spellings of a number meet, or nearly do, beside
+/// dates, strings, booleans and NULL.
+fn corner_cells() -> Vec<Value> {
+    let p53 = 1i64 << 53;
+    let p63 = 2f64.powi(63);
+    vec![
+        Value::Int(p53),
+        Value::Float(p53 as f64),
+        Value::Int(-p53),
+        Value::Float(-(p53 as f64)),
+        Value::Int(p53 + 1),
+        Value::Float((p53 + 2) as f64),
+        Value::Int(-p53 - 1),
+        Value::Int(i64::MAX),
+        Value::Int(i64::MAX - 1),
+        Value::Float(p63),
+        Value::Int(i64::MIN),
+        Value::Float(-p63),
+        Value::Int(0),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(f64::NAN),
+        Value::Float(-f64::NAN),
+        Value::Float(0.5),
+        Value::Int(7),
+        Value::Float(7.0),
+        Value::Date(7),
+        Value::Date(0),
+        Value::str("x"),
+        Value::str(""),
+        Value::str("absent"),
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::Null,
+    ]
+}
+
+#[test]
+fn join_equality_is_the_mixed_cell_equality_and_equal_cells_hash_alike() {
+    let cells = corner_cells();
+    for a in &cells {
+        assert_eq!(join_hash(a).is_none(), a.is_null(), "{a:?}");
+        for b in &cells {
+            let equal = join_equal(a, b);
+            assert_eq!(equal, mixed_cell(a) == mixed_cell(b), "{a:?} vs {b:?}");
+            if equal {
+                assert_eq!(join_hash(a), join_hash(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+    // A string is its content, not its allocation.
+    let x = Value::str(String::from("x"));
+    assert!(join_equal(&x, &Value::str("x")));
+    assert_eq!(join_hash(&x), join_hash(&Value::str("x")));
+    // The corners by name.
+    let p53 = 1i64 << 53;
+    let p63 = 2f64.powi(63);
+    for (a, b, equal) in [
+        (Value::Int(p53), Value::Float(p53 as f64), true),
+        (Value::Int(-p53), Value::Float(-(p53 as f64)), true),
+        (Value::Int(p53 + 1), Value::Float(p53 as f64), false),
+        (Value::Int(i64::MAX), Value::Float(p63), true),
+        (Value::Int(i64::MAX - 1), Value::Float(p63), false),
+        (Value::Int(i64::MIN), Value::Float(-p63), true),
+        (Value::Float(0.0), Value::Float(-0.0), true),
+        (Value::Int(0), Value::Float(-0.0), true),
+        (Value::Float(f64::NAN), Value::Float(-f64::NAN), true),
+        (Value::Int(0), Value::Float(f64::NAN), false),
+        (Value::Date(7), Value::Int(7), false),
+        (Value::Null, Value::Int(0), false),
+    ] {
+        assert_eq!(join_equal(&a, &b), equal, "{a:?} vs {b:?}");
+        assert_eq!(join_equal(&b, &a), equal, "{b:?} vs {a:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sides of at most 64 rows whose one or two key cells are drawn from
+    /// [`corner_cells`] join as the nested loop over mixed cells does, rows
+    /// and order, at pools 1, 2 and 8.
+    #[test]
+    fn mixed_variant_keys_join_as_the_nested_loop(
+        left in proptest::collection::vec((0usize..28, 0usize..28), 0..=64),
+        right in proptest::collection::vec((0usize..28, 0usize..28), 0..=64),
+        two_cells in proptest::bool::ANY,
+    ) {
+        let cells = corner_cells();
+        prop_assert_eq!(cells.len(), 28);
+        let keys = |picks: &[(usize, usize)]| -> Vec<[Value; 2]> {
+            (picks.iter())
+                .map(|&(k, j)| [cells[k].clone(), cells[if two_cells { j } else { 0 }].clone()])
+                .collect()
+        };
+        let (l, r) = two_key_sides(&keys(&left), &keys(&right));
+        let reference = joined_by_definition(&l, &r);
+        for threads in [1, 2, 8] {
+            let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
+            assert_identical(&joined, &reference, &format!("mixed keys at {threads} threads"))?;
+        }
+    }
 }

@@ -7,8 +7,9 @@
 //! static GLOBAL: pdb_testkit::alloc::Counting = pdb_testkit::alloc::Counting;
 //! ```
 //!
-//! and measures a closure with [`allocations`] (how many blocks it asks for)
-//! or [`peak_bytes`] (how far its live heap rises). The counters are
+//! and measures a closure with [`allocations`] (how many blocks it asks for),
+//! [`allocations_of_at_least`] (how many of them are large) or
+//! [`peak_bytes`] (how far its live heap rises). The counters are
 //! process-wide and the test harness runs tests on parallel threads, so
 //! every measuring test holds [`serial`] for its whole body.
 
@@ -22,9 +23,15 @@ pub struct Counting;
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Blocks of at least [`LARGE_BYTES`] bytes (none while it is `usize::MAX`).
+static LARGE: AtomicUsize = AtomicUsize::new(0);
+static LARGE_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 fn grow(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if bytes >= LARGE_BYTES.load(Ordering::Relaxed) {
+        LARGE.fetch_add(1, Ordering::Relaxed);
+    }
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -69,6 +76,16 @@ pub fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// `f`'s result and the allocations and reallocations of at least `bytes`
+/// bytes it made.
+pub fn allocations_of_at_least<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, usize) {
+    LARGE.store(0, Ordering::Relaxed);
+    LARGE_BYTES.store(bytes, Ordering::Relaxed);
+    let out = f();
+    LARGE_BYTES.store(usize::MAX, Ordering::Relaxed);
+    (out, LARGE.load(Ordering::Relaxed))
 }
 
 /// The bytes live now.

@@ -181,17 +181,12 @@ fn no_engine_source_names_the_oracles_formula_type() {
 }
 
 #[test]
-fn the_confidence_operator_has_exactly_four_strategies() {
-    let all = [
-        Strategy::Auto,
-        Strategy::OneScan,
-        Strategy::MultiScan,
-        Strategy::GrpSemantics,
-    ];
+fn the_confidence_operator_has_exactly_three_strategies() {
+    let all = [Strategy::Auto, Strategy::OneScan, Strategy::GrpSemantics];
     for strategy in all {
-        // Exhaustive: a fifth variant does not compile here.
+        // Exhaustive: a fourth variant does not compile here.
         match strategy {
-            Strategy::Auto | Strategy::OneScan | Strategy::MultiScan | Strategy::GrpSemantics => {}
+            Strategy::Auto | Strategy::OneScan | Strategy::GrpSemantics => {}
         }
     }
     let names: std::collections::BTreeSet<String> = all.iter().map(Strategy::to_string).collect();
