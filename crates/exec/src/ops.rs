@@ -32,15 +32,17 @@
 //!   exactly input order — with no post-hoc copy.
 //! * **Project** — the output row count is the input's, so contiguous row
 //!   ranges are written in place the same way.
-//! * **Natural join** — the build side is one chained hash index and
-//!   nothing else: each build row's key cells are hashed in place while the
-//!   index is linked, and its chains replay build rows ascending; probe
-//!   morsels (contiguous left-row ranges) each list their matching row pairs and
-//!   emit them into a fragment of their own, sized exactly to them, and the
-//!   fragments are appended in morsel order (values move, nothing is
-//!   cloned; a one-worker join has one morsel and moves nothing). The emit
-//!   order is `(left row, right row)` lexicographic — that of the join's
-//!   definition, a nested loop over the left rows and then the right ones.
+//! * **Natural join** — the build side is one chained hash index: each
+//!   build row's key cells are hashed in place (behind a probe side under an
+//!   eighth of a large build side, only rows passing a filter of its key
+//!   hashes are linked), and chains replay build rows ascending; probe
+//!   morsels (contiguous left-row ranges) each list their matching row
+//!   pairs and emit them into a fragment of their own, sized exactly to
+//!   them, and the fragments are appended in morsel order (values move,
+//!   nothing is cloned; a one-worker join has one morsel and moves
+//!   nothing). The emit order is `(left row, right row)` lexicographic —
+//!   that of the join's definition, a nested loop over the left rows and
+//!   then the right ones.
 //!   A fragment holds only the data columns the caller keeps
 //!   ([`natural_join_project_ctx`]).
 //!
@@ -76,6 +78,11 @@ use crate::key::{join_equal, join_row_hash};
 /// on the pool.
 pub const SEQ_CHECK_EVERY: usize = 1024;
 
+/// The fewest build rows a join filters by the probe keys of a probe side
+/// under an eighth of them. Below it the whole chain index stays in cache,
+/// where linking a row costs no more than testing it against the filter.
+pub const JOIN_FILTER_MIN_BUILD_ROWS: usize = 1 << 16;
+
 /// Runs checkpoint `row / SEQ_CHECK_EVERY` of `site` if `row` starts a block.
 #[inline]
 pub(crate) fn checkpoint_row(
@@ -95,13 +102,6 @@ pub(crate) fn checkpoint_row(
 /// [`Annotated::with_placeholder_rows`] allocates them.
 pub(crate) fn arena_bytes(rows: usize, dw: usize, lw: usize) -> usize {
     rows * (dw * std::mem::size_of::<Value>() + lw * std::mem::size_of::<(Variable, f64)>())
-}
-
-/// Bytes of a join's build side over `rows` rows: its chain index, a link
-/// per row plus the chain heads, whatever the key's width. Charged under
-/// [`Stage::Join`] before the index is built.
-fn build_side_bytes(rows: usize) -> usize {
-    (rows + ChainIndex::buckets(rows)) * std::mem::size_of::<u32>()
 }
 
 /// The default pool of the plain operator entry points: `SPROUT_THREADS`
@@ -466,8 +466,11 @@ pub fn natural_join_ctx(
 ///
 /// The right side is the build side, and all it builds is one chained hash
 /// index whose chains replay build rows ascending: each row's hash is
-/// [`join_row_hash`] of its key cells, computed while the row is linked,
-/// and a row with a NULL key is left out. No key is copied. A probe row
+/// [`join_row_hash`] of its key cells, and a row with a NULL key is left
+/// out. Behind a probe side under an eighth of a build side of at least
+/// [`JOIN_FILTER_MIN_BUILD_ROWS`] rows, the probe keys' hashes are first set
+/// in a small Bloom filter, and only the build rows whose hash passes it
+/// are indexed, so the index is sized to them. No key is copied. A probe row
 /// hashes its cells the same way, and a chain entry matches when every key
 /// cell is [`join_equal`] to the probe's, compared in the two sides' own
 /// arenas. The left side is cut into one probe morsel per worker; a
@@ -478,10 +481,10 @@ pub fn natural_join_ctx(
 /// count and to the nested loop of the join's definition.
 ///
 /// Checkpoints `join.probe` on the probe side's row blocks. Charged under
-/// [`Stage::Join`], in rows of the kept columns: the build side (its chain
-/// index) before it is built; an output of `max(left, right)`
-/// rows before the probe; and, at every checkpoint, the matches the morsels
-/// have found between them beyond that.
+/// [`Stage::Join`]: the build side (filter and chain index) once built;
+/// then, in rows of the kept columns, an output of `max(left, indexed build
+/// rows)` rows before the probe and, at every checkpoint, the matches the
+/// morsels have found between them beyond that.
 ///
 /// # Errors
 /// Fails if the inputs share a lineage relation (self-join) or `keep` names
@@ -510,7 +513,21 @@ pub fn natural_join_project_ctx(
     }
     let schema = Schema::new(columns)?;
     let row_bytes = arena_bytes(1, schema.len(), layout.relations.len());
-    let reserved = left.len().max(right.len());
+    // Build side: the chain index — behind a probe side under an eighth of
+    // a large build side, over only the build rows its keys' filter admits.
+    let right_key = |r: usize| {
+        let data = right.row(r).data;
+        layout.right_key_idx.iter().map(move |&c| &data[c])
+    };
+    let filtered = !layout.right_key_idx.is_empty()
+        && right.len() >= JOIN_FILTER_MIN_BUILD_ROWS.max(left.len() * 8 + 1);
+    let probe = filtered.then_some((left.len(), |l: usize| {
+        let data = left.row(l).data;
+        join_row_hash(layout.left_key_idx.iter().map(|&c| &data[c]))
+    }));
+    let index = ChainIndex::build(right.len(), |r| join_row_hash(right_key(r)), probe);
+    ctx.account(Stage::Join, index.bytes())?;
+    let reserved = left.len().max(index.next.len());
     ctx.account(Stage::Join, reserved * row_bytes)?;
     // Charges the part of `fresh` newly emitted rows that takes the join's
     // total past the reservation: summed over the morsels that is
@@ -521,14 +538,6 @@ pub fn natural_join_project_ctx(
         let beyond = (before + fresh).saturating_sub(before.max(reserved));
         ctx.account(Stage::Join, beyond * row_bytes)
     };
-
-    // Build side: the chain index alone, over the right rows' hashes.
-    ctx.account(Stage::Join, build_side_bytes(right.len()))?;
-    let right_key = |r: usize| {
-        let data = right.row(r).data;
-        layout.right_key_idx.iter().map(move |&c| &data[c])
-    };
-    let index = ChainIndex::build(right.len(), |r| join_row_hash(right_key(r)));
 
     // Probe side: each morsel hashes its left keys in place and lists its
     // matches as it finds them — ascending, because left rows are walked in
@@ -554,17 +563,17 @@ pub fn natural_join_project_ctx(
                 let Some(h) = join_row_hash(left_key.clone()) else {
                     continue;
                 };
-                let mut ri = index.first(h);
-                while ri != JOIN_NIL {
-                    let r = ri as usize;
+                let mut entry = index.first(h);
+                while entry != JOIN_NIL {
+                    let r = index.rows.get(entry as usize).copied().unwrap_or(entry);
                     if left_key
                         .clone()
-                        .zip(right_key(r))
+                        .zip(right_key(r as usize))
                         .all(|(a, b)| join_equal(a, b))
                     {
-                        matches.push((li as u32, ri));
+                        matches.push((li as u32, r));
                     }
-                    ri = index.next[r];
+                    entry = index.next[entry as usize];
                 }
             }
             charge(matches.len() - charged)?;
@@ -593,54 +602,104 @@ pub fn natural_join_project_ctx(
 
 const JOIN_NIL: u32 = u32::MAX;
 
-/// A chained hash index over the rows `0..n` of a join's build side, in two
-/// flat arrays: `heads[bucket]` is the lowest row whose hash falls in the
-/// bucket and `next[row]` the next higher one ([`JOIN_NIL`] ends the chain),
-/// so every chain replays its rows ascending. A bucket is a run of high bits
-/// of the key hash — already a mix, not rehashed — and may chain rows of
-/// different keys: a probe compares every entry's key cells. No hash is
-/// stored.
+/// A chained hash index over a join's build rows, in flat arrays:
+/// `heads[bucket]` is the first entry whose hash falls in the bucket and
+/// `next[entry]` the one after it ([`JOIN_NIL`] ends the chain). Entries are
+/// linked from the highest build row down, so every chain replays its rows
+/// ascending. Entry `r` is build row `r`, unless a probe side's key filter
+/// is set: then the rows it admits are the entries, `rows` names them, and
+/// `heads` holds 8 a probe key. A bucket is a run of high bits of the
+/// key hash — already a mix, not rehashed — and may chain rows of different
+/// keys: a probe compares every entry's key cells. No hash is stored.
 struct ChainIndex {
     heads: Vec<u32>,
     next: Vec<u32>,
+    /// The build row of each entry; empty when entry `r` is row `r`.
+    rows: Vec<u32>,
+    /// The probe keys' blocked Bloom filter, 16 bits a probe row and at
+    /// least a cache line, or empty: each key hash sets two bits of the word
+    /// its high bits pick ([`ChainIndex::filter_slot`]). Equal cells hash
+    /// alike, so every build row a probe row matches passes; fewer than 2 %
+    /// of the others do too.
+    filter: Vec<u64>,
     /// `64 − log2(heads.len())`.
     bucket_shift: u32,
 }
 
 impl ChainIndex {
-    /// Indexes rows `0..rows`, skipping those `hash_of` finds unjoinable
-    /// (`None`). Rows are linked in reverse so chains ascend.
-    fn build(rows: usize, hash_of: impl Fn(usize) -> Option<u64>) -> ChainIndex {
-        let buckets = ChainIndex::buckets(rows);
-        let mut index = ChainIndex {
-            heads: vec![JOIN_NIL; buckets],
-            next: vec![JOIN_NIL; rows],
-            bucket_shift: u64::BITS - buckets.trailing_zeros(),
-        };
-        for row in (0..rows).rev() {
-            if let Some(h) = hash_of(row) {
-                let bucket = index.bucket(h);
-                index.next[row] = index.heads[bucket];
-                index.heads[bucket] = row as u32;
+    /// Indexes the build rows that `hash_of` finds joinable (not `None`) —
+    /// with `probe`, its rows and hashes, only those passing the probe keys'
+    /// filter: none when no probe key is joinable.
+    fn build(
+        build_rows: usize,
+        hash_of: impl Fn(usize) -> Option<u64>,
+        probe: Option<(usize, impl Fn(usize) -> Option<u64>)>,
+    ) -> ChainIndex {
+        let (mut filter, mut keys, probe_keyed) = (Vec::new(), build_rows, probe.is_some());
+        if let Some((probes, probe_hash)) = probe {
+            filter = vec![0; (probes / 4).next_power_of_two().max(8)];
+            keys = 0;
+            for h in (0..probes).filter_map(probe_hash) {
+                let (word, bits) = ChainIndex::filter_slot(filter.len(), h);
+                filter[word] |= bits;
+                keys += 1;
             }
         }
-        index
+        let buckets = ChainIndex::buckets(keys.saturating_mul(8).min(build_rows));
+        let bucket_shift = u64::BITS - buckets.trailing_zeros();
+        let (mut heads, mut rows) = (vec![JOIN_NIL; buckets], Vec::new());
+        let mut next = vec![JOIN_NIL; if probe_keyed { 0 } else { build_rows }];
+        for row in (0..if keys > 0 { build_rows } else { 0 }).rev() {
+            let Some(h) = hash_of(row) else { continue };
+            let entry = if !probe_keyed {
+                row
+            } else {
+                let (word, bits) = ChainIndex::filter_slot(filter.len(), h);
+                if filter[word] & bits != bits {
+                    continue;
+                }
+                rows.push(row as u32);
+                next.push(JOIN_NIL);
+                rows.len() - 1
+            };
+            let bucket = (h >> bucket_shift) as usize;
+            next[entry] = heads[bucket];
+            heads[bucket] = entry as u32;
+        }
+        ChainIndex {
+            heads,
+            next,
+            rows,
+            filter,
+            bucket_shift,
+        }
     }
 
-    /// Chain heads of an index over `rows` rows.
-    fn buckets(rows: usize) -> usize {
-        rows.next_power_of_two().max(2)
+    /// Chain heads of an index over `keys` rows or probe keys.
+    fn buckets(keys: usize) -> usize {
+        keys.next_power_of_two().max(2)
     }
 
+    /// Bytes of the index and its filter, charged under [`Stage::Join`].
+    fn bytes(&self) -> usize {
+        (self.heads.len() + self.next.len() + self.rows.len() + 2 * self.filter.len()) * 4
+    }
+
+    /// The word of a filter of `words` words that `hash` falls in, picked by
+    /// its high bits, and the two bits it sets there, from middle bits.
     #[inline]
-    fn bucket(&self, hash: u64) -> usize {
-        (hash >> self.bucket_shift) as usize
+    fn filter_slot(words: usize, hash: u64) -> (usize, u64) {
+        let word = hash >> (u64::BITS - words.trailing_zeros());
+        (
+            word as usize,
+            1 << (hash >> 32 & 63) | 1 << (hash >> 38 & 63),
+        )
     }
 
-    /// The first row of the chain `hash` falls in, or [`JOIN_NIL`].
+    /// The first entry of the chain `hash` falls in, or [`JOIN_NIL`].
     #[inline]
     fn first(&self, hash: u64) -> u32 {
-        self.heads[self.bucket(hash)]
+        self.heads[(hash >> self.bucket_shift) as usize]
     }
 }
 
@@ -825,34 +884,60 @@ mod tests {
                 other => panic!("{threads} threads: expected MemoryBudgetExceeded, got {other:?}"),
             }
         }
-        // A join of NULL keys matches nothing: it charges the output it
-        // reserves and its build side's chain index — the same bytes
-        // whatever the pool.
+        // A join charges the output it reserves, `max(left, build entries)`
+        // rows, and its build side — the same bytes whatever the pool.
         let schema = Schema::from_pairs(&[("k", DataType::Int)]).unwrap();
-        let side = |relation: &str| {
+        let side = |relation: &str, keys: &[Value]| {
             let mut t = Annotated::new(schema.clone(), vec![relation.to_string()]);
-            for v in 0..5 {
+            for (v, k) in keys.iter().enumerate() {
                 t.push(AnnotatedRow::new(
-                    Tuple::new(vec![Value::Null]),
-                    vec![(Variable(v), 0.5)],
+                    Tuple::new(vec![k.clone()]),
+                    vec![(Variable(v as u64), 0.5)],
                 ));
             }
             t
         };
-        for threads in [1, 2, 8] {
-            let gov = GovernorBuilder::new().build();
-            let joined = natural_join_ctx(
-                &side("L"),
-                &side("R"),
-                &Pool::new(threads),
-                &ExecContext::governed(&gov),
-            );
-            assert!(joined.unwrap().is_empty());
-            assert_eq!(
-                gov.memory_used(),
-                arena_bytes(5, 1, 2) + build_side_bytes(5),
-                "{threads} threads"
-            );
+        let u32s = |n: usize| n * std::mem::size_of::<u32>();
+        let nulls = vec![Value::Null; 5];
+        let build: Vec<Value> = (0..JOIN_FILTER_MIN_BUILD_ROWS as i64)
+            .map(Value::Int)
+            .collect();
+        let probe = [Value::Int(3), Value::Null, Value::Int(700)];
+        // A probe side as large as the build side sets no filter: the index
+        // links every build row. One under an eighth of a large build side
+        // charges its filter (a cache line), 8 chain heads a joinable probe
+        // key, and a link, a row number and an output row only for each
+        // build row that passes; with no joinable probe key, that is none.
+        let filtered = ChainIndex::build(
+            build.len(),
+            |r| join_row_hash([&build[r]]),
+            Some((3, |l| join_row_hash([&probe[l]]))),
+        );
+        let survivors = filtered.next.len();
+        assert!((2..200).contains(&survivors), "{survivors} pass");
+        assert_eq!(filtered.filter.len(), 8, "a cache line");
+        for (left, right, rows, bytes) in [
+            (&nulls, &nulls, 0, arena_bytes(5, 1, 2) + u32s(8 + 5)),
+            (&nulls, &build, 0, u32s(2 + 16) + arena_bytes(5, 1, 2)),
+            (
+                &probe.to_vec(),
+                &build,
+                2,
+                u32s(8 * 2 + 2 * survivors + 16) + arena_bytes(3.max(survivors), 1, 2),
+            ),
+        ] {
+            for threads in [1, 2, 8] {
+                let gov = GovernorBuilder::new().build();
+                let joined = natural_join_ctx(
+                    &side("L", left),
+                    &side("R", right),
+                    &Pool::new(threads),
+                    &ExecContext::governed(&gov),
+                )
+                .unwrap();
+                assert_eq!(joined.len(), rows);
+                assert_eq!(gov.memory_used(), bytes, "{threads} threads");
+            }
         }
     }
 

@@ -484,13 +484,16 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
          morsels should keep this shape well under 768"
     );
 
-    // The build side is the chain index alone: whatever the key's width
-    // (an integer, a string, a float) and the build side's row count, on
-    // one worker and on eight, the join makes exactly two allocations of 4
-    // bytes a build row or more — `heads` and `next` — and, on one worker,
-    // no more allocations at 200 000 build rows than at 50 000 (eight
-    // workers' thread start-up varies by an allocation). A normalized copy
-    // of the keys (words and hashes) would make two more.
+    // The build side is the chain index alone, sized to the build rows that
+    // can match. Whatever the key's width (an integer, a string, a float)
+    // and the build side's row count, on one worker and on eight: 10 probe
+    // rows against 70 000 or 280 000 build rows (past
+    // `JOIN_FILTER_MIN_BUILD_ROWS`) make no allocation of 4 bytes a build
+    // row (their filter admits the matching rows and a few others); a probe
+    // side as large as the build side, 10 of whose rows match, makes
+    // exactly two — `heads` and `next`. A normalized copy of the keys
+    // (words and hashes) would make two more, and an index over every build
+    // row behind a small probe side two.
     let names = |ns: &[&str]| ns.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     let key_names = ["k0", "k1", "k2"];
     let key_cell = |c: usize, r: i64| match c {
@@ -498,7 +501,9 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
         1 => Value::str(["x", "y", "z"][r as usize % 3]),
         _ => Value::Float(r as f64 / 2.0),
     };
-    let side = |relation: &str, width: usize, rows: i64, payload: &str| {
+    // `rows` rows whose first 10 keys are the build side's first 10 and
+    // whose others are `offset` rows beyond.
+    let side = |relation: &str, width: usize, rows: i64, offset: i64, payload: &str| {
         let mut columns: Vec<(&str, DataType)> = (key_names[..width].iter())
             .zip([DataType::Int, DataType::Str, DataType::Float])
             .map(|(&n, t)| (n, t))
@@ -509,7 +514,8 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
             vec![relation.to_string()],
         );
         for r in 0..rows {
-            let mut cells: Vec<Value> = (0..width).map(|c| key_cell(c, r * 7)).collect();
+            let key = if r < 10 { r } else { r + offset };
+            let mut cells: Vec<Value> = (0..width).map(|c| key_cell(c, key * 7)).collect();
             cells.push(Value::Int(r));
             t.push(pdb_exec::AnnotatedRow::new(
                 pdb_storage::Tuple::new(cells),
@@ -518,28 +524,45 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
         }
         t
     };
+    const { assert!(70_000 >= ops::JOIN_FILTER_MIN_BUILD_ROWS) };
     for width in 1..=3 {
-        let left = side("L", width, 10, "b");
-        let mut counts = Vec::new();
-        for rows in [50_000, 200_000] {
-            let right = side("R", width, rows, "c");
+        // One-worker allocation counts by shape, at 70 000 and 280 000.
+        let mut counts = [Vec::new(), Vec::new()];
+        for rows in [70_000, 280_000] {
+            let right = side("R", width, rows, 0, "c");
             let keep = names(&["k0", "b", "c"]);
-            for threads in [1, 8] {
-                let pool = pdb_par::Pool::new(threads);
-                let join = || ops::natural_join_project_ctx(&left, &right, &keep, &pool, &ctx);
-                let ((out, allocs), large) =
-                    allocations_of_at_least(4 * rows as usize, || allocations(join));
-                assert_eq!(out.unwrap().len(), 10, "every left row finds its build row");
-                assert_eq!(
-                    large, 2,
-                    "{width} key columns, {rows} build rows, {threads} workers"
-                );
-                if threads == 1 {
-                    counts.push(allocs);
+            for (shape, (probe_rows, want_large)) in [(10, 0), (rows, 2)].into_iter().enumerate() {
+                let left = side("L", width, probe_rows, rows, "b");
+                for threads in [1, 8] {
+                    let pool = pdb_par::Pool::new(threads);
+                    let join = || ops::natural_join_project_ctx(&left, &right, &keep, &pool, &ctx);
+                    let ((out, allocs), large) =
+                        allocations_of_at_least(4 * rows as usize, || allocations(join));
+
+                    assert_eq!(out.unwrap().len(), 10, "10 left rows find their build row");
+                    assert_eq!(
+                        large, want_large,
+                        "{width} key columns, {probe_rows} probe rows, {rows} build rows, \
+                         {threads} workers"
+                    );
+                    if threads == 1 {
+                        counts[shape].push(allocs);
+                    }
                 }
             }
         }
-        assert_eq!(counts[0], counts[1], "{width} key columns, one worker");
+        // Four times the build rows: the same allocations behind a probe
+        // side as large, and behind 10 probe rows at most the doublings of
+        // a survivor list four times longer (2 lists, 2 doublings each).
+        let [small, large] = counts;
+        assert!(
+            small[1] <= small[0] + 4,
+            "{width} key columns, 10 probe rows: {small:?}"
+        );
+        assert_eq!(
+            large[0], large[1],
+            "{width} key columns, as many probe rows"
+        );
     }
 }
 
@@ -547,7 +570,8 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
 fn a_selective_join_allocates_its_output_for_its_matches_only() {
     let _serial = serial();
     // 20 000 probe rows against 20 000 build rows of which 10 match. The
-    // governor is charged `max(left, right)` output rows up front, but the
+    // governor is charged `max(left, indexed build rows)` = 20 000 output
+    // rows up front (no filter: the probe side is as large), but the
     // arenas hold the 10 rows found: the build side (its chain index) is
     // all the join allocates in proportion to its inputs.
     let n = 20_000i64;
@@ -580,7 +604,7 @@ fn a_selective_join_allocates_its_output_for_its_matches_only() {
         assert!(
             peak < reserved,
             "a join with 10 matches on {threads} workers peaked at {peak} B, \
-             no less than the {reserved} B of max(left, right) output rows"
+             no less than the {reserved} B of 20 000 reserved output rows"
         );
     }
 }

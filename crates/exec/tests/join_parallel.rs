@@ -22,7 +22,9 @@
 //! `join_hash` to hashing equal cells alike, over the cells where numbers
 //! of two spellings meet (±2⁵³, 2⁵³ + 1, `i64::MAX` against 2⁶³, ±0.0,
 //! NaN), dates beside integers, strings and NULL; a property joins sides
-//! drawn from those cells against the nested loop.
+//! drawn from those cells against the nested loop, and another sides of
+//! skewed sizes, where the smaller probe side filters the build side by its
+//! keys and where it does not.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -634,6 +636,58 @@ proptest! {
         for threads in [1, 2, 8] {
             let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
             assert_identical(&joined, &reference, &format!("mixed keys at {threads} threads"))?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Sides of skewed sizes — 1 to 8 rows against up to 512 — whose key
+    /// cells are drawn from [`corner_cells`] and `Int(2)` / `Float(2.0)`
+    /// join as the nested loop, rows and order, at pools 1, 2 and 8: with
+    /// the small side building, and with it probing the large side padded
+    /// past [`ops::JOIN_FILTER_MIN_BUILD_ROWS`] by integer keys no drawn cell
+    /// equals, a build side the join filters by the probe keys. So do an
+    /// empty probe side and one whose keys are all NULL against the padded
+    /// side.
+    #[test]
+    fn skewed_sides_join_as_the_nested_loop(
+        small in proptest::collection::vec((0usize..30, 0usize..30), 1..=8),
+        large in proptest::collection::vec((0usize..30, 0usize..30), 0..=512),
+        two_cells in proptest::bool::ANY,
+    ) {
+        let mut cells = corner_cells();
+        cells.extend([Value::Int(2), Value::Float(2.0)]);
+        let keys = |picks: &[(usize, usize)]| -> Vec<[Value; 2]> {
+            (picks.iter())
+                .map(|&(k, j)| [cells[k].clone(), cells[if two_cells { j } else { 0 }].clone()])
+                .collect()
+        };
+        let (small, large) = (keys(&small), keys(&large));
+        // The drawn rows spread evenly among filler keys 1 000, 1 001, ….
+        let filler = ops::JOIN_FILTER_MIN_BUILD_ROWS;
+        let stride = filler / (large.len() + 1);
+        let mut fill = (1000..).map(|i| [Value::Int(i), Value::Int(i)]);
+        let mut padded = Vec::with_capacity(filler + large.len());
+        for row in &large {
+            padded.extend(fill.by_ref().take(stride));
+            padded.push(row.clone());
+        }
+        padded.extend(fill.take(filler - stride * large.len()));
+        let nulls = vec![[Value::Null, Value::Null]; small.len()];
+        for (left, right, what) in [
+            (&small, &padded, "small probe side"),
+            (&large, &small, "small build side"),
+            (&vec![], &padded, "empty probe side"),
+            (&nulls, &padded, "NULL probe side"),
+        ] {
+            let (l, r) = two_key_sides(left, right);
+            let reference = joined_by_definition(&l, &r);
+            for threads in [1, 2, 8] {
+                let joined = ops::natural_join_ctx(&l, &r, &Pool::new(threads), &CTX).unwrap();
+                assert_identical(&joined, &reference, &format!("{what} at {threads} threads"))?;
+            }
         }
     }
 }

@@ -318,8 +318,9 @@ fn expired_deadline_interrupts_with_elapsed_and_budget() {
 }
 
 /// Memory-budget exhaustion in a join on several workers: the governed
-/// context charges the join's output of `max(left, right)` rows and the
-/// build side before allocating them, so a one-byte budget fails deterministically.
+/// context charges the join's build side and then its output of
+/// `max(left, indexed build rows)` rows before the probe, so a one-byte
+/// budget fails deterministically.
 #[test]
 fn memory_budget_exhaustion_interrupts_the_partitioned_join() {
     let catalog = fixtures::fig1_catalog();
