@@ -14,7 +14,7 @@
 //!   duplicate elimination over annotated results. A join probes a flat
 //!   chained index on its key cells' hash, computed and compared where the
 //!   cells lie ([`key::join_row_hash`], [`key::join_equal`]), over only the
-//!   build rows a far smaller probe side's key filter admits; a sort
+//!   build rows a smaller probe side's key filter admits; a sort
 //!   normalizes its keys into `u64` runs ([`key`]), packs each row's
 //!   range-compressed key into one machine word and radix-sorts that; duplicate elimination
 //!   is sort-based. Every hot-path operator has one governed spelling,

@@ -32,17 +32,17 @@
 //!   exactly input order — with no post-hoc copy.
 //! * **Project** — the output row count is the input's, so contiguous row
 //!   ranges are written in place the same way.
-//! * **Natural join** — the build side is one chained hash index: each
-//!   build row's key cells are hashed in place (behind a probe side under an
-//!   eighth of a large build side, only rows passing a filter of its key
-//!   hashes are linked), and chains replay build rows ascending; probe
-//!   morsels (contiguous left-row ranges) each list their matching row
-//!   pairs and emit them into a fragment of their own, sized exactly to
-//!   them, and the fragments are appended in morsel order (values move,
-//!   nothing is cloned; a one-worker join has one morsel and moves
-//!   nothing). The emit order is `(left row, right row)` lexicographic —
-//!   that of the join's definition, a nested loop over the left rows and
-//!   then the right ones.
+//! * **Natural join** — the build side is one chained hash index and
+//!   nothing else: each build row's key cells are hashed in place while the
+//!   index is linked (behind a smaller probe side, only the rows of a large
+//!   build side that pass the probe keys' filter), and its chains replay
+//!   build rows ascending; probe morsels (contiguous left-row ranges) each
+//!   list their matching row pairs and emit them into a fragment of their
+//!   own, sized exactly to them, and the fragments are appended in morsel
+//!   order (values move, nothing is cloned; a one-worker join has one
+//!   morsel and moves nothing). The emit order is `(left row, right row)`
+//!   lexicographic — that of the join's definition, a nested loop over the
+//!   left rows and then the right ones.
 //!   A fragment holds only the data columns the caller keeps
 //!   ([`natural_join_project_ctx`]).
 //!
@@ -78,9 +78,8 @@ use crate::key::{join_equal, join_row_hash};
 /// on the pool.
 pub const SEQ_CHECK_EVERY: usize = 1024;
 
-/// The fewest build rows a join filters by the probe keys of a probe side
-/// under an eighth of them. Below it the whole chain index stays in cache,
-/// where linking a row costs no more than testing it against the filter.
+/// The fewest build rows a join filters by a smaller probe side's keys: below
+/// it the index stays in cache, where a link costs no more than a filter test.
 pub const JOIN_FILTER_MIN_BUILD_ROWS: usize = 1 << 16;
 
 /// Runs checkpoint `row / SEQ_CHECK_EVERY` of `site` if `row` starts a block.
@@ -467,13 +466,12 @@ pub fn natural_join_ctx(
 /// The right side is the build side, and all it builds is one chained hash
 /// index whose chains replay build rows ascending: each row's hash is
 /// [`join_row_hash`] of its key cells, and a row with a NULL key is left
-/// out. Behind a probe side under an eighth of a build side of at least
-/// [`JOIN_FILTER_MIN_BUILD_ROWS`] rows, the probe keys' hashes are first set
-/// in a small Bloom filter, and only the build rows whose hash passes it
-/// are indexed, so the index is sized to them. No key is copied. A probe row
-/// hashes its cells the same way, and a chain entry matches when every key
-/// cell is [`join_equal`] to the probe's, compared in the two sides' own
-/// arenas. The left side is cut into one probe morsel per worker; a
+/// out. Behind a probe side with fewer rows than a build side of at least
+/// [`JOIN_FILTER_MIN_BUILD_ROWS`] rows, only the build rows whose hash passes
+/// a Bloom filter of the probe keys' hashes are indexed, and the index is
+/// sized to them. No key is copied. A probe row hashes its cells the same
+/// way, and a chain entry matches when every key cell is [`join_equal`] to
+/// the probe's, compared in the two sides' own arenas. The left side is cut into one probe morsel per worker; a
 /// morsel first probes, listing its matching `(left row, right row)`
 /// pairs, then emits them into a fragment sized exactly to them, and the
 /// fragments are appended in morsel order — the exact nested emit,
@@ -481,7 +479,7 @@ pub fn natural_join_ctx(
 /// count and to the nested loop of the join's definition.
 ///
 /// Checkpoints `join.probe` on the probe side's row blocks. Charged under
-/// [`Stage::Join`]: the build side (filter and chain index) once built;
+/// [`Stage::Join`]: the build side as [`ChainIndex::build`] allocates it;
 /// then, in rows of the kept columns, an output of `max(left, indexed build
 /// rows)` rows before the probe and, at every checkpoint, the matches the
 /// morsels have found between them beyond that.
@@ -513,20 +511,19 @@ pub fn natural_join_project_ctx(
     }
     let schema = Schema::new(columns)?;
     let row_bytes = arena_bytes(1, schema.len(), layout.relations.len());
-    // Build side: the chain index — behind a probe side under an eighth of
-    // a large build side, over only the build rows its keys' filter admits.
+    // Build side: the chain index, filtered by a smaller probe side's keys.
     let right_key = |r: usize| {
         let data = right.row(r).data;
         layout.right_key_idx.iter().map(move |&c| &data[c])
     };
     let filtered = !layout.right_key_idx.is_empty()
-        && right.len() >= JOIN_FILTER_MIN_BUILD_ROWS.max(left.len() * 8 + 1);
+        && right.len() >= JOIN_FILTER_MIN_BUILD_ROWS
+        && left.len() < right.len();
     let probe = filtered.then_some((left.len(), |l: usize| {
         let data = left.row(l).data;
         join_row_hash(layout.left_key_idx.iter().map(|&c| &data[c]))
     }));
-    let index = ChainIndex::build(right.len(), |r| join_row_hash(right_key(r)), probe);
-    ctx.account(Stage::Join, index.bytes())?;
+    let index = ChainIndex::build(right.len(), |r| join_row_hash(right_key(r)), probe, ctx)?;
     let reserved = left.len().max(index.next.len());
     ctx.account(Stage::Join, reserved * row_bytes)?;
     // Charges the part of `fresh` newly emitted rows that takes the join's
@@ -563,9 +560,7 @@ pub fn natural_join_project_ctx(
                 let Some(h) = join_row_hash(left_key.clone()) else {
                     continue;
                 };
-                let mut entry = index.first(h);
-                while entry != JOIN_NIL {
-                    let r = index.rows.get(entry as usize).copied().unwrap_or(entry);
+                index.for_each_row(h, |r| {
                     if left_key
                         .clone()
                         .zip(right_key(r as usize))
@@ -573,8 +568,7 @@ pub fn natural_join_project_ctx(
                     {
                         matches.push((li as u32, r));
                     }
-                    entry = index.next[entry as usize];
-                }
+                });
             }
             charge(matches.len() - charged)?;
             let mut out = Annotated::with_row_capacity(
@@ -604,57 +598,58 @@ const JOIN_NIL: u32 = u32::MAX;
 
 /// A chained hash index over a join's build rows, in flat arrays:
 /// `heads[bucket]` is the first entry whose hash falls in the bucket and
-/// `next[entry]` the one after it ([`JOIN_NIL`] ends the chain). Entries are
-/// linked from the highest build row down, so every chain replays its rows
-/// ascending. Entry `r` is build row `r`, unless a probe side's key filter
-/// is set: then the rows it admits are the entries, `rows` names them, and
-/// `heads` holds 8 a probe key. A bucket is a run of high bits of the
-/// key hash — already a mix, not rehashed — and may chain rows of different
-/// keys: a probe compares every entry's key cells. No hash is stored.
+/// `next[entry]` the one after it ([`JOIN_NIL`] ends the chain), linked from
+/// the highest build row down so every chain replays its rows ascending.
+/// Entry `r` is build row `r`, unless a probe side's keys filtered the build:
+/// then `rows` names each entry's row, and `heads` holds 8 a probe row. A
+/// bucket is a run of high bits of the key hash — already a mix — and may
+/// chain rows of different keys: a probe compares every entry's key cells.
 struct ChainIndex {
     heads: Vec<u32>,
     next: Vec<u32>,
     /// The build row of each entry; empty when entry `r` is row `r`.
     rows: Vec<u32>,
-    /// The probe keys' blocked Bloom filter, 16 bits a probe row and at
-    /// least a cache line, or empty: each key hash sets two bits of the word
-    /// its high bits pick ([`ChainIndex::filter_slot`]). Equal cells hash
-    /// alike, so every build row a probe row matches passes; fewer than 2 %
-    /// of the others do too.
-    filter: Vec<u64>,
     /// `64 − log2(heads.len())`.
     bucket_shift: u32,
 }
 
 impl ChainIndex {
     /// Indexes the build rows that `hash_of` finds joinable (not `None`) —
-    /// with `probe`, its rows and hashes, only those passing the probe keys'
-    /// filter: none when no probe key is joinable.
+    /// with `probe`, the probe side's row count and row hashes, only those
+    /// passing a blocked Bloom filter of the probe keys, 16 bits a probe row
+    /// ([`ChainIndex::filter_slot`]), dropped on return: none when no probe
+    /// key is joinable. Equal cells hash alike, so every build row a probe
+    /// row matches passes; fewer than 2 % of the others do too. Charges
+    /// `ctx` under [`Stage::Join`] before allocating what the row counts
+    /// size (the filter, the heads and, unfiltered, the links), and a
+    /// filtered index's entries at their capacity once they are picked.
     fn build(
         build_rows: usize,
         hash_of: impl Fn(usize) -> Option<u64>,
         probe: Option<(usize, impl Fn(usize) -> Option<u64>)>,
-    ) -> ChainIndex {
-        let (mut filter, mut keys, probe_keyed) = (Vec::new(), build_rows, probe.is_some());
-        if let Some((probes, probe_hash)) = probe {
-            filter = vec![0; (probes / 4).next_power_of_two().max(8)];
-            keys = 0;
-            for h in (0..probes).filter_map(probe_hash) {
-                let (word, bits) = ChainIndex::filter_slot(filter.len(), h);
-                filter[word] |= bits;
-                keys += 1;
-            }
+        ctx: &ExecContext,
+    ) -> ExecResult<ChainIndex> {
+        let probes = probe.as_ref().map(|p| p.0);
+        let filter_words = probes.map_or(0, |n| (n / 4).next_power_of_two().max(8));
+        let links = if probes.is_some() { 0 } else { build_rows };
+        let keys = probes.map_or(build_rows, |n| (n * 8).min(build_rows));
+        let buckets = keys.next_power_of_two().max(2);
+        ctx.account(Stage::Join, filter_words * 8 + (buckets + links) * 4)?;
+        let mut filter = vec![0u64; filter_words];
+        for h in probe.iter().flat_map(|(n, hash)| (0..*n).filter_map(hash)) {
+            let (word, bits) = ChainIndex::filter_slot(filter_words, h);
+            filter[word] |= bits;
         }
-        let buckets = ChainIndex::buckets(keys.saturating_mul(8).min(build_rows));
+        let joinable = filter_words == 0 || filter.iter().any(|&w| w != 0);
         let bucket_shift = u64::BITS - buckets.trailing_zeros();
-        let (mut heads, mut rows) = (vec![JOIN_NIL; buckets], Vec::new());
-        let mut next = vec![JOIN_NIL; if probe_keyed { 0 } else { build_rows }];
-        for row in (0..if keys > 0 { build_rows } else { 0 }).rev() {
+        let (mut heads, mut next, mut rows) =
+            (vec![JOIN_NIL; buckets], vec![JOIN_NIL; links], Vec::new());
+        for row in (0..if joinable { build_rows } else { 0 }).rev() {
             let Some(h) = hash_of(row) else { continue };
-            let entry = if !probe_keyed {
+            let entry = if filter_words == 0 {
                 row
             } else {
-                let (word, bits) = ChainIndex::filter_slot(filter.len(), h);
+                let (word, bits) = ChainIndex::filter_slot(filter_words, h);
                 if filter[word] & bits != bits {
                     continue;
                 }
@@ -666,23 +661,15 @@ impl ChainIndex {
             next[entry] = heads[bucket];
             heads[bucket] = entry as u32;
         }
-        ChainIndex {
+        if filter_words > 0 {
+            ctx.account(Stage::Join, (next.capacity() + rows.capacity()) * 4)?;
+        }
+        Ok(ChainIndex {
             heads,
             next,
             rows,
-            filter,
             bucket_shift,
-        }
-    }
-
-    /// Chain heads of an index over `keys` rows or probe keys.
-    fn buckets(keys: usize) -> usize {
-        keys.next_power_of_two().max(2)
-    }
-
-    /// Bytes of the index and its filter, charged under [`Stage::Join`].
-    fn bytes(&self) -> usize {
-        (self.heads.len() + self.next.len() + self.rows.len() + 2 * self.filter.len()) * 4
+        })
     }
 
     /// The word of a filter of `words` words that `hash` falls in, picked by
@@ -696,10 +683,23 @@ impl ChainIndex {
         )
     }
 
-    /// The first entry of the chain `hash` falls in, or [`JOIN_NIL`].
+    /// Calls `f` with the build row of every entry in the chain `hash` falls
+    /// in, ascending. The two kinds of index walk in loops of their own, so
+    /// an unfiltered walk never reads `rows`.
     #[inline]
-    fn first(&self, hash: u64) -> u32 {
-        self.heads[(hash >> self.bucket_shift) as usize]
+    fn for_each_row(&self, hash: u64, mut f: impl FnMut(u32)) {
+        let mut entry = self.heads[(hash >> self.bucket_shift) as usize];
+        if self.rows.is_empty() {
+            while entry != JOIN_NIL {
+                f(entry);
+                entry = self.next[entry as usize];
+            }
+        } else {
+            while entry != JOIN_NIL {
+                f(self.rows[entry as usize]);
+                entry = self.next[entry as usize];
+            }
+        }
     }
 }
 
@@ -904,26 +904,29 @@ mod tests {
             .collect();
         let probe = [Value::Int(3), Value::Null, Value::Int(700)];
         // A probe side as large as the build side sets no filter: the index
-        // links every build row. One under an eighth of a large build side
-        // charges its filter (a cache line), 8 chain heads a joinable probe
-        // key, and a link, a row number and an output row only for each
-        // build row that passes; with no joinable probe key, that is none.
+        // links every build row. A smaller one in front of a large build
+        // side charges its filter (a cache line) and 8 chain heads a probe
+        // row, and a link and a row number, at their lists' capacity, only
+        // for each build row that passes; with no joinable probe key, that
+        // is none. The output reserved is `max(left, passing build rows)`.
         let filtered = ChainIndex::build(
             build.len(),
             |r| join_row_hash([&build[r]]),
             Some((3, |l| join_row_hash([&probe[l]]))),
-        );
+            &ExecContext::unbounded(),
+        )
+        .unwrap();
         let survivors = filtered.next.len();
         assert!((2..200).contains(&survivors), "{survivors} pass");
-        assert_eq!(filtered.filter.len(), 8, "a cache line");
+        let entries = filtered.next.capacity() + filtered.rows.capacity();
         for (left, right, rows, bytes) in [
             (&nulls, &nulls, 0, arena_bytes(5, 1, 2) + u32s(8 + 5)),
-            (&nulls, &build, 0, u32s(2 + 16) + arena_bytes(5, 1, 2)),
+            (&nulls, &build, 0, u32s(16 + 64) + arena_bytes(5, 1, 2)),
             (
                 &probe.to_vec(),
                 &build,
                 2,
-                u32s(8 * 2 + 2 * survivors + 16) + arena_bytes(3.max(survivors), 1, 2),
+                u32s(16 + 32 + entries) + arena_bytes(3.max(survivors), 1, 2),
             ),
         ] {
             for threads in [1, 2, 8] {

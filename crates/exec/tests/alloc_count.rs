@@ -567,6 +567,40 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
 }
 
 #[test]
+fn a_join_over_its_budget_fails_before_it_allocates_its_index() {
+    let _serial = serial();
+    // 70 000 probe rows against 70 000 build rows: no filter, so the index
+    // is `heads` (2^17 chain heads) and `next` (a link a build row), both
+    // sized by the build side's row count and charged before either is
+    // allocated. A budget one byte short of that charge fails the join
+    // under its own stage with neither allocated; a budget of exactly that
+    // charge builds both and fails on the output reservation after them.
+    use pdb_exec::{ExecError, GovernorBuilder, SproutError};
+    let rows = 70_000;
+    let (left, right) = join_inputs(rows, 1);
+    let index_bytes = ((rows as usize).next_power_of_two() + rows as usize) * 4;
+    let pool = pdb_par::Pool::new(1);
+    for (budget, want_large) in [(index_bytes - 1, 0), (index_bytes, 2)] {
+        let gov = GovernorBuilder::new().memory_budget(budget).build();
+        let ctx = ExecContext::governed(&gov);
+        let (joined, large) = allocations_of_at_least(4 * rows as usize, || {
+            ops::natural_join_ctx(&left, &right, &pool, &ctx)
+        });
+        assert!(
+            matches!(
+                joined,
+                Err(ExecError::Governed(SproutError::MemoryBudgetExceeded {
+                    stage: Stage::Join,
+                    ..
+                }))
+            ),
+            "budget {budget}: {joined:?}"
+        );
+        assert_eq!(large, want_large, "budget {budget}");
+    }
+}
+
+#[test]
 fn a_selective_join_allocates_its_output_for_its_matches_only() {
     let _serial = serial();
     // 20 000 probe rows against 20 000 build rows of which 10 match. The
