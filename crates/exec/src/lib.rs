@@ -11,10 +11,10 @@
 //!   sufficient to understand the relationships between tuples in the query
 //!   answer").
 //! * [`ops`] — scans, selections, projections, natural joins, sorts and
-//!   duplicate elimination over annotated results. A join probes a flat
-//!   chained index on its key cells' hash, computed and compared where the
-//!   cells lie ([`key::join_row_hash`], [`key::join_equal`]), over only the
-//!   build rows a smaller probe side's key filter admits; a sort
+//!   duplicate elimination over annotated results. A join indexes its
+//!   smaller side in a flat chained index on its key cells' hash, computed
+//!   and compared where the cells lie ([`key::join_row_hash`],
+//!   [`key::join_equal`]), and streams the larger side through it; a sort
 //!   normalizes its keys into `u64` runs ([`key`]), packs each row's
 //!   range-compressed key into one machine word and radix-sorts that; duplicate elimination
 //!   is sort-based. Every hot-path operator has one governed spelling,

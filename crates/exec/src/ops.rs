@@ -32,19 +32,12 @@
 //!   exactly input order — with no post-hoc copy.
 //! * **Project** — the output row count is the input's, so contiguous row
 //!   ranges are written in place the same way.
-//! * **Natural join** — the build side is one chained hash index and
-//!   nothing else: each build row's key cells are hashed in place while the
-//!   index is linked (behind a smaller probe side, only the rows of a large
-//!   build side that pass the probe keys' filter), and its chains replay
-//!   build rows ascending; probe morsels (contiguous left-row ranges) each
-//!   list their matching row pairs and emit them into a fragment of their
-//!   own, sized exactly to them, and the fragments are appended in morsel
-//!   order (values move, nothing is cloned; a one-worker join has one
-//!   morsel and moves nothing). The emit order is `(left row, right row)`
-//!   lexicographic — that of the join's definition, a nested loop over the
-//!   left rows and then the right ones.
-//!   A fragment holds only the data columns the caller keeps
-//!   ([`natural_join_project_ctx`]).
+//! * **Natural join** — the smaller side is indexed and the larger one
+//!   streams through the index in morsels (contiguous row ranges) listing
+//!   their matches, regrouped by left row if found by right row, then
+//!   emitted into exactly sized fragments appended in order: `(left row,
+//!   right row)` lexicographic, the join's nested loop, with only the data
+//!   columns the caller keeps ([`natural_join_project_ctx`]).
 //!
 //! The output is therefore **bitwise-identical at every thread count** —
 //! same values, same lineage, same row order — and so is what a governor
@@ -77,10 +70,6 @@ use crate::key::{join_equal, join_row_hash};
 /// the `(site, index)` pairs a query passes, and their number, do not depend
 /// on the pool.
 pub const SEQ_CHECK_EVERY: usize = 1024;
-
-/// The fewest build rows a join filters by a smaller probe side's keys: below
-/// it the index stays in cache, where a link costs no more than a filter test.
-pub const JOIN_FILTER_MIN_BUILD_ROWS: usize = 1 << 16;
 
 /// Runs checkpoint `row / SEQ_CHECK_EVERY` of `site` if `row` starts a block.
 #[inline]
@@ -463,26 +452,30 @@ pub fn natural_join_ctx(
 /// [`natural_join_ctx`] writing only the data columns `keep` names, in that
 /// order: bitwise the join followed by [`project_ctx`]`(keep)`.
 ///
-/// The right side is the build side, and all it builds is one chained hash
-/// index whose chains replay build rows ascending: each row's hash is
-/// [`join_row_hash`] of its key cells, and a row with a NULL key is left
-/// out. Behind a probe side with fewer rows than a build side of at least
-/// [`JOIN_FILTER_MIN_BUILD_ROWS`] rows, only the build rows whose hash passes
-/// a Bloom filter of the probe keys' hashes are indexed, and the index is
-/// sized to them. No key is copied. A probe row hashes its cells the same
-/// way, and a chain entry matches when every key cell is [`join_equal`] to
-/// the probe's, compared in the two sides' own arenas. The left side is cut into one probe morsel per worker; a
-/// morsel first probes, listing its matching `(left row, right row)`
-/// pairs, then emits them into a fragment sized exactly to them, and the
-/// fragments are appended in morsel order — the exact nested emit,
-/// `(left row, right row)` lexicographic, bitwise-identical at every thread
-/// count and to the nested loop of the join's definition.
+/// The side with fewer rows — the right one on a tie — is indexed in one
+/// chained hash index on [`join_row_hash`] of each row's key cells (a NULL
+/// leaves the row out); chains replay rows ascending and no key is copied.
+/// The other side streams through in one morsel per worker, listing the
+/// `(left row, right row)` pairs whose key cells are all [`join_equal`].
+/// Pairs found by right row are regrouped by a stable counting sort on the
+/// left row (`regroup_by_left`), and pieces of the list are emitted into
+/// fragments sized to them, appended in order: `(left row, right row)`
+/// lexicographic, bitwise the join's nested loop at every thread count.
 ///
-/// Checkpoints `join.probe` on the probe side's row blocks. Charged under
-/// [`Stage::Join`]: the build side as [`ChainIndex::build`] allocates it;
-/// then, in rows of the kept columns, an output of `max(left, indexed build
-/// rows)` rows before the probe and, at every checkpoint, the matches the
-/// morsels have found between them beyond that.
+/// ```text
+///  right indexed (right ≤ left rows)     left indexed (left < right rows)
+///  stream left rows, morsels m0 | m1:    stream right rows, morsels m0 | m1:
+///    (0,4) (0,9) (1,2) | (7,3) (8,3)       (5,0) (2,1) (5,1) | (2,7) (0,8)
+///    in (left, right) order already        regrouped: (0,8) (2,1) (2,7) (5,0) (5,1)
+/// ```
+///
+/// Nothing proportional to the larger side is allocated but the match list
+/// and the output. Checkpoints `join.probe` on the streamed side's row
+/// blocks. Charged under [`Stage::Join`]: the index as `ChainIndex::build`
+/// allocates it, 4 bytes a head and a link of the smaller side; then, in
+/// rows of the kept columns, `left.len()` output rows before the probe —
+/// `max(left, indexed rows)`, as the indexed side is never the larger — and
+/// at every checkpoint the matches found beyond that.
 ///
 /// # Errors
 /// Fails if the inputs share a lineage relation (self-join) or `keep` names
@@ -511,194 +504,198 @@ pub fn natural_join_project_ctx(
     }
     let schema = Schema::new(columns)?;
     let row_bytes = arena_bytes(1, schema.len(), layout.relations.len());
-    // Build side: the chain index, filtered by a smaller probe side's keys.
-    let right_key = |r: usize| {
-        let data = right.row(r).data;
-        layout.right_key_idx.iter().map(move |&c| &data[c])
+    let index_left = left.len() < right.len();
+    let (indexed, indexed_cols, streamed, streamed_cols) = if index_left {
+        (left, &layout.left_key_idx, right, &layout.right_key_idx)
+    } else {
+        (right, &layout.right_key_idx, left, &layout.left_key_idx)
     };
-    let filtered = !layout.right_key_idx.is_empty()
-        && right.len() >= JOIN_FILTER_MIN_BUILD_ROWS
-        && left.len() < right.len();
-    let probe = filtered.then_some((left.len(), |l: usize| {
-        let data = left.row(l).data;
-        join_row_hash(layout.left_key_idx.iter().map(|&c| &data[c]))
-    }));
-    let index = ChainIndex::build(right.len(), |r| join_row_hash(right_key(r)), probe, ctx)?;
-    let reserved = left.len().max(index.next.len());
+    let index = ChainIndex::build(
+        indexed.len(),
+        streamed.len(),
+        |i| join_row_hash(key_cells(indexed, indexed_cols, i)),
+        ctx,
+    )?;
+    let reserved = left.len();
     ctx.account(Stage::Join, reserved * row_bytes)?;
-    // Charges the part of `fresh` newly emitted rows that takes the join's
-    // total past the reservation: summed over the morsels that is
-    // `total − reserved`, however the rows were spread over them.
-    let emitted = AtomicUsize::new(0);
+    // Charges the part of `fresh` newly listed matches that takes the
+    // join's total past the reservation: summed over the morsels that is
+    // `total − reserved`, however the matches were spread over them.
+    let listed = AtomicUsize::new(0);
     let charge = |fresh: usize| {
-        let before = emitted.fetch_add(fresh, Ordering::Relaxed);
+        let before = listed.fetch_add(fresh, Ordering::Relaxed);
         let beyond = (before + fresh).saturating_sub(before.max(reserved));
         ctx.account(Stage::Join, beyond * row_bytes)
     };
 
-    // Probe side: each morsel hashes its left keys in place and lists its
-    // matches as it finds them — ascending, because left rows are walked in
-    // order and chains replay ascending — then emits them into arenas of
-    // exactly their size. An output reserved
-    // before the probe would hold capacity no row writes; once freed, that
-    // untouched memory is where later allocations land and fault pages in,
-    // so how much of the heap a process touches would depend on the order
-    // its queries ran in.
-    let morsels = even_ranges(left.len(), pool.threads());
-    let fragments: Vec<Annotated> = pool
+    // Streamed rows are walked in order and chains replay ascending.
+    let morsels = even_ranges(streamed.len(), pool.threads());
+    let lists = pool
         .try_map_ranges(&morsels, |_, morsel| {
             let mut matches: Vec<(u32, u32)> = Vec::new();
             let mut charged = 0;
-            for li in morsel {
-                if li.is_multiple_of(SEQ_CHECK_EVERY) {
-                    ctx.checkpoint(Stage::Join, "join.probe", li / SEQ_CHECK_EVERY)?;
+            for s in morsel {
+                if s.is_multiple_of(SEQ_CHECK_EVERY) {
+                    ctx.checkpoint(Stage::Join, "join.probe", s / SEQ_CHECK_EVERY)?;
                     charge(matches.len() - charged)?;
                     charged = matches.len();
                 }
-                let ldata = left.row(li).data;
-                let left_key = layout.left_key_idx.iter().map(|&c| &ldata[c]);
-                let Some(h) = join_row_hash(left_key.clone()) else {
+                let streamed_key = key_cells(streamed, streamed_cols, s);
+                let Some(h) = join_row_hash(streamed_key.clone()) else {
                     continue;
                 };
-                index.for_each_row(h, |r| {
-                    if left_key
+                index.for_each_row(h, |i| {
+                    let pair = if index_left {
+                        (i, s as u32)
+                    } else {
+                        (s as u32, i)
+                    };
+                    let indexed_key = key_cells(indexed, indexed_cols, i as usize);
+                    if streamed_key
                         .clone()
-                        .zip(right_key(r as usize))
+                        .zip(indexed_key)
                         .all(|(a, b)| join_equal(a, b))
                     {
-                        matches.push((li as u32, r));
+                        matches.push(pair);
                     }
                 });
             }
             charge(matches.len() - charged)?;
-            let mut out = Annotated::with_row_capacity(
-                schema.clone(),
-                layout.relations.clone(),
-                matches.len(),
-            );
-            for &(li, ri) in &matches {
+            Ok::<_, ExecError>(matches)
+        })
+        .map_err(|f| ExecError::from_task_failure(Stage::Join, f))?;
+    let mut lists = lists.into_iter();
+    let mut pairs = lists
+        .next()
+        .expect("even_ranges yields at least one morsel");
+    lists.for_each(|list| pairs.extend(list));
+    if index_left {
+        regroup_by_left(&mut pairs, index.next);
+    }
+    // An output reserved before the probe would hold capacity no row
+    // writes; once freed, that untouched memory is where later allocations
+    // land and fault pages in, so how much of the heap a process touches
+    // would depend on the order its queries ran in.
+    let emit_pool = pool.for_items(pairs.len());
+    let pieces = even_ranges(pairs.len(), emit_pool.threads());
+    let fragments: Vec<Annotated> = emit_pool
+        .try_map_ranges(&pieces, |_, piece| {
+            let (schema, relations) = (schema.clone(), layout.relations.clone());
+            let mut out = Annotated::with_row_capacity(schema, relations, piece.len());
+            for &(li, ri) in &pairs[piece] {
                 out.push_join_row(left.row(li as usize), right.row(ri as usize), &sources);
             }
             Ok::<Annotated, ExecError>(out)
         })
         .map_err(|f| ExecError::from_task_failure(Stage::Join, f))?;
-    let out = fragments
-        .into_iter()
-        .reduce(|mut out, fragment| {
-            out.append(fragment);
-            out
-        })
-        .expect("even_ranges yields at least one morsel");
+    let mut fragments = fragments.into_iter();
+    let mut out = fragments
+        .next()
+        .expect("even_ranges yields at least one range");
+    fragments.for_each(|fragment| out.append(fragment));
     ctx.tally(Counter::JoinProbes, left.len() as u64);
     ctx.tally(Counter::JoinMatches, out.len() as u64);
     Ok(out)
 }
 
+/// The key cells `cols` of row `row` of `side`.
+fn key_cells<'a>(
+    side: &'a Annotated,
+    cols: &'a [usize],
+    row: usize,
+) -> impl Iterator<Item = &'a Value> + Clone {
+    let data = side.row(row).data;
+    cols.iter().map(move |&c| &data[c])
+}
+
+/// Sorts `(left row, right row)` pairs listed in right-row order by left
+/// row, stably and in place, in O(pairs + left rows): `counts` (a slot per
+/// left row: the left side's index links, which the probe no longer needs)
+/// places each pair, whose left row it overwrites; the pair is cycled
+/// there, and the left rows are written back run by run.
+fn regroup_by_left(pairs: &mut [(u32, u32)], mut counts: Vec<u32>) {
+    u32::try_from(pairs.len()).expect("a join lists fewer than 2^32 matches");
+    counts.fill(0);
+    for &(l, _) in pairs.iter() {
+        counts[l as usize] += 1;
+    }
+    let mut start = 0;
+    for count in &mut counts {
+        (*count, start) = (start, start + *count);
+    }
+    for pair in pairs.iter_mut() {
+        let place = &mut counts[pair.0 as usize];
+        (pair.0, *place) = (*place, *place + 1);
+    }
+    // Each swap puts a pair in its place; `counts[l]` now ends left row
+    // `l`'s run.
+    for i in 0..pairs.len() {
+        while pairs[i].0 as usize != i {
+            pairs.swap(i, pairs[i].0 as usize);
+        }
+    }
+    let mut run = 0;
+    for (l, &end) in counts.iter().enumerate() {
+        pairs[run..end as usize]
+            .iter_mut()
+            .for_each(|p| p.0 = l as u32);
+        run = end as usize;
+    }
+}
+
 const JOIN_NIL: u32 = u32::MAX;
 
-/// A chained hash index over a join's build rows, in flat arrays:
-/// `heads[bucket]` is the first entry whose hash falls in the bucket and
-/// `next[entry]` the one after it ([`JOIN_NIL`] ends the chain), linked from
-/// the highest build row down so every chain replays its rows ascending.
-/// Entry `r` is build row `r`, unless a probe side's keys filtered the build:
-/// then `rows` names each entry's row, and `heads` holds 8 a probe row. A
-/// bucket is a run of high bits of the key hash — already a mix — and may
-/// chain rows of different keys: a probe compares every entry's key cells.
+/// A chained hash index over a join's smaller side, in flat arrays:
+/// `heads[bucket]` is the first row whose hash falls in the bucket and
+/// `next[row]` the one after it ([`JOIN_NIL`] ends the chain), linked from
+/// the highest row down so every chain replays its rows ascending. A bucket
+/// is a run of high bits of the key hash — already a mix — and may chain
+/// rows of different keys: a probe compares every entry's key cells.
 struct ChainIndex {
     heads: Vec<u32>,
     next: Vec<u32>,
-    /// The build row of each entry; empty when entry `r` is row `r`.
-    rows: Vec<u32>,
     /// `64 − log2(heads.len())`.
     bucket_shift: u32,
 }
 
 impl ChainIndex {
-    /// Indexes the build rows that `hash_of` finds joinable (not `None`) —
-    /// with `probe`, the probe side's row count and row hashes, only those
-    /// passing a blocked Bloom filter of the probe keys, 16 bits a probe row
-    /// ([`ChainIndex::filter_slot`]), dropped on return: none when no probe
-    /// key is joinable. Equal cells hash alike, so every build row a probe
-    /// row matches passes; fewer than 2 % of the others do too. Charges
-    /// `ctx` under [`Stage::Join`] before allocating what the row counts
-    /// size (the filter, the heads and, unfiltered, the links), and a
-    /// filtered index's entries at their capacity once they are picked.
+    /// Indexes the `rows` rows that `hash_of` finds joinable (not `None`)
+    /// for `streamed_rows` (no fewer) rows to probe, with 8 chain heads a
+    /// row but no more than a head a streamed row: a streamed key the index
+    /// lacks finds an empty head 7 times in 8, where at one head a row it
+    /// would walk a chain of other keys about every other time, a branch no
+    /// predictor learns. Charges `ctx` under [`Stage::Join`] for the heads
+    /// and the links, 4 bytes each, before allocating them.
     fn build(
-        build_rows: usize,
+        rows: usize,
+        streamed_rows: usize,
         hash_of: impl Fn(usize) -> Option<u64>,
-        probe: Option<(usize, impl Fn(usize) -> Option<u64>)>,
         ctx: &ExecContext,
     ) -> ExecResult<ChainIndex> {
-        let probes = probe.as_ref().map(|p| p.0);
-        let filter_words = probes.map_or(0, |n| (n / 4).next_power_of_two().max(8));
-        let links = if probes.is_some() { 0 } else { build_rows };
-        let keys = probes.map_or(build_rows, |n| (n * 8).min(build_rows));
-        let buckets = keys.next_power_of_two().max(2);
-        ctx.account(Stage::Join, filter_words * 8 + (buckets + links) * 4)?;
-        let mut filter = vec![0u64; filter_words];
-        for h in probe.iter().flat_map(|(n, hash)| (0..*n).filter_map(hash)) {
-            let (word, bits) = ChainIndex::filter_slot(filter_words, h);
-            filter[word] |= bits;
-        }
-        let joinable = filter_words == 0 || filter.iter().any(|&w| w != 0);
+        let buckets = (8 * rows).min(streamed_rows).next_power_of_two().max(2);
+        ctx.account(Stage::Join, (buckets + rows) * 4)?;
         let bucket_shift = u64::BITS - buckets.trailing_zeros();
-        let (mut heads, mut next, mut rows) =
-            (vec![JOIN_NIL; buckets], vec![JOIN_NIL; links], Vec::new());
-        for row in (0..if joinable { build_rows } else { 0 }).rev() {
+        let (mut heads, mut next) = (vec![JOIN_NIL; buckets], vec![JOIN_NIL; rows]);
+        for row in (0..rows).rev() {
             let Some(h) = hash_of(row) else { continue };
-            let entry = if filter_words == 0 {
-                row
-            } else {
-                let (word, bits) = ChainIndex::filter_slot(filter_words, h);
-                if filter[word] & bits != bits {
-                    continue;
-                }
-                rows.push(row as u32);
-                next.push(JOIN_NIL);
-                rows.len() - 1
-            };
             let bucket = (h >> bucket_shift) as usize;
-            next[entry] = heads[bucket];
-            heads[bucket] = entry as u32;
-        }
-        if filter_words > 0 {
-            ctx.account(Stage::Join, (next.capacity() + rows.capacity()) * 4)?;
+            next[row] = heads[bucket];
+            heads[bucket] = row as u32;
         }
         Ok(ChainIndex {
             heads,
             next,
-            rows,
             bucket_shift,
         })
     }
 
-    /// The word of a filter of `words` words that `hash` falls in, picked by
-    /// its high bits, and the two bits it sets there, from middle bits.
-    #[inline]
-    fn filter_slot(words: usize, hash: u64) -> (usize, u64) {
-        let word = hash >> (u64::BITS - words.trailing_zeros());
-        (
-            word as usize,
-            1 << (hash >> 32 & 63) | 1 << (hash >> 38 & 63),
-        )
-    }
-
-    /// Calls `f` with the build row of every entry in the chain `hash` falls
-    /// in, ascending. The two kinds of index walk in loops of their own, so
-    /// an unfiltered walk never reads `rows`.
+    /// Calls `f` with every row in the chain `hash` falls in, ascending.
     #[inline]
     fn for_each_row(&self, hash: u64, mut f: impl FnMut(u32)) {
-        let mut entry = self.heads[(hash >> self.bucket_shift) as usize];
-        if self.rows.is_empty() {
-            while entry != JOIN_NIL {
-                f(entry);
-                entry = self.next[entry as usize];
-            }
-        } else {
-            while entry != JOIN_NIL {
-                f(self.rows[entry as usize]);
-                entry = self.next[entry as usize];
-            }
+        let mut row = self.heads[(hash >> self.bucket_shift) as usize];
+        while row != JOIN_NIL {
+            f(row);
+            row = self.next[row as usize];
         }
     }
 }
@@ -884,8 +881,11 @@ mod tests {
                 other => panic!("{threads} threads: expected MemoryBudgetExceeded, got {other:?}"),
             }
         }
-        // A join charges the output it reserves, `max(left, build entries)`
-        // rows, and its build side — the same bytes whatever the pool.
+        // A join charges its index, 4 bytes a chain head and a link of the
+        // smaller side (8 heads a row of it, but no more than a head a row
+        // of the other, in powers of two), and the output it reserves,
+        // `left.len()` rows, then the matches beyond that — the same bytes
+        // whatever the pool.
         let schema = Schema::from_pairs(&[("k", DataType::Int)]).unwrap();
         let side = |relation: &str, keys: &[Value]| {
             let mut t = Annotated::new(schema.clone(), vec![relation.to_string()]);
@@ -899,47 +899,53 @@ mod tests {
         };
         let u32s = |n: usize| n * std::mem::size_of::<u32>();
         let nulls = vec![Value::Null; 5];
-        let build: Vec<Value> = (0..JOIN_FILTER_MIN_BUILD_ROWS as i64)
-            .map(Value::Int)
-            .collect();
-        let probe = [Value::Int(3), Value::Null, Value::Int(700)];
-        // A probe side as large as the build side sets no filter: the index
-        // links every build row. A smaller one in front of a large build
-        // side charges its filter (a cache line) and 8 chain heads a probe
-        // row, and a link and a row number, at their lists' capacity, only
-        // for each build row that passes; with no joinable probe key, that
-        // is none. The output reserved is `max(left, passing build rows)`.
-        let filtered = ChainIndex::build(
-            build.len(),
-            |r| join_row_hash([&build[r]]),
-            Some((3, |l| join_row_hash([&probe[l]]))),
-            &ExecContext::unbounded(),
-        )
-        .unwrap();
-        let survivors = filtered.next.len();
-        assert!((2..200).contains(&survivors), "{survivors} pass");
-        let entries = filtered.next.capacity() + filtered.rows.capacity();
+        let large: Vec<Value> = (0..1000).map(Value::Int).collect();
+        let small = vec![Value::Int(3), Value::Null, Value::Int(700)];
+        let ones = |n: usize| vec![Value::Int(1); n];
         for (left, right, rows, bytes) in [
-            (&nulls, &nulls, 0, arena_bytes(5, 1, 2) + u32s(8 + 5)),
-            (&nulls, &build, 0, u32s(16 + 64) + arena_bytes(5, 1, 2)),
+            // Equal sides: the right one is indexed.
             (
-                &probe.to_vec(),
-                &build,
-                2,
-                u32s(16 + 32 + entries) + arena_bytes(3.max(survivors), 1, 2),
+                nulls.clone(),
+                nulls.clone(),
+                0,
+                u32s(8 + 5) + arena_bytes(5, 1, 2),
             ),
+            // The smaller side is indexed, on the left and on the right;
+            // the reservation is the left side's rows either way.
+            (
+                small.clone(),
+                large.clone(),
+                2,
+                u32s(32 + 3) + arena_bytes(3, 1, 2),
+            ),
+            (large, small, 2, u32s(32 + 3) + arena_bytes(1000, 1, 2)),
+            (
+                nulls.clone(),
+                ones(40),
+                0,
+                u32s(64 + 5) + arena_bytes(5, 1, 2),
+            ),
+            // 20 matches past a reservation of 2 left rows; 16 heads for 10
+            // streamed rows.
+            (ones(2), ones(10), 20, u32s(16 + 2) + arena_bytes(20, 1, 2)),
         ] {
             for threads in [1, 2, 8] {
                 let gov = GovernorBuilder::new().build();
                 let joined = natural_join_ctx(
-                    &side("L", left),
-                    &side("R", right),
+                    &side("L", &left),
+                    &side("R", &right),
                     &Pool::new(threads),
                     &ExecContext::governed(&gov),
                 )
                 .unwrap();
                 assert_eq!(joined.len(), rows);
-                assert_eq!(gov.memory_used(), bytes, "{threads} threads");
+                assert_eq!(
+                    gov.memory_used(),
+                    bytes,
+                    "{} against {} rows, {threads} threads",
+                    left.len(),
+                    right.len()
+                );
             }
         }
     }

@@ -61,11 +61,12 @@ fn join_lineage_growth_is_amortized_slice_append() {
         assert_eq!(out.len(), output_rows);
         // Lineage really is one dense arena.
         assert_eq!(out.lineage_arena().len(), output_rows * out.lineage_width());
-        // Bounded bookkeeping — the chain index, a match list and an
-        // exactly sized fragment per probe morsel, the match lists'
-        // doublings: 44 / 46 on one worker and 117 / 126 on four, at
-        // 5 000 / 20 000 output rows. A join that allocated a `Tuple` and a
-        // lineage `Vec` per output row would make 10 000 and 40 000.
+        // Bounded bookkeeping — the chain index of the left side, a match
+        // list per morsel of the right side and its doublings, an exactly
+        // sized fragment per worker: 46 / 48 on one worker and 138 / 146 on
+        // four, at 5 000 / 20 000 output rows. A join that allocated a
+        // `Tuple` and a lineage `Vec` per output row would make 10 000 and
+        // 40 000.
         assert!(
             allocs < 256,
             "the arena join allocated {allocs} times for {output_rows} rows on {threads} workers"
@@ -468,11 +469,12 @@ fn late_materialization_decodes_at_most_the_output_strings() {
 fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
     let _serial = serial();
     // An eight-worker join allocates by the piece of work, not by the row:
-    // one chain index, and per probe morsel (a partition of the left rows)
-    // one match list and one fragment sized to those matches. On this shape
-    // (4096 build rows of mostly-distinct keys, 4096 matches) the whole join
-    // stays in the low hundreds of allocations.
-    let (left, right) = join_inputs(64, 64); // 4096 build rows, 4096 matches
+    // one chain index, per morsel of the larger side one match list, and per
+    // worker one fragment sized to its share of the matches. On this shape
+    // (64 left rows indexed, 4096 right rows streamed, 4096 matches
+    // regrouped by left row) the whole join stays in the low hundreds of
+    // allocations.
+    let (left, right) = join_inputs(64, 64); // 64 against 4096 rows, 4096 matches
     let pool = pdb_par::Pool::new(8);
     let ctx = ExecContext::unbounded();
     ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap(); // warm-up
@@ -484,16 +486,15 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
          morsels should keep this shape well under 768"
     );
 
-    // The build side is the chain index alone, sized to the build rows that
-    // can match. Whatever the key's width (an integer, a string, a float)
-    // and the build side's row count, on one worker and on eight: 10 probe
-    // rows against 70 000 or 280 000 build rows (past
-    // `JOIN_FILTER_MIN_BUILD_ROWS`) make no allocation of 4 bytes a build
-    // row (their filter admits the matching rows and a few others); a probe
-    // side as large as the build side, 10 of whose rows match, makes
-    // exactly two — `heads` and `next`. A normalized copy of the keys
-    // (words and hashes) would make two more, and an index over every build
-    // row behind a small probe side two.
+    // The join indexes its smaller side, and the index is all it builds.
+    // Whatever the key's width (an integer, a string, a float) and the
+    // larger side's row count N, on one worker and on eight: 10 left rows
+    // against N right rows, and N against 10, make no allocation of 4 bytes
+    // a row of the larger side (only the match lists and the output could
+    // be that large, and they hold the 10 matches); N rows against N make
+    // exactly two, the index's `heads` and `next` over a side as large. A
+    // normalized copy of the keys (words and hashes) would make two more,
+    // and an index over the larger side two.
     let names = |ns: &[&str]| ns.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     let key_names = ["k0", "k1", "k2"];
     let key_cell = |c: usize, r: i64| match c {
@@ -501,8 +502,8 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
         1 => Value::str(["x", "y", "z"][r as usize % 3]),
         _ => Value::Float(r as f64 / 2.0),
     };
-    // `rows` rows whose first 10 keys are the build side's first 10 and
-    // whose others are `offset` rows beyond.
+    // `rows` rows whose first 10 keys are shared by both sides and whose
+    // others are `offset` rows beyond.
     let side = |relation: &str, width: usize, rows: i64, offset: i64, payload: &str| {
         let mut columns: Vec<(&str, DataType)> = (key_names[..width].iter())
             .zip([DataType::Int, DataType::Str, DataType::Float])
@@ -524,25 +525,25 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
         }
         t
     };
-    const { assert!(70_000 >= ops::JOIN_FILTER_MIN_BUILD_ROWS) };
+    let keep = names(&["k0", "b", "c"]);
     for width in 1..=3 {
         // One-worker allocation counts by shape, at 70 000 and 280 000.
-        let mut counts = [Vec::new(), Vec::new()];
+        let mut counts = [Vec::new(), Vec::new(), Vec::new()];
         for rows in [70_000, 280_000] {
-            let right = side("R", width, rows, 0, "c");
-            let keep = names(&["k0", "b", "c"]);
-            for (shape, (probe_rows, want_large)) in [(10, 0), (rows, 2)].into_iter().enumerate() {
-                let left = side("L", width, probe_rows, rows, "b");
+            let shapes = [(10, rows, 0), (rows, 10, 0), (rows, rows, 2)];
+            for (shape, (left_rows, right_rows, want_large)) in shapes.into_iter().enumerate() {
+                let left = side("L", width, left_rows, rows, "b");
+                let right = side("R", width, right_rows, 0, "c");
                 for threads in [1, 8] {
                     let pool = pdb_par::Pool::new(threads);
                     let join = || ops::natural_join_project_ctx(&left, &right, &keep, &pool, &ctx);
                     let ((out, allocs), large) =
                         allocations_of_at_least(4 * rows as usize, || allocations(join));
 
-                    assert_eq!(out.unwrap().len(), 10, "10 left rows find their build row");
+                    assert_eq!(out.unwrap().len(), 10, "the 10 shared keys match");
                     assert_eq!(
                         large, want_large,
-                        "{width} key columns, {probe_rows} probe rows, {rows} build rows, \
+                        "{width} key columns, {left_rows} against {right_rows} rows, \
                          {threads} workers"
                     );
                     if threads == 1 {
@@ -551,62 +552,66 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
                 }
             }
         }
-        // Four times the build rows: the same allocations behind a probe
-        // side as large, and behind 10 probe rows at most the doublings of
-        // a survivor list four times longer (2 lists, 2 doublings each).
-        let [small, large] = counts;
-        assert!(
-            small[1] <= small[0] + 4,
-            "{width} key columns, 10 probe rows: {small:?}"
-        );
-        assert_eq!(
-            large[0], large[1],
-            "{width} key columns, as many probe rows"
-        );
+        // Four times the larger side's rows, the same allocations.
+        for (shape, count) in ["10 against N", "N against 10", "N against N"]
+            .iter()
+            .zip(&counts)
+        {
+            assert_eq!(
+                count[0], count[1],
+                "{width} key columns, {shape}: {count:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn a_join_over_its_budget_fails_before_it_allocates_its_index() {
     let _serial = serial();
-    // 70 000 probe rows against 70 000 build rows: no filter, so the index
-    // is `heads` (2^17 chain heads) and `next` (a link a build row), both
-    // sized by the build side's row count and charged before either is
+    // 70 000 left rows against 70 000 right rows (the right side indexed,
+    // 2^17 chain heads) and against 140 000 (the left side indexed, 2^18
+    // heads): the index is `heads` and `next` (a link a row of the smaller
+    // side), both sized by the row counts and charged before either is
     // allocated. A budget one byte short of that charge fails the join
     // under its own stage with neither allocated; a budget of exactly that
     // charge builds both and fails on the output reservation after them.
     use pdb_exec::{ExecError, GovernorBuilder, SproutError};
     let rows = 70_000;
-    let (left, right) = join_inputs(rows, 1);
-    let index_bytes = ((rows as usize).next_power_of_two() + rows as usize) * 4;
     let pool = pdb_par::Pool::new(1);
-    for (budget, want_large) in [(index_bytes - 1, 0), (index_bytes, 2)] {
-        let gov = GovernorBuilder::new().memory_budget(budget).build();
-        let ctx = ExecContext::governed(&gov);
-        let (joined, large) = allocations_of_at_least(4 * rows as usize, || {
-            ops::natural_join_ctx(&left, &right, &pool, &ctx)
-        });
-        assert!(
-            matches!(
-                joined,
-                Err(ExecError::Governed(SproutError::MemoryBudgetExceeded {
-                    stage: Stage::Join,
-                    ..
-                }))
-            ),
-            "budget {budget}: {joined:?}"
-        );
-        assert_eq!(large, want_large, "budget {budget}");
+    for per_key in [1, 2] {
+        let (left, right) = join_inputs(rows, per_key);
+        let heads = (rows * per_key) as usize;
+        let index_bytes = (heads.next_power_of_two() + rows as usize) * 4;
+        for (budget, want_large) in [(index_bytes - 1, 0), (index_bytes, 2)] {
+            let gov = GovernorBuilder::new().memory_budget(budget).build();
+            let ctx = ExecContext::governed(&gov);
+            let (joined, large) = allocations_of_at_least(4 * rows as usize, || {
+                ops::natural_join_ctx(&left, &right, &pool, &ctx)
+            });
+            assert!(
+                matches!(
+                    joined,
+                    Err(ExecError::Governed(SproutError::MemoryBudgetExceeded {
+                        stage: Stage::Join,
+                        ..
+                    }))
+                ),
+                "{per_key} right rows a key, budget {budget}: {joined:?}"
+            );
+            assert_eq!(
+                large, want_large,
+                "{per_key} right rows a key, budget {budget}"
+            );
+        }
     }
 }
 
 #[test]
 fn a_selective_join_allocates_its_output_for_its_matches_only() {
     let _serial = serial();
-    // 20 000 probe rows against 20 000 build rows of which 10 match. The
-    // governor is charged `max(left, indexed build rows)` = 20 000 output
-    // rows up front (no filter: the probe side is as large), but the
-    // arenas hold the 10 rows found: the build side (its chain index) is
+    // 20 000 left rows against 20 000 right rows of which 10 match. The
+    // governor is charged `left.len()` = 20 000 output rows up front, but
+    // the arenas hold the 10 rows found: the index of the smaller side is
     // all the join allocates in proportion to its inputs.
     let n = 20_000i64;
     let mut var = 0u64;

@@ -1,7 +1,7 @@
 //! Property tests for the morsel-driven parallel relational pipeline (PR 4).
 //!
 //! The contract under test: every operator — the hash join above all, its
-//! probe side cut into one morsel per worker — produces an [`Annotated`] that is **bitwise
+//! larger side cut into one morsel per worker — produces an [`Annotated`] that is **bitwise
 //! identical** (values, lineage, row order) across `SPROUT_THREADS` ∈
 //! {1, 2, 4, 8}, and identical to the join's definition, a nested loop
 //! ([`joined_by_definition`]) that emits `(left row, right row)`
@@ -23,8 +23,7 @@
 //! of two spellings meet (±2⁵³, 2⁵³ + 1, `i64::MAX` against 2⁶³, ±0.0,
 //! NaN), dates beside integers, strings and NULL; a property joins sides
 //! drawn from those cells against the nested loop, and another sides of
-//! skewed sizes, where the smaller probe side filters the build side by its
-//! keys and where it does not.
+//! skewed sizes, the smaller one (which the join indexes) on either hand.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -238,7 +237,8 @@ proptest! {
     }
 
     /// The product shape (no shared column) goes through the same
-    /// machinery — every probe walks the one chain of the whole build side —
+    /// machinery — every streamed row walks the one chain of the whole
+    /// indexed side —
     /// and must replay the nested (left, right) emit exactly.
     #[test]
     fn product_join_is_identical_to_seed_at_every_thread_count(
@@ -645,12 +645,11 @@ proptest! {
 
     /// Sides of skewed sizes — 1 to 8 rows against up to 512 — whose key
     /// cells are drawn from [`corner_cells`] and `Int(2)` / `Float(2.0)`
-    /// join as the nested loop, rows and order, at pools 1, 2 and 8: with
-    /// the small side building, and with it probing the large side padded
-    /// past [`ops::JOIN_FILTER_MIN_BUILD_ROWS`] by integer keys no drawn cell
-    /// equals, a build side the join filters by the probe keys. So do an
-    /// empty probe side and one whose keys are all NULL against the padded
-    /// side.
+    /// join as the nested loop, rows and order, at pools 1, 2 and 8: the
+    /// small side on the left (indexed, its matches listed by right row and
+    /// regrouped by left row) and on the right (indexed, its matches listed
+    /// in order), the large side against itself (equal sizes: the right one
+    /// is indexed), and an empty or all-NULL side on either hand.
     #[test]
     fn skewed_sides_join_as_the_nested_loop(
         small in proptest::collection::vec((0usize..30, 0usize..30), 1..=8),
@@ -665,22 +664,16 @@ proptest! {
                 .collect()
         };
         let (small, large) = (keys(&small), keys(&large));
-        // The drawn rows spread evenly among filler keys 1 000, 1 001, ….
-        let filler = ops::JOIN_FILTER_MIN_BUILD_ROWS;
-        let stride = filler / (large.len() + 1);
-        let mut fill = (1000..).map(|i| [Value::Int(i), Value::Int(i)]);
-        let mut padded = Vec::with_capacity(filler + large.len());
-        for row in &large {
-            padded.extend(fill.by_ref().take(stride));
-            padded.push(row.clone());
-        }
-        padded.extend(fill.take(filler - stride * large.len()));
         let nulls = vec![[Value::Null, Value::Null]; small.len()];
+        let empty = vec![];
         for (left, right, what) in [
-            (&small, &padded, "small probe side"),
-            (&large, &small, "small build side"),
-            (&vec![], &padded, "empty probe side"),
-            (&nulls, &padded, "NULL probe side"),
+            (&small, &large, "small left side"),
+            (&large, &small, "small right side"),
+            (&large, &large, "equal sides"),
+            (&empty, &large, "empty left side"),
+            (&large, &empty, "empty right side"),
+            (&nulls, &large, "NULL left side"),
+            (&large, &nulls, "NULL right side"),
         ] {
             let (l, r) = two_key_sides(left, right);
             let reference = joined_by_definition(&l, &r);
