@@ -33,11 +33,11 @@
 //! * **Project** — the output row count is the input's, so contiguous row
 //!   ranges are written in place the same way.
 //! * **Natural join** — the smaller side is indexed and the larger one
-//!   streams through the index in morsels (contiguous row ranges) listing
-//!   their matches, regrouped by left row if found by right row, then
-//!   emitted into exactly sized fragments appended in order: `(left row,
-//!   right row)` lexicographic, the join's nested loop, with only the data
-//!   columns the caller keeps ([`natural_join_project_ctx`]).
+//!   streams through the index in morsels (contiguous row ranges); a morsel
+//!   of left rows emits its matches, those of right rows are regrouped by
+//!   left row first. Exactly sized fragments are appended in order: `(left
+//!   row, right row)` lexicographic, the join's nested loop, with only the
+//!   data columns the caller keeps ([`natural_join_project_ctx`]).
 //!
 //! The output is therefore **bitwise-identical at every thread count** —
 //! same values, same lineage, same row order — and so is what a governor
@@ -455,27 +455,26 @@ pub fn natural_join_ctx(
 /// The side with fewer rows — the right one on a tie — is indexed in one
 /// chained hash index on [`join_row_hash`] of each row's key cells (a NULL
 /// leaves the row out); chains replay rows ascending and no key is copied.
-/// The other side streams through in one morsel per worker, listing the
+/// The other side streams through in one morsel per worker, matching the
 /// `(left row, right row)` pairs whose key cells are all [`join_equal`].
-/// Pairs found by right row are regrouped by a stable counting sort on the
-/// left row (`regroup_by_left`), and pieces of the list are emitted into
-/// fragments sized to them, appended in order: `(left row, right row)`
-/// lexicographic, bitwise the join's nested loop at every thread count.
+/// Found by left row, a morsel's pairs are in order and it emits them;
+/// found by right row, they are listed, regrouped by a stable counting sort
+/// on the left row (`regroup_by_left`) and emitted piece by piece. The
+/// fragments, sized to their pairs, are appended in order: `(left row,
+/// right row)` lexicographic, the join's nested loop at every thread count.
 ///
 /// ```text
 ///  right indexed (right ≤ left rows)     left indexed (left < right rows)
 ///  stream left rows, morsels m0 | m1:    stream right rows, morsels m0 | m1:
 ///    (0,4) (0,9) (1,2) | (7,3) (8,3)       (5,0) (2,1) (5,1) | (2,7) (0,8)
-///    in (left, right) order already        regrouped: (0,8) (2,1) (2,7) (5,0) (5,1)
+///    each morsel emits its own pairs       regrouped: (0,8) (2,1) (2,7) (5,0) (5,1)
 /// ```
 ///
-/// Nothing proportional to the larger side is allocated but the match list
-/// and the output. Checkpoints `join.probe` on the streamed side's row
-/// blocks. Charged under [`Stage::Join`]: the index as `ChainIndex::build`
-/// allocates it, 4 bytes a head and a link of the smaller side; then, in
-/// rows of the kept columns, `left.len()` output rows before the probe —
-/// `max(left, indexed rows)`, as the indexed side is never the larger — and
-/// at every checkpoint the matches found beyond that.
+/// Checkpoints `join.probe` on the streamed side's row blocks. Charged
+/// under [`Stage::Join`]: 4 bytes a head and a link of the index before
+/// `ChainIndex::build` allocates it; `left.len()` output rows of the kept
+/// columns before the probe — `max(left, indexed rows)`, as the indexed
+/// side is never the larger — and at every checkpoint the matches beyond.
 ///
 /// # Errors
 /// Fails if the inputs share a lineage relation (self-join) or `keep` names
@@ -510,9 +509,17 @@ pub fn natural_join_project_ctx(
     } else {
         (right, &layout.right_key_idx, left, &layout.left_key_idx)
     };
+    // A left index takes 8 heads a row (no more than a streamed row each):
+    // a streamed key it lacks then finds an empty head 7 times in 8, not a
+    // chain of other keys every other time, a branch no predictor learns.
+    let heads = if index_left {
+        (8 * left.len()).min(right.len())
+    } else {
+        right.len()
+    };
     let index = ChainIndex::build(
         indexed.len(),
-        streamed.len(),
+        heads,
         |i| join_row_hash(key_cells(indexed, indexed_cols, i)),
         ctx,
     )?;
@@ -528,9 +535,20 @@ pub fn natural_join_project_ctx(
         ctx.account(Stage::Join, beyond * row_bytes)
     };
 
+    // Fragments are sized to their pairs: capacity no row writes would,
+    // once freed, be where later allocations land and fault pages in.
+    let emit = |pairs: &[(u32, u32)]| {
+        let (schema, relations) = (schema.clone(), layout.relations.clone());
+        let mut out = Annotated::with_row_capacity(schema, relations, pairs.len());
+        for &(li, ri) in pairs {
+            out.push_join_row(left.row(li as usize), right.row(ri as usize), &sources);
+        }
+        out
+    };
+
     // Streamed rows are walked in order and chains replay ascending.
     let morsels = even_ranges(streamed.len(), pool.threads());
-    let lists = pool
+    let probed = pool
         .try_map_ranges(&morsels, |_, morsel| {
             let mut matches: Vec<(u32, u32)> = Vec::new();
             let mut charged = 0;
@@ -544,50 +562,37 @@ pub fn natural_join_project_ctx(
                 let Some(h) = join_row_hash(streamed_key.clone()) else {
                     continue;
                 };
+                let s = s as u32;
                 index.for_each_row(h, |i| {
-                    let pair = if index_left {
-                        (i, s as u32)
-                    } else {
-                        (s as u32, i)
-                    };
                     let indexed_key = key_cells(indexed, indexed_cols, i as usize);
                     if streamed_key
                         .clone()
                         .zip(indexed_key)
                         .all(|(a, b)| join_equal(a, b))
                     {
-                        matches.push(pair);
+                        matches.push(if index_left { (i, s) } else { (s, i) });
                     }
                 });
             }
             charge(matches.len() - charged)?;
-            Ok::<_, ExecError>(matches)
+            // Pairs found by left row are in order: emit them here.
+            let fragment = (!index_left).then(|| emit(&std::mem::take(&mut matches)));
+            Ok::<_, ExecError>((matches, fragment))
         })
         .map_err(|f| ExecError::from_task_failure(Stage::Join, f))?;
-    let mut lists = lists.into_iter();
-    let mut pairs = lists
-        .next()
-        .expect("even_ranges yields at least one morsel");
-    lists.for_each(|list| pairs.extend(list));
-    if index_left {
+    let fragments: Vec<Annotated> = if index_left {
+        let mut lists = probed.into_iter().map(|(list, _)| list);
+        let mut pairs = lists.next().expect("even_ranges yields a morsel");
+        lists.for_each(|list| pairs.extend(list));
         regroup_by_left(&mut pairs, index.next);
-    }
-    // An output reserved before the probe would hold capacity no row
-    // writes; once freed, that untouched memory is where later allocations
-    // land and fault pages in, so how much of the heap a process touches
-    // would depend on the order its queries ran in.
-    let emit_pool = pool.for_items(pairs.len());
-    let pieces = even_ranges(pairs.len(), emit_pool.threads());
-    let fragments: Vec<Annotated> = emit_pool
-        .try_map_ranges(&pieces, |_, piece| {
-            let (schema, relations) = (schema.clone(), layout.relations.clone());
-            let mut out = Annotated::with_row_capacity(schema, relations, piece.len());
-            for &(li, ri) in &pairs[piece] {
-                out.push_join_row(left.row(li as usize), right.row(ri as usize), &sources);
-            }
-            Ok::<Annotated, ExecError>(out)
-        })
-        .map_err(|f| ExecError::from_task_failure(Stage::Join, f))?;
+        let emit_pool = pool.for_items(pairs.len());
+        let pieces = even_ranges(pairs.len(), emit_pool.threads());
+        emit_pool
+            .try_map_ranges(&pieces, |_, piece| Ok::<_, ExecError>(emit(&pairs[piece])))
+            .map_err(|f| ExecError::from_task_failure(Stage::Join, f))?
+    } else {
+        probed.into_iter().filter_map(|p| p.1).collect()
+    };
     let mut fragments = fragments.into_iter();
     let mut out = fragments
         .next()
@@ -660,19 +665,16 @@ struct ChainIndex {
 
 impl ChainIndex {
     /// Indexes the `rows` rows that `hash_of` finds joinable (not `None`)
-    /// for `streamed_rows` (no fewer) rows to probe, with 8 chain heads a
-    /// row but no more than a head a streamed row: a streamed key the index
-    /// lacks finds an empty head 7 times in 8, where at one head a row it
-    /// would walk a chain of other keys about every other time, a branch no
-    /// predictor learns. Charges `ctx` under [`Stage::Join`] for the heads
-    /// and the links, 4 bytes each, before allocating them.
+    /// in `heads` chain heads, rounded up to a power of two. Charges `ctx`
+    /// under [`Stage::Join`] for the heads and the links, 4 bytes each,
+    /// before allocating them.
     fn build(
         rows: usize,
-        streamed_rows: usize,
+        heads: usize,
         hash_of: impl Fn(usize) -> Option<u64>,
         ctx: &ExecContext,
     ) -> ExecResult<ChainIndex> {
-        let buckets = (8 * rows).min(streamed_rows).next_power_of_two().max(2);
+        let buckets = heads.next_power_of_two().max(2);
         ctx.account(Stage::Join, (buckets + rows) * 4)?;
         let bucket_shift = u64::BITS - buckets.trailing_zeros();
         let (mut heads, mut next) = (vec![JOIN_NIL; buckets], vec![JOIN_NIL; rows]);
@@ -882,8 +884,8 @@ mod tests {
             }
         }
         // A join charges its index, 4 bytes a chain head and a link of the
-        // smaller side (8 heads a row of it, but no more than a head a row
-        // of the other, in powers of two), and the output it reserves,
+        // smaller side (a head a right row; 8 a left row, but no more than
+        // a right row each; in powers of two), and the output it reserves,
         // `left.len()` rows, then the matches beyond that — the same bytes
         // whatever the pool.
         let schema = Schema::from_pairs(&[("k", DataType::Int)]).unwrap();
@@ -918,7 +920,7 @@ mod tests {
                 2,
                 u32s(32 + 3) + arena_bytes(3, 1, 2),
             ),
-            (large, small, 2, u32s(32 + 3) + arena_bytes(1000, 1, 2)),
+            (large, small, 2, u32s(4 + 3) + arena_bytes(1000, 1, 2)),
             (
                 nulls.clone(),
                 ones(40),

@@ -53,24 +53,31 @@ fn join_lineage_growth_is_amortized_slice_append() {
         let (left, right) = join_inputs(groups, 50);
         let output_rows = groups as usize * 50;
         let pool = pdb_par::Pool::new(threads);
-        let join = || ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap();
-        // Warm up once so lazily initialized runtime structures are not
-        // charged.
-        join();
-        let (out, allocs) = allocations(join);
-        assert_eq!(out.len(), output_rows);
-        // Lineage really is one dense arena.
-        assert_eq!(out.lineage_arena().len(), output_rows * out.lineage_width());
-        // Bounded bookkeeping — the chain index of the left side, a match
-        // list per morsel of the right side and its doublings, an exactly
-        // sized fragment per worker: 46 / 48 on one worker and 138 / 146 on
-        // four, at 5 000 / 20 000 output rows. A join that allocated a
-        // `Tuple` and a lineage `Vec` per output row would make 10 000 and
-        // 40 000.
-        assert!(
-            allocs < 256,
-            "the arena join allocated {allocs} times for {output_rows} rows on {threads} workers"
-        );
+        // The smaller side on the left (indexed, its pairs regrouped) and on
+        // the right (indexed, each morsel emitting its own pairs).
+        for (a, b) in [(&left, &right), (&right, &left)] {
+            let join = || ops::natural_join_ctx(a, b, &pool, &ctx).unwrap();
+            // Warm up once so lazily initialized runtime structures are not
+            // charged.
+            join();
+            let (out, allocs) = allocations(join);
+            assert_eq!(out.len(), output_rows);
+            // Lineage really is one dense arena.
+            assert_eq!(out.lineage_arena().len(), output_rows * out.lineage_width());
+            // Bounded bookkeeping — the chain index of the smaller side, a
+            // match list per morsel of the larger one and its doublings, an
+            // exactly sized fragment per worker: at 5 000 / 20 000 output
+            // rows, 46 / 48 on one worker and 138 / 146 on four with the
+            // left side indexed, 43 / 45 and 116 / 124 with the right one. A
+            // join that allocated a `Tuple` and a lineage `Vec` per output
+            // row would make 10 000 and 40 000.
+            assert!(
+                allocs < 256,
+                "the arena join allocated {allocs} times for {output_rows} rows on \
+                 {threads} workers, {} left rows",
+                a.len()
+            );
+        }
     }
 }
 
@@ -471,20 +478,24 @@ fn a_join_allocates_its_chain_index_and_by_probe_morsel() {
     // An eight-worker join allocates by the piece of work, not by the row:
     // one chain index, per morsel of the larger side one match list, and per
     // worker one fragment sized to its share of the matches. On this shape
-    // (64 left rows indexed, 4096 right rows streamed, 4096 matches
-    // regrouped by left row) the whole join stays in the low hundreds of
-    // allocations.
+    // (64 rows indexed, 4096 streamed, 4096 matches) the whole join stays
+    // in the low hundreds of allocations, with the small side on the left
+    // (its pairs regrouped: 223) and on the right (187).
     let (left, right) = join_inputs(64, 64); // 64 against 4096 rows, 4096 matches
     let pool = pdb_par::Pool::new(8);
     let ctx = ExecContext::unbounded();
-    ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap(); // warm-up
-    let (out, allocs) = allocations(|| ops::natural_join_ctx(&left, &right, &pool, &ctx).unwrap());
-    assert_eq!(out.len(), 64 * 64);
-    assert!(
-        allocs < 768,
-        "eight-worker join allocated {allocs} times; its index and \
-         morsels should keep this shape well under 768"
-    );
+    for (a, b) in [(&left, &right), (&right, &left)] {
+        ops::natural_join_ctx(a, b, &pool, &ctx).unwrap(); // warm-up
+        let (out, allocs) = allocations(|| ops::natural_join_ctx(a, b, &pool, &ctx).unwrap());
+        assert_eq!(out.len(), 64 * 64);
+        assert!(
+            allocs < 768,
+            "eight-worker join of {} against {} rows allocated {allocs} times; its \
+             index and morsels should keep this shape well under 768",
+            a.len(),
+            b.len()
+        );
+    }
 
     // The join indexes its smaller side, and the index is all it builds.
     // Whatever the key's width (an integer, a string, a float) and the
