@@ -509,17 +509,9 @@ pub fn natural_join_project_ctx(
     } else {
         (right, &layout.right_key_idx, left, &layout.left_key_idx)
     };
-    // A left index takes 8 heads a row (no more than a streamed row each):
-    // a streamed key it lacks then finds an empty head 7 times in 8, not a
-    // chain of other keys every other time, a branch no predictor learns.
-    let heads = if index_left {
-        (8 * left.len()).min(right.len())
-    } else {
-        right.len()
-    };
     let index = ChainIndex::build(
         indexed.len(),
-        heads,
+        streamed.len(),
         |i| join_row_hash(key_cells(indexed, indexed_cols, i)),
         ctx,
     )?;
@@ -665,16 +657,19 @@ struct ChainIndex {
 
 impl ChainIndex {
     /// Indexes the `rows` rows that `hash_of` finds joinable (not `None`)
-    /// in `heads` chain heads, rounded up to a power of two. Charges `ctx`
-    /// under [`Stage::Join`] for the heads and the links, 4 bytes each,
-    /// before allocating them.
+    /// for `streamed_rows` (no fewer) rows to probe, with 8 chain heads a
+    /// row but no more than a head a streamed row: a streamed key the index
+    /// lacks finds an empty head 7 times in 8, where at one head a row it
+    /// would walk a chain of other keys about every other time, a branch no
+    /// predictor learns. Charges `ctx` under [`Stage::Join`] for the heads
+    /// and the links, 4 bytes each, before allocating them.
     fn build(
         rows: usize,
-        heads: usize,
+        streamed_rows: usize,
         hash_of: impl Fn(usize) -> Option<u64>,
         ctx: &ExecContext,
     ) -> ExecResult<ChainIndex> {
-        let buckets = heads.next_power_of_two().max(2);
+        let buckets = (8 * rows).min(streamed_rows).next_power_of_two().max(2);
         ctx.account(Stage::Join, (buckets + rows) * 4)?;
         let bucket_shift = u64::BITS - buckets.trailing_zeros();
         let (mut heads, mut next) = (vec![JOIN_NIL; buckets], vec![JOIN_NIL; rows]);
@@ -884,8 +879,8 @@ mod tests {
             }
         }
         // A join charges its index, 4 bytes a chain head and a link of the
-        // smaller side (a head a right row; 8 a left row, but no more than
-        // a right row each; in powers of two), and the output it reserves,
+        // smaller side (8 heads a row of it, but no more than a head a row
+        // of the other, in powers of two), and the output it reserves,
         // `left.len()` rows, then the matches beyond that — the same bytes
         // whatever the pool.
         let schema = Schema::from_pairs(&[("k", DataType::Int)]).unwrap();
@@ -920,7 +915,7 @@ mod tests {
                 2,
                 u32s(32 + 3) + arena_bytes(3, 1, 2),
             ),
-            (large, small, 2, u32s(4 + 3) + arena_bytes(1000, 1, 2)),
+            (large, small, 2, u32s(32 + 3) + arena_bytes(1000, 1, 2)),
             (
                 nulls.clone(),
                 ones(40),
