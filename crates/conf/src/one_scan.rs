@@ -23,21 +23,22 @@
 //! The driver never copies the answer relation: [`one_scan_confidences`]
 //! groups it through the engine's grouping shell ([`pdb_exec::KeyRuns`]: a
 //! sorted row-index permutation and the runs of equal data, from normalized
-//! `u64` sort keys or — for an answer already in that order, a Boolean
-//! query's — from one pass over adjacent rows; the same shell the
-//! pre-aggregations and the eager plan use) and scans *through* the
-//! permutation — O(rows) extra index words instead of a second copy of the
-//! arenas. Consecutive rows of the same distinct answer
-//! tuple form a *bag* (one run of the shell); bags are independent, so the
-//! permutation is partitioned at bag boundaries and fanned out across a
-//! [`pdb_par::Pool`] of scoped threads.
+//! `u64` sort keys or — for an answer already in that order — from one pass
+//! over adjacent rows; the same shell the pre-aggregations and the eager
+//! plan use) and scans *through* the permutation — O(rows) extra index
+//! words instead of a second copy of the arenas. Consecutive rows of the
+//! same distinct answer tuple form a *bag* (one run of the shell); bags are
+//! independent, so the permutation is partitioned at bag boundaries and
+//! fanned out across a [`pdb_par::Pool`] of scoped threads. An answer whose
+//! 1scanTree is a single leaf skips the shell (see *Answers that arrive in
+//! variable order* below).
 //!
 //! # Intra-bag splitting (PR 3)
 //!
-//! Bag-level fan-out cannot help the workloads Fig. 8 is built for: a
-//! Boolean query — or a low-distinct-value projection — produces one (or a
-//! handful of) huge bag(s), and a bag used to be evaluated by exactly one
-//! worker. A bag *can* be split further, though: the root of the 1scanTree
+//! Bag-level fan-out cannot help an answer of one (or a handful of) huge
+//! bag(s) — a Boolean join query's, or a low-distinct-value projection's —
+//! and a bag used to be evaluated by exactly one worker. A bag *can* be
+//! split further, though: the root of the 1scanTree
 //! combines its partitions (runs of one root variable) with an independent
 //! `⊗` — the `allP ← 1 − (1 − crtP)(1 − allP)` fold — so the sorted row
 //! range of a huge bag is cut at **root-variable boundaries** into
@@ -69,12 +70,53 @@
 //! pins the chunk stitching against one sequential prefix scan on
 //! adversarial duplicate runs. The same scheduler drives the multi-scan
 //! pre-aggregation groups.
+//!
+//! # Answers that arrive in variable order
+//!
+//! A 1scanTree of one leaf — signature `R*`, a single-relation query — folds
+//! each bag's distinct variables left-deep in variable order,
+//! `crtP ← independent_or(p, crtP)`, and sorts only to bring a bag's rows
+//! together in that order. A scan emits a base table's rows in row order,
+//! whose variables ascend, so such an answer is folded in one pass over its
+//! rows as they arrive. Each row's data cells are hashed
+//! ([`pdb_exec::key::group_row_hash`], equal cells by
+//! [`pdb_exec::key::join_equal`]) to a bag, which keeps its first row, its
+//! `crtP`, its last variable and its row count; a row that repeats its
+//! bag's last variable is a duplicate derivation and adds nothing. Each bag
+//! is finished with `independent_or(crtP, 0.0)`, as `FlatScan::flush`
+//! finishes a leaf root, and only the bags' first rows are sorted, so bags
+//! come out in the order the shell gives them. With `⊕(p, acc)` for
+//! `independent_or`:
+//!
+//! ```text
+//!  arrival order                one pass                      first rows sorted
+//!  row  data    var  p          bag  its crtP after the row   tuple   confidence
+//!   0   (N, O)  x1   p1  ──►    0    ⊕(p1, 0)                 (A, F)  ⊕(⊕(p2, 0), 0)
+//!   1   (A, F)  x2   p2  ──►    1    ⊕(p2, 0)                 (N, O)  ⊕(⊕(p5, ⊕(p3, ⊕(p1, 0))), 0)
+//!   2   (N, O)  x3   p3  ──►    0    ⊕(p3, ⊕(p1, 0))          (R, F)  ⊕(⊕(p4, 0), 0)
+//!   3   (R, F)  x4   p4  ──►    2    ⊕(p4, 0)
+//!   4   (R, F)  x4   p4  ──►    2    (x4 again: skipped)
+//!   5   (N, O)  x5   p5  ──►    0    ⊕(p5, ⊕(p3, ⊕(p1, 0)))
+//! ```
+//!
+//! That is the sorted scan's expression term for term, so the confidences
+//! are the same bits. The pass is sequential at every pool size: a leaf
+//! root's intra-bag split only defers this same chain to the fold of its
+//! partials. A row whose variable is below its bag's last stops the pass,
+//! and the answer takes the sort. The bag table is charged to the governor
+//! under [`Stage::Confidence`] before it is allocated, and again at every
+//! doubling; nothing is allocated per row. The pass runs checkpoint
+//! `conf.fold` `b` at row `b · 1024`, the bag counters are tallied as the
+//! scheduler tallies them, and a multi-node 1scanTree — and every
+//! pre-aggregation step — keeps the shell and the scheduler.
 
+use pdb_exec::key::{group_row_hash, join_equal, SortKeys};
+use pdb_exec::ops::SEQ_CHECK_EVERY;
 use pdb_exec::{Annotated, KeyRuns, RowRef};
 use pdb_govern::{Counter, ExecContext, Stage};
 use pdb_par::{independent_or, independent_or_fold, partition_by_weight, Pool};
 use pdb_query::{OneScanTree, Signature};
-use pdb_storage::{Tuple, Variable};
+use pdb_storage::{Tuple, Value, Variable};
 
 use crate::error::{ConfError, ConfResult};
 
@@ -555,11 +597,12 @@ pub(crate) fn unit_confidences(
     let unit_range =
         |u: usize| unit_starts[u]..unit_starts.get(u + 1).copied().unwrap_or(order.len());
     if ctx.obs().is_some() {
-        // Bag counters: the unit count and the number of units *eligible*
-        // for intra-bag splitting (at or above the policy threshold). Both
-        // depend only on the sorted permutation and the policy — how many
-        // sub-ranges a huge unit actually splits into depends on the pool
-        // size and is deliberately not counted.
+        // Bag counters: the unit count and the number of units of at least
+        // `SplitPolicy::min_rows` rows and at least two, duplicates
+        // included.
+        // Both depend only on the sorted permutation and the policy — how
+        // many sub-ranges a huge unit actually splits into depends on the
+        // pool size and is deliberately not counted.
         let threshold = policy.min_rows.max(2);
         ctx.tally(Counter::ConfBags, n as u64);
         ctx.tally(
@@ -660,25 +703,223 @@ pub(crate) fn unit_confidences(
     Ok(probs)
 }
 
-/// Builds the `(distinct answer tuple, confidence)` output of a bag list,
-/// chunked evenly across the pool (results concatenate in bag order).
+/// Builds the `(distinct answer tuple, confidence)` output of `n` bags —
+/// bag `b`'s tuple is that of row `first_row(b)`, its confidence `prob(b)`
+/// — chunked evenly across the pool (results concatenate in bag order).
 fn collect_bag_results(
     answer: &Annotated,
-    order: &[u32],
-    bag_starts: &[usize],
-    probs: &[f64],
+    n: usize,
+    first_row: impl Fn(usize) -> usize + Sync,
+    prob: impl Fn(usize) -> f64 + Sync,
     pool: &Pool,
 ) -> Vec<(Tuple, f64)> {
-    let n = bag_starts.len();
     let ranges = pdb_par::even_ranges(n, pool.threads());
     let chunks: Vec<Vec<(Tuple, f64)>> = pool.map_ranges(&ranges, |bags| {
-        bags.map(|b| {
-            let first = order[bag_starts[b]] as usize;
-            (answer.row(first).data_tuple(), probs[b])
-        })
-        .collect()
+        bags.map(|b| (answer.row(first_row(b)).data_tuple(), prob(b)))
+            .collect()
     });
     chunks.into_iter().flatten().collect()
+}
+
+/// One bag of [`fold_in_arrival_order`]: a distinct answer tuple and the
+/// leaf root's running fold over its rows so far.
+struct ArrivalBag<'a> {
+    /// [`group_row_hash`] of the bag's data cells, kept for regrowing.
+    hash: u64,
+    /// The data cells of the bag's first row, which a later row's cells
+    /// are compared against.
+    data: &'a [Value],
+    /// The bag's first row, the row its tuple is read from.
+    first: u32,
+    /// Rows seen, duplicate derivations included.
+    rows: u32,
+    /// The variable of the last row folded in.
+    last: Variable,
+    /// The leaf root's `crtP`.
+    crt_p: f64,
+}
+
+/// Slots of the first [`ArrivalBags`] table.
+const ARRIVAL_SLOTS: usize = 16;
+
+/// The bags of [`fold_in_arrival_order`] behind an open-addressing table
+/// (linear probing; a slot holds `bag id + 1`, 0 when empty; a bag's home
+/// slot is its hash's high bits). At most half the slots are used, and the
+/// table doubles when a new bag would pass that.
+struct ArrivalBags<'a> {
+    slots: Vec<u32>,
+    bags: Vec<ArrivalBag<'a>>,
+}
+
+impl<'a> ArrivalBags<'a> {
+    /// Bytes of a table of `slots` slots with room for its bags.
+    fn bytes(slots: usize) -> usize {
+        slots * std::mem::size_of::<u32>() + slots / 2 * std::mem::size_of::<ArrivalBag>()
+    }
+
+    /// A table of `slots` slots, charged to `ctx` before it is allocated.
+    fn with_slots(slots: usize, ctx: &ExecContext) -> ConfResult<ArrivalBags<'a>> {
+        ctx.account(Stage::Confidence, ArrivalBags::bytes(slots))?;
+        Ok(ArrivalBags {
+            slots: vec![0; slots],
+            bags: Vec::with_capacity(slots / 2),
+        })
+    }
+
+    /// The home slot of `hash`.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The bag of a row whose data cells `data` hash to `hash`: `Ok(bag
+    /// id)` if they are pairwise [`join_equal`] to a bag's first row's,
+    /// otherwise `Err(slot)`, the empty slot a new bag takes.
+    #[inline]
+    fn find(&self, data: &[Value], hash: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = self.home(hash);
+        loop {
+            let id = match self.slots[s] {
+                0 => return Err(s),
+                id => id as usize - 1,
+            };
+            let bag = &self.bags[id];
+            if bag.hash == hash && bag.data.iter().zip(data).all(|(a, b)| join_equal(a, b)) {
+                return Ok(id);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// The first empty slot from `hash`'s home slot on.
+    fn empty_slot(&self, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut s = self.home(hash);
+        while self.slots[s] != 0 {
+            s = (s + 1) & mask;
+        }
+        s
+    }
+
+    /// Puts `bag` at the empty slot `slot`.
+    fn insert(&mut self, slot: usize, bag: ArrivalBag<'a>) {
+        self.slots[slot] = self.bags.len() as u32 + 1;
+        self.bags.push(bag);
+    }
+
+    /// Opens a bag at the empty slot `slot` that [`ArrivalBags::find`]
+    /// returned, doubling the table first when it is half full.
+    fn open(&mut self, slot: usize, bag: ArrivalBag<'a>, ctx: &ExecContext) -> ConfResult<()> {
+        if self.bags.len() < self.slots.len() / 2 {
+            self.insert(slot, bag);
+            return Ok(());
+        }
+        let mut grown = ArrivalBags::with_slots(2 * self.slots.len(), ctx)?;
+        for old in self.bags.drain(..).chain([bag]) {
+            grown.insert(grown.empty_slot(old.hash), old);
+        }
+        *self = grown;
+        Ok(())
+    }
+}
+
+/// The one-pass fold of an answer whose 1scanTree is a single leaf, over
+/// its rows in input order; `var_col` is the leaf's lineage column. Each
+/// row joins the bag of its data cells and extends the bag's `crtP` with
+/// `independent_or(p, crtP)`, unless it repeats the bag's last variable (a
+/// duplicate derivation). The bags come back in first-seen order with
+/// their `crtP` unfinished, or `None` at the first row whose variable is
+/// below its bag's last: a bag's variables must ascend for this fold to be
+/// the one the sorted scan makes. Checkpoint `conf.fold` `b` runs at row
+/// `b ·` [`SEQ_CHECK_EVERY`], the operators' row-block rule.
+fn fold_in_arrival_order<'a>(
+    answer: &'a Annotated,
+    var_col: usize,
+    ctx: &ExecContext,
+) -> ConfResult<Option<Vec<ArrivalBag<'a>>>> {
+    let mut table = ArrivalBags::with_slots(ARRIVAL_SLOTS, ctx)?;
+    for (r, row) in answer.iter().enumerate() {
+        if r.is_multiple_of(SEQ_CHECK_EVERY) {
+            ctx.checkpoint(Stage::Confidence, "conf.fold", r / SEQ_CHECK_EVERY)?;
+        }
+        let (var, p) = row.lineage[var_col];
+        let hash = group_row_hash(row.data);
+        match table.find(row.data, hash) {
+            Ok(id) => {
+                let bag = &mut table.bags[id];
+                bag.rows += 1;
+                if var.0 < bag.last.0 {
+                    return Ok(None);
+                }
+                if var != bag.last {
+                    bag.last = var;
+                    bag.crt_p = independent_or(p, bag.crt_p);
+                }
+            }
+            Err(slot) => {
+                let bag = ArrivalBag {
+                    hash,
+                    data: row.data,
+                    first: r as u32,
+                    rows: 1,
+                    last: var,
+                    crt_p: independent_or(p, 0.0),
+                };
+                table.open(slot, bag, ctx)?;
+            }
+        }
+    }
+    Ok(Some(table.bags))
+}
+
+/// [`one_scan_confidences_ctx`] for a 1scanTree of one leaf (signature
+/// `R*`), folded in arrival order ([`fold_in_arrival_order`]) instead of
+/// sorted: `None` when a bag's variables descend, and the answer must take
+/// the sort. Each bag is one left-deep `independent_or` chain in variable
+/// order, finished as [`FlatScan::flush`] finishes a leaf root — the sorted
+/// scan's expression, so the result is the same bits at every pool size.
+/// The bags are emitted in the order of their first rows' sort keys, the
+/// order [`KeyRuns`] gives them.
+fn arrival_order_confidences(
+    answer: &Annotated,
+    var_col: usize,
+    pool: &Pool,
+    policy: SplitPolicy,
+    ctx: &ExecContext,
+) -> ConfResult<Option<Vec<(Tuple, f64)>>> {
+    // One task: the fold runs inline at every pool size, with a panic in it
+    // isolated as in the bag scheduler.
+    let folded = Pool::sequential()
+        .try_map(&[answer], |_, answer| {
+            fold_in_arrival_order(answer, var_col, ctx)
+        })
+        .map_err(|f| ConfError::from_task_failure(Stage::Confidence, f))?;
+    let Some(bags) = folded.into_iter().next().flatten() else {
+        return Ok(None);
+    };
+    if ctx.obs().is_some() {
+        // The counters `unit_confidences` tallies for the same bags.
+        let threshold = policy.min_rows.max(2);
+        ctx.tally(Counter::ConfBags, bags.len() as u64);
+        ctx.tally(
+            Counter::ConfHugeBags,
+            bags.iter().filter(|b| b.rows as usize >= threshold).count() as u64,
+        );
+    }
+    let pool = &pool.for_items(bags.len());
+    let dw = answer.data_width();
+    ctx.account(Stage::Confidence, SortKeys::sort_bytes(bags.len(), dw, 0))?;
+    let keys = SortKeys::build_with(bags.len(), dw, 0, |b, c| &bags[b].data[c], |_, _| 0, pool);
+    let order = keys.sorted_permutation_with(bags.len(), pool);
+    let bag = |k: usize| &bags[order[k] as usize];
+    Ok(Some(collect_bag_results(
+        answer,
+        order.len(),
+        |k| bag(k).first as usize,
+        |k| independent_or(bag(k).crt_p, 0.0),
+        pool,
+    )))
 }
 
 /// Computes `(distinct answer tuple, confidence)` pairs for a signature with
@@ -710,7 +951,8 @@ pub fn one_scan_confidences(
 /// [`one_scan_confidences`] on an explicit worker pool, with an explicit
 /// intra-bag [`SplitPolicy`], under a governor [`ExecContext`]: the bag
 /// scheduler runs a cancellation / deadline checkpoint at every bag
-/// (`conf.bag`), and an interrupted scan surfaces as
+/// (`conf.bag`) — the arrival-order fold of a one-leaf 1scanTree every
+/// 1 024 rows (`conf.fold`) — and an interrupted scan surfaces as
 /// [`ConfError::Governed`]. Confidences are bitwise-identical for every pool
 /// size *and* every policy — the policy only decides how much of the pool a
 /// huge bag can use — and a governed run that completes is
@@ -732,6 +974,12 @@ pub fn one_scan_confidences_ctx(
     }
     let tree = one_scan_tree(signature)?;
     let machine = FlatScan::new(&tree, answer)?;
+    if machine.root_is_leaf() {
+        let var_col = machine.preorder_cols()[0];
+        if let Some(confidences) = arrival_order_confidences(answer, var_col, pool, policy, ctx)? {
+            return Ok(confidences);
+        }
+    }
     // Bags are the runs of equal data values; within a bag the rows follow
     // the 1scanTree's preorder variable columns.
     let runs = KeyRuns::build(
@@ -751,11 +999,12 @@ pub fn one_scan_confidences_ctx(
         policy,
         ctx,
     )?;
+    let (order, starts) = (runs.order(), runs.starts());
     Ok(collect_bag_results(
         answer,
-        runs.order(),
-        runs.starts(),
-        &probs,
+        starts.len(),
+        |b| order[starts[b]] as usize,
+        |b| probs[b],
         pool,
     ))
 }
@@ -822,9 +1071,9 @@ pub fn one_scan_confidences_presorted_tuned(
     )?;
     Ok(collect_bag_results(
         answer,
-        &order,
-        &bag_starts,
-        &probs,
+        bag_starts.len(),
+        |b| bag_starts[b],
+        |b| probs[b],
         pool,
     ))
 }
@@ -1095,36 +1344,39 @@ mod tests {
 
     #[test]
     fn bag_exactly_at_the_default_threshold_splits_and_stays_bitwise_identical() {
-        // A Boolean leaf-root bag (signature R*) of exactly 512 rows: the
-        // default policy engages the split at >= INTRA_BAG_SPLIT_THRESHOLD.
+        // A Boolean leaf-root bag (signature R*) of exactly 512 rows whose
+        // variables descend in row order, so it takes the sort: the default
+        // policy engages the split at >= INTRA_BAG_SPLIT_THRESHOLD. The
+        // same rows with their variables ascending are folded in arrival
+        // order, to the same bits.
         assert_eq!(INTRA_BAG_SPLIT_THRESHOLD, 512);
         let schema = Schema::from_pairs(&[]).unwrap();
-        let mut answer = Annotated::new(schema, vec!["R".into()]);
-        let mut probs = Vec::new();
+        let mut descending = Annotated::new(schema.clone(), vec!["R".into()]);
+        let mut ascending = Annotated::new(schema, vec!["R".into()]);
+        let p = |v: u64| 0.001 + 0.7 * ((v % 131) as f64) / 131.0;
         for v in 0..512u64 {
-            let p = 0.001 + 0.7 * ((v % 131) as f64) / 131.0;
-            probs.push(p);
-            answer.push(AnnotatedRow::new(
-                Tuple::empty(),
-                vec![(Variable(v + 1), p)],
-            ));
+            let row = |v: u64| AnnotatedRow::new(Tuple::empty(), vec![(Variable(v + 1), p(v))]);
+            descending.push(row(511 - v));
+            ascending.push(row(v));
         }
         let sig = Signature::star(Signature::table("R"));
         assert!(sig.is_one_scan());
-        let unsplit = one_scan(&answer, &sig, &Pool::new(4), SplitPolicy::never()).unwrap();
+        let unsplit = one_scan(&descending, &sig, &Pool::new(4), SplitPolicy::never()).unwrap();
         for threads in [1, 2, 4, 8] {
-            let split =
-                one_scan(&answer, &sig, &Pool::new(threads), SplitPolicy::default()).unwrap();
-            assert_eq!(split.len(), 1);
-            assert_eq!(split[0].0, Tuple::empty());
-            assert_eq!(
-                split[0].1.to_bits(),
-                unsplit[0].1.to_bits(),
-                "{threads} threads"
-            );
+            for answer in [&descending, &ascending] {
+                let split =
+                    one_scan(answer, &sig, &Pool::new(threads), SplitPolicy::default()).unwrap();
+                assert_eq!(split.len(), 1);
+                assert_eq!(split[0].0, Tuple::empty());
+                assert_eq!(
+                    split[0].1.to_bits(),
+                    unsplit[0].1.to_bits(),
+                    "{threads} threads"
+                );
+            }
         }
         // Closed form for R*: 1 − ∏(1 − p_i).
-        let expected = 1.0 - probs.iter().fold(1.0, |acc, p| acc * (1.0 - p));
+        let expected = 1.0 - (0..512).fold(1.0, |acc, v| acc * (1.0 - p(v)));
         assert!((unsplit[0].1 - expected).abs() < 1e-12);
     }
 

@@ -11,15 +11,18 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 use pdb_conf::multi_scan::multi_scan_confidences_ctx;
-use pdb_conf::one_scan::{one_scan_confidences_ctx, one_scan_confidences_presorted_tuned};
+use pdb_conf::one_scan::{
+    one_scan_confidences_ctx, one_scan_confidences_presorted_tuned, sort_for_signature,
+};
 use pdb_conf::{
     ConfResult, ConfidenceOperator, ConfidenceResult, ExecContext, Pool, SplitPolicy, Strategy,
 };
 use pdb_exec::pipeline::evaluate_join_order;
-use pdb_exec::Annotated;
+use pdb_exec::{Annotated, AnnotatedRow};
+use pdb_govern::{Counter, QueryObs};
 use pdb_query::reduct::query_signature;
 use pdb_query::{ConjunctiveQuery, FdSet, Signature};
-use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Variable};
+use pdb_storage::{tuple, Catalog, DataType, ProbTable, Schema, Tuple, Value, Variable};
 use pdb_testkit::brute_force_confidences;
 
 /// The ungoverned one-scan engine on an explicit pool and split policy.
@@ -558,48 +561,71 @@ proptest! {
         r in proptest::collection::vec((1i64..=6, 1i64..=4, prob()), 1..16),
     ) {
 
-        // A Boolean single-table query: signature R*, a *leaf* root, whose
-        // split replays the per-variable crtP fold rather than per-partition
-        // closes.
-        let catalog = Catalog::new();
-        let mut var = 0u64;
-        let mut next = || { var += 1; Variable(var) };
-        let mut rt = ProbTable::new(
-            Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]).unwrap(),
-        );
+        // A Boolean single-table query: signature R*, a *leaf* root. The
+        // same (tuple, variable, p) rows are inserted twice: with the
+        // variables descending in row order, so the scan's answer takes the
+        // sort and the split — which replays the per-variable crtP fold
+        // rather than per-partition closes — and ascending, so it is folded
+        // in arrival order.
+        let mut rows = Vec::new();
         let mut seen = BTreeSet::new();
         for (a, b, p) in &r {
             if seen.insert((*a, *b)) {
-                rt.insert(tuple![*a, *b], next(), *p).unwrap();
+                rows.push((*a, *b, Variable(rows.len() as u64 + 1), *p));
             }
         }
-        catalog.register_table("R", rt).unwrap();
-        let q = ConjunctiveQuery::build(&[("R", &["a", "b"])], &[], vec![]).unwrap();
-        let order: Vec<String> = vec!["R".to_string()];
-        let answer = evaluate_join_order(&q, &catalog, &order).unwrap();
-        let sig = query_signature(&q, &FdSet::empty()).unwrap();
+        let scanned = |rows: &mut dyn Iterator<Item = &(i64, i64, Variable, f64)>| {
+            let mut rt = ProbTable::new(
+                Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]).unwrap(),
+            );
+            for (a, b, var, p) in rows {
+                rt.insert(tuple![*a, *b], *var, *p).unwrap();
+            }
+            let catalog = Catalog::new();
+            catalog.register_table("R", rt).unwrap();
+            let q = ConjunctiveQuery::build(&[("R", &["a", "b"])], &[], vec![]).unwrap();
+            let order: Vec<String> = vec!["R".to_string()];
+            let answer = evaluate_join_order(&q, &catalog, &order).unwrap();
+            (answer, query_signature(&q, &FdSet::empty()).unwrap())
+        };
+        let (descending, sig) = scanned(&mut rows.iter().rev());
+        let (ascending, _) = scanned(&mut rows.iter());
         prop_assert!(sig.is_one_scan());
+        let var_at = |answer: &Annotated, r: usize| answer.row(r).lineage[0].0;
+        if rows.len() > 1 {
+            prop_assert!(var_at(&descending, 0) > var_at(&descending, 1));
+            prop_assert!(var_at(&ascending, 0) < var_at(&ascending, 1));
+        }
 
         let unsplit = one_scan_on(
-            &answer, &sig, &Pool::sequential(), SplitPolicy::never(),
+            &descending, &sig, &Pool::sequential(), SplitPolicy::never(),
         ).unwrap();
-        let oracle = brute_force_confidences(&answer);
+        let arrival = one_scan_on(
+            &ascending, &sig, &Pool::sequential(), SplitPolicy::never(),
+        ).unwrap();
+        let oracle = brute_force_confidences(&ascending);
         prop_assert_eq!(unsplit.len(), oracle.len());
-        for ((t1, p1), (t2, p2)) in unsplit.iter().zip(oracle.iter()) {
-            prop_assert_eq!(t1, t2);
-            prop_assert!((p1 - p2).abs() < 1e-9, "unsplit {} vs oracle {}", p1, p2);
+        prop_assert_eq!(arrival.len(), oracle.len());
+        for (((t1, p1), (t2, p2)), (t3, p3)) in unsplit.iter().zip(&arrival).zip(&oracle) {
+            prop_assert_eq!(t1, t3);
+            prop_assert_eq!(t2, t3);
+            prop_assert!((p1 - p3).abs() < 1e-9, "unsplit {} vs oracle {}", p1, p3);
+            prop_assert_eq!(
+                p1.to_bits(), p2.to_bits(), "sorted {} vs arrival order {}", p1, p2
+            );
         }
         for threads in [1usize, 2, 4, 8] {
-            let split = one_scan_on(
-                &answer, &sig, &Pool::new(threads), SplitPolicy::at(2),
-            ).unwrap();
-            prop_assert_eq!(split.len(), unsplit.len());
-            for ((t1, p1), (t2, p2)) in split.iter().zip(unsplit.iter()) {
-                prop_assert_eq!(t1, t2, "{} threads", threads);
-                prop_assert_eq!(
-                    p1.to_bits(), p2.to_bits(),
-                    "{} threads: split {} vs unsplit {}", threads, p1, p2
-                );
+            let pool = Pool::new(threads);
+            for answer in [&descending, &ascending] {
+                let split = one_scan_on(answer, &sig, &pool, SplitPolicy::at(2)).unwrap();
+                prop_assert_eq!(split.len(), unsplit.len());
+                for ((t1, p1), (t2, p2)) in split.iter().zip(unsplit.iter()) {
+                    prop_assert_eq!(t1, t2, "{} threads", threads);
+                    prop_assert_eq!(
+                        p1.to_bits(), p2.to_bits(),
+                        "{} threads: split {} vs unsplit {}", threads, p1, p2
+                    );
+                }
             }
         }
     }
@@ -663,6 +689,127 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Scenario 2d: single-relation answers folded in arrival order. An answer
+// whose 1scanTree is one leaf (signature R*) and whose bags' variables
+// ascend is folded row by row into hashed bags instead of being sorted; it
+// must give the tuples, confidence bits and bag counters of the sorted
+// scan, at every pool size. Cells mix NULL, `Int(2)` with `Float(2.0)`,
+// `±0.0`, NaN and short strings; variables ascend and sometimes repeat.
+// ---------------------------------------------------------------------------
+
+/// Data cells the arrival-order property draws from: the first `k` of them
+/// for a case's alphabet of `k`, so small alphabets make large bags whose
+/// rows spell one key differently (`Int(2)` / `Float(2.0)`, `0.0` / `-0.0`).
+fn arrival_cells() -> [Value; 10] {
+    [
+        Value::Int(2),
+        Value::Float(2.0),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Null,
+        Value::Float(f64::NAN),
+        Value::str("a"),
+        Value::Int(0),
+        Value::str("b"),
+        Value::str(""),
+    ]
+}
+
+/// Probabilities at the edges of the `independent_or` fold, and between.
+const ARRIVAL_PROBS: [f64; 7] = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5, 0.3, 0.9];
+
+/// A single-relation answer over relation `R` with `cols` data columns.
+/// Each row is `(cells, probability, repeat)`: `repeat` 0 repeats the
+/// previous row whole (a duplicate derivation), 1 repeats its variable and
+/// probability under the row's own cells, anything else takes the next
+/// variable.
+fn arrival_answer(cols: usize, alphabet: usize, rows: &[([usize; 3], usize, u8)]) -> Annotated {
+    let names: Vec<(String, DataType)> = (0..cols)
+        .map(|c| (format!("c{c}"), DataType::Int))
+        .collect();
+    let pairs: Vec<(&str, DataType)> = names.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let mut answer = Annotated::new(Schema::from_pairs(&pairs).unwrap(), vec!["R".into()]);
+    let cells = arrival_cells();
+    let mut prev: Option<(Vec<Value>, Variable, f64)> = None;
+    for (picks, p, repeat) in rows {
+        let own: Vec<Value> = picks[..cols]
+            .iter()
+            .map(|&i| cells[i % alphabet].clone())
+            .collect();
+        let (data, var, p) = match (&prev, repeat) {
+            (Some((data, var, p)), 0) => (data.clone(), *var, *p),
+            (Some((_, var, p)), 1) => (own, *var, *p),
+            (prev, _) => {
+                let next = prev.as_ref().map_or(1, |(_, var, _)| var.0 + 1);
+                (own, Variable(next), ARRIVAL_PROBS[*p])
+            }
+        };
+        answer.push(AnnotatedRow::new(Tuple::new(data.clone()), vec![(var, p)]));
+        prev = Some((data, var, p));
+    }
+    answer
+}
+
+/// The bag counters the sorted scan tallies over `sorted` (in the one-scan
+/// order): its runs of equal data, and those of at least `min_rows` rows.
+fn sorted_bag_counters(sorted: &Annotated, min_rows: usize) -> (u64, u64) {
+    let mut runs = Vec::new();
+    for r in 0..sorted.len() {
+        match runs.last_mut() {
+            Some((start, len)) if sorted.row(*start).data == sorted.row(r).data => *len += 1,
+            _ => runs.push((r, 1usize)),
+        }
+    }
+    let huge = runs.iter().filter(|(_, len)| *len >= min_rows).count();
+    (runs.len() as u64, huge as u64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn single_relation_answers_fold_in_arrival_order_as_the_sorted_scan(
+        cols in 0usize..=3,
+        alphabet in 1usize..=10,
+        rows in proptest::collection::vec(
+            ((0usize..10, 0usize..10, 0usize..10), 0usize..ARRIVAL_PROBS.len(), 0u8..6),
+            0..48,
+        ),
+        min_rows in 0usize..8,
+    ) {
+        let rows: Vec<([usize; 3], usize, u8)> =
+            rows.into_iter().map(|((a, b, c), p, rep)| ([a, b, c], p, rep)).collect();
+        let answer = arrival_answer(cols, alphabet, &rows);
+        let sig = Signature::star(Signature::table("R"));
+        let policy = SplitPolicy::at(min_rows);
+        let mut sorted = answer.clone();
+        sort_for_signature(&mut sorted, &sig).unwrap();
+        let want = one_scan_confidences_presorted_tuned(
+            &sorted, &sig, &Pool::sequential(), policy,
+        ).unwrap();
+        let (bags, huge) = sorted_bag_counters(&sorted, min_rows.max(2));
+        prop_assert_eq!(want.len() as u64, bags);
+        for threads in [1usize, 2, 8] {
+            let obs = QueryObs::new();
+            let ctx = ExecContext::unbounded().with_obs(obs.clone());
+            let got = one_scan_confidences_ctx(&answer, &sig, &Pool::new(threads), policy, &ctx)
+                .unwrap();
+            prop_assert_eq!(got.len(), want.len(), "{} threads", threads);
+            for ((t1, p1), (t2, p2)) in got.iter().zip(&want) {
+                // The tuple's own spelling: `Int(2)` is not `Float(2.0)` here.
+                prop_assert_eq!(format!("{t1:?}"), format!("{t2:?}"), "{} threads", threads);
+                prop_assert_eq!(
+                    p1.to_bits(), p2.to_bits(),
+                    "{} threads, {}: arrival order {} vs sorted {}", threads, t1, p1, p2
+                );
+            }
+            prop_assert_eq!(obs.get(Counter::ConfBags), bags, "{} threads", threads);
+            prop_assert_eq!(obs.get(Counter::ConfHugeBags), huge, "{} threads", threads);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Scenario 3 (PR 1): the optimized pipeline — normalized-key join, the sort
 // into the one-scan order, streaming one-scan — against the brute-force
 // oracle.
@@ -698,7 +845,7 @@ proptest! {
 
         // Sort into the one-scan order, then the streaming scan.
         let mut sorted = answer.clone();
-        pdb_conf::one_scan::sort_for_signature(&mut sorted, &sig).unwrap();
+        sort_for_signature(&mut sorted, &sig).unwrap();
         let ours =
             one_scan_confidences_presorted_tuned(
                 &sorted, &sig, &Pool::from_env(), SplitPolicy::default(),

@@ -5,7 +5,8 @@
 //! flat run of `u64` words *once*, so its hot loops reduce to comparing and
 //! radix-sorting machine words. A join needs only equality, so it keeps no
 //! second copy of its keys: [`join_row_hash`] hashes a row's key cells where
-//! they lie, and [`join_equal`] compares two cells there.
+//! they lie, and [`join_equal`] compares two cells there. Grouping rows by
+//! hash ([`group_row_hash`]) is the same hash with NULL cells kept.
 //!
 //! # Cell widths
 //!
@@ -90,6 +91,9 @@ fn ordered_i64(i: i64) -> u64 {
     (i as u64) ^ (1 << 63)
 }
 
+/// The type class word of a NULL's mixed cell.
+const NULL_CLASS: u64 = 0;
+
 /// The type class word of a string's mixed cell.
 const STR_CLASS: u64 = 2;
 
@@ -99,7 +103,7 @@ const STR_CLASS: u64 = 2;
 #[inline]
 fn encode_cell(v: &Value, str_code: u64) -> [u64; CELL_WIDTH] {
     match v {
-        Value::Null => [0, 0, 0],
+        Value::Null => [NULL_CLASS, 0, 0],
         Value::Int(i) => [1, ordered_f64(*i as f64), ordered_i64(*i)],
         Value::Float(f) => {
             // The tie-break only matters when the primary order ties, i.e.
@@ -433,6 +437,15 @@ impl SortKeys {
             width,
             data_words,
         }
+    }
+
+    /// Bytes a sort of `rows` rows over `columns` cells and `extra` words
+    /// may hold at once: the key words (a mixed cell per column at most) and
+    /// the widest packed sort buffer with its radix scratch.
+    pub fn sort_bytes(rows: usize, columns: usize, extra: usize) -> usize {
+        let key_words = columns * CELL_WIDTH + extra;
+        let packed = 2 * std::mem::size_of::<(u128, u32)>();
+        rows * (key_words * std::mem::size_of::<u64>() + packed)
     }
 
     /// Words per row.
@@ -892,6 +905,15 @@ pub fn join_equal(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// 2⁶⁴ over the golden ratio: the seed and the multiplier of a row hash.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Mixes one cell's hash word into a row hash.
+#[inline]
+fn mix_cell(h: u64, cell: u64) -> u64 {
+    (h.rotate_left(5) ^ cell).wrapping_mul(GOLDEN)
+}
+
 /// The hash of a row's join key, its cells' [`join_hash`] words mixed in
 /// order, or `None` when a cell is NULL. A key of no cells — a product's —
 /// hashes to one constant.
@@ -902,9 +924,20 @@ pub fn join_equal(a: &Value, b: &Value) -> bool {
 /// where random keys fill about 630 and FxHash's multiplier 362.
 #[inline]
 pub fn join_row_hash<'a>(cells: impl IntoIterator<Item = &'a Value>) -> Option<u64> {
-    const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-    cells.into_iter().try_fold(GOLDEN, |h: u64, v| {
-        Some((h.rotate_left(5) ^ join_hash(v)?).wrapping_mul(GOLDEN))
+    cells
+        .into_iter()
+        .try_fold(GOLDEN, |h, v| Some(mix_cell(h, join_hash(v)?)))
+}
+
+/// The hash of a row's grouping key: [`join_row_hash`] with a NULL cell
+/// hashed to its type class word instead of excluding the row. Grouping
+/// puts NULLs together — two NULL cells are [`join_equal`] — where a join
+/// keeps them out, so rows whose cells are pairwise [`join_equal`] hash
+/// alike here.
+#[inline]
+pub fn group_row_hash<'a>(cells: impl IntoIterator<Item = &'a Value>) -> u64 {
+    cells.into_iter().fold(GOLDEN, |h, v| {
+        mix_cell(h, join_hash(v).unwrap_or(join_class(NULL_CLASS)))
     })
 }
 
@@ -995,6 +1028,32 @@ mod tests {
             row_hash(&[Value::Int(2), Value::Int(1)])
         );
         assert_eq!(row_hash(&[]), row_hash(&[]));
+    }
+
+    #[test]
+    fn group_keys_hash_join_equal_rows_alike_nulls_included() {
+        let spellings = [
+            [Value::Int(2), Value::Null],
+            [Value::Float(2.0), Value::Null],
+        ];
+        assert!(spellings[0]
+            .iter()
+            .zip(&spellings[1])
+            .all(|(a, b)| join_equal(a, b)));
+        assert_eq!(group_row_hash(&spellings[0]), group_row_hash(&spellings[1]));
+        assert_eq!(
+            group_row_hash(&[Value::Float(0.0), Value::Float(f64::NAN)]),
+            group_row_hash(&[Value::Float(-0.0), Value::Float(-f64::NAN)])
+        );
+        // A key without NULLs hashes as the join hashes it; the NULL is a
+        // cell of its own, and cells still mix in order.
+        let key = [Value::Int(1), Value::str("x")];
+        assert_eq!(Some(group_row_hash(&key)), join_row_hash(&key));
+        assert_ne!(
+            group_row_hash(&[Value::Null, Value::Int(1)]),
+            group_row_hash(&[Value::Int(1), Value::Null])
+        );
+        assert_ne!(group_row_hash(&[Value::Null]), group_row_hash(&[]));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use pdb_storage::{Value, Variable};
 
 use crate::annotated::Annotated;
 use crate::error::{ExecError, ExecResult};
-use crate::key::{cmp_one_variant, SortKeys, CELL_WIDTH};
+use crate::key::{cmp_one_variant, SortKeys};
 use crate::ops::arena_bytes;
 
 /// A relation's rows sorted on `(data columns, group variables, order
@@ -67,16 +67,6 @@ pub struct KeyRuns {
 /// row at most).
 fn index_bytes(rows: usize) -> usize {
     rows * (std::mem::size_of::<u32>() + std::mem::size_of::<usize>())
-}
-
-/// Bytes the key path of [`KeyRuns::build`] may hold at once for `rows` rows
-/// of `data_cols` data columns and `var_cols` variable columns: the key
-/// words (a mixed cell per data column at most) and the widest packed sort
-/// buffer with its radix scratch.
-fn sort_bytes(rows: usize, data_cols: usize, var_cols: usize) -> usize {
-    let key_words = data_cols * CELL_WIDTH + var_cols;
-    let packed = 2 * std::mem::size_of::<(u128, u32)>();
-    rows * (key_words * std::mem::size_of::<u64>() + packed)
 }
 
 /// The run starts of an `input` whose rows already ascend on `(data columns,
@@ -148,7 +138,10 @@ impl KeyRuns {
         let descends = |&c: &usize| (1..input.len()).any(|r| var(r - 1, c) > var(r, c));
         let order_cols = &order_cols[..order_cols.iter().rposition(descends).map_or(0, |e| e + 1)];
         let rel_idx: Vec<usize> = group_cols.iter().chain(order_cols).copied().collect();
-        ctx.account(stage, sort_bytes(input.len(), col_idx.len(), rel_idx.len()))?;
+        ctx.account(
+            stage,
+            SortKeys::sort_bytes(input.len(), col_idx.len(), rel_idx.len()),
+        )?;
         let keys = input.sort_keys_with(&col_idx, &rel_idx, pool);
         // Runs are cut on the normalized key prefix — the top bits of the
         // sorted packed words, no `Value` dispatch.
@@ -544,7 +537,10 @@ mod tests {
             &ExecContext::governed(&exact),
         );
         exceeded(built.map(|_| ()), Stage::Sort);
-        assert_eq!(exact.memory_used(), index_bytes(4) + sort_bytes(4, 1, 1));
+        assert_eq!(
+            exact.memory_used(),
+            index_bytes(4) + SortKeys::sort_bytes(4, 1, 1)
+        );
 
         // An owned input whose runs are its rows in order keeps its data
         // arena: the collapse charges the lineage arena alone. Borrowed, the

@@ -57,6 +57,7 @@ pub mod sites {
         "project.write",
         "eager.aggregate",
         "conf.bag",
+        "conf.fold",
         "conf.bounds",
     ];
 

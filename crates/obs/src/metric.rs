@@ -35,11 +35,12 @@ pub enum Counter {
     DecodedStrings,
     /// Per-node aggregation groups produced by eager-plan operators.
     EagerGroups,
-    /// Lineage bags (sort-order units) evaluated by the confidence scan.
+    /// Lineage bags (distinct answer tuples) evaluated by the confidence scan.
     ConfBags,
-    /// Bags at or above the intra-bag split threshold. The *eligibility*
-    /// count is deterministic; how many sub-ranges a huge bag actually
-    /// splits into depends on the pool size and is deliberately not counted.
+    /// Bags of at least `SplitPolicy::min_rows` rows and at least two,
+    /// duplicate derivations included. The count depends on the input and
+    /// the policy alone; whether and into how many sub-ranges such a bag is
+    /// split depends on its 1scanTree and the pool size and is not counted.
     ConfHugeBags,
     /// Shannon-expansion leaves created by the anytime bounds frontier.
     FrontierNodes,
@@ -109,7 +110,7 @@ impl Counter {
             Counter::DecodedStrings => "Ranked strings decoded at late materialization",
             Counter::EagerGroups => "Eager-plan per-node aggregation groups",
             Counter::ConfBags => "Lineage bags evaluated by the confidence scan",
-            Counter::ConfHugeBags => "Bags eligible for intra-bag splitting",
+            Counter::ConfHugeBags => "Bags of at least the split policy's minimum rows",
             Counter::FrontierNodes => "Shannon-expansion leaves created by anytime bounds",
             Counter::AnswerRows => "Rows in the final answer relation",
         }

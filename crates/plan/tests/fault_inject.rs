@@ -65,6 +65,7 @@ const SITES: &[&str] = &[
     "project.write",
     "eager.aggregate",
     "conf.bag",
+    "conf.fold",
     "conf.bounds",
 ];
 
